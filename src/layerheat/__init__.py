@@ -29,7 +29,6 @@ from .inverse_transform import (
     ContourLeavesDomain,
     certify_mu,
     delta_recovery,
-    eval_gradient,
     eval_kernel,
     mass_integral,
 )
@@ -58,7 +57,6 @@ from .bounds import (
     BoundFitReport,
     ExponentMismatch,
     NoFiniteConstant,
-    ParabolicCylinder,
     SampleSpec,
     fit_aronson,
     fit_gradient_bound,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -23,19 +23,6 @@ class NoFiniteConstant(RuntimeError):
 
 class ExponentMismatch(ValueError):
     """Schur-test exponents fail 1/p2 + 1/q = 1/p1 + 1."""
-
-
-@dataclass(frozen=True)
-class ParabolicCylinder:
-    """B_rho(x0) x (t0 - rho^2, t0)."""
-
-    center_x: np.ndarray
-    center_t: float
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
 
 
 @dataclass

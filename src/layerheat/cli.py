@@ -233,24 +233,6 @@ def cmd_green(cfg: dict, output: str) -> int:
     return 0
 
 
-class _BrokenEvaluator:
-    """Test fixture: multiplies the kernel by exp(r^2/dt) (breaks bounds)."""
-
-    def __init__(self, base: KernelEvaluator):
-        self.base = base
-        self.medium = base.medium
-
-    def eval_many(self, x, t, y, s, source_gradient: bool = False):
-        res = dict(self.base.eval_many(x, t, y, s, source_gradient))
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        y2 = np.broadcast_to(np.asarray(y, dtype=float), x2.shape)
-        r2 = np.sum((x2 - y2) ** 2, axis=1)
-        boost = np.exp(np.minimum(r2 / (t - s), 700.0))
-        res["gamma"] = res["gamma"] * boost
-        res["grad"] = res["grad"] * boost[:, None]
-        return res
-
-
 def _verify_payload(cfg: dict, name: str):
     """Run one verification harness; returns (passed, report dict)."""
     from . import bounds, symbols
@@ -261,8 +243,6 @@ def _verify_payload(cfg: dict, name: str):
     seed = int(cfg.get("seed", 0))
     params = cfg.get("verify", {})
     ev = KernelEvaluator(medium, qcfg)
-    if cfg.get("debug_scale_kernel"):
-        ev = _BrokenEvaluator(ev)
     n = medium.dim
 
     if name in ("aronson", "gradient"):
@@ -338,7 +318,7 @@ def _verify_payload(cfg: dict, name: str):
     if name == "mass":
         y = np.asarray(params.get("y", [0.0] * (n - 1) + [0.4]), dtype=float)
         dt = float(params.get("dt", 0.3))
-        val = mass_integral(medium, dt, y, ev.cfg if hasattr(ev, "cfg") else qcfg)
+        val = mass_integral(medium, dt, y, ev.cfg)
         return abs(val - 1.0) < 1e-4, {"mass": val}
     if name == "delta":
         y = np.asarray(params.get("y", [0.0] * (n - 1) + [0.3]), dtype=float)

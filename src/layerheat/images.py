@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .medium import Cube, DiffusionTensor, KernelQuery, MediumError, TwoLayerMedium
-from .inverse_transform import KernelEvaluator, KernelValue, QuadratureConfig
+from .inverse_transform import KernelEvaluator, KernelValue, QuadratureConfig, gauss_tensor_grid
 
 
 class UnsupportedGeometry(ValueError):
@@ -436,21 +436,9 @@ def volume_potential(
     xs, ws = leggauss(n_time)
     sig = 0.5 * sig_max * (xs + 1.0)
     wsig = 0.5 * sig_max * ws
-    xg, wg = leggauss(n_space)
 
     def tensor_grid(lo, hi):
-        axes = [
-            (0.5 * (lo[j] + hi[j]) + 0.5 * (hi[j] - lo[j]) * xg,
-             0.5 * (hi[j] - lo[j]) * wg)
-            for j in range(n)
-        ]
-        if n == 1:
-            return axes[0][0][:, None], axes[0][1]
-        grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-        wgt = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        wts = np.prod(np.stack([w.ravel() for w in wgt]), axis=0)
-        return pts, wts
+        return gauss_tensor_grid([[(lo[j], hi[j], n_space)] for j in range(n)])
 
     w_half = domain.half_width
     lo_full = domain.center - w_half

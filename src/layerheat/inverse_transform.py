@@ -5,10 +5,10 @@ The fundamental solution is recovered from the region symbols V by
     Gamma = (2*pi)^{-(n-1)} Int_{R^{n-1}} e^{i(x'-y').xi'}
             [ (1/2*pi*i) Int_C e^{tau(t-s)} V(x_n, y_n, xi', tau) dtau ] dxi'
 
-The Laplace contour C is, by default, a hyperbolic contour deformed into
-the left half-plane (exponentially convergent trapezoid rule); a vertical
-Bromwich line is available as a fallback.  The deformation is certified
-against the analyticity domain L_mu of the symbols: mu is established by
+The Laplace contour C is a hyperbolic contour deformed into the left
+half-plane (exponentially convergent trapezoid rule, Weideman & Trefethen,
+Math. Comp. 76 (2007)).  The deformation is certified against the
+analyticity domain L_mu of the symbols: mu is established by
 root-avoidance sampling for the given medium, and a contour shape is then
 chosen whose nodes stay inside L_mu with margin.
 
@@ -34,9 +34,8 @@ from .symbols import (
     Region,
     SpectralPoint,
     classify_region,
-    in_analyticity_domain,
+    on_branch_cut,
     region_terms,
-    root_avoidance_check,
     theta_squared,
 )
 
@@ -72,28 +71,23 @@ _CONTOUR_ROWS = (
 # Candidate analyticity certificates, tried from largest to smallest.
 MU_LADDER = (2.4, 1.2, 0.8, 0.6, 0.45, 0.28, 0.12)
 
+# Gauss-Legendre nodes on the base xi' panel [-R0, R0] of each axis.
+XI_BASE_NODES = 32
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Contour and truncation parameters for kernel evaluation."""
 
-    contour_kind: str = "deformed_hyperbolic"
-    sigma_abscissa: float = 1.0
     contour_nodes: int = 64
-    xi_truncation_radius: float = 0.0  # 0 -> automatic from symbol decay
-    xi_nodes_per_dim: int = 32
     target_rel_tol: float = 1e-8
     mu: float | None = None  # None -> certified at evaluator construction
 
     def __post_init__(self):
-        if self.contour_kind not in ("deformed_hyperbolic", "vertical_bromwich"):
-            raise ValueError(f"unknown contour kind {self.contour_kind!r}")
-        if self.contour_nodes < 8 or self.xi_nodes_per_dim < 8:
-            raise ValueError("node counts must be >= 8")
+        if self.contour_nodes < 8:
+            raise ValueError("contour_nodes must be >= 8")
         if not 0.0 < self.target_rel_tol < 1.0:
             raise ValueError("target_rel_tol must lie in (0, 1)")
-        if not self.sigma_abscissa > 0.0:
-            raise ValueError("sigma_abscissa must be positive")
         if self.mu is not None and not self.mu > 0.0:
             raise ValueError("mu must be positive")
 
@@ -105,25 +99,6 @@ class KernelValue:
     gamma: float
     grad: np.ndarray
     est_error: float
-
-
-def _theta2_pointwise(medium: TwoLayerMedium, xi: np.ndarray, tau: np.ndarray):
-    """Theta^2 for paired samples: xi (Q, n-1), tau (Q,) -> two (Q,) arrays."""
-    A, B = medium.upper, medium.lower
-    if xi.shape[1] == 0:
-        a = b = np.zeros(xi.shape[0], dtype=complex)
-        qa = qb = np.zeros(xi.shape[0], dtype=complex)
-    else:
-        a = xi @ A.normal_row.astype(complex)
-        b = xi @ B.normal_row.astype(complex)
-        qa = np.einsum("qi,ij,qj->q", xi, A.minor, xi)
-        qb = np.einsum("qi,ij,qj->q", xi, B.minor, xi)
-    return A.a_nn * (qa + tau) - a**2, B.a_nn * (qb + tau) - b**2
-
-
-def _on_cut(th2: np.ndarray) -> np.ndarray:
-    scale = np.maximum(np.abs(th2), 1e-300)
-    return (np.abs(th2.imag) <= 1e-13 * scale) & (th2.real <= 1e-13 * scale)
 
 
 def _mu_admissible(medium: TwoLayerMedium, mu: float, samples: int, seed: int) -> bool:
@@ -147,13 +122,17 @@ def _mu_admissible(medium: TwoLayerMedium, mu: float, samples: int, seed: int) -
 
     if mu * schur_max >= 0.999:
         return False
+    # Structured slices xi' = i*s*v, eta = -i*r just inside the boundary.
+    slices = []
     for v in dirs:
         v = v / np.linalg.norm(v)
         for s_val in (0.5, 1.0, 2.0):
             r = 1.02 * s_val**2 / mu
-            sp = SpectralPoint.from_eta(1j * s_val * v, -1j * r)
-            if not root_avoidance_check(medium, sp, mu):
-                return False
+            slices.append(SpectralPoint.from_eta(1j * s_val * v, -1j * r))
+    xi = np.array([sp.xi_prime for sp in slices])
+    tau = np.array([sp.tau for sp in slices])
+    if _hits_branch_cut(medium, xi, tau):
+        return False
     # Monte-Carlo sweep of the open domain.
     rng = np.random.default_rng(seed)
     re_xi = rng.normal(0.0, 3.0, (samples, d))
@@ -164,10 +143,13 @@ def _mu_admissible(medium: TwoLayerMedium, mu: float, samples: int, seed: int) -
         - np.sum(im_xi**2, axis=1) / mu
     im_eta = bound - 10.0 ** rng.uniform(-3.0, 1.0, samples) * (1.0 + np.abs(bound))
     tau = 1j * (re_eta + 1j * im_eta)
-    th2_A, th2_B = _theta2_pointwise(medium, xi, tau)
-    if np.any(_on_cut(th2_A)) or np.any(_on_cut(th2_B)):
-        return False
-    return True
+    return not _hits_branch_cut(medium, xi, tau)
+
+
+def _hits_branch_cut(medium: TwoLayerMedium, xi: np.ndarray, tau: np.ndarray) -> bool:
+    """True if Theta^2 of either layer is on the cut at some paired (xi, tau)."""
+    th2_A, th2_B, _, _ = theta_squared(medium, xi, tau[:, None])
+    return bool(np.any(on_branch_cut(th2_A)) or np.any(on_branch_cut(th2_B)))
 
 
 def certify_mu(
@@ -180,9 +162,9 @@ def certify_mu(
 
     Certification combines (a) an analytic threshold on the tangential
     Schur complement (the exactly-real failure slice xi' = i*s*v,
-    eta = -i*r with r just below the domain boundary), (b) a sweep of
-    those structured slices through root_avoidance_check, and (c) random
-    sampling of L_mu.  Random sampling alone would almost surely miss the
+    eta = -i*r with r just below the domain boundary), (b) a branch-cut
+    test of Theta^2 on those structured slices, and (c) random sampling
+    of L_mu.  Random sampling alone would almost surely miss the
     failure set, which has measure zero.
     """
     if medium.dim == 1:
@@ -230,36 +212,6 @@ def _hyperbolic_nodes(row, m: int, dt: float):
     return tau, weights
 
 
-def _bromwich_nodes(sigma: float, m: int, dt: float):
-    x, w = leggauss(2 * m + 1)
-    big_t = 50.0 / dt
-    tau = sigma + 1j * big_t * x
-    weights = w * big_t / (2.0 * np.pi)
-    return tau, weights.astype(complex)
-
-
-def choose_contour(medium: TwoLayerMedium, dt: float, cfg: QuadratureConfig):
-    """Laplace contour nodes and quadrature weights for time lag dt.
-
-    Every emitted node is checked against the analyticity domain (at real
-    tangential frequency); violation raises ContourLeavesDomain.
-    """
-    if not dt > 0.0:
-        raise MediumError("time lag must be positive")
-    cfg = resolve_config(medium, cfg)
-    if cfg.contour_kind == "vertical_bromwich":
-        tau, w = _bromwich_nodes(cfg.sigma_abscissa, cfg.contour_nodes, dt)
-    else:
-        row = _select_row(cfg.mu, cfg.contour_nodes)
-        tau, w = _hyperbolic_nodes(row, cfg.contour_nodes, dt)
-    d = medium.dim - 1
-    zero = np.zeros(d)
-    for tk in tau:
-        if not in_analyticity_domain(SpectralPoint(zero, tk), cfg.mu):
-            raise ContourLeavesDomain(f"contour node tau = {tk} outside L_mu")
-    return tau, w
-
-
 def resolve_config(medium: TwoLayerMedium, cfg: QuadratureConfig | None) -> QuadratureConfig:
     """Fill in a certified mu when the config does not pin one."""
     if cfg is None:
@@ -283,16 +235,11 @@ class KernelEvaluator:
     def __init__(self, medium: TwoLayerMedium, cfg: QuadratureConfig | None = None):
         self.medium = medium
         self.cfg = resolve_config(medium, cfg)
-        if self.cfg.contour_kind == "deformed_hyperbolic":
-            self._row = _select_row(self.cfg.mu, self.cfg.contour_nodes)
-        else:
-            self._row = None
-        lam_max = medium.max_eigenvalue()
+        self._row = _select_row(self.cfg.mu, self.cfg.contour_nodes)
         self._det_min = min(
             float(np.linalg.det(medium.upper.entries)),
             float(np.linalg.det(medium.lower.entries)),
         )
-        self._lam_max = lam_max
         self._schur_min = min(
             medium.upper.schur_complement_min(), medium.lower.schur_complement_min()
         )
@@ -300,13 +247,11 @@ class KernelEvaluator:
     # -- quadrature building blocks -------------------------------------
 
     def _contour(self, m: int, dt: float):
-        if self.cfg.contour_kind == "vertical_bromwich":
-            return _bromwich_nodes(self.cfg.sigma_abscissa, m, dt)
         return _hyperbolic_nodes(self._row, m, dt)
 
-    def _xi_axis(self, base_radius: float, doublings: int, osc_j: float,
-                 dt: float, factor: float):
-        """Panel-decomposed Gauss-Legendre rule for one xi' axis.
+    def _xi_panels(self, base_radius: float, doublings: int, osc_j: float,
+                   dt: float, factor: float):
+        """Gauss-Legendre panels (lo, hi, nodes) for one xi' axis.
 
         The base panel [-R0, R0] carries the Gaussian bulk; each doubling
         appends annulus panels with node counts proportional to panel
@@ -315,15 +260,13 @@ class KernelEvaluator:
         density = math.sqrt(self._schur_min * dt)
         breaks = [-base_radius, base_radius]
         for i in range(doublings):
-            r_lo = base_radius * 2**i
             r_hi = base_radius * 2 ** (i + 1)
             breaks = [-r_hi] + breaks + [r_hi]
-            del r_lo
-        nodes, weights = [], []
+        panels = []
         for a, b in zip(breaks[:-1], breaks[1:]):
             length = b - a
             n_j = max(
-                self.cfg.xi_nodes_per_dim if length == 2 * base_radius else 16,
+                XI_BASE_NODES if length == 2 * base_radius else 16,
                 int(0.7 * length * osc_j) + 16,
                 int(0.5 * length * density) + 8,
             )
@@ -332,36 +275,22 @@ class KernelEvaluator:
             # panels instead of growing a single rule.
             pieces = max(1, -(-n_j // 400))
             n_piece = -(-n_j // pieces)
-            x, w = leggauss(n_piece)
-            for i in range(pieces):
-                lo = a + length * i / pieces
-                hi = a + length * (i + 1) / pieces
-                nodes.append(0.5 * (hi - lo) * x + 0.5 * (lo + hi))
-                weights.append(0.5 * (hi - lo) * w)
-        return np.concatenate(nodes), np.concatenate(weights)
+            panels += [
+                (a + length * i / pieces, a + length * (i + 1) / pieces, n_piece)
+                for i in range(pieces)
+            ]
+        return panels
 
     def _xi_grid(self, base_radius: float, doublings: int, osc: np.ndarray,
                  dt: float, factor: float = 1.0):
         d = self.medium.dim - 1
-        if d == 0:
-            return np.zeros((1, 0)), np.ones(1)
-        axes = [
-            self._xi_axis(base_radius, doublings, osc[j], dt, factor)
+        xi, wq = gauss_tensor_grid([
+            self._xi_panels(base_radius, doublings, osc[j], dt, factor)
             for j in range(d)
-        ]
-        if d == 1:
-            xi = axes[0][0][:, None]
-            wq = axes[0][1]
-        else:
-            g0, g1 = np.meshgrid(axes[0][0], axes[1][0], indexing="ij")
-            w0, w1 = np.meshgrid(axes[0][1], axes[1][1], indexing="ij")
-            xi = np.stack([g0.ravel(), g1.ravel()], axis=1)
-            wq = (w0 * w1).ravel()
+        ])
         return xi, wq / (2.0 * np.pi) ** d
 
     def _base_radius(self, dt: float) -> float:
-        if self.cfg.xi_truncation_radius > 0.0:
-            return self.cfg.xi_truncation_radius
         decay = max(math.log(100.0 / self.cfg.target_rel_tol), 2.0)
         return math.sqrt(decay / (self._schur_min * dt))
 
@@ -437,6 +366,9 @@ class KernelEvaluator:
         y = np.asarray(y, dtype=float)
         if y.ndim == 1:
             y = np.broadcast_to(y, (k_tot, n))
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+                and math.isfinite(t) and math.isfinite(s)):
+            raise MediumError("x, t, y and s must be finite")
         dt = float(t) - float(s)
         if not dt > 0.0:
             raise MediumError("require t > s")
@@ -510,17 +442,10 @@ class KernelEvaluator:
             out["sgrad"] = sgr.real.copy()
         return out
 
-    def eval_one(self, q: KernelQuery, source_gradient: bool = False):
-        res = self.eval_many(
-            q.x[None, :], q.t, q.y[None, :], q.s, source_gradient=source_gradient
-        )
-        return res
-
 
 def eval_kernel(medium: TwoLayerMedium, q: KernelQuery, cfg: QuadratureConfig | None = None) -> KernelValue:
     """Kernel value Gamma(x, t; y, s) with gradient and error estimate."""
-    ev = KernelEvaluator(medium, cfg)
-    res = ev.eval_one(q)
+    res = KernelEvaluator(medium, cfg).eval_many(q.x[None, :], q.t, q.y[None, :], q.s)
     return KernelValue(
         gamma=float(res["gamma"][0]),
         grad=res["grad"][0],
@@ -528,18 +453,28 @@ def eval_kernel(medium: TwoLayerMedium, q: KernelQuery, cfg: QuadratureConfig | 
     )
 
 
-def eval_gradient(medium: TwoLayerMedium, q: KernelQuery, cfg: QuadratureConfig | None = None) -> np.ndarray:
-    """Spatial gradient of the kernel at a single query."""
-    return eval_kernel(medium, q, cfg).grad
+def gauss_tensor_grid(axes):
+    """Tensor product of composite Gauss-Legendre rules, in any dimension.
 
-
-def _gauss_panels(breaks, counts):
-    nodes, weights = [], []
-    for (a, b), m in zip(zip(breaks[:-1], breaks[1:]), counts):
-        x, w = leggauss(m)
-        nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    ``axes`` holds one list of panels (lo, hi, nodes) per axis.  Returns
+    points (N, d), with the last axis varying fastest, and weights (N,).
+    With no axes the rule is the single empty point with weight 1.
+    """
+    pts = np.zeros((1, 0))
+    wts = np.ones(1)
+    rules = {}
+    for panels in axes:
+        nodes, weights = [], []
+        for a, b, m in panels:
+            if m not in rules:
+                rules[m] = leggauss(m)
+            x, w = rules[m]
+            nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
+            weights.append(0.5 * (b - a) * w)
+        x = np.concatenate(nodes)
+        pts = np.hstack([np.repeat(pts, x.size, axis=0), np.tile(x, pts.shape[0])[:, None]])
+        wts = (wts[:, None] * np.concatenate(weights)[None, :]).ravel()
+    return pts, wts
 
 
 def _integration_grid(medium: TwoLayerMedium, dt: float, y: np.ndarray, density: float):
@@ -560,24 +495,11 @@ def _integration_grid(medium: TwoLayerMedium, dt: float, y: np.ndarray, density:
                 if y[j] - half < b < y[j] + half:
                     cuts.add(b)
         breaks = sorted(cuts)
-        counts = [
-            min(200, int(density * (b - a) / sig) + 14)
+        axes.append([
+            (a, b, min(200, int(density * (b - a) / sig) + 14))
             for a, b in zip(breaks[:-1], breaks[1:])
-        ]
-        axes.append(_gauss_panels(breaks, counts))
-    if n == 1:
-        pts = axes[0][0][:, None]
-        wts = axes[0][1]
-    elif n == 2:
-        g0, g1 = np.meshgrid(axes[0][0], axes[1][0], indexing="ij")
-        w0, w1 = np.meshgrid(axes[0][1], axes[1][1], indexing="ij")
-        pts = np.stack([g0.ravel(), g1.ravel()], axis=1)
-        wts = (w0 * w1).ravel()
-    else:
-        grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-        wgt = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        wts = np.prod(np.stack([w.ravel() for w in wgt]), axis=0)
+        ])
+    pts, wts = gauss_tensor_grid(axes)
     keep = pts[:, -1] != 0.0
     return pts[keep], wts[keep]
 

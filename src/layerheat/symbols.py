@@ -6,8 +6,9 @@ equation to a second-order ODE in x_n on each side of the interface.  This
 module implements the exact solution of that ODE system:
 
 * the ``Theta`` square roots that control exponential decay in x_n,
-* the transmission coefficients C1..C4 coupling the layers,
 * the six region symbols V (one per ordering of x_n, y_n and 0),
+* the residuals of the defining conditions (source jump, interface
+  transmission) evaluated on those symbols,
 * the analyticity predicates used to certify contour deformations.
 
 Stored symbols have the source prefactor exp(-tau*s - i y'.xi') factored
@@ -27,18 +28,6 @@ from .medium import OnInterface, TwoLayerMedium
 
 class SymbolError(RuntimeError):
     """Base class for transform-domain evaluation failures."""
-
-
-class BranchAmbiguity(SymbolError):
-    """Theta^2 landed on the nonpositive real axis (branch cut).
-
-    Inside the certified analyticity domain this cannot happen; hitting
-    the cut means the contour or mu certificate is misconfigured.
-    """
-
-
-class DegenerateDenominator(SymbolError):
-    """Theta_A = 0 or Theta_A + Theta_B = 0 in a coefficient formula."""
 
 
 class RegionMismatch(SymbolError):
@@ -66,22 +55,6 @@ class SpectralPoint:
     @property
     def eta(self) -> complex:
         return self.tau / 1j
-
-
-@dataclass(frozen=True)
-class ThetaPair:
-    theta_A: complex
-    theta_B: complex
-    a: complex
-    b: complex
-
-
-@dataclass(frozen=True)
-class TransmissionCoefficients:
-    c1: complex
-    c2: complex
-    c3: complex
-    c4: complex
 
 
 class Region(Enum):
@@ -141,40 +114,27 @@ def _forms(medium: TwoLayerMedium, xi: np.ndarray):
 
 
 def theta_squared(medium: TwoLayerMedium, xi: np.ndarray, tau: np.ndarray):
-    """Theta_A^2 and Theta_B^2 on a (xi-batch) x (tau-batch) grid.
+    """Theta_A^2 and Theta_B^2 for a xi-batch and broadcast tau.
 
-    xi: (Q, n-1) complex, tau: (M,) complex -> two (Q, M) arrays.
+    xi: (Q, n-1) complex.  tau broadcasts against (Q, 1): a (M,) array
+    gives the (Q, M) grid of every xi with every tau, a (Q, 1) array pairs
+    sample q of xi with sample q of tau.
     """
     a_form, b_form, quad_A, quad_B = _forms(medium, xi)
     tau = np.asarray(tau, dtype=complex)
-    th2_A = medium.upper.a_nn * (quad_A[:, None] + tau[None, :]) - a_form[:, None] ** 2
-    th2_B = medium.lower.a_nn * (quad_B[:, None] + tau[None, :]) - b_form[:, None] ** 2
+    th2_A = medium.upper.a_nn * (quad_A[:, None] + tau) - a_form[:, None] ** 2
+    th2_B = medium.lower.a_nn * (quad_B[:, None] + tau) - b_form[:, None] ** 2
     return th2_A, th2_B, a_form, b_form
 
 
-def _check_branch(th2: np.ndarray):
-    on_cut = (th2.imag == 0.0) & (th2.real <= 0.0)
-    if np.any(on_cut):
-        raise BranchAmbiguity(
-            "Theta^2 on the nonpositive real axis; point outside the "
-            "certified analyticity domain"
-        )
+def on_branch_cut(th2: np.ndarray) -> np.ndarray:
+    """Elementwise: Theta^2 on the principal square root's cut (-inf, 0].
 
-
-def theta_pair(medium: TwoLayerMedium, sp: SpectralPoint, check: bool = True) -> ThetaPair:
-    """Principal-branch Theta square roots (Re Theta > 0 inside L_mu)."""
-    xi = sp.xi_prime[None, :]
-    tau = np.array([sp.tau])
-    th2_A, th2_B, a_form, b_form = theta_squared(medium, xi, tau)
-    if check:
-        _check_branch(th2_A)
-        _check_branch(th2_B)
-    return ThetaPair(
-        theta_A=complex(np.sqrt(th2_A[0, 0])),
-        theta_B=complex(np.sqrt(th2_B[0, 0])),
-        a=complex(a_form[0]),
-        b=complex(b_form[0]),
-    )
+    The test is relative (1e-13 of |Theta^2|) so that values rounded onto
+    or next to the cut count as on it.
+    """
+    scale = np.maximum(np.abs(th2), 1e-300)
+    return (np.abs(th2.imag) <= 1e-13 * scale) & (th2.real <= 1e-13 * scale)
 
 
 def region_terms(region: Region, medium: TwoLayerMedium, xi: np.ndarray, tau: np.ndarray):
@@ -248,89 +208,37 @@ def v_symbol(
     return total
 
 
-def transmission_coefficients(
-    medium: TwoLayerMedium,
-    sp: SpectralPoint,
-    y_n: float,
-    y_prime=None,
-    s: float = 0.0,
-    include_prefactor: bool = False,
-) -> TransmissionCoefficients:
-    """Closed-form coefficients C1..C4 of the transmission system, y_n > 0.
+def transmission_residuals(medium: TwoLayerMedium, sp: SpectralPoint, y_n: float) -> np.ndarray:
+    """Relative residuals of the four defining conditions of the symbols, y_n > 0.
 
-    By default the stripped convention is used (no exp(-tau*s - i y'.xi')
-    factor); pass ``include_prefactor=True`` with y_prime, s to obtain the
-    fully dressed coefficients.
+    Conditions, all evaluated through :func:`v_symbol`: continuity at
+    x_n = y_n (R11 against R12), unit conormal-derivative jump
+    a_nn (V'_R12 - V'_R11) = 1 at the source plane, continuity at x_n = 0
+    (R12 against R2) and conormal-flux continuity at x_n = 0.
     """
     if not y_n > 0.0:
-        raise RegionMismatch("transmission_coefficients requires y_n > 0; "
-                             "use mirrored_coefficients for y_n < 0")
-    th = theta_pair(medium, sp)
-    thA, thB = th.theta_A, th.theta_B
-    ia = 1j * th.a
-    ann = medium.upper.a_nn
-    if abs(thA) == 0.0 or abs(thA + thB) == 0.0:
-        raise DegenerateDenominator("Theta_A or Theta_A + Theta_B vanished")
-    up = np.exp((ia + thA) * y_n / ann)
-    down = np.exp((ia - thA) * y_n / ann)
-    c2 = (thA - thB) / (2.0 * thA * (thA + thB)) * down
-    c1 = up / (2.0 * thA) + c2
-    c3 = down / (2.0 * thA)
-    c4 = down / (thA + thB)
-    if include_prefactor:
-        y_prime = np.zeros(sp.xi_prime.shape[0]) if y_prime is None else np.asarray(y_prime)
-        pref = np.exp(-sp.tau * s - 1j * (y_prime @ sp.xi_prime))
-        c1, c2, c3, c4 = (pref * c for c in (c1, c2, c3, c4))
-    return TransmissionCoefficients(c1=complex(c1), c2=complex(c2),
-                                    c3=complex(c3), c4=complex(c4))
+        raise RegionMismatch("transmission_residuals requires y_n > 0")
+    ann, bnn = medium.upper.a_nn, medium.lower.a_nn
+    ia = 1j * complex(sp.xi_prime @ medium.upper.normal_row.astype(complex))
+    ib = 1j * complex(sp.xi_prime @ medium.lower.normal_row.astype(complex))
 
+    def v(region, x_n, derivative=0):
+        return v_symbol(region, medium, x_n, y_n, sp, derivative)
 
-def mirrored_medium(medium: TwoLayerMedium) -> TwoLayerMedium:
-    """Medium seen after reflecting the normal axis (layers swap)."""
-    axis = medium.dim - 1
-    return TwoLayerMedium(
-        upper=medium.lower.reflected(axis), lower=medium.upper.reflected(axis)
-    )
+    above, below = v(Region.R11, y_n), v(Region.R12, y_n)
+    r1 = abs(above - below) / max(abs(above), abs(below), 1e-300)
 
+    jump = ann * (v(Region.R12, y_n, 1) - v(Region.R11, y_n, 1))
+    r2 = abs(jump - 1.0) / max(abs(jump), 1.0)
 
-def mirrored_coefficients(medium: TwoLayerMedium, sp: SpectralPoint, y_n: float) -> TransmissionCoefficients:
-    """Coefficients of the y_n < 0 family via normal-axis reflection."""
-    if not y_n < 0.0:
-        raise RegionMismatch("mirrored_coefficients requires y_n < 0")
-    return transmission_coefficients(mirrored_medium(medium), sp, -y_n)
+    upper, lower = v(Region.R12, 0.0), v(Region.R2, 0.0)
+    r3 = abs(upper - lower) / max(abs(upper), abs(lower), 1e-300)
 
+    flux_up = ann * v(Region.R12, 0.0, 1) + ia * upper
+    flux_lo = bnn * v(Region.R2, 0.0, 1) + ib * lower
+    r4 = abs(flux_up - flux_lo) / max(abs(flux_up), abs(flux_lo), 1e-300)
 
-def transmission_residuals(medium: TwoLayerMedium, sp: SpectralPoint, y_n: float) -> np.ndarray:
-    """Relative residuals of the four defining conditions for C1..C4.
-
-    Conditions: solution continuity at x_n = y_n, unit conormal-derivative
-    jump at the source plane, continuity at x_n = 0 and conormal-flux
-    continuity at x_n = 0.
-    """
-    co = transmission_coefficients(medium, sp, y_n)
-    th = theta_pair(medium, sp)
-    thA, thB = th.theta_A, th.theta_B
-    ia, ib = 1j * th.a, 1j * th.b
-    ann = medium.upper.a_nn
-    p_minus = (-ia - thA) / ann
-    p_plus = (-ia + thA) / ann
-    e_minus = np.exp(p_minus * y_n)
-    e_plus = np.exp(p_plus * y_n)
-
-    r1 = co.c1 * e_minus - co.c2 * e_minus - co.c3 * e_plus
-    s1 = max(abs(co.c1 * e_minus), abs(co.c3 * e_plus), 1e-300)
-
-    jump = ann * ((co.c2 - co.c1) * p_minus * e_minus + co.c3 * p_plus * e_plus)
-    r2 = jump - 1.0
-    s2 = max(abs(jump), 1.0)
-
-    r3 = co.c2 + co.c3 - co.c4
-    s3 = max(abs(co.c2), abs(co.c3), abs(co.c4), 1e-300)
-
-    r4 = thA * (co.c3 - co.c2) - thB * co.c4
-    s4 = max(abs(thA * co.c3), abs(thB * co.c4), 1e-300)
-
-    return np.array([abs(r1) / s1, abs(r2) / s2, abs(r3) / s3, abs(r4) / s4])
+    return np.array([r1, r2, r3, r4])
 
 
 def ode_residual(
@@ -380,14 +288,8 @@ def root_avoidance_check(medium: TwoLayerMedium, sp: SpectralPoint, mu: float | 
     certified condition under which the principal square root has a
     strictly positive real part.
     """
-    xi = sp.xi_prime[None, :]
-    tau = np.array([sp.tau])
-    th2_A, th2_B, _, _ = theta_squared(medium, xi, tau)
-    for th2 in (complex(th2_A[0, 0]), complex(th2_B[0, 0])):
-        scale = max(abs(th2), 1e-300)
-        if abs(th2.imag) <= 1e-13 * scale and th2.real <= 1e-13 * scale:
-            return False
-    return True
+    th2_A, th2_B, _, _ = theta_squared(medium, sp.xi_prime[None, :], np.array([sp.tau]))
+    return not np.any(on_branch_cut(th2_A) | on_branch_cut(th2_B))
 
 
 def symbol_decay_margin(

@@ -194,6 +194,7 @@ def test_criterion_05_mass_and_delta():
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_oracle_agreement_2d(tmp_path):
     cfg = {
         "medium": {"upper": [[1.0, 0.0], [0.0, 1.0]], "lower": [[2.0, 0.0], [0.0, 2.0]]},
@@ -243,6 +244,7 @@ def test_criterion_07_gaussian_bound_fits():
     assert report(7, "Gaussian bound fits", ok, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_08_cylinder_energy_bound():
     qcfg = QuadratureConfig(target_rel_tol=1e-6)
     details = []
@@ -323,6 +325,7 @@ def test_criterion_09_interior_gradient_estimate():
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_green_functions():
     # (a) cube boundary values below the certified tail + estimate budget
     med = homogeneous_medium(validate_tensor([[1.0, 0.0], [0.0, 2.0]]))

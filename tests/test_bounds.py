@@ -10,7 +10,6 @@ from layerheat.bounds import (
     BoundFitReport,
     ExponentMismatch,
     NoFiniteConstant,
-    ParabolicCylinder,
     SampleSpec,
     fit_aronson,
     fit_gradient_bound,
@@ -123,10 +122,6 @@ class TestCylinderBound:
         ev = KernelEvaluator(layered_1d())
         with pytest.raises(ValueError):
             q_rho_integral(ev, [0.5], 0.1, [0.2], 0.5)
-
-    def test_cylinder_validation(self):
-        with pytest.raises(ValueError):
-            ParabolicCylinder(center_x=np.array([0.0]), center_t=1.0, radius=0.0)
 
 
 class TestInteriorEstimate:

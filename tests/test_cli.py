@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from layerheat import cli
 from layerheat.cli import main
 
 
@@ -98,6 +99,23 @@ class TestErrors:
         }
         assert main(["eval", write_cfg(tmp_path, cfg)]) == 3
 
+    def test_nonfinite_point_exit_2(self, tmp_path):
+        cfg = {
+            "medium": {"upper": [[1.0, 0.0], [0.0, 1.0]]},
+            "eval": {"t": 0.5, "s": 0.0, "y": [0.0, 0.3], "x": [[0.1, float("inf")]]},
+            "output": str(tmp_path / "out.csv"),
+        }
+        path = write_cfg(tmp_path, cfg)
+        assert '"x": [[0.1, Infinity]]' in open(path).read()
+        assert main(["eval", path]) == 2
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_removed_quadrature_field_exit_2(self, tmp_path, capsys):
+        cfg = eval_cfg(tmp_path)
+        cfg["quadrature"] = {"contour_kind": "vertical_bromwich"}
+        assert main(["eval", write_cfg(tmp_path, cfg)]) == 2
+        assert "invalid quadrature config" in capsys.readouterr().err
+
     def test_no_partial_output_on_failure(self, tmp_path):
         cfg = eval_cfg(tmp_path)
         cfg["eval"].pop("y")
@@ -187,9 +205,22 @@ class TestVerify:
         cfg = self.base_cfg(tmp_path, "nonsense")
         assert main(["verify", write_cfg(tmp_path, cfg)]) == 2
 
-    def test_broken_kernel_fails_with_report(self, tmp_path):
+    def test_broken_kernel_fails_with_report(self, tmp_path, monkeypatch):
+        class BrokenEvaluator(cli.KernelEvaluator):
+            """Multiplies the kernel by exp(r^2/dt), which breaks the bounds."""
+
+            def eval_many(self, x, t, y, s, source_gradient=False):
+                res = dict(super().eval_many(x, t, y, s, source_gradient))
+                x2 = np.atleast_2d(np.asarray(x, dtype=float))
+                y2 = np.broadcast_to(np.asarray(y, dtype=float), x2.shape)
+                r2 = np.sum((x2 - y2) ** 2, axis=1)
+                boost = np.exp(np.minimum(r2 / (t - s), 700.0))
+                res["gamma"] = res["gamma"] * boost
+                res["grad"] = res["grad"] * boost[:, None]
+                return res
+
+        monkeypatch.setattr(cli, "KernelEvaluator", BrokenEvaluator)
         cfg = self.base_cfg(tmp_path, "aronson")
-        cfg["debug_scale_kernel"] = True
         assert main(["verify", write_cfg(tmp_path, cfg)]) == 5
         rep = self.read_report(tmp_path)
         assert rep["passed"] is False

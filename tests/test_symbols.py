@@ -10,15 +10,12 @@ from layerheat.symbols import (
     SpectralPoint,
     classify_region,
     in_analyticity_domain,
-    mirrored_coefficients,
     ode_residual,
     region_contains,
     region_terms,
     root_avoidance_check,
     symbol_decay_margin,
-    theta_pair,
     theta_squared,
-    transmission_coefficients,
     transmission_residuals,
     v_symbol,
 )
@@ -37,6 +34,20 @@ def layered_2d():
     )
 
 
+def mirrored_medium(medium):
+    """Medium seen after reflecting the normal axis (layers swap)."""
+    axis = medium.dim - 1
+    return TwoLayerMedium(
+        upper=medium.lower.reflected(axis), lower=medium.upper.reflected(axis)
+    )
+
+
+def thetas(medium, sp):
+    """Theta_A, Theta_B at one spectral point, as region_terms takes them."""
+    th2_A, th2_B, _, _ = theta_squared(medium, sp.xi_prime[None, :], np.array([sp.tau]))
+    return complex(np.sqrt(th2_A[0, 0])), complex(np.sqrt(th2_B[0, 0]))
+
+
 def random_spectral_points(dim, count, seed=0):
     rng = np.random.default_rng(seed)
     pts = []
@@ -53,17 +64,17 @@ class TestTheta:
         # - (a12 xi)^2 = 2(2 + i) - 1 = 3 + 2i; principal root via cmath.
         med = homogeneous_medium(validate_tensor([[2.0, 1.0], [1.0, 2.0]]))
         sp = SpectralPoint(xi_prime=np.array([1.0 + 0j]), tau=1j)
-        pair = theta_pair(med, sp)
+        theta_A, _ = thetas(med, sp)
         expected = cmath.sqrt(3 + 2j)
-        assert abs(pair.theta_A - expected) < 1e-14
-        assert pair.theta_A.real > 0
+        assert abs(theta_A - expected) < 1e-14
+        assert theta_A.real > 0
 
     def test_positive_real_part_randomized(self):
         med = layered_2d()
         for sp in random_spectral_points(2, 200, seed=1):
-            pair = theta_pair(med, sp)
-            assert pair.theta_A.real > 0
-            assert pair.theta_B.real > 0
+            theta_A, theta_B = thetas(med, sp)
+            assert theta_A.real > 0
+            assert theta_B.real > 0
 
     def test_root_avoidance(self):
         med = layered_2d()
@@ -89,6 +100,8 @@ class TestRegions:
         sp = SpectralPoint(xi_prime=np.zeros(0, complex), tau=1.0 + 0j)
         with pytest.raises(RegionMismatch):
             v_symbol(Region.R2, med, x_n=0.5, y_n=1.0, sp=sp)
+        with pytest.raises(RegionMismatch):
+            transmission_residuals(med, sp, y_n=-0.5)
 
 
 class TestSymbolIdentities:
@@ -156,27 +169,28 @@ class TestSymbolIdentities:
 
 
 class TestMirrorSymmetry:
-    def test_mirrored_coefficients_match_direct(self):
-        # The y_n < 0 symbol family equals the y_n > 0 family of the
-        # reflected medium; cross-check V values through the mirror map.
-        med = layered_2d()
-        sp = SpectralPoint(xi_prime=np.array([0.4 + 0j]), tau=0.8 + 1.5j)
-        y_n = -0.6
-        co = mirrored_coefficients(med, sp, y_n)
-        assert np.isfinite(co.c1.real)
-        with pytest.raises(RegionMismatch):
-            mirrored_coefficients(med, sp, 0.6)
-
     def test_value_symmetry(self):
-        med = layered_1d()
-        sp = SpectralPoint(xi_prime=np.zeros(0, complex), tau=1.2 + 0.7j)
-        # swapping layers and negating both normal coordinates is an
-        # exact symmetry of the construction
-        from layerheat.symbols import mirrored_medium
-
-        v_direct = v_symbol(Region.R22, med, -1.2, -0.5, sp)
-        v_mirror = v_symbol(Region.R11, mirrored_medium(med), 1.2, 0.5, sp)
-        assert abs(v_direct - v_mirror) < 1e-13 * abs(v_direct)
+        # Swapping the layers (reflecting the normal axis) and negating both
+        # normal coordinates is an exact symmetry of the construction; the
+        # x_n-derivative changes sign under the mirror.  Every lower-source
+        # region is checked against its upper-source mirror.
+        media = [
+            (layered_1d(), SpectralPoint(xi_prime=np.zeros(0, complex), tau=1.2 + 0.7j)),
+            (layered_2d(), SpectralPoint(xi_prime=np.array([0.4 + 0j]), tau=0.8 + 1.5j)),
+        ]
+        pairs = [
+            (Region.R22, Region.R11, -1.2, -0.5),
+            (Region.R21, Region.R12, -0.3, -0.5),
+            (Region.R1, Region.R2, 0.4, -0.5),
+        ]
+        for med, sp in media:
+            for region, mirror, x_n, y_n in pairs:
+                for derivative in (0, 1):
+                    v_direct = v_symbol(region, med, x_n, y_n, sp, derivative)
+                    v_mirror = v_symbol(mirror, mirrored_medium(med), -x_n, -y_n, sp,
+                                        derivative)
+                    err = abs(v_direct - (-1) ** derivative * v_mirror)
+                    assert err < 1e-13 * abs(v_direct), (med.dim, region, derivative)
 
 
 class TestAnalyticityDomain:
