@@ -41,7 +41,6 @@ from .images import (
     adjoint_green,
     cube_green,
     half_space_green,
-    reflect_tensor,
     volume_potential,
 )
 from .oracle import (

@@ -162,15 +162,14 @@ def _time_slope(evaluator, gradient: bool) -> float:
 def _fit(evaluator, spec: SampleSpec, gradient: bool) -> BoundFitReport:
     dim = evaluator.medium.dim
     n_exp = (dim + 1) / 2.0 if gradient else dim / 2.0
-    vals, r2, dts, _ = _collect(evaluator, spec, gradient)
+    vals, r2, dts, locs = _collect(evaluator, spec, gradient)
     c_star = _bisect_constant(vals, r2, dts, n_exp)
     bound = c_star * dts ** (-n_exp) * np.exp(-r2 / (c_star * dts))
     ratios = vals / bound
     worst = int(np.argmax(ratios))
     group, offset = divmod(worst, spec.n_per_group)
-    locs = list(spec.draw(dim))
-    x_w = locs[group][1][offset]
-    y_w = locs[group][2][offset]
+    x_w = locs[group][0][offset]
+    y_w = locs[group][1][offset]
     return BoundFitReport(
         fitted_constant=float(c_star),
         exponent_slope=_time_slope(evaluator, gradient),

@@ -40,7 +40,6 @@ from .inverse_transform import (
     mass_integral,
 )
 from .images import (
-    AdjointGreen,
     CubeGreen,
     HalfSpaceGreen,
     TruncationInsufficient,
@@ -60,6 +59,13 @@ def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"missing config field {key!r}")
     return cfg[key]
+
+
+def _require_number(cfg: dict, key: str) -> float:
+    try:
+        return float(_require(cfg, key))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field {key!r} must be a number") from exc
 
 
 def load_config(path: str) -> dict:
@@ -171,8 +177,8 @@ def cmd_eval(cfg: dict, output: str) -> int:
     medium = parse_medium(cfg)
     qcfg = parse_quadrature(cfg)
     params = _require(cfg, "eval")
-    t = float(_require(params, "t"))
-    s = float(_require(params, "s"))
+    t = _require_number(params, "t")
+    s = _require_number(params, "s")
     y = np.asarray(_require(params, "y"), dtype=float)
     pts = _query_points(params, medium.dim)
     ev = KernelEvaluator(medium, qcfg)
@@ -185,8 +191,8 @@ def cmd_green(cfg: dict, output: str) -> int:
     medium = parse_medium(cfg)
     qcfg = parse_quadrature(cfg)
     params = _require(cfg, "green")
-    t = float(_require(params, "t"))
-    s = float(_require(params, "s"))
+    t = _require_number(params, "t")
+    s = _require_number(params, "s")
     y = np.asarray(_require(params, "y"), dtype=float)
     pts = _query_points(params, medium.dim)
     kind = _require(params, "kind")
@@ -196,11 +202,9 @@ def cmd_green(cfg: dict, output: str) -> int:
             half_width=float(_require(c, "half_width")),
             center=np.asarray(_require(c, "center"), dtype=float),
         )
-        green = CubeGreen(
-            medium, cube, qcfg,
-            depth=int(params.get("depth", 2)),
-            tail_constant=params.get("tail_constant"),
-        )
+        if "tail_constant" in params:
+            raise ConfigError("'tail_constant' was removed: the cube tail bound is exact")
+        green = CubeGreen(medium, cube, qcfg, depth=int(params.get("depth", 2)))
         bpts = green.boundary_samples(int(params.get("boundary_samples", 5)))
         bres = green.evaluate_many(bpts, t, y, s, source_gradient=False)
         summary = (

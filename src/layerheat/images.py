@@ -21,12 +21,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .medium import Cube, DiffusionTensor, KernelQuery, MediumError, TwoLayerMedium
-from .inverse_transform import KernelEvaluator, KernelValue, QuadratureConfig, gauss_tensor_grid
+from .medium import Cube, KernelQuery, MediumError, TwoLayerMedium
+from .inverse_transform import KernelEvaluator, KernelValue, QuadratureConfig
+from .inverse_transform import gauss_tensor_grid, point_pairs
+
+# Largest image-series tail bound accepted, relative to the kernel scale.
+TAIL_TOL = 1e-5
 
 
 class UnsupportedGeometry(ValueError):
@@ -35,21 +38,6 @@ class UnsupportedGeometry(ValueError):
 
 class TruncationInsufficient(RuntimeError):
     """Image-series tail bound exceeds the target tolerance."""
-
-
-def reflect_tensor(tensor: DiffusionTensor, axis: int) -> DiffusionTensor:
-    """Coefficient tensor of the evenly reflected operator (involution)."""
-    return tensor.reflected(axis)
-
-
-@dataclass(frozen=True)
-class GreenValue:
-    """Green function value with both gradients and error estimate."""
-
-    gamma: float
-    grad: np.ndarray       # gradient in the target (first) argument
-    grad_source: np.ndarray  # gradient in the source (second) argument
-    est_error: float
 
 
 def _nudge_off_interface(z: np.ndarray) -> np.ndarray:
@@ -63,6 +51,42 @@ def _nudge_off_interface(z: np.ndarray) -> np.ndarray:
     col = z[:, -1]
     col[col == 0.0] = 1e-300
     return z
+
+
+def _green_points(x, y, n: int):
+    """``point_pairs`` that also pairs one target with K sources."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float)
+    if x.ndim == 2 and x.shape[0] == 1 and y.ndim == 2:
+        x = np.broadcast_to(x, (y.shape[0], x.shape[1]))
+    return point_pairs(x, y, n)
+
+
+def _image_sum(ev, x, t, y, s, jac, off, signs, source_gradient):
+    """Signed sum of the free kernel over the images ``jac*y + off``.
+
+    x, y: (K, n) in the evaluator's frame; jac, off: (T, n); signs: (T,).
+    ``est`` sums the image estimates; ``sgrad`` applies the chain rule.
+    """
+    k, n = x.shape
+    t_cnt = jac.shape[0]
+    xs = np.repeat(x, t_cnt, axis=0)
+    ys = (y[:, None, :] * jac[None, :, :] + off[None, :, :]).reshape(k * t_cnt, n)
+    res = ev.eval_many(
+        _nudge_off_interface(xs), t, _nudge_off_interface(ys), s,
+        source_gradient=source_gradient,
+    )
+    sg = np.tile(signs, k)
+    out = {
+        "gamma": (sg * res["gamma"]).reshape(k, t_cnt).sum(axis=1),
+        "grad": (sg[:, None] * res["grad"]).reshape(k, t_cnt, n).sum(axis=1),
+        "sgrad": None,
+        "est": res["est"].reshape(k, t_cnt).sum(axis=1),
+    }
+    if source_gradient:
+        sj = sg[:, None] * np.tile(jac, (k, 1))
+        out["sgrad"] = (sj * res["sgrad"]).reshape(k, t_cnt, n).sum(axis=1)
+    return out
 
 
 class HalfSpaceGreen:
@@ -85,7 +109,6 @@ class HalfSpaceGreen:
         self.axis = axis
         self.offset = float(offset)
         self.side = side
-        self.dim = n
         if axis == n - 1:
             # Face parallel to the material interface.
             if medium.is_homogeneous:
@@ -115,6 +138,13 @@ class HalfSpaceGreen:
             self._kernel_medium = medium
             self._mode = "perpendicular"
         self._ev = KernelEvaluator(self._kernel_medium, cfg)
+        # Direct source and its mirror image in the evaluation frame.
+        ax = n - 1 if self._mode == "parallel" else axis
+        jac, off = np.ones((2, n)), np.zeros((2, n))
+        jac[1, ax] = -1.0
+        if self._mode == "perpendicular":
+            off[1, ax] = 2.0 * self.offset
+        self._images = (jac, off, np.array([1, -1]))
 
     def _check_inside(self, pts: np.ndarray):
         if np.any(self.side * (pts[:, self.axis] - self.offset) <= 0.0):
@@ -129,64 +159,19 @@ class HalfSpaceGreen:
         return z
 
     def evaluate_many(self, x, t, y, s, source_gradient: bool = True):
-        n = self.dim
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            y = np.broadcast_to(y, x.shape).copy()
+        x, y = _green_points(x, y, self.medium.dim)
         self._check_inside(x)
         self._check_inside(y)
-        zx = self._to_frame(x)
-        zy = self._to_frame(y)
-        ax = n - 1 if self._mode == "parallel" else self.axis
-        zy_img = zy.copy()
-        if self._mode == "parallel":
-            zy_img[:, ax] = -zy[:, ax]
-        else:
-            zy_img[:, ax] = 2.0 * self.offset - zy[:, ax]
-        k = x.shape[0]
-        res = self._ev.eval_many(
-            np.vstack([_nudge_off_interface(zx)] * 2),
-            t,
-            _nudge_off_interface(np.vstack([zy, zy_img])),
-            s,
-            source_gradient=source_gradient,
+        res = _image_sum(
+            self._ev, self._to_frame(x), t, self._to_frame(y), s, *self._images,
+            source_gradient,
         )
-        gamma = res["gamma"][:k] - res["gamma"][k:]
-        grad = res["grad"][:k] - res["grad"][k:]
-        est = res["est"][:k] + res["est"][k:]
         if self._mode == "parallel" and self.side == -1:
-            grad = grad.copy()
-            grad[:, -1] *= -1.0
-        sgrad = None
-        if source_gradient:
-            sg_dir = res["sgrad"][:k]
-            sg_img = res["sgrad"][k:]
-            sg_img = sg_img.copy()
-            sg_img[:, ax] *= -1.0  # chain rule through the source reflection
-            sgrad = sg_dir - sg_img
-            if self._mode == "parallel" and self.side == -1:
-                sgrad[:, -1] *= -1.0
-        return {"gamma": gamma, "grad": grad, "sgrad": sgrad, "est": est}
-
-    def evaluate(self, x, t, y, s) -> GreenValue:
-        res = self.evaluate_many(np.atleast_1d(x)[None, :], t, np.atleast_1d(y), s)
-        return GreenValue(
-            gamma=float(res["gamma"][0]),
-            grad=res["grad"][0],
-            grad_source=res["sgrad"][0],
-            est_error=float(res["est"][0]),
-        )
-
-
-@dataclass(frozen=True)
-class ImageExpansion:
-    """Mirror-image sources of a point in a cube, with alternating signs."""
-
-    points: np.ndarray   # (T, n)
-    signs: np.ndarray    # (T,) of +-1
-    source_jacobians: np.ndarray  # (T, n) diagonal of d(image)/d(source)
-    truncation_depth: int
+            # Chain rule through the frame's flip of the normal axis.
+            res["grad"][:, -1] *= -1.0
+            if source_gradient:
+                res["sgrad"][:, -1] *= -1.0
+        return res
 
 
 def _image_lattice(cube: Cube, depth: int):
@@ -217,18 +202,6 @@ def _image_lattice(cube: Cube, depth: int):
     return np.array(jacs), np.array(offs), np.array(signs)
 
 
-def build_image_expansion(cube: Cube, y, depth: int) -> ImageExpansion:
-    """Lattice of iterated reflections of y across the cube faces."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    jac, off, signs = _image_lattice(cube, depth)
-    return ImageExpansion(
-        points=jac * y + off,
-        signs=signs,
-        source_jacobians=jac,
-        truncation_depth=depth,
-    )
-
-
 class CubeGreen:
     """Dirichlet Green function of an axis-aligned cube via image series."""
 
@@ -238,8 +211,6 @@ class CubeGreen:
         cube: Cube,
         cfg: QuadratureConfig | None = None,
         depth: int = 2,
-        tail_constant: float | None = None,
-        tail_tol: float = 1e-5,
     ):
         if cube.dim != medium.dim:
             raise UnsupportedGeometry("cube and medium dimensions differ")
@@ -257,8 +228,6 @@ class CubeGreen:
         self.medium = medium
         self.cube = cube
         self.depth = int(depth)
-        self.tail_constant = tail_constant
-        self.tail_tol = tail_tol
         self._ev = KernelEvaluator(medium, cfg)
         self._det = float(np.linalg.det(tensor.entries))
         self._lam_max = float(np.linalg.eigvalsh(tensor.entries).max())
@@ -268,18 +237,13 @@ class CubeGreen:
 
         Shell j (largest per-axis lattice index j > depth) contributes
         images at distance at least 4w(j-1) from any target in the cube;
-        each term is bounded by a Gaussian estimate of the kernel.  When a
-        fitted Gaussian-bound constant is supplied it is used with a x2
-        safety factor, otherwise the exact homogeneous bound applies.
+        each term is bounded by the exact Gaussian envelope of the
+        homogeneous kernel.
         """
         n = self.medium.dim
         w = self.cube.half_width
-        if self.tail_constant is not None:
-            pref = 2.0 * self.tail_constant / dt ** (n / 2.0)
-            rate = self.tail_constant * dt
-        else:
-            pref = (4.0 * np.pi * dt) ** (-n / 2.0) / math.sqrt(self._det)
-            rate = 4.0 * self._lam_max * dt
+        pref = (4.0 * np.pi * dt) ** (-n / 2.0) / math.sqrt(self._det)
+        rate = 4.0 * self._lam_max * dt
         total = 0.0
         for j in range(self.depth + 1, self.depth + 81):
             cnt = (2 * (2 * j + 1)) ** n - (2 * (2 * j - 1)) ** n
@@ -289,51 +253,23 @@ class CubeGreen:
 
     def evaluate_many(self, x, t, y, s, source_gradient: bool = True):
         n = self.medium.dim
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            y = np.broadcast_to(y, x.shape)
-        elif x.shape[0] == 1 and y.shape[0] > 1:
-            x = np.broadcast_to(x, y.shape)
+        x, y = _green_points(x, y, n)
         if not all(self.cube.contains(p) for p in y):
             raise MediumError("sources must lie strictly inside the cube")
         dt = float(t) - float(s)
         tail = self.tail_bound(dt)
         scale = (4.0 * np.pi * dt) ** (-n / 2.0) / math.sqrt(self._det)
-        if tail > self.tail_tol * scale:
+        if tail > TAIL_TOL * scale:
             raise TruncationInsufficient(
-                f"image tail bound {tail:.3e} exceeds {self.tail_tol:.1e} x "
+                f"image tail bound {tail:.3e} exceeds {TAIL_TOL:.1e} x "
                 f"kernel scale {scale:.3e}; increase depth"
             )
-        jac, off, lat_signs = _image_lattice(self.cube, self.depth)
-        t_cnt = jac.shape[0]
-        k = x.shape[0]
-        xs = np.repeat(x, t_cnt, axis=0)
-        ys = (y[:, None, :] * jac[None, :, :] + off[None, :, :]).reshape(k * t_cnt, n)
-        res = self._ev.eval_many(
-            _nudge_off_interface(xs), t, _nudge_off_interface(ys), s,
-            source_gradient=source_gradient,
+        res = _image_sum(
+            self._ev, x, t, y, s, *_image_lattice(self.cube, self.depth),
+            source_gradient,
         )
-        signs = np.tile(lat_signs, k)
-        gamma = (signs * res["gamma"]).reshape(k, t_cnt).sum(axis=1)
-        grad = (signs[:, None] * res["grad"]).reshape(k, t_cnt, n).sum(axis=1)
-        est = res["est"].reshape(k, t_cnt).sum(axis=1) + tail
-        sgrad = None
-        if source_gradient:
-            jac_full = np.tile(jac, (k, 1))
-            sgrad = (
-                (signs[:, None] * jac_full * res["sgrad"]).reshape(k, t_cnt, n).sum(axis=1)
-            )
-        return {"gamma": gamma, "grad": grad, "sgrad": sgrad, "est": est}
-
-    def evaluate(self, x, t, y, s) -> GreenValue:
-        res = self.evaluate_many(np.atleast_1d(x)[None, :], t, y, s)
-        return GreenValue(
-            gamma=float(res["gamma"][0]),
-            grad=res["grad"][0],
-            grad_source=res["sgrad"][0],
-            est_error=float(res["est"][0]),
-        )
+        res["est"] += tail
+        return res
 
     def boundary_samples(self, per_face: int = 5) -> np.ndarray:
         """Deterministic sample points on the cube boundary."""
@@ -359,6 +295,7 @@ class AdjointGreen:
 
     def __init__(self, base):
         self.base = base
+        self.medium = base.medium
 
     def evaluate_many(self, x, t, y, s, source_gradient: bool = True):
         res = self.base.evaluate_many(y, s, x, t, source_gradient=True)
@@ -369,19 +306,21 @@ class AdjointGreen:
             "est": res["est"],
         }
 
-    def evaluate(self, x, t, y, s) -> GreenValue:
-        g = self.base.evaluate(np.atleast_1d(y), s, np.atleast_1d(x), t)
-        return GreenValue(
-            gamma=g.gamma, grad=g.grad_source, grad_source=g.grad,
-            est_error=g.est_error,
-        )
-
 
 def adjoint_green(evaluator):
     """Adjoint evaluator; applying it twice returns the original object."""
     if isinstance(evaluator, AdjointGreen):
         return evaluator.base
     return AdjointGreen(evaluator)
+
+
+def _one_shot(green, q: KernelQuery) -> KernelValue:
+    res = green.evaluate_many(q.x[None, :], q.t, q.y, q.s, source_gradient=False)
+    return KernelValue(
+        gamma=float(res["gamma"][0]),
+        grad=res["grad"][0],
+        est_error=float(res["est"][0]),
+    )
 
 
 def half_space_green(
@@ -392,9 +331,7 @@ def half_space_green(
 ) -> KernelValue:
     """One-shot half-space Green evaluation; face = (axis, offset, side)."""
     axis, offset, side = face
-    hs = HalfSpaceGreen(medium, axis, offset, side, cfg)
-    g = hs.evaluate(q.x, q.t, q.y, q.s)
-    return KernelValue(gamma=g.gamma, grad=g.grad, est_error=g.est_error)
+    return _one_shot(HalfSpaceGreen(medium, axis, offset, side, cfg), q)
 
 
 def cube_green(
@@ -403,12 +340,9 @@ def cube_green(
     q: KernelQuery,
     cfg: QuadratureConfig | None = None,
     depth: int = 2,
-    tail_constant: float | None = None,
 ) -> KernelValue:
     """One-shot cube Green evaluation by truncated image series."""
-    cg = CubeGreen(medium, cube, cfg, depth=depth, tail_constant=tail_constant)
-    g = cg.evaluate(q.x, q.t, q.y, q.s)
-    return KernelValue(gamma=g.gamma, grad=g.grad, est_error=g.est_error)
+    return _one_shot(CubeGreen(medium, cube, cfg, depth=depth), q)
 
 
 def volume_potential(
@@ -447,11 +381,7 @@ def volume_potential(
     # Near s = t the gradient kernel concentrates in a ball of radius
     # O(sigma) around x; below this threshold the global grid cannot
     # resolve it, so a window scaled with sigma is used instead.
-    lam = 1.0
-    if hasattr(gstar, "base") and hasattr(gstar.base, "medium"):
-        lam = gstar.base.medium.max_eigenvalue()
-    elif hasattr(gstar, "medium"):
-        lam = gstar.medium.max_eigenvalue()
+    lam = gstar.medium.max_eigenvalue()
     sigma_split = 6.0 * (2.0 * w_half / n_space) / math.sqrt(lam)
     total = 0.0
     for sg, wv in zip(sig, wsig):

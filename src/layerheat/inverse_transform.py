@@ -101,6 +101,20 @@ class KernelValue:
     est_error: float
 
 
+def point_pairs(x, y, n: int):
+    """Targets (K, n) and their sources broadcast to (K, n).
+
+    MediumError unless y is one source (n,) or one per target (K, n).
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.ndim != 2 or x.shape[1] != n:
+        raise MediumError(f"points have shape {x.shape}, medium dimension {n}")
+    y = np.asarray(y, dtype=float)
+    if y.shape not in ((n,), x.shape):
+        raise MediumError(f"sources must have shape ({n},) or {x.shape}, not {y.shape}")
+    return x, np.broadcast_to(y, x.shape)
+
+
 def _mu_admissible(medium: TwoLayerMedium, mu: float, samples: int, seed: int) -> bool:
     """Check one candidate mu against the certification battery."""
     d = medium.dim - 1
@@ -332,21 +346,19 @@ class KernelEvaluator:
             for lo in range(0, idx.size, pt_chunk):
                 sel = idx[lo:lo + pt_chunk]
                 rows = inv[lo:lo + pt_chunk]
-                if d:
-                    phase = np.exp(1j * (dxp[sel] @ xi.T))
-                else:
-                    phase = np.ones((sel.size, 1), dtype=complex)
+                phase = np.exp(1j * (dxp[sel] @ xi.T))
                 pw = phase * wq[None, :]
                 v0 = s_val[rows]
                 gamma[sel] = np.einsum("kq,kq->k", pw, v0)
                 for j in range(d):
                     fac = (1j * xi[:, j])[None, :]
                     grad[sel, j] = np.einsum("kq,kq->k", pw * fac, v0)
-                    if source_gradient:
-                        sgrad[sel, j] = np.einsum("kq,kq->k", pw * (-fac), v0)
                 grad[sel, n - 1] = np.einsum("kq,kq->k", pw, s_n[rows])
                 if source_gradient:
                     sgrad[sel, n - 1] = np.einsum("kq,kq->k", pw, s_src[rows])
+        if source_gradient:
+            # The kernel depends on x' - y' only.
+            sgrad[:, :d] = -grad[:, :d]
         return gamma, grad, sgrad
 
     # -- public evaluation ----------------------------------------------
@@ -359,17 +371,16 @@ class KernelEvaluator:
         'sgrad' (K, n) (gradient in the source variable).
         """
         n = self.medium.dim
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != n:
-            raise MediumError(f"points have dimension {x.shape[1]}, medium {n}")
+        x, y = point_pairs(x, y, n)
         k_tot = x.shape[0]
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            y = np.broadcast_to(y, (k_tot, n))
+        try:
+            t, s = float(t), float(s)
+        except (TypeError, ValueError) as exc:
+            raise MediumError("t and s must be numbers") from exc
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))
                 and math.isfinite(t) and math.isfinite(s)):
             raise MediumError("x, t, y and s must be finite")
-        dt = float(t) - float(s)
+        dt = t - s
         if not dt > 0.0:
             raise MediumError("require t > s")
         xn, yn = x[:, -1], y[:, -1]
@@ -396,37 +407,32 @@ class KernelEvaluator:
 
         osc = np.max(np.abs(dxp), axis=0) if d else np.zeros(0)
 
-        if d == 0:
-            xi, wq = self._xi_grid(0.0, 0, osc, dt)
-            gam, grd, sgr = self._integrate(
+        radius = self._base_radius(dt)
+        prev = None
+        annulus = np.zeros(k_tot)
+        for doublings in range(7):
+            xi, wq = self._xi_grid(radius, doublings, osc, dt)
+            cur = self._integrate(
                 groups, xn, yn, dxp, xi, wq, tau_f, wte_f, source_gradient
             )
-            annulus = np.zeros(k_tot)
-            xi_co, wq_co = xi, wq
+            if d == 0:
+                break  # no tangential axes: the xi' rule is one point
+            if prev is not None:
+                annulus = np.abs(cur[0] - prev[0])
+                # Relative criterion plus an absolute floor on the
+                # natural kernel scale: far-tail points are dominated
+                # by oscillatory-rule roundoff, not truncation.
+                if np.all(
+                    annulus <= 0.1 * tol_eff * np.abs(cur[0]) + 1e-9 * scale0
+                ):
+                    break
+            prev = cur
         else:
-            radius = self._base_radius(dt)
-            prev = None
-            for doublings in range(7):
-                xi, wq = self._xi_grid(radius, doublings, osc, dt)
-                cur = self._integrate(
-                    groups, xn, yn, dxp, xi, wq, tau_f, wte_f, source_gradient
-                )
-                if prev is not None:
-                    annulus = np.abs(cur[0] - prev[0])
-                    # Relative criterion plus an absolute floor on the
-                    # natural kernel scale: far-tail points are dominated
-                    # by oscillatory-rule roundoff, not truncation.
-                    if np.all(
-                        annulus <= 0.1 * tol_eff * np.abs(cur[0]) + 1e-9 * scale0
-                    ):
-                        break
-                prev = cur
-            else:
-                raise QuadratureNotConverged(
-                    "tangential truncation did not converge after 6 extensions"
-                )
-            gam, grd, sgr = cur
-            xi_co, wq_co = self._xi_grid(radius, doublings, osc, dt, factor=0.7)
+            raise QuadratureNotConverged(
+                "tangential truncation did not converge after 6 extensions"
+            )
+        gam, grd, sgr = cur
+        xi_co, wq_co = self._xi_grid(radius, doublings, osc, dt, factor=0.7)
 
         gam_c, grd_c, _ = self._integrate(
             groups, xn, yn, dxp, xi_co, wq_co, tau_c, wte_c, False

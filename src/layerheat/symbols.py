@@ -281,7 +281,7 @@ def in_analyticity_domain(sp: SpectralPoint, mu: float) -> bool:
     return eta.imag < mu * (abs(eta.real) + re_xi**2) - im_xi**2 / mu
 
 
-def root_avoidance_check(medium: TwoLayerMedium, sp: SpectralPoint, mu: float | None = None) -> bool:
+def root_avoidance_check(medium: TwoLayerMedium, sp: SpectralPoint) -> bool:
     """True iff the discriminant -4*Theta^2 avoids [0, inf) for both layers.
 
     Equivalently Theta^2 avoids the branch cut (-inf, 0]; this is the

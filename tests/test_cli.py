@@ -116,6 +116,13 @@ class TestErrors:
         assert main(["eval", write_cfg(tmp_path, cfg)]) == 2
         assert "invalid quadrature config" in capsys.readouterr().err
 
+    def test_nonnumeric_time_exit_2(self, tmp_path, capsys):
+        cfg = eval_cfg(tmp_path)
+        cfg["eval"]["t"] = "x"
+        assert main(["eval", write_cfg(tmp_path, cfg)]) == 2
+        assert "'t' must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_no_partial_output_on_failure(self, tmp_path):
         cfg = eval_cfg(tmp_path)
         cfg["eval"].pop("y")
@@ -157,6 +164,38 @@ class TestGreen:
         }
         assert main(["green", write_cfg(tmp_path, cfg)]) == 0
         assert "# face sup |G| = " in (tmp_path / "h.csv").read_text()
+
+    def cube_2d_cfg(self, tmp_path):
+        return {
+            "medium": {"upper": [[1.0, 0.0], [0.0, 2.0]]},
+            "green": {
+                "kind": "cube",
+                "cube": {"half_width": 1.0, "center": [0.0, 0.0]},
+                "t": 0.2,
+                "s": 0.0,
+                "y": [0.1, -0.3],
+                "x": [[0.2, 0.3], [-0.4, 0.1]],
+            },
+            "output": str(tmp_path / "g.csv"),
+        }
+
+    def test_source_dimension_exit_2(self, tmp_path):
+        cfg = self.cube_2d_cfg(tmp_path)
+        cfg["green"]["y"] = [0.1]
+        assert main(["green", write_cfg(tmp_path, cfg)]) == 2
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_nonnumeric_time_exit_2(self, tmp_path):
+        cfg = self.cube_2d_cfg(tmp_path)
+        cfg["green"]["t"] = "x"
+        assert main(["green", write_cfg(tmp_path, cfg)]) == 2
+
+    def test_tail_constant_rejected(self, tmp_path, capsys):
+        cfg = self.cube_2d_cfg(tmp_path)
+        cfg["green"]["tail_constant"] = 2.0
+        assert main(["green", write_cfg(tmp_path, cfg)]) == 2
+        assert "tail_constant" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
 
     def test_unsupported_geometry_exit_4(self, tmp_path):
         cfg = {

@@ -15,11 +15,10 @@ from layerheat.images import (
     HalfSpaceGreen,
     TruncationInsufficient,
     UnsupportedGeometry,
+    _image_lattice,
     adjoint_green,
-    build_image_expansion,
     cube_green,
     half_space_green,
-    reflect_tensor,
     volume_potential,
 )
 from layerheat.inverse_transform import KernelEvaluator
@@ -33,12 +32,12 @@ def layered_1d(a=1.0, b=4.0):
 class TestReflectTensor:
     def test_offdiagonal_sign_flip(self):
         t = validate_tensor([[2.0, 1.0], [1.0, 2.0]])
-        r = reflect_tensor(t, 0)
+        r = t.reflected(0)
         assert np.array_equal(r.entries, [[2.0, -1.0], [-1.0, 2.0]])
 
     def test_involution(self):
         t = validate_tensor([[1.5, 0.3], [0.3, 2.5]])
-        assert reflect_tensor(reflect_tensor(t, 1), 1) == t
+        assert t.reflected(1).reflected(1) == t
 
 
 class TestHalfSpaceGreen:
@@ -120,6 +119,60 @@ class TestHalfSpaceGreen:
         assert np.all(res["gamma"] > 0.0)
         assert np.all(res["gamma"] <= free["gamma"] + 1e-14)
 
+    @pytest.mark.parametrize("axis, offset, side", [
+        (0, -0.4, 1), (0, 0.4, -1), (1, 0.3, 1), (1, -0.3, -1),
+    ])
+    def test_image_sum_is_direct_minus_mirror(self, axis, offset, side):
+        # Bit-exact pin of the two-image sum: one kernel batch holding the
+        # direct and the mirrored sources, in the frame where the face is
+        # {z_axis = const}; the mirror's source gradient picks up the
+        # reflection's Jacobian, and side -1 flips the parallel normal.
+        med = TwoLayerMedium(
+            upper=validate_tensor([[1.0, 0.0], [0.0, 1.0]]),
+            lower=validate_tensor([[2.0, 0.0], [0.0, 3.0]]),
+        )
+        hs = HalfSpaceGreen(med, axis=axis, offset=offset, side=side)
+        rng = np.random.default_rng(4)
+        x, y = rng.uniform(-1.0, 1.0, (2, 5, 2))
+        for p in (x, y):
+            p[:, axis] = offset + side * rng.uniform(0.1, 1.0, 5)
+        got = hs.evaluate_many(x, 0.4, y, 0.05, source_gradient=True)
+
+        zx, zy = x.copy(), y.copy()
+        if axis == 1:
+            tensor = med.upper if side > 0 else med.lower.reflected(1)
+            kernel_med = TwoLayerMedium(upper=tensor, lower=tensor.reflected(1))
+            zx[:, 1] = side * (x[:, 1] - offset)
+            zy[:, 1] = side * (y[:, 1] - offset)
+            mirror = zy.copy()
+            mirror[:, 1] = -zy[:, 1]
+            flip = np.array([1.0, float(side)])
+        else:
+            kernel_med = med
+            mirror = zy.copy()
+            mirror[:, 0] = 2.0 * offset - zy[:, 0]
+            flip = np.ones(2)
+        jac = np.ones(2)
+        jac[axis] = -1.0
+        ref = KernelEvaluator(kernel_med).eval_many(
+            np.vstack([zx, zx]), 0.4, np.vstack([zy, mirror]), 0.05,
+            source_gradient=True,
+        )
+        k = x.shape[0]
+        assert np.array_equal(got["gamma"], ref["gamma"][:k] - ref["gamma"][k:])
+        assert np.array_equal(got["grad"], (ref["grad"][:k] - ref["grad"][k:]) * flip)
+        assert np.array_equal(got["est"], ref["est"][:k] + ref["est"][k:])
+        assert np.array_equal(
+            got["sgrad"], (ref["sgrad"][:k] - jac * ref["sgrad"][k:]) * flip
+        )
+
+    def test_malformed_source_rejected(self):
+        med = homogeneous_medium(validate_tensor([[1.0, 0.0], [0.0, 2.0]]))
+        hs = HalfSpaceGreen(med, axis=1, offset=0.0, side=1)
+        x = np.array([[0.1, 0.5], [0.2, 0.6]])
+        with pytest.raises(MediumError):
+            hs.evaluate_many(x, 0.5, np.array([[0.7]]), 0.0)
+
     def test_one_shot_wrapper(self):
         med = homogeneous_medium(validate_tensor([[1.0]]))
         q = KernelQuery(x=np.array([0.5]), t=0.5, y=np.array([0.7]), s=0.0)
@@ -132,25 +185,25 @@ class TestHalfSpaceGreen:
 class TestImageExpansion:
     def test_depth_one_counts(self):
         cube = Cube(half_width=1.0, center=np.array([0.0]))
-        exp = build_image_expansion(cube, np.array([0.3]), depth=1)
-        assert exp.points.shape == (6, 1)
-        assert set(np.unique(exp.signs)) == {-1, 1}
-        assert exp.truncation_depth == 1
+        jac, off, signs = _image_lattice(cube, 1)
+        assert (jac * np.array([0.3]) + off).shape == (6, 1)
+        assert set(np.unique(signs)) == {-1, 1}
+        assert signs.shape == (6,)
 
     def test_contains_source_with_plus_sign(self):
         cube = Cube(half_width=1.0, center=np.array([0.2, -0.1]))
         y = np.array([0.5, 0.3])
-        exp = build_image_expansion(cube, y, depth=1)
-        idx = np.where(np.all(np.abs(exp.points - y) < 1e-14, axis=1))[0]
+        jac, off, signs = _image_lattice(cube, 1)
+        idx = np.where(np.all(np.abs(jac * y + off - y) < 1e-14, axis=1))[0]
         assert idx.size == 1
-        assert exp.signs[idx[0]] == 1
+        assert signs[idx[0]] == 1
 
     def test_deterministic(self):
         cube = Cube(half_width=0.8, center=np.array([0.0, 0.0]))
-        a = build_image_expansion(cube, np.array([0.1, -0.2]), depth=2)
-        b = build_image_expansion(cube, np.array([0.1, -0.2]), depth=2)
-        assert np.array_equal(a.points, b.points)
-        assert np.array_equal(a.signs, b.signs)
+        a = _image_lattice(cube, 2)
+        b = _image_lattice(cube, 2)
+        for u, v in zip(a, b):
+            assert np.array_equal(u, v)
 
 
 class TestCubeGreen:
@@ -211,6 +264,21 @@ class TestCubeGreen:
             sups.append(abs(res["gamma"][0]))
         assert sups[1] < sups[0]
 
+    def test_source_shapes(self):
+        med = homogeneous_medium(validate_tensor([[1.0, 0.0], [0.0, 2.0]]))
+        cube = Cube(half_width=1.0, center=np.array([0.0, 0.0]))
+        cg = CubeGreen(med, cube)
+        x = np.array([[0.1, 0.2], [-0.3, 0.4], [0.5, -0.6]])
+        ys = np.array([[0.2, 0.1], [-0.1, -0.2], [0.3, 0.3]])
+        # one target against many sources is the same as repeating it
+        one = cg.evaluate_many(x[:1], 0.3, ys, 0.0)
+        rep = cg.evaluate_many(np.repeat(x[:1], 3, axis=0), 0.3, ys, 0.0)
+        for key in ("gamma", "grad", "sgrad", "est"):
+            assert np.array_equal(one[key], rep[key])
+        for bad in ([0.1], [[0.1], [0.2], [0.3]], ys[:2], ys[:1]):
+            with pytest.raises(MediumError):
+                cg.evaluate_many(x, 0.3, np.array(bad), 0.0)
+
     def test_one_shot_wrapper(self):
         med = homogeneous_medium(validate_tensor([[1.0]]))
         cube = Cube(half_width=1.0, center=np.array([0.0]))
@@ -233,11 +301,11 @@ class TestAdjoint:
         cg = CubeGreen(med, cube)
         adj = adjoint_green(cg)
         x, y = np.array([0.3, -0.2]), np.array([-0.4, 0.5])
-        direct = cg.evaluate(x, 0.5, y, 0.1)
-        swapped = adj.evaluate(y, 0.1, x, 0.5)
-        assert swapped.gamma == direct.gamma
-        assert np.array_equal(swapped.grad, direct.grad_source)
-        assert np.array_equal(swapped.grad_source, direct.grad)
+        direct = cg.evaluate_many(x[None, :], 0.5, y, 0.1, source_gradient=True)
+        swapped = adj.evaluate_many(y[None, :], 0.1, x, 0.5, source_gradient=True)
+        assert swapped["gamma"][0] == direct["gamma"][0]
+        assert np.array_equal(swapped["grad"], direct["sgrad"])
+        assert np.array_equal(swapped["sgrad"], direct["grad"])
 
 
 class TestVolumePotential:

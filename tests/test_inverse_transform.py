@@ -197,6 +197,21 @@ class TestEvaluatorContract:
             with pytest.raises(MediumError):
                 ev.eval_many(x, t, y, s)
 
+    def test_source_shape_checked(self):
+        ev = KernelEvaluator(layered_2d())
+        x = np.array([[0.1, 0.5], [0.2, -0.4], [-0.3, 0.6]])
+        y = np.array([[0.0, 0.3], [0.1, 0.2], [0.2, -0.1]])
+        for bad in (np.array([0.3]), y[:2], y[:1], y[:, :1]):
+            with pytest.raises(MediumError):
+                ev.eval_many(x, 0.3, bad, 0.0)
+
+    def test_nonnumeric_time_rejected(self):
+        ev = KernelEvaluator(layered_1d())
+        x, y = np.array([[0.5]]), np.array([0.4])
+        for t, s in (("x", 0.0), (0.5, None)):
+            with pytest.raises(MediumError):
+                ev.eval_many(x, t, y, s)
+
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="xi' node counts and convergence follow the "
                        "whole batch, so a value depends on its batch")
