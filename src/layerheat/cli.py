@@ -109,6 +109,8 @@ def _query_points(cfg: dict, dim: int) -> np.ndarray:
         pts = np.stack([m.ravel() for m in mesh], axis=1)
     else:
         raise ConfigError("query needs 'x' (list of points) or 'grid'")
+    if pts.size == 0:
+        raise ConfigError("query has no points")
     if pts.shape[1] != dim:
         raise ConfigError(f"query dimension {pts.shape[1]} != medium dim {dim}")
     # Targets exactly on the interface are reported as upper-side limits

@@ -26,7 +26,7 @@ import numpy as np
 
 from .medium import Cube, KernelQuery, MediumError, TwoLayerMedium
 from .inverse_transform import KernelEvaluator, KernelValue, QuadratureConfig
-from .inverse_transform import gauss_tensor_grid, point_pairs
+from .inverse_transform import gauss_tensor_grid, point_pairs, time_lag
 
 # Largest image-series tail bound accepted, relative to the kernel scale.
 TAIL_TOL = 1e-5
@@ -256,7 +256,7 @@ class CubeGreen:
         x, y = _green_points(x, y, n)
         if not all(self.cube.contains(p) for p in y):
             raise MediumError("sources must lie strictly inside the cube")
-        dt = float(t) - float(s)
+        dt = time_lag(t, s)
         tail = self.tail_bound(dt)
         scale = (4.0 * np.pi * dt) ** (-n / 2.0) / math.sqrt(self._det)
         if tail > TAIL_TOL * scale:

@@ -15,6 +15,14 @@ chosen whose nodes stay inside L_mu with margin.
 The tangential xi' integral is a truncated Gauss-Legendre rule whose
 radius follows the Gaussian decay rate of the time-integrated symbol and
 whose node count scales with the oscillation length |x' - y'|.
+
+Half rule.  The kernel is real: at real xi' the integrand at (-xi', conj
+tau) is the complex conjugate of the integrand at (xi', tau), because
+Theta^2 has real coefficients and the i*xi'.g terms change sign with xi'.
+The contour is symmetric (tau_{-k} = conj tau_k, w_{-k} = conj w_k) and
+the xi' grid is point-symmetric, so only the nodes k = 0..M are evaluated,
+the weights of k > 0 are doubled, and every sum is the real part of the
+half sum.
 """
 from __future__ import annotations
 
@@ -53,7 +61,8 @@ class ContourLeavesDomain(TransformError):
 
 
 # Hyperbolic contour shapes tau(u) = mu_c * (1 + sin(i*u - alpha)) sampled
-# at u = k*h, h = u_max/M, k = -M..M, with mu_c = mu_scale*M/(t-s).
+# at u = k*h, h = u_max/M, k = -M..M (only k = 0..M are evaluated, see
+# _hyperbolic_nodes), with mu_c = mu_scale*M/(t-s).
 # Each row was tuned empirically: rel_err is the observed inversion error
 # of 1/sqrt(tau) at M = 64.  Steeper rows (larger alpha) converge faster
 # but push nodes further left, so they need a larger analyticity
@@ -73,6 +82,14 @@ MU_LADDER = (2.4, 1.2, 0.8, 0.6, 0.45, 0.28, 0.12)
 
 # Gauss-Legendre nodes on the base xi' panel [-R0, R0] of each axis.
 XI_BASE_NODES = 32
+
+# Roundoff floor of est.  A term w e^z of Gamma, z = p x_n + q y_n, is
+# rounded by about eps (|p x_n| + |q y_n|) relative through its exponent,
+# and by a few eps through the exponential, the products and the sum;
+# ROUNDOFF_UNITS counts the latter.  On the 1-D closed form the exponent
+# part dominates: errors reach 9-11 eps sum |terms| where the Gaussian
+# exponent is 8-12.
+ROUNDOFF_UNITS = 2.0
 
 
 @dataclass(frozen=True)
@@ -113,6 +130,19 @@ def point_pairs(x, y, n: int):
     if y.shape not in ((n,), x.shape):
         raise MediumError(f"sources must have shape ({n},) or {x.shape}, not {y.shape}")
     return x, np.broadcast_to(y, x.shape)
+
+
+def time_lag(t, s) -> float:
+    """t - s, or MediumError unless t and s are finite numbers with t > s."""
+    try:
+        t, s = float(t), float(s)
+    except (TypeError, ValueError) as exc:
+        raise MediumError("t and s must be numbers") from exc
+    if not (math.isfinite(t) and math.isfinite(s)):
+        raise MediumError("t and s must be finite")
+    if not t > s:
+        raise MediumError("require t > s")
+    return t - s
 
 
 def _mu_admissible(medium: TwoLayerMedium, mu: float, samples: int, seed: int) -> bool:
@@ -215,14 +245,23 @@ def _select_row(mu: float, m: int):
 
 
 def _hyperbolic_nodes(row, m: int, dt: float):
+    """Half trapezoid rule on the contour: nodes k = 0..M of k = -M..M.
+
+    The full rule has tau_{-k} = conj(tau_k) and w_{-k} = conj(w_k), with
+    tau_0 and w_0 real.  For an F with F(conj tau) = conj(F(tau)) the full
+    sum sum_k w_k e^{tau_k dt} F(tau_k) is therefore the real part of the
+    sum over k = 0..M with the weights of k > 0 doubled, which is what
+    this returns.  The rule is only valid for such F.
+    """
     alpha, u_max, mu_scale, _ = row
     mu_c = mu_scale * m / dt
     h = u_max / m
-    u = h * np.arange(-m, m + 1)
+    u = h * np.arange(0, m + 1)
     z = 1j * u - alpha
     tau = mu_c * (1.0 + np.sin(z))
     dtau = 1j * mu_c * np.cos(z)
     weights = h * dtau / (2j * np.pi)
+    weights[1:] *= 2.0
     return tau, weights
 
 
@@ -289,10 +328,12 @@ class KernelEvaluator:
             # panels instead of growing a single rule.
             pieces = max(1, -(-n_j // 400))
             n_piece = -(-n_j // pieces)
-            panels += [
-                (a + length * i / pieces, a + length * (i + 1) / pieces, n_piece)
-                for i in range(pieces)
-            ]
+            # Cuts measured from the panel centre, so that mirrored panels
+            # split into exactly mirrored pieces (the half contour rule
+            # needs a point-symmetric grid).
+            mid, half = 0.5 * (a + b), 0.5 * length
+            cuts = [mid + half * (2 * i - pieces) / pieces for i in range(pieces + 1)]
+            panels += [(lo, hi, n_piece) for lo, hi in zip(cuts[:-1], cuts[1:])]
         return panels
 
     def _xi_grid(self, base_radius: float, doublings: int, osc: np.ndarray,
@@ -311,13 +352,21 @@ class KernelEvaluator:
     # -- core contraction ------------------------------------------------
 
     def _integrate(self, groups, xn, yn, dxp, xi, wq, tau, wte, source_gradient):
+        """Gamma, grad and sgrad on one rule, and the roundoff floor of Gamma.
+
+        ``tau``/``wte`` are the half contour rule and the xi' grid is
+        point-symmetric (see the module docstring), so every full sum is
+        the real part of the sum formed here.  The floor is
+        eps sum |wq| |w_t| |e^{p x_n + q y_n}| (ROUNDOFF_UNITS + |p x_n| + |q y_n|).
+        """
         n = self.medium.dim
         d = n - 1
         k_tot = xn.size
         q_cnt, m_cnt = wq.size, tau.size
-        gamma = np.zeros(k_tot, dtype=complex)
-        grad = np.zeros((k_tot, n), dtype=complex)
-        sgrad = np.zeros((k_tot, n), dtype=complex) if source_gradient else None
+        gamma = np.zeros(k_tot)
+        grad = np.zeros((k_tot, n))
+        sgrad = np.zeros((k_tot, n)) if source_gradient else None
+        floor = np.zeros(k_tot)
         chunk = max(1, int(4.0e6 / (q_cnt * m_cnt)))
         xi_c = xi.astype(complex)
         for region, idx in groups:
@@ -331,6 +380,7 @@ class KernelEvaluator:
             s_val = np.zeros((u_cnt, q_cnt), dtype=complex)
             s_n = np.zeros((u_cnt, q_cnt), dtype=complex)
             s_src = np.zeros((u_cnt, q_cnt), dtype=complex) if source_gradient else None
+            s_abs = np.zeros((3, u_cnt, q_cnt))
             for lo in range(0, u_cnt, chunk):
                 sl = slice(lo, min(lo + chunk, u_cnt))
                 xnc = uniq[sl, 0][:, None, None]
@@ -342,6 +392,13 @@ class KernelEvaluator:
                     s_n[sl] += np.einsum("qm,kqm->kq", w_t * p, ex)
                     if source_gradient:
                         s_src[sl] += np.einsum("qm,kqm->kq", w_t * q, ex)
+                    aw = np.abs(w_t)
+                    s_abs[:, sl] += np.einsum(
+                        "jqm,kqm->jkq", np.stack([aw, aw * np.abs(p), aw * np.abs(q)]),
+                        np.abs(ex))
+            s_floor = (ROUNDOFF_UNITS * s_abs[0] + np.abs(uniq[:, :1]) * s_abs[1]
+                       + np.abs(uniq[:, 1:]) * s_abs[2])
+            floor[idx] = np.finfo(float).eps * (s_floor @ wq)[inv]
             pt_chunk = max(1, int(4.0e6 / q_cnt))
             for lo in range(0, idx.size, pt_chunk):
                 sel = idx[lo:lo + pt_chunk]
@@ -349,17 +406,17 @@ class KernelEvaluator:
                 phase = np.exp(1j * (dxp[sel] @ xi.T))
                 pw = phase * wq[None, :]
                 v0 = s_val[rows]
-                gamma[sel] = np.einsum("kq,kq->k", pw, v0)
+                gamma[sel] = np.einsum("kq,kq->k", pw, v0).real
                 for j in range(d):
                     fac = (1j * xi[:, j])[None, :]
-                    grad[sel, j] = np.einsum("kq,kq->k", pw * fac, v0)
-                grad[sel, n - 1] = np.einsum("kq,kq->k", pw, s_n[rows])
+                    grad[sel, j] = np.einsum("kq,kq->k", pw * fac, v0).real
+                grad[sel, n - 1] = np.einsum("kq,kq->k", pw, s_n[rows]).real
                 if source_gradient:
-                    sgrad[sel, n - 1] = np.einsum("kq,kq->k", pw, s_src[rows])
+                    sgrad[sel, n - 1] = np.einsum("kq,kq->k", pw, s_src[rows]).real
         if source_gradient:
             # The kernel depends on x' - y' only.
             sgrad[:, :d] = -grad[:, :d]
-        return gamma, grad, sgrad
+        return gamma, grad, sgrad, floor
 
     # -- public evaluation ----------------------------------------------
 
@@ -373,16 +430,9 @@ class KernelEvaluator:
         n = self.medium.dim
         x, y = point_pairs(x, y, n)
         k_tot = x.shape[0]
-        try:
-            t, s = float(t), float(s)
-        except (TypeError, ValueError) as exc:
-            raise MediumError("t and s must be numbers") from exc
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))
-                and math.isfinite(t) and math.isfinite(s)):
-            raise MediumError("x, t, y and s must be finite")
-        dt = t - s
-        if not dt > 0.0:
-            raise MediumError("require t > s")
+        dt = time_lag(t, s)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise MediumError("x and y must be finite")
         xn, yn = x[:, -1], y[:, -1]
         if np.any(xn == 0.0) or np.any(yn == 0.0):
             raise OnInterface("evaluate interface points by one-sided limits")
@@ -405,7 +455,7 @@ class KernelEvaluator:
         near = np.abs(xn - yn) <= 0.1 * math.sqrt(self.medium.min_delta() * dt)
         tol_eff = self.cfg.target_rel_tol * np.where(near, 10.0, 1.0)
 
-        osc = np.max(np.abs(dxp), axis=0) if d else np.zeros(0)
+        osc = np.max(np.abs(dxp), axis=0, initial=0.0)
 
         radius = self._base_radius(dt)
         prev = None
@@ -431,21 +481,21 @@ class KernelEvaluator:
             raise QuadratureNotConverged(
                 "tangential truncation did not converge after 6 extensions"
             )
-        gam, grd, sgr = cur
+        gam, grd, sgr, floor = cur
         xi_co, wq_co = self._xi_grid(radius, doublings, osc, dt, factor=0.7)
 
-        gam_c, grd_c, _ = self._integrate(
+        gam_c, grd_c, _, _ = self._integrate(
             groups, xn, yn, dxp, xi_co, wq_co, tau_c, wte_c, False
         )
 
         est = np.abs(gam - gam_c)
         est = np.maximum(est, np.max(np.abs(grd - grd_c), axis=1))
-        est = np.maximum(est, np.abs(gam.imag) / 5.0)
         est = np.maximum(est, annulus)
-        est = np.maximum(est, 1e-15 * np.abs(gam.real))
-        out = {"gamma": gam.real.copy(), "grad": grd.real.copy(), "est": est}
+        est = np.maximum(est, floor)
+        est = np.maximum(est, 1e-15 * np.abs(gam))
+        out = {"gamma": gam, "grad": grd, "est": est}
         if source_gradient:
-            out["sgrad"] = sgr.real.copy()
+            out["sgrad"] = sgr
         return out
 
 

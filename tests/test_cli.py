@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ class TestEval:
         cfg.pop("output")
         out = str(tmp_path / "explicit.csv")
         assert main(["eval", write_cfg(tmp_path, cfg), "--output", out]) == 0
-        lines = open(out).read().strip().split("\n")
+        lines = Path(out).read_text().strip().split("\n")
         assert len(lines) == 4
 
 
@@ -106,7 +107,7 @@ class TestErrors:
             "output": str(tmp_path / "out.csv"),
         }
         path = write_cfg(tmp_path, cfg)
-        assert '"x": [[0.1, Infinity]]' in open(path).read()
+        assert '"x": [[0.1, Infinity]]' in Path(path).read_text()
         assert main(["eval", path]) == 2
         assert not (tmp_path / "out.csv").exists()
 
@@ -121,6 +122,17 @@ class TestErrors:
         cfg["eval"]["t"] = "x"
         assert main(["eval", write_cfg(tmp_path, cfg)]) == 2
         assert "'t' must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_empty_query_exit_2(self, tmp_path, capsys):
+        cfg = {
+            "medium": {"upper": [[1.0, 0.0], [0.0, 1.0]], "lower": [[2.0, 0.0], [0.0, 3.0]]},
+            "eval": {"t": 0.5, "s": 0.0, "y": [0.0, 0.3],
+                     "grid": {"min": [-1.0, -1.0], "max": [1.0, 1.0], "points": [0, 3]}},
+            "output": str(tmp_path / "out.csv"),
+        }
+        assert main(["eval", write_cfg(tmp_path, cfg)]) == 2
+        assert "query has no points" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
     def test_no_partial_output_on_failure(self, tmp_path):
@@ -189,6 +201,13 @@ class TestGreen:
         cfg = self.cube_2d_cfg(tmp_path)
         cfg["green"]["t"] = "x"
         assert main(["green", write_cfg(tmp_path, cfg)]) == 2
+
+    def test_source_after_target_exit_2(self, tmp_path, capsys):
+        cfg = self.cube_2d_cfg(tmp_path)
+        cfg["green"]["t"], cfg["green"]["s"] = 0.1, 0.2
+        assert main(["green", write_cfg(tmp_path, cfg)]) == 2
+        assert "require t > s" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
 
     def test_tail_constant_rejected(self, tmp_path, capsys):
         cfg = self.cube_2d_cfg(tmp_path)

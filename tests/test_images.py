@@ -279,6 +279,22 @@ class TestCubeGreen:
             with pytest.raises(MediumError):
                 cg.evaluate_many(x, 0.3, np.array(bad), 0.0)
 
+    def test_times_checked(self):
+        med = homogeneous_medium(validate_tensor([[1.0, 0.0], [0.0, 2.0]]))
+        cg = CubeGreen(med, Cube(half_width=1.0, center=np.array([0.0, 0.0])))
+        x, y = np.array([[0.1, 0.2]]), np.array([0.0, 0.3])
+        # non-numeric, non-finite, earlier and equal times
+        for t, s in (("x", 0.0), (0.3, None), (np.nan, 0.0), (0.1, 0.2), (0.2, 0.2)):
+            with pytest.raises(MediumError):
+                cg.evaluate_many(x, t, y, s)
+
+    def test_empty_batch(self):
+        med = homogeneous_medium(validate_tensor([[1.0, 0.0], [0.0, 2.0]]))
+        cg = CubeGreen(med, Cube(half_width=1.0, center=np.array([0.0, 0.0])))
+        res = cg.evaluate_many(np.zeros((0, 2)), 0.3, np.array([0.0, 0.3]), 0.0)
+        assert res["gamma"].shape == res["est"].shape == (0,)
+        assert res["grad"].shape == res["sgrad"].shape == (0, 2)
+
     def test_one_shot_wrapper(self):
         med = homogeneous_medium(validate_tensor([[1.0]]))
         cube = Cube(half_width=1.0, center=np.array([0.0]))

@@ -10,9 +10,11 @@ from layerheat.medium import (
     validate_tensor,
 )
 from layerheat.inverse_transform import (
+    _CONTOUR_ROWS,
     ContourLeavesDomain,
     KernelEvaluator,
     QuadratureConfig,
+    _hyperbolic_nodes,
     certify_mu,
     delta_recovery,
     eval_kernel,
@@ -63,9 +65,10 @@ class TestConfig:
             zero = np.zeros(med.dim - 1)
             for dt in (0.01, 0.5, 10.0):
                 tau, w = ev._contour(m, dt)
-                assert tau.shape == w.shape == (2 * m + 1,)
+                assert tau.shape == w.shape == (m + 1,)
                 assert np.all(np.isfinite(tau)) and np.all(np.isfinite(w))
-                for tk in tau:
+                # The half rule stands for the mirrored nodes conj(tau) too.
+                for tk in np.concatenate([tau, tau.conj()]):
                     assert in_analyticity_domain(SpectralPoint(zero, tk), ev.cfg.mu)
 
     def test_forced_mu_too_large_rejected(self):
@@ -205,6 +208,24 @@ class TestEvaluatorContract:
             with pytest.raises(MediumError):
                 ev.eval_many(x, 0.3, bad, 0.0)
 
+    def test_estimate_bounds_error_1d(self):
+        # Every point of a fixed 1-D layered batch has err <= est.  Before
+        # the roundoff floor scaled with the exponents (when est took
+        # |Im Gamma|/5 as its floor), 12 of these 400 points had err > est.
+        ev = KernelEvaluator(layered_1d(1.0, 4.0))
+        xs = np.linspace(-2.5, 2.5, 400)[:, None]
+        res = ev.eval_many(xs, 0.1, np.array([0.4]), 0.0)
+        exact = layered_kernel_1d(1.0, 4.0, xs[:, 0], 0.1, 0.4, 0.0)
+        assert np.sum(np.abs(res["gamma"] - exact) > res["est"]) == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_empty_batch(self, n):
+        med = homogeneous_medium(validate_tensor(np.eye(n)))
+        res = KernelEvaluator(med).eval_many(
+            np.zeros((0, n)), 0.5, np.full(n, 0.3), 0.0, source_gradient=True)
+        assert res["gamma"].shape == res["est"].shape == (0,)
+        assert res["grad"].shape == res["sgrad"].shape == (0, n)
+
     def test_nonnumeric_time_rejected(self):
         ev = KernelEvaluator(layered_1d())
         x, y = np.array([[0.5]]), np.array([0.4])
@@ -232,6 +253,68 @@ class TestEvaluatorContract:
         exact = gaussian_kernel(med.upper, np.array([[0.5]]), 0.5, np.array([0.2]), 0.0)
         assert abs(kv.gamma - exact) < 1e-9 * exact
         assert kv.est_error >= 0
+
+
+class TestHalfRule:
+    """The half contour rule needs a point-symmetric xi' grid and a real kernel."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_xi_grid_point_symmetric(self, n):
+        med = TwoLayerMedium(upper=validate_tensor(np.eye(n)),
+                             lower=validate_tensor(np.diag([2.0, 3.0, 1.5][:n])))
+        ev = KernelEvaluator(med)
+        # (dt, doublings, osc); the last case splits panels (n_j > 400)
+        cases = [(0.01, 0, 0.0), (0.3, 2, 1.5), (2.0, 5, 0.2), (0.1, 1, 100.0)]
+        for dt, doublings, osc_max in cases:
+            osc = np.array([osc_max, min(osc_max, 0.5)])[:n - 1]
+            radius = ev._base_radius(dt)
+            panels = ev._xi_panels(radius, doublings, osc[0], dt, 1.0)
+            assert (len(panels) > 2 * doublings + 1) == (osc_max > 50.0)
+            for factor in (1.0, 0.7):
+                xi, wq = ev._xi_grid(radius, doublings, osc, dt, factor)
+                assert np.array_equal(xi[::-1], -xi)
+                assert np.array_equal(wq[::-1], wq)
+
+    @pytest.mark.parametrize("row", _CONTOUR_ROWS)
+    def test_contour_inverts_known_transforms(self, row):
+        rel_err = row[-1]
+        for dt in (0.01, 0.3, 1.0):
+            tau, w = _hyperbolic_nodes(row, 64, dt)
+            we = w * np.exp(tau * dt)
+            inv_pole = np.sum(we / (tau + 1.0)).real
+            inv_sqrt = np.sum(we / np.sqrt(tau)).real
+            assert abs(inv_pole / np.exp(-dt) - 1.0) < rel_err
+            assert abs(inv_sqrt * np.sqrt(np.pi * dt) - 1.0) < rel_err
+
+    def test_anisotropic_values_pinned(self):
+        # Values of the full (k = -M..M) rule, one point per region, on a
+        # medium whose tangential coupling makes the +-xi' pairing matter.
+        med = TwoLayerMedium(upper=validate_tensor([[1.0, 0.3], [0.3, 1.0]]),
+                             lower=validate_tensor(np.diag([2.0, 3.0])))
+        x = np.array([[0.3, 0.5], [-0.2, 0.1], [0.4, -0.3],
+                      [-0.5, 0.6], [0.1, -0.2], [0.25, -0.6]])
+        y = np.array([[0.0, 0.2], [0.1, 0.4], [0.0, 0.3],
+                      [0.2, -0.4], [-0.1, -0.5], [0.05, -0.1]])
+        full = {
+            "gamma": [0.1873378558275967, 0.17027095184766483, 0.11723129511299175,
+                      0.05781247140707318, 0.1363984981107962, 0.13188306012776213],
+            "grad": [[-0.06396245463233786, -0.021090166633224064],
+                     [0.05375621274229525, 0.1934996022252541],
+                     [-0.06969538088851045, 0.0629107228890462],
+                     [0.06559831257123268, -0.09937765293779113],
+                     [-0.026058400227288375, 0.0020987536689085614],
+                     [-0.025305826898453357, 0.04700970840885181]],
+            "sgrad": [[0.06396245463233786, 0.18829583544766113],
+                      [-0.05375621274229525, -0.02201014498922161],
+                      [0.06969538088851045, -0.09572751378836182],
+                      [-0.06559831257123268, 0.04597243021384675],
+                      [0.026058400227288375, 0.03672268596880735],
+                      [0.025305826898453357, -0.008188268771122127]],
+        }
+        res = KernelEvaluator(med).eval_many(x, 0.3, y, 0.0, source_gradient=True)
+        for key, ref in full.items():
+            ref = np.array(ref)
+            assert np.max(np.abs(res[key] - ref)) < 1e-11 * np.max(np.abs(ref))
 
 
 class TestMassAndDelta:
