@@ -9,8 +9,9 @@ Commands read a JSON config and write CSV or JSON outputs atomically
 * 4 unsupported geometry
 * 5 verification assertion failed (report is still written)
 
-Set LAYERHEAT_THREADS to parallelize evaluation over query chunks;
-output ordering always follows input order.
+Set LAYERHEAT_THREADS to a positive integer to parallelize evaluation
+over query chunks (values above the CPU count are capped to it); output
+ordering always follows input order.
 """
 from __future__ import annotations
 
@@ -21,9 +22,11 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
+from . import bounds, oracle, symbols
 from .medium import (
     Cube,
     MediumError,
@@ -133,10 +136,15 @@ def _atomic_write(path: str, text: str):
 
 
 def _n_threads() -> int:
+    """LAYERHEAT_THREADS (default 1), capped at the number of CPUs."""
+    raw = os.environ.get("LAYERHEAT_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("LAYERHEAT_THREADS", "1")))
+        n = int(raw)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise ConfigError(f"LAYERHEAT_THREADS must be a positive integer, not {raw!r}")
+    return min(n, os.cpu_count() or 1)
 
 
 def _chunked_eval(fn, pts: np.ndarray):
@@ -239,121 +247,153 @@ def cmd_green(cfg: dict, output: str) -> int:
     return 0
 
 
-def _verify_payload(cfg: dict, name: str):
-    """Run one verification harness; returns (passed, report dict)."""
-    from . import bounds, symbols
-    from .bounds import NoFiniteConstant
+def _verify_fit(medium, qcfg, seed, params, name):
+    ev = KernelEvaluator(medium, qcfg)
+    spec = bounds.SampleSpec(seed=seed if seed else 7)
+    fit = bounds.fit_aronson if name == "aronson" else bounds.fit_gradient_bound
+    try:
+        rep = fit(ev, spec)
+    except bounds.NoFiniteConstant as exc:
+        return False, {"error": str(exc)}
+    n = medium.dim
+    expect = -(n / 2.0) if name == "aronson" else -((n + 1) / 2.0)
+    ceiling = float(params.get("max_constant", 1e4))
+    ok = (
+        math.isfinite(rep.fitted_constant)
+        and 0 < rep.fitted_constant <= ceiling
+    )
+    if medium.is_homogeneous:
+        ok = ok and abs(rep.exponent_slope - expect) < 0.05
+    return ok, json.loads(rep.to_json())
 
-    medium = parse_medium(cfg)
-    qcfg = parse_quadrature(cfg)
-    seed = int(cfg.get("seed", 0))
-    params = cfg.get("verify", {})
+
+def _verify_qrho(medium, qcfg, seed, params):
     ev = KernelEvaluator(medium, qcfg)
     n = medium.dim
+    rng = np.random.default_rng(seed or 3)
+    c_fit = max(bounds.fit_aronson(ev).fitted_constant, 1.0)
+    n_samp = int(params.get("samples", 40))
+    worst = 0.0
+    for _ in range(n_samp):
+        x0 = rng.uniform(-1, 1, n)
+        xi = rng.uniform(-1, 1, n)
+        t0 = 0.0
+        tau = -float(rng.uniform(0.02, 0.6))
+        val = bounds.q_rho_integral(ev, x0, t0, xi, tau, check_convergence=False)
+        bnd = bounds.q_rho_bound(c_fit, n, x0, t0, xi, tau)
+        worst = max(worst, val / bnd)
+    return worst <= 1.0, {"constant": c_fit, "worst_ratio": worst,
+                          "samples": n_samp}
 
-    if name in ("aronson", "gradient"):
-        spec = bounds.SampleSpec(seed=seed if seed else 7)
-        fit = bounds.fit_aronson if name == "aronson" else bounds.fit_gradient_bound
-        try:
-            rep = fit(ev, spec)
-        except NoFiniteConstant as exc:
-            return False, {"error": str(exc)}
-        expect = -(n / 2.0) if name == "aronson" else -((n + 1) / 2.0)
-        ceiling = float(params.get("max_constant", 1e4))
-        ok = (
-            math.isfinite(rep.fitted_constant)
-            and 0 < rep.fitted_constant <= ceiling
-        )
-        if medium.is_homogeneous:
-            ok = ok and abs(rep.exponent_slope - expect) < 0.05
-        return ok, json.loads(rep.to_json())
-    if name == "qrho":
-        rng = np.random.default_rng(seed or 3)
-        c_fit = max(bounds.fit_aronson(ev).fitted_constant, 1.0)
-        n_samp = int(params.get("samples", 40))
-        worst = 0.0
-        for _ in range(n_samp):
-            x0 = rng.uniform(-1, 1, n)
-            xi = rng.uniform(-1, 1, n)
-            t0 = 0.0
-            tau = -float(rng.uniform(0.02, 0.6))
-            val = bounds.q_rho_integral(ev, x0, t0, xi, tau, check_convergence=False)
-            bnd = bounds.q_rho_bound(c_fit, n, x0, t0, xi, tau)
-            worst = max(worst, val / bnd)
-        return worst <= 1.0, {"constant": c_fit, "worst_ratio": worst,
-                              "samples": n_samp}
-    if name == "interior":
-        from .oracle import Grid, interior_solution_sampler, random_boundary_generator
 
-        grid = Grid(
-            box=Cube(half_width=1.0, center=np.zeros(n)),
-            nodes_per_dim=int(params.get("nodes", 41 if n == 2 else 81)),
-            dt=0.4 / 160,
-            t_span=(0.0, 0.4),
+def _verify_interior(medium, qcfg, seed, params):
+    n = medium.dim
+    grid = oracle.Grid(
+        box=Cube(half_width=1.0, center=np.zeros(n)),
+        nodes_per_dim=int(params.get("nodes", 41 if n == 2 else 81)),
+        dt=0.4 / 160,
+        t_span=(0.0, 0.4),
+    )
+    sols = [
+        oracle.interior_solution_sampler(
+            medium, oracle.random_boundary_generator(n, seed + k), grid
         )
-        sols = [
-            interior_solution_sampler(
-                medium, random_boundary_generator(n, seed + k), grid
-            )
-            for k in range(3)
-        ]
-        rep = bounds.interior_estimate_check(sols, [0.1, 0.15, 0.2, 0.3])
-        ok = math.isfinite(rep.fitted_constant) and rep.fitted_constant > 0
-        return ok, json.loads(rep.to_json())
-    if name == "schur":
-        k1 = np.ones((40, 50))
-        grid = np.linspace(0, 1, 40)[:, None] > np.linspace(0, 1, 50)[None, :]
-        k2 = grid.astype(float)
-        rng = np.random.default_rng(seed or 5)
-        k3 = np.abs(rng.standard_normal((30, 30)))
-        worst = max(
-            bounds.schur_verify(k, 2.0, 2.0, 1.0) for k in (k1, k2, k3)
-        )
-        return worst <= 1.0 + 1e-10, {"worst_ratio": worst, "kernels": 3}
-    if name == "transmission":
-        rng = np.random.default_rng(seed or 1)
-        worst = 0.0
-        for _ in range(int(params.get("samples", 200))):
-            xi = rng.standard_normal(n - 1) * rng.uniform(0.2, 3.0)
-            tau = complex(rng.uniform(0.3, 3.0), rng.uniform(-20.0, 20.0))
-            sp = symbols.SpectralPoint(xi_prime=xi.astype(complex), tau=tau)
-            y_n = float(rng.uniform(0.1, 1.5))
-            res = symbols.transmission_residuals(medium, sp, y_n)
-            worst = max(worst, float(np.max(res)))
-        return worst < 1e-10, {"worst_residual": worst}
-    if name == "mass":
-        y = np.asarray(params.get("y", [0.0] * (n - 1) + [0.4]), dtype=float)
-        dt = float(params.get("dt", 0.3))
-        val = mass_integral(medium, dt, y, ev.cfg)
-        return abs(val - 1.0) < 1e-4, {"mass": val}
-    if name == "delta":
-        y = np.asarray(params.get("y", [0.0] * (n - 1) + [0.3]), dtype=float)
-        phi = lambda p: float(np.exp(-np.sum((np.asarray(p) - y) ** 2)))
-        dts = [0.08, 0.04, 0.02, 0.01]
-        vals = delta_recovery(medium, y, phi, dts, qcfg)
-        errs = np.abs(np.asarray(vals) - 1.0)
-        ratios = errs[:-1] / errs[1:]
-        ok = bool(np.all(ratios > 1.4)) and errs[-1] < 0.05
-        return ok, {"values": list(map(float, vals)), "ratios": list(map(float, ratios))}
-    if name == "adjoint":
-        cube = Cube(half_width=1.5, center=np.zeros(n))
-        try:
-            green = CubeGreen(medium, cube, qcfg)
-        except UnsupportedGeometry:
-            return False, {"error": "cube green unsupported for this medium"}
-        adj = adjoint_green(green)
-        x = np.full((1, n), 0.4)
-        y = np.full(n, -0.2)
-        a = adj.evaluate_many(y[None, :], 0.1, x[0], 0.5)
-        b = green.evaluate_many(x, 0.5, y, 0.1)
-        exact = (
-            a["gamma"][0] == b["gamma"][0]
-            and np.array_equal(a["grad"][0], b["sgrad"][0])
-            and np.array_equal(a["sgrad"][0], b["grad"][0])
-            and adjoint_green(adj) is green
-        )
-        return bool(exact), {"gamma": float(b["gamma"][0]), "bit_exact": bool(exact)}
-    raise ConfigError(f"unknown verify name {name!r}")
+        for k in range(3)
+    ]
+    rep = bounds.interior_estimate_check(sols, [0.1, 0.15, 0.2, 0.3])
+    ok = math.isfinite(rep.fitted_constant) and rep.fitted_constant > 0
+    return ok, json.loads(rep.to_json())
+
+
+def _verify_schur(medium, qcfg, seed, params):
+    k1 = np.ones((40, 50))
+    grid = np.linspace(0, 1, 40)[:, None] > np.linspace(0, 1, 50)[None, :]
+    k2 = grid.astype(float)
+    rng = np.random.default_rng(seed or 5)
+    k3 = np.abs(rng.standard_normal((30, 30)))
+    worst = max(
+        bounds.schur_verify(k, 2.0, 2.0, 1.0) for k in (k1, k2, k3)
+    )
+    return worst <= 1.0 + 1e-10, {"worst_ratio": worst, "kernels": 3}
+
+
+def _verify_transmission(medium, qcfg, seed, params):
+    n = medium.dim
+    rng = np.random.default_rng(seed or 1)
+    worst = 0.0
+    for _ in range(int(params.get("samples", 200))):
+        xi = rng.standard_normal(n - 1) * rng.uniform(0.2, 3.0)
+        tau = complex(rng.uniform(0.3, 3.0), rng.uniform(-20.0, 20.0))
+        sp = symbols.SpectralPoint(xi_prime=xi.astype(complex), tau=tau)
+        y_n = float(rng.uniform(0.1, 1.5))
+        res = symbols.transmission_residuals(medium, sp, y_n)
+        worst = max(worst, float(np.max(res)))
+    return worst < 1e-10, {"worst_residual": worst}
+
+
+def _verify_mass(medium, qcfg, seed, params):
+    n = medium.dim
+    y = np.asarray(params.get("y", [0.0] * (n - 1) + [0.4]), dtype=float)
+    dt = float(params.get("dt", 0.3))
+    val = mass_integral(medium, dt, y, qcfg)
+    return abs(val - 1.0) < 1e-4, {"mass": val}
+
+
+def _verify_delta(medium, qcfg, seed, params):
+    n = medium.dim
+    y = np.asarray(params.get("y", [0.0] * (n - 1) + [0.3]), dtype=float)
+    phi = lambda p: float(np.exp(-np.sum((np.asarray(p) - y) ** 2)))
+    dts = [0.08, 0.04, 0.02, 0.01]
+    vals = delta_recovery(medium, y, phi, dts, qcfg)
+    errs = np.abs(np.asarray(vals) - 1.0)
+    ratios = errs[:-1] / errs[1:]
+    ok = bool(np.all(ratios > 1.4)) and errs[-1] < 0.05
+    return ok, {"values": list(map(float, vals)), "ratios": list(map(float, ratios))}
+
+
+def _verify_adjoint(medium, qcfg, seed, params):
+    n = medium.dim
+    cube = Cube(half_width=1.5, center=np.zeros(n))
+    try:
+        green = CubeGreen(medium, cube, qcfg)
+    except UnsupportedGeometry:
+        return False, {"error": "cube green unsupported for this medium"}
+    adj = adjoint_green(green)
+    x = np.full((1, n), 0.4)
+    y = np.full(n, -0.2)
+    a = adj.evaluate_many(y[None, :], 0.1, x[0], 0.5)
+    b = green.evaluate_many(x, 0.5, y, 0.1)
+    exact = (
+        a["gamma"][0] == b["gamma"][0]
+        and np.array_equal(a["grad"][0], b["sgrad"][0])
+        and np.array_equal(a["sgrad"][0], b["grad"][0])
+        and adjoint_green(adj) is green
+    )
+    return bool(exact), {"gamma": float(b["gamma"][0]), "bit_exact": bool(exact)}
+
+
+# verify.name -> check(medium, quadrature config, seed, verify params),
+# which returns (passed, report dict).
+VERIFY_CHECKS = {
+    "aronson": partial(_verify_fit, name="aronson"),
+    "gradient": partial(_verify_fit, name="gradient"),
+    "qrho": _verify_qrho,
+    "interior": _verify_interior,
+    "schur": _verify_schur,
+    "transmission": _verify_transmission,
+    "mass": _verify_mass,
+    "delta": _verify_delta,
+    "adjoint": _verify_adjoint,
+}
+
+
+def _verify_payload(cfg: dict, name: str):
+    """Run one verification harness; returns (passed, report dict)."""
+    check = VERIFY_CHECKS.get(name)
+    if check is None:
+        raise ConfigError(f"unknown verify name {name!r}")
+    return check(parse_medium(cfg), parse_quadrature(cfg), int(cfg.get("seed", 0)),
+                 cfg.get("verify", {}))
 
 
 def cmd_verify(cfg: dict, output: str) -> int:

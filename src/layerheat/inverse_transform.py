@@ -23,6 +23,18 @@ The contour is symmetric (tau_{-k} = conj tau_k, w_{-k} = conj w_k) and
 the xi' grid is point-symmetric, so only the nodes k = 0..M are evaluated,
 the weights of k > 0 are doubled, and every sum is the real part of the
 half sum.
+
+Shared symbols and nested doublings.  All six region symbols are built
+from one table of Theta_A, Theta_B, their sum, eight exponents and five
+coefficients (symbols.SymbolTable), so a quadrature pass evaluates each
+array once for all its region groups.  The tangential truncation doubles
+the xi' radius until the annulus adds nothing; each doubling keeps every
+panel of the previous grid and appends annulus panels, so the previous
+grid is, bit for bit, a tensor block of the new one.  The tau contraction
+is done node by node, so each doubling contracts only the new annulus
+nodes and scatters the stored sums of the old ones into place; the xi'
+phase contraction then runs on the whole grid.  Values are the same as
+when every pass is summed afresh.
 """
 from __future__ import annotations
 
@@ -41,6 +53,7 @@ from .medium import (
 from .symbols import (
     Region,
     SpectralPoint,
+    SymbolTable,
     classify_region,
     on_branch_cut,
     region_terms,
@@ -349,33 +362,47 @@ class KernelEvaluator:
         decay = max(math.log(100.0 / self.cfg.target_rel_tol), 2.0)
         return math.sqrt(decay / (self._schur_min * dt))
 
+    def _inner_mask(self, base_radius: float, doublings: int, osc: np.ndarray,
+                    dt: float):
+        """Nodes of the doubling-k grid that the doubling-(k-1) grid holds.
+
+        On each axis the panels of doubling k - 1 are the centred run of
+        the panels of doubling k (a panel's node count does not depend on
+        the level), so the old grid is the tensor block of those centred
+        nodes; the mask is in ``_xi_grid`` order.
+        """
+        def node_counts(k, j):
+            return [m for _, _, m in self._xi_panels(base_radius, k, osc[j], dt, 1.0)]
+
+        mask = np.ones(1, dtype=bool)
+        for j in range(self.medium.dim - 1):
+            old, new = node_counts(doublings - 1, j), node_counts(doublings, j)
+            start = sum(new[:(len(new) - len(old)) // 2])
+            axis = np.zeros(sum(new), dtype=bool)
+            axis[start:start + sum(old)] = True
+            mask = (mask[:, None] & axis[None, :]).ravel()
+        return mask
+
     # -- core contraction ------------------------------------------------
 
-    def _integrate(self, groups, xn, yn, dxp, xi, wq, tau, wte, source_gradient):
-        """Gamma, grad and sgrad on one rule, and the roundoff floor of Gamma.
+    def _tau_sums(self, groups, xi, tau, wte, source_gradient):
+        """Per region group, the tau contraction on the xi' nodes ``xi``.
 
-        ``tau``/``wte`` are the half contour rule and the xi' grid is
-        point-symmetric (see the module docstring), so every full sum is
-        the real part of the sum formed here.  The floor is
-        eps sum |wq| |w_t| |e^{p x_n + q y_n}| (ROUNDOFF_UNITS + |p x_n| + |q y_n|).
+        For each unique normal pair (x_n, y_n) of the group and each node,
+        s_val = sum_m W_m V with W_m = w_m e^{tau_m dt} (``wte``) and
+        V = sum_terms coef e^{p x_n + q y_n}; s_n and s_src put a factor p
+        or q in each term, and s_floor is the roundoff weight
+        sum_m sum_terms |W_m coef e^{p x_n + q y_n}| (ROUNDOFF_UNITS + |p x_n| + |q y_n|).
+        Each is computed node by node, so the sums on part of a grid equal
+        the sums on the whole grid restricted to that part, bit for bit.
         """
-        n = self.medium.dim
-        d = n - 1
-        k_tot = xn.size
-        q_cnt, m_cnt = wq.size, tau.size
-        gamma = np.zeros(k_tot)
-        grad = np.zeros((k_tot, n))
-        sgrad = np.zeros((k_tot, n)) if source_gradient else None
-        floor = np.zeros(k_tot)
+        q_cnt, m_cnt = xi.shape[0], tau.size
         chunk = max(1, int(4.0e6 / (q_cnt * m_cnt)))
         xi_c = xi.astype(complex)
-        for region, idx in groups:
-            terms = region_terms(region, self.medium, xi_c, tau)
-            # The tau contraction depends only on (x_n, y_n); points on a
-            # tensor grid share few distinct normal coordinates, so do it
-            # once per unique pair.
-            pairs = np.stack([xn[idx], yn[idx]], axis=1)
-            uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
+        table = SymbolTable(self.medium, xi_c, tau)
+        sums = []
+        for region, _, uniq, _ in groups:
+            terms = region_terms(region, self.medium, xi_c, tau, table=table)
             u_cnt = uniq.shape[0]
             s_val = np.zeros((u_cnt, q_cnt), dtype=complex)
             s_n = np.zeros((u_cnt, q_cnt), dtype=complex)
@@ -398,8 +425,27 @@ class KernelEvaluator:
                         np.abs(ex))
             s_floor = (ROUNDOFF_UNITS * s_abs[0] + np.abs(uniq[:, :1]) * s_abs[1]
                        + np.abs(uniq[:, 1:]) * s_abs[2])
+            sums.append((s_val, s_n, s_src, s_floor))
+        return sums
+
+    def _phase_sums(self, groups, dxp, xi, wq, sums, source_gradient):
+        """Gamma, grad and sgrad from the tau sums, and the roundoff floor of Gamma.
+
+        The contour rule is the half rule and the xi' grid is
+        point-symmetric (see the module docstring), so every full sum is
+        the real part of the sum formed here.  The floor is eps times the
+        xi' sum of ``s_floor``.
+        """
+        n = self.medium.dim
+        d = n - 1
+        k_tot, q_cnt = dxp.shape[0], wq.size
+        gamma = np.zeros(k_tot)
+        grad = np.zeros((k_tot, n))
+        sgrad = np.zeros((k_tot, n)) if source_gradient else None
+        floor = np.zeros(k_tot)
+        pt_chunk = max(1, int(4.0e6 / q_cnt))
+        for (_, idx, _, inv), (s_val, s_n, s_src, s_floor) in zip(groups, sums):
             floor[idx] = np.finfo(float).eps * (s_floor @ wq)[inv]
-            pt_chunk = max(1, int(4.0e6 / q_cnt))
             for lo in range(0, idx.size, pt_chunk):
                 sel = idx[lo:lo + pt_chunk]
                 rows = inv[lo:lo + pt_chunk]
@@ -440,9 +486,15 @@ class KernelEvaluator:
         dxp = x[:, :d] - y[:, :d]
 
         tags = np.array([classify_region(xn[k], yn[k]).name for k in range(k_tot)])
-        groups = [
-            (Region[tag], np.nonzero(tags == tag)[0]) for tag in np.unique(tags)
-        ]
+        groups = []
+        for tag in np.unique(tags):
+            idx = np.nonzero(tags == tag)[0]
+            # The tau contraction depends only on (x_n, y_n); points on a
+            # tensor grid share few distinct normal coordinates, so it runs
+            # once per unique pair.
+            uniq, inv = np.unique(np.stack([xn[idx], yn[idx]], axis=1), axis=0,
+                                  return_inverse=True)
+            groups.append((Region[tag], idx, uniq, inv))
 
         m_f = self.cfg.contour_nodes
         m_c = max(8, int(0.7 * m_f))
@@ -462,9 +514,16 @@ class KernelEvaluator:
         annulus = np.zeros(k_tot)
         for doublings in range(7):
             xi, wq = self._xi_grid(radius, doublings, osc, dt)
-            cur = self._integrate(
-                groups, xn, yn, dxp, xi, wq, tau_f, wte_f, source_gradient
-            )
+            if doublings == 0:
+                sums = self._tau_sums(groups, xi, tau_f, wte_f, source_gradient)
+            else:
+                # The previous grid is a block of this one: sum only the
+                # nodes of the new annulus panels.
+                inner = self._inner_mask(radius, doublings, osc, dt)
+                fresh = self._tau_sums(groups, xi[~inner], tau_f, wte_f, source_gradient)
+                sums = [tuple(_scatter(inner, a, b) for a, b in zip(old, new))
+                        for old, new in zip(sums, fresh)]
+            cur = self._phase_sums(groups, dxp, xi, wq, sums, source_gradient)
             if d == 0:
                 break  # no tangential axes: the xi' rule is one point
             if prev is not None:
@@ -484,9 +543,8 @@ class KernelEvaluator:
         gam, grd, sgr, floor = cur
         xi_co, wq_co = self._xi_grid(radius, doublings, osc, dt, factor=0.7)
 
-        gam_c, grd_c, _, _ = self._integrate(
-            groups, xn, yn, dxp, xi_co, wq_co, tau_c, wte_c, False
-        )
+        sums_co = self._tau_sums(groups, xi_co, tau_c, wte_c, False)
+        gam_c, grd_c, _, _ = self._phase_sums(groups, dxp, xi_co, wq_co, sums_co, False)
 
         est = np.abs(gam - gam_c)
         est = np.maximum(est, np.max(np.abs(grd - grd_c), axis=1))
@@ -497,6 +555,16 @@ class KernelEvaluator:
         if source_gradient:
             out["sgrad"] = sgr
         return out
+
+
+def _scatter(inner: np.ndarray, old, new):
+    """Sums over a grid from the sums on its ``inner`` nodes and on the rest."""
+    if old is None:
+        return None
+    full = np.empty(old.shape[:-1] + inner.shape, dtype=old.dtype)
+    full[..., inner] = old
+    full[..., ~inner] = new
+    return full
 
 
 def eval_kernel(medium: TwoLayerMedium, q: KernelQuery, cfg: QuadratureConfig | None = None) -> KernelValue:

@@ -6,7 +6,8 @@ equation to a second-order ODE in x_n on each side of the interface.  This
 module implements the exact solution of that ODE system:
 
 * the ``Theta`` square roots that control exponential decay in x_n,
-* the six region symbols V (one per ordering of x_n, y_n and 0),
+* the six region symbols V (one per ordering of x_n, y_n and 0), read
+  from one table of the roots, exponents and coefficients they share,
 * the residuals of the defining conditions (source jump, interface
   transmission) evaluated on those symbols,
 * the analyticity predicates used to certify contour deformations.
@@ -137,49 +138,99 @@ def on_branch_cut(th2: np.ndarray) -> np.ndarray:
     return (np.abs(th2.imag) <= 1e-13 * scale) & (th2.real <= 1e-13 * scale)
 
 
-def region_terms(region: Region, medium: TwoLayerMedium, xi: np.ndarray, tau: np.ndarray):
+class _lazy:
+    """Attribute computed on first access and then stored on the instance.
+
+    Unlike functools.cached_property before Python 3.12, it takes no lock
+    shared by all instances, so tables built in different CLI worker
+    threads do not wait on one another.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+class SymbolTable:
+    """The arrays the six region symbols are built from, on one (xi', tau) grid.
+
+    Every region symbol is rational in the two roots Theta_A and Theta_B.
+    Together the six use the roots, their sum, eight exponents
+    (+-i a +- Theta_A)/a_nn and (+-i b +- Theta_B)/b_nn (named by their two
+    signs, ``a_pm`` = (i a - Theta_A)/a_nn) and five coefficients: the
+    direct terms 1/(2 Theta), the reflected terms and the transmitted term
+    1/(Theta_A + Theta_B).  Each array is computed on first use and then
+    kept, so the region groups of one quadrature pass share them.  ``xi``
+    is (Q, n-1) complex and ``tau`` (M,); every array has shape (Q, M).
+    """
+
+    def __init__(self, medium: TwoLayerMedium, xi: np.ndarray, tau: np.ndarray):
+        self.medium, self.xi, self.tau = medium, xi, tau
+        self.ann, self.bnn = medium.upper.a_nn, medium.lower.a_nn
+
+    @_lazy
+    def _roots(self):
+        th2_A, th2_B, a, b = theta_squared(self.medium, self.xi, self.tau)
+        return np.sqrt(th2_A), np.sqrt(th2_B), a[:, None], b[:, None]
+
+    theta_a = _lazy(lambda t: t._roots[0])
+    theta_b = _lazy(lambda t: t._roots[1])
+    theta_sum = _lazy(lambda t: t.theta_a + t.theta_b)
+    form_a = _lazy(lambda t: t._roots[2])
+    form_b = _lazy(lambda t: t._roots[3])
+
+    a_mm = _lazy(lambda t: (-1j * t.form_a - t.theta_a) / t.ann)
+    a_mp = _lazy(lambda t: (-1j * t.form_a + t.theta_a) / t.ann)
+    a_pm = _lazy(lambda t: (1j * t.form_a - t.theta_a) / t.ann)
+    a_pp = _lazy(lambda t: (1j * t.form_a + t.theta_a) / t.ann)
+    b_mm = _lazy(lambda t: (-1j * t.form_b - t.theta_b) / t.bnn)
+    b_mp = _lazy(lambda t: (-1j * t.form_b + t.theta_b) / t.bnn)
+    b_pm = _lazy(lambda t: (1j * t.form_b - t.theta_b) / t.bnn)
+    b_pp = _lazy(lambda t: (1j * t.form_b + t.theta_b) / t.bnn)
+
+    direct_a = _lazy(lambda t: 1.0 / (2.0 * t.theta_a))
+    direct_b = _lazy(lambda t: 1.0 / (2.0 * t.theta_b))
+    reflect_a = _lazy(
+        lambda t: (t.theta_a - t.theta_b) / (2.0 * t.theta_a * t.theta_sum))
+    reflect_b = _lazy(
+        lambda t: (t.theta_b - t.theta_a) / (2.0 * t.theta_b * t.theta_sum))
+    transmit = _lazy(lambda t: 1.0 / t.theta_sum)
+
+
+def region_terms(region: Region, medium: TwoLayerMedium, xi: np.ndarray, tau: np.ndarray,
+                 *, table: SymbolTable | None = None):
     """Exponential-term decomposition of the region symbol V.
 
     Returns a list of (coef, p, q) arrays of shape (Q, M) such that
     ``V(x_n, y_n) = sum_k coef_k * exp(p_k x_n + q_k y_n)``.  The source
-    prefactor exp(-tau*s - i y'.xi') is NOT included.
+    prefactor exp(-tau*s - i y'.xi') is NOT included.  The terms are read
+    from ``table``, which must have been built for (medium, xi, tau).
+    Without one a fresh table is built; calls for several regions on one
+    grid pass the same table so that they share its arrays.
     """
-    th2_A, th2_B, a, b = theta_squared(medium, xi, tau)
-    thA = np.sqrt(th2_A)
-    thB = np.sqrt(th2_B)
-    a = a[:, None]
-    b = b[:, None]
-    ann = medium.upper.a_nn
-    bnn = medium.lower.a_nn
-    sum_th = thA + thB
+    t = SymbolTable(medium, xi, tau) if table is None else table
+    if t.medium is not medium or t.xi is not xi or t.tau is not tau:
+        raise ValueError("the symbol table was built for another grid")
     if region is Region.R11:
-        return [
-            (1.0 / (2.0 * thA), (-1j * a - thA) / ann, (1j * a + thA) / ann),
-            ((thA - thB) / (2.0 * thA * sum_th), (-1j * a - thA) / ann, (1j * a - thA) / ann),
-        ]
+        return [(t.direct_a, t.a_mm, t.a_pp), (t.reflect_a, t.a_mm, t.a_pm)]
     if region is Region.R12:
-        return [
-            ((thA - thB) / (2.0 * thA * sum_th), (-1j * a - thA) / ann, (1j * a - thA) / ann),
-            (1.0 / (2.0 * thA), (-1j * a + thA) / ann, (1j * a - thA) / ann),
-        ]
+        return [(t.reflect_a, t.a_mm, t.a_pm), (t.direct_a, t.a_mp, t.a_pm)]
     if region is Region.R2:
-        return [
-            (1.0 / sum_th, (-1j * b + thB) / bnn, (1j * a - thA) / ann),
-        ]
+        return [(t.transmit, t.b_mp, t.a_pm)]
     if region is Region.R1:
-        return [
-            (1.0 / sum_th, (-1j * a - thA) / ann, (1j * b + thB) / bnn),
-        ]
+        return [(t.transmit, t.a_mm, t.b_pp)]
     if region is Region.R21:
-        return [
-            ((thB - thA) / (2.0 * thB * sum_th), (-1j * b + thB) / bnn, (1j * b + thB) / bnn),
-            (1.0 / (2.0 * thB), (-1j * b - thB) / bnn, (1j * b + thB) / bnn),
-        ]
+        return [(t.reflect_b, t.b_mp, t.b_pp), (t.direct_b, t.b_mm, t.b_pp)]
     if region is Region.R22:
-        return [
-            (1.0 / (2.0 * thB), (-1j * b + thB) / bnn, (1j * b - thB) / bnn),
-            ((thB - thA) / (2.0 * thB * sum_th), (-1j * b + thB) / bnn, (1j * b + thB) / bnn),
-        ]
+        return [(t.direct_b, t.b_mp, t.b_pm), (t.reflect_b, t.b_mp, t.b_pp)]
     raise RegionMismatch(f"unknown region {region}")
 
 

@@ -61,6 +61,27 @@ class TestEval:
         assert r.returncode == 0
         assert (tmp_path / "out.csv").read_bytes() == serial
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "", "2.5"])
+    def test_bad_thread_count_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("LAYERHEAT_THREADS", raw)
+        with pytest.raises(cli.ConfigError):
+            cli._n_threads()
+
+    def test_thread_count_capped_at_cpus(self, monkeypatch):
+        monkeypatch.delenv("LAYERHEAT_THREADS", raising=False)
+        assert cli._n_threads() == 1
+        monkeypatch.setenv("LAYERHEAT_THREADS", "1")
+        assert cli._n_threads() == 1
+        monkeypatch.setenv("LAYERHEAT_THREADS", "10000")
+        assert cli._n_threads() == (os.cpu_count() or 1)
+
+    def test_bad_thread_count_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LAYERHEAT_THREADS", "abc")
+        cfg = eval_cfg(tmp_path)
+        assert main(["eval", write_cfg(tmp_path, cfg)]) == 2
+        assert "LAYERHEAT_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_explicit_points_and_output_flag(self, tmp_path):
         cfg = eval_cfg(tmp_path)
         cfg["eval"].pop("grid")
@@ -262,6 +283,25 @@ class TestVerify:
     def test_unknown_name_exit_2(self, tmp_path):
         cfg = self.base_cfg(tmp_path, "nonsense")
         assert main(["verify", write_cfg(tmp_path, cfg)]) == 2
+
+    def test_unknown_name_checked_before_medium(self, tmp_path, capsys):
+        cfg = self.base_cfg(tmp_path, "nonsense")
+        cfg["medium"]["upper"] = [[1.0, 2.0], [3.0, 1.0]]  # invalid
+        assert main(["verify", write_cfg(tmp_path, cfg)]) == 2
+        assert "unknown verify name 'nonsense'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("name", ["schur", "transmission"])
+    def test_no_evaluator_built(self, tmp_path, monkeypatch, name):
+        # These checks do not evaluate the kernel, so they build no evaluator.
+        class NoEvaluator:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("KernelEvaluator built")
+
+        monkeypatch.setattr(cli, "KernelEvaluator", NoEvaluator)
+        cfg = self.base_cfg(tmp_path, name, samples=20)
+        assert main(["verify", write_cfg(tmp_path, cfg)]) == 0
+        assert self.read_report(tmp_path)["passed"] is True
 
     def test_broken_kernel_fails_with_report(self, tmp_path, monkeypatch):
         class BrokenEvaluator(cli.KernelEvaluator):

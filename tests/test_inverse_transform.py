@@ -16,6 +16,7 @@ from layerheat.inverse_transform import (
     QuadratureConfig,
     _hyperbolic_nodes,
     certify_mu,
+    gauss_tensor_grid,
     delta_recovery,
     eval_kernel,
     mass_integral,
@@ -315,6 +316,100 @@ class TestHalfRule:
         for key, ref in full.items():
             ref = np.array(ref)
             assert np.max(np.abs(res[key] - ref)) < 1e-11 * np.max(np.abs(ref))
+
+
+class TestNestedDoublings:
+    """Doubling k + 1 reuses the tau sums of doubling k on the nodes they share."""
+
+    @staticmethod
+    def evaluator(n):
+        return KernelEvaluator(TwoLayerMedium(
+            upper=validate_tensor(np.eye(n)),
+            lower=validate_tensor(np.diag([2.0, 3.0, 1.5][:n]))))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_previous_axis_is_centred_block(self, n):
+        # Each axis of doubling k is, bit for bit, the centred block of the
+        # same axis at doubling k + 1.  This fails as soon as a panel's node
+        # count (or its split into pieces) depends on the doubling level.
+        ev = self.evaluator(n)
+        # (dt, osc, doublings); the last case splits panels (n_j > 400)
+        for dt, osc_j, levels in ((0.3, 1.5, 5), (0.05, 0.0, 5), (0.1, 25.0, 2)):
+            radius = ev._base_radius(dt)
+            for factor in (1.0, 0.7):
+                for k in range(levels):
+                    old_x, old_w = gauss_tensor_grid(
+                        [ev._xi_panels(radius, k, osc_j, dt, factor)])
+                    new_x, new_w = gauss_tensor_grid(
+                        [ev._xi_panels(radius, k + 1, osc_j, dt, factor)])
+                    extra = new_x.shape[0] - old_x.shape[0]
+                    assert extra > 0 and extra % 2 == 0
+                    block = slice(extra // 2, extra // 2 + old_x.shape[0])
+                    assert np.array_equal(new_x[block], old_x)
+                    assert np.array_equal(new_w[block], old_w)
+        # The base panel of the last case is split in pieces.
+        assert len(ev._xi_panels(ev._base_radius(0.1), 0, 25.0, 0.1, 1.0)) > 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_inner_mask_selects_previous_grid(self, n):
+        ev = self.evaluator(n)
+        for dt, osc, levels in ((0.3, np.array([1.5, 0.5]), 4),
+                                (0.1, np.array([25.0, 0.2]), 2)):
+            radius = ev._base_radius(dt)
+            for k in range(1, levels + 1):
+                old_xi, old_wq = ev._xi_grid(radius, k - 1, osc, dt)
+                new_xi, new_wq = ev._xi_grid(radius, k, osc, dt)
+                inner = ev._inner_mask(radius, k, osc, dt)
+                assert inner.shape == new_wq.shape
+                assert np.array_equal(new_xi[inner], old_xi)
+                assert np.array_equal(new_wq[inner], old_wq)
+
+    def test_three_doublings_pinned(self):
+        # One point per region plus a far one; at this loose tolerance and
+        # short lag the doubling loop runs three fine passes.  Values from
+        # the evaluator before the tau sums were reused across doublings.
+        med = TwoLayerMedium(upper=validate_tensor([[1.0, 0.3], [0.3, 1.0]]),
+                             lower=validate_tensor(np.diag([2.0, 3.0])))
+        x = np.array([[0.3, 0.5], [-0.2, 0.1], [0.4, -0.3], [-0.1, 0.2],
+                      [0.1, -0.2], [0.2, -0.6], [2.5, 0.31]])
+        y = np.array([[0.0, 0.3], [0.0, 0.3], [0.0, 0.3], [0.0, -0.3],
+                      [0.1, -0.4], [0.0, -0.3], [0.0, 0.3]])
+        pinned = {
+            "gamma": [0.9815324977563072, 1.013337100975535, 0.13350802630689912,
+                      0.44202974873824086, 0.7198416688299174, 0.5502343078409758,
+                      6.743605673875663e-12],
+            "grad": [[-2.5821656701101317, -1.1041820272465583],
+                     [1.4594980218093874, 2.9440454554146696],
+                     [-0.4832034325350109, 0.34089384619151725],
+                     [0.5014142768451093, -1.665611687378822],
+                     [-5.559503053233217e-13, -0.1521326395931059],
+                     [-0.5597487741329198, 0.6435217568667441],
+                     [-1.8899015685747145e-10, -1.1085887763329083e-10]],
+            "sgrad": [[2.5821656701101317, 1.3280805959385578],
+                      [-1.4594980218093874, -1.0862874926106711],
+                      [0.4832034325350109, -0.8047932315014162],
+                      [-0.5014142768451093, 1.0262331535240783],
+                      [5.559503053233217e-13, 0.6583249201352017],
+                      [0.5597487741329198, -0.368525708730782],
+                      [1.8899015685747145e-10, -2.738431703619426e-11]],
+            "est": [2.414784562002071e-11, 1.376224029347762e-11, 1.166615396617244e-13,
+                    4.457304912547082e-13, 2.181147258420041e-11, 1.0317948322973812e-11,
+                    1.30127630620799e-09],
+        }
+        ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=1e-5))
+        grids = []
+        xi_grid = ev._xi_grid
+
+        def counted(*args, **kwargs):
+            grids.append(args)
+            return xi_grid(*args, **kwargs)
+
+        ev._xi_grid = counted
+        res = ev.eval_many(x, 0.05, y, 0.0, source_gradient=True)
+        assert len(grids) == 4  # three fine passes and the coarse pass
+        for key, ref in pinned.items():
+            ref = np.array(ref)
+            assert np.max(np.abs(res[key] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestMassAndDelta:

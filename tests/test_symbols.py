@@ -8,6 +8,7 @@ from layerheat.symbols import (
     Region,
     RegionMismatch,
     SpectralPoint,
+    SymbolTable,
     classify_region,
     in_analyticity_domain,
     ode_residual,
@@ -216,6 +217,43 @@ class TestAnalyticityDomain:
 
 
 class TestRegionTerms:
+    @pytest.mark.parametrize("medium", [
+        layered_1d(1.0, 4.0),
+        layered_2d(),
+        TwoLayerMedium(
+            upper=validate_tensor([[1.5, 0.2, 0.1], [0.2, 1.0, -0.1], [0.1, -0.1, 2.0]]),
+            lower=validate_tensor([[2.0, 0.3, -0.4], [0.3, 2.5, 0.2], [-0.4, 0.2, 3.0]]),
+        ),
+    ], ids=["1d", "2d", "3d"])
+    def test_shared_table_matches_fresh(self, medium):
+        # One table read by all six regions in turn gives, bit for bit, the
+        # terms each region builds on its own.
+        rng = np.random.default_rng(4)
+        d = medium.dim - 1
+        xi = (rng.standard_normal((7, d)) + 0.1j * rng.standard_normal((7, d)))
+        tau = rng.uniform(0.2, 3.0, 5) + 1j * rng.uniform(-20.0, 20.0, 5)
+        table = SymbolTable(medium, xi, tau)
+        for region in Region:
+            shared = region_terms(region, medium, xi, tau, table=table)
+            fresh = region_terms(region, medium, xi, tau)
+            assert len(shared) == len(fresh)
+            for got, want in zip(shared, fresh):
+                for a, b in zip(got, want):
+                    assert a.shape == (7, 5)
+                    assert a.tobytes() == b.tobytes()
+        # A term shared by two regions is one array of the table.
+        r11 = region_terms(Region.R11, medium, xi, tau, table=table)
+        r12 = region_terms(Region.R12, medium, xi, tau, table=table)
+        assert all(a is b for a, b in zip(r11[1], r12[0]))
+
+    def test_table_of_another_grid_rejected(self):
+        med = layered_2d()
+        xi = np.array([[0.5 + 0j]])
+        tau = np.array([1.0 + 1.0j])
+        table = SymbolTable(med, xi, tau)
+        with pytest.raises(ValueError):
+            region_terms(Region.R11, med, xi.copy(), tau, table=table)
+
     def test_term_count(self):
         med = layered_2d()
         xi = np.array([[0.5 + 0j]])
