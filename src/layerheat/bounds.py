@@ -51,6 +51,12 @@ class BoundFitReport:
         )
 
 
+# Range of the log-uniform time separations t - s of SampleSpec, and its
+# largest offset |x - y| in units of sqrt(t - s).
+SAMPLE_T_RANGE = (1e-2, 1.0)
+SAMPLE_RADIUS_FACTOR = 4.0
+
+
 @dataclass(frozen=True)
 class SampleSpec:
     """Random space-time sample layout for the pointwise-bound fits.
@@ -60,25 +66,19 @@ class SampleSpec:
     interface so both layers and all kernel regions are exercised.
     """
 
-    t_range: tuple = (1e-2, 1.0)
-    radius_factor: float = 4.0
     n_time_groups: int = 32
     n_per_group: int = 32
     seed: int = 7
 
-    @property
-    def n_samples(self) -> int:
-        return self.n_time_groups * self.n_per_group
-
     def draw(self, dim: int):
         """Yields (dt, x (K, n), y (K, n)) per time group."""
         rng = np.random.default_rng(self.seed)
-        lo, hi = self.t_range
+        lo, hi = SAMPLE_T_RANGE
         dts = np.exp(rng.uniform(math.log(lo), math.log(hi), self.n_time_groups))
         for dt in dts:
             k = self.n_per_group
             y = rng.uniform(-1.0, 1.0, size=(k, dim))
-            radii = rng.uniform(0.0, self.radius_factor * math.sqrt(dt), size=k)
+            radii = rng.uniform(0.0, SAMPLE_RADIUS_FACTOR * math.sqrt(dt), size=k)
             dirs = rng.standard_normal((k, dim))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             x = y + radii[:, None] * dirs
@@ -293,20 +293,14 @@ def _onesided_gradient_magnitude(values: np.ndarray, h: float) -> np.ndarray:
     return np.sqrt(np.sum(np.stack(comps) ** 2, axis=0))
 
 
-def interior_estimate_check(
-    solutions,
-    rho_sweep,
-    center_x=None,
-    center_t: float | None = None,
-) -> BoundFitReport:
+def interior_estimate_check(solutions, rho_sweep) -> BoundFitReport:
     """Fit the constant in the interior gradient estimate
 
     sup_{rho-cube x (t-rho^2, t)} |grad u|
         <= c rho^{-(n/2+2)} ||u||_{L^2(2rho-cube x (t-4rho^2, t))}.
 
     ``solutions`` are GridFunctions (time history on a grid); cubes are
-    centered at ``center_x`` (grid box center by default) and anchored at
-    the final time by default.
+    centered at the grid box center and anchored at the final time.
     """
     ratios = []
     records = []
@@ -315,12 +309,8 @@ def interior_estimate_check(
         n = grid.dim
         h = grid.spacing
         axes = grid.axes
-        t_anchor = center_t if center_t is not None else grid.t_span[1]
-        xc = (
-            np.asarray(center_x, dtype=float)
-            if center_x is not None
-            else grid.box.center
-        )
+        t_anchor = grid.t_span[1]
+        xc = grid.box.center
         times = grid.times
         grads = np.stack([
             _onesided_gradient_magnitude(u.values[i], h)
@@ -392,53 +382,36 @@ def _check_exponents(p1: float, p2: float, q: float):
         )
 
 
-def schur_bound(
-    kernel: np.ndarray,
-    p1: float,
-    p2: float,
-    q: float,
-    w1: np.ndarray | None = None,
-    w2: np.ndarray | None = None,
-    l1: float | None = None,
-    l2: float | None = None,
-) -> float:
+# Random test functions of schur_verify and the seed that draws them.
+SCHUR_TRIALS = 100
+SCHUR_SEED = 11
+
+
+def schur_bound(kernel: np.ndarray, p1: float, p2: float, q: float) -> float:
     """Operator-norm bound L1^{1/p1} L2^{1-1/p2} from the Schur test.
 
-    ``kernel`` is K sampled on X1 x X2 (rows indexed by X1); w1, w2 are
-    quadrature weights of the two measures (uniform by default); L1 bounds
-    the X1-integrals of |K|^q (per column), L2 the X2-integrals (per row).
+    ``kernel`` is K sampled on X1 x X2 (rows indexed by X1), both carrying
+    the uniform probability measure; L1 bounds the X1-integrals of |K|^q
+    (per column), L2 the X2-integrals (per row).
     """
     _check_exponents(p1, p2, q)
     k = np.asarray(kernel, dtype=float)
     m1, m2 = k.shape
-    w1 = np.full(m1, 1.0 / m1) if w1 is None else np.asarray(w1, dtype=float)
-    w2 = np.full(m2, 1.0 / m2) if w2 is None else np.asarray(w2, dtype=float)
-    if l1 is None:
-        l1 = float((w1 @ np.abs(k) ** q).max())
-    if l2 is None:
-        l2 = float((np.abs(k) ** q @ w2).max())
+    w1, w2 = np.full(m1, 1.0 / m1), np.full(m2, 1.0 / m2)
+    l1 = float((w1 @ np.abs(k) ** q).max())
+    l2 = float((np.abs(k) ** q @ w2).max())
     return l1 ** (1.0 / p1) * l2 ** (1.0 - 1.0 / p2)
 
 
-def schur_verify(
-    kernel: np.ndarray,
-    p1: float,
-    p2: float,
-    q: float,
-    w1: np.ndarray | None = None,
-    w2: np.ndarray | None = None,
-    n_random: int = 100,
-    seed: int = 11,
-) -> float:
+def schur_verify(kernel: np.ndarray, p1: float, p2: float, q: float) -> float:
     """Max of ||Kf||_{p1} / (bound ||f||_{p2}) over random test functions."""
-    bound = schur_bound(kernel, p1, p2, q, w1, w2)
+    bound = schur_bound(kernel, p1, p2, q)
     k = np.asarray(kernel, dtype=float)
     m1, m2 = k.shape
-    w1 = np.full(m1, 1.0 / m1) if w1 is None else np.asarray(w1, dtype=float)
-    w2 = np.full(m2, 1.0 / m2) if w2 is None else np.asarray(w2, dtype=float)
-    rng = np.random.default_rng(seed)
+    w1, w2 = np.full(m1, 1.0 / m1), np.full(m2, 1.0 / m2)
+    rng = np.random.default_rng(SCHUR_SEED)
     worst = 0.0
-    for _ in range(n_random):
+    for _ in range(SCHUR_TRIALS):
         f = rng.standard_normal(m2)
         kf = k @ (w2 * f)
         num = float((w1 @ np.abs(kf) ** p1) ** (1.0 / p1))

@@ -31,7 +31,6 @@ from .medium import (
     Cube,
     MediumError,
     TwoLayerMedium,
-    homogeneous_medium,
     validate_tensor,
 )
 from .inverse_transform import (
@@ -64,11 +63,26 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _require_number(cfg: dict, key: str) -> float:
+# What a config value must be -> the conversion that checks it.
+_CASTS = {
+    "a number": float,
+    "an integer": int,
+    "an array of numbers": lambda v: np.asarray(v, dtype=float),
+    "a list of integers": lambda v: [int(m) for m in v],
+}
+
+
+def _field(cfg: dict, key: str, kind: str = "a number", default=None):
+    """cfg[key], or ``default`` when it is missing, converted to ``kind``.
+
+    ConfigError if the field is missing and has no default, or if its
+    value cannot be converted.
+    """
+    raw = _require(cfg, key) if default is None else cfg.get(key, default)
     try:
-        return float(_require(cfg, key))
+        return _CASTS[kind](raw)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field {key!r} must be a number") from exc
+        raise ConfigError(f"config field {key!r} must be {kind}") from exc
 
 
 def load_config(path: str) -> dict:
@@ -99,13 +113,15 @@ def parse_quadrature(cfg: dict) -> QuadratureConfig:
 
 def _query_points(cfg: dict, dim: int) -> np.ndarray:
     if "x" in cfg:
-        pts = np.atleast_2d(np.asarray(cfg["x"], dtype=float))
+        pts = np.atleast_2d(_field(cfg, "x", "an array of numbers"))
     elif "grid" in cfg:
         g = cfg["grid"]
         axes = [
-            np.linspace(lo, hi, int(m))
+            np.linspace(lo, hi, m)
             for lo, hi, m in zip(
-                _require(g, "min"), _require(g, "max"), _require(g, "points")
+                np.atleast_1d(_field(g, "min", "an array of numbers")),
+                np.atleast_1d(_field(g, "max", "an array of numbers")),
+                _field(g, "points", "a list of integers"),
             )
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -187,9 +203,9 @@ def cmd_eval(cfg: dict, output: str) -> int:
     medium = parse_medium(cfg)
     qcfg = parse_quadrature(cfg)
     params = _require(cfg, "eval")
-    t = _require_number(params, "t")
-    s = _require_number(params, "s")
-    y = np.asarray(_require(params, "y"), dtype=float)
+    t = _field(params, "t")
+    s = _field(params, "s")
+    y = _field(params, "y", "an array of numbers")
     pts = _query_points(params, medium.dim)
     ev = KernelEvaluator(medium, qcfg)
     res = _chunked_eval(lambda p: ev.eval_many(p, t, y, s), pts)
@@ -201,21 +217,21 @@ def cmd_green(cfg: dict, output: str) -> int:
     medium = parse_medium(cfg)
     qcfg = parse_quadrature(cfg)
     params = _require(cfg, "green")
-    t = _require_number(params, "t")
-    s = _require_number(params, "s")
-    y = np.asarray(_require(params, "y"), dtype=float)
+    t = _field(params, "t")
+    s = _field(params, "s")
+    y = _field(params, "y", "an array of numbers")
     pts = _query_points(params, medium.dim)
     kind = _require(params, "kind")
     if kind == "cube":
         c = _require(params, "cube")
         cube = Cube(
-            half_width=float(_require(c, "half_width")),
-            center=np.asarray(_require(c, "center"), dtype=float),
+            half_width=_field(c, "half_width"),
+            center=_field(c, "center", "an array of numbers"),
         )
         if "tail_constant" in params:
             raise ConfigError("'tail_constant' was removed: the cube tail bound is exact")
-        green = CubeGreen(medium, cube, qcfg, depth=int(params.get("depth", 2)))
-        bpts = green.boundary_samples(int(params.get("boundary_samples", 5)))
+        green = CubeGreen(medium, cube, qcfg, depth=_field(params, "depth", "an integer", 2))
+        bpts = green.boundary_samples(_field(params, "boundary_samples", "an integer", 5))
         bres = green.evaluate_many(bpts, t, y, s, source_gradient=False)
         summary = (
             f"# boundary sup |G| = {FMT % np.abs(bres['gamma']).max()}, "
@@ -226,9 +242,9 @@ def cmd_green(cfg: dict, output: str) -> int:
         f = _require(params, "face")
         green = HalfSpaceGreen(
             medium,
-            axis=int(_require(f, "axis")),
-            offset=float(_require(f, "offset")),
-            side=int(f.get("side", 1)),
+            axis=_field(f, "axis", "an integer"),
+            offset=_field(f, "offset"),
+            side=_field(f, "side", "an integer", 1),
             cfg=qcfg,
         )
         probe = pts.copy()
@@ -257,7 +273,7 @@ def _verify_fit(medium, qcfg, seed, params, name):
         return False, {"error": str(exc)}
     n = medium.dim
     expect = -(n / 2.0) if name == "aronson" else -((n + 1) / 2.0)
-    ceiling = float(params.get("max_constant", 1e4))
+    ceiling = _field(params, "max_constant", default=1e4)
     ok = (
         math.isfinite(rep.fitted_constant)
         and 0 < rep.fitted_constant <= ceiling
@@ -272,7 +288,7 @@ def _verify_qrho(medium, qcfg, seed, params):
     n = medium.dim
     rng = np.random.default_rng(seed or 3)
     c_fit = max(bounds.fit_aronson(ev).fitted_constant, 1.0)
-    n_samp = int(params.get("samples", 40))
+    n_samp = _field(params, "samples", "an integer", 40)
     worst = 0.0
     for _ in range(n_samp):
         x0 = rng.uniform(-1, 1, n)
@@ -290,7 +306,7 @@ def _verify_interior(medium, qcfg, seed, params):
     n = medium.dim
     grid = oracle.Grid(
         box=Cube(half_width=1.0, center=np.zeros(n)),
-        nodes_per_dim=int(params.get("nodes", 41 if n == 2 else 81)),
+        nodes_per_dim=_field(params, "nodes", "an integer", 41 if n == 2 else 81),
         dt=0.4 / 160,
         t_span=(0.0, 0.4),
     )
@@ -321,7 +337,7 @@ def _verify_transmission(medium, qcfg, seed, params):
     n = medium.dim
     rng = np.random.default_rng(seed or 1)
     worst = 0.0
-    for _ in range(int(params.get("samples", 200))):
+    for _ in range(_field(params, "samples", "an integer", 200)):
         xi = rng.standard_normal(n - 1) * rng.uniform(0.2, 3.0)
         tau = complex(rng.uniform(0.3, 3.0), rng.uniform(-20.0, 20.0))
         sp = symbols.SpectralPoint(xi_prime=xi.astype(complex), tau=tau)
@@ -333,15 +349,15 @@ def _verify_transmission(medium, qcfg, seed, params):
 
 def _verify_mass(medium, qcfg, seed, params):
     n = medium.dim
-    y = np.asarray(params.get("y", [0.0] * (n - 1) + [0.4]), dtype=float)
-    dt = float(params.get("dt", 0.3))
+    y = _field(params, "y", "an array of numbers", [0.0] * (n - 1) + [0.4])
+    dt = _field(params, "dt", default=0.3)
     val = mass_integral(medium, dt, y, qcfg)
     return abs(val - 1.0) < 1e-4, {"mass": val}
 
 
 def _verify_delta(medium, qcfg, seed, params):
     n = medium.dim
-    y = np.asarray(params.get("y", [0.0] * (n - 1) + [0.3]), dtype=float)
+    y = _field(params, "y", "an array of numbers", [0.0] * (n - 1) + [0.3])
     phi = lambda p: float(np.exp(-np.sum((np.asarray(p) - y) ** 2)))
     dts = [0.08, 0.04, 0.02, 0.01]
     vals = delta_recovery(medium, y, phi, dts, qcfg)
@@ -392,8 +408,8 @@ def _verify_payload(cfg: dict, name: str):
     check = VERIFY_CHECKS.get(name)
     if check is None:
         raise ConfigError(f"unknown verify name {name!r}")
-    return check(parse_medium(cfg), parse_quadrature(cfg), int(cfg.get("seed", 0)),
-                 cfg.get("verify", {}))
+    return check(parse_medium(cfg), parse_quadrature(cfg),
+                 _field(cfg, "seed", "an integer", 0), cfg.get("verify", {}))
 
 
 def cmd_verify(cfg: dict, output: str) -> int:
@@ -415,17 +431,15 @@ def cmd_compare_oracle(cfg: dict, output: str) -> int:
     n = medium.dim
     if n not in (1, 2):
         raise ConfigError("compare_oracle supports n in {1, 2}")
-    t_final = float(params.get("t", 0.25))
-    y = np.asarray(
-        params.get("y", [0.0] * (n - 1) + [0.5]), dtype=float
-    )
-    levels = [int(v) for v in params.get("levels", [101, 201, 401][:3])]
-    half_width = float(params.get("box_half_width", 4.0))
-    steps0 = int(params.get("time_steps", 10))
+    t_final = _field(params, "t", default=0.25)
+    y = _field(params, "y", "an array of numbers", [0.0] * (n - 1) + [0.5])
+    levels = _field(params, "levels", "a list of integers", [101, 201, 401])
+    half_width = _field(params, "box_half_width", default=4.0)
+    steps0 = _field(params, "time_steps", "an integer", 10)
     scheme = params.get("scheme", "crank_nicolson")
-    max_rel = float(params.get("max_rel_err", 0.02))
-    max_pts = int(params.get("max_points", 1200))
-    bulk = float(params.get("bulk_half_width", 2.5))
+    max_rel = _field(params, "max_rel_err", default=0.02)
+    max_pts = _field(params, "max_points", "an integer", 1200)
+    bulk = _field(params, "bulk_half_width", default=2.5)
 
     ev = KernelEvaluator(medium, qcfg)
     zn, zw = hermegauss(9)

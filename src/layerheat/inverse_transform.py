@@ -30,7 +30,9 @@ coefficients (symbols.SymbolTable), so a quadrature pass evaluates each
 array once for all its region groups.  The tangential truncation doubles
 the xi' radius until the annulus adds nothing; each doubling keeps every
 panel of the previous grid and appends annulus panels, so the previous
-grid is, bit for bit, a tensor block of the new one.  The tau contraction
+grid is, bit for bit, a tensor block of the new one.  Its nodes are
+picked by radius: those with every |xi_j| below the previous radius, since
+Gauss-Legendre nodes lie strictly inside their panels.  The tau contraction
 is done node by node, so each doubling contracts only the new annulus
 nodes and scatters the stored sums of the old ones into place; the xi'
 phase contraction then runs on the whole grid.  Values are the same as
@@ -52,7 +54,6 @@ from .medium import (
 )
 from .symbols import (
     Region,
-    SpectralPoint,
     SymbolTable,
     classify_region,
     on_branch_cut,
@@ -90,8 +91,11 @@ _CONTOUR_ROWS = (
     (0.25, 2.600, 0.3, 2.1e-7),
 )
 
-# Candidate analyticity certificates, tried from largest to smallest.
+# Candidate analyticity certificates, tried from largest to smallest, and
+# the size and seed of the random sweep of L_mu that checks each one.
 MU_LADDER = (2.4, 1.2, 0.8, 0.6, 0.45, 0.28, 0.12)
+MU_SAMPLES = 2000
+MU_SEED = 0
 
 # Gauss-Legendre nodes on the base xi' panel [-R0, R0] of each axis.
 XI_BASE_NODES = 32
@@ -158,7 +162,7 @@ def time_lag(t, s) -> float:
     return t - s
 
 
-def _mu_admissible(medium: TwoLayerMedium, mu: float, samples: int, seed: int) -> bool:
+def _mu_admissible(medium: TwoLayerMedium, mu: float) -> bool:
     """Check one candidate mu against the certification battery."""
     d = medium.dim - 1
     if d == 0:
@@ -179,26 +183,23 @@ def _mu_admissible(medium: TwoLayerMedium, mu: float, samples: int, seed: int) -
 
     if mu * schur_max >= 0.999:
         return False
-    # Structured slices xi' = i*s*v, eta = -i*r just inside the boundary.
-    slices = []
-    for v in dirs:
-        v = v / np.linalg.norm(v)
-        for s_val in (0.5, 1.0, 2.0):
-            r = 1.02 * s_val**2 / mu
-            slices.append(SpectralPoint.from_eta(1j * s_val * v, -1j * r))
-    xi = np.array([sp.xi_prime for sp in slices])
-    tau = np.array([sp.tau for sp in slices])
+    # Structured slices xi' = i*s*v, eta = -i*r (tau = i*eta = r) with
+    # r = 1.02 s^2/mu, just inside the boundary.
+    dirs = np.array([v / np.linalg.norm(v) for v in dirs])
+    s_val = np.array([0.5, 1.0, 2.0])
+    xi = (1j * s_val[None, :, None] * dirs[:, None, :]).reshape(-1, d)
+    tau = np.tile(1.02 * s_val**2 / mu, dirs.shape[0]).astype(complex)
     if _hits_branch_cut(medium, xi, tau):
         return False
     # Monte-Carlo sweep of the open domain.
-    rng = np.random.default_rng(seed)
-    re_xi = rng.normal(0.0, 3.0, (samples, d))
-    im_xi = rng.normal(0.0, 1.0, (samples, d))
+    rng = np.random.default_rng(MU_SEED)
+    re_xi = rng.normal(0.0, 3.0, (MU_SAMPLES, d))
+    im_xi = rng.normal(0.0, 1.0, (MU_SAMPLES, d))
     xi = re_xi + 1j * im_xi
-    re_eta = rng.normal(0.0, 9.0, samples)
+    re_eta = rng.normal(0.0, 9.0, MU_SAMPLES)
     bound = mu * (np.abs(re_eta) + np.sum(re_xi**2, axis=1)) \
         - np.sum(im_xi**2, axis=1) / mu
-    im_eta = bound - 10.0 ** rng.uniform(-3.0, 1.0, samples) * (1.0 + np.abs(bound))
+    im_eta = bound - 10.0 ** rng.uniform(-3.0, 1.0, MU_SAMPLES) * (1.0 + np.abs(bound))
     tau = 1j * (re_eta + 1j * im_eta)
     return not _hits_branch_cut(medium, xi, tau)
 
@@ -209,13 +210,8 @@ def _hits_branch_cut(medium: TwoLayerMedium, xi: np.ndarray, tau: np.ndarray) ->
     return bool(np.any(on_branch_cut(th2_A)) or np.any(on_branch_cut(th2_B)))
 
 
-def certify_mu(
-    medium: TwoLayerMedium,
-    ladder=MU_LADDER,
-    samples: int = 2000,
-    seed: int = 0,
-) -> float:
-    """Largest ladder value of mu for which root avoidance is certified.
+def certify_mu(medium: TwoLayerMedium) -> float:
+    """Largest value of MU_LADDER for which root avoidance is certified.
 
     Certification combines (a) an analytic threshold on the tangential
     Schur complement (the exactly-real failure slice xi' = i*s*v,
@@ -225,9 +221,9 @@ def certify_mu(
     failure set, which has measure zero.
     """
     if medium.dim == 1:
-        return ladder[0]
-    for mu in ladder:
-        if _mu_admissible(medium, mu, samples, seed):
+        return MU_LADDER[0]
+    for mu in MU_LADDER:
+        if _mu_admissible(medium, mu):
             return mu
     raise ContourLeavesDomain(
         "no analyticity certificate mu in the ladder could be established "
@@ -284,7 +280,7 @@ def resolve_config(medium: TwoLayerMedium, cfg: QuadratureConfig | None) -> Quad
         cfg = QuadratureConfig()
     if cfg.mu is None:
         cfg = replace(cfg, mu=certify_mu(medium))
-    elif not _mu_admissible(medium, cfg.mu, samples=2000, seed=0):
+    elif not _mu_admissible(medium, cfg.mu):
         raise ContourLeavesDomain(
             f"requested mu = {cfg.mu} is not certified for this medium"
         )
@@ -362,27 +358,6 @@ class KernelEvaluator:
         decay = max(math.log(100.0 / self.cfg.target_rel_tol), 2.0)
         return math.sqrt(decay / (self._schur_min * dt))
 
-    def _inner_mask(self, base_radius: float, doublings: int, osc: np.ndarray,
-                    dt: float):
-        """Nodes of the doubling-k grid that the doubling-(k-1) grid holds.
-
-        On each axis the panels of doubling k - 1 are the centred run of
-        the panels of doubling k (a panel's node count does not depend on
-        the level), so the old grid is the tensor block of those centred
-        nodes; the mask is in ``_xi_grid`` order.
-        """
-        def node_counts(k, j):
-            return [m for _, _, m in self._xi_panels(base_radius, k, osc[j], dt, 1.0)]
-
-        mask = np.ones(1, dtype=bool)
-        for j in range(self.medium.dim - 1):
-            old, new = node_counts(doublings - 1, j), node_counts(doublings, j)
-            start = sum(new[:(len(new) - len(old)) // 2])
-            axis = np.zeros(sum(new), dtype=bool)
-            axis[start:start + sum(old)] = True
-            mask = (mask[:, None] & axis[None, :]).ravel()
-        return mask
-
     # -- core contraction ------------------------------------------------
 
     def _tau_sums(self, groups, xi, tau, wte, source_gradient):
@@ -408,21 +383,28 @@ class KernelEvaluator:
             s_n = np.zeros((u_cnt, q_cnt), dtype=complex)
             s_src = np.zeros((u_cnt, q_cnt), dtype=complex) if source_gradient else None
             s_abs = np.zeros((3, u_cnt, q_cnt))
-            for lo in range(0, u_cnt, chunk):
-                sl = slice(lo, min(lo + chunk, u_cnt))
-                xnc = uniq[sl, 0][:, None, None]
-                ync = uniq[sl, 1][:, None, None]
-                for coef, p, q in terms:
+            # The weights of a term are built once for all its pair chunks
+            # (the magnitudes straight into one (3, Q, M) array), and each
+            # row adds its terms in order, whatever chunk it is in.
+            for coef, p, q in terms:
+                w_t = coef * wte[None, :]
+                w_p = w_t * p
+                w_q = w_t * q if source_gradient else None
+                w_abs = np.empty((3,) + w_t.shape)
+                np.abs(w_t, out=w_abs[0])
+                np.multiply(w_abs[0], np.abs(p), out=w_abs[1])
+                np.multiply(w_abs[0], np.abs(q), out=w_abs[2])
+                for lo in range(0, u_cnt, chunk):
+                    sl = slice(lo, min(lo + chunk, u_cnt))
+                    xnc = uniq[sl, 0][:, None, None]
+                    ync = uniq[sl, 1][:, None, None]
                     ex = np.exp(p[None, :, :] * xnc + q[None, :, :] * ync)
-                    w_t = coef * wte[None, :]
                     s_val[sl] += np.einsum("qm,kqm->kq", w_t, ex)
-                    s_n[sl] += np.einsum("qm,kqm->kq", w_t * p, ex)
+                    s_n[sl] += np.einsum("qm,kqm->kq", w_p, ex)
                     if source_gradient:
-                        s_src[sl] += np.einsum("qm,kqm->kq", w_t * q, ex)
-                    aw = np.abs(w_t)
-                    s_abs[:, sl] += np.einsum(
-                        "jqm,kqm->jkq", np.stack([aw, aw * np.abs(p), aw * np.abs(q)]),
-                        np.abs(ex))
+                        s_src[sl] += np.einsum("qm,kqm->kq", w_q, ex)
+                    s_abs[:, sl] += np.einsum("jqm,kqm->jkq", w_abs, np.abs(ex))
+                    del ex  # free before the next exponent is formed
             s_floor = (ROUNDOFF_UNITS * s_abs[0] + np.abs(uniq[:, :1]) * s_abs[1]
                        + np.abs(uniq[:, 1:]) * s_abs[2])
             sums.append((s_val, s_n, s_src, s_floor))
@@ -519,7 +501,7 @@ class KernelEvaluator:
             else:
                 # The previous grid is a block of this one: sum only the
                 # nodes of the new annulus panels.
-                inner = self._inner_mask(radius, doublings, osc, dt)
+                inner = _inner_mask(xi, radius, doublings)
                 fresh = self._tau_sums(groups, xi[~inner], tau_f, wte_f, source_gradient)
                 sums = [tuple(_scatter(inner, a, b) for a, b in zip(old, new))
                         for old, new in zip(sums, fresh)]
@@ -555,6 +537,16 @@ class KernelEvaluator:
         if source_gradient:
             out["sgrad"] = sgr
         return out
+
+
+def _inner_mask(xi: np.ndarray, radius: float, doublings: int) -> np.ndarray:
+    """Nodes of the doubling-k grid ``xi`` that the doubling-(k-1) grid holds.
+
+    The doubling-(k-1) panels tile [-R, R] on each axis, R = radius 2^(k-1),
+    and the new panels lie outside it; Gauss-Legendre nodes lie strictly
+    inside their panels, so the old nodes are those with every |xi_j| < R.
+    """
+    return np.all(np.abs(xi) < radius * 2.0 ** (doublings - 1), axis=1)
 
 
 def _scatter(inner: np.ndarray, old, new):
@@ -601,6 +593,10 @@ def gauss_tensor_grid(axes):
     return pts, wts
 
 
+# Largest difference between the two integration grids of mass_integral.
+MASS_TOL = 1e-5
+
+
 def _integration_grid(medium: TwoLayerMedium, dt: float, y: np.ndarray, density: float):
     """Tensor panel grid covering the Gaussian bulk around a source.
 
@@ -642,16 +638,19 @@ def mass_integral(
     dt: float,
     y,
     cfg: QuadratureConfig | None = None,
-    tol: float = 1e-5,
 ) -> float:
-    """Total spatial mass of the kernel at time lag dt (should be 1)."""
+    """Total spatial mass of the kernel at time lag dt (should be 1).
+
+    QuadratureNotConverged if two integration grids differ by more than
+    MASS_TOL.
+    """
     if not dt > 0.0:
         raise MediumError("time lag must be positive")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     ev = KernelEvaluator(medium, cfg)
     coarse = _weighted_integral(ev, dt, y, None, density=2.2)
     fine = _weighted_integral(ev, dt, y, None, density=3.1)
-    if abs(fine - coarse) > tol:
+    if abs(fine - coarse) > MASS_TOL:
         raise QuadratureNotConverged(
             f"mass integral resolutions differ by {abs(fine - coarse):.3e}"
         )

@@ -66,10 +66,6 @@ class DiffusionTensor:
         """Off-diagonal entries of the last row, a_{jn} for j < n."""
         return self.entries[:-1, -1]
 
-    def quadratic_form(self, xi: np.ndarray) -> float:
-        xi = np.asarray(xi, dtype=float)
-        return float(xi @ self.entries @ xi)
-
     def reflected(self, axis: int) -> "DiffusionTensor":
         """Tensor of the pulled-back operator under reflection of ``axis``.
 
@@ -187,9 +183,10 @@ class Cube:
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def contains(self, point, margin: float = 0.0) -> bool:
+    def contains(self, point) -> bool:
+        """Strictly inside: the boundary is excluded."""
         d = np.abs(np.asarray(point, dtype=float) - self.center)
-        return bool(np.all(d < self.half_width - margin))
+        return bool(np.all(d < self.half_width))
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,7 @@ Discretization notes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,10 +105,6 @@ class GridFunction:
     def final(self) -> np.ndarray:
         return self.values[-1]
 
-    def slice_at(self, t: float) -> np.ndarray:
-        idx = int(round((t - self.grid.t_span[0]) / self.grid.dt))
-        return self.values[idx]
-
     def quadrature_weights(self) -> np.ndarray:
         """Trapezoid weights matching the half-cell flux closure."""
         m = self.grid.nodes_per_dim
@@ -121,24 +117,6 @@ class GridFunction:
 
     def mass(self, time_index: int = -1) -> float:
         return float(np.sum(self.quadrature_weights() * self.values[time_index]))
-
-    def interpolate(self, pts: np.ndarray, time_index: int = -1) -> np.ndarray:
-        from scipy.interpolate import RegularGridInterpolator
-
-        f = RegularGridInterpolator(self.grid.axes, self.values[time_index])
-        return f(np.atleast_2d(pts))
-
-    def to_csv(self, path: str):
-        pts = self.grid.points()
-        times = self.grid.times
-        with open(path, "w") as fh:
-            cols = ",".join(f"x{j + 1}" for j in range(self.grid.dim))
-            fh.write(cols + ",t,value\n")
-            for it, t in enumerate(times):
-                vals = self.values[it].ravel()
-                for p, v in zip(pts, vals):
-                    coords = ",".join("%.17g" % c for c in p)
-                    fh.write(f"{coords},{t:.17g},{v:.17g}\n")
 
 
 def _piecewise_entry(medium: TwoLayerMedium, i: int, j: int, xn: np.ndarray):
@@ -389,33 +367,33 @@ def interior_solution_sampler(
     medium: TwoLayerMedium,
     boundary_data,
     grid: Grid,
-    scheme: str = "implicit_euler",
 ) -> GridFunction:
     """Homogeneous solution driven by Dirichlet data from a generator.
 
-    The initial slice is the generator evaluated at the initial time, so
-    steady generators reproduce steady states exactly.
+    Implicit Euler steps; the initial slice is the generator evaluated at
+    the initial time, so steady generators reproduce steady states exactly.
     """
     t0 = grid.t_span[0]
     initial = lambda pts: np.asarray(boundary_data(pts, t0), dtype=float)
-    return fdm_solve(
-        medium, grid, initial, bc="dirichlet",
-        scheme=scheme, boundary_data=boundary_data,
-    )
+    return fdm_solve(medium, grid, initial, bc="dirichlet", boundary_data=boundary_data)
 
 
-def random_boundary_generator(dim: int, seed: int, n_modes: int = 4, scale: float = 1.0):
+# Sine modes, each with unit-normal amplitude, of random_boundary_generator.
+BOUNDARY_MODES = 4
+
+
+def random_boundary_generator(dim: int, seed: int):
     """Reproducible smooth space-time boundary data for the sampler."""
     rng = np.random.default_rng(seed)
-    amp = scale * rng.standard_normal((n_modes,))
-    freq = rng.uniform(0.3, 1.5, size=(n_modes, dim))
-    rate = rng.uniform(0.0, 1.0, size=n_modes)
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
+    amp = rng.standard_normal((BOUNDARY_MODES,))
+    freq = rng.uniform(0.3, 1.5, size=(BOUNDARY_MODES, dim))
+    rate = rng.uniform(0.0, 1.0, size=BOUNDARY_MODES)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=BOUNDARY_MODES)
 
     def gen(pts, t):
         pts = np.atleast_2d(pts)
         out = np.zeros(pts.shape[0])
-        for k in range(n_modes):
+        for k in range(BOUNDARY_MODES):
             out += amp[k] * np.sin(pts @ freq[k] + phase[k]) * math.exp(-rate[k] * t)
         return out
 

@@ -405,7 +405,7 @@ def test_criterion_11_schur_bound():
         np.abs(rng.standard_normal((30, 30))),
     ]
     worst = max(
-        schur_verify(k, 2.0, 2.0, 1.0, n_random=100) for k in kernels
+        schur_verify(k, 2.0, 2.0, 1.0) for k in kernels
     )
     ok = worst <= 1.0 + 1e-10
     assert report(11, "Schur operator bound", ok, f"worst ratio {worst:.3f}")

@@ -145,6 +145,38 @@ class TestErrors:
         assert "'t' must be a number" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    NONNUMERIC = [
+        ("compare-oracle", ("compare_oracle", "t"), "abc"),
+        ("compare-oracle", ("compare_oracle", "levels"), ["fine"]),
+        ("green", ("green", "cube", "half_width"), "wide"),
+        ("green", ("green", "depth"), "deep"),
+        ("verify", ("seed",), "x"),
+        ("verify", ("verify", "samples"), "many"),
+        ("eval", ("eval", "y"), ["a"]),
+        ("eval", ("eval", "grid", "points"), ["many"]),
+    ]
+
+    @pytest.mark.parametrize("command,path,value", NONNUMERIC,
+                             ids=[".".join(path) for _, path, _ in NONNUMERIC])
+    def test_nonnumeric_field_exit_2(self, tmp_path, capsys, command, path, value):
+        cfg = {
+            "medium": {"upper": [[1.0]]},
+            "output": str(tmp_path / "out"),
+            "compare_oracle": {"levels": [21, 41]},
+            "green": {"kind": "cube", "cube": {"half_width": 1.0, "center": [0.0]},
+                      "t": 0.2, "s": 0.0, "y": [0.3], "x": [[0.5]]},
+            "verify": {"name": "transmission"},
+            "eval": {"t": 0.5, "s": 0.0, "y": [0.4],
+                     "grid": {"min": [-1.0], "max": [1.0], "points": [5]}},
+        }
+        target = cfg
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        assert main([command, write_cfg(tmp_path, cfg)]) == 2
+        assert f"{path[-1]!r} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_empty_query_exit_2(self, tmp_path, capsys):
         cfg = {
             "medium": {"upper": [[1.0, 0.0], [0.0, 1.0]], "lower": [[2.0, 0.0], [0.0, 3.0]]},

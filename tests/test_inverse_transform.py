@@ -15,6 +15,7 @@ from layerheat.inverse_transform import (
     KernelEvaluator,
     QuadratureConfig,
     _hyperbolic_nodes,
+    _inner_mask,
     certify_mu,
     gauss_tensor_grid,
     delta_recovery,
@@ -27,7 +28,8 @@ from layerheat.reference import (
     layered_gradient_1d,
     layered_kernel_1d,
 )
-from layerheat.symbols import SpectralPoint, in_analyticity_domain
+from layerheat.symbols import SpectralPoint
+from symbol_checks import in_analyticity_domain
 
 
 def layered_1d(a=1.0, b=4.0):
@@ -71,6 +73,22 @@ class TestConfig:
                 # The half rule stands for the mirrored nodes conj(tau) too.
                 for tk in np.concatenate([tau, tau.conj()]):
                     assert in_analyticity_domain(SpectralPoint(zero, tk), ev.cfg.mu)
+
+    def test_contour_nodes_knob(self):
+        # contour_nodes = M sets the half rule to M + 1 tau nodes, and a
+        # layered 1-D batch on the shorter contour still agrees with the
+        # closed form within est.
+        med = layered_1d(1.0, 4.0)
+        ev = KernelEvaluator(med, QuadratureConfig(contour_nodes=32))
+        tau, w = ev._contour(ev.cfg.contour_nodes, 0.3)
+        assert tau.shape == w.shape == (33,)
+        xs = np.concatenate([np.linspace(-2.5, -0.05, 30), np.linspace(0.05, 2.5, 30)])[:, None]
+        for y in (0.4, -0.6):
+            res = ev.eval_many(xs, 0.3, np.array([y]), 0.0)
+            exact = layered_kernel_1d(1.0, 4.0, xs[:, 0], 0.3, y, 0.0)
+            assert np.all(np.abs(res["gamma"] - exact) <= res["est"])
+            default = KernelEvaluator(med).eval_many(xs, 0.3, np.array([y]), 0.0)
+            assert not np.array_equal(res["gamma"], default["gamma"])
 
     def test_forced_mu_too_large_rejected(self):
         med = homogeneous_medium(validate_tensor([[1.0, 0.9], [0.9, 1.0]]))
@@ -359,7 +377,7 @@ class TestNestedDoublings:
             for k in range(1, levels + 1):
                 old_xi, old_wq = ev._xi_grid(radius, k - 1, osc, dt)
                 new_xi, new_wq = ev._xi_grid(radius, k, osc, dt)
-                inner = ev._inner_mask(radius, k, osc, dt)
+                inner = _inner_mask(new_xi, radius, k)
                 assert inner.shape == new_wq.shape
                 assert np.array_equal(new_xi[inner], old_xi)
                 assert np.array_equal(new_wq[inner], old_wq)

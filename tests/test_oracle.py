@@ -69,17 +69,7 @@ class TestGridFunction:
         vals = np.ones((g.n_steps + 1, 17))
         f = GridFunction(grid=g, values=vals)
         assert f.mass(0) == pytest.approx(2.0)  # integral of 1 over (-1, 1)
-        assert np.array_equal(f.slice_at(0.05), vals[1])
         assert np.array_equal(f.final, vals[-1])
-
-    def test_csv_roundtrip(self, tmp_path):
-        g = grid_1d(nodes=16, half=1.0, dt=0.05, t_span=(0.0, 0.05))
-        f = GridFunction(grid=g, values=np.arange(32, dtype=float).reshape(2, 16))
-        path = tmp_path / "out.csv"
-        f.to_csv(str(path))
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "x1,t,value"
-        assert len(lines) == 1 + 2 * 16
 
 
 class TestConservation:

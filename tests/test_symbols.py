@@ -10,15 +10,17 @@ from layerheat.symbols import (
     SpectralPoint,
     SymbolTable,
     classify_region,
-    in_analyticity_domain,
-    ode_residual,
     region_contains,
     region_terms,
-    root_avoidance_check,
-    symbol_decay_margin,
     theta_squared,
     transmission_residuals,
     v_symbol,
+)
+from symbol_checks import (
+    in_analyticity_domain,
+    ode_residual,
+    root_avoidance_check,
+    symbol_decay_margin,
 )
 
 
@@ -202,7 +204,7 @@ class TestAnalyticityDomain:
 
     def test_exclusion(self):
         # strongly positive Im eta with tiny mu is outside
-        sp = SpectralPoint.from_eta(np.array([0.0 + 0j]), eta=0.01 + 5.0j)
+        sp = SpectralPoint(xi_prime=np.array([0.0 + 0j]), tau=1j * (0.01 + 5.0j))
         assert not in_analyticity_domain(sp, mu=0.05)
 
     def test_decay_margin_bounded(self):
