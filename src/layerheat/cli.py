@@ -63,12 +63,21 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _integer(v) -> int:
+    """int(v) for an integral number such as 4 or 4.0; ValueError for a
+    fraction, a non-finite number or a bool (int() truncates a fraction,
+    overflows on infinity and takes True for 1)."""
+    if isinstance(v, bool) or not (isinstance(v, int) or float(v).is_integer()):
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
 # What a config value must be -> the conversion that checks it.
 _CASTS = {
     "a number": float,
-    "an integer": int,
+    "an integer": _integer,
     "an array of numbers": lambda v: np.asarray(v, dtype=float),
-    "a list of integers": lambda v: [int(m) for m in v],
+    "a list of integers": lambda v: [_integer(m) for m in v],
 }
 
 

@@ -24,23 +24,38 @@ the xi' grid is point-symmetric, so only the nodes k = 0..M are evaluated,
 the weights of k > 0 are doubled, and every sum is the real part of the
 half sum.
 
-Shared symbols and nested doublings.  All six region symbols are built
-from one table of Theta_A, Theta_B, their sum, eight exponents and five
-coefficients (symbols.SymbolTable), so a quadrature pass evaluates each
-array once for all its region groups.  The tangential truncation doubles
-the xi' radius until the annulus adds nothing; each doubling keeps every
-panel of the previous grid and appends annulus panels, so the previous
-grid is, bit for bit, a tensor block of the new one.  Its nodes are
-picked by radius: those with every |xi_j| below the previous radius, since
-Gauss-Legendre nodes lie strictly inside their panels.  The tau contraction
-is done node by node, so each doubling contracts only the new annulus
-nodes and scatters the stored sums of the old ones into place; the xi'
-phase contraction then runs on the whole grid.  Values are the same as
-when every pass is summed afresh.
+Shared symbols.  All six region symbols are built from one table of
+Theta_A, Theta_B, their sum, eight exponents and five coefficients
+(symbols.SymbolTable), so a quadrature pass evaluates each array once for
+all its region groups; a term that two groups share (R11/R12, R21/R22) is
+the same arrays, and its weights are built once per pass too.
+
+Tail bound and nested doublings.  After the tau integral the integrand
+decays like e^{-a |xi'|^2}, a = lambda_min(S) (t - s) over the tangential
+Schur complements S of both layers.  The base radius R0 has a R0^2 =
+ln(100/tol), widened below tol 1e-6 (_base_radius), and a pass is
+accepted when a bound on what its grid leaves out passes the truncation
+test: the grid's own mass on R/2 <= |xi_j| <= R, extrapolated beyond R
+by the Gaussian mass ratio (_tail_bound).  The bound reads the
+full contour rule's integrand (s(xi') + conj s(-xi'))/2, formed from the
+half sums s on mirrored nodes; s alone will not do, since its imaginary
+part, which the mirrored node cancels, decays only like 1/|xi'|.  The
+bound is also the truncation part of est.  At the default tolerance the
+base grid passes; a doubling happens where the bound fails, at loose
+tolerances for points far in the Gaussian tail, whose relative test is
+strict.  Each doubling keeps every panel of the previous grid and appends
+annulus panels, so the previous grid is, bit for bit, a tensor block of
+the new one.  Its nodes are picked by radius: those with every |xi_j|
+below the previous radius, since Gauss-Legendre nodes lie strictly inside
+their panels.  The tau contraction is done node by node, so each doubling
+contracts only the new annulus nodes and scatters the stored sums of the
+old ones into place; the xi' phase contraction then runs on the whole
+grid.  Values are the same as when every pass is summed afresh.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,15 +112,21 @@ MU_LADDER = (2.4, 1.2, 0.8, 0.6, 0.45, 0.28, 0.12)
 MU_SAMPLES = 2000
 MU_SEED = 0
 
-# Gauss-Legendre nodes on the base xi' panel [-R0, R0] of each axis.
+# Gauss-Legendre nodes on the base xi' panel [-R0, R0] of each axis, at
+# target_rel_tol 1e-6 and above (see KernelEvaluator._base_radius).
 XI_BASE_NODES = 32
+
+# Factor on the Gaussian extrapolation of the xi' tail (see _tail_bound).
+TAIL_SAFETY = 10.0
 
 # Roundoff floor of est.  A term w e^z of Gamma, z = p x_n + q y_n, is
 # rounded by about eps (|p x_n| + |q y_n|) relative through its exponent,
 # and by a few eps through the exponential, the products and the sum;
 # ROUNDOFF_UNITS counts the latter.  On the 1-D closed form the exponent
 # part dominates: errors reach 9-11 eps sum |terms| where the Gaussian
-# exponent is 8-12.
+# exponent is 8-12.  The gradients carry a factor p, q or i xi_j in each
+# term and get floors of their own: at short lags |p| reaches tens on the
+# contour, and the normal gradient's roundoff then exceeds Gamma's floor.
 ROUNDOFF_UNITS = 2.0
 
 
@@ -305,6 +326,12 @@ class KernelEvaluator:
         self._schur_min = min(
             medium.upper.schur_complement_min(), medium.lower.schur_complement_min()
         )
+        # The decay a R0^2 at the base radius R0, and the base panel's
+        # node count (see _base_radius).
+        tol = self.cfg.target_rel_tol
+        decay = max(math.log(100.0 / tol), 2.0)
+        self._decay = decay + 1.5 * max(0.0, math.log(1e-6 / tol))
+        self._base_nodes = int(XI_BASE_NODES * (1.0 + 1.5 * (self._decay / decay - 1.0)))
 
     # -- quadrature building blocks -------------------------------------
 
@@ -328,7 +355,7 @@ class KernelEvaluator:
         for a, b in zip(breaks[:-1], breaks[1:]):
             length = b - a
             n_j = max(
-                XI_BASE_NODES if length == 2 * base_radius else 16,
+                self._base_nodes if length == 2 * base_radius else 16,
                 int(0.7 * length * osc_j) + 16,
                 int(0.5 * length * density) + 8,
             )
@@ -355,8 +382,21 @@ class KernelEvaluator:
         return xi, wq / (2.0 * np.pi) ** d
 
     def _base_radius(self, dt: float) -> float:
-        decay = max(math.log(100.0 / self.cfg.target_rel_tol), 2.0)
-        return math.sqrt(decay / (self._schur_min * dt))
+        """Radius R0 of the base xi' panel: a R0^2 = decay, a = schur_min dt.
+
+        At decay = ln(100/tol) the integrand beyond R0 is about tol/100 of
+        its peak: enough for the truncation test, but at tol 1e-8 it leaves
+        errors near 1e-10 of the peak, where one doubling reaches 1e-11.
+        Below tol 1e-6 the panel is therefore widened by 1.5 ln(1e-6/tol)
+        more decay (e^-30 at tol 1e-8, radius x1.14), and its node count
+        grows 1.5 times as fast as the decay (x1.45), to resolve the wider
+        panel more finely.  On the benchmark's scatter batches, against
+        the closed forms, the radius alone or with nodes x1.3 loses up to
+        a digit, and x1.45 gains most of one.  At tol 1e-6 and above
+        nothing changes: there a doubling gives no more digits on the
+        cylinder batches, and a wider panel only costs memory.
+        """
+        return math.sqrt(self._decay / (self._schur_min * dt))
 
     # -- core contraction ------------------------------------------------
 
@@ -366,8 +406,10 @@ class KernelEvaluator:
         For each unique normal pair (x_n, y_n) of the group and each node,
         s_val = sum_m W_m V with W_m = w_m e^{tau_m dt} (``wte``) and
         V = sum_terms coef e^{p x_n + q y_n}; s_n and s_src put a factor p
-        or q in each term, and s_floor is the roundoff weight
-        sum_m sum_terms |W_m coef e^{p x_n + q y_n}| (ROUNDOFF_UNITS + |p x_n| + |q y_n|).
+        or q in each term.  s_floor holds the roundoff weights
+        sum_m sum_terms |W_m coef g e^{p x_n + q y_n}| (ROUNDOFF_UNITS + |p x_n| + |q y_n|)
+        with g = 1 for Gamma, g = p for the normal gradient and, with
+        ``source_gradient``, g = q for the source one.
         Each is computed node by node, so the sums on part of a grid equal
         the sums on the whole grid restricted to that part, bit for bit.
         """
@@ -375,25 +417,31 @@ class KernelEvaluator:
         chunk = max(1, int(4.0e6 / (q_cnt * m_cnt)))
         xi_c = xi.astype(complex)
         table = SymbolTable(self.medium, xi_c, tau)
+        group_terms = [region_terms(region, self.medium, xi_c, tau, table=table)
+                       for region, _, _, _ in groups]
+        # A term's weights are built once per pass (the magnitudes straight
+        # into one (5 or 6, Q, M) array).  R11/R12 and R21/R22 share a term, as
+        # the same arrays of the table, so its weights are kept until the
+        # last group that uses it.
+        uses = Counter(_term_key(term) for terms in group_terms for term in terms)
+        weights = {}
         sums = []
-        for region, _, uniq, _ in groups:
-            terms = region_terms(region, self.medium, xi_c, tau, table=table)
+        for (_, _, uniq, _), terms in zip(groups, group_terms):
             u_cnt = uniq.shape[0]
             s_val = np.zeros((u_cnt, q_cnt), dtype=complex)
             s_n = np.zeros((u_cnt, q_cnt), dtype=complex)
             s_src = np.zeros((u_cnt, q_cnt), dtype=complex) if source_gradient else None
-            s_abs = np.zeros((3, u_cnt, q_cnt))
-            # The weights of a term are built once for all its pair chunks
-            # (the magnitudes straight into one (3, Q, M) array), and each
-            # row adds its terms in order, whatever chunk it is in.
-            for coef, p, q in terms:
-                w_t = coef * wte[None, :]
-                w_p = w_t * p
-                w_q = w_t * q if source_gradient else None
-                w_abs = np.empty((3,) + w_t.shape)
-                np.abs(w_t, out=w_abs[0])
-                np.multiply(w_abs[0], np.abs(p), out=w_abs[1])
-                np.multiply(w_abs[0], np.abs(q), out=w_abs[2])
+            s_abs = np.zeros((5 + source_gradient, u_cnt, q_cnt))
+            # Each row adds its terms in order, whatever chunk it is in.
+            for term in terms:
+                key = _term_key(term)
+                if key not in weights:
+                    weights[key] = _term_weights(term, wte, source_gradient)
+                w_t, w_p, w_q, w_abs = weights[key]
+                uses[key] -= 1
+                if not uses[key]:
+                    del weights[key]
+                _, p, q = term
                 for lo in range(0, u_cnt, chunk):
                     sl = slice(lo, min(lo + chunk, u_cnt))
                     xnc = uniq[sl, 0][:, None, None]
@@ -405,18 +453,22 @@ class KernelEvaluator:
                         s_src[sl] += np.einsum("qm,kqm->kq", w_q, ex)
                     s_abs[:, sl] += np.einsum("jqm,kqm->jkq", w_abs, np.abs(ex))
                     del ex  # free before the next exponent is formed
-            s_floor = (ROUNDOFF_UNITS * s_abs[0] + np.abs(uniq[:, :1]) * s_abs[1]
-                       + np.abs(uniq[:, 1:]) * s_abs[2])
+            # Rows of s_abs: sum |W coef e^z| times 1, |p|, |q|, |p|^2, |p q|, |q|^2.
+            axn, ayn = np.abs(uniq[:, :1]), np.abs(uniq[:, 1:])
+            rows = ((0, 1, 2), (1, 3, 4), (2, 4, 5))[:2 + source_gradient]
+            s_floor = np.stack([ROUNDOFF_UNITS * s_abs[i] + axn * s_abs[j] + ayn * s_abs[k]
+                                for i, j, k in rows])
             sums.append((s_val, s_n, s_src, s_floor))
         return sums
 
     def _phase_sums(self, groups, dxp, xi, wq, sums, source_gradient):
-        """Gamma, grad and sgrad from the tau sums, and the roundoff floor of Gamma.
+        """Gamma, grad and sgrad from the tau sums, and their roundoff floor.
 
         The contour rule is the half rule and the xi' grid is
         point-symmetric (see the module docstring), so every full sum is
         the real part of the sum formed here.  The floor is eps times the
-        xi' sum of ``s_floor``.
+        largest xi' sum of the rows of ``s_floor``, and of its Gamma row
+        times |xi'|_inf for the tangential gradient.
         """
         n = self.medium.dim
         d = n - 1
@@ -427,7 +479,9 @@ class KernelEvaluator:
         floor = np.zeros(k_tot)
         pt_chunk = max(1, int(4.0e6 / q_cnt))
         for (_, idx, _, inv), (s_val, s_n, s_src, s_floor) in zip(groups, sums):
-            floor[idx] = np.finfo(float).eps * (s_floor @ wq)[inv]
+            tangential = s_floor[0] * np.max(np.abs(xi), axis=1, initial=0.0)
+            floor[idx] = np.finfo(float).eps * np.maximum(
+                np.max(s_floor @ wq, axis=0), tangential @ wq)[inv]
             for lo in range(0, idx.size, pt_chunk):
                 sel = idx[lo:lo + pt_chunk]
                 rows = inv[lo:lo + pt_chunk]
@@ -492,8 +546,7 @@ class KernelEvaluator:
         osc = np.max(np.abs(dxp), axis=0, initial=0.0)
 
         radius = self._base_radius(dt)
-        prev = None
-        annulus = np.zeros(k_tot)
+        trunc = np.zeros(k_tot)
         for doublings in range(7):
             xi, wq = self._xi_grid(radius, doublings, osc, dt)
             if doublings == 0:
@@ -505,24 +558,21 @@ class KernelEvaluator:
                 fresh = self._tau_sums(groups, xi[~inner], tau_f, wte_f, source_gradient)
                 sums = [tuple(_scatter(inner, a, b) for a, b in zip(old, new))
                         for old, new in zip(sums, fresh)]
-            cur = self._phase_sums(groups, dxp, xi, wq, sums, source_gradient)
+            gam, grd, sgr, floor = self._phase_sums(groups, dxp, xi, wq, sums,
+                                                    source_gradient)
             if d == 0:
                 break  # no tangential axes: the xi' rule is one point
-            if prev is not None:
-                annulus = np.abs(cur[0] - prev[0])
-                # Relative criterion plus an absolute floor on the
-                # natural kernel scale: far-tail points are dominated
-                # by oscillatory-rule roundoff, not truncation.
-                if np.all(
-                    annulus <= 0.1 * tol_eff * np.abs(cur[0]) + 1e-9 * scale0
-                ):
-                    break
-            prev = cur
+            trunc = _tail_bound(groups, k_tot, xi, wq, sums,
+                                radius * 2.0 ** doublings, self._schur_min * dt)
+            # Relative criterion plus an absolute floor on the natural
+            # kernel scale: far-tail points are dominated by
+            # oscillatory-rule roundoff, not truncation.
+            if np.all(trunc <= 0.1 * tol_eff * np.abs(gam) + 1e-9 * scale0):
+                break
         else:
             raise QuadratureNotConverged(
                 "tangential truncation did not converge after 6 extensions"
             )
-        gam, grd, sgr, floor = cur
         xi_co, wq_co = self._xi_grid(radius, doublings, osc, dt, factor=0.7)
 
         sums_co = self._tau_sums(groups, xi_co, tau_c, wte_c, False)
@@ -530,13 +580,71 @@ class KernelEvaluator:
 
         est = np.abs(gam - gam_c)
         est = np.maximum(est, np.max(np.abs(grd - grd_c), axis=1))
-        est = np.maximum(est, annulus)
+        est = np.maximum(est, trunc)
         est = np.maximum(est, floor)
         est = np.maximum(est, 1e-15 * np.abs(gam))
         out = {"gamma": gam, "grad": grd, "est": est}
         if source_gradient:
             out["sgrad"] = sgr
         return out
+
+
+def _tail_bound(groups, k_tot: int, xi: np.ndarray, wq: np.ndarray, sums,
+                radius: float, decay_rate: float) -> np.ndarray:
+    """Per point, a bound on the part of Gamma, grad and sgrad beyond the xi' grid.
+
+    The grid covers [-radius, radius] on each axis and is point-symmetric,
+    so the full contour rule's integrand at node q is f = (s_q +
+    conj(s_-q))/2 for each tau sum s (module docstring), with s_-q the
+    mirrored node.  |s| itself would not do: the imaginary part of the half
+    sum, which the mirrored node cancels, decays only like 1/|xi'|.  After
+    the tau integral f decays like e^{-a |xi'|^2}, a = ``decay_rate``, on
+    every axis, so on axis j the mass beyond the radius R is the measured
+    mass of |f| over R/2 <= |xi_j| <= R times the ratio of the two masses
+    of e^{-a xi_j^2}, erfc(sqrt(a) R) / (erf(sqrt(a) R) - erf(sqrt(a) R/2)),
+    and the axes are added.  TAIL_SAFETY covers a profile e^{-a xi^2}
+    times a power of |xi| up to the third (a power m multiplies the ratio
+    by about 2^m).  The same bound is formed for the gradient sums, for
+    the tangential ones from |xi'|_inf |f|, and the largest is returned.
+    """
+    x = math.sqrt(decay_rate) * radius
+    tail = math.erfc(x)  # underflows to 0 after a few doublings
+    ratio = tail / (math.erfc(0.5 * x) - tail) if tail > 0.0 else 0.0
+    w_val = np.sum(np.abs(xi) >= 0.5 * radius, axis=1) * wq
+    w_tan = np.max(np.abs(xi), axis=1) * w_val
+    bound = np.zeros(k_tot)
+    for (_, idx, _, inv), (s_val, s_n, s_src, _) in zip(groups, sums):
+        f_val = np.abs(s_val + s_val[:, ::-1].conj())
+        mass = np.maximum(f_val @ w_val, f_val @ w_tan)
+        for s in (s_n, s_src):
+            if s is not None:
+                mass = np.maximum(mass, np.abs(s + s[:, ::-1].conj()) @ w_val)
+        bound[idx] = (0.5 * TAIL_SAFETY * ratio * mass)[inv]
+    return bound
+
+
+def _term_key(term):
+    """Identity of a (coef, p, q) term: shared terms are the same arrays."""
+    return tuple(id(a) for a in term)
+
+
+def _term_weights(term, wte, source_gradient: bool):
+    """Weights w_t = coef W, w_t p, w_t q (or None) and |w_t| times 1, |p|,
+    |q|, |p|^2, |p q| and, with ``source_gradient``, |q|^2."""
+    coef, p, q = term
+    w_t = coef * wte[None, :]
+    w_p = w_t * p
+    w_q = w_t * q if source_gradient else None
+    abs_p, abs_q = np.abs(p), np.abs(q)
+    w_abs = np.empty((5 + source_gradient,) + w_t.shape)
+    np.abs(w_t, out=w_abs[0])
+    np.multiply(w_abs[0], abs_p, out=w_abs[1])
+    np.multiply(w_abs[0], abs_q, out=w_abs[2])
+    np.multiply(w_abs[1], abs_p, out=w_abs[3])
+    np.multiply(w_abs[1], abs_q, out=w_abs[4])
+    if source_gradient:
+        np.multiply(w_abs[2], abs_q, out=w_abs[5])
+    return w_t, w_p, w_q, w_abs
 
 
 def _inner_mask(xi: np.ndarray, radius: float, doublings: int) -> np.ndarray:

@@ -156,16 +156,16 @@ class TestErrors:
         ("eval", ("eval", "grid", "points"), ["many"]),
     ]
 
-    @pytest.mark.parametrize("command,path,value", NONNUMERIC,
-                             ids=[".".join(path) for _, path, _ in NONNUMERIC])
-    def test_nonnumeric_field_exit_2(self, tmp_path, capsys, command, path, value):
+    @staticmethod
+    def field_cfg(tmp_path, path, value):
+        """A 1-D config for every command, with the field at ``path`` set to ``value``."""
         cfg = {
             "medium": {"upper": [[1.0]]},
             "output": str(tmp_path / "out"),
             "compare_oracle": {"levels": [21, 41]},
             "green": {"kind": "cube", "cube": {"half_width": 1.0, "center": [0.0]},
                       "t": 0.2, "s": 0.0, "y": [0.3], "x": [[0.5]]},
-            "verify": {"name": "transmission"},
+            "verify": {"name": "interior" if path[-1] == "nodes" else "transmission"},
             "eval": {"t": 0.5, "s": 0.0, "y": [0.4],
                      "grid": {"min": [-1.0], "max": [1.0], "points": [5]}},
         }
@@ -173,9 +173,41 @@ class TestErrors:
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
-        assert main([command, write_cfg(tmp_path, cfg)]) == 2
+        return write_cfg(tmp_path, cfg)
+
+    @pytest.mark.parametrize("command,path,value", NONNUMERIC,
+                             ids=[".".join(path) for _, path, _ in NONNUMERIC])
+    def test_nonnumeric_field_exit_2(self, tmp_path, capsys, command, path, value):
+        assert main([command, self.field_cfg(tmp_path, path, value)]) == 2
         assert f"{path[-1]!r} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    # Integer fields given a fraction, a non-finite number or a bool; each
+    # used to be truncated by int() (4.9 -> 4, True -> 1) and run.
+    NONINTEGER = [
+        ("eval", ("eval", "grid", "points"), [4.9]),
+        ("eval", ("eval", "grid", "points"), [True]),
+        ("green", ("green", "depth"), 2.5),
+        ("green", ("green", "boundary_samples"), False),
+        ("verify", ("seed",), 0.5),
+        ("verify", ("verify", "samples"), 3.5),
+        ("verify", ("verify", "nodes"), 40.5),
+        ("compare-oracle", ("compare_oracle", "levels"), [21.5, 41]),
+        ("compare-oracle", ("compare_oracle", "time_steps"), 10.5),
+        ("compare-oracle", ("compare_oracle", "max_points"), float("inf")),
+    ]
+
+    @pytest.mark.parametrize("command,path,value", NONINTEGER,
+                             ids=[f"{'.'.join(p)}={v}" for _, p, v in NONINTEGER])
+    def test_noninteger_field_exit_2(self, tmp_path, capsys, command, path, value):
+        assert main([command, self.field_cfg(tmp_path, path, value)]) == 2
+        assert f"{path[-1]!r} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_accepted(self, tmp_path):
+        path = self.field_cfg(tmp_path, ("eval", "grid", "points"), [5.0])
+        assert main(["eval", path]) == 0
+        assert len((tmp_path / "out").read_text().strip().split("\n")) == 6
 
     def test_empty_query_exit_2(self, tmp_path, capsys):
         cfg = {

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from layerheat import inverse_transform
 from layerheat.medium import (
     KernelQuery,
     MediumError,
@@ -28,8 +31,21 @@ from layerheat.reference import (
     layered_gradient_1d,
     layered_kernel_1d,
 )
-from layerheat.symbols import SpectralPoint
+from layerheat.symbols import SpectralPoint, classify_region, region_terms
 from symbol_checks import in_analyticity_domain
+
+
+def record_xi_grids(ev):
+    """Record (doublings, factor, (xi, wq)) of every xi' grid ``ev`` builds."""
+    calls = []
+    xi_grid = ev._xi_grid
+
+    def recorded(radius, doublings, osc, dt, factor=1.0):
+        calls.append((doublings, factor, xi_grid(radius, doublings, osc, dt, factor)))
+        return calls[-1][2]
+
+    ev._xi_grid = recorded
+    return calls
 
 
 def layered_1d(a=1.0, b=4.0):
@@ -306,34 +322,50 @@ class TestHalfRule:
             assert abs(inv_sqrt * np.sqrt(np.pi * dt) - 1.0) < rel_err
 
     def test_anisotropic_values_pinned(self):
-        # Values of the full (k = -M..M) rule, one point per region, on a
-        # medium whose tangential coupling makes the +-xi' pairing matter.
+        # eval_many against the full (k = -M..M) contour rule, summed here
+        # point by point from region_terms on the xi' grid and contour that
+        # eval_many used, one point per region, on a medium whose
+        # tangential coupling makes the +-xi' pairing matter.
         med = TwoLayerMedium(upper=validate_tensor([[1.0, 0.3], [0.3, 1.0]]),
                              lower=validate_tensor(np.diag([2.0, 3.0])))
         x = np.array([[0.3, 0.5], [-0.2, 0.1], [0.4, -0.3],
                       [-0.5, 0.6], [0.1, -0.2], [0.25, -0.6]])
         y = np.array([[0.0, 0.2], [0.1, 0.4], [0.0, 0.3],
                       [0.2, -0.4], [-0.1, -0.5], [0.05, -0.1]])
-        full = {
-            "gamma": [0.1873378558275967, 0.17027095184766483, 0.11723129511299175,
-                      0.05781247140707318, 0.1363984981107962, 0.13188306012776213],
-            "grad": [[-0.06396245463233786, -0.021090166633224064],
-                     [0.05375621274229525, 0.1934996022252541],
-                     [-0.06969538088851045, 0.0629107228890462],
-                     [0.06559831257123268, -0.09937765293779113],
-                     [-0.026058400227288375, 0.0020987536689085614],
-                     [-0.025305826898453357, 0.04700970840885181]],
-            "sgrad": [[0.06396245463233786, 0.18829583544766113],
-                      [-0.05375621274229525, -0.02201014498922161],
-                      [0.06969538088851045, -0.09572751378836182],
-                      [-0.06559831257123268, 0.04597243021384675],
-                      [0.026058400227288375, 0.03672268596880735],
-                      [0.025305826898453357, -0.008188268771122127]],
-        }
-        res = KernelEvaluator(med).eval_many(x, 0.3, y, 0.0, source_gradient=True)
+        dt = 0.3
+        ev = KernelEvaluator(med)
+        grids = record_xi_grids(ev)
+        res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
+        xi, wq = grids[-2][2]  # the last fine grid; the coarse pass follows it
+        tau, w = ev._contour(ev.cfg.contour_nodes, dt)
+        # Unfold the half rule: node -k is the conjugate of node k, and the
+        # half rule doubled the weights of k > 0.
+        tau = np.concatenate([tau[:0:-1].conj(), tau])
+        w = np.concatenate([w[:0:-1].conj() / 2, w[:1], w[1:] / 2])
+        wte = w * np.exp(tau * dt)
+        assert tau.shape == (2 * ev.cfg.contour_nodes + 1,)
+        full = {key: np.zeros((6, 2), dtype=complex) for key in ("grad", "sgrad")}
+        full["gamma"] = np.zeros(6, dtype=complex)
+        regions = set()
+        for k in range(6):
+            xn, yn = x[k, 1], y[k, 1]
+            region = classify_region(xn, yn)
+            regions.add(region)
+            s_val = s_n = s_src = 0.0
+            for coef, p, q in region_terms(region, med, xi.astype(complex), tau):
+                v = coef * np.exp(p * xn + q * yn) * wte
+                s_val = s_val + v.sum(axis=1)
+                s_n = s_n + (v * p).sum(axis=1)
+                s_src = s_src + (v * q).sum(axis=1)
+            pw = wq * np.exp(1j * (x[k, 0] - y[k, 0]) * xi[:, 0])
+            full["gamma"][k] = pw @ s_val
+            full["grad"][k] = [pw @ (1j * xi[:, 0] * s_val), pw @ s_n]
+            full["sgrad"][k] = [-pw @ (1j * xi[:, 0] * s_val), pw @ s_src]
+        assert len(regions) == 6
         for key, ref in full.items():
-            ref = np.array(ref)
-            assert np.max(np.abs(res[key] - ref)) < 1e-11 * np.max(np.abs(ref))
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(ref.imag)) < 1e-11 * scale  # the kernel is real
+            assert np.max(np.abs(res[key] - ref.real)) < 1e-11 * scale
 
 
 class TestNestedDoublings:
@@ -384,8 +416,11 @@ class TestNestedDoublings:
 
     def test_three_doublings_pinned(self):
         # One point per region plus a far one; at this loose tolerance and
-        # short lag the doubling loop runs three fine passes.  Values from
-        # the evaluator before the tau sums were reused across doublings.
+        # short lag the tail bound of the base grid fails and the loop
+        # doubles.  The pinned values are those of the evaluator before the
+        # tau sums were reused across doublings, when the loop confirmed
+        # each doubling with another and so ran three fine passes; each
+        # value must lie within est of them.
         med = TwoLayerMedium(upper=validate_tensor([[1.0, 0.3], [0.3, 1.0]]),
                              lower=validate_tensor(np.diag([2.0, 3.0])))
         x = np.array([[0.3, 0.5], [-0.2, 0.1], [0.4, -0.3], [-0.1, 0.2],
@@ -410,24 +445,121 @@ class TestNestedDoublings:
                       [5.559503053233217e-13, 0.6583249201352017],
                       [0.5597487741329198, -0.368525708730782],
                       [1.8899015685747145e-10, -2.738431703619426e-11]],
-            "est": [2.414784562002071e-11, 1.376224029347762e-11, 1.166615396617244e-13,
-                    4.457304912547082e-13, 2.181147258420041e-11, 1.0317948322973812e-11,
-                    1.30127630620799e-09],
         }
         ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=1e-5))
-        grids = []
-        xi_grid = ev._xi_grid
-
-        def counted(*args, **kwargs):
-            grids.append(args)
-            return xi_grid(*args, **kwargs)
-
-        ev._xi_grid = counted
+        grids = record_xi_grids(ev)
         res = ev.eval_many(x, 0.05, y, 0.0, source_gradient=True)
-        assert len(grids) == 4  # three fine passes and the coarse pass
+        factors = [factor for _, factor, _ in grids]
+        assert factors.count(1.0) >= 2 and factors[-1] == 0.7  # and the coarse pass
         for key, ref in pinned.items():
-            ref = np.array(ref)
-            assert np.max(np.abs(res[key] - ref)) <= 1e-14 * np.max(np.abs(ref))
+            err = np.abs(res[key] - np.array(ref))
+            assert np.all(err.reshape(len(x), -1).max(axis=1) <= res["est"])
+
+
+class TestTailBound:
+    """The xi' truncation bound replaces a confirming doubling."""
+
+    GAUSSIAN = {2: [[2.0, 1.0], [1.0, 2.0]],
+                3: [[1.5, 0.2, 0.0], [0.2, 1.0, -0.1], [0.0, -0.1, 2.0]]}
+    CASES = ([(2, tol, dt) for tol in (1e-4, 1e-6, 1e-8, 1e-10) for dt in (0.01, 0.3, 3.0)]
+             + [(3, 1e-4, 0.01), (3, 1e-6, 3.0), (3, 1e-8, 0.3), (3, 1e-10, 0.01)])
+
+    @pytest.mark.parametrize("n,tol,dt", CASES)
+    def test_est_bounds_gaussian_error(self, n, tol, dt):
+        # Anisotropic Gaussians: est bounds the error of Gamma and of every
+        # gradient component at every point, including targets within
+        # 1e-4 sqrt(dt) of the source plane.
+        t_mat = validate_tensor(self.GAUSSIAN[n])
+        ev = KernelEvaluator(homogeneous_medium(t_mat), QuadratureConfig(target_rel_tol=tol))
+        rng = np.random.default_rng(n)
+        y = np.array([0.1, -0.2, 0.3][3 - n:])
+        x = y + math.sqrt(dt) * rng.uniform(-2.5, 2.5, (30 if n == 2 else 8, n))
+        x[:4, -1] = y[-1] + math.sqrt(dt) * np.array([1e-4, -1e-4, 3e-5, -1e-5])
+        res = ev.eval_many(x, dt, y, 0.0)
+        err = np.abs(res["gamma"] - gaussian_kernel(t_mat, x, dt, y, 0.0))
+        g_err = np.abs(res["grad"] - gaussian_gradient(t_mat, x, dt, y, 0.0))
+        assert np.all(err <= res["est"])
+        assert np.all(g_err.max(axis=1) <= res["est"])
+
+    @pytest.mark.parametrize("n,tol,dt", [(2, 1e-4, 0.01), (2, 1e-4, 0.3),
+                                          (2, 1e-6, 0.3), (3, 1e-4, 0.3)])
+    def test_bound_covers_base_truncation(self, monkeypatch, n, tol, dt):
+        # At loose tolerances the base grid leaves real truncation error.
+        # Forcing doublings keeps the base panel and adds annuli out to two
+        # and four times the radius.  The first doubling adds the tail
+        # (beyond twice the radius the integrand is e^-4 times smaller
+        # again) and also contour noise of the tau sums on the new nodes,
+        # which the tangential gradient weights by |xi'|; the second adds
+        # only such noise, so it measures the noise.  The base grid's bound
+        # must cover the rest, for Gamma and both gradients, at every point.
+        # (At tol 1e-6 and dt = 0.01 the noise, 1e-9 of the peak, exceeds
+        # the truncation itself at some points, and changes from one
+        # doubling to the next, so doublings are no reference there.)
+        bounds, passes = [], []
+        tail_bound = inverse_transform._tail_bound
+        phase_sums = KernelEvaluator._phase_sums
+
+        def forced(*args):
+            bounds.append(tail_bound(*args))
+            return bounds[-1] if len(bounds) > 2 else np.full_like(bounds[-1], np.inf)
+
+        def recorded(self, *args):
+            out = phase_sums(self, *args)
+            passes.append(np.column_stack([a for a in out[:3] if a is not None]))
+            return out
+
+        monkeypatch.setattr(inverse_transform, "_tail_bound", forced)
+        monkeypatch.setattr(KernelEvaluator, "_phase_sums", recorded)
+        med = TwoLayerMedium(upper=validate_tensor(np.eye(n)),
+                             lower=validate_tensor(np.diag([2.0, 3.0, 1.5][3 - n:])))
+        rng = np.random.default_rng(1)
+        y = rng.uniform(-0.5, 0.5, (12 if n == 2 else 3, n))
+        x = y + math.sqrt(dt) * rng.uniform(-2.5, 2.5, y.shape)
+        ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=tol))
+        ev.eval_many(x, dt, y, 0.0, source_gradient=True)
+        assert len(bounds) == 3 and len(passes) == 4  # three fine passes, coarse
+        base, once, twice = passes[:3]
+        tail = np.max(np.abs(once - base) - np.abs(twice - once), axis=1)
+        assert np.all(tail <= bounds[0])
+        assert np.max(tail / bounds[0]) > 1e-3  # the bound tracks real truncation
+
+    def test_bound_of_gaussian_profile(self):
+        # On a Gaussian profile the bound exceeds the mass beyond the
+        # radius, of f and of |xi| f; an odd imaginary part, which the
+        # mirrored node cancels, leaves it unchanged; and once erfc
+        # underflows the bound is 0.
+        a, radius = 0.5, 5.0
+        xi, wq = gauss_tensor_grid([[(-radius, radius, 48)]])
+        wq = wq / (2.0 * np.pi)
+        f = np.exp(-a * xi[:, 0] ** 2)[None, :]
+        groups = [(None, np.arange(1), None, np.zeros(1, dtype=int))]
+
+        def bound(s_val, r=radius):
+            return inverse_transform._tail_bound(groups, 1, xi, wq, [(s_val, s_val, None, None)],
+                                                 r, a)[0]
+
+        tail = math.sqrt(np.pi / a) * math.erfc(math.sqrt(a) * radius) / (2.0 * np.pi)
+        tail_xi = math.exp(-a * radius ** 2) / (2.0 * np.pi * a)
+        assert bound(f) >= 2.0 * max(tail, tail_xi)
+        assert bound(f + 1.5j / (1.0 + np.abs(xi[:, 0]))) == bound(f)
+        assert bound(f, r=60.0) == 0.0
+
+    def test_default_tolerance_one_fine_pass(self):
+        # A batch shaped like the benchmark's 2-D layered ones: the base
+        # grid passes the bound, so eval_many builds one fine grid and the
+        # coarse one.
+        med = TwoLayerMedium(upper=validate_tensor([[1.0, 0.3], [0.3, 1.0]]),
+                             lower=validate_tensor(np.diag([2.0, 3.0])))
+        ev = KernelEvaluator(med)
+        grids = record_xi_grids(ev)
+        rng = np.random.default_rng(5)
+        for dt in (0.3, 0.1):
+            y = rng.uniform(-1.0, 1.0, (100, 2))
+            x = y + 4.0 * math.sqrt(dt) * rng.uniform(-1.0, 1.0, (100, 2))
+            x[0, 0] = y[0, 0] + 4.0 * math.sqrt(dt)
+            grids.clear()
+            ev.eval_many(x, dt, y, 0.0)
+            assert [call[:2] for call in grids] == [(0, 1.0), (0, 0.7)]
 
 
 class TestMassAndDelta:
