@@ -10,7 +10,19 @@ half-plane (exponentially convergent trapezoid rule, Weideman & Trefethen,
 Math. Comp. 76 (2007)).  The deformation is certified against the
 analyticity domain L_mu of the symbols: mu is established by
 root-avoidance sampling for the given medium, and a contour shape is then
-chosen whose nodes stay inside L_mu with margin.
+chosen whose nodes stay inside L_mu with margin.  Each shape carries a
+table of its measured error against the half-width M, and M(tol) is the
+smallest tabulated M whose error is at most min(1e-4 tol, 1e-13)
+(_select_row).
+
+Error estimate.  The contour part of est compares the rule with its
+even-node subset, the step-2h trapezoid rule on the same contour
+(Trefethen & Weideman, SIAM Rev. 56 (2014)).  In 1-D that is a second
+weighted sum over the exponentials of the tau contraction, weights
+(-1)^(m+1) W_m, so it needs no symbol of its own.  In 2-D and 3-D the
+comparison also checks the xi' resolution: a coarse pass evaluates the
+step-2h rule (M/2 + 1 tau nodes) on a grid of 0.7 times the xi' nodes.
+The tail bound below and a roundoff floor complete est.
 
 The tangential xi' integral is a truncated Gauss-Legendre rule whose
 radius follows the Gaussian decay rate of the time-integrated symbol and
@@ -55,6 +67,7 @@ grid.  Values are the same as when every pass is summed afresh.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -91,19 +104,29 @@ class ContourLeavesDomain(TransformError):
 
 # Hyperbolic contour shapes tau(u) = mu_c * (1 + sin(i*u - alpha)) sampled
 # at u = k*h, h = u_max/M, k = -M..M (only k = 0..M are evaluated, see
-# _hyperbolic_nodes), with mu_c = mu_scale*M/(t-s).
-# Each row was tuned empirically: rel_err is the observed inversion error
-# of 1/sqrt(tau) at M = 64.  Steeper rows (larger alpha) converge faster
-# but push nodes further left, so they need a larger analyticity
-# certificate mu; rows are tried in order of accuracy.
+# _hyperbolic_nodes), with mu_c = mu_scale*M/(t-s).  Steeper rows (larger
+# alpha) converge faster but push nodes further left, so they need a larger
+# analyticity certificate mu; rows are tried in order.
+#
+# Columns: (alpha, u_max, mu_scale, errors), where errors[i] is the measured
+# relative error of the inversion of 1/sqrt(tau) (exact 1/sqrt(pi (t-s)))
+# with M = CONTOUR_M[i], the largest over t - s = 0.01, 0.3 and 3, rounded
+# up to two digits.  Each row falls exponentially in M to an optimum and
+# then rises again with the roundoff of its growing weights.
+CONTOUR_M = tuple(range(24, 129, 8))
 _CONTOUR_ROWS = (
-    # (alpha, u_max, mu_scale, rel_err_at_M64)
-    (0.85, 1.747, 0.5, 1.4e-12),
-    (0.60, 2.576, 0.3, 1.4e-12),
-    (0.50, 2.584, 0.3, 8.9e-12),
-    (1.1721, 1.0818, 0.715, 1.0e-9),
-    (0.40, 2.432, 0.3, 7.0e-11),
-    (0.25, 2.600, 0.3, 2.1e-7),
+    (0.85, 1.747, 0.5, (1.6e-09, 1.1e-10, 6.5e-13, 3.4e-14, 2.5e-13, 1.4e-12, 2.0e-12,
+                        3.9e-12, 2.2e-11, 1.4e-10, 7.8e-11, 5.5e-10, 3.9e-09, 6.5e-09)),
+    (0.60, 2.576, 0.3, (2.6e-11, 6.4e-14, 6.2e-14, 5.8e-14, 3.6e-13, 1.2e-12, 1.2e-12,
+                        2.4e-11, 3.2e-11, 5.6e-11, 1.3e-10, 7.9e-10, 2.7e-09, 1.8e-08)),
+    (0.50, 2.584, 0.3, (1.3e-09, 2.3e-11, 3.4e-14, 8.4e-13, 1.9e-12, 4.7e-12, 2.8e-11,
+                        3.3e-11, 1.8e-10, 1.5e-09, 6.6e-09, 2.5e-08, 9.0e-08, 2.8e-07)),
+    (1.1721, 1.0818, 0.715, (1.4e-05, 5.9e-07, 2.5e-08, 9.8e-10, 3.5e-11, 9.8e-13, 7.4e-15,
+                             4.0e-14, 4.6e-14, 2.5e-14, 1.8e-13, 2.4e-13, 6.4e-14, 1.9e-12)),
+    (0.40, 2.432, 0.3, (9.8e-06, 4.3e-07, 2.0e-08, 8.7e-10, 3.2e-11, 6.2e-11, 1.7e-10,
+                        1.5e-09, 4.6e-09, 2.1e-08, 1.2e-07, 6.4e-07, 2.6e-06, 1.4e-05)),
+    (0.25, 2.600, 0.3, (1.4e-03, 2.0e-04, 3.4e-05, 6.1e-06, 1.2e-06, 2.1e-07, 3.9e-08,
+                        6.4e-08, 1.6e-07, 1.2e-06, 1.3e-05, 5.8e-05, 3.6e-04, 3.9e-03)),
 )
 
 # Candidate analyticity certificates, tried from largest to smallest, and
@@ -129,18 +152,28 @@ TAIL_SAFETY = 10.0
 # contour, and the normal gradient's roundoff then exceeds Gamma's floor.
 ROUNDOFF_UNITS = 2.0
 
+# Factor on the difference between the contour rule and its even-node
+# subset, the contour part of est in 1-D (see eval_many).  On row 0, whose
+# error is set by the truncation at u_max, the difference tracks the error
+# itself, with about half of the points below it; on the 1-D layered
+# closed forms at M = 40 a factor 2 covered every error, and 4 doubles that.
+CONTOUR_SAFETY = 4.0
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Contour and truncation parameters for kernel evaluation."""
 
-    contour_nodes: int = 64
+    contour_nodes: int | None = None  # None -> M(tol), see _select_row
     target_rel_tol: float = 1e-8
     mu: float | None = None  # None -> certified at evaluator construction
 
     def __post_init__(self):
-        if self.contour_nodes < 8:
-            raise ValueError("contour_nodes must be >= 8")
+        m = self.contour_nodes
+        # Even, so that the even nodes form the step-2h rule of est.
+        if m is not None and (isinstance(m, bool) or not isinstance(m, numbers.Integral)
+                              or m < 8 or m % 2):
+            raise ValueError("contour_nodes must be an even integer >= 8")
         if not 0.0 < self.target_rel_tol < 1.0:
             raise ValueError("target_rel_tol must lie in (0, 1)")
         if self.mu is not None and not self.mu > 0.0:
@@ -264,11 +297,33 @@ def _hyperbolic_ratio(alpha: float, u_max: float, m: int) -> float:
     return float(np.max(-re[mask] / np.abs(im[mask])))
 
 
-def _select_row(mu: float, m: int):
+def _contour_size(row, tol: float) -> int:
+    """M(tol): the smallest tabulated M whose error is at most
+    min(1e-4 tol, 1e-13), or the most accurate one if none is.
+
+    The target is 1e-13 for every tol >= 1e-9: the tau sums' contour
+    noise falls only like 1/|xi'|, and the tangential gradient and the
+    tail bound weight it by |xi'|, so it must stay far below tol.  At
+    1e-12 row 0 would take M = 40 (6.5e-13), and the cube Green function
+    of a homogeneous 2-D medium lost up to 0.1 digits against M = 64; at
+    M = 48 (3.4e-14) it gains about one.
+    """
+    errors = row[3]
+    target = min(1e-4 * tol, 1e-13)
+    for m, err in zip(CONTOUR_M, errors):
+        if err <= target:
+            return m
+    return CONTOUR_M[errors.index(min(errors))]
+
+
+def _select_row(mu: float, tol: float, m: int | None = None):
+    """(row, M): the first row that fits inside L_mu at M = ``m``, or at
+    its own M(tol) when ``m`` is None."""
     for row in _CONTOUR_ROWS:
         alpha, u_max, _, _ = row
-        if _hyperbolic_ratio(alpha, u_max, m) <= 0.95 * mu:
-            return row
+        m_row = m if m is not None else _contour_size(row, tol)
+        if _hyperbolic_ratio(alpha, u_max, m_row) <= 0.95 * mu:
+            return row, m_row
     raise ContourLeavesDomain(
         f"no hyperbolic contour shape fits inside L_mu with mu = {mu}"
     )
@@ -317,8 +372,9 @@ class KernelEvaluator:
 
     def __init__(self, medium: TwoLayerMedium, cfg: QuadratureConfig | None = None):
         self.medium = medium
-        self.cfg = resolve_config(medium, cfg)
-        self._row = _select_row(self.cfg.mu, self.cfg.contour_nodes)
+        cfg = resolve_config(medium, cfg)
+        self._row, m = _select_row(cfg.mu, cfg.target_rel_tol, cfg.contour_nodes)
+        self.cfg = replace(cfg, contour_nodes=m)
         self._det_min = min(
             float(np.linalg.det(medium.upper.entries)),
             float(np.linalg.det(medium.lower.entries)),
@@ -400,7 +456,7 @@ class KernelEvaluator:
 
     # -- core contraction ------------------------------------------------
 
-    def _tau_sums(self, groups, xi, tau, wte, source_gradient):
+    def _tau_sums(self, groups, xi, tau, wte, source_gradient, contour_diff=False):
         """Per region group, the tau contraction on the xi' nodes ``xi``.
 
         For each unique normal pair (x_n, y_n) of the group and each node,
@@ -409,7 +465,10 @@ class KernelEvaluator:
         or q in each term.  s_floor holds the roundoff weights
         sum_m sum_terms |W_m coef g e^{p x_n + q y_n}| (ROUNDOFF_UNITS + |p x_n| + |q y_n|)
         with g = 1 for Gamma, g = p for the normal gradient and, with
-        ``source_gradient``, g = q for the source one.
+        ``source_gradient``, g = q for the source one.  With
+        ``contour_diff``, s_diff holds s_val and s_n of the rule minus its
+        even-node subset (weights 2 W_m on even m, the step-2h rule on the
+        same contour), from the same exponentials: weights (-1)^(m+1) W_m.
         Each is computed node by node, so the sums on part of a grid equal
         the sums on the whole grid restricted to that part, bit for bit.
         """
@@ -432,12 +491,13 @@ class KernelEvaluator:
             s_n = np.zeros((u_cnt, q_cnt), dtype=complex)
             s_src = np.zeros((u_cnt, q_cnt), dtype=complex) if source_gradient else None
             s_abs = np.zeros((5 + source_gradient, u_cnt, q_cnt))
+            s_diff = np.zeros((2, u_cnt, q_cnt), dtype=complex) if contour_diff else None
             # Each row adds its terms in order, whatever chunk it is in.
             for term in terms:
                 key = _term_key(term)
                 if key not in weights:
-                    weights[key] = _term_weights(term, wte, source_gradient)
-                w_t, w_p, w_q, w_abs = weights[key]
+                    weights[key] = _term_weights(term, wte, source_gradient, contour_diff)
+                w_t, w_p, w_q, w_abs, w_diff = weights[key]
                 uses[key] -= 1
                 if not uses[key]:
                     del weights[key]
@@ -452,13 +512,15 @@ class KernelEvaluator:
                     if source_gradient:
                         s_src[sl] += np.einsum("qm,kqm->kq", w_q, ex)
                     s_abs[:, sl] += np.einsum("jqm,kqm->jkq", w_abs, np.abs(ex))
+                    if contour_diff:
+                        s_diff[:, sl] += np.einsum("jqm,kqm->jkq", w_diff, ex)
                     del ex  # free before the next exponent is formed
             # Rows of s_abs: sum |W coef e^z| times 1, |p|, |q|, |p|^2, |p q|, |q|^2.
             axn, ayn = np.abs(uniq[:, :1]), np.abs(uniq[:, 1:])
             rows = ((0, 1, 2), (1, 3, 4), (2, 4, 5))[:2 + source_gradient]
             s_floor = np.stack([ROUNDOFF_UNITS * s_abs[i] + axn * s_abs[j] + ayn * s_abs[k]
                                 for i, j, k in rows])
-            sums.append((s_val, s_n, s_src, s_floor))
+            sums.append((s_val, s_n, s_src, s_floor, s_diff))
         return sums
 
     def _phase_sums(self, groups, dxp, xi, wq, sums, source_gradient):
@@ -478,7 +540,7 @@ class KernelEvaluator:
         sgrad = np.zeros((k_tot, n)) if source_gradient else None
         floor = np.zeros(k_tot)
         pt_chunk = max(1, int(4.0e6 / q_cnt))
-        for (_, idx, _, inv), (s_val, s_n, s_src, s_floor) in zip(groups, sums):
+        for (_, idx, _, inv), (s_val, s_n, s_src, s_floor, _) in zip(groups, sums):
             tangential = s_floor[0] * np.max(np.abs(xi), axis=1, initial=0.0)
             floor[idx] = np.finfo(float).eps * np.maximum(
                 np.max(s_floor @ wq, axis=0), tangential @ wq)[inv]
@@ -532,12 +594,8 @@ class KernelEvaluator:
                                   return_inverse=True)
             groups.append((Region[tag], idx, uniq, inv))
 
-        m_f = self.cfg.contour_nodes
-        m_c = max(8, int(0.7 * m_f))
-        tau_f, w_f = self._contour(m_f, dt)
-        tau_c, w_c = self._contour(m_c, dt)
-        wte_f = w_f * np.exp(tau_f * dt)
-        wte_c = w_c * np.exp(tau_c * dt)
+        tau, w = self._contour(self.cfg.contour_nodes, dt)
+        wte = w * np.exp(tau * dt)
 
         scale0 = (4.0 * np.pi * dt) ** (-n / 2.0) / math.sqrt(self._det_min)
         near = np.abs(xn - yn) <= 0.1 * math.sqrt(self.medium.min_delta() * dt)
@@ -550,12 +608,13 @@ class KernelEvaluator:
         for doublings in range(7):
             xi, wq = self._xi_grid(radius, doublings, osc, dt)
             if doublings == 0:
-                sums = self._tau_sums(groups, xi, tau_f, wte_f, source_gradient)
+                sums = self._tau_sums(groups, xi, tau, wte, source_gradient,
+                                      contour_diff=d == 0)
             else:
                 # The previous grid is a block of this one: sum only the
                 # nodes of the new annulus panels.
                 inner = _inner_mask(xi, radius, doublings)
-                fresh = self._tau_sums(groups, xi[~inner], tau_f, wte_f, source_gradient)
+                fresh = self._tau_sums(groups, xi[~inner], tau, wte, source_gradient)
                 sums = [tuple(_scatter(inner, a, b) for a, b in zip(old, new))
                         for old, new in zip(sums, fresh)]
             gam, grd, sgr, floor = self._phase_sums(groups, dxp, xi, wq, sums,
@@ -573,14 +632,21 @@ class KernelEvaluator:
             raise QuadratureNotConverged(
                 "tangential truncation did not converge after 6 extensions"
             )
-        xi_co, wq_co = self._xi_grid(radius, doublings, osc, dt, factor=0.7)
-
-        sums_co = self._tau_sums(groups, xi_co, tau_c, wte_c, False)
-        gam_c, grd_c, _, _ = self._phase_sums(groups, dxp, xi_co, wq_co, sums_co, False)
-
-        est = np.abs(gam - gam_c)
-        est = np.maximum(est, np.max(np.abs(grd - grd_c), axis=1))
-        est = np.maximum(est, trunc)
+        if d == 0:
+            # The xi' rule is one node of weight 1: the differences of Gamma
+            # and of the normal gradient are the real parts of s_diff.
+            est = np.zeros(k_tot)
+            for (_, idx, _, inv), (*_, s_diff) in zip(groups, sums):
+                est[idx] = CONTOUR_SAFETY * np.max(np.abs(s_diff[:, :, 0].real), axis=0)[inv]
+        else:
+            # The xi' resolution check: a 0.7x grid on the step-2h rule
+            # (the even nodes), so the difference holds the contour error
+            # of the step-2h rule too.
+            xi_co, wq_co = self._xi_grid(radius, doublings, osc, dt, factor=0.7)
+            sums_co = self._tau_sums(groups, xi_co, tau[::2], 2.0 * wte[::2], False)
+            gam_c, grd_c, _, _ = self._phase_sums(groups, dxp, xi_co, wq_co, sums_co, False)
+            est = np.maximum(np.abs(gam - gam_c), np.max(np.abs(grd - grd_c), axis=1))
+            est = np.maximum(est, trunc)
         est = np.maximum(est, floor)
         est = np.maximum(est, 1e-15 * np.abs(gam))
         out = {"gamma": gam, "grad": grd, "est": est}
@@ -613,7 +679,7 @@ def _tail_bound(groups, k_tot: int, xi: np.ndarray, wq: np.ndarray, sums,
     w_val = np.sum(np.abs(xi) >= 0.5 * radius, axis=1) * wq
     w_tan = np.max(np.abs(xi), axis=1) * w_val
     bound = np.zeros(k_tot)
-    for (_, idx, _, inv), (s_val, s_n, s_src, _) in zip(groups, sums):
+    for (_, idx, _, inv), (s_val, s_n, s_src, *_) in zip(groups, sums):
         f_val = np.abs(s_val + s_val[:, ::-1].conj())
         mass = np.maximum(f_val @ w_val, f_val @ w_tan)
         for s in (s_n, s_src):
@@ -628,9 +694,10 @@ def _term_key(term):
     return tuple(id(a) for a in term)
 
 
-def _term_weights(term, wte, source_gradient: bool):
-    """Weights w_t = coef W, w_t p, w_t q (or None) and |w_t| times 1, |p|,
-    |q|, |p|^2, |p q| and, with ``source_gradient``, |q|^2."""
+def _term_weights(term, wte, source_gradient: bool, contour_diff: bool = False):
+    """Weights w_t = coef W, w_t p, w_t q (or None), |w_t| times 1, |p|,
+    |q|, |p|^2, |p q| and, with ``source_gradient``, |q|^2, and with
+    ``contour_diff`` w_t and w_t p times (-1)^(m+1) (else None)."""
     coef, p, q = term
     w_t = coef * wte[None, :]
     w_p = w_t * p
@@ -644,7 +711,10 @@ def _term_weights(term, wte, source_gradient: bool):
     np.multiply(w_abs[1], abs_q, out=w_abs[4])
     if source_gradient:
         np.multiply(w_abs[2], abs_q, out=w_abs[5])
-    return w_t, w_p, w_q, w_abs
+    w_diff = None
+    if contour_diff:
+        w_diff = np.stack([w_t, w_p]) * np.where(np.arange(wte.size) % 2, 1.0, -1.0)
+    return w_t, w_p, w_q, w_abs, w_diff
 
 
 def _inner_mask(xi: np.ndarray, radius: float, doublings: int) -> np.ndarray:

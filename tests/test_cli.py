@@ -138,6 +138,25 @@ class TestErrors:
         assert main(["eval", write_cfg(tmp_path, cfg)]) == 2
         assert "invalid quadrature config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nodes", [40.5, True, 41, 6, "40", float("inf")])
+    def test_bad_contour_nodes_exit_2(self, tmp_path, capsys, nodes):
+        # A fraction once gave a contour of fractional step, and an odd M
+        # has no even-node subset for est.
+        cfg = eval_cfg(tmp_path)
+        cfg["quadrature"] = {"contour_nodes": nodes}
+        assert main(["eval", write_cfg(tmp_path, cfg)]) == 2
+        assert "contour_nodes" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_contour_nodes_integral_float_accepted(self, tmp_path):
+        out = {}
+        for nodes in (40, 40.0):
+            cfg = eval_cfg(tmp_path, out=f"out{nodes}.csv")
+            cfg["quadrature"] = {"contour_nodes": nodes}
+            assert main(["eval", write_cfg(tmp_path, cfg)]) == 0
+            out[nodes] = (tmp_path / f"out{nodes}.csv").read_text()
+        assert out[40] == out[40.0]
+
     def test_nonnumeric_time_exit_2(self, tmp_path, capsys):
         cfg = eval_cfg(tmp_path)
         cfg["eval"]["t"] = "x"

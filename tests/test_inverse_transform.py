@@ -14,11 +14,15 @@ from layerheat.medium import (
 )
 from layerheat.inverse_transform import (
     _CONTOUR_ROWS,
+    CONTOUR_M,
+    MU_LADDER,
     ContourLeavesDomain,
     KernelEvaluator,
     QuadratureConfig,
+    _contour_size,
     _hyperbolic_nodes,
     _inner_mask,
+    _select_row,
     certify_mu,
     gauss_tensor_grid,
     delta_recovery,
@@ -70,6 +74,17 @@ class TestConfig:
             QuadratureConfig(contour_nodes=4)
         with pytest.raises(ValueError):
             QuadratureConfig(target_rel_tol=2.0)
+
+    @pytest.mark.parametrize("nodes", [40.5, 40.0, True, False, 41, 6, "40"])
+    def test_contour_nodes_refused(self, nodes):
+        # A fraction gave a contour of fractional step; an odd M has no
+        # even-node subset for est.
+        with pytest.raises(ValueError, match="contour_nodes"):
+            QuadratureConfig(contour_nodes=nodes)
+
+    def test_contour_nodes_accepted(self):
+        for nodes in (8, 40, np.int64(64), None):
+            assert QuadratureConfig(contour_nodes=nodes).contour_nodes == nodes
 
     def test_mu_certification_layered(self):
         mu = certify_mu(layered_1d())
@@ -312,14 +327,23 @@ class TestHalfRule:
 
     @pytest.mark.parametrize("row", _CONTOUR_ROWS)
     def test_contour_inverts_known_transforms(self, row):
-        rel_err = row[-1]
-        for dt in (0.01, 0.3, 1.0):
-            tau, w = _hyperbolic_nodes(row, 64, dt)
-            we = w * np.exp(tau * dt)
-            inv_pole = np.sum(we / (tau + 1.0)).real
-            inv_sqrt = np.sum(we / np.sqrt(tau)).real
-            assert abs(inv_pole / np.exp(-dt) - 1.0) < rel_err
-            assert abs(inv_sqrt * np.sqrt(np.pi * dt) - 1.0) < rel_err
+        # Each entry of a row's error table is the measured error of the
+        # 1/sqrt(tau) inversion at its M (largest over the three lags).  At
+        # the M(tol) of tol 1e-8 and 1e-10 the pole 1/(tau + 1) is inverted
+        # to within ten times the entry, or 1e-12 where roundoff dominates.
+        chosen = {_contour_size(row, tol) for tol in (1e-8, 1e-10)}
+        for m, rel_err in zip(CONTOUR_M, row[3]):
+            err_sqrt = err_pole = 0.0
+            for dt in (0.01, 0.3, 3.0):
+                tau, w = _hyperbolic_nodes(row, m, dt)
+                we = w * np.exp(tau * dt)
+                inv_pole = np.sum(we / (tau + 1.0)).real
+                inv_sqrt = np.sum(we / np.sqrt(tau)).real
+                err_pole = max(err_pole, abs(inv_pole / np.exp(-dt) - 1.0))
+                err_sqrt = max(err_sqrt, abs(inv_sqrt * np.sqrt(np.pi * dt) - 1.0))
+            assert err_sqrt <= 2.0 * rel_err
+            if m in chosen:
+                assert err_pole <= 10.0 * rel_err + 1e-12
 
     def test_anisotropic_values_pinned(self):
         # eval_many against the full (k = -M..M) contour rule, summed here
@@ -515,7 +539,11 @@ class TestTailBound:
         rng = np.random.default_rng(1)
         y = rng.uniform(-0.5, 0.5, (12 if n == 2 else 3, n))
         x = y + math.sqrt(dt) * rng.uniform(-2.5, 2.5, y.shape)
-        ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=tol))
+        # The doublings run on M = 64, the fixed contour size before M(tol):
+        # on shorter contours the tau sums' noise on the annulus nodes
+        # swamps the reference (at tol 1e-6, dt = 0.3 and M = 40, by 39
+        # times the bound; by 0.068 times at M = 64).
+        ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=tol, contour_nodes=64))
         ev.eval_many(x, dt, y, 0.0, source_gradient=True)
         assert len(bounds) == 3 and len(passes) == 4  # three fine passes, coarse
         base, once, twice = passes[:3]
@@ -560,6 +588,89 @@ class TestTailBound:
             grids.clear()
             ev.eval_many(x, dt, y, 0.0)
             assert [call[:2] for call in grids] == [(0, 1.0), (0, 0.7)]
+
+
+class TestContourSize:
+    """M(tol): each row's error table sizes the contour from the tolerance."""
+
+    TOLS = (1e-4, 1e-6, 1e-8, 1e-10)
+    # Row -> M at each of TOLS.  Down to tol 1e-9 the target is the floor
+    # 1e-13; rows 4 and 5 never reach it and take their most accurate M.
+    EXPECTED = {0: (48, 48, 48, 48), 1: (32, 32, 32, 48), 2: (40, 40, 40, 40),
+                3: (72, 72, 72, 72), 4: (56, 56, 56, 56), 5: (72, 72, 72, 72)}
+
+    def test_size_per_row(self):
+        for i, row in enumerate(_CONTOUR_ROWS):
+            assert tuple(_contour_size(row, tol) for tol in self.TOLS) == self.EXPECTED[i]
+
+    def test_row_and_size_chosen_together(self):
+        # The ladder's mu reach every row but row 3, which row 0 fits first.
+        for mu, i in zip(MU_LADDER, (0, 0, 0, 1, 2, 4, 5)):
+            for tol, m in zip(self.TOLS, self.EXPECTED[i]):
+                assert _select_row(mu, tol) == (_CONTOUR_ROWS[i], m)
+        assert _select_row(0.45, 1e-8, 64) == (_CONTOUR_ROWS[2], 64)
+
+    def test_evaluator_reports_its_size(self):
+        med = layered_2d()  # mu = 0.45: row 2
+        for tol, m in zip(self.TOLS, self.EXPECTED[2]):
+            ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=tol))
+            assert ev._row is _CONTOUR_ROWS[2] and ev.cfg.contour_nodes == m
+        ev = KernelEvaluator(med, QuadratureConfig(contour_nodes=48))
+        assert ev.cfg.contour_nodes == 48
+        assert ev._contour(48, 0.3)[0].shape == (49,)
+
+
+class TestEvenNodeEstimate:
+    """est: the contour rule against its even nodes, and in d >= 1 a 0.7x xi' grid."""
+
+    def test_no_looser_in_1d(self):
+        # The 1-D layered closed form.  With M = 64 and a coarse pass on
+        # 0.7 M nodes the median est/err was 510, 71 and 44 at these lags,
+        # and the largest est 4.4e-10, 6.1e-11 and 2.7e-11 of the peak.
+        # Now est mostly sits on the roundoff floor while the error fell
+        # tenfold, so the ratio stays in that range and est itself falls.
+        ev = KernelEvaluator(layered_1d(1.0, 4.0))
+        xs = np.linspace(-2.5, 2.5, 400)[:, None]
+        for dt, largest in ((0.01, 4.4e-10), (0.1, 6.1e-11), (0.3, 2.7e-11)):
+            res = ev.eval_many(xs, dt, np.array([0.4]), 0.0)
+            exact = layered_kernel_1d(1.0, 4.0, xs[:, 0], dt, 0.4, 0.0)
+            err = np.abs(res["gamma"] - exact)
+            assert np.all(err <= res["est"])
+            with np.errstate(divide="ignore"):
+                assert np.median(res["est"] / err) <= 510.0
+            assert np.max(res["est"]) <= largest * np.max(exact)
+
+    @pytest.mark.parametrize("dt", [0.01, 0.1, 0.3])
+    def test_xi_resolution_check(self, dt):
+        # In 2-D at a loose tolerance the fine xi' grid's error, about 1e-11
+        # of the peak, exceeds the contour difference in the Gaussian tail;
+        # est from the contour rule alone, or from the tail bound and the
+        # roundoff floor, misses it at 3-26 of these points.
+        t_mat = validate_tensor([[1.5, 0.5], [0.5, 1.0]])
+        ev = KernelEvaluator(homogeneous_medium(t_mat), QuadratureConfig(target_rel_tol=1e-6))
+        rng = np.random.default_rng(0)
+        y = np.array([0.1, 0.2])
+        x = y + 3.0 * math.sqrt(dt) * rng.uniform(-1.0, 1.0, (100, 2))
+        res = ev.eval_many(x, dt, y, 0.0)
+        err = np.abs(res["gamma"] - gaussian_kernel(t_mat, x, dt, y, 0.0))
+        assert np.all(err <= res["est"])
+
+    @pytest.mark.parametrize("mu,row", [(0.28, 4), (0.12, 5)])
+    @pytest.mark.parametrize("dt", [0.01, 0.3, 3.0])
+    def test_bounds_gaussian_error_on_wide_rows(self, mu, row, dt):
+        # The rows of small mu, whose tables never reach the 1e-13 target.
+        for t_mat in (validate_tensor([[1.3]]), validate_tensor([[2.0, 1.0], [1.0, 2.0]])):
+            n = t_mat.dim
+            ev = KernelEvaluator(homogeneous_medium(t_mat), QuadratureConfig(mu=mu))
+            assert ev._row is _CONTOUR_ROWS[row]
+            rng = np.random.default_rng(row)
+            y = np.array([0.1, -0.2][2 - n:])
+            x = y + math.sqrt(dt) * rng.uniform(-2.5, 2.5, (30, n))
+            res = ev.eval_many(x, dt, y, 0.0)
+            err = np.abs(res["gamma"] - gaussian_kernel(t_mat, x, dt, y, 0.0))
+            g_err = np.abs(res["grad"] - gaussian_gradient(t_mat, x, dt, y, 0.0))
+            assert np.all(err <= res["est"])
+            assert np.all(g_err.max(axis=1) <= res["est"])
 
 
 class TestMassAndDelta:
