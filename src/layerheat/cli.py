@@ -131,14 +131,13 @@ def _query_points(cfg: dict, dim: int) -> np.ndarray:
         pts = np.atleast_2d(_field(cfg, "x", "an array of numbers"))
     elif "grid" in cfg:
         g = cfg["grid"]
-        axes = [
-            np.linspace(lo, hi, m)
-            for lo, hi, m in zip(
-                np.atleast_1d(_field(g, "min", "an array of numbers")),
-                np.atleast_1d(_field(g, "max", "an array of numbers")),
-                _field(g, "points", "a list of integers"),
-            )
-        ]
+        lows = np.atleast_1d(_field(g, "min", "an array of numbers"))
+        highs = np.atleast_1d(_field(g, "max", "an array of numbers"))
+        counts = _field(g, "points", "a list of integers")
+        if not lows.shape == highs.shape == (len(counts),) == (dim,):
+            raise ConfigError(
+                f"grid 'min', 'max' and 'points' need one entry per medium dimension ({dim})")
+        axes = [np.linspace(lo, hi, m) for lo, hi, m in zip(lows, highs, counts)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
     else:

@@ -256,6 +256,11 @@ class CubeGreen:
         x, y = _green_points(x, y, n)
         if not all(self.cube.contains(p) for p in y):
             raise MediumError("sources must lie strictly inside the cube")
+        # Targets may lie on the boundary, as boundary_samples do; the slack
+        # covers the rounding of center +- half_width.
+        w, c = self.cube.half_width, self.cube.center
+        if np.any(np.abs(x - c) > w + 4.0 * np.finfo(float).eps * (np.abs(c) + w)):
+            raise MediumError("targets must lie in the closed cube")
         dt = time_lag(t, s)
         tail = self.tail_bound(dt)
         scale = (4.0 * np.pi * dt) ** (-n / 2.0) / math.sqrt(self._det)

@@ -42,27 +42,22 @@ Theta_A, Theta_B, their sum, eight exponents and five coefficients
 all its region groups; a term that two groups share (R11/R12, R21/R22) is
 the same arrays, and its weights are built once per pass too.
 
-Tail bound and nested doublings.  After the tau integral the integrand
-decays like e^{-a |xi'|^2}, a = lambda_min(S) (t - s) over the tangential
-Schur complements S of both layers.  The base radius R0 has a R0^2 =
-ln(100/tol), widened below tol 1e-6 (_base_radius), and a pass is
-accepted when a bound on what its grid leaves out passes the truncation
-test: the grid's own mass on R/2 <= |xi_j| <= R, extrapolated beyond R
-by the Gaussian mass ratio (_tail_bound).  The bound reads the
-full contour rule's integrand (s(xi') + conj s(-xi'))/2, formed from the
-half sums s on mirrored nodes; s alone will not do, since its imaginary
-part, which the mirrored node cancels, decays only like 1/|xi'|.  The
-bound is also the truncation part of est.  At the default tolerance the
-base grid passes; a doubling happens where the bound fails, at loose
-tolerances for points far in the Gaussian tail, whose relative test is
-strict.  Each doubling keeps every panel of the previous grid and appends
-annulus panels, so the previous grid is, bit for bit, a tensor block of
-the new one.  Its nodes are picked by radius: those with every |xi_j|
-below the previous radius, since Gauss-Legendre nodes lie strictly inside
-their panels.  The tau contraction is done node by node, so each doubling
-contracts only the new annulus nodes and scatters the stored sums of the
-old ones into place; the xi' phase contraction then runs on the whole
-grid.  Values are the same as when every pass is summed afresh.
+Tail bound.  After the tau integral the integrand decays like
+e^{-a |xi'|^2}, a = lambda_min(S) (t - s) over the tangential Schur
+complements S of both layers, so one xi' grid on [-R0, R0] per axis
+suffices: a R0^2 = ln(100/tol), widened below tol 1e-6 (_base_radius).
+A bound on what the grid leaves out is the grid's own mass on
+R0/2 <= |xi_j| <= R0, extrapolated beyond R0 by the Gaussian mass ratio
+(_tail_bound).  It reads the full contour rule's integrand
+(s(xi') + conj s(-xi'))/2, formed from the half sums s on mirrored nodes;
+s alone will not do, since its imaginary part, which the mirrored node
+cancels, decays only like 1/|xi'|.  Gamma and the gradients get bounds of
+their own, and each is tested against its own scale: 0.1 tol |Gamma| plus
+0.1 tol times the kernel scale (4 pi dt)^{-n/2} det^{-1/2}, and
+0.1 tol max|grad Gamma| plus 0.1 tol times the kernel scale over the
+length sqrt(min_delta dt).  A grid that fails either test raises
+QuadratureNotConverged; there is no second grid.  The larger bound is the
+truncation part of est.
 """
 from __future__ import annotations
 
@@ -95,7 +90,7 @@ class TransformError(RuntimeError):
 
 
 class QuadratureNotConverged(TransformError):
-    """Error estimate above target after maximal refinement."""
+    """The xi' grid's tail bound fails its truncation test (CLI exit 3)."""
 
 
 class ContourLeavesDomain(TransformError):
@@ -121,8 +116,6 @@ _CONTOUR_ROWS = (
                         2.4e-11, 3.2e-11, 5.6e-11, 1.3e-10, 7.9e-10, 2.7e-09, 1.8e-08)),
     (0.50, 2.584, 0.3, (1.3e-09, 2.3e-11, 3.4e-14, 8.4e-13, 1.9e-12, 4.7e-12, 2.8e-11,
                         3.3e-11, 1.8e-10, 1.5e-09, 6.6e-09, 2.5e-08, 9.0e-08, 2.8e-07)),
-    (1.1721, 1.0818, 0.715, (1.4e-05, 5.9e-07, 2.5e-08, 9.8e-10, 3.5e-11, 9.8e-13, 7.4e-15,
-                             4.0e-14, 4.6e-14, 2.5e-14, 1.8e-13, 2.4e-13, 6.4e-14, 1.9e-12)),
     (0.40, 2.432, 0.3, (9.8e-06, 4.3e-07, 2.0e-08, 8.7e-10, 3.2e-11, 6.2e-11, 1.7e-10,
                         1.5e-09, 4.6e-09, 2.1e-08, 1.2e-07, 6.4e-07, 2.6e-06, 1.4e-05)),
     (0.25, 2.600, 0.3, (1.4e-03, 2.0e-04, 3.4e-05, 6.1e-06, 1.2e-06, 2.1e-07, 3.9e-08,
@@ -135,7 +128,7 @@ MU_LADDER = (2.4, 1.2, 0.8, 0.6, 0.45, 0.28, 0.12)
 MU_SAMPLES = 2000
 MU_SEED = 0
 
-# Gauss-Legendre nodes on the base xi' panel [-R0, R0] of each axis, at
+# Gauss-Legendre nodes on the xi' grid [-R0, R0] of each axis, at
 # target_rel_tol 1e-6 and above (see KernelEvaluator._base_radius).
 XI_BASE_NODES = 32
 
@@ -382,8 +375,8 @@ class KernelEvaluator:
         self._schur_min = min(
             medium.upper.schur_complement_min(), medium.lower.schur_complement_min()
         )
-        # The decay a R0^2 at the base radius R0, and the base panel's
-        # node count (see _base_radius).
+        # The decay a R0^2 at the xi' radius R0, and the least node count
+        # of the grid's axes (see _base_radius).
         tol = self.cfg.target_rel_tol
         decay = max(math.log(100.0 / tol), 2.0)
         self._decay = decay + 1.5 * max(0.0, math.log(1e-6 / tol))
@@ -394,63 +387,47 @@ class KernelEvaluator:
     def _contour(self, m: int, dt: float):
         return _hyperbolic_nodes(self._row, m, dt)
 
-    def _xi_panels(self, base_radius: float, doublings: int, osc_j: float,
-                   dt: float, factor: float):
-        """Gauss-Legendre panels (lo, hi, nodes) for one xi' axis.
-
-        The base panel [-R0, R0] carries the Gaussian bulk; each doubling
-        appends annulus panels with node counts proportional to panel
-        length so resolution stays uniform under extension.
-        """
+    def _xi_panels(self, radius: float, osc_j: float, dt: float, factor: float):
+        """Gauss-Legendre panels (lo, hi, nodes) tiling [-radius, radius] on one xi' axis."""
+        length = 2.0 * radius
         density = math.sqrt(self._schur_min * dt)
-        breaks = [-base_radius, base_radius]
-        for i in range(doublings):
-            r_hi = base_radius * 2 ** (i + 1)
-            breaks = [-r_hi] + breaks + [r_hi]
-        panels = []
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            length = b - a
-            n_j = max(
-                self._base_nodes if length == 2 * base_radius else 16,
-                int(0.7 * length * osc_j) + 16,
-                int(0.5 * length * density) + 8,
-            )
-            n_j = max(8, int(factor * n_j))
-            # Gauss-Legendre weight generation is O(n^2); split very long
-            # panels instead of growing a single rule.
-            pieces = max(1, -(-n_j // 400))
-            n_piece = -(-n_j // pieces)
-            # Cuts measured from the panel centre, so that mirrored panels
-            # split into exactly mirrored pieces (the half contour rule
-            # needs a point-symmetric grid).
-            mid, half = 0.5 * (a + b), 0.5 * length
-            cuts = [mid + half * (2 * i - pieces) / pieces for i in range(pieces + 1)]
-            panels += [(lo, hi, n_piece) for lo, hi in zip(cuts[:-1], cuts[1:])]
-        return panels
+        n_j = max(
+            self._base_nodes,
+            int(0.7 * length * osc_j) + 16,
+            int(0.5 * length * density) + 8,
+        )
+        n_j = max(8, int(factor * n_j))
+        # Gauss-Legendre weight generation is O(n^2); split a long axis into
+        # pieces instead of growing a single rule.  Cuts measured from the
+        # centre, so that the pieces mirror exactly (the half contour rule
+        # needs a point-symmetric grid).
+        pieces = max(1, -(-n_j // 400))
+        n_piece = -(-n_j // pieces)
+        cuts = [radius * (2 * i - pieces) / pieces for i in range(pieces + 1)]
+        return [(lo, hi, n_piece) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
-    def _xi_grid(self, base_radius: float, doublings: int, osc: np.ndarray,
-                 dt: float, factor: float = 1.0):
+    def _xi_grid(self, radius: float, osc: np.ndarray, dt: float, factor: float = 1.0):
         d = self.medium.dim - 1
         xi, wq = gauss_tensor_grid([
-            self._xi_panels(base_radius, doublings, osc[j], dt, factor)
-            for j in range(d)
+            self._xi_panels(radius, osc[j], dt, factor) for j in range(d)
         ])
         return xi, wq / (2.0 * np.pi) ** d
 
     def _base_radius(self, dt: float) -> float:
-        """Radius R0 of the base xi' panel: a R0^2 = decay, a = schur_min dt.
+        """Radius R0 of the xi' grid: a R0^2 = decay, a = schur_min dt.
 
         At decay = ln(100/tol) the integrand beyond R0 is about tol/100 of
-        its peak: enough for the truncation test, but at tol 1e-8 it leaves
-        errors near 1e-10 of the peak, where one doubling reaches 1e-11.
-        Below tol 1e-6 the panel is therefore widened by 1.5 ln(1e-6/tol)
-        more decay (e^-30 at tol 1e-8, radius x1.14), and its node count
-        grows 1.5 times as fast as the decay (x1.45), to resolve the wider
-        panel more finely.  On the benchmark's scatter batches, against
-        the closed forms, the radius alone or with nodes x1.3 loses up to
-        a digit, and x1.45 gains most of one.  At tol 1e-6 and above
-        nothing changes: there a doubling gives no more digits on the
-        cylinder batches, and a wider panel only costs memory.
+        its peak, which the truncation test needs, but at tol 1e-8 that
+        leaves errors near 1e-10 of the peak where twice the radius reaches
+        1e-11.  Below tol 1e-6 the grid is therefore widened by
+        1.5 ln(1e-6/tol) more decay (e^-30 at tol 1e-8, radius x1.14), and
+        its node count grows 1.5 times as fast as the decay (x1.45), to
+        resolve the wider grid more finely.  On the benchmark's scatter
+        batches, against the closed forms, the radius alone or with nodes
+        x1.3 loses up to a digit, and x1.45 gains most of one.  At tol 1e-6
+        and above the radius follows ln(100/tol) alone: there twice the
+        radius gives no more digits on the cylinder batches, and the
+        truncation test, in the units of each quantity, passes.
         """
         return math.sqrt(self._decay / (self._schur_min * dt))
 
@@ -469,8 +446,6 @@ class KernelEvaluator:
         ``contour_diff``, s_diff holds s_val and s_n of the rule minus its
         even-node subset (weights 2 W_m on even m, the step-2h rule on the
         same contour), from the same exponentials: weights (-1)^(m+1) W_m.
-        Each is computed node by node, so the sums on part of a grid equal
-        the sums on the whole grid restricted to that part, bit for bit.
         """
         q_cnt, m_cnt = xi.shape[0], tau.size
         chunk = max(1, int(4.0e6 / (q_cnt * m_cnt)))
@@ -597,41 +572,18 @@ class KernelEvaluator:
         tau, w = self._contour(self.cfg.contour_nodes, dt)
         wte = w * np.exp(tau * dt)
 
+        tol = self.cfg.target_rel_tol
         scale0 = (4.0 * np.pi * dt) ** (-n / 2.0) / math.sqrt(self._det_min)
-        near = np.abs(xn - yn) <= 0.1 * math.sqrt(self.medium.min_delta() * dt)
-        tol_eff = self.cfg.target_rel_tol * np.where(near, 10.0, 1.0)
+        length = math.sqrt(self.medium.min_delta() * dt)  # diffusion length
+        near = np.abs(xn - yn) <= 0.1 * length
+        tol_eff = tol * np.where(near, 10.0, 1.0)
 
         osc = np.max(np.abs(dxp), axis=0, initial=0.0)
 
         radius = self._base_radius(dt)
-        trunc = np.zeros(k_tot)
-        for doublings in range(7):
-            xi, wq = self._xi_grid(radius, doublings, osc, dt)
-            if doublings == 0:
-                sums = self._tau_sums(groups, xi, tau, wte, source_gradient,
-                                      contour_diff=d == 0)
-            else:
-                # The previous grid is a block of this one: sum only the
-                # nodes of the new annulus panels.
-                inner = _inner_mask(xi, radius, doublings)
-                fresh = self._tau_sums(groups, xi[~inner], tau, wte, source_gradient)
-                sums = [tuple(_scatter(inner, a, b) for a, b in zip(old, new))
-                        for old, new in zip(sums, fresh)]
-            gam, grd, sgr, floor = self._phase_sums(groups, dxp, xi, wq, sums,
-                                                    source_gradient)
-            if d == 0:
-                break  # no tangential axes: the xi' rule is one point
-            trunc = _tail_bound(groups, k_tot, xi, wq, sums,
-                                radius * 2.0 ** doublings, self._schur_min * dt)
-            # Relative criterion plus an absolute floor on the natural
-            # kernel scale: far-tail points are dominated by
-            # oscillatory-rule roundoff, not truncation.
-            if np.all(trunc <= 0.1 * tol_eff * np.abs(gam) + 1e-9 * scale0):
-                break
-        else:
-            raise QuadratureNotConverged(
-                "tangential truncation did not converge after 6 extensions"
-            )
+        xi, wq = self._xi_grid(radius, osc, dt)
+        sums = self._tau_sums(groups, xi, tau, wte, source_gradient, contour_diff=d == 0)
+        gam, grd, sgr, floor = self._phase_sums(groups, dxp, xi, wq, sums, source_gradient)
         if d == 0:
             # The xi' rule is one node of weight 1: the differences of Gamma
             # and of the normal gradient are the real parts of s_diff.
@@ -639,14 +591,28 @@ class KernelEvaluator:
             for (_, idx, _, inv), (*_, s_diff) in zip(groups, sums):
                 est[idx] = CONTOUR_SAFETY * np.max(np.abs(s_diff[:, :, 0].real), axis=0)[inv]
         else:
+            t_val, t_grad = _tail_bound(groups, k_tot, xi, wq, sums, radius,
+                                        self._schur_min * dt)
+            # Each bound against its own quantity: relative to it, plus an
+            # absolute floor on the kernel scale (far-tail points are
+            # dominated by oscillatory-rule roundoff, not truncation), which
+            # for the gradients is divided by the diffusion length.
+            grad_abs = np.max(np.abs(grd), axis=1)
+            if source_gradient:
+                grad_abs = np.maximum(grad_abs, np.max(np.abs(sgr), axis=1))
+            if not (np.all(t_val <= 0.1 * tol_eff * np.abs(gam) + 0.1 * tol * scale0)
+                    and np.all(t_grad <= 0.1 * tol_eff * grad_abs + 0.1 * tol * scale0 / length)):
+                raise QuadratureNotConverged(
+                    "the xi' grid's tail bound fails the truncation test"
+                )
             # The xi' resolution check: a 0.7x grid on the step-2h rule
             # (the even nodes), so the difference holds the contour error
             # of the step-2h rule too.
-            xi_co, wq_co = self._xi_grid(radius, doublings, osc, dt, factor=0.7)
+            xi_co, wq_co = self._xi_grid(radius, osc, dt, factor=0.7)
             sums_co = self._tau_sums(groups, xi_co, tau[::2], 2.0 * wte[::2], False)
             gam_c, grd_c, _, _ = self._phase_sums(groups, dxp, xi_co, wq_co, sums_co, False)
             est = np.maximum(np.abs(gam - gam_c), np.max(np.abs(grd - grd_c), axis=1))
-            est = np.maximum(est, trunc)
+            est = np.maximum(est, np.maximum(t_val, t_grad))
         est = np.maximum(est, floor)
         est = np.maximum(est, 1e-15 * np.abs(gam))
         out = {"gamma": gam, "grad": grd, "est": est}
@@ -656,8 +622,8 @@ class KernelEvaluator:
 
 
 def _tail_bound(groups, k_tot: int, xi: np.ndarray, wq: np.ndarray, sums,
-                radius: float, decay_rate: float) -> np.ndarray:
-    """Per point, a bound on the part of Gamma, grad and sgrad beyond the xi' grid.
+                radius: float, decay_rate: float):
+    """Per point, bounds on the part of Gamma, and of grad and sgrad, beyond the xi' grid.
 
     The grid covers [-radius, radius] on each axis and is point-symmetric,
     so the full contour rule's integrand at node q is f = (s_q +
@@ -670,23 +636,25 @@ def _tail_bound(groups, k_tot: int, xi: np.ndarray, wq: np.ndarray, sums,
     of e^{-a xi_j^2}, erfc(sqrt(a) R) / (erf(sqrt(a) R) - erf(sqrt(a) R/2)),
     and the axes are added.  TAIL_SAFETY covers a profile e^{-a xi^2}
     times a power of |xi| up to the third (a power m multiplies the ratio
-    by about 2^m).  The same bound is formed for the gradient sums, for
-    the tangential ones from |xi'|_inf |f|, and the largest is returned.
+    by about 2^m).  Returns the bound for Gamma and the largest of the
+    bounds for the gradient sums: the tangential ones from |xi'|_inf |f|,
+    the normal and source ones from their own sums.
     """
     x = math.sqrt(decay_rate) * radius
-    tail = math.erfc(x)  # underflows to 0 after a few doublings
+    tail = math.erfc(x)  # underflows to 0 on a wide grid
     ratio = tail / (math.erfc(0.5 * x) - tail) if tail > 0.0 else 0.0
     w_val = np.sum(np.abs(xi) >= 0.5 * radius, axis=1) * wq
     w_tan = np.max(np.abs(xi), axis=1) * w_val
-    bound = np.zeros(k_tot)
+    bound_val, bound_grad = np.zeros(k_tot), np.zeros(k_tot)
     for (_, idx, _, inv), (s_val, s_n, s_src, *_) in zip(groups, sums):
         f_val = np.abs(s_val + s_val[:, ::-1].conj())
-        mass = np.maximum(f_val @ w_val, f_val @ w_tan)
+        mass = f_val @ w_tan
         for s in (s_n, s_src):
             if s is not None:
                 mass = np.maximum(mass, np.abs(s + s[:, ::-1].conj()) @ w_val)
-        bound[idx] = (0.5 * TAIL_SAFETY * ratio * mass)[inv]
-    return bound
+        bound_val[idx] = (0.5 * TAIL_SAFETY * ratio * (f_val @ w_val))[inv]
+        bound_grad[idx] = (0.5 * TAIL_SAFETY * ratio * mass)[inv]
+    return bound_val, bound_grad
 
 
 def _term_key(term):
@@ -715,26 +683,6 @@ def _term_weights(term, wte, source_gradient: bool, contour_diff: bool = False):
     if contour_diff:
         w_diff = np.stack([w_t, w_p]) * np.where(np.arange(wte.size) % 2, 1.0, -1.0)
     return w_t, w_p, w_q, w_abs, w_diff
-
-
-def _inner_mask(xi: np.ndarray, radius: float, doublings: int) -> np.ndarray:
-    """Nodes of the doubling-k grid ``xi`` that the doubling-(k-1) grid holds.
-
-    The doubling-(k-1) panels tile [-R, R] on each axis, R = radius 2^(k-1),
-    and the new panels lie outside it; Gauss-Legendre nodes lie strictly
-    inside their panels, so the old nodes are those with every |xi_j| < R.
-    """
-    return np.all(np.abs(xi) < radius * 2.0 ** (doublings - 1), axis=1)
-
-
-def _scatter(inner: np.ndarray, old, new):
-    """Sums over a grid from the sums on its ``inner`` nodes and on the rest."""
-    if old is None:
-        return None
-    full = np.empty(old.shape[:-1] + inner.shape, dtype=old.dtype)
-    full[..., inner] = old
-    full[..., ~inner] = new
-    return full
 
 
 def eval_kernel(medium: TwoLayerMedium, q: KernelQuery, cfg: QuadratureConfig | None = None) -> KernelValue:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layerheat import cli
+from layerheat import cli, inverse_transform
 from layerheat.cli import main
 
 
@@ -111,6 +111,35 @@ class TestErrors:
         cfg = eval_cfg(tmp_path)
         cfg["eval"]["grid"] = {"min": [-1, -1], "max": [1, 1], "points": [5, 5]}
         assert main(["eval", write_cfg(tmp_path, cfg)]) == 2
+
+    @pytest.mark.parametrize("grid", [
+        {"min": [0, 0.1, 7], "max": [1, 1], "points": [3, 3]},
+        {"min": [0, 0.1], "max": [1, 1, 1], "points": [3, 3]},
+        {"min": [0, 0.1], "max": [1, 1], "points": [3, 3, 3]},
+        {"min": [0], "max": [1], "points": [3]},
+    ])
+    def test_grid_entries_per_dimension(self, tmp_path, grid):
+        cfg = {
+            "medium": {"upper": [[1.0, 0.0], [0.0, 1.0]]},
+            "eval": {"t": 0.5, "s": 0.0, "y": [0.0, 0.3], "grid": grid},
+            "output": str(tmp_path / "out.csv"),
+        }
+        assert main(["eval", write_cfg(tmp_path, cfg)]) == 2
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_quadrature_not_converged_exit_3(self, tmp_path, monkeypatch, capsys):
+        def failing(groups, k_tot, *args):
+            return np.full(k_tot, np.inf), np.full(k_tot, np.inf)
+
+        monkeypatch.setattr(inverse_transform, "_tail_bound", failing)
+        cfg = {
+            "medium": {"upper": [[1.0, 0.0], [0.0, 1.0]]},
+            "eval": {"t": 0.5, "s": 0.0, "y": [0.0, 0.3], "x": [[0.2, 0.5]]},
+            "output": str(tmp_path / "out.csv"),
+        }
+        assert main(["eval", write_cfg(tmp_path, cfg)]) == 3
+        assert "quadrature failed" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_uncertified_mu_exit_3(self, tmp_path):
         cfg = {

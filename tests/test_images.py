@@ -279,6 +279,21 @@ class TestCubeGreen:
             with pytest.raises(MediumError):
                 cg.evaluate_many(x, 0.3, np.array(bad), 0.0)
 
+    def test_targets_outside_cube_rejected(self):
+        med = homogeneous_medium(validate_tensor([[1.0, 0.0], [0.0, 2.0]]))
+        # At this centre and width |(c + w) - c| exceeds w by one rounding.
+        cube = Cube(half_width=1.2, center=np.array([-0.5, 0.4]))
+        cg = CubeGreen(med, cube)
+        y = np.array([0.2, 0.1])
+        for bad in ([[5.0, 0.1]], [[-0.5, -0.8 - 1e-9]], [[0.1, 0.2], [0.7 + 1e-9, 0.0]]):
+            with pytest.raises(MediumError):
+                cg.evaluate_many(np.array(bad), 0.2, y, 0.0)
+        # The closed cube: boundary targets and corners are accepted.
+        corners = cube.center + cube.half_width * np.array([[1, 1], [-1, 1], [1, -1], [-1, -1]])
+        for x in (cg.boundary_samples(3), corners):
+            res = cg.evaluate_many(x, 0.2, y, 0.0)
+            assert np.all(np.isfinite(res["gamma"]))
+
     def test_times_checked(self):
         med = homogeneous_medium(validate_tensor([[1.0, 0.0], [0.0, 2.0]]))
         cg = CubeGreen(med, Cube(half_width=1.0, center=np.array([0.0, 0.0])))

@@ -19,9 +19,9 @@ from layerheat.inverse_transform import (
     ContourLeavesDomain,
     KernelEvaluator,
     QuadratureConfig,
+    QuadratureNotConverged,
     _contour_size,
     _hyperbolic_nodes,
-    _inner_mask,
     _select_row,
     certify_mu,
     gauss_tensor_grid,
@@ -40,13 +40,13 @@ from symbol_checks import in_analyticity_domain
 
 
 def record_xi_grids(ev):
-    """Record (doublings, factor, (xi, wq)) of every xi' grid ``ev`` builds."""
+    """Record (factor, (xi, wq)) of every xi' grid ``ev`` builds."""
     calls = []
     xi_grid = ev._xi_grid
 
-    def recorded(radius, doublings, osc, dt, factor=1.0):
-        calls.append((doublings, factor, xi_grid(radius, doublings, osc, dt, factor)))
-        return calls[-1][2]
+    def recorded(radius, osc, dt, factor=1.0):
+        calls.append((factor, xi_grid(radius, osc, dt, factor)))
+        return calls[-1][1]
 
     ev._xi_grid = recorded
     return calls
@@ -313,15 +313,15 @@ class TestHalfRule:
         med = TwoLayerMedium(upper=validate_tensor(np.eye(n)),
                              lower=validate_tensor(np.diag([2.0, 3.0, 1.5][:n])))
         ev = KernelEvaluator(med)
-        # (dt, doublings, osc); the last case splits panels (n_j > 400)
-        cases = [(0.01, 0, 0.0), (0.3, 2, 1.5), (2.0, 5, 0.2), (0.1, 1, 100.0)]
-        for dt, doublings, osc_max in cases:
+        # (dt, osc); the last case splits the axis in pieces (n_j > 400)
+        cases = [(0.01, 0.0), (0.3, 1.5), (2.0, 0.2), (0.1, 100.0)]
+        for dt, osc_max in cases:
             osc = np.array([osc_max, min(osc_max, 0.5)])[:n - 1]
             radius = ev._base_radius(dt)
-            panels = ev._xi_panels(radius, doublings, osc[0], dt, 1.0)
-            assert (len(panels) > 2 * doublings + 1) == (osc_max > 50.0)
+            panels = ev._xi_panels(radius, osc[0], dt, 1.0)
+            assert (len(panels) > 1) == (osc_max > 50.0)
             for factor in (1.0, 0.7):
-                xi, wq = ev._xi_grid(radius, doublings, osc, dt, factor)
+                xi, wq = ev._xi_grid(radius, osc, dt, factor)
                 assert np.array_equal(xi[::-1], -xi)
                 assert np.array_equal(wq[::-1], wq)
 
@@ -360,7 +360,7 @@ class TestHalfRule:
         ev = KernelEvaluator(med)
         grids = record_xi_grids(ev)
         res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
-        xi, wq = grids[-2][2]  # the last fine grid; the coarse pass follows it
+        xi, wq = grids[-2][1]  # the fine grid; the coarse pass follows it
         tau, w = ev._contour(ev.cfg.contour_nodes, dt)
         # Unfold the half rule: node -k is the conjugate of node k, and the
         # half rule doubled the weights of k > 0.
@@ -393,58 +393,15 @@ class TestHalfRule:
 
 
 class TestNestedDoublings:
-    """Doubling k + 1 reuses the tau sums of doubling k on the nodes they share."""
-
-    @staticmethod
-    def evaluator(n):
-        return KernelEvaluator(TwoLayerMedium(
-            upper=validate_tensor(np.eye(n)),
-            lower=validate_tensor(np.diag([2.0, 3.0, 1.5][:n]))))
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_previous_axis_is_centred_block(self, n):
-        # Each axis of doubling k is, bit for bit, the centred block of the
-        # same axis at doubling k + 1.  This fails as soon as a panel's node
-        # count (or its split into pieces) depends on the doubling level.
-        ev = self.evaluator(n)
-        # (dt, osc, doublings); the last case splits panels (n_j > 400)
-        for dt, osc_j, levels in ((0.3, 1.5, 5), (0.05, 0.0, 5), (0.1, 25.0, 2)):
-            radius = ev._base_radius(dt)
-            for factor in (1.0, 0.7):
-                for k in range(levels):
-                    old_x, old_w = gauss_tensor_grid(
-                        [ev._xi_panels(radius, k, osc_j, dt, factor)])
-                    new_x, new_w = gauss_tensor_grid(
-                        [ev._xi_panels(radius, k + 1, osc_j, dt, factor)])
-                    extra = new_x.shape[0] - old_x.shape[0]
-                    assert extra > 0 and extra % 2 == 0
-                    block = slice(extra // 2, extra // 2 + old_x.shape[0])
-                    assert np.array_equal(new_x[block], old_x)
-                    assert np.array_equal(new_w[block], old_w)
-        # The base panel of the last case is split in pieces.
-        assert len(ev._xi_panels(ev._base_radius(0.1), 0, 25.0, 0.1, 1.0)) > 1
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_inner_mask_selects_previous_grid(self, n):
-        ev = self.evaluator(n)
-        for dt, osc, levels in ((0.3, np.array([1.5, 0.5]), 4),
-                                (0.1, np.array([25.0, 0.2]), 2)):
-            radius = ev._base_radius(dt)
-            for k in range(1, levels + 1):
-                old_xi, old_wq = ev._xi_grid(radius, k - 1, osc, dt)
-                new_xi, new_wq = ev._xi_grid(radius, k, osc, dt)
-                inner = _inner_mask(new_xi, radius, k)
-                assert inner.shape == new_wq.shape
-                assert np.array_equal(new_xi[inner], old_xi)
-                assert np.array_equal(new_wq[inner], old_wq)
+    """Values pinned when the evaluator still extended the xi' grid by doublings."""
 
     def test_three_doublings_pinned(self):
-        # One point per region plus a far one; at this loose tolerance and
-        # short lag the tail bound of the base grid fails and the loop
-        # doubles.  The pinned values are those of the evaluator before the
-        # tau sums were reused across doublings, when the loop confirmed
-        # each doubling with another and so ran three fine passes; each
-        # value must lie within est of them.
+        # One point per region plus a far one, at a loose tolerance and a
+        # short lag.  The pinned values are those of an evaluator that
+        # extended the xi' grid by doublings and confirmed each doubling
+        # with another, so ran three fine passes; the one grid of radius R0
+        # passes the truncation test here, and each value must lie within
+        # est of them.
         med = TwoLayerMedium(upper=validate_tensor([[1.0, 0.3], [0.3, 1.0]]),
                              lower=validate_tensor(np.diag([2.0, 3.0])))
         x = np.array([[0.3, 0.5], [-0.2, 0.1], [0.4, -0.3], [-0.1, 0.2],
@@ -473,8 +430,7 @@ class TestNestedDoublings:
         ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=1e-5))
         grids = record_xi_grids(ev)
         res = ev.eval_many(x, 0.05, y, 0.0, source_gradient=True)
-        factors = [factor for _, factor, _ in grids]
-        assert factors.count(1.0) >= 2 and factors[-1] == 0.7  # and the coarse pass
+        assert [factor for factor, _ in grids] == [1.0, 0.7]  # one fine grid, coarse
         for key, ref in pinned.items():
             err = np.abs(res[key] - np.array(ref))
             assert np.all(err.reshape(len(x), -1).max(axis=1) <= res["est"])
@@ -505,51 +461,82 @@ class TestTailBound:
         assert np.all(err <= res["est"])
         assert np.all(g_err.max(axis=1) <= res["est"])
 
+    @staticmethod
+    def annulus_panels(ev, radius, k, osc_j, dt):
+        """Panels of [-2^k R, -R] and [R, 2^k R] on one axis, R = ``radius``:
+        one per doubling of the radius, with node counts proportional to
+        panel length, split at 400 nodes and mirrored exactly."""
+        density = math.sqrt(ev._schur_min * dt)
+        right = []
+        for i in range(k):
+            lo, hi = radius * 2 ** i, radius * 2 ** (i + 1)
+            n_j = max(16, int(0.7 * (hi - lo) * osc_j) + 16, int(0.5 * (hi - lo) * density) + 8)
+            pieces = -(-n_j // 400)
+            cuts = [lo + (hi - lo) * p / pieces for p in range(pieces + 1)]
+            right += [(a, b, -(-n_j // pieces)) for a, b in zip(cuts[:-1], cuts[1:])]
+        left = [(-b, -a, m) for a, b, m in reversed(right)]
+        return left, right
+
     @pytest.mark.parametrize("n,tol,dt", [(2, 1e-4, 0.01), (2, 1e-4, 0.3),
                                           (2, 1e-6, 0.3), (3, 1e-4, 0.3)])
     def test_bound_covers_base_truncation(self, monkeypatch, n, tol, dt):
-        # At loose tolerances the base grid leaves real truncation error.
-        # Forcing doublings keeps the base panel and adds annuli out to two
-        # and four times the radius.  The first doubling adds the tail
-        # (beyond twice the radius the integrand is e^-4 times smaller
-        # again) and also contour noise of the tau sums on the new nodes,
-        # which the tangential gradient weights by |xi'|; the second adds
-        # only such noise, so it measures the noise.  The base grid's bound
-        # must cover the rest, for Gamma and both gradients, at every point.
-        # (At tol 1e-6 and dt = 0.01 the noise, 1e-9 of the peak, exceeds
-        # the truncation itself at some points, and changes from one
-        # doubling to the next, so doublings are no reference there.)
+        # At loose tolerances the grid leaves real truncation error.  The
+        # references keep the grid's panels and add annuli out to two and
+        # four times the radius.  The first adds the tail (beyond twice the
+        # radius the integrand is e^-4 times smaller again) and also
+        # contour noise of the tau sums on the new nodes, which the
+        # tangential gradient weights by |xi'|; the second adds only such
+        # noise, so it measures the noise.  The grid's bound must cover the
+        # rest, for Gamma and both gradients, at every point.  (At tol 1e-6
+        # and dt = 0.01 the noise, 1e-9 of the peak, exceeds the truncation
+        # itself at some points, and changes from one annulus to the next,
+        # so wider grids are no reference there.)
         bounds, passes = [], []
         tail_bound = inverse_transform._tail_bound
-        phase_sums = KernelEvaluator._phase_sums
+        tau_sums = KernelEvaluator._tau_sums
 
-        def forced(*args):
+        def recorded_bound(*args):
             bounds.append(tail_bound(*args))
-            return bounds[-1] if len(bounds) > 2 else np.full_like(bounds[-1], np.inf)
+            return bounds[-1]
 
-        def recorded(self, *args):
-            out = phase_sums(self, *args)
-            passes.append(np.column_stack([a for a in out[:3] if a is not None]))
-            return out
+        def recorded_sums(self, groups, xi, tau, wte, *args, **kwargs):
+            passes.append((groups, tau, wte))
+            return tau_sums(self, groups, xi, tau, wte, *args, **kwargs)
 
-        monkeypatch.setattr(inverse_transform, "_tail_bound", forced)
-        monkeypatch.setattr(KernelEvaluator, "_phase_sums", recorded)
+        monkeypatch.setattr(inverse_transform, "_tail_bound", recorded_bound)
+        monkeypatch.setattr(KernelEvaluator, "_tau_sums", recorded_sums)
         med = TwoLayerMedium(upper=validate_tensor(np.eye(n)),
                              lower=validate_tensor(np.diag([2.0, 3.0, 1.5][3 - n:])))
         rng = np.random.default_rng(1)
         y = rng.uniform(-0.5, 0.5, (12 if n == 2 else 3, n))
         x = y + math.sqrt(dt) * rng.uniform(-2.5, 2.5, y.shape)
-        # The doublings run on M = 64, the fixed contour size before M(tol):
-        # on shorter contours the tau sums' noise on the annulus nodes
-        # swamps the reference (at tol 1e-6, dt = 0.3 and M = 40, by 39
-        # times the bound; by 0.068 times at M = 64).
+        # The references run on M = 64, the fixed contour size before
+        # M(tol): on shorter contours the tau sums' noise on the annulus
+        # nodes swamps them (at tol 1e-6, dt = 0.3 and M = 40, by 39 times
+        # the bound; by 0.068 times at M = 64).
         ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=tol, contour_nodes=64))
-        ev.eval_many(x, dt, y, 0.0, source_gradient=True)
-        assert len(bounds) == 3 and len(passes) == 4  # three fine passes, coarse
-        base, once, twice = passes[:3]
+        res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
+        assert len(bounds) == 1 and len(passes) == 2  # one fine pass, coarse
+        bound = np.maximum(*bounds[0])
+        groups, tau, wte = passes[0]
+        dxp = x[:, :-1] - y[:, :-1]
+        osc = np.max(np.abs(dxp), axis=0)
+        radius = ev._base_radius(dt)
+        wider = []
+        for k in (1, 2):
+            axes = []
+            for j in range(n - 1):
+                left, right = self.annulus_panels(ev, radius, k, osc[j], dt)
+                axes.append(left + ev._xi_panels(radius, osc[j], dt, 1.0) + right)
+            xi, wq = gauss_tensor_grid(axes)
+            wq = wq / (2.0 * np.pi) ** (n - 1)
+            sums = tau_sums(ev, groups, xi, tau, wte, True)
+            wider.append(np.column_stack(ev._phase_sums(groups, dxp, xi, wq, sums, True)[:3]))
+        base = np.column_stack([res["gamma"], res["grad"], res["sgrad"]])
+        once, twice = wider
         tail = np.max(np.abs(once - base) - np.abs(twice - once), axis=1)
-        assert np.all(tail <= bounds[0])
-        assert np.max(tail / bounds[0]) > 1e-3  # the bound tracks real truncation
+        assert np.all(tail <= bound)
+        assert np.max(tail / bound) > 1e-3  # the bound tracks real truncation
 
     def test_bound_of_gaussian_profile(self):
         # On a Gaussian profile the bound exceeds the mass beyond the
@@ -563,8 +550,8 @@ class TestTailBound:
         groups = [(None, np.arange(1), None, np.zeros(1, dtype=int))]
 
         def bound(s_val, r=radius):
-            return inverse_transform._tail_bound(groups, 1, xi, wq, [(s_val, s_val, None, None)],
-                                                 r, a)[0]
+            return np.maximum(*inverse_transform._tail_bound(
+                groups, 1, xi, wq, [(s_val, s_val, None, None)], r, a))[0]
 
         tail = math.sqrt(np.pi / a) * math.erfc(math.sqrt(a) * radius) / (2.0 * np.pi)
         tail_xi = math.exp(-a * radius ** 2) / (2.0 * np.pi * a)
@@ -587,7 +574,7 @@ class TestTailBound:
             x[0, 0] = y[0, 0] + 4.0 * math.sqrt(dt)
             grids.clear()
             ev.eval_many(x, dt, y, 0.0)
-            assert [call[:2] for call in grids] == [(0, 1.0), (0, 0.7)]
+            assert [factor for factor, _ in grids] == [1.0, 0.7]
 
 
 class TestContourSize:
@@ -595,17 +582,17 @@ class TestContourSize:
 
     TOLS = (1e-4, 1e-6, 1e-8, 1e-10)
     # Row -> M at each of TOLS.  Down to tol 1e-9 the target is the floor
-    # 1e-13; rows 4 and 5 never reach it and take their most accurate M.
+    # 1e-13; rows 3 and 4 never reach it and take their most accurate M.
     EXPECTED = {0: (48, 48, 48, 48), 1: (32, 32, 32, 48), 2: (40, 40, 40, 40),
-                3: (72, 72, 72, 72), 4: (56, 56, 56, 56), 5: (72, 72, 72, 72)}
+                3: (56, 56, 56, 56), 4: (72, 72, 72, 72)}
 
     def test_size_per_row(self):
         for i, row in enumerate(_CONTOUR_ROWS):
             assert tuple(_contour_size(row, tol) for tol in self.TOLS) == self.EXPECTED[i]
 
     def test_row_and_size_chosen_together(self):
-        # The ladder's mu reach every row but row 3, which row 0 fits first.
-        for mu, i in zip(MU_LADDER, (0, 0, 0, 1, 2, 4, 5)):
+        # The ladder's mu reach every row.
+        for mu, i in zip(MU_LADDER, (0, 0, 0, 1, 2, 3, 4)):
             for tol, m in zip(self.TOLS, self.EXPECTED[i]):
                 assert _select_row(mu, tol) == (_CONTOUR_ROWS[i], m)
         assert _select_row(0.45, 1e-8, 64) == (_CONTOUR_ROWS[2], 64)
@@ -655,7 +642,7 @@ class TestEvenNodeEstimate:
         err = np.abs(res["gamma"] - gaussian_kernel(t_mat, x, dt, y, 0.0))
         assert np.all(err <= res["est"])
 
-    @pytest.mark.parametrize("mu,row", [(0.28, 4), (0.12, 5)])
+    @pytest.mark.parametrize("mu,row", [(0.28, 3), (0.12, 4)])
     @pytest.mark.parametrize("dt", [0.01, 0.3, 3.0])
     def test_bounds_gaussian_error_on_wide_rows(self, mu, row, dt):
         # The rows of small mu, whose tables never reach the 1e-13 target.
@@ -663,7 +650,7 @@ class TestEvenNodeEstimate:
             n = t_mat.dim
             ev = KernelEvaluator(homogeneous_medium(t_mat), QuadratureConfig(mu=mu))
             assert ev._row is _CONTOUR_ROWS[row]
-            rng = np.random.default_rng(row)
+            rng = np.random.default_rng(row + 1)  # the row's index before row 3 was deleted
             y = np.array([0.1, -0.2][2 - n:])
             x = y + math.sqrt(dt) * rng.uniform(-2.5, 2.5, (30, n))
             res = ev.eval_many(x, dt, y, 0.0)
@@ -671,6 +658,44 @@ class TestEvenNodeEstimate:
             g_err = np.abs(res["grad"] - gaussian_gradient(t_mat, x, dt, y, 0.0))
             assert np.all(err <= res["est"])
             assert np.all(g_err.max(axis=1) <= res["est"])
+
+
+class TestBoundedPlan:
+    """Every call builds one fine xi' grid, or refuses with a typed error."""
+
+    def test_failed_bound_raises(self, monkeypatch):
+        def failing(groups, k_tot, *args):
+            return np.full(k_tot, np.inf), np.full(k_tot, np.inf)
+
+        monkeypatch.setattr(inverse_transform, "_tail_bound", failing)
+        ev = KernelEvaluator(layered_2d())
+        with pytest.raises(QuadratureNotConverged):
+            ev.eval_many(np.array([[0.3, 0.5]]), 0.3, np.array([0.0, 0.2]), 0.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("b", [1.0, 3.0, 10.0, 100.0, 1000.0])
+    def test_contrast_sweep(self, n, b):
+        # I | b I: the contour is certified and each call runs one fine grid
+        # and the coarse one, or construction refuses the medium (from
+        # b = 10 on, no mu of the ladder is certified).
+        med = TwoLayerMedium(upper=validate_tensor(np.eye(n)),
+                             lower=validate_tensor(b * np.eye(n)))
+        try:
+            ev = KernelEvaluator(med)
+        except ContourLeavesDomain:
+            assert b >= 10.0
+            return
+        grids = record_xi_grids(ev)
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1.0, 1.0, (4, n))
+        x[:, -1] = [0.2, -0.3, 0.5, -0.1]
+        y = np.zeros((4, n))
+        y[:, -1] = [0.3, 0.3, -0.2, -0.2]  # one point per region
+        for dt in (0.01, 0.3)[:4 - n]:
+            grids.clear()
+            res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
+            assert [factor for factor, _ in grids] == [1.0, 0.7]
+            assert np.all(np.isfinite(res["gamma"])) and np.all(res["gamma"] > 0.0)
 
 
 class TestMassAndDelta:
