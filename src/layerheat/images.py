@@ -146,9 +146,12 @@ class HalfSpaceGreen:
             off[1, ax] = 2.0 * self.offset
         self._images = (jac, off, np.array([1, -1]))
 
-    def _check_inside(self, pts: np.ndarray):
-        if np.any(self.side * (pts[:, self.axis] - self.offset) <= 0.0):
-            raise MediumError("points must lie strictly inside the half-space")
+    def _check_inside(self, x: np.ndarray, y: np.ndarray):
+        # Targets may lie on the face, where G = 0; sources may not.
+        if np.any(self.side * (x[:, self.axis] - self.offset) < 0.0):
+            raise MediumError("targets must lie in the closed half-space")
+        if np.any(self.side * (y[:, self.axis] - self.offset) <= 0.0):
+            raise MediumError("sources must lie strictly inside the half-space")
 
     def _to_frame(self, pts: np.ndarray) -> np.ndarray:
         """Map to the evaluation frame where the face is {z_n = 0, z_n > 0}."""
@@ -160,8 +163,7 @@ class HalfSpaceGreen:
 
     def evaluate_many(self, x, t, y, s, source_gradient: bool = True):
         x, y = _green_points(x, y, self.medium.dim)
-        self._check_inside(x)
-        self._check_inside(y)
+        self._check_inside(x, y)
         res = _image_sum(
             self._ev, self._to_frame(x), t, self._to_frame(y), s, *self._images,
             source_gradient,

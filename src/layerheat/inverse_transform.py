@@ -15,26 +15,25 @@ table of its measured error against the half-width M, and M(tol) is the
 smallest tabulated M whose error is at most min(1e-4 tol, 1e-13)
 (_select_row).
 
-Error estimate.  The contour part of est compares the rule with its
-even-node subset, the step-2h trapezoid rule on the same contour
-(Trefethen & Weideman, SIAM Rev. 56 (2014)).  In 1-D that is a second
-weighted sum over the exponentials of the tau contraction, weights
-(-1)^(m+1) W_m, so it needs no symbol of its own.  In 2-D and 3-D the
-comparison also checks the xi' resolution: a coarse pass evaluates the
-step-2h rule (M/2 + 1 tau nodes) on a grid of 0.7 times the xi' nodes.
-The tail bound below and a roundoff floor complete est.
+The tangential xi' integral is a uniform trapezoid rule too: its
+integrand is analytic and decays like a Gaussian, the textbook case for
+that rule (Trefethen & Weideman, SIAM Rev. 56 (2014)).  Its radius follows
+that decay (Tail bound), its spacing the oscillation |x' - y'| and the
+widest layer (_xi_spacing).
 
-The tangential xi' integral is a truncated Gauss-Legendre rule whose
-radius follows the Gaussian decay rate of the time-integrated symbol and
-whose node count scales with the oscillation length |x' - y'|.
+Error estimate.  The nodes of even index on the contour and on every xi'
+axis form the step-2h rule, summed from the tau contraction's own
+exponentials.  est is CONTOUR_SAFETY times the change of Gamma and grad
+between the two rules, or the tail bound below or a roundoff floor if
+larger, in every dimension; in 1-D the xi' rule is one node.
 
 Half rule.  The kernel is real: at real xi' the integrand at (-xi', conj
 tau) is the complex conjugate of the integrand at (xi', tau), because
 Theta^2 has real coefficients and the i*xi'.g terms change sign with xi'.
 The contour is symmetric (tau_{-k} = conj tau_k, w_{-k} = conj w_k) and
-the xi' grid is point-symmetric, so only the nodes k = 0..M are evaluated,
-the weights of k > 0 are doubled, and every sum is the real part of the
-half sum.
+the xi' grid and its even-index subset are point-symmetric, so only the
+nodes k = 0..M are evaluated, the weights of k > 0 are doubled, and every
+sum is the real part of the half sum.
 
 Shared symbols.  All six region symbols are built from one table of
 Theta_A, Theta_B, their sum, eight exponents and five coefficients
@@ -64,7 +63,9 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -128,10 +129,6 @@ MU_LADDER = (2.4, 1.2, 0.8, 0.6, 0.45, 0.28, 0.12)
 MU_SAMPLES = 2000
 MU_SEED = 0
 
-# Gauss-Legendre nodes on the xi' grid [-R0, R0] of each axis, at
-# target_rel_tol 1e-6 and above (see KernelEvaluator._base_radius).
-XI_BASE_NODES = 32
-
 # Factor on the Gaussian extrapolation of the xi' tail (see _tail_bound).
 TAIL_SAFETY = 10.0
 
@@ -145,11 +142,11 @@ TAIL_SAFETY = 10.0
 # contour, and the normal gradient's roundoff then exceeds Gamma's floor.
 ROUNDOFF_UNITS = 2.0
 
-# Factor on the difference between the contour rule and its even-node
-# subset, the contour part of est in 1-D (see eval_many).  On row 0, whose
-# error is set by the truncation at u_max, the difference tracks the error
-# itself, with about half of the points below it; on the 1-D layered
-# closed forms at M = 40 a factor 2 covered every error, and 4 doubles that.
+# Factor on the difference between the rule and its step-2h subset of
+# even-index nodes (see eval_many).  On contour row 0, whose error is set
+# by the truncation at u_max, the difference tracks the error itself, with
+# about half of the points below it; on the 1-D layered closed forms at
+# M = 40 a factor 2 covered every error, and 4 doubles that.
 CONTOUR_SAFETY = 4.0
 
 
@@ -217,9 +214,7 @@ def _mu_admissible(medium: TwoLayerMedium, mu: float) -> bool:
     schur_max = 0.0
     dirs = []
     for tensor in (medium.upper, medium.lower):
-        g = tensor.normal_row
-        schur = tensor.minor - np.outer(g, g) / tensor.a_nn
-        w, v = np.linalg.eigh(schur)
+        w, v = tensor.tangential_schur
         schur_max = max(schur_max, float(w.max()))
         dirs.extend(v[:, j] for j in range(d))
     if d == 1:
@@ -356,6 +351,32 @@ def resolve_config(medium: TwoLayerMedium, cfg: QuadratureConfig | None) -> Quad
     return cfg
 
 
+class XiGrid(NamedTuple):
+    """A uniform tensor xi' grid (see _xi_grid)."""
+
+    xi: np.ndarray  # (Q, d) nodes, the last axis varying fastest
+    wq: np.ndarray  # (Q,) weights, over (2 pi)^d
+    shape: tuple  # node count of each axis
+    even: tuple  # per axis, the slice of its nodes of even index
+
+
+def _xi_grid(radius: float, steps) -> XiGrid:
+    """Nodes k h_j, |k| <= ceil(radius / h_j), each of weight h_j, on axis j.
+
+    Each axis is point-symmetric, and so is its subset of even k, which is
+    the step-2h rule.  With no axes the grid is one node of weight 1.
+    """
+    xi, shape, even = np.zeros((1, 0)), [], []
+    for h in steps:
+        k = math.ceil(radius / h)
+        axis = h * np.arange(-k, k + 1)
+        xi = np.hstack([np.repeat(xi, axis.size, axis=0), np.tile(axis, xi.shape[0])[:, None]])
+        shape.append(axis.size)
+        even.append(slice(k % 2, None, 2))
+    wq = np.full(xi.shape[0], math.prod(steps) / (2.0 * np.pi) ** len(steps))
+    return XiGrid(xi, wq, tuple(shape), tuple(even))
+
+
 class KernelEvaluator:
     """Batched evaluator of the kernel and its gradients.
 
@@ -368,50 +389,30 @@ class KernelEvaluator:
         cfg = resolve_config(medium, cfg)
         self._row, m = _select_row(cfg.mu, cfg.target_rel_tol, cfg.contour_nodes)
         self.cfg = replace(cfg, contour_nodes=m)
-        self._det_min = min(
-            float(np.linalg.det(medium.upper.entries)),
-            float(np.linalg.det(medium.lower.entries)),
-        )
-        self._schur_min = min(
-            medium.upper.schur_complement_min(), medium.lower.schur_complement_min()
-        )
-        # The decay a R0^2 at the xi' radius R0, and the least node count
-        # of the grid's axes (see _base_radius).
+        layers = (medium.upper, medium.lower)
+        self._det_min = min(float(np.linalg.det(t.entries)) for t in layers)
+        self._schur_min = min(t.schur_complement_min() for t in layers)
+        self._schur_max = max(float(np.max(t.tangential_schur[0], initial=0.0)) for t in layers)
+        # The decay a R0^2 at the xi' radius R0 (see _base_radius).
         tol = self.cfg.target_rel_tol
-        decay = max(math.log(100.0 / tol), 2.0)
-        self._decay = decay + 1.5 * max(0.0, math.log(1e-6 / tol))
-        self._base_nodes = int(XI_BASE_NODES * (1.0 + 1.5 * (self._decay / decay - 1.0)))
+        self._decay = max(math.log(100.0 / tol), 2.0) + 1.5 * max(0.0, math.log(1e-6 / tol))
 
     # -- quadrature building blocks -------------------------------------
 
     def _contour(self, m: int, dt: float):
         return _hyperbolic_nodes(self._row, m, dt)
 
-    def _xi_panels(self, radius: float, osc_j: float, dt: float, factor: float):
-        """Gauss-Legendre panels (lo, hi, nodes) tiling [-radius, radius] on one xi' axis."""
-        length = 2.0 * radius
-        density = math.sqrt(self._schur_min * dt)
-        n_j = max(
-            self._base_nodes,
-            int(0.7 * length * osc_j) + 16,
-            int(0.5 * length * density) + 8,
-        )
-        n_j = max(8, int(factor * n_j))
-        # Gauss-Legendre weight generation is O(n^2); split a long axis into
-        # pieces instead of growing a single rule.  Cuts measured from the
-        # centre, so that the pieces mirror exactly (the half contour rule
-        # needs a point-symmetric grid).
-        pieces = max(1, -(-n_j // 400))
-        n_piece = -(-n_j // pieces)
-        cuts = [radius * (2 * i - pieces) / pieces for i in range(pieces + 1)]
-        return [(lo, hi, n_piece) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    def _xi_spacing(self, osc: np.ndarray, dt: float) -> list:
+        """h_j = pi / (osc_j + w), w = sqrt(2 s_max dt D), D = max(decay, 30).
 
-    def _xi_grid(self, radius: float, osc: np.ndarray, dt: float, factor: float = 1.0):
-        d = self.medium.dim - 1
-        xi, wq = gauss_tensor_grid([
-            self._xi_panels(radius, osc[j], dt, factor) for j in range(d)
-        ])
-        return xi, wq / (2.0 * np.pi) ** d
+        The step-h rule adds to the kernel its copies shifted by multiples
+        of 2 pi / h_j in x_j - y_j.  The kernel's x_j profile is at most as
+        wide as e^{-x^2 / (4 s_max dt)}, so the nearest copy is at most
+        e^{-2D} of the peak, and the step-2h rule's, which est measures,
+        e^{-D/2}: near 3e-7 at loose tolerances, by the floor 30 on D.
+        """
+        width = math.sqrt(2.0 * self._schur_max * dt * max(self._decay, 30.0))
+        return [math.pi / (osc_j + width) for osc_j in osc]
 
     def _base_radius(self, dt: float) -> float:
         """Radius R0 of the xi' grid: a R0^2 = decay, a = schur_min dt.
@@ -420,21 +421,17 @@ class KernelEvaluator:
         its peak, which the truncation test needs, but at tol 1e-8 that
         leaves errors near 1e-10 of the peak where twice the radius reaches
         1e-11.  Below tol 1e-6 the grid is therefore widened by
-        1.5 ln(1e-6/tol) more decay (e^-30 at tol 1e-8, radius x1.14), and
-        its node count grows 1.5 times as fast as the decay (x1.45), to
-        resolve the wider grid more finely.  On the benchmark's scatter
-        batches, against the closed forms, the radius alone or with nodes
-        x1.3 loses up to a digit, and x1.45 gains most of one.  At tol 1e-6
-        and above the radius follows ln(100/tol) alone: there twice the
-        radius gives no more digits on the cylinder batches, and the
-        truncation test, in the units of each quantity, passes.
+        1.5 ln(1e-6/tol) more decay (e^-30 at tol 1e-8, radius x1.14).  At
+        tol 1e-6 and above the radius follows ln(100/tol) alone: there
+        twice the radius gives no more digits on the cylinder batches, and
+        the truncation test, in the units of each quantity, passes.
         """
         return math.sqrt(self._decay / (self._schur_min * dt))
 
     # -- core contraction ------------------------------------------------
 
-    def _tau_sums(self, groups, xi, tau, wte, source_gradient, contour_diff=False):
-        """Per region group, the tau contraction on the xi' nodes ``xi``.
+    def _tau_sums(self, groups, grid: XiGrid, tau, wte, source_gradient):
+        """Per region group, the tau contraction on the nodes of ``grid``.
 
         For each unique normal pair (x_n, y_n) of the group and each node,
         s_val = sum_m W_m V with W_m = w_m e^{tau_m dt} (``wte``) and
@@ -442,14 +439,16 @@ class KernelEvaluator:
         or q in each term.  s_floor holds the roundoff weights
         sum_m sum_terms |W_m coef g e^{p x_n + q y_n}| (ROUNDOFF_UNITS + |p x_n| + |q y_n|)
         with g = 1 for Gamma, g = p for the normal gradient and, with
-        ``source_gradient``, g = q for the source one.  With
-        ``contour_diff``, s_diff holds s_val and s_n of the rule minus its
-        even-node subset (weights 2 W_m on even m, the step-2h rule on the
-        same contour), from the same exponentials: weights (-1)^(m+1) W_m.
+        ``source_gradient``, g = q for the source one.  s_half holds s_val
+        and s_n of the step-2h rule on the grid's even-index nodes: weights
+        2 W_m on the even contour nodes, read from the same exponentials.
         """
-        q_cnt, m_cnt = xi.shape[0], tau.size
+        q_cnt, m_cnt = grid.xi.shape[0], tau.size
         chunk = max(1, int(4.0e6 / (q_cnt * m_cnt)))
-        xi_c = xi.astype(complex)
+        half_shape = tuple(len(range(size)[sl]) for size, sl in zip(grid.shape, grid.even))
+        # The step-2h nodes of a (rows, Q, M + 1) array, as a strided view.
+        half = (slice(None),) + grid.even + (slice(None, None, 2),)
+        xi_c = grid.xi.astype(complex)
         table = SymbolTable(self.medium, xi_c, tau)
         group_terms = [region_terms(region, self.medium, xi_c, tau, table=table)
                        for region, _, _, _ in groups]
@@ -466,13 +465,13 @@ class KernelEvaluator:
             s_n = np.zeros((u_cnt, q_cnt), dtype=complex)
             s_src = np.zeros((u_cnt, q_cnt), dtype=complex) if source_gradient else None
             s_abs = np.zeros((5 + source_gradient, u_cnt, q_cnt))
-            s_diff = np.zeros((2, u_cnt, q_cnt), dtype=complex) if contour_diff else None
+            s_half = np.zeros((2, u_cnt) + half_shape, dtype=complex)
             # Each row adds its terms in order, whatever chunk it is in.
             for term in terms:
                 key = _term_key(term)
                 if key not in weights:
-                    weights[key] = _term_weights(term, wte, source_gradient, contour_diff)
-                w_t, w_p, w_q, w_abs, w_diff = weights[key]
+                    weights[key] = _term_weights(term, wte, source_gradient, grid.shape, half[1:])
+                w_t, w_p, w_q, w_abs, w_half = weights[key]
                 uses[key] -= 1
                 if not uses[key]:
                     del weights[key]
@@ -487,35 +486,41 @@ class KernelEvaluator:
                     if source_gradient:
                         s_src[sl] += np.einsum("qm,kqm->kq", w_q, ex)
                     s_abs[:, sl] += np.einsum("jqm,kqm->jkq", w_abs, np.abs(ex))
-                    if contour_diff:
-                        s_diff[:, sl] += np.einsum("jqm,kqm->jkq", w_diff, ex)
-                    del ex  # free before the next exponent is formed
+                    ex_half = ex.reshape((-1,) + grid.shape + (m_cnt,))[half]
+                    s_half[:, sl] += np.einsum("j...m,k...m->jk...", w_half, ex_half)
+                    del ex, ex_half  # free before the next exponent is formed
             # Rows of s_abs: sum |W coef e^z| times 1, |p|, |q|, |p|^2, |p q|, |q|^2.
             axn, ayn = np.abs(uniq[:, :1]), np.abs(uniq[:, 1:])
             rows = ((0, 1, 2), (1, 3, 4), (2, 4, 5))[:2 + source_gradient]
             s_floor = np.stack([ROUNDOFF_UNITS * s_abs[i] + axn * s_abs[j] + ayn * s_abs[k]
                                 for i, j, k in rows])
-            sums.append((s_val, s_n, s_src, s_floor, s_diff))
+            sums.append((s_val, s_n, s_src, s_floor, s_half.reshape(2, u_cnt, -1)))
         return sums
 
-    def _phase_sums(self, groups, dxp, xi, wq, sums, source_gradient):
-        """Gamma, grad and sgrad from the tau sums, and their roundoff floor.
+    def _phase_sums(self, groups, dxp, grid: XiGrid, sums, source_gradient):
+        """Gamma, grad and sgrad from the tau sums, their roundoff floor,
+        and the change of Gamma and grad from the step-2h rule.
 
         The contour rule is the half rule and the xi' grid is
         point-symmetric (see the module docstring), so every full sum is
         the real part of the sum formed here.  The floor is eps times the
         largest xi' sum of the rows of ``s_floor``, and of its Gamma row
-        times |xi'|_inf for the tangential gradient.
+        times |xi'|_inf for the tangential gradient.  The step-2h rule
+        weighs the even-index nodes by 2^d times their weight.
         """
         n = self.medium.dim
         d = n - 1
+        xi, wq = grid.xi, grid.wq
         k_tot, q_cnt = dxp.shape[0], wq.size
+        sub = np.arange(q_cnt).reshape(grid.shape)[grid.even].ravel()
+        wq_half = 2.0 ** d * wq[sub]
         gamma = np.zeros(k_tot)
         grad = np.zeros((k_tot, n))
         sgrad = np.zeros((k_tot, n)) if source_gradient else None
         floor = np.zeros(k_tot)
+        change = np.zeros(k_tot)
         pt_chunk = max(1, int(4.0e6 / q_cnt))
-        for (_, idx, _, inv), (s_val, s_n, s_src, s_floor, _) in zip(groups, sums):
+        for (_, idx, _, inv), (s_val, s_n, s_src, s_floor, s_half) in zip(groups, sums):
             tangential = s_floor[0] * np.max(np.abs(xi), axis=1, initial=0.0)
             floor[idx] = np.finfo(float).eps * np.maximum(
                 np.max(s_floor @ wq, axis=0), tangential @ wq)[inv]
@@ -524,18 +529,25 @@ class KernelEvaluator:
                 rows = inv[lo:lo + pt_chunk]
                 phase = np.exp(1j * (dxp[sel] @ xi.T))
                 pw = phase * wq[None, :]
-                v0 = s_val[rows]
-                gamma[sel] = np.einsum("kq,kq->k", pw, v0).real
-                for j in range(d):
-                    fac = (1j * xi[:, j])[None, :]
-                    grad[sel, j] = np.einsum("kq,kq->k", pw * fac, v0).real
-                grad[sel, n - 1] = np.einsum("kq,kq->k", pw, s_n[rows]).real
+                pw_half = phase[:, sub] * wq_half[None, :]
+                v0, h0 = s_val[rows], s_half[0, rows]
+                # Gamma, the tangential gradients (a factor i xi_j) and the
+                # normal one, on the rule and on its step-2h subset.
+                rules = chain([(pw, v0, pw_half, h0)],
+                              ((pw * f, v0, pw_half * f[sub], h0) for f in 1j * xi.T),
+                              [(pw, s_n[rows], pw_half, s_half[1, rows])])
+                fine = []
+                for w_r, v, w_half, v_half in rules:
+                    fine.append(np.einsum("kq,kq->k", w_r, v).real)
+                    coarse = np.einsum("kq,kq->k", w_half, v_half).real
+                    change[sel] = np.maximum(change[sel], np.abs(fine[-1] - coarse))
+                gamma[sel], grad[sel] = fine[0], np.column_stack(fine[1:])
                 if source_gradient:
                     sgrad[sel, n - 1] = np.einsum("kq,kq->k", pw, s_src[rows]).real
         if source_gradient:
             # The kernel depends on x' - y' only.
             sgrad[:, :d] = -grad[:, :d]
-        return gamma, grad, sgrad, floor
+        return gamma, grad, sgrad, floor, change
 
     # -- public evaluation ----------------------------------------------
 
@@ -579,42 +591,26 @@ class KernelEvaluator:
         tol_eff = tol * np.where(near, 10.0, 1.0)
 
         osc = np.max(np.abs(dxp), axis=0, initial=0.0)
-
         radius = self._base_radius(dt)
-        xi, wq = self._xi_grid(radius, osc, dt)
-        sums = self._tau_sums(groups, xi, tau, wte, source_gradient, contour_diff=d == 0)
-        gam, grd, sgr, floor = self._phase_sums(groups, dxp, xi, wq, sums, source_gradient)
-        if d == 0:
-            # The xi' rule is one node of weight 1: the differences of Gamma
-            # and of the normal gradient are the real parts of s_diff.
-            est = np.zeros(k_tot)
-            for (_, idx, _, inv), (*_, s_diff) in zip(groups, sums):
-                est[idx] = CONTOUR_SAFETY * np.max(np.abs(s_diff[:, :, 0].real), axis=0)[inv]
-        else:
-            t_val, t_grad = _tail_bound(groups, k_tot, xi, wq, sums, radius,
-                                        self._schur_min * dt)
-            # Each bound against its own quantity: relative to it, plus an
-            # absolute floor on the kernel scale (far-tail points are
-            # dominated by oscillatory-rule roundoff, not truncation), which
-            # for the gradients is divided by the diffusion length.
-            grad_abs = np.max(np.abs(grd), axis=1)
-            if source_gradient:
-                grad_abs = np.maximum(grad_abs, np.max(np.abs(sgr), axis=1))
-            if not (np.all(t_val <= 0.1 * tol_eff * np.abs(gam) + 0.1 * tol * scale0)
-                    and np.all(t_grad <= 0.1 * tol_eff * grad_abs + 0.1 * tol * scale0 / length)):
-                raise QuadratureNotConverged(
-                    "the xi' grid's tail bound fails the truncation test"
-                )
-            # The xi' resolution check: a 0.7x grid on the step-2h rule
-            # (the even nodes), so the difference holds the contour error
-            # of the step-2h rule too.
-            xi_co, wq_co = self._xi_grid(radius, osc, dt, factor=0.7)
-            sums_co = self._tau_sums(groups, xi_co, tau[::2], 2.0 * wte[::2], False)
-            gam_c, grd_c, _, _ = self._phase_sums(groups, dxp, xi_co, wq_co, sums_co, False)
-            est = np.maximum(np.abs(gam - gam_c), np.max(np.abs(grd - grd_c), axis=1))
-            est = np.maximum(est, np.maximum(t_val, t_grad))
-        est = np.maximum(est, floor)
-        est = np.maximum(est, 1e-15 * np.abs(gam))
+        grid = _xi_grid(radius, self._xi_spacing(osc, dt))
+        sums = self._tau_sums(groups, grid, tau, wte, source_gradient)
+        gam, grd, sgr, floor, change = self._phase_sums(groups, dxp, grid, sums,
+                                                        source_gradient)
+        t_val, t_grad = _tail_bound(groups, k_tot, grid.xi, grid.wq, sums, radius,
+                                    self._schur_min * dt)
+        # Each bound against its own quantity: relative to it, plus an
+        # absolute floor on the kernel scale (far-tail points are dominated
+        # by oscillatory-rule roundoff, not truncation), which for the
+        # gradients is divided by the diffusion length.
+        grad_abs = np.max(np.abs(grd), axis=1)
+        if source_gradient:
+            grad_abs = np.maximum(grad_abs, np.max(np.abs(sgr), axis=1))
+        if not (np.all(t_val <= 0.1 * tol_eff * np.abs(gam) + 0.1 * tol * scale0)
+                and np.all(t_grad <= 0.1 * tol_eff * grad_abs + 0.1 * tol * scale0 / length)):
+            raise QuadratureNotConverged(
+                "the xi' grid's tail bound fails the truncation test"
+            )
+        est = np.max([CONTOUR_SAFETY * change, t_val, t_grad, floor, 1e-15 * np.abs(gam)], axis=0)
         out = {"gamma": gam, "grad": grd, "est": est}
         if source_gradient:
             out["sgrad"] = sgr
@@ -638,13 +634,13 @@ def _tail_bound(groups, k_tot: int, xi: np.ndarray, wq: np.ndarray, sums,
     times a power of |xi| up to the third (a power m multiplies the ratio
     by about 2^m).  Returns the bound for Gamma and the largest of the
     bounds for the gradient sums: the tangential ones from |xi'|_inf |f|,
-    the normal and source ones from their own sums.
+    the normal and source ones from their own sums (0 with no axes).
     """
     x = math.sqrt(decay_rate) * radius
     tail = math.erfc(x)  # underflows to 0 on a wide grid
     ratio = tail / (math.erfc(0.5 * x) - tail) if tail > 0.0 else 0.0
     w_val = np.sum(np.abs(xi) >= 0.5 * radius, axis=1) * wq
-    w_tan = np.max(np.abs(xi), axis=1) * w_val
+    w_tan = np.max(np.abs(xi), axis=1, initial=0.0) * w_val
     bound_val, bound_grad = np.zeros(k_tot), np.zeros(k_tot)
     for (_, idx, _, inv), (s_val, s_n, s_src, *_) in zip(groups, sums):
         f_val = np.abs(s_val + s_val[:, ::-1].conj())
@@ -662,10 +658,10 @@ def _term_key(term):
     return tuple(id(a) for a in term)
 
 
-def _term_weights(term, wte, source_gradient: bool, contour_diff: bool = False):
+def _term_weights(term, wte, source_gradient: bool, shape: tuple, half: tuple):
     """Weights w_t = coef W, w_t p, w_t q (or None), |w_t| times 1, |p|,
-    |q|, |p|^2, |p q| and, with ``source_gradient``, |q|^2, and with
-    ``contour_diff`` w_t and w_t p times (-1)^(m+1) (else None)."""
+    |q|, |p|^2, |p q| and, with ``source_gradient``, |q|^2, and 2 w_t and
+    2 w_p at the step-2h nodes ``half`` of a grid of ``shape``."""
     coef, p, q = term
     w_t = coef * wte[None, :]
     w_p = w_t * p
@@ -679,10 +675,8 @@ def _term_weights(term, wte, source_gradient: bool, contour_diff: bool = False):
     np.multiply(w_abs[1], abs_q, out=w_abs[4])
     if source_gradient:
         np.multiply(w_abs[2], abs_q, out=w_abs[5])
-    w_diff = None
-    if contour_diff:
-        w_diff = np.stack([w_t, w_p]) * np.where(np.arange(wte.size) % 2, 1.0, -1.0)
-    return w_t, w_p, w_q, w_abs, w_diff
+    w_half = 2.0 * np.stack([w.reshape(shape + (wte.size,))[half] for w in (w_t, w_p)])
+    return w_t, w_p, w_q, w_abs, w_half
 
 
 def eval_kernel(medium: TwoLayerMedium, q: KernelQuery, cfg: QuadratureConfig | None = None) -> KernelValue:

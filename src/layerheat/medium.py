@@ -8,6 +8,7 @@ quadrature, Green functions) works with these validated types.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,18 +83,20 @@ class DiffusionTensor:
     def is_reflection_invariant(self, axis: int) -> bool:
         return np.array_equal(self.reflected(axis).entries, self.entries)
 
-    def schur_complement_min(self) -> float:
-        """Smallest eigenvalue of the tangential Schur complement.
+    @cached_property
+    def tangential_schur(self):
+        """Eigenvalues (ascending) and eigenvectors of the tangential Schur
+        complement A_tt - a_t a_t^T / a_nn: the Gaussian decay rates of the
+        inverted symbols in the tangential frequency (empty in 1-D)."""
+        g = self.normal_row
+        return np.linalg.eigh(self.minor - np.outer(g, g) / self.a_nn)
 
-        Governs the Gaussian decay rate of the inverted symbols in the
-        tangential frequency; equals a_11 itself in one dimension where
-        there is no tangential block.
-        """
+    def schur_complement_min(self) -> float:
+        """Smallest eigenvalue of the tangential Schur complement; a_11
+        itself in one dimension, where there is no tangential block."""
         if self.dim == 1:
             return self.a_nn
-        g = self.normal_row
-        schur = self.minor - np.outer(g, g) / self.a_nn
-        return float(np.linalg.eigvalsh(schur).min())
+        return float(self.tangential_schur[0][0])
 
 
 def validate_tensor(entries) -> DiffusionTensor:

@@ -310,6 +310,28 @@ class TestGreen:
         assert main(["green", write_cfg(tmp_path, cfg)]) == 0
         assert "# face sup |G| = " in (tmp_path / "h.csv").read_text()
 
+    def test_half_space_grid_through_face(self, tmp_path):
+        # The grid's first column lies on the face x_1 = 0, where G = 0.
+        cfg = {
+            "medium": {"upper": [[1.0, 0.0], [0.0, 2.0]]},
+            "green": {
+                "kind": "half_space",
+                "face": {"axis": 0, "offset": 0.0, "side": 1},
+                "t": 0.3,
+                "s": 0.0,
+                "y": [0.5, 0.2],
+                "grid": {"min": [0.0, -1.0], "max": [1.0, 1.0], "points": [5, 4]},
+            },
+            "output": str(tmp_path / "h.csv"),
+        }
+        assert main(["green", write_cfg(tmp_path, cfg)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "h.csv").read_text().split("\n")
+                if line and not line.startswith(("#", "x1"))]
+        assert len(rows) == 20
+        face = [r for r in rows if float(r[0]) == 0.0]
+        assert len(face) == 4
+        assert all(abs(float(r[6])) <= float(r[-1]) for r in face)
+
     def cube_2d_cfg(self, tmp_path):
         return {
             "medium": {"upper": [[1.0, 0.0], [0.0, 2.0]]},

@@ -106,6 +106,21 @@ class TestHalfSpaceGreen:
             hs.evaluate_many(np.array([[-0.1]]), 0.5, np.array([0.7]), 0.0)
         with pytest.raises(MediumError):
             hs.evaluate_many(np.array([[0.1]]), 0.5, np.array([-0.7]), 0.0)
+        with pytest.raises(MediumError):
+            hs.evaluate_many(np.array([[0.1]]), 0.5, np.array([0.0]), 0.0)
+
+    @pytest.mark.parametrize("axis, side", [(0, 1), (0, -1), (1, 1), (1, -1)])
+    def test_targets_on_face(self, axis, side):
+        # Targets may lie on the face, where G = 0 to within est, as the
+        # cube accepts its boundary; sources stay strictly inside.
+        med = homogeneous_medium(validate_tensor([[1.0, 0.0], [0.0, 2.0]]))
+        hs = HalfSpaceGreen(med, axis=axis, offset=0.0, side=side)
+        x = np.zeros((3, 2))
+        x[:, 1 - axis] = [-0.4, 0.3, 1.1]
+        y = side * np.array([0.5, 0.6])
+        res = hs.evaluate_many(x, 0.3, y, 0.0)
+        assert np.all(np.abs(res["gamma"]) <= res["est"])
+        assert np.all(np.isfinite(res["grad"]))
 
     def test_maximum_principle(self):
         # 0 < G <= Gamma strictly inside, for a layered half-space with a

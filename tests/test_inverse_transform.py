@@ -35,21 +35,21 @@ from layerheat.reference import (
     layered_gradient_1d,
     layered_kernel_1d,
 )
-from layerheat.symbols import SpectralPoint, classify_region, region_terms
+from layerheat.symbols import SpectralPoint, SymbolTable, classify_region, region_terms
 from symbol_checks import in_analyticity_domain
 
 
-def record_xi_grids(ev):
-    """Record (factor, (xi, wq)) of every xi' grid ``ev`` builds."""
-    calls = []
-    xi_grid = ev._xi_grid
+def record_xi_grids(monkeypatch):
+    """Record every xi' grid that eval_many builds."""
+    grids = []
+    xi_grid = inverse_transform._xi_grid
 
-    def recorded(radius, osc, dt, factor=1.0):
-        calls.append((factor, xi_grid(radius, osc, dt, factor)))
-        return calls[-1][1]
+    def recorded(radius, steps):
+        grids.append(xi_grid(radius, steps))
+        return grids[-1]
 
-    ev._xi_grid = recorded
-    return calls
+    monkeypatch.setattr(inverse_transform, "_xi_grid", recorded)
+    return grids
 
 
 def layered_1d(a=1.0, b=4.0):
@@ -310,20 +310,32 @@ class TestHalfRule:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_xi_grid_point_symmetric(self, n):
-        med = TwoLayerMedium(upper=validate_tensor(np.eye(n)),
-                             lower=validate_tensor(np.diag([2.0, 3.0, 1.5][:n])))
+        # The uniform nodes k h_j, their weights and the step-2h subset of
+        # even-index nodes are exactly point-symmetric, at the spacing
+        # h_j = pi / (osc_j + sqrt(2 s_max dt max(decay, 30))) out to the
+        # radius; the subset's weight is 2^d h_1..h_d (over (2 pi)^d).
+        lower = np.diag([2.0, 3.0, 1.5][:n])
+        med = TwoLayerMedium(upper=validate_tensor(np.eye(n)), lower=validate_tensor(lower))
         ev = KernelEvaluator(med)
-        # (dt, osc); the last case splits the axis in pieces (n_j > 400)
+        d = n - 1
+        s_max = np.max(np.diag(lower)[:d])  # diagonal layers: the Schur complement is the minor
         cases = [(0.01, 0.0), (0.3, 1.5), (2.0, 0.2), (0.1, 100.0)]
         for dt, osc_max in cases:
-            osc = np.array([osc_max, min(osc_max, 0.5)])[:n - 1]
+            osc = np.array([osc_max, min(osc_max, 0.5)])[:d]
             radius = ev._base_radius(dt)
-            panels = ev._xi_panels(radius, osc[0], dt, 1.0)
-            assert (len(panels) > 1) == (osc_max > 50.0)
-            for factor in (1.0, 0.7):
-                xi, wq = ev._xi_grid(radius, osc, dt, factor)
+            grid = inverse_transform._xi_grid(radius, ev._xi_spacing(osc, dt))
+            h = np.pi / (osc + math.sqrt(2.0 * s_max * dt * max(ev._decay, 30.0)))
+            sub = np.arange(grid.wq.size).reshape(grid.shape)[grid.even].ravel()
+            for xi, wq in ((grid.xi, grid.wq), (grid.xi[sub], 2 ** d * grid.wq[sub])):
                 assert np.array_equal(xi[::-1], -xi)
                 assert np.array_equal(wq[::-1], wq)
+            assert np.allclose(grid.wq * (2.0 * np.pi) ** d, np.prod(h), rtol=1e-14, atol=0.0)
+            for j in range(d):
+                axis = np.unique(grid.xi[:, j])
+                assert np.allclose(np.diff(axis), h[j], rtol=1e-12, atol=0.0)
+                assert np.allclose(np.diff(np.unique(grid.xi[sub, j])), 2.0 * h[j],
+                                   rtol=1e-12, atol=0.0)
+                assert radius <= axis[-1] < radius + h[j]
 
     @pytest.mark.parametrize("row", _CONTOUR_ROWS)
     def test_contour_inverts_known_transforms(self, row):
@@ -345,7 +357,7 @@ class TestHalfRule:
             if m in chosen:
                 assert err_pole <= 10.0 * rel_err + 1e-12
 
-    def test_anisotropic_values_pinned(self):
+    def test_anisotropic_values_pinned(self, monkeypatch):
         # eval_many against the full (k = -M..M) contour rule, summed here
         # point by point from region_terms on the xi' grid and contour that
         # eval_many used, one point per region, on a medium whose
@@ -358,9 +370,10 @@ class TestHalfRule:
                       [0.2, -0.4], [-0.1, -0.5], [0.05, -0.1]])
         dt = 0.3
         ev = KernelEvaluator(med)
-        grids = record_xi_grids(ev)
+        grids = record_xi_grids(monkeypatch)
         res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
-        xi, wq = grids[-2][1]  # the fine grid; the coarse pass follows it
+        assert len(grids) == 1
+        xi, wq = grids[0].xi, grids[0].wq
         tau, w = ev._contour(ev.cfg.contour_nodes, dt)
         # Unfold the half rule: node -k is the conjugate of node k, and the
         # half rule doubled the weights of k > 0.
@@ -395,7 +408,7 @@ class TestHalfRule:
 class TestNestedDoublings:
     """Values pinned when the evaluator still extended the xi' grid by doublings."""
 
-    def test_three_doublings_pinned(self):
+    def test_three_doublings_pinned(self, monkeypatch):
         # One point per region plus a far one, at a loose tolerance and a
         # short lag.  The pinned values are those of an evaluator that
         # extended the xi' grid by doublings and confirmed each doubling
@@ -428,9 +441,9 @@ class TestNestedDoublings:
                       [1.8899015685747145e-10, -2.738431703619426e-11]],
         }
         ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=1e-5))
-        grids = record_xi_grids(ev)
+        grids = record_xi_grids(monkeypatch)
         res = ev.eval_many(x, 0.05, y, 0.0, source_gradient=True)
-        assert [factor for factor, _ in grids] == [1.0, 0.7]  # one fine grid, coarse
+        assert len(grids) == 1
         for key, ref in pinned.items():
             err = np.abs(res[key] - np.array(ref))
             assert np.all(err.reshape(len(x), -1).max(axis=1) <= res["est"])
@@ -461,36 +474,20 @@ class TestTailBound:
         assert np.all(err <= res["est"])
         assert np.all(g_err.max(axis=1) <= res["est"])
 
-    @staticmethod
-    def annulus_panels(ev, radius, k, osc_j, dt):
-        """Panels of [-2^k R, -R] and [R, 2^k R] on one axis, R = ``radius``:
-        one per doubling of the radius, with node counts proportional to
-        panel length, split at 400 nodes and mirrored exactly."""
-        density = math.sqrt(ev._schur_min * dt)
-        right = []
-        for i in range(k):
-            lo, hi = radius * 2 ** i, radius * 2 ** (i + 1)
-            n_j = max(16, int(0.7 * (hi - lo) * osc_j) + 16, int(0.5 * (hi - lo) * density) + 8)
-            pieces = -(-n_j // 400)
-            cuts = [lo + (hi - lo) * p / pieces for p in range(pieces + 1)]
-            right += [(a, b, -(-n_j // pieces)) for a, b in zip(cuts[:-1], cuts[1:])]
-        left = [(-b, -a, m) for a, b, m in reversed(right)]
-        return left, right
-
     @pytest.mark.parametrize("n,tol,dt", [(2, 1e-4, 0.01), (2, 1e-4, 0.3),
                                           (2, 1e-6, 0.3), (3, 1e-4, 0.3)])
     def test_bound_covers_base_truncation(self, monkeypatch, n, tol, dt):
         # At loose tolerances the grid leaves real truncation error.  The
-        # references keep the grid's panels and add annuli out to two and
-        # four times the radius.  The first adds the tail (beyond twice the
-        # radius the integrand is e^-4 times smaller again) and also
+        # references extend the uniform grid at the same spacing out to two
+        # and four times the radius.  The first adds the tail (beyond twice
+        # the radius the integrand is e^-4 times smaller again) and also
         # contour noise of the tau sums on the new nodes, which the
         # tangential gradient weights by |xi'|; the second adds only such
         # noise, so it measures the noise.  The grid's bound must cover the
         # rest, for Gamma and both gradients, at every point.  (At tol 1e-6
         # and dt = 0.01 the noise, 1e-9 of the peak, exceeds the truncation
-        # itself at some points, and changes from one annulus to the next,
-        # so wider grids are no reference there.)
+        # itself at some points, and changes from one extension to the
+        # next, so wider grids are no reference there.)
         bounds, passes = [], []
         tail_bound = inverse_transform._tail_bound
         tau_sums = KernelEvaluator._tau_sums
@@ -499,9 +496,9 @@ class TestTailBound:
             bounds.append(tail_bound(*args))
             return bounds[-1]
 
-        def recorded_sums(self, groups, xi, tau, wte, *args, **kwargs):
+        def recorded_sums(self, groups, grid, tau, wte, *args):
             passes.append((groups, tau, wte))
-            return tau_sums(self, groups, xi, tau, wte, *args, **kwargs)
+            return tau_sums(self, groups, grid, tau, wte, *args)
 
         monkeypatch.setattr(inverse_transform, "_tail_bound", recorded_bound)
         monkeypatch.setattr(KernelEvaluator, "_tau_sums", recorded_sums)
@@ -511,12 +508,13 @@ class TestTailBound:
         y = rng.uniform(-0.5, 0.5, (12 if n == 2 else 3, n))
         x = y + math.sqrt(dt) * rng.uniform(-2.5, 2.5, y.shape)
         # The references run on M = 64, the fixed contour size before
-        # M(tol): on shorter contours the tau sums' noise on the annulus
-        # nodes swamps them (at tol 1e-6, dt = 0.3 and M = 40, by 39 times
-        # the bound; by 0.068 times at M = 64).
+        # M(tol): on shorter contours the tau sums' noise on the nodes
+        # beyond the radius swamps them (on the Gauss-Legendre grid at tol
+        # 1e-6, dt = 0.3 and M = 40, by 39 times the bound; by 0.068 times
+        # at M = 64).
         ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=tol, contour_nodes=64))
         res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
-        assert len(bounds) == 1 and len(passes) == 2  # one fine pass, coarse
+        assert len(bounds) == 1 and len(passes) == 1
         bound = np.maximum(*bounds[0])
         groups, tau, wte = passes[0]
         dxp = x[:, :-1] - y[:, :-1]
@@ -524,14 +522,9 @@ class TestTailBound:
         radius = ev._base_radius(dt)
         wider = []
         for k in (1, 2):
-            axes = []
-            for j in range(n - 1):
-                left, right = self.annulus_panels(ev, radius, k, osc[j], dt)
-                axes.append(left + ev._xi_panels(radius, osc[j], dt, 1.0) + right)
-            xi, wq = gauss_tensor_grid(axes)
-            wq = wq / (2.0 * np.pi) ** (n - 1)
-            sums = tau_sums(ev, groups, xi, tau, wte, True)
-            wider.append(np.column_stack(ev._phase_sums(groups, dxp, xi, wq, sums, True)[:3]))
+            grid = inverse_transform._xi_grid(2 ** k * radius, ev._xi_spacing(osc, dt))
+            sums = tau_sums(ev, groups, grid, tau, wte, True)
+            wider.append(np.column_stack(ev._phase_sums(groups, dxp, grid, sums, True)[:3]))
         base = np.column_stack([res["gamma"], res["grad"], res["sgrad"]])
         once, twice = wider
         tail = np.max(np.abs(once - base) - np.abs(twice - once), axis=1)
@@ -559,14 +552,13 @@ class TestTailBound:
         assert bound(f + 1.5j / (1.0 + np.abs(xi[:, 0]))) == bound(f)
         assert bound(f, r=60.0) == 0.0
 
-    def test_default_tolerance_one_fine_pass(self):
-        # A batch shaped like the benchmark's 2-D layered ones: the base
-        # grid passes the bound, so eval_many builds one fine grid and the
-        # coarse one.
+    def test_default_tolerance_one_fine_pass(self, monkeypatch):
+        # A batch shaped like the benchmark's 2-D layered ones: the grid
+        # passes the bound, and eval_many builds that one grid.
         med = TwoLayerMedium(upper=validate_tensor([[1.0, 0.3], [0.3, 1.0]]),
                              lower=validate_tensor(np.diag([2.0, 3.0])))
         ev = KernelEvaluator(med)
-        grids = record_xi_grids(ev)
+        grids = record_xi_grids(monkeypatch)
         rng = np.random.default_rng(5)
         for dt in (0.3, 0.1):
             y = rng.uniform(-1.0, 1.0, (100, 2))
@@ -574,7 +566,7 @@ class TestTailBound:
             x[0, 0] = y[0, 0] + 4.0 * math.sqrt(dt)
             grids.clear()
             ev.eval_many(x, dt, y, 0.0)
-            assert [factor for factor, _ in grids] == [1.0, 0.7]
+            assert len(grids) == 1
 
 
 class TestContourSize:
@@ -608,7 +600,7 @@ class TestContourSize:
 
 
 class TestEvenNodeEstimate:
-    """est: the contour rule against its even nodes, and in d >= 1 a 0.7x xi' grid."""
+    """est: the rule against its step-2h subset of even-index contour and xi' nodes."""
 
     def test_no_looser_in_1d(self):
         # The 1-D layered closed form.  With M = 64 and a coarse pass on
@@ -629,10 +621,11 @@ class TestEvenNodeEstimate:
 
     @pytest.mark.parametrize("dt", [0.01, 0.1, 0.3])
     def test_xi_resolution_check(self, dt):
-        # In 2-D at a loose tolerance the fine xi' grid's error, about 1e-11
-        # of the peak, exceeds the contour difference in the Gaussian tail;
-        # est from the contour rule alone, or from the tail bound and the
-        # roundoff floor, misses it at 3-26 of these points.
+        # In 2-D at a loose tolerance the xi' grid's error, about 1e-11 of
+        # the peak, exceeds the contour difference in the Gaussian tail;
+        # est from the contour rule alone (the even contour nodes on every
+        # xi' node), or from the tail bound and the roundoff floor, missed
+        # it at 3-26 of these points with the Gauss-Legendre xi' grid.
         t_mat = validate_tensor([[1.5, 0.5], [0.5, 1.0]])
         ev = KernelEvaluator(homogeneous_medium(t_mat), QuadratureConfig(target_rel_tol=1e-6))
         rng = np.random.default_rng(0)
@@ -674,10 +667,10 @@ class TestBoundedPlan:
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("b", [1.0, 3.0, 10.0, 100.0, 1000.0])
-    def test_contrast_sweep(self, n, b):
-        # I | b I: the contour is certified and each call runs one fine grid
-        # and the coarse one, or construction refuses the medium (from
-        # b = 10 on, no mu of the ladder is certified).
+    def test_contrast_sweep(self, monkeypatch, n, b):
+        # I | b I: the contour is certified and each call runs one xi' grid,
+        # or construction refuses the medium (from b = 10 on, no mu of the
+        # ladder is certified).
         med = TwoLayerMedium(upper=validate_tensor(np.eye(n)),
                              lower=validate_tensor(b * np.eye(n)))
         try:
@@ -685,7 +678,7 @@ class TestBoundedPlan:
         except ContourLeavesDomain:
             assert b >= 10.0
             return
-        grids = record_xi_grids(ev)
+        grids = record_xi_grids(monkeypatch)
         rng = np.random.default_rng(0)
         x = rng.uniform(-1.0, 1.0, (4, n))
         x[:, -1] = [0.2, -0.3, 0.5, -0.1]
@@ -694,8 +687,42 @@ class TestBoundedPlan:
         for dt in (0.01, 0.3)[:4 - n]:
             grids.clear()
             res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
-            assert [factor for factor, _ in grids] == [1.0, 0.7]
+            assert len(grids) == 1
             assert np.all(np.isfinite(res["gamma"])) and np.all(res["gamma"] > 0.0)
+
+    @pytest.mark.parametrize("n,k", [(2, 24), pytest.param(3, 6, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("b", [4.0, 8.0])
+    def test_contrast_resolved(self, monkeypatch, n, k, b):
+        # The xi' spacing follows the widest layer.  A Gauss-Legendre grid
+        # of 46 nodes per axis, sized without regard to the contrast, missed
+        # these batches by 8e-7 (3-D, b = 4) to 9e-4 (2-D, b = 8) of the
+        # peak.  The reference is the same contour summed here on a grid of
+        # half the spacing and twice the radius, a chunk of nodes at a time.
+        med = TwoLayerMedium(upper=validate_tensor(np.eye(n)),
+                             lower=validate_tensor(b * np.eye(n)))
+        ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=1e-8))
+        grids = record_xi_grids(monkeypatch)
+        rng = np.random.default_rng(n)
+        y = rng.uniform(-0.5, 0.5, (k, n))
+        x = rng.uniform(-1.5, 1.5, (k, n))
+        dt = 0.3
+        gamma = ev.eval_many(x, dt, y, 0.0)["gamma"]
+        assert len(grids) == 1
+        h = [float(np.diff(np.unique(grids[0].xi[:, j]))[0]) for j in range(n - 1)]
+        fine = inverse_transform._xi_grid(2.0 * ev._base_radius(dt), [hj / 2.0 for hj in h])
+        tau, w = ev._contour(ev.cfg.contour_nodes, dt)
+        wte = w * np.exp(tau * dt)
+        ref = np.zeros(k)
+        for lo in range(0, fine.wq.size, 4096):
+            xi, wq = fine.xi[lo:lo + 4096], fine.wq[lo:lo + 4096]
+            xi_c = xi.astype(complex)
+            table = SymbolTable(med, xi_c, tau)
+            for i in range(k):
+                region = classify_region(x[i, -1], y[i, -1])
+                s_val = sum(coef * np.exp(p * x[i, -1] + q * y[i, -1])
+                            for coef, p, q in region_terms(region, med, xi_c, tau, table=table))
+                ref[i] += (wq * np.exp(1j * xi @ (x[i, :-1] - y[i, :-1])) @ (s_val @ wte)).real
+        assert np.max(np.abs(gamma - ref)) <= 1e-6 * np.max(np.abs(ref))
 
 
 class TestMassAndDelta:
