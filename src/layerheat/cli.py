@@ -434,6 +434,24 @@ def cmd_verify(cfg: dict, output: str) -> int:
     return 0 if passed else 5
 
 
+def _oracle_probes(grid, y, eps: float, bulk: float, max_pts: int):
+    """Node indices of a compare-oracle level's probes: the grid nodes inside
+    ``bulk`` and farther than 3 eps from the source ``y``, at most
+    ``max_pts`` of them, evenly thinned.  ConfigError if there are none.
+    """
+    pts = grid.points()
+    r = np.linalg.norm(pts - y, axis=1)
+    idx = np.where((r > 3.0 * eps) & np.all(np.abs(pts) < bulk, axis=1))[0]
+    if idx.size == 0:
+        raise ConfigError(
+            f"compare_oracle level {grid.nodes_per_dim}: no grid node lies inside "
+            f"bulk_half_width {bulk} and farther than {3.0 * eps:.3g} from y"
+        )
+    if idx.size > max_pts:
+        idx = idx[:: int(np.ceil(idx.size / max_pts))].copy()
+    return idx
+
+
 def cmd_compare_oracle(cfg: dict, output: str) -> int:
     from numpy.polynomial.hermite_e import hermegauss
 
@@ -468,14 +486,9 @@ def cmd_compare_oracle(cfg: dict, output: str) -> int:
             t_span=(0.0, t_final),
         )
         eps = 3.0 * grid.spacing
+        idx = _oracle_probes(grid, y, eps, bulk, max_pts)
         gf = approximate_kernel(medium, y, eps, grid, scheme=scheme)
-        pts = grid.points()
-        r = np.linalg.norm(pts - y, axis=1)
-        sel = (r > 3.0 * eps) & np.all(np.abs(pts) < bulk, axis=1)
-        idx = np.where(sel)[0]
-        if idx.size > max_pts:
-            idx = idx[:: int(np.ceil(idx.size / max_pts))]
-        probe = pts[idx].copy()
+        probe = grid.points()[idx]
         probe[probe[:, -1] == 0.0, -1] = 1e-9
         # Mollified reference: kernel convolved with the same Gaussian
         # width in the source variable (Gauss-Hermite), so mollification

@@ -35,11 +35,24 @@ the xi' grid and its even-index subset are point-symmetric, so only the
 nodes k = 0..M are evaluated, the weights of k > 0 are doubled, and every
 sum is the real part of the half sum.
 
+The xi' grid is halved too.  Node Q-1-q of the grid is -xi'_q.  Theta^2 =
+a_nn (xi'^T A_tt xi' + tau) - (a_t.xi')^2 is even in xi', and so are the
+roots, their sums and every coefficient, to the last bit; only the linear
+forms a_t.xi' are odd, and they hold no tau.  So each exponent
+(+-i a_t.xi' +- Theta)/a_nn is an odd phase i phi plus an even root part
+r, and e^{p x_n + q y_n} = e^{i(phi_p x_n + phi_q y_n)} e^{r_p x_n + r_q y_n}.
+The symbols, the exponentials e^r and the tau contraction are evaluated
+on the (Q+1)/2 nodes 0..(Q-1)/2 only; each node then takes the sums of
+its mirror there (or its own) times the phase, one complex exponential
+per node and normal pair, which all the terms of a region share
+(_tau_sums).
+
 Shared symbols.  All six region symbols are built from one table of
-Theta_A, Theta_B, their sum, eight exponents and five coefficients
-(symbols.SymbolTable), so a quadrature pass evaluates each array once for
-all its region groups; a term that two groups share (R11/R12, R21/R22) is
-the same arrays, and its weights are built once per pass too.
+Theta_A, Theta_B, their sum, the two phases, the two root parts and five
+coefficients (symbols.SymbolTable), so a quadrature pass evaluates each
+array once for all its region groups; a term that two groups share
+(R11/R12, R21/R22) is the same arrays, and its weights are built once per
+pass too.
 
 Tail bound.  After the tau integral the integrand decays like
 e^{-a |xi'|^2}, a = lambda_min(S) (t - s) over the tangential Schur
@@ -63,7 +76,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
-from itertools import chain
+from itertools import accumulate, chain
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -77,10 +90,10 @@ from .medium import (
     TwoLayerMedium,
 )
 from .symbols import (
-    Region,
+    REGIONS,
     SymbolTable,
-    classify_region,
     on_branch_cut,
+    region_index,
     region_terms,
     theta_squared,
 )
@@ -357,7 +370,7 @@ class XiGrid(NamedTuple):
     xi: np.ndarray  # (Q, d) nodes, the last axis varying fastest
     wq: np.ndarray  # (Q,) weights, over (2 pi)^d
     shape: tuple  # node count of each axis
-    even: tuple  # per axis, the slice of its nodes of even index
+    sub: np.ndarray  # the nodes of even index on every axis, in grid order
 
 
 def _xi_grid(radius: float, steps) -> XiGrid:
@@ -374,7 +387,8 @@ def _xi_grid(radius: float, steps) -> XiGrid:
         shape.append(axis.size)
         even.append(slice(k % 2, None, 2))
     wq = np.full(xi.shape[0], math.prod(steps) / (2.0 * np.pi) ** len(steps))
-    return XiGrid(xi, wq, tuple(shape), tuple(even))
+    sub = np.arange(xi.shape[0]).reshape(shape)[tuple(even)].ravel()
+    return XiGrid(xi, wq, tuple(shape), sub)
 
 
 class KernelEvaluator:
@@ -442,60 +456,84 @@ class KernelEvaluator:
         ``source_gradient``, g = q for the source one.  s_half holds s_val
         and s_n of the step-2h rule on the grid's even-index nodes: weights
         2 W_m on the even contour nodes, read from the same exponentials.
+
+        The sums are formed on the canonical half of the grid, nodes
+        0..(Q-1)/2, and unfolded by the mirror index (module docstring).
+        With p = i phi_p + r_p and q = i phi_q + r_q, e^{p x_n + q y_n} is
+        the group's phase e^{i(phi_p x_n + phi_q y_n)}, which holds no tau,
+        times e^{r_p x_n + r_q y_n}, which is even in xi' like coef.  So the
+        half sums are sum_m W coef e^r times 1, r_p and r_q; s_val is the
+        phase times the first, s_n the phase times (i phi_p times the first
+        plus the second), and s_src likewise with phi_q and the third.
+        |e^{p x_n + q y_n}| = |e^r| is even too, but |p| and |q| are not:
+        the floor weights are formed for both nodes of a mirror pair.
         """
+        if not groups:
+            return []
         q_cnt, m_cnt = grid.xi.shape[0], tau.size
-        chunk = max(1, int(4.0e6 / (q_cnt * m_cnt)))
-        half_shape = tuple(len(range(size)[sl]) for size, sl in zip(grid.shape, grid.even))
-        # The step-2h nodes of a (rows, Q, M + 1) array, as a strided view.
-        half = (slice(None),) + grid.even + (slice(None, None, 2),)
-        xi_c = grid.xi.astype(complex)
+        h_cnt = (q_cnt + 1) // 2
+        # The step-2h nodes are point-symmetric too: their first half lies
+        # in the canonical half of the grid.
+        sub = grid.sub
+        sub_half = _as_slice(sub[:(sub.size + 1) // 2])
+        chunk = max(1, int(4.0e6 / (h_cnt * m_cnt)))
+        xi_c = grid.xi[:h_cnt].astype(complex)
         table = SymbolTable(self.medium, xi_c, tau)
         group_terms = [region_terms(region, self.medium, xi_c, tau, table=table)
                        for region, _, _, _ in groups]
-        # A term's weights are built once per pass (the magnitudes straight
-        # into one (5 or 6, Q, M) array).  R11/R12 and R21/R22 share a term, as
-        # the same arrays of the table, so its weights are kept until the
-        # last group that uses it.
-        uses = Counter(_term_key(term) for terms in group_terms for term in terms)
-        weights = {}
-        sums = []
-        for (_, _, uniq, _), terms in zip(groups, group_terms):
-            u_cnt = uniq.shape[0]
-            s_val = np.zeros((u_cnt, q_cnt), dtype=complex)
-            s_n = np.zeros((u_cnt, q_cnt), dtype=complex)
-            s_src = np.zeros((u_cnt, q_cnt), dtype=complex) if source_gradient else None
-            s_abs = np.zeros((5 + source_gradient, u_cnt, q_cnt))
-            s_half = np.zeros((2, u_cnt) + half_shape, dtype=complex)
+        # A term's weights are built once per pass.  R11/R12 and R21/R22
+        # share a term, so its weights are kept until the last group that
+        # uses it.  Terms share exponents too, and with them |p| and |q|.
+        uses = Counter(term.name for terms in group_terms for term in terms)
+        weights, abs_exp = {}, {}
+        # The pairs of all groups, one group after the other, share the
+        # sums; phi holds phi_p and phi_q of each pair's group.
+        pairs = np.concatenate([uniq for _, _, uniq, _ in groups])
+        ends = list(accumulate(uniq.shape[0] for _, _, uniq, _ in groups))
+        spans = list(zip([0] + ends[:-1], ends))
+        n_abs = 5 + source_gradient
+        s_w = np.zeros((2 + source_gradient, pairs.shape[0], h_cnt), dtype=complex)
+        s_abs = np.zeros((2 * n_abs - 1, pairs.shape[0], h_cnt))
+        s_half = np.zeros((2, pairs.shape[0], (sub.size + 1) // 2), dtype=complex)
+        phi = np.empty((2, pairs.shape[0], h_cnt))
+        for (lo, hi), terms in zip(spans, group_terms):
+            for row, e in zip(phi, (terms[0].p, terms[0].q)):
+                row[lo:hi] = e.phase_sign * e.phase.real[:, 0]
             # Each row adds its terms in order, whatever chunk it is in.
             for term in terms:
-                key = _term_key(term)
-                if key not in weights:
-                    weights[key] = _term_weights(term, wte, source_gradient, grid.shape, half[1:])
-                w_t, w_p, w_q, w_abs, w_half = weights[key]
-                uses[key] -= 1
-                if not uses[key]:
-                    del weights[key]
-                _, p, q = term
-                for lo in range(0, u_cnt, chunk):
-                    sl = slice(lo, min(lo + chunk, u_cnt))
-                    xnc = uniq[sl, 0][:, None, None]
-                    ync = uniq[sl, 1][:, None, None]
-                    ex = np.exp(p[None, :, :] * xnc + q[None, :, :] * ync)
-                    s_val[sl] += np.einsum("qm,kqm->kq", w_t, ex)
-                    s_n[sl] += np.einsum("qm,kqm->kq", w_p, ex)
-                    if source_gradient:
-                        s_src[sl] += np.einsum("qm,kqm->kq", w_q, ex)
+                if term.name not in weights:
+                    for e in (term.p, term.q):
+                        if e.name not in abs_exp:
+                            abs_exp[e.name] = _abs_exponent(e)
+                    weights[term.name] = _term_weights(
+                        term, wte, source_gradient, sub_half,
+                        abs_exp[term.p.name], abs_exp[term.q.name])
+                w_sum, w_abs, w_half = weights[term.name]
+                uses[term.name] -= 1
+                if not uses[term.name]:
+                    del weights[term.name]
+                r_p, r_q = term.p.root[None], term.q.root[None]
+                x_n = term.p.root_sign * pairs[lo:hi, 0, None, None]
+                y_n = term.q.root_sign * pairs[lo:hi, 1, None, None]
+                for c_lo in range(0, hi - lo, chunk):
+                    c_sl = slice(c_lo, c_lo + chunk)
+                    sl = slice(lo + c_lo, min(lo + c_lo + chunk, hi))
+                    ex = np.exp(r_p * x_n[c_sl] + r_q * y_n[c_sl])
+                    for row, w in zip(s_w, w_sum):
+                        row[sl] += np.einsum("qm,kqm->kq", w, ex)
                     s_abs[:, sl] += np.einsum("jqm,kqm->jkq", w_abs, np.abs(ex))
-                    ex_half = ex.reshape((-1,) + grid.shape + (m_cnt,))[half]
-                    s_half[:, sl] += np.einsum("j...m,k...m->jk...", w_half, ex_half)
-                    del ex, ex_half  # free before the next exponent is formed
-            # Rows of s_abs: sum |W coef e^z| times 1, |p|, |q|, |p|^2, |p q|, |q|^2.
-            axn, ayn = np.abs(uniq[:, :1]), np.abs(uniq[:, 1:])
-            rows = ((0, 1, 2), (1, 3, 4), (2, 4, 5))[:2 + source_gradient]
-            s_floor = np.stack([ROUNDOFF_UNITS * s_abs[i] + axn * s_abs[j] + ayn * s_abs[k]
-                                for i, j, k in rows])
-            sums.append((s_val, s_n, s_src, s_floor, s_half.reshape(2, u_cnt, -1)))
-        return sums
+                    s_half[:, sl] += np.einsum("jqm,kqm->jkq", w_half, ex[:, sub_half, ::2])
+                    del ex  # free before the next exponent is formed
+        # A one-node grid (1-D) is its own half, and its phase is 1.
+        if h_cnt < q_cnt:
+            s_w, s_half, s_abs = _unfold(s_w, s_half, s_abs, phi, pairs, q_cnt, sub)
+        # Rows of s_abs: sum |W coef e^z| times 1, |p|, |q|, |p|^2, |p q|, |q|^2.
+        axn, ayn = np.abs(pairs[:, :1]), np.abs(pairs[:, 1:])
+        rows = ((0, 1, 2), (1, 3, 4), (2, 4, 5))[:2 + source_gradient]
+        s_floor = np.stack([ROUNDOFF_UNITS * s_abs[i] + axn * s_abs[j] + ayn * s_abs[k]
+                            for i, j, k in rows])
+        return [(s_w[0, lo:hi], s_w[1, lo:hi], s_w[2, lo:hi] if source_gradient else None,
+                 s_floor[:, lo:hi], s_half[:, lo:hi]) for lo, hi in spans]
 
     def _phase_sums(self, groups, dxp, grid: XiGrid, sums, source_gradient):
         """Gamma, grad and sgrad from the tau sums, their roundoff floor,
@@ -512,7 +550,7 @@ class KernelEvaluator:
         d = n - 1
         xi, wq = grid.xi, grid.wq
         k_tot, q_cnt = dxp.shape[0], wq.size
-        sub = np.arange(q_cnt).reshape(grid.shape)[grid.even].ravel()
+        sub = grid.sub
         wq_half = 2.0 ** d * wq[sub]
         gamma = np.zeros(k_tot)
         grad = np.zeros((k_tot, n))
@@ -523,11 +561,12 @@ class KernelEvaluator:
         for (_, idx, _, inv), (s_val, s_n, s_src, s_floor, s_half) in zip(groups, sums):
             tangential = s_floor[0] * np.max(np.abs(xi), axis=1, initial=0.0)
             floor[idx] = np.finfo(float).eps * np.maximum(
-                np.max(s_floor @ wq, axis=0), tangential @ wq)[inv]
+                np.max(np.einsum("jkq,q->jk", s_floor, wq), axis=0),
+                np.einsum("kq,q->k", tangential, wq))[inv]
             for lo in range(0, idx.size, pt_chunk):
                 sel = idx[lo:lo + pt_chunk]
                 rows = inv[lo:lo + pt_chunk]
-                phase = np.exp(1j * (dxp[sel] @ xi.T))
+                phase = np.exp(1j * np.einsum("kj,qj->kq", dxp[sel], xi))
                 pw = phase * wq[None, :]
                 pw_half = phase[:, sub] * wq_half[None, :]
                 v0, h0 = s_val[rows], s_half[0, rows]
@@ -570,16 +609,16 @@ class KernelEvaluator:
         d = n - 1
         dxp = x[:, :d] - y[:, :d]
 
-        tags = np.array([classify_region(xn[k], yn[k]).name for k in range(k_tot)])
+        codes = region_index(xn, yn)
         groups = []
-        for tag in np.unique(tags):
-            idx = np.nonzero(tags == tag)[0]
+        for code in np.unique(codes):
+            idx = np.nonzero(codes == code)[0]
             # The tau contraction depends only on (x_n, y_n); points on a
             # tensor grid share few distinct normal coordinates, so it runs
-            # once per unique pair.
-            uniq, inv = np.unique(np.stack([xn[idx], yn[idx]], axis=1), axis=0,
-                                  return_inverse=True)
-            groups.append((Region[tag], idx, uniq, inv))
+            # once per unique pair.  Complex numbers sort as the (x_n, y_n)
+            # rows would, and far faster than np.unique(axis=0) sorts rows.
+            keys, inv = np.unique(xn[idx] + 1j * yn[idx], return_inverse=True)
+            groups.append((REGIONS[code], idx, np.stack([keys.real, keys.imag], axis=1), inv))
 
         tau, w = self._contour(self.cfg.contour_nodes, dt)
         wte = w * np.exp(tau * dt)
@@ -644,39 +683,97 @@ def _tail_bound(groups, k_tot: int, xi: np.ndarray, wq: np.ndarray, sums,
     bound_val, bound_grad = np.zeros(k_tot), np.zeros(k_tot)
     for (_, idx, _, inv), (s_val, s_n, s_src, *_) in zip(groups, sums):
         f_val = np.abs(s_val + s_val[:, ::-1].conj())
-        mass = f_val @ w_tan
+        mass = np.einsum("kq,q->k", f_val, w_tan)
         for s in (s_n, s_src):
             if s is not None:
-                mass = np.maximum(mass, np.abs(s + s[:, ::-1].conj()) @ w_val)
-        bound_val[idx] = (0.5 * TAIL_SAFETY * ratio * (f_val @ w_val))[inv]
+                mass = np.maximum(mass, np.einsum("kq,q->k", np.abs(s + s[:, ::-1].conj()), w_val))
+        bound_val[idx] = (0.5 * TAIL_SAFETY * ratio * np.einsum("kq,q->k", f_val, w_val))[inv]
         bound_grad[idx] = (0.5 * TAIL_SAFETY * ratio * mass)[inv]
     return bound_val, bound_grad
 
 
-def _term_key(term):
-    """Identity of a (coef, p, q) term: shared terms are the same arrays."""
-    return tuple(id(a) for a in term)
+def _mirror_index(count: int) -> np.ndarray:
+    """For each node of a point-symmetric grid of ``count`` nodes, the node
+    of its canonical half, 0..(count-1)/2, that it is or mirrors."""
+    k = np.arange(count)
+    return np.minimum(k, count - 1 - k)
 
 
-def _term_weights(term, wte, source_gradient: bool, shape: tuple, half: tuple):
-    """Weights w_t = coef W, w_t p, w_t q (or None), |w_t| times 1, |p|,
-    |q|, |p|^2, |p q| and, with ``source_gradient``, |q|^2, and 2 w_t and
-    2 w_p at the step-2h nodes ``half`` of a grid of ``shape``."""
-    coef, p, q = term
-    w_t = coef * wte[None, :]
-    w_p = w_t * p
-    w_q = w_t * q if source_gradient else None
-    abs_p, abs_q = np.abs(p), np.abs(q)
-    w_abs = np.empty((5 + source_gradient,) + w_t.shape)
-    np.abs(w_t, out=w_abs[0])
-    np.multiply(w_abs[0], abs_p, out=w_abs[1])
-    np.multiply(w_abs[0], abs_q, out=w_abs[2])
-    np.multiply(w_abs[1], abs_p, out=w_abs[3])
-    np.multiply(w_abs[1], abs_q, out=w_abs[4])
+def _as_slice(idx: np.ndarray):
+    """``idx``, or the slice that selects the same items when it is evenly spaced."""
+    step = idx[1] - idx[0] if idx.size > 1 else 1
+    if np.all(np.diff(idx) == step):
+        return slice(idx[0], idx[-1] + 1, step)
+    return idx
+
+
+def _unfold(s_w, s_half, s_abs, phi, pairs, q_cnt: int, sub):
+    """The sums of _tau_sums on all ``q_cnt`` nodes from those on the canonical half.
+
+    ``s_w`` holds sum_m W coef e^r times 1, r_p and maybe r_q, ``s_half``
+    the first two of the step-2h rule on the canonical half of the step-2h
+    nodes ``sub``, and ``phi`` phi_p and phi_q, all on the half nodes.  A
+    node takes the sums of its mirror on the half, where phi changes sign,
+    and s_n (s_src) adds i phi_p (i phi_q) times the first; then all are
+    multiplied by the phase e^{i(phi_p x_n + phi_q y_n)}.  ``s_abs`` holds
+    the floor rows of _term_weights: n_abs rows on the half nodes, then all
+    but the first on their mirrors.  Returns s_w and s_half with the phase
+    put back and the n_abs floor rows, on all nodes.
+    """
+    h_cnt = s_w.shape[2]
+    mirror = _mirror_index(q_cnt)
+    # np.take keeps the arrays in C order, as the sums of the half are.
+    phi = np.take(phi, mirror, axis=2) * np.where(mirror == np.arange(q_cnt), 1.0, -1.0)
+    phase = np.exp(1j * (phi[0] * pairs[:, :1] + phi[1] * pairs[:, 1:]))
+    v = np.take(s_w, mirror, axis=2)
+    v[1:] += 1j * phi[:v.shape[0] - 1] * v[0]
+    v *= phase
+    v_half = np.take(s_half, _mirror_index(sub.size), axis=2)
+    v_half[1] += 1j * np.take(phi[0], sub, axis=1) * v_half[0]
+    v_half *= np.take(phase, sub, axis=1)
+    n_abs = (s_abs.shape[0] + 1) // 2
+    mirrored = np.concatenate([s_abs[:1], s_abs[n_abs:]])[..., :h_cnt - 1][..., ::-1]
+    return v, v_half, np.concatenate([s_abs[:n_abs], mirrored], axis=2)
+
+
+def _abs_exponent(e):
+    """|p| of an exponent on the canonical half nodes and on their mirrors,
+    (2, Q, M): |p| = |r + i s phase|, s the product of p's two signs."""
+    return np.abs(e.root + (1j * e.phase_sign * e.root_sign) * (_SIDES * e.phase))
+
+
+def _term_weights(term, wte, source_gradient: bool, sub_half, abs_p, abs_q):
+    """Weights of a term on the canonical half of the grid.
+
+    w_sum holds w_t = coef W, w_t r_p and, with ``source_gradient``, w_t r_q
+    (r the signed root parts).  w_abs holds |w_t| and then |w_t| times |p|,
+    |q|, |p|^2, |p q| and, with ``source_gradient``, |q|^2, first on the
+    node and then on its mirror (``abs_p`` and ``abs_q`` hold both sides).
+    w_half holds 2 w_t and 2 w_t r_p at the step-2h nodes ``sub_half`` and
+    the even contour nodes.
+    """
+    w_sum = np.empty((2 + source_gradient,) + term.coef.shape, dtype=complex)
+    w_t = np.multiply(term.coef, wte[None, :], out=w_sum[0])
+    for w_r, e in zip(w_sum[1:], (term.p, term.q)):
+        np.multiply(w_t, e.root, out=w_r)
+        if e.root_sign < 0.0:
+            np.negative(w_r, out=w_r)
+    w_half = 2.0 * w_sum[:2, sub_half, ::2]
+    n_abs = 5 + source_gradient
+    w_abs = np.empty((2 * n_abs - 1,) + w_t.shape)
+    abs_w = np.abs(w_t, out=w_abs[0])
+    sides = w_abs[1:].reshape((2, n_abs - 1) + w_t.shape)
+    np.multiply(abs_w, abs_p, out=sides[:, 0])
+    np.multiply(abs_w, abs_q, out=sides[:, 1])
+    np.multiply(sides[:, 0], abs_p, out=sides[:, 2])
+    np.multiply(sides[:, 0], abs_q, out=sides[:, 3])
     if source_gradient:
-        np.multiply(w_abs[2], abs_q, out=w_abs[5])
-    w_half = 2.0 * np.stack([w.reshape(shape + (wte.size,))[half] for w in (w_t, w_p)])
-    return w_t, w_p, w_q, w_abs, w_half
+        np.multiply(sides[:, 1], abs_q, out=sides[:, 4])
+    return w_sum, w_abs, w_half
+
+
+# The phase signs of a node (+1) and of its mirror (-1), see _abs_exponent.
+_SIDES = np.array([1.0, -1.0])[:, None, None]
 
 
 def eval_kernel(medium: TwoLayerMedium, q: KernelQuery, cfg: QuadratureConfig | None = None) -> KernelValue:

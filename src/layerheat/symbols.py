@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,15 +59,20 @@ class Region(Enum):
 
 def classify_region(x_n: float, y_n: float) -> Region:
     """Region tag for a target/source pair of normal coordinates."""
-    if y_n > 0.0:
-        if x_n < 0.0:
-            return Region.R2
-        return Region.R11 if x_n >= y_n else Region.R12
-    if y_n < 0.0:
-        if x_n > 0.0:
-            return Region.R1
-        return Region.R22 if x_n <= y_n else Region.R21
-    raise OnInterface("y_n == 0: source on the interface is not supported")
+    if not (y_n > 0.0 or y_n < 0.0):
+        raise OnInterface("y_n == 0: source on the interface is not supported")
+    return REGIONS[region_index(x_n, y_n)]
+
+
+def region_index(x_n, y_n):
+    """classify_region for arrays: the position in ``Region`` of the region
+    of each (x_n, y_n) pair.  Every y_n must be nonzero."""
+    above = np.where(x_n < 0.0, 2, np.where(x_n >= y_n, 0, 1))  # R2, R11, R12
+    below = np.where(x_n > 0.0, 3, np.where(x_n <= y_n, 5, 4))  # R1, R22, R21
+    return np.where(y_n > 0.0, above, below)
+
+
+REGIONS = tuple(Region)
 
 
 def region_contains(region: Region, x_n: float, y_n: float) -> bool:
@@ -94,8 +100,8 @@ def _forms(medium: TwoLayerMedium, xi: np.ndarray):
     if xi.shape[-1] == 0:
         zero = np.zeros(xi.shape[:-1], dtype=complex)
         return zero, zero, zero.copy(), zero.copy()
-    a_form = xi @ A.normal_row.astype(complex)
-    b_form = xi @ B.normal_row.astype(complex)
+    a_form = np.einsum("...i,i->...", xi, A.normal_row.astype(complex))
+    b_form = np.einsum("...i,i->...", xi, B.normal_row.astype(complex))
     quad_A = np.einsum("...i,ij,...j->...", xi, A.minor, xi)
     quad_B = np.einsum("...i,ij,...j->...", xi, B.minor, xi)
     return a_form, b_form, quad_A, quad_B
@@ -146,6 +152,35 @@ class _lazy:
         return value
 
 
+class Exponent(NamedTuple):
+    """The exponent ``name`` of region terms, i*phase_sign*phase + root_sign*root.
+
+    ``phase`` (Q, 1) is a.xi'/a_nn of one layer: it holds no tau and is odd
+    in real xi'.  ``root`` (Q, M) is that layer's Theta/a_nn, even in xi'.
+    Both signs are +-1.0.
+    """
+
+    name: str
+    phase_sign: float
+    phase: np.ndarray
+    root_sign: float
+    root: np.ndarray
+
+    def value(self) -> np.ndarray:
+        """The exponent itself, (Q, M)."""
+        return 1j * self.phase_sign * self.phase + self.root_sign * self.root
+
+
+class Term(NamedTuple):
+    """coef * exp(p x_n + q y_n).  Two regions that share a term give it the
+    same ``name`` and the same arrays."""
+
+    name: str
+    coef: np.ndarray
+    p: Exponent
+    q: Exponent
+
+
 class SymbolTable:
     """The arrays the six region symbols are built from, on one (xi', tau) grid.
 
@@ -154,14 +189,22 @@ class SymbolTable:
     (+-i a +- Theta_A)/a_nn and (+-i b +- Theta_B)/b_nn (named by their two
     signs, ``a_pm`` = (i a - Theta_A)/a_nn) and five coefficients: the
     direct terms 1/(2 Theta), the reflected terms and the transmitted term
-    1/(Theta_A + Theta_B).  Each array is computed on first use and then
-    kept, so the region groups of one quadrature pass share them.  ``xi``
-    is (Q, n-1) complex and ``tau`` (M,); every array has shape (Q, M).
+    1/(Theta_A + Theta_B).  The table keeps each exponent as its two parts
+    (see ``exponent``): the tau-free phases phase_a = a/a_nn and
+    phase_b = b/b_nn, one value per xi' node, and the root parts
+    root_a = Theta_A/a_nn and root_b = Theta_B/b_nn.  At real xi' the roots,
+    root parts and coefficients are even in xi' and the phases odd, so a
+    table on one half of a point-symmetric xi' grid holds all the grid needs.
+
+    Each array is computed on first use and then kept, so the region groups
+    of one quadrature pass share them.  ``xi`` is (Q, n-1) complex and
+    ``tau`` (M,); the phases have shape (Q, 1), every other array (Q, M).
     """
 
     def __init__(self, medium: TwoLayerMedium, xi: np.ndarray, tau: np.ndarray):
         self.medium, self.xi, self.tau = medium, xi, tau
         self.ann, self.bnn = medium.upper.a_nn, medium.lower.a_nn
+        self._exponents = {}
 
     @_lazy
     def _roots(self):
@@ -171,17 +214,11 @@ class SymbolTable:
     theta_a = _lazy(lambda t: t._roots[0])
     theta_b = _lazy(lambda t: t._roots[1])
     theta_sum = _lazy(lambda t: t.theta_a + t.theta_b)
-    form_a = _lazy(lambda t: t._roots[2])
-    form_b = _lazy(lambda t: t._roots[3])
 
-    a_mm = _lazy(lambda t: (-1j * t.form_a - t.theta_a) / t.ann)
-    a_mp = _lazy(lambda t: (-1j * t.form_a + t.theta_a) / t.ann)
-    a_pm = _lazy(lambda t: (1j * t.form_a - t.theta_a) / t.ann)
-    a_pp = _lazy(lambda t: (1j * t.form_a + t.theta_a) / t.ann)
-    b_mm = _lazy(lambda t: (-1j * t.form_b - t.theta_b) / t.bnn)
-    b_mp = _lazy(lambda t: (-1j * t.form_b + t.theta_b) / t.bnn)
-    b_pm = _lazy(lambda t: (1j * t.form_b - t.theta_b) / t.bnn)
-    b_pp = _lazy(lambda t: (1j * t.form_b + t.theta_b) / t.bnn)
+    phase_a = _lazy(lambda t: t._roots[2] / t.ann)
+    phase_b = _lazy(lambda t: t._roots[3] / t.bnn)
+    root_a = _lazy(lambda t: t.theta_a / t.ann)
+    root_b = _lazy(lambda t: t.theta_b / t.bnn)
 
     direct_a = _lazy(lambda t: 1.0 / (2.0 * t.theta_a))
     direct_b = _lazy(lambda t: 1.0 / (2.0 * t.theta_b))
@@ -191,13 +228,37 @@ class SymbolTable:
         lambda t: (t.theta_b - t.theta_a) / (2.0 * t.theta_b * t.theta_sum))
     transmit = _lazy(lambda t: 1.0 / t.theta_sum)
 
+    def exponent(self, name: str) -> Exponent:
+        """The exponent ``name``: ``a_pm`` = i phase_a - root_a."""
+        if name not in self._exponents:
+            layer, signs = name.split("_")
+            sign = {"p": 1.0, "m": -1.0}
+            self._exponents[name] = Exponent(name, sign[signs[0]], getattr(self, "phase_" + layer),
+                                             sign[signs[1]], getattr(self, "root_" + layer))
+        return self._exponents[name]
+
+
+# Each region's terms as "coefficient p q": V = sum coef e^{p x_n + q y_n}.
+# Every term of a region has the phase -phase_X x_n + phase_Y y_n, X and Y
+# the layers of the target and of the source.
+_REGION_TERMS = {
+    Region.R11: ("direct_a a_mm a_pp", "reflect_a a_mm a_pm"),
+    Region.R12: ("reflect_a a_mm a_pm", "direct_a a_mp a_pm"),
+    Region.R2: ("transmit b_mp a_pm",),
+    Region.R1: ("transmit a_mm b_pp",),
+    Region.R21: ("reflect_b b_mp b_pp", "direct_b b_mm b_pp"),
+    Region.R22: ("direct_b b_mp b_pm", "reflect_b b_mp b_pp"),
+}
+
 
 def region_terms(region: Region, medium: TwoLayerMedium, xi: np.ndarray, tau: np.ndarray,
-                 *, table: SymbolTable | None = None):
+                 *, table: SymbolTable | None = None) -> list[Term]:
     """Exponential-term decomposition of the region symbol V.
 
-    Returns a list of (coef, p, q) arrays of shape (Q, M) such that
-    ``V(x_n, y_n) = sum_k coef_k * exp(p_k x_n + q_k y_n)``.  The source
+    Returns a list of terms (name, coef, p, q), coef of shape (Q, M) and the
+    exponents p and q split into phase and root parts (``Exponent``), such
+    that ``V(x_n, y_n) = sum_k coef_k * exp(p_k x_n + q_k y_n)``.  All terms
+    of one region share the phase parts of p and of q.  The source
     prefactor exp(-tau*s - i y'.xi') is NOT included.  The terms are read
     from ``table``, which must have been built for (medium, xi, tau).
     Without one a fresh table is built; calls for several regions on one
@@ -206,19 +267,13 @@ def region_terms(region: Region, medium: TwoLayerMedium, xi: np.ndarray, tau: np
     t = SymbolTable(medium, xi, tau) if table is None else table
     if t.medium is not medium or t.xi is not xi or t.tau is not tau:
         raise ValueError("the symbol table was built for another grid")
-    if region is Region.R11:
-        return [(t.direct_a, t.a_mm, t.a_pp), (t.reflect_a, t.a_mm, t.a_pm)]
-    if region is Region.R12:
-        return [(t.reflect_a, t.a_mm, t.a_pm), (t.direct_a, t.a_mp, t.a_pm)]
-    if region is Region.R2:
-        return [(t.transmit, t.b_mp, t.a_pm)]
-    if region is Region.R1:
-        return [(t.transmit, t.a_mm, t.b_pp)]
-    if region is Region.R21:
-        return [(t.reflect_b, t.b_mp, t.b_pp), (t.direct_b, t.b_mm, t.b_pp)]
-    if region is Region.R22:
-        return [(t.direct_b, t.b_mp, t.b_pm), (t.reflect_b, t.b_mp, t.b_pp)]
-    raise RegionMismatch(f"unknown region {region}")
+    if region not in _REGION_TERMS:
+        raise RegionMismatch(f"unknown region {region}")
+    terms = []
+    for name in _REGION_TERMS[region]:
+        coef, p, q = name.split()
+        terms.append(Term(name, getattr(t, coef), t.exponent(p), t.exponent(q)))
+    return terms
 
 
 def v_symbol(
@@ -241,8 +296,9 @@ def v_symbol(
     xi = sp.xi_prime[None, :]
     tau = np.array([sp.tau])
     total = 0.0 + 0.0j
-    for coef, p, q in region_terms(region, medium, xi, tau):
-        total += complex(coef[0, 0] * p[0, 0] ** derivative * np.exp(p[0, 0] * x_n + q[0, 0] * y_n))
+    for term in region_terms(region, medium, xi, tau):
+        p, q = term.p.value()[0, 0], term.q.value()[0, 0]
+        total += complex(term.coef[0, 0] * p ** derivative * np.exp(p * x_n + q * y_n))
     return total
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layerheat import cli, inverse_transform
+from layerheat import cli, inverse_transform, oracle
 from layerheat.cli import main
 
 
@@ -481,3 +481,22 @@ class TestCompareOracle:
         assert rep["passed"] is True
         levels = rep["levels"]
         assert levels[1]["linf_rel"] < levels[0]["linf_rel"] <= 0.02
+
+    def test_no_probe_exit_2(self, tmp_path, monkeypatch, capsys):
+        # At 51 nodes no node lies inside the bulk and away from the source;
+        # the level is refused before its finite-difference solve.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the finite-difference solve ran")
+
+        monkeypatch.setattr(oracle, "approximate_kernel", no_solve)
+        cfg = {
+            "medium": {"upper": [[1.0, 0.0], [0.0, 1.0]], "lower": [[2.0, 0.0], [0.0, 2.0]]},
+            "compare_oracle": {"t": 0.25, "y": [0.0, 0.5], "levels": [51], "time_steps": 10,
+                               "max_points": 4, "bulk_half_width": 0.6},
+            "output": str(tmp_path / "cmp.json"),
+        }
+        assert main(["compare-oracle", write_cfg(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "level 51" in err and "bulk_half_width 0.6" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "cmp.json").exists()

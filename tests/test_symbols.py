@@ -51,6 +51,11 @@ def thetas(medium, sp):
     return complex(np.sqrt(th2_A[0, 0])), complex(np.sqrt(th2_B[0, 0]))
 
 
+def term_arrays(term):
+    """The arrays of a region term: coefficient, then phase and root of p and of q."""
+    return term.coef, term.p.phase, term.p.root, term.q.phase, term.q.root
+
+
 def random_spectral_points(dim, count, seed=0):
     rng = np.random.default_rng(seed)
     pts = []
@@ -240,13 +245,17 @@ class TestRegionTerms:
             fresh = region_terms(region, medium, xi, tau)
             assert len(shared) == len(fresh)
             for got, want in zip(shared, fresh):
-                for a, b in zip(got, want):
-                    assert a.shape == (7, 5)
+                assert got.name == want.name and got.coef.shape == (7, 5)
+                for a, b in zip(term_arrays(got), term_arrays(want)):
                     assert a.tobytes() == b.tobytes()
-        # A term shared by two regions is one array of the table.
+            # The evaluator puts one phase back per region.
+            assert len({(t.p.phase_sign, id(t.p.phase), t.q.phase_sign, id(t.q.phase))
+                        for t in shared}) == 1
+        # A term shared by two regions is the same arrays of the table.
         r11 = region_terms(Region.R11, medium, xi, tau, table=table)
         r12 = region_terms(Region.R12, medium, xi, tau, table=table)
-        assert all(a is b for a, b in zip(r11[1], r12[0]))
+        assert r11[1].name == r12[0].name
+        assert all(a is b for a, b in zip(term_arrays(r11[1]), term_arrays(r12[0])))
 
     def test_table_of_another_grid_rejected(self):
         med = layered_2d()
