@@ -40,12 +40,14 @@ a_nn (xi'^T A_tt xi' + tau) - (a_t.xi')^2 is even in xi', and so are the
 roots, their sums and every coefficient, to the last bit; only the linear
 forms a_t.xi' are odd, and they hold no tau.  So each exponent
 (+-i a_t.xi' +- Theta)/a_nn is an odd phase i phi plus an even root part
-r, and e^{p x_n + q y_n} = e^{i(phi_p x_n + phi_q y_n)} e^{r_p x_n + r_q y_n}.
-The symbols, the exponentials e^r and the tau contraction are evaluated
-on the (Q+1)/2 nodes 0..(Q-1)/2 only; each node then takes the sums of
-its mirror there (or its own) times the phase, one complex exponential
-per node and normal pair, which all the terms of a region share
-(_tau_sums).
+r, and e^{p x_n + q y_n} = e^{i Phi} e^{r_p x_n + r_q y_n}, Phi = phi_p x_n
++ phi_q y_n.  The symbols, the exponentials e^r and the tau contraction
+run on the (Q+1)/2 nodes 0..(Q-1)/2 only (_tau_sums).  Their half sum h
+is even in xi', so the full contour rule's integrand, the mean of the half
+sums e^{i Phi} h at a node and conj(e^{-i Phi} h) at its mirror, is
+e^{i Phi} Re h, and only Re h is kept.  With psi = (x' - y').xi' + Phi, a
+node and its mirror add 2 cos psi Re h to Gamma, and sin psi terms to the
+gradients: real sums over the half nodes (_phase_sums).
 
 Shared symbols.  All six region symbols are built from one table of
 Theta_A, Theta_B, their sum, the two phases, the two root parts and five
@@ -60,23 +62,23 @@ complements S of both layers, so one xi' grid on [-R0, R0] per axis
 suffices: a R0^2 = ln(100/tol), widened below tol 1e-6 (_base_radius).
 A bound on what the grid leaves out is the grid's own mass on
 R0/2 <= |xi_j| <= R0, extrapolated beyond R0 by the Gaussian mass ratio
-(_tail_bound).  It reads the full contour rule's integrand
-(s(xi') + conj s(-xi'))/2, formed from the half sums s on mirrored nodes;
-s alone will not do, since its imaginary part, which the mirrored node
-cancels, decays only like 1/|xi'|.  Gamma and the gradients get bounds of
-their own, and each is tested against its own scale: 0.1 tol |Gamma| plus
-0.1 tol times the kernel scale (4 pi dt)^{-n/2} det^{-1/2}, and
-0.1 tol max|grad Gamma| plus 0.1 tol times the kernel scale over the
-length sqrt(min_delta dt).  A grid that fails either test raises
-QuadratureNotConverged; there is no second grid.  The larger bound is the
-truncation part of est.
+(_tail_bound).  It reads the full rule's integrand, |Re h| at a node and
+at its mirror alike; |h| would not do, since the imaginary part of the
+half sum, which the mirrored node cancels, decays only like 1/|xi'|.
+Gamma and the gradients get bounds of their own, and each is tested
+against its own scale: 0.1 tol |Gamma| plus 0.1 tol times the kernel
+scale (4 pi dt)^{-n/2} det^{-1/2}, and 0.1 tol max|grad Gamma| plus 0.1
+tol times the kernel scale over the length sqrt(min_delta dt).  A grid
+that fails either test raises QuadratureNotConverged; there is no second
+grid.  The larger bound is the truncation part of est.  In 1-D the one
+node xi' = 0 leaves no tail.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from collections import Counter
-from itertools import accumulate, chain
+from itertools import accumulate
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -391,6 +393,16 @@ def _xi_grid(radius: float, steps) -> XiGrid:
     return XiGrid(xi, wq, tuple(shape), sub)
 
 
+class HalfSums(NamedTuple):
+    """A region group's tau sums on P normal pairs and H half nodes (_tau_sums)."""
+
+    re: np.ndarray  # (2 or 3, P, H): Re h, Re h_n and maybe Re h_src
+    re_sub: np.ndarray  # (2, P, H_sub): Re h and Re h_n of the step-2h rule
+    phi: np.ndarray  # (2, H): phi_p and phi_q
+    pair_phase: np.ndarray  # (P, H): Phi = phi_p x_n + phi_q y_n
+    floor: np.ndarray  # (2 or 3, P, H): roundoff weights, node and mirror averaged
+
+
 class KernelEvaluator:
     """Batched evaluator of the kernel and its gradients.
 
@@ -445,37 +457,31 @@ class KernelEvaluator:
     # -- core contraction ------------------------------------------------
 
     def _tau_sums(self, groups, grid: XiGrid, tau, wte, source_gradient):
-        """Per region group, the tau contraction on the nodes of ``grid``.
+        """Per region group, the tau contraction on the canonical half of ``grid``.
 
-        For each unique normal pair (x_n, y_n) of the group and each node,
-        s_val = sum_m W_m V with W_m = w_m e^{tau_m dt} (``wte``) and
-        V = sum_terms coef e^{p x_n + q y_n}; s_n and s_src put a factor p
-        or q in each term.  s_floor holds the roundoff weights
-        sum_m sum_terms |W_m coef g e^{p x_n + q y_n}| (ROUNDOFF_UNITS + |p x_n| + |q y_n|)
-        with g = 1 for Gamma, g = p for the normal gradient and, with
-        ``source_gradient``, g = q for the source one.  s_half holds s_val
-        and s_n of the step-2h rule on the grid's even-index nodes: weights
+        For each unique normal pair (x_n, y_n) of the group and each node
+        0..(Q-1)/2, h = sum_m W_m V with W_m = w_m e^{tau_m dt} (``wte``)
+        and V = sum_terms coef e^{r_p x_n + r_q y_n}, the exponents' even
+        root parts (module docstring); h_n and h_src put a factor r_p or r_q
+        in each term.  Only their real parts are kept, and those of h and h_n
+        of the step-2h rule on the half of the even-index nodes: weights
         2 W_m on the even contour nodes, read from the same exponentials.
-
-        The sums are formed on the canonical half of the grid, nodes
-        0..(Q-1)/2, and unfolded by the mirror index (module docstring).
-        With p = i phi_p + r_p and q = i phi_q + r_q, e^{p x_n + q y_n} is
-        the group's phase e^{i(phi_p x_n + phi_q y_n)}, which holds no tau,
-        times e^{r_p x_n + r_q y_n}, which is even in xi' like coef.  So the
-        half sums are sum_m W coef e^r times 1, r_p and r_q; s_val is the
-        phase times the first, s_n the phase times (i phi_p times the first
-        plus the second), and s_src likewise with phi_q and the third.
-        |e^{p x_n + q y_n}| = |e^r| is even too, but |p| and |q| are not:
-        the floor weights are formed for both nodes of a mirror pair.
+        The odd phases come back as phi_p and phi_q of the group and the
+        pair phase Phi = phi_p x_n + phi_q y_n.  The floor rows hold the
+        roundoff weights sum_m sum_terms |W_m coef g e^{p x_n + q y_n}| (ROUNDOFF_UNITS + |p x_n| + |q y_n|)
+        with g = 1 for Gamma, g = p for the normal gradient and, with
+        ``source_gradient``, g = q for the source one.  |e^{p x_n + q y_n}|
+        = |e^r| is even in xi', but |p| and |q| are not: each row is the
+        mean of the node and its mirror.  Returns one HalfSums per group.
         """
         if not groups:
             return []
-        q_cnt, m_cnt = grid.xi.shape[0], tau.size
-        h_cnt = (q_cnt + 1) // 2
+        m_cnt = tau.size
+        h_cnt = (grid.xi.shape[0] + 1) // 2
         # The step-2h nodes are point-symmetric too: their first half lies
         # in the canonical half of the grid.
-        sub = grid.sub
-        sub_half = _as_slice(sub[:(sub.size + 1) // 2])
+        sub_cnt = (grid.sub.size + 1) // 2
+        sub_half = _as_slice(grid.sub[:sub_cnt])
         chunk = max(1, int(4.0e6 / (h_cnt * m_cnt)))
         xi_c = grid.xi[:h_cnt].astype(complex)
         table = SymbolTable(self.medium, xi_c, tau)
@@ -486,19 +492,18 @@ class KernelEvaluator:
         # uses it.  Terms share exponents too, and with them |p| and |q|.
         uses = Counter(term.name for terms in group_terms for term in terms)
         weights, abs_exp = {}, {}
-        # The pairs of all groups, one group after the other, share the
-        # sums; phi holds phi_p and phi_q of each pair's group.
+        # The pairs of all groups, one group after the other, share the sums.
         pairs = np.concatenate([uniq for _, _, uniq, _ in groups])
         ends = list(accumulate(uniq.shape[0] for _, _, uniq, _ in groups))
         spans = list(zip([0] + ends[:-1], ends))
-        n_abs = 5 + source_gradient
-        s_w = np.zeros((2 + source_gradient, pairs.shape[0], h_cnt), dtype=complex)
-        s_abs = np.zeros((2 * n_abs - 1, pairs.shape[0], h_cnt))
-        s_half = np.zeros((2, pairs.shape[0], (sub.size + 1) // 2), dtype=complex)
-        phi = np.empty((2, pairs.shape[0], h_cnt))
+        re = np.zeros((2 + source_gradient, pairs.shape[0], h_cnt))
+        s_abs = np.zeros((5 + source_gradient, pairs.shape[0], h_cnt))
+        re_sub = np.zeros((2, pairs.shape[0], sub_cnt))
+        phis = []
         for (lo, hi), terms in zip(spans, group_terms):
-            for row, e in zip(phi, (terms[0].p, terms[0].q)):
-                row[lo:hi] = e.phase_sign * e.phase.real[:, 0]
+            # Every term of a region has the same phases.
+            phis.append(np.stack([e.phase_sign * e.phase.real[:, 0]
+                                  for e in (terms[0].p, terms[0].q)]))
             # Each row adds its terms in order, whatever chunk it is in.
             for term in terms:
                 if term.name not in weights:
@@ -519,70 +524,73 @@ class KernelEvaluator:
                     c_sl = slice(c_lo, c_lo + chunk)
                     sl = slice(lo + c_lo, min(lo + c_lo + chunk, hi))
                     ex = np.exp(r_p * x_n[c_sl] + r_q * y_n[c_sl])
-                    for row, w in zip(s_w, w_sum):
-                        row[sl] += np.einsum("qm,kqm->kq", w, ex)
+                    for row, w in zip(re, w_sum):
+                        row[sl] += np.einsum("qm,kqm->kq", w, ex).real
                     s_abs[:, sl] += np.einsum("jqm,kqm->jkq", w_abs, np.abs(ex))
-                    s_half[:, sl] += np.einsum("jqm,kqm->jkq", w_half, ex[:, sub_half, ::2])
+                    re_sub[:, sl] += np.einsum("jqm,kqm->jkq", w_half, ex[:, sub_half, ::2]).real
                     del ex  # free before the next exponent is formed
-        # A one-node grid (1-D) is its own half, and its phase is 1.
-        if h_cnt < q_cnt:
-            s_w, s_half, s_abs = _unfold(s_w, s_half, s_abs, phi, pairs, q_cnt, sub)
         # Rows of s_abs: sum |W coef e^z| times 1, |p|, |q|, |p|^2, |p q|, |q|^2.
         axn, ayn = np.abs(pairs[:, :1]), np.abs(pairs[:, 1:])
         rows = ((0, 1, 2), (1, 3, 4), (2, 4, 5))[:2 + source_gradient]
-        s_floor = np.stack([ROUNDOFF_UNITS * s_abs[i] + axn * s_abs[j] + ayn * s_abs[k]
-                            for i, j, k in rows])
-        return [(s_w[0, lo:hi], s_w[1, lo:hi], s_w[2, lo:hi] if source_gradient else None,
-                 s_floor[:, lo:hi], s_half[:, lo:hi]) for lo, hi in spans]
+        floor = np.stack([ROUNDOFF_UNITS * s_abs[i] + axn * s_abs[j] + ayn * s_abs[k]
+                          for i, j, k in rows])
+        return [HalfSums(re[:, lo:hi], re_sub[:, lo:hi], phi,
+                         phi[0] * pairs[lo:hi, :1] + phi[1] * pairs[lo:hi, 1:], floor[:, lo:hi])
+                for (lo, hi), phi in zip(spans, phis)]
 
     def _phase_sums(self, groups, dxp, grid: XiGrid, sums, source_gradient):
         """Gamma, grad and sgrad from the tau sums, their roundoff floor,
         and the change of Gamma and grad from the step-2h rule.
 
-        The contour rule is the half rule and the xi' grid is
-        point-symmetric (see the module docstring), so every full sum is
-        the real part of the sum formed here.  The floor is eps times the
-        largest xi' sum of the rows of ``s_floor``, and of its Gamma row
-        times |xi'|_inf for the tangential gradient.  The step-2h rule
-        weighs the even-index nodes by 2^d times their weight.
+        A half node and its mirror add 2 cos psi Re h to Gamma,
+        -2 xi_j sin psi Re h to its x_j-derivative and 2 (cos psi Re h_n -
+        phi_p sin psi Re h) to the normal one (module docstring), the source
+        one likewise with h_src and phi_q; the weights (_fold) double all
+        nodes but xi' = 0.  The floor is eps times the largest xi' sum of
+        the floor rows, and of the Gamma row times |xi'|_inf for the
+        tangential gradient.  The step-2h rule weighs the even-index nodes
+        by 2^d times their weight.  In 1-D the one node xi' = 0 has weight
+        1 and psi = 0: every sum is Re h.
         """
         n = self.medium.dim
         d = n - 1
-        xi, wq = grid.xi, grid.wq
-        k_tot, q_cnt = dxp.shape[0], wq.size
-        sub = grid.sub
-        wq_half = 2.0 ** d * wq[sub]
+        k_tot = dxp.shape[0]
+        h_cnt = (grid.wq.size + 1) // 2
+        xi, w = grid.xi[:h_cnt], _fold(grid.wq)
+        sub = _as_slice(grid.sub[:(grid.sub.size + 1) // 2])
+        w_sub = 2.0 ** d * _fold(grid.wq[grid.sub])
+        eps = np.finfo(float).eps
         gamma = np.zeros(k_tot)
         grad = np.zeros((k_tot, n))
         sgrad = np.zeros((k_tot, n)) if source_gradient else None
         floor = np.zeros(k_tot)
         change = np.zeros(k_tot)
-        pt_chunk = max(1, int(4.0e6 / q_cnt))
-        for (_, idx, _, inv), (s_val, s_n, s_src, s_floor, s_half) in zip(groups, sums):
-            tangential = s_floor[0] * np.max(np.abs(xi), axis=1, initial=0.0)
-            floor[idx] = np.finfo(float).eps * np.maximum(
-                np.max(np.einsum("jkq,q->jk", s_floor, wq), axis=0),
-                np.einsum("kq,q->k", tangential, wq))[inv]
+        pt_chunk = max(1, int(4.0e6 / h_cnt))
+        for (_, idx, _, inv), s in zip(groups, sums):
+            if not d:
+                re, re_sub = s.re[..., 0][:, inv], s.re_sub[..., 0][:, inv]
+                gamma[idx], grad[idx, 0] = re[0], re[1]
+                if source_gradient:
+                    sgrad[idx, 0] = re[2]
+                floor[idx] = eps * np.max(s.floor[..., 0], axis=0)[inv]
+                change[idx] = np.max(np.abs(re[:2] - re_sub), axis=0)
+                continue
+            tangential = s.floor[0] * np.max(np.abs(xi), axis=1)
+            floor[idx] = eps * np.maximum(np.max(np.einsum("jkq,q->jk", s.floor, w), axis=0),
+                                           np.einsum("kq,q->k", tangential, w))[inv]
+            re, re_sub = s.re * w, s.re_sub * w_sub
             for lo in range(0, idx.size, pt_chunk):
                 sel = idx[lo:lo + pt_chunk]
                 rows = inv[lo:lo + pt_chunk]
-                phase = np.exp(1j * np.einsum("kj,qj->kq", dxp[sel], xi))
-                pw = phase * wq[None, :]
-                pw_half = phase[:, sub] * wq_half[None, :]
-                v0, h0 = s_val[rows], s_half[0, rows]
-                # Gamma, the tangential gradients (a factor i xi_j) and the
-                # normal one, on the rule and on its step-2h subset.
-                rules = chain([(pw, v0, pw_half, h0)],
-                              ((pw * f, v0, pw_half * f[sub], h0) for f in 1j * xi.T),
-                              [(pw, s_n[rows], pw_half, s_half[1, rows])])
-                fine = []
-                for w_r, v, w_half, v_half in rules:
-                    fine.append(np.einsum("kq,kq->k", w_r, v).real)
-                    coarse = np.einsum("kq,kq->k", w_half, v_half).real
-                    change[sel] = np.maximum(change[sel], np.abs(fine[-1] - coarse))
-                gamma[sel], grad[sel] = fine[0], np.column_stack(fine[1:])
+                psi = np.einsum("kj,qj->kq", dxp[sel], xi) + s.pair_phase[rows]
+                cos, sin = np.cos(psi), np.sin(psi)
+                fine = _real_sums(cos, sin, re[:, rows], s.phi, xi)
+                coarse = _real_sums(cos[:, sub], sin[:, sub], re_sub[:, rows], s.phi[:, sub],
+                                    xi[sub])
+                gamma[sel], grad[sel] = fine[0], np.column_stack(fine[1:n + 1])
                 if source_gradient:
-                    sgrad[sel, n - 1] = np.einsum("kq,kq->k", pw, s_src[rows]).real
+                    sgrad[sel, d] = fine[n + 1]
+                change[sel] = np.max(np.abs(np.subtract(fine[:n + 1], coarse)), axis=0)
         if source_gradient:
             # The kernel depends on x' - y' only.
             sgrad[:, :d] = -grad[:, :d]
@@ -635,8 +643,9 @@ class KernelEvaluator:
         sums = self._tau_sums(groups, grid, tau, wte, source_gradient)
         gam, grd, sgr, floor, change = self._phase_sums(groups, dxp, grid, sums,
                                                         source_gradient)
-        t_val, t_grad = _tail_bound(groups, k_tot, grid.xi, grid.wq, sums, radius,
-                                    self._schur_min * dt)
+        half = grid.xi[:(grid.wq.size + 1) // 2]
+        t_val, t_grad = (_tail_bound(groups, k_tot, half, _fold(grid.wq), sums, radius,
+                                     self._schur_min * dt) if d else (np.zeros(k_tot),) * 2)
         # Each bound against its own quantity: relative to it, plus an
         # absolute floor on the kernel scale (far-tail points are dominated
         # by oscillatory-rule roundoff, not truncation), which for the
@@ -656,47 +665,60 @@ class KernelEvaluator:
         return out
 
 
-def _tail_bound(groups, k_tot: int, xi: np.ndarray, wq: np.ndarray, sums,
+def _tail_bound(groups, k_tot: int, xi: np.ndarray, w: np.ndarray, sums,
                 radius: float, decay_rate: float):
     """Per point, bounds on the part of Gamma, and of grad and sgrad, beyond the xi' grid.
 
-    The grid covers [-radius, radius] on each axis and is point-symmetric,
-    so the full contour rule's integrand at node q is f = (s_q +
-    conj(s_-q))/2 for each tau sum s (module docstring), with s_-q the
-    mirrored node.  |s| itself would not do: the imaginary part of the half
-    sum, which the mirrored node cancels, decays only like 1/|xi'|.  After
-    the tau integral f decays like e^{-a |xi'|^2}, a = ``decay_rate``, on
-    every axis, so on axis j the mass beyond the radius R is the measured
-    mass of |f| over R/2 <= |xi_j| <= R times the ratio of the two masses
-    of e^{-a xi_j^2}, erfc(sqrt(a) R) / (erf(sqrt(a) R) - erf(sqrt(a) R/2)),
-    and the axes are added.  TAIL_SAFETY covers a profile e^{-a xi^2}
-    times a power of |xi| up to the third (a power m multiplies the ratio
-    by about 2^m).  Returns the bound for Gamma and the largest of the
-    bounds for the gradient sums: the tangential ones from |xi'|_inf |f|,
-    the normal and source ones from their own sums (0 with no axes).
+    The grid covers [-radius, radius] on each axis and is point-symmetric;
+    ``xi`` and ``w`` are its canonical half and their weights (_fold).  At
+    a node and its mirror the full rule's integrand has modulus f = |Re h|
+    for Gamma and |Re h_n + i phi_p Re h| for the normal gradient (h_src
+    and phi_q for the source one), h the tau half sums (module docstring).
+    |h| would not do: its imaginary part, which the mirrored node cancels,
+    decays only like 1/|xi'|.  After the tau integral f decays like
+    e^{-a |xi'|^2}, a = ``decay_rate``, on every axis, so on axis j the mass
+    beyond the radius R is the measured mass of f over R/2 <= |xi_j| <= R
+    times the ratio of the two masses of e^{-a xi_j^2}, erfc(sqrt(a) R) /
+    (erf(sqrt(a) R) - erf(sqrt(a) R/2)), and the axes are added.
+    TAIL_SAFETY covers a profile e^{-a xi^2} times a power of |xi| up to
+    the third (a power m multiplies the ratio by about 2^m).  Returns the
+    bound for Gamma and the largest of the bounds for the gradient sums:
+    the tangential ones from |xi'|_inf f, the others from their own f.
     """
     x = math.sqrt(decay_rate) * radius
     tail = math.erfc(x)  # underflows to 0 on a wide grid
     ratio = tail / (math.erfc(0.5 * x) - tail) if tail > 0.0 else 0.0
-    w_val = np.sum(np.abs(xi) >= 0.5 * radius, axis=1) * wq
-    w_tan = np.max(np.abs(xi), axis=1, initial=0.0) * w_val
+    w_val = np.sum(np.abs(xi) >= 0.5 * radius, axis=1) * w
+    w_tan = np.max(np.abs(xi), axis=1) * w_val
     bound_val, bound_grad = np.zeros(k_tot), np.zeros(k_tot)
-    for (_, idx, _, inv), (s_val, s_n, s_src, *_) in zip(groups, sums):
-        f_val = np.abs(s_val + s_val[:, ::-1].conj())
+    for (_, idx, _, inv), s in zip(groups, sums):
+        f_val = np.abs(s.re[0])
         mass = np.einsum("kq,q->k", f_val, w_tan)
-        for s in (s_n, s_src):
-            if s is not None:
-                mass = np.maximum(mass, np.einsum("kq,q->k", np.abs(s + s[:, ::-1].conj()), w_val))
-        bound_val[idx] = (0.5 * TAIL_SAFETY * ratio * np.einsum("kq,q->k", f_val, w_val))[inv]
-        bound_grad[idx] = (0.5 * TAIL_SAFETY * ratio * mass)[inv]
+        for re, phi in zip(s.re[1:], s.phi):
+            mass = np.maximum(mass, np.einsum("kq,q->k", np.hypot(re, phi * s.re[0]), w_val))
+        bound_val[idx] = (TAIL_SAFETY * ratio * np.einsum("kq,q->k", f_val, w_val))[inv]
+        bound_grad[idx] = (TAIL_SAFETY * ratio * mass)[inv]
     return bound_val, bound_grad
 
 
-def _mirror_index(count: int) -> np.ndarray:
-    """For each node of a point-symmetric grid of ``count`` nodes, the node
-    of its canonical half, 0..(count-1)/2, that it is or mirrors."""
-    k = np.arange(count)
-    return np.minimum(k, count - 1 - k)
+def _real_sums(cos, sin, re, phi, xi):
+    """Gamma, its x'-derivatives and its normal (and source) derivative on
+    a half grid from cos psi and sin psi (K, H), the rows of Re h times the
+    weights ``re`` (K, H each) and phi_p, phi_q (see _phase_sums)."""
+    sin_val = sin * re[0]
+    out = [np.einsum("kq,kq->k", cos, re[0])]
+    out.extend(-np.einsum("kq,qj->jk", sin_val, xi))
+    out.extend(np.einsum("kq,kq->k", cos, r) - np.einsum("kq,q->k", sin_val, f)
+               for r, f in zip(re[1:], phi))
+    return out
+
+
+def _fold(w: np.ndarray) -> np.ndarray:
+    """The weights ``w`` of a point-symmetric rule on its canonical half:
+    doubled for the mirror, except at the centre node, its own mirror."""
+    half = 2.0 * w[:(w.size + 1) // 2]
+    half[-1] = w[half.size - 1]
+    return half
 
 
 def _as_slice(idx: np.ndarray):
@@ -705,35 +727,6 @@ def _as_slice(idx: np.ndarray):
     if np.all(np.diff(idx) == step):
         return slice(idx[0], idx[-1] + 1, step)
     return idx
-
-
-def _unfold(s_w, s_half, s_abs, phi, pairs, q_cnt: int, sub):
-    """The sums of _tau_sums on all ``q_cnt`` nodes from those on the canonical half.
-
-    ``s_w`` holds sum_m W coef e^r times 1, r_p and maybe r_q, ``s_half``
-    the first two of the step-2h rule on the canonical half of the step-2h
-    nodes ``sub``, and ``phi`` phi_p and phi_q, all on the half nodes.  A
-    node takes the sums of its mirror on the half, where phi changes sign,
-    and s_n (s_src) adds i phi_p (i phi_q) times the first; then all are
-    multiplied by the phase e^{i(phi_p x_n + phi_q y_n)}.  ``s_abs`` holds
-    the floor rows of _term_weights: n_abs rows on the half nodes, then all
-    but the first on their mirrors.  Returns s_w and s_half with the phase
-    put back and the n_abs floor rows, on all nodes.
-    """
-    h_cnt = s_w.shape[2]
-    mirror = _mirror_index(q_cnt)
-    # np.take keeps the arrays in C order, as the sums of the half are.
-    phi = np.take(phi, mirror, axis=2) * np.where(mirror == np.arange(q_cnt), 1.0, -1.0)
-    phase = np.exp(1j * (phi[0] * pairs[:, :1] + phi[1] * pairs[:, 1:]))
-    v = np.take(s_w, mirror, axis=2)
-    v[1:] += 1j * phi[:v.shape[0] - 1] * v[0]
-    v *= phase
-    v_half = np.take(s_half, _mirror_index(sub.size), axis=2)
-    v_half[1] += 1j * np.take(phi[0], sub, axis=1) * v_half[0]
-    v_half *= np.take(phase, sub, axis=1)
-    n_abs = (s_abs.shape[0] + 1) // 2
-    mirrored = np.concatenate([s_abs[:1], s_abs[n_abs:]])[..., :h_cnt - 1][..., ::-1]
-    return v, v_half, np.concatenate([s_abs[:n_abs], mirrored], axis=2)
 
 
 def _abs_exponent(e):
@@ -747,8 +740,8 @@ def _term_weights(term, wte, source_gradient: bool, sub_half, abs_p, abs_q):
 
     w_sum holds w_t = coef W, w_t r_p and, with ``source_gradient``, w_t r_q
     (r the signed root parts).  w_abs holds |w_t| and then |w_t| times |p|,
-    |q|, |p|^2, |p q| and, with ``source_gradient``, |q|^2, first on the
-    node and then on its mirror (``abs_p`` and ``abs_q`` hold both sides).
+    |q|, |p|^2, |p q| and, with ``source_gradient``, |q|^2, each the mean of
+    the node and its mirror (``abs_p`` and ``abs_q`` hold both sides).
     w_half holds 2 w_t and 2 w_t r_p at the step-2h nodes ``sub_half`` and
     the even contour nodes.
     """
@@ -760,16 +753,15 @@ def _term_weights(term, wte, source_gradient: bool, sub_half, abs_p, abs_q):
             np.negative(w_r, out=w_r)
     w_half = 2.0 * w_sum[:2, sub_half, ::2]
     n_abs = 5 + source_gradient
-    w_abs = np.empty((2 * n_abs - 1,) + w_t.shape)
-    abs_w = np.abs(w_t, out=w_abs[0])
-    sides = w_abs[1:].reshape((2, n_abs - 1) + w_t.shape)
+    abs_w = np.abs(w_t)
+    sides = np.empty((2, n_abs - 1) + w_t.shape)
     np.multiply(abs_w, abs_p, out=sides[:, 0])
     np.multiply(abs_w, abs_q, out=sides[:, 1])
     np.multiply(sides[:, 0], abs_p, out=sides[:, 2])
     np.multiply(sides[:, 0], abs_q, out=sides[:, 3])
     if source_gradient:
         np.multiply(sides[:, 1], abs_q, out=sides[:, 4])
-    return w_sum, w_abs, w_half
+    return w_sum, np.concatenate([abs_w[None], 0.5 * (sides[0] + sides[1])]), w_half
 
 
 # The phase signs of a node (+1) and of its mirror (-1), see _abs_exponent.

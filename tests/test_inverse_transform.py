@@ -16,7 +16,9 @@ from layerheat.inverse_transform import (
     _CONTOUR_ROWS,
     CONTOUR_M,
     MU_LADDER,
+    TAIL_SAFETY,
     ContourLeavesDomain,
+    HalfSums,
     KernelEvaluator,
     QuadratureConfig,
     QuadratureNotConverged,
@@ -24,7 +26,6 @@ from layerheat.inverse_transform import (
     _hyperbolic_nodes,
     _select_row,
     certify_mu,
-    gauss_tensor_grid,
     delta_recovery,
     eval_kernel,
     mass_integral,
@@ -562,24 +563,36 @@ class TestTailBound:
 
     def test_bound_of_gaussian_profile(self):
         # On a Gaussian profile the bound exceeds the mass beyond the
-        # radius, of f and of |xi| f; an odd imaginary part, which the
-        # mirrored node cancels, leaves it unchanged; and once erfc
-        # underflows the bound is 0.
+        # radius, of f and of |xi| f; an imaginary part of the tau half
+        # sums, which the mirrored node cancels, leaves it unchanged; and
+        # once erfc underflows the bound is 0.
         a, radius = 0.5, 5.0
-        xi, wq = gauss_tensor_grid([[(-radius, radius, 48)]])
-        wq = wq / (2.0 * np.pi)
-        f = np.exp(-a * xi[:, 0] ** 2)[None, :]
+        grid = inverse_transform._xi_grid(radius, [radius / 24.0])
+        half = (grid.wq.size + 1) // 2
         groups = [(None, np.arange(1), None, np.zeros(1, dtype=int))]
 
-        def bound(s_val, r=radius):
+        def bound(h, r=radius):
+            # One pair; its value and normal sums are Re h, with no phase.
+            re = np.stack([h.real, h.real])[:, None, :]
+            sums = [HalfSums(re, None, np.zeros((2, half)), None, None)]
             return np.maximum(*inverse_transform._tail_bound(
-                groups, 1, xi, wq, [(s_val, s_val, None, None)], r, a))[0]
+                groups, 1, grid.xi[:half], inverse_transform._fold(grid.wq), sums, r, a))[0]
 
+        xi = grid.xi[:, 0]
+        f = np.exp(-a * xi ** 2)
         tail = math.sqrt(np.pi / a) * math.erfc(math.sqrt(a) * radius) / (2.0 * np.pi)
         tail_xi = math.exp(-a * radius ** 2) / (2.0 * np.pi * a)
-        assert bound(f) >= 2.0 * max(tail, tail_xi)
-        assert bound(f + 1.5j / (1.0 + np.abs(xi[:, 0]))) == bound(f)
-        assert bound(f, r=60.0) == 0.0
+        assert bound(f[:half]) >= 2.0 * max(tail, tail_xi)
+        # The half sums s on all nodes, and the full rule's integrand
+        # (s + conj s_mirror) / 2 summed over all nodes as the bound defines it.
+        s = f + 1.5j / (1.0 + np.abs(xi))
+        x = math.sqrt(a) * radius
+        ratio = math.erfc(x) / (math.erfc(0.5 * x) - math.erfc(x))
+        w_val = (np.abs(xi) >= 0.5 * radius) * grid.wq
+        f_full = np.abs(s + s[::-1].conj()) / 2.0
+        full = TAIL_SAFETY * ratio * max(f_full @ (np.abs(xi) * w_val), f_full @ w_val)
+        assert bound(s[:half]) == bound(f[:half]) == pytest.approx(full, rel=1e-14)
+        assert bound(f[:half], r=60.0) == 0.0
 
     def test_default_tolerance_one_fine_pass(self, monkeypatch):
         # A batch shaped like the benchmark's 2-D layered ones: the grid
