@@ -185,8 +185,6 @@ def _image_lattice(cube: Cube, depth: int):
     product of parities.  Enumeration order is lexicographic for
     reproducibility.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     w = cube.half_width
     axes = []
     for j in range(cube.dim):
@@ -200,7 +198,7 @@ def _image_lattice(cube: Cube, depth: int):
     for combo in itertools.product(*axes):
         jacs.append([e[0] for e in combo])
         offs.append([e[1] for e in combo])
-        signs.append(int(np.prod([e[2] for e in combo])))
+        signs.append(math.prod(e[2] for e in combo))
     return np.array(jacs), np.array(offs), np.array(signs)
 
 
@@ -230,6 +228,9 @@ class CubeGreen:
         self.medium = medium
         self.cube = cube
         self.depth = int(depth)
+        if self.depth < 1:
+            raise UnsupportedGeometry("depth must be >= 1")
+        self._lattice = _image_lattice(cube, self.depth)
         self._ev = KernelEvaluator(medium, cfg)
         self._det = float(np.linalg.det(tensor.entries))
         self._lam_max = float(np.linalg.eigvalsh(tensor.entries).max())
@@ -272,8 +273,7 @@ class CubeGreen:
                 f"kernel scale {scale:.3e}; increase depth"
             )
         res = _image_sum(
-            self._ev, x, t, y, s, *_image_lattice(self.cube, self.depth),
-            source_gradient,
+            self._ev, x, t, y, s, *self._lattice, source_gradient,
         )
         res["est"] += tail
         return res

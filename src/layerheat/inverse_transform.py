@@ -8,12 +8,13 @@ The fundamental solution is recovered from the region symbols V by
 The Laplace contour C is a hyperbolic contour deformed into the left
 half-plane (exponentially convergent trapezoid rule, Weideman & Trefethen,
 Math. Comp. 76 (2007)).  The deformation is certified against the
-analyticity domain L_mu of the symbols: mu is established by
-root-avoidance sampling for the given medium, and a contour shape is then
-chosen whose nodes stay inside L_mu with margin.  Each shape carries a
-table of its measured error against the half-width M, and M(tol) is the
-smallest tabulated M whose error is at most min(1e-4 tol, 1e-13)
-(_select_row).
+analyticity domain L_mu of the symbols: mu is the exact supremum for the
+given medium, in closed form from the eigenvalues of the layers'
+tangential Schur complements (_mu_supremum), less a small margin, and a
+contour shape is then chosen whose nodes stay inside L_mu with margin.
+Each shape carries a table of its measured error against the half-width
+M, and M(tol) is the smallest tabulated M whose error is at most
+min(1e-4 tol, 1e-13) (_select_row).
 
 The tangential xi' integral is a uniform trapezoid rule too: its
 integrand is analytic and decays like a Gaussian, the textbook case for
@@ -94,10 +95,8 @@ from .medium import (
 from .symbols import (
     REGIONS,
     SymbolTable,
-    on_branch_cut,
     region_index,
     region_terms,
-    theta_squared,
 )
 
 
@@ -138,11 +137,13 @@ _CONTOUR_ROWS = (
                         6.4e-08, 1.6e-07, 1.2e-06, 1.3e-05, 5.8e-05, 3.6e-04, 3.9e-03)),
 )
 
-# Candidate analyticity certificates, tried from largest to smallest, and
-# the size and seed of the random sweep of L_mu that checks each one.
-MU_LADDER = (2.4, 1.2, 0.8, 0.6, 0.45, 0.28, 0.12)
-MU_SAMPLES = 2000
-MU_SEED = 0
+# The largest analyticity certificate mu (row 0 fits from 0.70), and the
+# relative margin of the certificate below its exact supremum, which covers
+# the bisection and the rounding of its test.  The margin must stay below
+# 0.134 %: the homogeneous [[1.5, .5], [.5, 1]] has supremum 0.534056 and
+# row 1 needs mu >= 0.533340.
+MU_MAX = 2.4
+MU_MARGIN = 1e-6
 
 # Factor on the Gaussian extrapolation of the xi' tail (see _tail_bound).
 TAIL_SAFETY = 10.0
@@ -221,71 +222,43 @@ def time_lag(t, s) -> float:
     return t - s
 
 
-def _mu_admissible(medium: TwoLayerMedium, mu: float) -> bool:
-    """Check one candidate mu against the certification battery."""
-    d = medium.dim - 1
-    if d == 0:
-        return True
-    schur_max = 0.0
-    dirs = []
+def _mu_supremum(medium: TwoLayerMedium) -> float:
+    """Supremum of the mu for which Theta^2 of both layers avoids the cut
+    (-inf, 0] on L_mu; inf in 1-D, where no xi' enters Theta^2.
+
+    Theta^2 / a_nn = tau + xi'^T S xi', S the layer's tangential Schur
+    complement.  With xi' = u + iv, Theta^2 reaches the cut in L_mu =
+    {Re tau > -mu (|Im tau| + |u|^2) + |v|^2 / mu} exactly when
+    u^T (S - mu) u + v^T (1/mu - S) v - 2 mu |u^T S v| < 0 for some (u, v).
+    In the eigenbasis of S that form splits into one block
+    [[l - mu, -mu l], [-mu l, 1/mu - l]] per eigenvalue l, positive
+    semidefinite iff mu <= l <= 1/mu and f(mu) = (l - mu)(1 - l mu)
+    - mu^3 l^2 >= 0.  f(0) = l > 0, f' = -(1 + l^2) + 2 l mu - 3 l^2 mu^2
+    < 0 and f(min(l, 1/l)) < 0, so the admissible mu of one eigenvalue are
+    (0, mu_l] with mu_l the one root of f, found here by bisection, and
+    the supremum is the least mu_l.
+    """
+    sup = math.inf
     for tensor in (medium.upper, medium.lower):
-        w, v = tensor.tangential_schur
-        schur_max = max(schur_max, float(w.max()))
-        dirs.extend(v[:, j] for j in range(d))
-    if d == 1:
-        dirs.append(np.array([1.0]))
-    else:
-        ang = np.linspace(0.0, np.pi, 16, endpoint=False)
-        dirs.extend(np.array([np.cos(t), np.sin(t)]) for t in ang)
-
-    if mu * schur_max >= 0.999:
-        return False
-    # Structured slices xi' = i*s*v, eta = -i*r (tau = i*eta = r) with
-    # r = 1.02 s^2/mu, just inside the boundary.
-    dirs = np.array([v / np.linalg.norm(v) for v in dirs])
-    s_val = np.array([0.5, 1.0, 2.0])
-    xi = (1j * s_val[None, :, None] * dirs[:, None, :]).reshape(-1, d)
-    tau = np.tile(1.02 * s_val**2 / mu, dirs.shape[0]).astype(complex)
-    if _hits_branch_cut(medium, xi, tau):
-        return False
-    # Monte-Carlo sweep of the open domain.
-    rng = np.random.default_rng(MU_SEED)
-    re_xi = rng.normal(0.0, 3.0, (MU_SAMPLES, d))
-    im_xi = rng.normal(0.0, 1.0, (MU_SAMPLES, d))
-    xi = re_xi + 1j * im_xi
-    re_eta = rng.normal(0.0, 9.0, MU_SAMPLES)
-    bound = mu * (np.abs(re_eta) + np.sum(re_xi**2, axis=1)) \
-        - np.sum(im_xi**2, axis=1) / mu
-    im_eta = bound - 10.0 ** rng.uniform(-3.0, 1.0, MU_SAMPLES) * (1.0 + np.abs(bound))
-    tau = 1j * (re_eta + 1j * im_eta)
-    return not _hits_branch_cut(medium, xi, tau)
-
-
-def _hits_branch_cut(medium: TwoLayerMedium, xi: np.ndarray, tau: np.ndarray) -> bool:
-    """True if Theta^2 of either layer is on the cut at some paired (xi, tau)."""
-    th2_A, th2_B, _, _ = theta_squared(medium, xi, tau[:, None])
-    return bool(np.any(on_branch_cut(th2_A)) or np.any(on_branch_cut(th2_B)))
+        for lam in tensor.tangential_schur[0].tolist():
+            lo, hi = 0.0, min(lam, 1.0 / lam)
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if (lam - mid) * (1.0 - lam * mid) >= mid**3 * lam**2:
+                    lo = mid
+                else:
+                    hi = mid
+            sup = min(sup, lo)
+    return sup
 
 
 def certify_mu(medium: TwoLayerMedium) -> float:
-    """Largest value of MU_LADDER for which root avoidance is certified.
-
-    Certification combines (a) an analytic threshold on the tangential
-    Schur complement (the exactly-real failure slice xi' = i*s*v,
-    eta = -i*r with r just below the domain boundary), (b) a branch-cut
-    test of Theta^2 on those structured slices, and (c) random sampling
-    of L_mu.  Random sampling alone would almost surely miss the
-    failure set, which has measure zero.
+    """The analyticity certificate mu of a medium: MU_MARGIN below the
+    exact supremum (_mu_supremum), capped at MU_MAX; every mu passes in
+    1-D.  In 2-D and 3-D the supremum is at most 1/sqrt(3), the largest
+    mu_l, reached at l = sqrt(3)/2.
     """
-    if medium.dim == 1:
-        return MU_LADDER[0]
-    for mu in MU_LADDER:
-        if _mu_admissible(medium, mu):
-            return mu
-    raise ContourLeavesDomain(
-        "no analyticity certificate mu in the ladder could be established "
-        "for this medium"
-    )
+    return min(MU_MAX, _mu_supremum(medium) * (1.0 - MU_MARGIN))
 
 
 def _hyperbolic_ratio(alpha: float, u_max: float, m: int) -> float:
@@ -358,10 +331,12 @@ def resolve_config(medium: TwoLayerMedium, cfg: QuadratureConfig | None) -> Quad
     if cfg is None:
         cfg = QuadratureConfig()
     if cfg.mu is None:
-        cfg = replace(cfg, mu=certify_mu(medium))
-    elif not _mu_admissible(medium, cfg.mu):
+        return replace(cfg, mu=certify_mu(medium))
+    sup = _mu_supremum(medium)
+    if cfg.mu > sup:
         raise ContourLeavesDomain(
-            f"requested mu = {cfg.mu} is not certified for this medium"
+            f"requested mu = {cfg.mu} exceeds the supremum {sup:.6g} of the "
+            "analyticity certificate for this medium"
         )
     return cfg
 

@@ -121,16 +121,6 @@ def theta_squared(medium: TwoLayerMedium, xi: np.ndarray, tau: np.ndarray):
     return th2_A, th2_B, a_form, b_form
 
 
-def on_branch_cut(th2: np.ndarray) -> np.ndarray:
-    """Elementwise: Theta^2 on the principal square root's cut (-inf, 0].
-
-    The test is relative (1e-13 of |Theta^2|) so that values rounded onto
-    or next to the cut count as on it.
-    """
-    scale = np.maximum(np.abs(th2), 1e-300)
-    return (np.abs(th2.imag) <= 1e-13 * scale) & (th2.real <= 1e-13 * scale)
-
-
 class _lazy:
     """Attribute computed on first access and then stored on the instance.
 

@@ -1,16 +1,17 @@
 """Checks on the transform-domain symbols that only the tests use.
 
 The finite-difference ODE residual of a region symbol, membership in the
-analyticity domain L_mu, the root-avoidance test at one spectral point and
-the decay margin of the symbol estimate.  They verify ``layerheat.symbols``
-from outside; the evaluator does not call them.
+analyticity domain L_mu, the branch-cut test of Theta^2, the
+root-avoidance test at one spectral point and the decay margin of the
+symbol estimate.  They verify ``layerheat.symbols`` from outside; the
+evaluator does not call them.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from layerheat.medium import TwoLayerMedium
-from layerheat.symbols import Region, SpectralPoint, on_branch_cut, theta_squared, v_symbol
+from layerheat.symbols import Region, SpectralPoint, theta_squared, v_symbol
 
 
 def ode_residual(
@@ -51,6 +52,16 @@ def in_analyticity_domain(sp: SpectralPoint, mu: float) -> bool:
     re_xi = np.linalg.norm(sp.xi_prime.real)
     im_xi = np.linalg.norm(sp.xi_prime.imag)
     return eta.imag < mu * (abs(eta.real) + re_xi**2) - im_xi**2 / mu
+
+
+def on_branch_cut(th2: np.ndarray) -> np.ndarray:
+    """Elementwise: Theta^2 on the principal square root's cut (-inf, 0].
+
+    The test is relative (1e-13 of |Theta^2|) so that values rounded onto
+    or next to the cut count as on it.
+    """
+    scale = np.maximum(np.abs(th2), 1e-300)
+    return (np.abs(th2.imag) <= 1e-13 * scale) & (th2.real <= 1e-13 * scale)
 
 
 def root_avoidance_check(medium: TwoLayerMedium, sp: SpectralPoint) -> bool:

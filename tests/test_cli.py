@@ -386,6 +386,25 @@ class TestGreen:
         }
         assert main(["green", write_cfg(tmp_path, cfg)]) == 4
 
+    def test_depth_zero_exit_4(self, tmp_path, capsys):
+        # Refused when the cube Green function is built.
+        cfg = {
+            "medium": {"upper": [[1.0]]},
+            "green": {
+                "kind": "cube",
+                "cube": {"half_width": 1.0, "center": [0.0]},
+                "depth": 0,
+                "t": 0.2,
+                "s": 0.0,
+                "y": [0.3],
+                "x": [[0.5]],
+            },
+            "output": str(tmp_path / "g.csv"),
+        }
+        assert main(["green", write_cfg(tmp_path, cfg)]) == 4
+        assert "depth must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
 
 class TestVerify:
     def base_cfg(self, tmp_path, name, **verify_extra):

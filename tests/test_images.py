@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from layerheat import images
 from layerheat.medium import (
     Cube,
     KernelQuery,
@@ -262,6 +263,28 @@ class TestCubeGreen:
         cube = Cube(half_width=1.0, center=np.array([0.0, 0.0]))
         with pytest.raises(UnsupportedGeometry):
             CubeGreen(med, cube)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, depth):
+        med = homogeneous_medium(validate_tensor([[1.0]]))
+        with pytest.raises(UnsupportedGeometry, match="depth"):
+            CubeGreen(med, Cube(half_width=1.0, center=np.array([0.0])), depth=depth)
+
+    def test_lattice_built_once(self, monkeypatch):
+        # The lattice depends only on the cube and depth fixed at construction.
+        calls = []
+        lattice = images._image_lattice
+
+        def counted(cube, depth):
+            calls.append(depth)
+            return lattice(cube, depth)
+
+        monkeypatch.setattr(images, "_image_lattice", counted)
+        med = homogeneous_medium(validate_tensor([[1.0, 0.0], [0.0, 2.0]]))
+        cg = CubeGreen(med, Cube(half_width=1.0, center=np.zeros(2)), depth=2)
+        for t in (0.2, 0.3):
+            cg.evaluate_many(np.array([[0.1, 0.2]]), t, np.array([0.3, -0.1]), 0.0)
+        assert calls == [2]
 
     def test_truncation_guard(self):
         med = homogeneous_medium(validate_tensor([[1.0]]))

@@ -15,7 +15,6 @@ from layerheat.medium import (
 from layerheat.inverse_transform import (
     _CONTOUR_ROWS,
     CONTOUR_M,
-    MU_LADDER,
     TAIL_SAFETY,
     ContourLeavesDomain,
     HalfSums,
@@ -88,8 +87,17 @@ class TestConfig:
             assert QuadratureConfig(contour_nodes=nodes).contour_nodes == nodes
 
     def test_mu_certification_layered(self):
-        mu = certify_mu(layered_1d())
-        assert mu > 0
+        # Every mu passes in 1-D, up to the cap 2.4; otherwise the least
+        # root over the layers' Schur eigenvalues (1 for I, 2 for I | 2I).
+        sheared = TwoLayerMedium(
+            upper=validate_tensor([[1.0, 0.3, 0.2], [0.3, 1.5, 0.4], [0.2, 0.4, 2.0]]),
+            lower=validate_tensor([[2.0, 0.1, 0.0], [0.1, 3.0, 0.5], [0.0, 0.5, 1.5]]))
+        cases = ((layered_1d(), 2.4), (homogeneous_medium(validate_tensor(np.eye(2))), 0.56984),
+                 (TwoLayerMedium(upper=validate_tensor(np.eye(2)),
+                                 lower=validate_tensor(2.0 * np.eye(2))), 0.41195),
+                 (sheared, 0.3160))
+        for med, mu in cases:
+            assert certify_mu(med) == pytest.approx(mu, abs=5e-5)
 
     def test_contour_stays_in_domain(self):
         # The nodes the evaluator integrates on lie inside L_mu for its
@@ -624,11 +632,22 @@ class TestContourSize:
         for i, row in enumerate(_CONTOUR_ROWS):
             assert tuple(_contour_size(row, tol) for tol in self.TOLS) == self.EXPECTED[i]
 
+    # Row -> its threshold mu, _hyperbolic_ratio / 0.95 at its M, rounded
+    # up; the same at every tol of TOLS.
+    THRESHOLDS = (0.700, 0.5334, 0.3996, 0.2496, 0.1095)
+
     def test_row_and_size_chosen_together(self):
-        # The ladder's mu reach every row.
-        for mu, i in zip(MU_LADDER, (0, 0, 0, 1, 2, 3, 4)):
-            for tol, m in zip(self.TOLS, self.EXPECTED[i]):
-                assert _select_row(mu, tol) == (_CONTOUR_ROWS[i], m)
+        # mu at a row's threshold selects that row, and mu just below it
+        # the next row; below the last threshold no row fits.
+        for i, mu in enumerate(self.THRESHOLDS):
+            for j, tol in enumerate(self.TOLS):
+                assert _select_row(mu, tol) == (_CONTOUR_ROWS[i], self.EXPECTED[i][j])
+                if i + 1 < len(_CONTOUR_ROWS):
+                    assert _select_row(mu - 1e-4, tol) == (_CONTOUR_ROWS[i + 1],
+                                                           self.EXPECTED[i + 1][j])
+                else:
+                    with pytest.raises(ContourLeavesDomain):
+                        _select_row(mu - 1e-4, tol)
         assert _select_row(0.45, 1e-8, 64) == (_CONTOUR_ROWS[2], 64)
 
     def test_evaluator_reports_its_size(self):
@@ -711,8 +730,8 @@ class TestBoundedPlan:
     @pytest.mark.parametrize("b", [1.0, 3.0, 10.0, 100.0, 1000.0])
     def test_contrast_sweep(self, monkeypatch, n, b):
         # I | b I: the contour is certified and each call runs one xi' grid,
-        # or construction refuses the medium (from b = 10 on, no mu of the
-        # ladder is certified).
+        # or construction refuses the medium (from b = 10 on, the certified
+        # mu lies below the threshold of every contour row).
         med = TwoLayerMedium(upper=validate_tensor(np.eye(n)),
                              lower=validate_tensor(b * np.eye(n)))
         try:
