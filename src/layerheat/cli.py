@@ -115,12 +115,6 @@ def parse_medium(cfg: dict) -> TwoLayerMedium:
 def parse_quadrature(cfg: dict) -> QuadratureConfig:
     q = cfg.get("quadrature", {})
     try:
-        q = dict(q)
-        # An integral number such as 40.0 is an integer here as in every
-        # other integer field; QuadratureConfig refuses the rest.
-        m = q.get("contour_nodes")
-        if isinstance(m, float) and m.is_integer():
-            q["contour_nodes"] = int(m)
         return QuadratureConfig(**q)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid quadrature config: {exc}") from exc

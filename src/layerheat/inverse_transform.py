@@ -10,11 +10,14 @@ half-plane (exponentially convergent trapezoid rule, Weideman & Trefethen,
 Math. Comp. 76 (2007)).  The deformation is certified against the
 analyticity domain L_mu of the symbols: mu is the exact supremum for the
 given medium, in closed form from the eigenvalues of the layers'
-tangential Schur complements (_mu_supremum), less a small margin, and a
-contour shape is then chosen whose nodes stay inside L_mu with margin.
-Each shape carries a table of its measured error against the half-width
-M, and M(tol) is the smallest tabulated M whose error is at most
-min(1e-4 tol, 1e-13) (_select_row).
+tangential Schur complements (certify_mu), less a small margin, and the
+first contour shape is then chosen whose nodes stay inside L_mu with
+margin; a shape's worst node is its last, at u_max, so its mu threshold
+does not depend on the node count.  Each shape carries a table of its
+measured error against the half-width M, and M(tol) is the smallest
+tabulated M whose error is at most min(1e-4 tol, 1e-13) (_select_row).
+The contour plan (mu, shape, M) is thus a function of the medium and the
+tolerance alone.
 
 The tangential xi' integral is a uniform trapezoid rule too: its
 integrand is analytic and decays like a Gaussian, the textbook case for
@@ -77,10 +80,9 @@ node xi' = 0 leaves no tail.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import Counter
 from itertools import accumulate
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -116,7 +118,8 @@ class ContourLeavesDomain(TransformError):
 # at u = k*h, h = u_max/M, k = -M..M (only k = 0..M are evaluated, see
 # _hyperbolic_nodes), with mu_c = mu_scale*M/(t-s).  Steeper rows (larger
 # alpha) converge faster but push nodes further left, so they need a larger
-# analyticity certificate mu; rows are tried in order.
+# analyticity certificate mu; rows are tried in order.  A row's threshold
+# is its node ratio at u_max (_hyperbolic_ratio) over 0.95, whatever M.
 #
 # Columns: (alpha, u_max, mu_scale, errors), where errors[i] is the measured
 # relative error of the inversion of 1/sqrt(tau) (exact 1/sqrt(pi (t-s)))
@@ -168,22 +171,13 @@ CONTOUR_SAFETY = 4.0
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Contour and truncation parameters for kernel evaluation."""
+    """Kernel evaluation tolerance; the contour follows from it and the medium."""
 
-    contour_nodes: int | None = None  # None -> M(tol), see _select_row
     target_rel_tol: float = 1e-8
-    mu: float | None = None  # None -> certified at evaluator construction
 
     def __post_init__(self):
-        m = self.contour_nodes
-        # Even, so that the even nodes form the step-2h rule of est.
-        if m is not None and (isinstance(m, bool) or not isinstance(m, numbers.Integral)
-                              or m < 8 or m % 2):
-            raise ValueError("contour_nodes must be an even integer >= 8")
         if not 0.0 < self.target_rel_tol < 1.0:
             raise ValueError("target_rel_tol must lie in (0, 1)")
-        if self.mu is not None and not self.mu > 0.0:
-            raise ValueError("mu must be positive")
 
 
 @dataclass(frozen=True)
@@ -222,9 +216,11 @@ def time_lag(t, s) -> float:
     return t - s
 
 
-def _mu_supremum(medium: TwoLayerMedium) -> float:
-    """Supremum of the mu for which Theta^2 of both layers avoids the cut
-    (-inf, 0] on L_mu; inf in 1-D, where no xi' enters Theta^2.
+def certify_mu(medium: TwoLayerMedium) -> float:
+    """The analyticity certificate mu of a medium: MU_MARGIN below the
+    supremum of the mu for which Theta^2 of both layers avoids the cut
+    (-inf, 0] on L_mu, capped at MU_MAX; every mu passes in 1-D, where no
+    xi' enters Theta^2.
 
     Theta^2 / a_nn = tau + xi'^T S xi', S the layer's tangential Schur
     complement.  With xi' = u + iv, Theta^2 reaches the cut in L_mu =
@@ -236,7 +232,8 @@ def _mu_supremum(medium: TwoLayerMedium) -> float:
     - mu^3 l^2 >= 0.  f(0) = l > 0, f' = -(1 + l^2) + 2 l mu - 3 l^2 mu^2
     < 0 and f(min(l, 1/l)) < 0, so the admissible mu of one eigenvalue are
     (0, mu_l] with mu_l the one root of f, found here by bisection, and
-    the supremum is the least mu_l.
+    the supremum is the least mu_l.  In 2-D and 3-D it is at most
+    1/sqrt(3), the largest mu_l, reached at l = sqrt(3)/2.
     """
     sup = math.inf
     for tensor in (medium.upper, medium.lower):
@@ -249,28 +246,17 @@ def _mu_supremum(medium: TwoLayerMedium) -> float:
                 else:
                     hi = mid
             sup = min(sup, lo)
-    return sup
+    return min(MU_MAX, sup * (1.0 - MU_MARGIN))
 
 
-def certify_mu(medium: TwoLayerMedium) -> float:
-    """The analyticity certificate mu of a medium: MU_MARGIN below the
-    exact supremum (_mu_supremum), capped at MU_MAX; every mu passes in
-    1-D.  In 2-D and 3-D the supremum is at most 1/sqrt(3), the largest
-    mu_l, reached at l = sqrt(3)/2.
+def _hyperbolic_ratio(alpha: float, u_max: float) -> float:
+    """Worst node ratio (-Re tau)/|Im tau| of a contour shape.
+
+    At u > 0 the ratio is (cosh u sin alpha - 1) / (sinh u cos alpha),
+    whose derivative has the sign of cosh u - sin alpha > 0: it rises
+    with u, so the worst node is the last one, u = u_max, whatever M.
     """
-    return min(MU_MAX, _mu_supremum(medium) * (1.0 - MU_MARGIN))
-
-
-def _hyperbolic_ratio(alpha: float, u_max: float, m: int) -> float:
-    """Worst node ratio (-Re tau)/|Im tau| of a contour shape."""
-    h = u_max / m
-    u = h * np.arange(1, m + 1)
-    re = 1.0 - np.cosh(u) * math.sin(alpha)
-    im = np.sinh(u) * math.cos(alpha)
-    mask = re < 0.0
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(-re[mask] / np.abs(im[mask])))
+    return (math.cosh(u_max) * math.sin(alpha) - 1.0) / (math.sinh(u_max) * math.cos(alpha))
 
 
 def _contour_size(row, tol: float) -> int:
@@ -292,14 +278,12 @@ def _contour_size(row, tol: float) -> int:
     return CONTOUR_M[errors.index(min(errors))]
 
 
-def _select_row(mu: float, tol: float, m: int | None = None):
-    """(row, M): the first row that fits inside L_mu at M = ``m``, or at
-    its own M(tol) when ``m`` is None."""
+def _select_row(mu: float, tol: float):
+    """(row, M): the first row that fits inside L_mu, at its own M(tol)."""
     for row in _CONTOUR_ROWS:
         alpha, u_max, _, _ = row
-        m_row = m if m is not None else _contour_size(row, tol)
-        if _hyperbolic_ratio(alpha, u_max, m_row) <= 0.95 * mu:
-            return row, m_row
+        if _hyperbolic_ratio(alpha, u_max) <= 0.95 * mu:
+            return row, _contour_size(row, tol)
     raise ContourLeavesDomain(
         f"no hyperbolic contour shape fits inside L_mu with mu = {mu}"
     )
@@ -324,21 +308,6 @@ def _hyperbolic_nodes(row, m: int, dt: float):
     weights = h * dtau / (2j * np.pi)
     weights[1:] *= 2.0
     return tau, weights
-
-
-def resolve_config(medium: TwoLayerMedium, cfg: QuadratureConfig | None) -> QuadratureConfig:
-    """Fill in a certified mu when the config does not pin one."""
-    if cfg is None:
-        cfg = QuadratureConfig()
-    if cfg.mu is None:
-        return replace(cfg, mu=certify_mu(medium))
-    sup = _mu_supremum(medium)
-    if cfg.mu > sup:
-        raise ContourLeavesDomain(
-            f"requested mu = {cfg.mu} exceeds the supremum {sup:.6g} of the "
-            "analyticity certificate for this medium"
-        )
-    return cfg
 
 
 class XiGrid(NamedTuple):
@@ -382,26 +351,26 @@ class KernelEvaluator:
     """Batched evaluator of the kernel and its gradients.
 
     Immutable after construction; evaluation groups query points by
-    region and shares the transform quadrature across the batch.
+    region and shares the transform quadrature across the batch.  The
+    contour plan is derived from the medium and the tolerance: ``mu`` the
+    certified analyticity parameter, ``_row`` the contour shape and
+    ``contour_nodes`` its half-width M.
     """
 
     def __init__(self, medium: TwoLayerMedium, cfg: QuadratureConfig | None = None):
         self.medium = medium
-        cfg = resolve_config(medium, cfg)
-        self._row, m = _select_row(cfg.mu, cfg.target_rel_tol, cfg.contour_nodes)
-        self.cfg = replace(cfg, contour_nodes=m)
+        self.cfg = cfg if cfg is not None else QuadratureConfig()
+        tol = self.cfg.target_rel_tol
+        self.mu = certify_mu(medium)
+        self._row, self.contour_nodes = _select_row(self.mu, tol)
         layers = (medium.upper, medium.lower)
         self._det_min = min(float(np.linalg.det(t.entries)) for t in layers)
         self._schur_min = min(t.schur_complement_min() for t in layers)
         self._schur_max = max(float(np.max(t.tangential_schur[0], initial=0.0)) for t in layers)
         # The decay a R0^2 at the xi' radius R0 (see _base_radius).
-        tol = self.cfg.target_rel_tol
         self._decay = max(math.log(100.0 / tol), 2.0) + 1.5 * max(0.0, math.log(1e-6 / tol))
 
     # -- quadrature building blocks -------------------------------------
-
-    def _contour(self, m: int, dt: float):
-        return _hyperbolic_nodes(self._row, m, dt)
 
     def _xi_spacing(self, osc: np.ndarray, dt: float) -> list:
         """h_j = pi / (osc_j + w), w = sqrt(2 s_max dt D), D = max(decay, 30).
@@ -603,7 +572,7 @@ class KernelEvaluator:
             keys, inv = np.unique(xn[idx] + 1j * yn[idx], return_inverse=True)
             groups.append((REGIONS[code], idx, np.stack([keys.real, keys.imag], axis=1), inv))
 
-        tau, w = self._contour(self.cfg.contour_nodes, dt)
+        tau, w = _hyperbolic_nodes(self._row, self.contour_nodes, dt)
         wte = w * np.exp(tau * dt)
 
         tol = self.cfg.target_rel_tol

@@ -102,8 +102,8 @@ class DiffusionTensor:
 def validate_tensor(entries) -> DiffusionTensor:
     """Validate a square matrix as a diffusion tensor.
 
-    Requires exact symmetry (no silent symmetrization), strictly positive
-    eigenvalues, and dimension in {1, 2, 3}.
+    Requires finite entries, exact symmetry (no silent symmetrization),
+    strictly positive eigenvalues, and dimension in {1, 2, 3}.
     """
     arr = np.array(entries, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -111,6 +111,8 @@ def validate_tensor(entries) -> DiffusionTensor:
     n = arr.shape[0]
     if n not in (1, 2, 3):
         raise UnsupportedDimension(f"dimension {n} not in {{1, 2, 3}}")
+    if not np.all(np.isfinite(arr)):
+        raise MediumError("tensor entries must be finite")
     if not np.array_equal(arr, arr.T):
         raise NotSymmetric("tensor entries are not exactly symmetric")
     lam_min = float(np.linalg.eigvalsh(arr).min())

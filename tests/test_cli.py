@@ -142,13 +142,29 @@ class TestErrors:
         assert not (tmp_path / "out.csv").exists()
 
     def test_uncertified_mu_exit_3(self, tmp_path):
+        # I | 10 I: the certified mu lies below every contour row's threshold.
         cfg = {
-            "medium": {"upper": [[1.0, 0.9], [0.9, 1.0]]},
-            "quadrature": {"mu": 50.0},
+            "medium": {"upper": [[1.0, 0.0], [0.0, 1.0]], "lower": [[10.0, 0.0], [0.0, 10.0]]},
             "eval": {"t": 0.5, "s": 0.0, "y": [0.0, 0.3], "x": [[0.2, 0.5]]},
             "output": str(tmp_path / "out.csv"),
         }
         assert main(["eval", write_cfg(tmp_path, cfg)]) == 3
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("upper", [[[float("inf"), 0.0], [0.0, 1.0]], [[float("inf")]]])
+    def test_nonfinite_tensor_exit_2(self, tmp_path, capsys, upper):
+        # An infinite entry once passed validation: in 2-D it failed later
+        # with an uncaught error (exit 1), in 1-D the tail bound (exit 3).
+        cfg = eval_cfg(tmp_path)
+        cfg["medium"] = {"upper": upper}
+        cfg["eval"]["y"] = [0.0, 0.3][2 - len(upper):]
+        cfg["eval"]["x"] = [[0.2, 0.5][2 - len(upper):]]
+        del cfg["eval"]["grid"]
+        path = write_cfg(tmp_path, cfg)
+        assert "Infinity" in Path(path).read_text()
+        assert main(["eval", path]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_nonfinite_point_exit_2(self, tmp_path):
         cfg = {
@@ -162,29 +178,24 @@ class TestErrors:
         assert not (tmp_path / "out.csv").exists()
 
     def test_removed_quadrature_field_exit_2(self, tmp_path, capsys):
-        cfg = eval_cfg(tmp_path)
-        cfg["quadrature"] = {"contour_kind": "vertical_bromwich"}
-        assert main(["eval", write_cfg(tmp_path, cfg)]) == 2
-        assert "invalid quadrature config" in capsys.readouterr().err
+        # mu and M are derived from the medium and the tolerance.
+        for field, value in (("contour_kind", "vertical_bromwich"), ("mu", 0.3),
+                             ("contour_nodes", 40)):
+            cfg = eval_cfg(tmp_path)
+            cfg["quadrature"] = {field: value}
+            assert main(["eval", write_cfg(tmp_path, cfg)]) == 2
+            err = capsys.readouterr().err
+            assert "invalid quadrature config" in err and field in err
+            assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("nodes", [40.5, True, 41, 6, "40", float("inf")])
     def test_bad_contour_nodes_exit_2(self, tmp_path, capsys, nodes):
-        # A fraction once gave a contour of fractional step, and an odd M
-        # has no even-node subset for est.
+        # contour_nodes is no config field, whatever its value.
         cfg = eval_cfg(tmp_path)
         cfg["quadrature"] = {"contour_nodes": nodes}
         assert main(["eval", write_cfg(tmp_path, cfg)]) == 2
         assert "contour_nodes" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
-
-    def test_contour_nodes_integral_float_accepted(self, tmp_path):
-        out = {}
-        for nodes in (40, 40.0):
-            cfg = eval_cfg(tmp_path, out=f"out{nodes}.csv")
-            cfg["quadrature"] = {"contour_nodes": nodes}
-            assert main(["eval", write_cfg(tmp_path, cfg)]) == 0
-            out[nodes] = (tmp_path / f"out{nodes}.csv").read_text()
-        assert out[40] == out[40.0]
 
     def test_nonnumeric_time_exit_2(self, tmp_path, capsys):
         cfg = eval_cfg(tmp_path)

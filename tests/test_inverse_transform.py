@@ -70,21 +70,16 @@ def layered_2d_anisotropic():
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(contour_nodes=4)
-        with pytest.raises(ValueError):
-            QuadratureConfig(target_rel_tol=2.0)
+        for tol in (2.0, 0.0, float("nan")):
+            with pytest.raises(ValueError):
+                QuadratureConfig(target_rel_tol=tol)
 
     @pytest.mark.parametrize("nodes", [40.5, 40.0, True, False, 41, 6, "40"])
     def test_contour_nodes_refused(self, nodes):
-        # A fraction gave a contour of fractional step; an odd M has no
-        # even-node subset for est.
-        with pytest.raises(ValueError, match="contour_nodes"):
+        # M is derived from the medium and the tolerance (_select_row):
+        # the config has no field for it, whatever the value.
+        with pytest.raises(TypeError, match="contour_nodes"):
             QuadratureConfig(contour_nodes=nodes)
-
-    def test_contour_nodes_accepted(self):
-        for nodes in (8, 40, np.int64(64), None):
-            assert QuadratureConfig(contour_nodes=nodes).contour_nodes == nodes
 
     def test_mu_certification_layered(self):
         # Every mu passes in 1-D, up to the cap 2.4; otherwise the least
@@ -104,36 +99,20 @@ class TestConfig:
         # certified mu, at real tangential frequency.
         for med in (layered_1d(), layered_2d_anisotropic()):
             ev = KernelEvaluator(med)
-            m = ev.cfg.contour_nodes
+            m = ev.contour_nodes
             zero = np.zeros(med.dim - 1)
             for dt in (0.01, 0.5, 10.0):
-                tau, w = ev._contour(m, dt)
+                tau, w = _hyperbolic_nodes(ev._row, m, dt)
                 assert tau.shape == w.shape == (m + 1,)
                 assert np.all(np.isfinite(tau)) and np.all(np.isfinite(w))
                 # The half rule stands for the mirrored nodes conj(tau) too.
                 for tk in np.concatenate([tau, tau.conj()]):
-                    assert in_analyticity_domain(SpectralPoint(zero, tk), ev.cfg.mu)
-
-    def test_contour_nodes_knob(self):
-        # contour_nodes = M sets the half rule to M + 1 tau nodes, and a
-        # layered 1-D batch on the shorter contour still agrees with the
-        # closed form within est.
-        med = layered_1d(1.0, 4.0)
-        ev = KernelEvaluator(med, QuadratureConfig(contour_nodes=32))
-        tau, w = ev._contour(ev.cfg.contour_nodes, 0.3)
-        assert tau.shape == w.shape == (33,)
-        xs = np.concatenate([np.linspace(-2.5, -0.05, 30), np.linspace(0.05, 2.5, 30)])[:, None]
-        for y in (0.4, -0.6):
-            res = ev.eval_many(xs, 0.3, np.array([y]), 0.0)
-            exact = layered_kernel_1d(1.0, 4.0, xs[:, 0], 0.3, y, 0.0)
-            assert np.all(np.abs(res["gamma"] - exact) <= res["est"])
-            default = KernelEvaluator(med).eval_many(xs, 0.3, np.array([y]), 0.0)
-            assert not np.array_equal(res["gamma"], default["gamma"])
+                    assert in_analyticity_domain(SpectralPoint(zero, tk), ev.mu)
 
     def test_forced_mu_too_large_rejected(self):
-        med = homogeneous_medium(validate_tensor([[1.0, 0.9], [0.9, 1.0]]))
-        with pytest.raises(ContourLeavesDomain):
-            KernelEvaluator(med, QuadratureConfig(mu=50.0))
+        # mu is certified from the medium; the config cannot force one.
+        with pytest.raises(TypeError, match="mu"):
+            QuadratureConfig(mu=50.0)
 
 
 class TestHomogeneousExactness:
@@ -408,13 +387,13 @@ class TestHalfRule:
         assert len(grids) == 1
         xi, wq = grids[0].xi, grids[0].wq
         assert xi.shape[0] > 1 and set(nodes) == {(xi.shape[0] + 1) // 2}
-        tau, w = ev._contour(ev.cfg.contour_nodes, dt)
+        tau, w = _hyperbolic_nodes(ev._row, ev.contour_nodes, dt)
         # Unfold the half rule: node -k is the conjugate of node k, and the
         # half rule doubled the weights of k > 0.
         tau = np.concatenate([tau[:0:-1].conj(), tau])
         w = np.concatenate([w[:0:-1].conj() / 2, w[:1], w[1:] / 2])
         wte = w * np.exp(tau * dt)
-        assert tau.shape == (2 * ev.cfg.contour_nodes + 1,)
+        assert tau.shape == (2 * ev.contour_nodes + 1,)
         full = {key: np.zeros((6, n), dtype=complex) for key in ("grad", "sgrad")}
         full["gamma"] = np.zeros(6, dtype=complex)
         regions = set()
@@ -550,7 +529,9 @@ class TestTailBound:
         # beyond the radius swamps them (on the Gauss-Legendre grid at tol
         # 1e-6, dt = 0.3 and M = 40, by 39 times the bound; by 0.068 times
         # at M = 64).
-        ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=tol, contour_nodes=64))
+        monkeypatch.setattr(inverse_transform, "_contour_size", lambda row, tol: 64)
+        ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=tol))
+        assert ev.contour_nodes == 64
         res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
         assert len(bounds) == 1 and len(passes) == 1
         bound = np.maximum(*bounds[0])
@@ -632,8 +613,8 @@ class TestContourSize:
         for i, row in enumerate(_CONTOUR_ROWS):
             assert tuple(_contour_size(row, tol) for tol in self.TOLS) == self.EXPECTED[i]
 
-    # Row -> its threshold mu, _hyperbolic_ratio / 0.95 at its M, rounded
-    # up; the same at every tol of TOLS.
+    # Row -> its threshold mu, _hyperbolic_ratio / 0.95 rounded up; the
+    # same at every tol of TOLS.
     THRESHOLDS = (0.700, 0.5334, 0.3996, 0.2496, 0.1095)
 
     def test_row_and_size_chosen_together(self):
@@ -648,16 +629,13 @@ class TestContourSize:
                 else:
                     with pytest.raises(ContourLeavesDomain):
                         _select_row(mu - 1e-4, tol)
-        assert _select_row(0.45, 1e-8, 64) == (_CONTOUR_ROWS[2], 64)
 
     def test_evaluator_reports_its_size(self):
         med = layered_2d()  # mu = 0.45: row 2
         for tol, m in zip(self.TOLS, self.EXPECTED[2]):
             ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=tol))
-            assert ev._row is _CONTOUR_ROWS[2] and ev.cfg.contour_nodes == m
-        ev = KernelEvaluator(med, QuadratureConfig(contour_nodes=48))
-        assert ev.cfg.contour_nodes == 48
-        assert ev._contour(48, 0.3)[0].shape == (49,)
+            assert ev._row is _CONTOUR_ROWS[2] and ev.contour_nodes == m
+            assert _hyperbolic_nodes(ev._row, m, 0.3)[0].shape == (m + 1,)
 
 
 class TestEvenNodeEstimate:
@@ -699,19 +677,22 @@ class TestEvenNodeEstimate:
     @pytest.mark.parametrize("mu,row", [(0.28, 3), (0.12, 4)])
     @pytest.mark.parametrize("dt", [0.01, 0.3, 3.0])
     def test_bounds_gaussian_error_on_wide_rows(self, mu, row, dt):
-        # The rows of small mu, whose tables never reach the 1e-13 target.
-        for t_mat in (validate_tensor([[1.3]]), validate_tensor([[2.0, 1.0], [1.0, 2.0]])):
-            n = t_mat.dim
-            ev = KernelEvaluator(homogeneous_medium(t_mat), QuadratureConfig(mu=mu))
-            assert ev._row is _CONTOUR_ROWS[row]
-            rng = np.random.default_rng(row + 1)  # the row's index before row 3 was deleted
-            y = np.array([0.1, -0.2][2 - n:])
-            x = y + math.sqrt(dt) * rng.uniform(-2.5, 2.5, (30, n))
-            res = ev.eval_many(x, dt, y, 0.0)
-            err = np.abs(res["gamma"] - gaussian_kernel(t_mat, x, dt, y, 0.0))
-            g_err = np.abs(res["grad"] - gaussian_gradient(t_mat, x, dt, y, 0.0))
-            assert np.all(err <= res["est"])
-            assert np.all(g_err.max(axis=1) <= res["est"])
+        # The rows of small mu, whose tables never reach the 1e-13 target,
+        # on the scaled copy of [[2, 1], [1, 2]] whose certified mu is
+        # ``mu``: its Schur eigenvalue l = 1.5 c is the larger root of
+        # (l - mu)(1 - l mu) = mu^3 l^2 (see certify_mu).
+        lam = 0.5 * (1.0 / mu + math.sqrt(1.0 / mu**2 - 4.0 / (1.0 + mu**2)))
+        t_mat = validate_tensor(lam / 1.5 * np.array([[2.0, 1.0], [1.0, 2.0]]))
+        ev = KernelEvaluator(homogeneous_medium(t_mat))
+        assert ev.mu == pytest.approx(mu, rel=1e-5) and ev._row is _CONTOUR_ROWS[row]
+        rng = np.random.default_rng(row + 1)  # the row's index before row 3 was deleted
+        y = np.array([0.1, -0.2])
+        x = y + math.sqrt(dt) * rng.uniform(-2.5, 2.5, (30, 2))
+        res = ev.eval_many(x, dt, y, 0.0)
+        err = np.abs(res["gamma"] - gaussian_kernel(t_mat, x, dt, y, 0.0))
+        g_err = np.abs(res["grad"] - gaussian_gradient(t_mat, x, dt, y, 0.0))
+        assert np.all(err <= res["est"])
+        assert np.all(g_err.max(axis=1) <= res["est"])
 
 
 class TestBoundedPlan:
@@ -771,7 +752,7 @@ class TestBoundedPlan:
         assert len(grids) == 1
         h = [float(np.diff(np.unique(grids[0].xi[:, j]))[0]) for j in range(n - 1)]
         fine = inverse_transform._xi_grid(2.0 * ev._base_radius(dt), [hj / 2.0 for hj in h])
-        tau, w = ev._contour(ev.cfg.contour_nodes, dt)
+        tau, w = _hyperbolic_nodes(ev._row, ev.contour_nodes, dt)
         wte = w * np.exp(tau * dt)
         ref = np.zeros(k)
         for lo in range(0, fine.wq.size, 4096):
