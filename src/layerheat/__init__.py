@@ -26,7 +26,6 @@ from .inverse_transform import (
     KernelValue,
     QuadratureConfig,
     QuadratureNotConverged,
-    ContourLeavesDomain,
     certify_mu,
     delta_recovery,
     eval_kernel,

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .medium import UnsupportedDimension
+
 
 class NoFiniteConstant(RuntimeError):
     """No finite constant satisfies the bound on the samples."""
@@ -218,6 +220,7 @@ def q_rho_integral(
     + (t0-tau)); the time range is clipped to t > tau when the cylinder
     reaches below the source time.  Time uses the substitution
     t = tau + sigma^2; space uses Gauss-Legendre (polar in 2-D).
+    UnsupportedDimension unless n is 1 or 2.
     """
     from .inverse_transform import QuadratureNotConverged
 
@@ -226,6 +229,8 @@ def q_rho_integral(
     if not tau < t0:
         raise ValueError("require tau < t0")
     n = x0.shape[0]
+    if n not in (1, 2):
+        raise UnsupportedDimension(f"q_rho_integral supports n in {{1, 2}}, not {n}")
     rho = q_rho_radius(x0, t0, xi, tau)
 
     def compute(nt, ns):

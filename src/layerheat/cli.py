@@ -31,12 +31,12 @@ from .medium import (
     Cube,
     MediumError,
     TwoLayerMedium,
+    UnsupportedDimension,
     validate_tensor,
 )
 from .inverse_transform import (
     KernelEvaluator,
     QuadratureConfig,
-    TransformError,
     QuadratureNotConverged,
     delta_recovery,
     mass_integral,
@@ -92,6 +92,15 @@ def _field(cfg: dict, key: str, kind: str = "a number", default=None):
         return _CASTS[kind](raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config field {key!r} must be {kind}") from exc
+
+
+def _source(params: dict, n: int, y_n: float) -> np.ndarray:
+    """The source ``y`` of a check, by default (0, ..., 0, y_n); ConfigError
+    unless it holds one entry per medium dimension."""
+    y = _field(params, "y", "an array of numbers", [0.0] * (n - 1) + [y_n])
+    if y.shape != (n,):
+        raise ConfigError(f"'y' needs one entry per medium dimension ({n})")
+    return y
 
 
 def load_config(path: str) -> dict:
@@ -292,8 +301,10 @@ def _verify_fit(medium, qcfg, seed, params, name):
 
 
 def _verify_qrho(medium, qcfg, seed, params):
-    ev = KernelEvaluator(medium, qcfg)
     n = medium.dim
+    if n not in (1, 2):  # refused before the fit, as q_rho_integral would after it
+        raise UnsupportedDimension(f"qrho supports n in {{1, 2}}, not {n}")
+    ev = KernelEvaluator(medium, qcfg)
     rng = np.random.default_rng(seed or 3)
     c_fit = max(bounds.fit_aronson(ev).fitted_constant, 1.0)
     n_samp = _field(params, "samples", "an integer", 40)
@@ -356,16 +367,14 @@ def _verify_transmission(medium, qcfg, seed, params):
 
 
 def _verify_mass(medium, qcfg, seed, params):
-    n = medium.dim
-    y = _field(params, "y", "an array of numbers", [0.0] * (n - 1) + [0.4])
+    y = _source(params, medium.dim, 0.4)
     dt = _field(params, "dt", default=0.3)
     val = mass_integral(medium, dt, y, qcfg)
     return abs(val - 1.0) < 1e-4, {"mass": val}
 
 
 def _verify_delta(medium, qcfg, seed, params):
-    n = medium.dim
-    y = _field(params, "y", "an array of numbers", [0.0] * (n - 1) + [0.3])
+    y = _source(params, medium.dim, 0.3)
     phi = lambda p: float(np.exp(-np.sum((np.asarray(p) - y) ** 2)))
     dts = [0.08, 0.04, 0.02, 0.01]
     vals = delta_recovery(medium, y, phi, dts, qcfg)
@@ -458,7 +467,7 @@ def cmd_compare_oracle(cfg: dict, output: str) -> int:
     if n not in (1, 2):
         raise ConfigError("compare_oracle supports n in {1, 2}")
     t_final = _field(params, "t", default=0.25)
-    y = _field(params, "y", "an array of numbers", [0.0] * (n - 1) + [0.5])
+    y = _source(params, n, 0.5)
     levels = _field(params, "levels", "a list of integers", [101, 201, 401])
     half_width = _field(params, "box_half_width", default=4.0)
     steps0 = _field(params, "time_steps", "an integer", 10)
@@ -548,9 +557,6 @@ def main(argv=None) -> int:
     except (UnsupportedGeometry, TruncationInsufficient) as exc:
         print(f"unsupported geometry: {exc}", file=sys.stderr)
         return 4
-    except TransformError as exc:
-        print(f"transform error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -7,17 +7,18 @@ The fundamental solution is recovered from the region symbols V by
 
 The Laplace contour C is a hyperbolic contour deformed into the left
 half-plane (exponentially convergent trapezoid rule, Weideman & Trefethen,
-Math. Comp. 76 (2007)).  The deformation is certified against the
-analyticity domain L_mu of the symbols: mu is the exact supremum for the
-given medium, in closed form from the eigenvalues of the layers'
-tangential Schur complements (certify_mu), less a small margin, and the
-first contour shape is then chosen whose nodes stay inside L_mu with
-margin; a shape's worst node is its last, at u_max, so its mu threshold
-does not depend on the node count.  Each shape carries a table of its
-measured error against the half-width M, and M(tol) is the smallest
-tabulated M whose error is at most min(1e-4 tol, 1e-13) (_select_row).
-The contour plan (mu, shape, M) is thus a function of the medium and the
-tolerance alone.
+Math. Comp. 76 (2007)).  The quadrature evaluates the symbols at real xi'
+only, where Theta^2 / a_nn = tau + xi'^T S xi' with S the layer's
+tangential Schur complement and xi'^T S xi' >= 0.  The hyperbola meets
+the real axis only at tau_0 = mu_c (1 - sin alpha) > 0, so Theta^2 of
+both layers stays off the branch cut (-inf, 0] at every node, for every
+SPD pair and at every scale of A; no certificate is needed to choose the
+contour.  (certify_mu gives the paper's analyticity domain L_mu, which
+is about complex xi'.)  One contour shape serves 1-D and one 2-D and
+3-D (_CONTOUR_ROWS); each carries a table of its measured error against
+the half-width M, and M(tol) is the smallest tabulated M whose error is
+at most min(1e-4 tol, 1e-13) (_contour_size).  The contour plan (shape,
+M) is thus a function of the dimension and the tolerance alone.
 
 The tangential xi' integral is a uniform trapezoid rule too: its
 integrand is analytic and decays like a Gaussian, the textbook case for
@@ -102,24 +103,17 @@ from .symbols import (
 )
 
 
-class TransformError(RuntimeError):
-    """Base class for inversion failures."""
-
-
-class QuadratureNotConverged(TransformError):
+class QuadratureNotConverged(RuntimeError):
     """The xi' grid's tail bound fails its truncation test (CLI exit 3)."""
-
-
-class ContourLeavesDomain(TransformError):
-    """No admissible Laplace contour inside the certified domain."""
 
 
 # Hyperbolic contour shapes tau(u) = mu_c * (1 + sin(i*u - alpha)) sampled
 # at u = k*h, h = u_max/M, k = -M..M (only k = 0..M are evaluated, see
-# _hyperbolic_nodes), with mu_c = mu_scale*M/(t-s).  Steeper rows (larger
-# alpha) converge faster but push nodes further left, so they need a larger
-# analyticity certificate mu; rows are tried in order.  A row's threshold
-# is its node ratio at u_max (_hyperbolic_ratio) over 0.95, whatever M.
+# _hyperbolic_nodes), with mu_c = mu_scale*M/(t-s).  Row 0 serves 1-D and
+# row 1 2-D and 3-D.  Row 1 reaches the 1e-13 target at M = 32 where row 0
+# needs 48, a third less tau work on every xi' node; but in 1-D its step-2h
+# rule at M/2 = 16 is coarse, and est (the change between the two rules)
+# would rise from 5e-11 to 1e-4 of the peak there.
 #
 # Columns: (alpha, u_max, mu_scale, errors), where errors[i] is the measured
 # relative error of the inversion of 1/sqrt(tau) (exact 1/sqrt(pi (t-s)))
@@ -132,19 +126,11 @@ _CONTOUR_ROWS = (
                         3.9e-12, 2.2e-11, 1.4e-10, 7.8e-11, 5.5e-10, 3.9e-09, 6.5e-09)),
     (0.60, 2.576, 0.3, (2.6e-11, 6.4e-14, 6.2e-14, 5.8e-14, 3.6e-13, 1.2e-12, 1.2e-12,
                         2.4e-11, 3.2e-11, 5.6e-11, 1.3e-10, 7.9e-10, 2.7e-09, 1.8e-08)),
-    (0.50, 2.584, 0.3, (1.3e-09, 2.3e-11, 3.4e-14, 8.4e-13, 1.9e-12, 4.7e-12, 2.8e-11,
-                        3.3e-11, 1.8e-10, 1.5e-09, 6.6e-09, 2.5e-08, 9.0e-08, 2.8e-07)),
-    (0.40, 2.432, 0.3, (9.8e-06, 4.3e-07, 2.0e-08, 8.7e-10, 3.2e-11, 6.2e-11, 1.7e-10,
-                        1.5e-09, 4.6e-09, 2.1e-08, 1.2e-07, 6.4e-07, 2.6e-06, 1.4e-05)),
-    (0.25, 2.600, 0.3, (1.4e-03, 2.0e-04, 3.4e-05, 6.1e-06, 1.2e-06, 2.1e-07, 3.9e-08,
-                        6.4e-08, 1.6e-07, 1.2e-06, 1.3e-05, 5.8e-05, 3.6e-04, 3.9e-03)),
 )
 
-# The largest analyticity certificate mu (row 0 fits from 0.70), and the
-# relative margin of the certificate below its exact supremum, which covers
-# the bisection and the rounding of its test.  The margin must stay below
-# 0.134 %: the homogeneous [[1.5, .5], [.5, 1]] has supremum 0.534056 and
-# row 1 needs mu >= 0.533340.
+# The cap of the analyticity certificate mu, which 1-D media reach, and its
+# relative margin below the exact supremum, which covers the bisection and
+# the rounding of its test.
 MU_MAX = 2.4
 MU_MARGIN = 1e-6
 
@@ -249,16 +235,6 @@ def certify_mu(medium: TwoLayerMedium) -> float:
     return min(MU_MAX, sup * (1.0 - MU_MARGIN))
 
 
-def _hyperbolic_ratio(alpha: float, u_max: float) -> float:
-    """Worst node ratio (-Re tau)/|Im tau| of a contour shape.
-
-    At u > 0 the ratio is (cosh u sin alpha - 1) / (sinh u cos alpha),
-    whose derivative has the sign of cosh u - sin alpha > 0: it rises
-    with u, so the worst node is the last one, u = u_max, whatever M.
-    """
-    return (math.cosh(u_max) * math.sin(alpha) - 1.0) / (math.sinh(u_max) * math.cos(alpha))
-
-
 def _contour_size(row, tol: float) -> int:
     """M(tol): the smallest tabulated M whose error is at most
     min(1e-4 tol, 1e-13), or the most accurate one if none is.
@@ -276,17 +252,6 @@ def _contour_size(row, tol: float) -> int:
         if err <= target:
             return m
     return CONTOUR_M[errors.index(min(errors))]
-
-
-def _select_row(mu: float, tol: float):
-    """(row, M): the first row that fits inside L_mu, at its own M(tol)."""
-    for row in _CONTOUR_ROWS:
-        alpha, u_max, _, _ = row
-        if _hyperbolic_ratio(alpha, u_max) <= 0.95 * mu:
-            return row, _contour_size(row, tol)
-    raise ContourLeavesDomain(
-        f"no hyperbolic contour shape fits inside L_mu with mu = {mu}"
-    )
 
 
 def _hyperbolic_nodes(row, m: int, dt: float):
@@ -352,17 +317,16 @@ class KernelEvaluator:
 
     Immutable after construction; evaluation groups query points by
     region and shares the transform quadrature across the batch.  The
-    contour plan is derived from the medium and the tolerance: ``mu`` the
-    certified analyticity parameter, ``_row`` the contour shape and
-    ``contour_nodes`` its half-width M.
+    contour plan is derived from the dimension and the tolerance: ``_row``
+    the contour shape and ``contour_nodes`` its half-width M.
     """
 
     def __init__(self, medium: TwoLayerMedium, cfg: QuadratureConfig | None = None):
         self.medium = medium
         self.cfg = cfg if cfg is not None else QuadratureConfig()
         tol = self.cfg.target_rel_tol
-        self.mu = certify_mu(medium)
-        self._row, self.contour_nodes = _select_row(self.mu, tol)
+        self._row = _CONTOUR_ROWS[0 if medium.dim == 1 else 1]
+        self.contour_nodes = _contour_size(self._row, tol)
         layers = (medium.upper, medium.lower)
         self._det_min = min(float(np.linalg.det(t.entries)) for t in layers)
         self._schur_min = min(t.schur_complement_min() for t in layers)
@@ -795,10 +759,9 @@ def mass_integral(
     """Total spatial mass of the kernel at time lag dt (should be 1).
 
     QuadratureNotConverged if two integration grids differ by more than
-    MASS_TOL.
+    MASS_TOL; MediumError unless dt is a finite positive number.
     """
-    if not dt > 0.0:
-        raise MediumError("time lag must be positive")
+    dt = time_lag(dt, 0.0)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     ev = KernelEvaluator(medium, cfg)
     coarse = _weighted_integral(ev, dt, y, None, density=2.2)
@@ -817,9 +780,12 @@ def delta_recovery(
     dt_values,
     cfg: QuadratureConfig | None = None,
 ) -> np.ndarray:
-    """Int Gamma(x, s+dt; y, s) phi(x) dx for each dt; tends to phi(y)."""
+    """Int Gamma(x, s+dt; y, s) phi(x) dx for each dt; tends to phi(y).
+
+    MediumError unless every dt is a finite positive number.
+    """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     ev = KernelEvaluator(medium, cfg)
     return np.array([
-        _weighted_integral(ev, float(dt), y, phi, density=2.6) for dt in dt_values
+        _weighted_integral(ev, time_lag(dt, 0.0), y, phi, density=2.6) for dt in dt_values
     ])

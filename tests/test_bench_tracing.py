@@ -1,15 +1,17 @@
 """The benchmark's tracer wraps library names by attribute; it must still see the calls.
 
 bench/tracing.py times mu certification and the symbol layer by wrapping
-inverse_transform.certify_mu and inverse_transform.region_terms, which the
-evaluator resolves as module globals at call time.  An evaluator that
-inlined or renamed either would leave those layers empty in a traced run.
+inverse_transform.certify_mu and inverse_transform.region_terms, which
+callers resolve as module globals at call time.  An evaluator that
+inlined or renamed region_terms would leave the symbol layer empty in a
+traced run, and a renamed certify_mu would stop the tracer installing.
 """
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
+from layerheat import inverse_transform
 from layerheat.inverse_transform import KernelEvaluator
 from layerheat.medium import TwoLayerMedium, validate_tensor
 from layerheat.symbols import region_index
@@ -29,15 +31,19 @@ def test_tracer_sees_certification_and_symbols():
     assert groups == 5
     tracer = tracing.Tracer()
     with tracer.installed():
+        # The contour plan needs no certificate: building records no span.
         ev = KernelEvaluator(med)
-        assert [s.kind for s in tracer.spans] == ["certify_mu"]
+        assert tracer.spans == []
         ev.eval_many(x, 0.3, y, 0.0)
+        inverse_transform.certify_mu(med)
     kinds = [s.kind for s in tracer.spans]
-    assert kinds == ["certify_mu", "eval_many"] + ["region_terms"] * groups
-    assert all(s.parent == 1 for s in tracer.spans[2:])
+    assert kinds == ["eval_many"] + ["region_terms"] * groups + ["certify_mu"]
+    assert all(s.parent == 0 for s in tracer.spans[1:-1])
+    assert tracer.spans[-1].parent == -1
     counts = tracer.counts()
     assert counts["inverse_transform.passes"] == 1 and counts["symbols.calls"] == groups
     assert tracer.times(1.0)["inverse_transform.certify_s"] > 0.0
     # The wrappers are removed on exit.
-    KernelEvaluator(med)
+    KernelEvaluator(med).eval_many(x, 0.3, y, 0.0)
+    inverse_transform.certify_mu(med)
     assert len(tracer.spans) == 2 + groups

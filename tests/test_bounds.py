@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from layerheat.medium import Cube, TwoLayerMedium, homogeneous_medium, validate_tensor
+from layerheat.medium import (
+    Cube,
+    TwoLayerMedium,
+    UnsupportedDimension,
+    homogeneous_medium,
+    validate_tensor,
+)
 from layerheat.inverse_transform import KernelEvaluator, QuadratureNotConverged
 from layerheat.oracle import Grid, interior_solution_sampler
 from layerheat.bounds import (
@@ -122,6 +128,13 @@ class TestCylinderBound:
         ev = KernelEvaluator(layered_1d())
         with pytest.raises(ValueError):
             q_rho_integral(ev, [0.5], 0.1, [0.2], 0.5)
+
+    def test_three_d_refused(self):
+        # The cylinder is a disc in 2-D; a 3-D one was sampled on a disc too,
+        # and the 2-column points then failed the evaluator's shape check.
+        ev = KernelEvaluator(homogeneous_medium(validate_tensor(np.eye(3))))
+        with pytest.raises(UnsupportedDimension, match="n in"):
+            q_rho_integral(ev, [0.5, 0.1, 0.3], 1.0, [0.0, 0.0, 0.2], 0.0)
 
 
 class TestInteriorEstimate:

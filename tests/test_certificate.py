@@ -22,15 +22,15 @@ def medium(upper, lower=None):
 
 
 # The media of the benchmark workloads, with their contour rows at tol 1e-8:
-# (name, medium, row, M).
+# (name, medium, row, M).  The row follows the dimension alone.
 BENCH_MEDIA = (
     ("1d", medium([[1.0]], [[4.0]]), 0, 48),
     ("2d_homogeneous", medium([[1.5, 0.5], [0.5, 1.0]]), 1, 32),
     ("cube", medium(np.diag([1.0, 2.0])), 1, 32),
-    ("2d_layered", medium([[1.0, 0.3], [0.3, 1.0]], np.diag([2.0, 3.0])), 2, 40),
-    ("I|2I", medium(np.eye(2), 2.0 * np.eye(2)), 2, 40),
-    ("I|diag(2,3)", medium(np.eye(2), np.diag([2.0, 3.0])), 2, 40),
-    ("I|diag(2,2,3)", medium(np.eye(3), np.diag([2.0, 2.0, 3.0])), 2, 40),
+    ("2d_layered", medium([[1.0, 0.3], [0.3, 1.0]], np.diag([2.0, 3.0])), 1, 32),
+    ("I|2I", medium(np.eye(2), 2.0 * np.eye(2)), 1, 32),
+    ("I|diag(2,3)", medium(np.eye(2), np.diag([2.0, 3.0])), 1, 32),
+    ("I|diag(2,2,3)", medium(np.eye(3), np.diag([2.0, 2.0, 3.0])), 1, 32),
 )
 
 MEDIA = {name: med for name, med, _, _ in BENCH_MEDIA}

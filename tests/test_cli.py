@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layerheat import cli, inverse_transform, oracle
+from layerheat import bounds, cli, inverse_transform, oracle
 from layerheat.cli import main
 
 
@@ -141,15 +141,19 @@ class TestErrors:
         assert "quadrature failed" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
-    def test_uncertified_mu_exit_3(self, tmp_path):
-        # I | 10 I: the certified mu lies below every contour row's threshold.
+    def test_strong_contrast_exit_0(self, tmp_path):
+        # I | 10 I exited 3 while the contour followed the analyticity
+        # certificate mu, which lies below every former contour row there.
         cfg = {
             "medium": {"upper": [[1.0, 0.0], [0.0, 1.0]], "lower": [[10.0, 0.0], [0.0, 10.0]]},
-            "eval": {"t": 0.5, "s": 0.0, "y": [0.0, 0.3], "x": [[0.2, 0.5]]},
+            "eval": {"t": 0.5, "s": 0.0, "y": [0.0, 0.3], "x": [[0.2, 0.5], [0.1, -0.4]]},
             "output": str(tmp_path / "out.csv"),
         }
-        assert main(["eval", write_cfg(tmp_path, cfg)]) == 3
-        assert not (tmp_path / "out.csv").exists()
+        assert main(["eval", write_cfg(tmp_path, cfg)]) == 0
+        lines = (tmp_path / "out.csv").read_text().strip().split("\n")
+        col = lines[0].split(",").index("gamma")
+        gammas = np.array([float(line.split(",")[col]) for line in lines[1:]])
+        assert gammas.shape == (2,) and np.all(np.isfinite(gammas)) and np.all(gammas > 0.0)
 
     @pytest.mark.parametrize("upper", [[[float("inf"), 0.0], [0.0, 1.0]], [[float("inf")]]])
     def test_nonfinite_tensor_exit_2(self, tmp_path, capsys, upper):
@@ -487,6 +491,37 @@ class TestVerify:
         rep = self.read_report(tmp_path)
         assert rep["passed"] is False
 
+    @pytest.mark.parametrize("name", ["mass", "delta"])
+    def test_source_dimension_exit_2(self, tmp_path, capsys, name):
+        # A 2-D source of one entry failed inside the integration grid
+        # (IndexError, exit 1).
+        cfg = self.base_cfg(tmp_path, name, y=[0.4])
+        cfg["medium"] = {"upper": [[1.0, 0.0], [0.0, 1.0]]}
+        assert main(["verify", write_cfg(tmp_path, cfg)]) == 2
+        assert "one entry per medium dimension (2)" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_infinite_lag_exit_2(self, tmp_path, capsys):
+        cfg = self.base_cfg(tmp_path, "mass", dt=float("inf"))
+        path = write_cfg(tmp_path, cfg)
+        assert '"dt": Infinity' in Path(path).read_text()
+        assert main(["verify", path]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_qrho_3d_refused_before_fit(self, tmp_path, monkeypatch, capsys):
+        # A 3-D qrho ran the whole Aronson fit before its cylinder points
+        # failed the evaluator's shape check.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_aronson ran")
+
+        monkeypatch.setattr(bounds, "fit_aronson", no_fit)
+        cfg = self.base_cfg(tmp_path, "qrho")
+        cfg["medium"] = {"upper": np.eye(3).tolist()}
+        assert main(["verify", write_cfg(tmp_path, cfg)]) == 2
+        assert "qrho supports n in {1, 2}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_adjoint_bit_exact(self, tmp_path):
         cfg = self.base_cfg(tmp_path, "adjoint")
         cfg["medium"] = {"upper": [[1.0]]}
@@ -529,4 +564,20 @@ class TestCompareOracle:
         err = capsys.readouterr().err
         assert "level 51" in err and "bulk_half_width 0.6" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "cmp.json").exists()
+
+    def test_source_dimension_exit_2(self, tmp_path, monkeypatch, capsys):
+        # A 2-D run with a one-entry source passed, on the source (0.5, 0.5)
+        # that numpy broadcast from it.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the finite-difference solve ran")
+
+        monkeypatch.setattr(oracle, "approximate_kernel", no_solve)
+        cfg = {
+            "medium": {"upper": [[1.0, 0.0], [0.0, 1.0]]},
+            "compare_oracle": {"t": 0.25, "y": [0.5], "levels": [51]},
+            "output": str(tmp_path / "cmp.json"),
+        }
+        assert main(["compare-oracle", write_cfg(tmp_path, cfg)]) == 2
+        assert "one entry per medium dimension (2)" in capsys.readouterr().err
         assert not (tmp_path / "cmp.json").exists()
