@@ -227,9 +227,9 @@ class CubeGreen:
                 )
         self.medium = medium
         self.cube = cube
+        if isinstance(depth, bool) or not float(depth).is_integer() or depth < 1:
+            raise UnsupportedGeometry(f"depth must be >= 1 and integral, not {depth!r}")
         self.depth = int(depth)
-        if self.depth < 1:
-            raise UnsupportedGeometry("depth must be >= 1")
         self._lattice = _image_lattice(cube, self.depth)
         self._ev = KernelEvaluator(medium, cfg)
         self._det = float(np.linalg.det(tensor.entries))
@@ -368,12 +368,13 @@ def volume_potential(
     ``gstar`` is an adjoint Green evaluator; ``force`` maps (points (K,n),
     s) to a (K, n) vector field.  The time integral uses the substitution
     s = t - sigma^2 to absorb the kernel's short-time singularity.
+    MediumError unless t > t0.
     """
     from numpy.polynomial.legendre import leggauss
 
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = domain.dim
-    sig_max = math.sqrt(t - t0)
+    sig_max = math.sqrt(time_lag(t, t0))
     xs, ws = leggauss(n_time)
     sig = 0.5 * sig_max * (xs + 1.0)
     wsig = 0.5 * sig_max * ws

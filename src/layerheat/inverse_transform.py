@@ -145,6 +145,7 @@ TAIL_SAFETY = 10.0
 # exponent is 8-12.  The gradients carry a factor p, q or i xi_j in each
 # term and get floors of their own: at short lags |p| reaches tens on the
 # contour, and the normal gradient's roundoff then exceeds Gamma's floor.
+# Each |p| is bounded by |r| + |phi|, root part plus phase (_tau_sums).
 ROUNDOFF_UNITS = 2.0
 
 # Factor on the difference between the rule and its step-2h subset of
@@ -309,7 +310,7 @@ class HalfSums(NamedTuple):
     re_sub: np.ndarray  # (2, P, H_sub): Re h and Re h_n of the step-2h rule
     phi: np.ndarray  # (2, H): phi_p and phi_q
     pair_phase: np.ndarray  # (P, H): Phi = phi_p x_n + phi_q y_n
-    floor: np.ndarray  # (2 or 3, P, H): roundoff weights, node and mirror averaged
+    floor: np.ndarray  # (2 or 3, P, H): roundoff weights, bounds for a node and its mirror
 
 
 class KernelEvaluator:
@@ -375,12 +376,15 @@ class KernelEvaluator:
         of the step-2h rule on the half of the even-index nodes: weights
         2 W_m on the even contour nodes, read from the same exponentials.
         The odd phases come back as phi_p and phi_q of the group and the
-        pair phase Phi = phi_p x_n + phi_q y_n.  The floor rows hold the
-        roundoff weights sum_m sum_terms |W_m coef g e^{p x_n + q y_n}| (ROUNDOFF_UNITS + |p x_n| + |q y_n|)
-        with g = 1 for Gamma, g = p for the normal gradient and, with
-        ``source_gradient``, g = q for the source one.  |e^{p x_n + q y_n}|
-        = |e^r| is even in xi', but |p| and |q| are not: each row is the
-        mean of the node and its mirror.  Returns one HalfSums per group.
+        pair phase Phi = phi_p x_n + phi_q y_n.  The floor rows bound the
+        roundoff weights sum_m sum_terms |W_m coef g e^{p x_n + q y_n}| (U +
+        |p x_n| + |q y_n|), U = ROUNDOFF_UNITS, g = 1 for Gamma, p for the
+        normal gradient and q for the source one, at a node and its mirror
+        alike, since |e^{p x_n + q y_n}| = |e^r| and |p| <= |r_p| + |phi_p|.
+        With S_g = sum |W coef e^r| g (_term_weights) and E = |phi_p x_n| +
+        |phi_q y_n|, the Gamma row is U S_1 + |x_n| S_p + |y_n| S_q + E S_1,
+        the normal row U S_p + |x_n| S_pp + |y_n| S_pq + E S_p + |phi_p| times
+        the Gamma row, the source row likewise in q.  One HalfSums per group.
         """
         if not groups:
             return []
@@ -397,9 +401,9 @@ class KernelEvaluator:
                        for region, _, _, _ in groups]
         # A term's weights are built once per pass.  R11/R12 and R21/R22
         # share a term, so its weights are kept until the last group that
-        # uses it.  Terms share exponents too, and with them |p| and |q|.
+        # uses it.  The exponents of a layer (named a_.. or b_..) share |r|.
         uses = Counter(term.name for terms in group_terms for term in terms)
-        weights, abs_exp = {}, {}
+        weights, abs_root = {}, {}
         # The pairs of all groups, one group after the other, share the sums.
         pairs = np.concatenate([uniq for _, _, uniq, _ in groups])
         ends = list(accumulate(uniq.shape[0] for _, _, uniq, _ in groups))
@@ -416,11 +420,11 @@ class KernelEvaluator:
             for term in terms:
                 if term.name not in weights:
                     for e in (term.p, term.q):
-                        if e.name not in abs_exp:
-                            abs_exp[e.name] = _abs_exponent(e)
+                        if e.name[0] not in abs_root:
+                            abs_root[e.name[0]] = np.abs(e.root)
                     weights[term.name] = _term_weights(
                         term, wte, source_gradient, sub_half,
-                        abs_exp[term.p.name], abs_exp[term.q.name])
+                        abs_root[term.p.name[0]], abs_root[term.q.name[0]])
                 w_sum, w_abs, w_half = weights[term.name]
                 uses[term.name] -= 1
                 if not uses[term.name]:
@@ -437,14 +441,17 @@ class KernelEvaluator:
                     s_abs[:, sl] += np.einsum("jqm,kqm->jkq", w_abs, np.abs(ex))
                     re_sub[:, sl] += np.einsum("jqm,kqm->jkq", w_half, ex[:, sub_half, ::2]).real
                     del ex  # free before the next exponent is formed
-        # Rows of s_abs: sum |W coef e^z| times 1, |p|, |q|, |p|^2, |p q|, |q|^2.
-        axn, ayn = np.abs(pairs[:, :1]), np.abs(pairs[:, 1:])
-        rows = ((0, 1, 2), (1, 3, 4), (2, 4, 5))[:2 + source_gradient]
-        floor = np.stack([ROUNDOFF_UNITS * s_abs[i] + axn * s_abs[j] + ayn * s_abs[k]
-                          for i, j, k in rows])
-        return [HalfSums(re[:, lo:hi], re_sub[:, lo:hi], phi,
-                         phi[0] * pairs[lo:hi, :1] + phi[1] * pairs[lo:hi, 1:], floor[:, lo:hi])
-                for (lo, hi), phi in zip(spans, phis)]
+        # Rows of s_abs: S_g for g = 1, |r_p|, |r_q|, |r_p|^2, |r_p r_q|, |r_q|^2.
+        out = []
+        for (lo, hi), phi in zip(spans, phis):
+            axn, ayn, abs_phi = np.abs(pairs[lo:hi, :1]), np.abs(pairs[lo:hi, 1:]), np.abs(phi)
+            s, e = s_abs[:, lo:hi], abs_phi[0] * axn + abs_phi[1] * ayn
+            rows = [ROUNDOFF_UNITS * s[i] + axn * s[j] + ayn * s[k] + e * s[i]
+                    for i, j, k in ((0, 1, 2), (1, 3, 4), (2, 4, 5))[:2 + source_gradient]]
+            floor = np.stack(rows[:1] + [row + f * rows[0] for row, f in zip(rows[1:], abs_phi)])
+            out.append(HalfSums(re[:, lo:hi], re_sub[:, lo:hi], phi,
+                                phi[0] * pairs[lo:hi, :1] + phi[1] * pairs[lo:hi, 1:], floor))
+        return out
 
     def _phase_sums(self, groups, dxp, grid: XiGrid, sums, source_gradient):
         """Gamma, grad and sgrad from the tau sums, their roundoff floor,
@@ -637,19 +644,13 @@ def _as_slice(idx: np.ndarray):
     return idx
 
 
-def _abs_exponent(e):
-    """|p| of an exponent on the canonical half nodes and on their mirrors,
-    (2, Q, M): |p| = |r + i s phase|, s the product of p's two signs."""
-    return np.abs(e.root + (1j * e.phase_sign * e.root_sign) * (_SIDES * e.phase))
-
-
 def _term_weights(term, wte, source_gradient: bool, sub_half, abs_p, abs_q):
     """Weights of a term on the canonical half of the grid.
 
     w_sum holds w_t = coef W, w_t r_p and, with ``source_gradient``, w_t r_q
-    (r the signed root parts).  w_abs holds |w_t| and then |w_t| times |p|,
-    |q|, |p|^2, |p q| and, with ``source_gradient``, |q|^2, each the mean of
-    the node and its mirror (``abs_p`` and ``abs_q`` hold both sides).
+    (r the signed root parts).  w_abs holds |w_t| and then |w_t| times
+    |r_p|, |r_q|, |r_p|^2, |r_p r_q| and, with ``source_gradient``, |r_q|^2
+    (``abs_p`` and ``abs_q`` hold |r_p| and |r_q|, even in xi').
     w_half holds 2 w_t and 2 w_t r_p at the step-2h nodes ``sub_half`` and
     the even contour nodes.
     """
@@ -660,20 +661,15 @@ def _term_weights(term, wte, source_gradient: bool, sub_half, abs_p, abs_q):
         if e.root_sign < 0.0:
             np.negative(w_r, out=w_r)
     w_half = 2.0 * w_sum[:2, sub_half, ::2]
-    n_abs = 5 + source_gradient
-    abs_w = np.abs(w_t)
-    sides = np.empty((2, n_abs - 1) + w_t.shape)
-    np.multiply(abs_w, abs_p, out=sides[:, 0])
-    np.multiply(abs_w, abs_q, out=sides[:, 1])
-    np.multiply(sides[:, 0], abs_p, out=sides[:, 2])
-    np.multiply(sides[:, 0], abs_q, out=sides[:, 3])
+    w_abs = np.empty((5 + source_gradient,) + w_t.shape)
+    np.abs(w_t, out=w_abs[0])
+    np.multiply(w_abs[0], abs_p, out=w_abs[1])
+    np.multiply(w_abs[0], abs_q, out=w_abs[2])
+    np.multiply(w_abs[1], abs_p, out=w_abs[3])
+    np.multiply(w_abs[1], abs_q, out=w_abs[4])
     if source_gradient:
-        np.multiply(sides[:, 1], abs_q, out=sides[:, 4])
-    return w_sum, np.concatenate([abs_w[None], 0.5 * (sides[0] + sides[1])]), w_half
-
-
-# The phase signs of a node (+1) and of its mirror (-1), see _abs_exponent.
-_SIDES = np.array([1.0, -1.0])[:, None, None]
+        np.multiply(w_abs[2], abs_q, out=w_abs[5])
+    return w_sum, w_abs, w_half
 
 
 def eval_kernel(medium: TwoLayerMedium, q: KernelQuery, cfg: QuadratureConfig | None = None) -> KernelValue:
@@ -742,6 +738,8 @@ def _integration_grid(medium: TwoLayerMedium, dt: float, y: np.ndarray, density:
 
 
 def _weighted_integral(ev: KernelEvaluator, dt: float, y: np.ndarray, weight_fn, density: float) -> float:
+    if y.shape != (ev.medium.dim,):
+        raise MediumError(f"the source must have shape ({ev.medium.dim},), not {y.shape}")
     pts, wts = _integration_grid(ev.medium, dt, y, density)
     res = ev.eval_many(pts, dt, y, 0.0)
     vals = res["gamma"]
@@ -759,7 +757,7 @@ def mass_integral(
     """Total spatial mass of the kernel at time lag dt (should be 1).
 
     QuadratureNotConverged if two integration grids differ by more than
-    MASS_TOL; MediumError unless dt is a finite positive number.
+    MASS_TOL; MediumError unless dt > 0 is finite and y has shape (n,).
     """
     dt = time_lag(dt, 0.0)
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -782,7 +780,7 @@ def delta_recovery(
 ) -> np.ndarray:
     """Int Gamma(x, s+dt; y, s) phi(x) dx for each dt; tends to phi(y).
 
-    MediumError unless every dt is a finite positive number.
+    MediumError unless every dt > 0 is finite and y has shape (n,).
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     ev = KernelEvaluator(medium, cfg)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from layerheat.images import (
     half_space_green,
     volume_potential,
 )
-from layerheat.inverse_transform import KernelEvaluator
+from layerheat.inverse_transform import KernelEvaluator, QuadratureConfig
 from layerheat.reference import gaussian_kernel, interval_green_1d, layered_kernel_1d
 
 
@@ -264,11 +265,18 @@ class TestCubeGreen:
         with pytest.raises(UnsupportedGeometry):
             CubeGreen(med, cube)
 
-    @pytest.mark.parametrize("depth", [0, -1])
+    # A bool or fractional depth is refused too: int(depth) ran 2.7 as
+    # depth 2 and True as depth 1.
+    @pytest.mark.parametrize("depth", [0, -1, 2.7, 1.5, True, float("nan")])
     def test_depth_below_one_rejected(self, depth):
         med = homogeneous_medium(validate_tensor([[1.0]]))
         with pytest.raises(UnsupportedGeometry, match="depth"):
             CubeGreen(med, Cube(half_width=1.0, center=np.array([0.0])), depth=depth)
+
+    def test_integral_depth_accepted(self):
+        med = homogeneous_medium(validate_tensor([[1.0]]))
+        cg = CubeGreen(med, Cube(half_width=1.0, center=np.array([0.0])), depth=3.0)
+        assert cg.depth == 3 and isinstance(cg.depth, int)
 
     def test_lattice_built_once(self, monkeypatch):
         # The lattice depends only on the cube and depth fixed at construction.
@@ -369,6 +377,30 @@ class TestCubeGreen:
             tracemalloc.stop()
         assert peak < 6e6
 
+    def test_scatter_call_memory(self):
+        # An 8-point 3-D call with one source per target, across all six
+        # regions.  With |p| and |q| tabled per exponent, for each half node
+        # and for its mirror, it peaked at 19.6 MB; with one |r| table per
+        # layer, at 13.8 MB.
+        med = TwoLayerMedium(upper=validate_tensor(np.eye(3)),
+                             lower=validate_tensor(np.diag([2.0, 2.0, 3.0])))
+        ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=1e-8))
+        dt = 0.3
+        reach = math.sqrt(dt)
+        y, x = np.zeros((8, 3)), np.zeros((8, 3))
+        y[:, 2] = [0.3, 0.3, 0.3, -0.3, -0.3, -0.3, 0.2, -0.2]
+        x[:, 2] = [0.5, 0.1, -0.2, 0.2, -0.1, -0.5, 0.4, -0.4]
+        x[:4, :2] = reach * np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
+        x[4:, :2] = 0.5 * reach * np.array([[1, 1], [-1, 1], [1, -1], [-1, -1]])
+        ev.eval_many(x, dt, y, 0.0)  # one-time allocations
+        tracemalloc.start()
+        try:
+            ev.eval_many(x, dt, y, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17e6
+
     def test_one_shot_wrapper(self):
         med = homogeneous_medium(validate_tensor([[1.0]]))
         cube = Cube(half_width=1.0, center=np.array([0.0]))
@@ -416,6 +448,15 @@ class TestVolumePotential:
         val = volume_potential(gstar, force, x, t, cube, t0)
         exact = np.cos(np.pi * x[0] / (2.0 * half)) * (np.exp(-a * lam * (t - t0)) - 1.0) / a
         assert abs(val - exact) < 1e-6 * abs(exact)
+
+    def test_lag_refused(self):
+        # t < t0 raised ValueError (math domain error) from the square root.
+        med = homogeneous_medium(validate_tensor([[1.0]]))
+        cube = Cube(half_width=1.0, center=np.array([0.0]))
+        gstar = AdjointGreen(CubeGreen(med, cube, depth=2))
+        with pytest.raises(MediumError):
+            volume_potential(gstar, lambda pts, s: np.ones_like(pts), np.array([0.2]), 0.1,
+                             cube, 0.3, n_time=6, n_space=10)
 
     def test_zero_force_zero_potential(self):
         med = homogeneous_medium(validate_tensor([[1.0]]))

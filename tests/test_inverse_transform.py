@@ -157,6 +157,22 @@ class TestHomogeneousExactness:
         assert np.max(np.abs(res["gamma"] - exact)) < 1e-8 * scale
         assert np.max(np.abs(res["grad"] - g_exact)) < 1e-7 * scale
 
+    @pytest.mark.parametrize("c", [0.9, 0.99])
+    @pytest.mark.parametrize("dt", [0.01, 0.3])
+    def test_est_covers_strong_shear(self, c, dt):
+        # A large tangential coupling a_t gives large phases phi, which the
+        # roundoff floor must count at a node and at its mirror alike: with
+        # each |p| as the mean of |r + i phi| over the node and its mirror,
+        # the gradient's error reached 1.2 est at c = 0.99, dt = 0.01.
+        t_mat = validate_tensor([[1.0, c], [c, 1.0]])
+        ev = KernelEvaluator(homogeneous_medium(t_mat), QuadratureConfig(target_rel_tol=1e-10))
+        y = np.array([0.1, -0.2])
+        x = y + 4.0 * math.sqrt(dt) * np.random.default_rng(5).uniform(-1.0, 1.0, (150, 2))
+        res = ev.eval_many(x, dt, y, 0.0)
+        assert np.all(np.abs(res["gamma"] - gaussian_kernel(t_mat, x, dt, y, 0.0)) <= res["est"])
+        err = np.abs(res["grad"] - gaussian_gradient(t_mat, x, dt, y, 0.0))
+        assert np.all(err <= res["est"][:, None])
+
     def test_3d_smoke(self):
         t_mat = validate_tensor(
             [[1.5, 0.2, 0.0], [0.2, 1.0, -0.1], [0.0, -0.1, 2.0]]
@@ -854,6 +870,14 @@ class TestMassAndDelta:
             mass_integral(layered_1d(), dt, [0.3])
         with pytest.raises(MediumError):
             delta_recovery(layered_1d(), [0.3], lambda p: 1.0, [0.01, dt])
+
+    def test_short_source_refused(self):
+        # A 1-point source in a 2-D medium raised IndexError from the
+        # integration grid.
+        with pytest.raises(MediumError, match="shape"):
+            mass_integral(layered_2d(), 0.3, [0.3])
+        with pytest.raises(MediumError, match="shape"):
+            delta_recovery(layered_2d(), [0.3], lambda p: 1.0, [0.01])
 
     def test_mass_homogeneous(self):
         med = homogeneous_medium(validate_tensor([[1.3]]))
