@@ -3,9 +3,9 @@
 Fits the smallest single constant C in Gaussian-type pointwise bounds,
 checks an energy (square-integral) bound on parabolic cylinders, an
 interior gradient estimate for solutions, and a Schur-test operator-norm
-bound.  All fits are 1-D bisections on feasibility over fixed random
-sample sets, so reported constants are deterministic and monotone in the
-sample set.
+bound.  The Gaussian-bound constants are the closed-form smallest C over
+fixed random sample sets, so reported constants are deterministic and
+monotone in the sample set.
 """
 from __future__ import annotations
 
@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from scipy.special import lambertw
 
+from .inverse_transform import QuadratureNotConverged, gauss_tensor_grid
 from .medium import UnsupportedDimension
 
 
@@ -87,32 +88,23 @@ class SampleSpec:
             yield float(dt), x, y
 
 
-def _feasible(values, r2, dts, n_exp: float, c: float) -> bool:
-    bound = c * dts ** (-n_exp) * np.exp(-r2 / (c * dts))
-    return bool(np.all(values <= bound))
-
-
-def _bisect_constant(values, r2, dts, n_exp: float) -> float:
+def _smallest_constant(values, r2, dts, n_exp: float) -> float:
     """Smallest C with value <= C dt^{-n_exp} exp(-r^2/(C dt)) everywhere.
 
-    The bound is monotone increasing in C, so the feasible set is an
-    interval [C*, inf) and bisection applies.
+    Per sample, with a = dt^{-n_exp} and b = r^2/dt, the bound C a exp(-b/C)
+    increases with C and reaches the value v at C = b / W(a b / v), W the
+    principal Lambert function: v/a where b = 0, and 0 where v = 0 (a b / v
+    is then infinite).  The largest of these is raised by 1e-12 relative so
+    that the rounding of the bound itself leaves every sample within it.
     """
-    hi = 1.0
-    while not _feasible(values, r2, dts, n_exp, hi):
-        hi *= 2.0
-        if hi > 1e9:
-            raise NoFiniteConstant("no C <= 1e9 satisfies the bound on samples")
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _feasible(values, r2, dts, n_exp, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    a = dts ** (-n_exp)
+    b = r2 / dts
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(b > 0.0, b / lambertw(a * b / values).real, values / a)
+    c_star = float(np.max(c)) * (1.0 + 1e-12)
+    if not c_star <= 1e9:
+        raise NoFiniteConstant("no C <= 1e9 satisfies the bound on samples")
+    return c_star
 
 
 def _collect(evaluator, spec: SampleSpec, gradient: bool):
@@ -165,7 +157,7 @@ def _fit(evaluator, spec: SampleSpec, gradient: bool) -> BoundFitReport:
     dim = evaluator.medium.dim
     n_exp = (dim + 1) / 2.0 if gradient else dim / 2.0
     vals, r2, dts, locs = _collect(evaluator, spec, gradient)
-    c_star = _bisect_constant(vals, r2, dts, n_exp)
+    c_star = _smallest_constant(vals, r2, dts, n_exp)
     bound = c_star * dts ** (-n_exp) * np.exp(-r2 / (c_star * dts))
     ratios = vals / bound
     worst = int(np.argmax(ratios))
@@ -222,8 +214,6 @@ def q_rho_integral(
     t = tau + sigma^2; space uses Gauss-Legendre (polar in 2-D).
     UnsupportedDimension unless n is 1 or 2.
     """
-    from .inverse_transform import QuadratureNotConverged
-
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if not tau < t0:
@@ -235,17 +225,12 @@ def q_rho_integral(
 
     def compute(nt, ns):
         sig_lo = math.sqrt(max(t0 - rho**2, tau) - tau)
-        sig_hi = math.sqrt(t0 - tau)
-        xs, ws = leggauss(nt)
-        sig = 0.5 * (sig_hi - sig_lo) * (xs + 1.0) + sig_lo
-        wsig = 0.5 * (sig_hi - sig_lo) * ws
-        xg, wg = leggauss(ns)
+        sig, wsig = gauss_tensor_grid([[(sig_lo, math.sqrt(t0 - tau), nt)]])
         if n == 1:
-            pts = (x0[0] + rho * xg)[:, None]
-            wts = rho * wg
+            pts, wts = gauss_tensor_grid([[(x0[0] - rho, x0[0] + rho, ns)]])
         else:
-            rad = 0.5 * rho * (xg + 1.0)
-            wrad = 0.5 * rho * wg
+            rad, wrad = gauss_tensor_grid([[(0.0, rho, ns)]])
+            rad = rad[:, 0]
             phi = np.linspace(0.0, 2.0 * np.pi, 2 * ns, endpoint=False)
             wphi = 2.0 * np.pi / (2 * ns)
             rr, pp = np.meshgrid(rad, phi, indexing="ij")
@@ -255,10 +240,9 @@ def q_rho_integral(
                 axis=1,
             )
             wts = np.repeat(rad * wrad, 2 * ns) * wphi  # rad dr dphi
-        pts = pts.copy()
         pts[pts[:, -1] == 0.0, -1] = 1e-12
         total = 0.0
-        for sg, wv in zip(sig, wsig):
+        for sg, wv in zip(sig[:, 0], wsig):
             t = tau + sg * sg
             res = evaluator.eval_many(pts, t, xi, tau)
             total += 2.0 * sg * wv * float(np.sum(wts * res["gamma"] ** 2))
@@ -298,6 +282,15 @@ def _onesided_gradient_magnitude(values: np.ndarray, h: float) -> np.ndarray:
     return np.sqrt(np.sum(np.stack(comps) ** 2, axis=0))
 
 
+def _trapezoid_weights(c: np.ndarray) -> np.ndarray:
+    """Trapezoid-rule weights on the increasing nodes ``c``."""
+    w = np.zeros(c.size)
+    d = np.diff(c)
+    w[:-1] += d / 2.0
+    w[1:] += d / 2.0
+    return w
+
+
 def interior_estimate_check(solutions, rho_sweep) -> BoundFitReport:
     """Fit the constant in the interior gradient estimate
 
@@ -334,28 +327,13 @@ def interior_estimate_check(solutions, rho_sweep) -> BoundFitReport:
             ]
             t_small = (times >= t_anchor - rho**2) & (times <= t_anchor)
             t_big = (times >= t_anchor - 4 * rho**2) & (times <= t_anchor)
-            region = grads[t_small]
-            for j, m in enumerate(sel_small):
-                region = np.compress(m, region, axis=1 + j)
-            lhs = float(region.max())
-            sq = u.values[t_big] ** 2
-            for j, m in enumerate(sel_big):
-                sq = np.compress(m, sq, axis=1 + j)
-
-            def trap_w(mask, coords):
-                c = coords[mask]
-                w = np.zeros(c.size)
-                if c.size > 1:
-                    d = np.diff(c)
-                    w[:-1] += d / 2.0
-                    w[1:] += d / 2.0
-                return w
-
-            sq = sq * trap_w(t_big, times).reshape([-1] + [1] * n)
-            for j in range(n):
+            lhs = float(grads[np.ix_(t_small, *sel_small)].max())
+            cut = (t_big, *sel_big)
+            sq = u.values[np.ix_(*cut)] ** 2
+            for j, (coords, mask) in enumerate(zip((times, *axes), cut)):
                 shape = [1] * (n + 1)
-                shape[1 + j] = -1
-                sq = sq * trap_w(sel_big[j], axes[j]).reshape(shape)
+                shape[j] = -1
+                sq = sq * _trapezoid_weights(coords[mask]).reshape(shape)
             l2 = math.sqrt(float(np.sum(sq)))
             if l2 == 0.0:
                 continue

@@ -16,6 +16,7 @@ ordering always follows input order.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -72,12 +73,29 @@ def _integer(v) -> int:
     return int(v)
 
 
+def _count(v) -> int:
+    """_integer(v) for a count, which must be at least 1."""
+    m = _integer(v)
+    if m < 1:
+        raise ValueError(f"{v!r} is not positive")
+    return m
+
+
+def _counts(v) -> list:
+    """[_count(m) for m in v] for a non-empty list v."""
+    if not v:
+        raise ValueError("empty list")
+    return [_count(m) for m in v]
+
+
 # What a config value must be -> the conversion that checks it.
 _CASTS = {
     "a number": float,
     "an integer": _integer,
+    "a positive integer": _count,
     "an array of numbers": lambda v: np.asarray(v, dtype=float),
     "a list of integers": lambda v: [_integer(m) for m in v],
+    "a non-empty list of positive integers": _counts,
 }
 
 
@@ -140,6 +158,8 @@ def _query_points(cfg: dict, dim: int) -> np.ndarray:
         if not lows.shape == highs.shape == (len(counts),) == (dim,):
             raise ConfigError(
                 f"grid 'min', 'max' and 'points' need one entry per medium dimension ({dim})")
+        if min(counts) < 1:
+            raise ConfigError("query has no points")
         axes = [np.linspace(lo, hi, m) for lo, hi, m in zip(lows, highs, counts)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -248,7 +268,7 @@ def cmd_green(cfg: dict, output: str) -> int:
         if "tail_constant" in params:
             raise ConfigError("'tail_constant' was removed: the cube tail bound is exact")
         green = CubeGreen(medium, cube, qcfg, depth=_field(params, "depth", "an integer", 2))
-        bpts = green.boundary_samples(_field(params, "boundary_samples", "an integer", 5))
+        bpts = green.boundary_samples(_field(params, "boundary_samples", "a positive integer", 5))
         bres = green.evaluate_many(bpts, t, y, s, source_gradient=False)
         summary = (
             f"# boundary sup |G| = {FMT % np.abs(bres['gamma']).max()}, "
@@ -304,10 +324,10 @@ def _verify_qrho(medium, qcfg, seed, params):
     n = medium.dim
     if n not in (1, 2):  # refused before the fit, as q_rho_integral would after it
         raise UnsupportedDimension(f"qrho supports n in {{1, 2}}, not {n}")
+    n_samp = _field(params, "samples", "a positive integer", 40)
     ev = KernelEvaluator(medium, qcfg)
     rng = np.random.default_rng(seed or 3)
     c_fit = max(bounds.fit_aronson(ev).fitted_constant, 1.0)
-    n_samp = _field(params, "samples", "an integer", 40)
     worst = 0.0
     for _ in range(n_samp):
         x0 = rng.uniform(-1, 1, n)
@@ -356,7 +376,7 @@ def _verify_transmission(medium, qcfg, seed, params):
     n = medium.dim
     rng = np.random.default_rng(seed or 1)
     worst = 0.0
-    for _ in range(_field(params, "samples", "an integer", 200)):
+    for _ in range(_field(params, "samples", "a positive integer", 200)):
         xi = rng.standard_normal(n - 1) * rng.uniform(0.2, 3.0)
         tau = complex(rng.uniform(0.3, 3.0), rng.uniform(-20.0, 20.0))
         sp = symbols.SpectralPoint(xi_prime=xi.astype(complex), tau=tau)
@@ -468,12 +488,12 @@ def cmd_compare_oracle(cfg: dict, output: str) -> int:
         raise ConfigError("compare_oracle supports n in {1, 2}")
     t_final = _field(params, "t", default=0.25)
     y = _source(params, n, 0.5)
-    levels = _field(params, "levels", "a list of integers", [101, 201, 401])
+    levels = _field(params, "levels", "a non-empty list of positive integers", [101, 201, 401])
     half_width = _field(params, "box_half_width", default=4.0)
-    steps0 = _field(params, "time_steps", "an integer", 10)
+    steps0 = _field(params, "time_steps", "a positive integer", 10)
     scheme = params.get("scheme", "crank_nicolson")
     max_rel = _field(params, "max_rel_err", default=0.02)
-    max_pts = _field(params, "max_points", "an integer", 1200)
+    max_pts = _field(params, "max_points", "a positive integer", 1200)
     bulk = _field(params, "bulk_half_width", default=2.5)
 
     ev = KernelEvaluator(medium, qcfg)
@@ -497,14 +517,10 @@ def cmd_compare_oracle(cfg: dict, output: str) -> int:
         # width in the source variable (Gauss-Hermite), so mollification
         # error cancels and the comparison isolates discretization error.
         ref = np.zeros(idx.size)
-        if n == 1:
-            for wi, zi in zip(zw, zn):
-                ref += wi * ev.eval_many(probe, t_final, y + eps * np.array([zi]), 0.0)["gamma"]
-        else:
-            for wi, zi in zip(zw, zn):
-                for wj, zj in zip(zw, zn):
-                    ysh = y + eps * np.array([zi, zj])
-                    ref += wi * wj * ev.eval_many(probe, t_final, ysh, 0.0)["gamma"]
+        for nodes in itertools.product(zip(zw, zn), repeat=n):
+            ws, zs = zip(*nodes)
+            ysh = y + eps * np.array(zs)
+            ref += math.prod(ws) * ev.eval_many(probe, t_final, ysh, 0.0)["gamma"]
         fd = gf.final.ravel()[idx]
         scale = np.abs(ref).max()
         linf = float(np.abs(fd - ref).max() / scale)

@@ -286,14 +286,11 @@ class CubeGreen:
         pts = []
         for ax in range(n):
             for sgn in (-1.0, 1.0):
-                if n == 1:
-                    pts.append([c[0] + sgn * w])
-                else:
-                    free = [ticks + c[j] for j in range(n) if j != ax]
-                    for combo in itertools.product(*free):
-                        p = list(combo)
-                        p.insert(ax, c[ax] + sgn * w)
-                        pts.append(p)
+                free = [ticks + c[j] for j in range(n) if j != ax]
+                for combo in itertools.product(*free):
+                    p = list(combo)
+                    p.insert(ax, c[ax] + sgn * w)
+                    pts.append(p)
         return np.array(pts)
 
 
@@ -370,14 +367,9 @@ def volume_potential(
     s = t - sigma^2 to absorb the kernel's short-time singularity.
     MediumError unless t > t0.
     """
-    from numpy.polynomial.legendre import leggauss
-
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = domain.dim
-    sig_max = math.sqrt(time_lag(t, t0))
-    xs, ws = leggauss(n_time)
-    sig = 0.5 * sig_max * (xs + 1.0)
-    wsig = 0.5 * sig_max * ws
+    sig, wsig = gauss_tensor_grid([[(0.0, math.sqrt(time_lag(t, t0)), n_time)]])
 
     def tensor_grid(lo, hi):
         return gauss_tensor_grid([[(lo[j], hi[j], n_space)] for j in range(n)])
@@ -392,7 +384,7 @@ def volume_potential(
     lam = gstar.medium.max_eigenvalue()
     sigma_split = 6.0 * (2.0 * w_half / n_space) / math.sqrt(lam)
     total = 0.0
-    for sg, wv in zip(sig, wsig):
+    for sg, wv in zip(sig[:, 0], wsig):
         s = t - sg * sg
         if sg < sigma_split:
             half = 10.0 * math.sqrt(lam) * sg

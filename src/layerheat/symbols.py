@@ -97,9 +97,6 @@ def _forms(medium: TwoLayerMedium, xi: np.ndarray):
     plain bilinear extensions (no conjugation).
     """
     A, B = medium.upper, medium.lower
-    if xi.shape[-1] == 0:
-        zero = np.zeros(xi.shape[:-1], dtype=complex)
-        return zero, zero, zero.copy(), zero.copy()
     a_form = np.einsum("...i,i->...", xi, A.normal_row.astype(complex))
     b_form = np.einsum("...i,i->...", xi, B.normal_row.astype(complex))
     quad_A = np.einsum("...i,ij,...j->...", xi, A.minor, xi)

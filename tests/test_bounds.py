@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from layerheat.medium import (
     Cube,
@@ -12,6 +14,7 @@ from layerheat.medium import (
 )
 from layerheat.inverse_transform import KernelEvaluator, QuadratureNotConverged
 from layerheat.oracle import Grid, interior_solution_sampler
+from layerheat import bounds
 from layerheat.bounds import (
     BoundFitReport,
     ExponentMismatch,
@@ -81,6 +84,37 @@ class TestGaussianBoundFits:
 
         with pytest.raises(NoFiniteConstant):
             fit_aronson(Broken(), SMALL_SPEC)
+
+    # Samples (value, r^2, dt); values and offsets include exact zeros.
+    CLOSED_FORM_SAMPLES = st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+            st.one_of(st.just(0.0), st.floats(1e-6, 16.0)),
+            st.floats(1e-2, 1.0),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(samples=CLOSED_FORM_SAMPLES, n_exp=st.sampled_from((0.5, 1.0, 1.5, 2.0)))
+    def test_closed_form_constant_is_smallest(self, samples, n_exp):
+        vals, r2, dts = (np.array(col) for col in zip(*samples))
+        assume(np.any(vals > 0.0))
+
+        def feasible(c):
+            return bool(np.all(vals <= c * dts ** (-n_exp) * np.exp(-r2 / (c * dts))))
+
+        c = bounds._smallest_constant(vals, r2, dts, n_exp)
+        assert feasible(c)
+        assert not feasible(c * (1.0 - 1e-9))
+
+    @pytest.mark.parametrize("vals", [[np.nan, 1.0], [1.0, np.nan], [2e9, 1.0]])
+    def test_closed_form_refuses_nan_and_huge(self, vals):
+        # r^2 = 0 and dt = 1: the constant is the largest value itself.
+        vals = np.array(vals)
+        with pytest.raises(NoFiniteConstant):
+            bounds._smallest_constant(vals, np.zeros(2), np.ones(2), 0.5)
 
     def test_report_json_keys(self):
         rep = BoundFitReport(

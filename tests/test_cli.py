@@ -267,6 +267,25 @@ class TestErrors:
         assert f"{path[-1]!r} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # Counts below 1 and an empty level list; each used to exit 1 (ValueError
+    # from linspace, IndexError, ZeroDivisionError), and max_points = -3
+    # reversed and thinned the probes and passed.
+    NONPOSITIVE = [
+        ("eval", ("eval", "grid", "points"), [-3], "query has no points"),
+        ("green", ("green", "boundary_samples"), -3, "'boundary_samples' must be"),
+        ("compare-oracle", ("compare_oracle", "levels"), [], "'levels' must be"),
+        ("compare-oracle", ("compare_oracle", "time_steps"), 0, "'time_steps' must be"),
+        ("compare-oracle", ("compare_oracle", "max_points"), 0, "'max_points' must be"),
+        ("compare-oracle", ("compare_oracle", "max_points"), -3, "'max_points' must be"),
+    ]
+
+    @pytest.mark.parametrize("command,path,value,message", NONPOSITIVE,
+                             ids=[f"{'.'.join(p)}={v}" for _, p, v, _ in NONPOSITIVE])
+    def test_nonpositive_count_exit_2(self, tmp_path, capsys, command, path, value, message):
+        assert main([command, self.field_cfg(tmp_path, path, value)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_integral_float_accepted(self, tmp_path):
         path = self.field_cfg(tmp_path, ("eval", "grid", "points"), [5.0])
         assert main(["eval", path]) == 0
@@ -520,6 +539,19 @@ class TestVerify:
         cfg["medium"] = {"upper": np.eye(3).tolist()}
         assert main(["verify", write_cfg(tmp_path, cfg)]) == 2
         assert "qrho supports n in {1, 2}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("samples", [0, -2])
+    @pytest.mark.parametrize("name", ["qrho", "transmission"])
+    def test_nonpositive_samples_exit_2(self, tmp_path, monkeypatch, capsys, name, samples):
+        # Both checks passed with nothing checked: worst ratio or residual 0.0.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_aronson ran")
+
+        monkeypatch.setattr(bounds, "fit_aronson", no_fit)
+        cfg = self.base_cfg(tmp_path, name, samples=samples)
+        assert main(["verify", write_cfg(tmp_path, cfg)]) == 2
+        assert "'samples' must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     def test_adjoint_bit_exact(self, tmp_path):
