@@ -10,7 +10,6 @@ agreement with an independent finite-difference solver.
 from .medium import (
     Cube,
     DiffusionTensor,
-    KernelQuery,
     MediumError,
     NotElliptic,
     NotSymmetric,
@@ -18,17 +17,14 @@ from .medium import (
     TwoLayerMedium,
     UnsupportedDimension,
     homogeneous_medium,
-    piecewise_tensor,
     validate_tensor,
 )
 from .inverse_transform import (
     KernelEvaluator,
-    KernelValue,
     QuadratureConfig,
     QuadratureNotConverged,
     certify_mu,
     delta_recovery,
-    eval_kernel,
     mass_integral,
 )
 from .images import (
@@ -38,8 +34,6 @@ from .images import (
     TruncationInsufficient,
     UnsupportedGeometry,
     adjoint_green,
-    cube_green,
-    half_space_green,
     volume_potential,
 )
 from .oracle import (

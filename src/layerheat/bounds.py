@@ -233,10 +233,15 @@ def q_rho_integral(
             rad = rad[:, 0]
             phi = np.linspace(0.0, 2.0 * np.pi, 2 * ns, endpoint=False)
             wphi = 2.0 * np.pi / (2 * ns)
-            rr, pp = np.meshgrid(rad, phi, indexing="ij")
+            # sin(pi k/ns) from k's distance to the nearest multiple of ns,
+            # so that phi and pi - phi share x_n bit for bit (and sin(pi)
+            # is 0): the evaluator's work follows the unique x_n.
+            k = np.arange(2 * ns)
+            dist = np.minimum(k % ns, ns - k % ns)
+            sin_phi = np.where(k < ns, 1.0, -1.0) * np.sin(np.pi * dist / ns)
             pts = np.stack(
-                [x0[0] + rr.ravel() * np.cos(pp.ravel()),
-                 x0[1] + rr.ravel() * np.sin(pp.ravel())],
+                [x0[0] + (rad[:, None] * np.cos(phi)).ravel(),
+                 x0[1] + (rad[:, None] * sin_phi).ravel()],
                 axis=1,
             )
             wts = np.repeat(rad * wrad, 2 * ns) * wphi  # rad dr dphi

@@ -10,8 +10,9 @@ Commands read a JSON config and write CSV or JSON outputs atomically
 * 5 verification assertion failed (report is still written)
 
 Set LAYERHEAT_THREADS to a positive integer to parallelize evaluation
-over query chunks (values above the CPU count are capped to it); output
-ordering always follows input order.
+over query chunks (values above the CPU count are capped to it; one source
+per target is chunked with its targets); output ordering always follows
+input order.
 """
 from __future__ import annotations
 
@@ -81,6 +82,14 @@ def _count(v) -> int:
     return m
 
 
+def _natural(v) -> int:
+    """_integer(v) for a seed, which must be at least 0."""
+    m = _integer(v)
+    if m < 0:
+        raise ValueError(f"{v!r} is negative")
+    return m
+
+
 def _counts(v) -> list:
     """[_count(m) for m in v] for a non-empty list v."""
     if not v:
@@ -93,6 +102,7 @@ _CASTS = {
     "a number": float,
     "an integer": _integer,
     "a positive integer": _count,
+    "a non-negative integer": _natural,
     "an array of numbers": lambda v: np.asarray(v, dtype=float),
     "a list of integers": lambda v: [_integer(m) for m in v],
     "a non-empty list of positive integers": _counts,
@@ -200,14 +210,17 @@ def _n_threads() -> int:
     return min(n, os.cpu_count() or 1)
 
 
-def _chunked_eval(fn, pts: np.ndarray):
-    """Run fn over chunks of pts, possibly threaded, preserving order."""
+def _chunked_eval(fn, pts: np.ndarray, y: np.ndarray):
+    """Run fn(targets, sources) over chunks of pts, possibly threaded,
+    preserving order; one source per target (y of ndim 2) is split with
+    its targets."""
     n_threads = _n_threads()
     if n_threads == 1 or pts.shape[0] < 2 * n_threads:
-        return fn(pts)
+        return fn(pts, y)
     chunks = np.array_split(pts, n_threads)
+    sources = np.array_split(y, n_threads) if y.ndim == 2 else [y] * n_threads
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        parts = list(pool.map(fn, chunks))
+        parts = list(pool.map(fn, chunks, sources))
     return {
         key: (np.concatenate([p[key] for p in parts]) if parts[0][key] is not None
               else None)
@@ -245,7 +258,7 @@ def cmd_eval(cfg: dict, output: str) -> int:
     y = _field(params, "y", "an array of numbers")
     pts = _query_points(params, medium.dim)
     ev = KernelEvaluator(medium, qcfg)
-    res = _chunked_eval(lambda p: ev.eval_many(p, t, y, s), pts)
+    res = _chunked_eval(lambda p, yc: ev.eval_many(p, t, yc, s), pts, y)
     _atomic_write(output, _csv_rows(pts, t, y, s, res))
     return 0
 
@@ -294,7 +307,7 @@ def cmd_green(cfg: dict, output: str) -> int:
     else:
         raise ConfigError(f"unknown green kind {kind!r}")
     res = _chunked_eval(
-        lambda p: green.evaluate_many(p, t, s=s, y=y, source_gradient=False), pts
+        lambda p, yc: green.evaluate_many(p, t, yc, s, source_gradient=False), pts, y
     )
     _atomic_write(output, _csv_rows(pts, t, y, s, res) + summary)
     return 0
@@ -446,7 +459,7 @@ def _verify_payload(cfg: dict, name: str):
     if check is None:
         raise ConfigError(f"unknown verify name {name!r}")
     return check(parse_medium(cfg), parse_quadrature(cfg),
-                 _field(cfg, "seed", "an integer", 0), cfg.get("verify", {}))
+                 _field(cfg, "seed", "a non-negative integer", 0), cfg.get("verify", {}))
 
 
 def cmd_verify(cfg: dict, output: str) -> int:

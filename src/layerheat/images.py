@@ -24,8 +24,8 @@ import math
 
 import numpy as np
 
-from .medium import Cube, KernelQuery, MediumError, TwoLayerMedium
-from .inverse_transform import KernelEvaluator, KernelValue, QuadratureConfig
+from .medium import Cube, MediumError, TwoLayerMedium
+from .inverse_transform import KernelEvaluator, QuadratureConfig
 from .inverse_transform import gauss_tensor_grid, point_pairs, time_lag
 
 # Largest image-series tail bound accepted, relative to the kernel scale.
@@ -316,37 +316,6 @@ def adjoint_green(evaluator):
     if isinstance(evaluator, AdjointGreen):
         return evaluator.base
     return AdjointGreen(evaluator)
-
-
-def _one_shot(green, q: KernelQuery) -> KernelValue:
-    res = green.evaluate_many(q.x[None, :], q.t, q.y, q.s, source_gradient=False)
-    return KernelValue(
-        gamma=float(res["gamma"][0]),
-        grad=res["grad"][0],
-        est_error=float(res["est"][0]),
-    )
-
-
-def half_space_green(
-    medium: TwoLayerMedium,
-    face,
-    q: KernelQuery,
-    cfg: QuadratureConfig | None = None,
-) -> KernelValue:
-    """One-shot half-space Green evaluation; face = (axis, offset, side)."""
-    axis, offset, side = face
-    return _one_shot(HalfSpaceGreen(medium, axis, offset, side, cfg), q)
-
-
-def cube_green(
-    medium: TwoLayerMedium,
-    cube: Cube,
-    q: KernelQuery,
-    cfg: QuadratureConfig | None = None,
-    depth: int = 2,
-) -> KernelValue:
-    """One-shot cube Green evaluation by truncated image series."""
-    return _one_shot(CubeGreen(medium, cube, cfg, depth=depth), q)
 
 
 def volume_potential(

@@ -89,12 +89,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .medium import (
-    KernelQuery,
-    MediumError,
-    OnInterface,
-    TwoLayerMedium,
-)
+from .medium import MediumError, OnInterface, TwoLayerMedium
 from .symbols import (
     REGIONS,
     SymbolTable,
@@ -165,15 +160,6 @@ class QuadratureConfig:
     def __post_init__(self):
         if not 0.0 < self.target_rel_tol < 1.0:
             raise ValueError("target_rel_tol must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    """Kernel value, spatial gradient and heuristic error estimate."""
-
-    gamma: float
-    grad: np.ndarray
-    est_error: float
 
 
 def point_pairs(x, y, n: int):
@@ -670,16 +656,6 @@ def _term_weights(term, wte, source_gradient: bool, sub_half, abs_p, abs_q):
     if source_gradient:
         np.multiply(w_abs[2], abs_q, out=w_abs[5])
     return w_sum, w_abs, w_half
-
-
-def eval_kernel(medium: TwoLayerMedium, q: KernelQuery, cfg: QuadratureConfig | None = None) -> KernelValue:
-    """Kernel value Gamma(x, t; y, s) with gradient and error estimate."""
-    res = KernelEvaluator(medium, cfg).eval_many(q.x[None, :], q.t, q.y[None, :], q.s)
-    return KernelValue(
-        gamma=float(res["gamma"][0]),
-        grad=res["grad"][0],
-        est_error=float(res["est"][0]),
-    )
 
 
 def gauss_tensor_grid(axes):

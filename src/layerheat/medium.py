@@ -161,16 +161,6 @@ def homogeneous_medium(tensor: DiffusionTensor) -> TwoLayerMedium:
     return TwoLayerMedium(upper=tensor, lower=tensor)
 
 
-def piecewise_tensor(medium: TwoLayerMedium, point) -> DiffusionTensor:
-    """Tensor at a point strictly off the interface."""
-    x_n = float(np.asarray(point, dtype=float)[-1])
-    if x_n > 0.0:
-        return medium.upper
-    if x_n < 0.0:
-        return medium.lower
-    raise OnInterface("x_n == 0: take one-sided limits instead")
-
-
 @dataclass(frozen=True, eq=False)
 class Cube:
     """Axis-aligned cube: ``center + (-half_width, half_width)^n``."""
@@ -192,31 +182,3 @@ class Cube:
         """Strictly inside: the boundary is excluded."""
         d = np.abs(np.asarray(point, dtype=float) - self.center)
         return bool(np.all(d < self.half_width))
-
-
-@dataclass(frozen=True, eq=False)
-class KernelQuery:
-    """Space-time source/target tuple (x, t; y, s) with t > s."""
-
-    x: np.ndarray
-    t: float
-    y: np.ndarray
-    s: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-        object.__setattr__(self, "y", np.atleast_1d(np.asarray(self.y, dtype=float)))
-        if self.x.shape != self.y.shape:
-            raise MediumError("x and y must have the same dimension")
-        if not self.t > self.s:
-            raise MediumError(f"require t > s, got t={self.t}, s={self.s}")
-        self.x.setflags(write=False)
-        self.y.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def dt(self) -> float:
-        return self.t - self.s

@@ -10,7 +10,6 @@ import pytest
 
 from layerheat.medium import (
     Cube,
-    KernelQuery,
     TwoLayerMedium,
     homogeneous_medium,
     validate_tensor,
@@ -25,7 +24,6 @@ from layerheat.inverse_transform import (
     KernelEvaluator,
     QuadratureConfig,
     delta_recovery,
-    eval_kernel,
     mass_integral,
 )
 from layerheat.images import CubeGreen, HalfSpaceGreen, adjoint_green

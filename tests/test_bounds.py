@@ -163,6 +163,25 @@ class TestCylinderBound:
         with pytest.raises(ValueError):
             q_rho_integral(ev, [0.5], 0.1, [0.2], 0.5)
 
+    @pytest.mark.parametrize("x0, xi", [([0.37, 0.61], [0.1, -0.2]),
+                                        ([1.3, 0.05], [0.7, 0.21])])
+    def test_mirror_angles_share_normal_coordinate(self, x0, xi):
+        # 6 radii x 12 angles: phi and pi - phi share x_n, so a call holds
+        # x0[1] and 6 radii x 6 nonzero |sin phi| values, 37 x_n in all
+        # (48 to 59 when rounding decided).
+        class Recording:
+            def __init__(self):
+                self.unique_xn = []
+
+            def eval_many(self, x, t, y, s, **kw):
+                self.unique_xn.append(len(np.unique(x[:, -1])))
+                return {"gamma": np.ones(x.shape[0])}
+
+        rec = Recording()
+        q_rho_integral(rec, x0, 0.7, xi, 0.2, n_time=4, n_space=6, check_convergence=False)
+        assert len(rec.unique_xn) == 4
+        assert max(rec.unique_xn) <= 37
+
     def test_three_d_refused(self):
         # The cylinder is a disc in 2-D; a 3-D one was sampled on a disc too,
         # and the 2-column points then failed the evaluator's shape check.

@@ -61,6 +61,19 @@ class TestEval:
         assert r.returncode == 0
         assert (tmp_path / "out.csv").read_bytes() == serial
 
+    def test_threaded_per_target_sources(self, tmp_path, monkeypatch):
+        # Each chunk takes the sources of its own targets; the threaded
+        # run passed the whole (K, n) y to every chunk and exited 2.  In
+        # 1-D the xi' rule is one node, so no value depends on the chunks.
+        cfg = eval_cfg(tmp_path)
+        cfg["eval"]["y"] = [[0.1 * k - 0.7] for k in range(25)]
+        p = write_cfg(tmp_path, cfg)
+        assert main(["eval", p]) == 0
+        serial = (tmp_path / "out.csv").read_bytes()
+        monkeypatch.setattr(cli, "_n_threads", lambda: 2)
+        assert main(["eval", p]) == 0
+        assert (tmp_path / "out.csv").read_bytes() == serial
+
     @pytest.mark.parametrize("raw", ["abc", "0", "-3", "", "2.5"])
     def test_bad_thread_count_rejected(self, monkeypatch, raw):
         monkeypatch.setenv("LAYERHEAT_THREADS", raw)
@@ -344,6 +357,26 @@ class TestGreen:
         assert main(["green", write_cfg(tmp_path, cfg)]) == 0
         assert "# face sup |G| = " in (tmp_path / "h.csv").read_text()
 
+    def test_threaded_per_target_sources(self, tmp_path, monkeypatch):
+        cfg = {
+            "medium": {"upper": [[1.0]]},
+            "green": {
+                "kind": "half_space",
+                "face": {"axis": 0, "offset": -1.0, "side": 1},
+                "t": 0.3,
+                "s": 0.0,
+                "y": [[-0.6], [-0.2], [0.3], [0.5], [0.8]],
+                "x": [[-0.9], [-0.4], [0.2], [0.6], [1.4]],
+            },
+            "output": str(tmp_path / "h.csv"),
+        }
+        p = write_cfg(tmp_path, cfg)
+        assert main(["green", p]) == 0
+        serial = (tmp_path / "h.csv").read_bytes()
+        monkeypatch.setattr(cli, "_n_threads", lambda: 2)
+        assert main(["green", p]) == 0
+        assert (tmp_path / "h.csv").read_bytes() == serial
+
     def test_half_space_grid_through_face(self, tmp_path):
         # The grid's first column lies on the face x_1 = 0, where G = 0.
         cfg = {
@@ -552,6 +585,16 @@ class TestVerify:
         cfg = self.base_cfg(tmp_path, name, samples=samples)
         assert main(["verify", write_cfg(tmp_path, cfg)]) == 2
         assert "'samples' must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("name", sorted(cli.VERIFY_CHECKS))
+    def test_negative_seed_exit_2(self, tmp_path, capsys, name):
+        # numpy's generators refuse a negative seed with a bare ValueError
+        # (exit 1), after the check had started.
+        cfg = self.base_cfg(tmp_path, name)
+        cfg["seed"] = -3
+        assert main(["verify", write_cfg(tmp_path, cfg)]) == 2
+        assert "'seed' must be a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     def test_adjoint_bit_exact(self, tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from layerheat import images
 from layerheat.medium import (
     Cube,
-    KernelQuery,
     MediumError,
     TwoLayerMedium,
     homogeneous_medium,
@@ -21,8 +20,6 @@ from layerheat.images import (
     UnsupportedGeometry,
     _image_lattice,
     adjoint_green,
-    cube_green,
-    half_space_green,
     volume_potential,
 )
 from layerheat.inverse_transform import KernelEvaluator, QuadratureConfig
@@ -194,11 +191,12 @@ class TestHalfSpaceGreen:
 
     def test_one_shot_wrapper(self):
         med = homogeneous_medium(validate_tensor([[1.0]]))
-        q = KernelQuery(x=np.array([0.5]), t=0.5, y=np.array([0.7]), s=0.0)
-        kv = half_space_green(med, (0, 0.0, 1), q)
+        hs = HalfSpaceGreen(med, axis=0, offset=0.0, side=1)
+        res = hs.evaluate_many(np.array([[0.5]]), 0.5, np.array([0.7]), 0.0,
+                               source_gradient=False)
         exact = gaussian_kernel(med.upper, np.array([[0.5]]), 0.5, np.array([0.7]), 0.0) - \
             gaussian_kernel(med.upper, np.array([[0.5]]), 0.5, np.array([-0.7]), 0.0)
-        assert abs(kv.gamma - exact) < 1e-10
+        assert abs(res["gamma"][0] - exact) < 1e-10
 
 
 class TestImageExpansion:
@@ -404,10 +402,10 @@ class TestCubeGreen:
     def test_one_shot_wrapper(self):
         med = homogeneous_medium(validate_tensor([[1.0]]))
         cube = Cube(half_width=1.0, center=np.array([0.0]))
-        q = KernelQuery(x=np.array([0.4]), t=0.3, y=np.array([-0.2]), s=0.0)
-        kv = cube_green(med, cube, q, depth=3)
+        res = CubeGreen(med, cube, depth=3).evaluate_many(
+            np.array([[0.4]]), 0.3, np.array([-0.2]), 0.0, source_gradient=False)
         exact = interval_green_1d(1.0, 0.4, 0.3, -0.2, 0.0, 1.0)
-        assert abs(kv.gamma - exact) < 1e-10
+        assert abs(res["gamma"][0] - exact) < 1e-10
 
 
 class TestAdjoint:

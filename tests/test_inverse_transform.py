@@ -5,7 +5,6 @@ import pytest
 
 from layerheat import inverse_transform
 from layerheat.medium import (
-    KernelQuery,
     MediumError,
     OnInterface,
     TwoLayerMedium,
@@ -24,7 +23,6 @@ from layerheat.inverse_transform import (
     _hyperbolic_nodes,
     certify_mu,
     delta_recovery,
-    eval_kernel,
     mass_integral,
 )
 from layerheat.reference import (
@@ -319,11 +317,10 @@ class TestEvaluatorContract:
 
     def test_eval_kernel_wrapper(self):
         med = homogeneous_medium(validate_tensor([[1.0]]))
-        q = KernelQuery(x=np.array([0.5]), t=0.5, y=np.array([0.2]), s=0.0)
-        kv = eval_kernel(med, q)
+        res = KernelEvaluator(med).eval_many(np.array([[0.5]]), 0.5, np.array([0.2]), 0.0)
         exact = gaussian_kernel(med.upper, np.array([[0.5]]), 0.5, np.array([0.2]), 0.0)
-        assert abs(kv.gamma - exact) < 1e-9 * exact
-        assert kv.est_error >= 0
+        assert abs(res["gamma"][0] - exact) < 1e-9 * exact
+        assert res["est"][0] >= 0
 
 
 class TestHalfRule:

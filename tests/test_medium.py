@@ -3,15 +3,12 @@ import pytest
 
 from layerheat.medium import (
     Cube,
-    KernelQuery,
     MediumError,
     NotElliptic,
     NotSymmetric,
-    OnInterface,
     TwoLayerMedium,
     UnsupportedDimension,
     homogeneous_medium,
-    piecewise_tensor,
     validate_tensor,
 )
 
@@ -99,15 +96,6 @@ class TestMedium:
                 upper=validate_tensor(np.eye(2)), lower=validate_tensor(np.eye(3))
             )
 
-    def test_piecewise_tensor(self):
-        m = TwoLayerMedium(
-            upper=validate_tensor([[1.0]]), lower=validate_tensor([[4.0]])
-        )
-        assert piecewise_tensor(m, [0.5]) is m.upper
-        assert piecewise_tensor(m, [-0.5]) is m.lower
-        with pytest.raises(OnInterface):
-            piecewise_tensor(m, [0.0])
-
     def test_extremes(self):
         m = TwoLayerMedium(
             upper=validate_tensor([[1.0]]), lower=validate_tensor([[4.0]])
@@ -126,18 +114,3 @@ class TestCube:
     def test_invalid_width(self):
         with pytest.raises(MediumError):
             Cube(half_width=0.0, center=np.array([0.0]))
-
-
-class TestKernelQuery:
-    def test_requires_time_order(self):
-        with pytest.raises(MediumError):
-            KernelQuery(x=np.array([0.0]), t=0.0, y=np.array([1.0]), s=0.5)
-
-    def test_dims_must_match(self):
-        with pytest.raises(MediumError):
-            KernelQuery(x=np.array([0.0, 1.0]), t=1.0, y=np.array([1.0]), s=0.0)
-
-    def test_dt(self):
-        q = KernelQuery(x=np.array([0.0]), t=1.0, y=np.array([1.0]), s=0.25)
-        assert q.dt == 0.75
-        assert q.dim == 1
