@@ -282,7 +282,12 @@ def cmd_green(cfg: dict, output: str) -> int:
             raise ConfigError("'tail_constant' was removed: the cube tail bound is exact")
         green = CubeGreen(medium, cube, qcfg, depth=_field(params, "depth", "an integer", 2))
         bpts = green.boundary_samples(_field(params, "boundary_samples", "a positive integer", 5))
-        bres = green.evaluate_many(bpts, t, y, s, source_gradient=False)
+        b_src = y
+        if y.ndim == 2:
+            # One source per target: the sup runs over every (sample, source) pair.
+            srcs = np.unique(y, axis=0)
+            bpts, b_src = np.tile(bpts, (len(srcs), 1)), np.repeat(srcs, len(bpts), axis=0)
+        bres = green.evaluate_many(bpts, t, b_src, s, source_gradient=False)
         summary = (
             f"# boundary sup |G| = {FMT % np.abs(bres['gamma']).max()}, "
             f"tail bound = {FMT % green.tail_bound(t - s)}, "

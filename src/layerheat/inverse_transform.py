@@ -56,10 +56,25 @@ gradients: real sums over the half nodes (_phase_sums).
 
 Shared symbols.  All six region symbols are built from one table of
 Theta_A, Theta_B, their sum, the two phases, the two root parts and five
-coefficients (symbols.SymbolTable), so a quadrature pass evaluates each
-array once for all its region groups; a term that two groups share
-(R11/R12, R21/R22) is the same arrays, and its weights are built once per
-pass too.
+coefficients (symbols.SymbolTable), so a block of the grid (Streaming)
+evaluates each array once for all its region groups; a term that two
+groups share (R11/R12, R21/R22) is the same arrays, and its weights are
+built once per block too.
+
+Streaming.  The tau contraction runs over the canonical half of the xi'
+grid in blocks of whole rows (the nodes of one xi_0; one node in 2-D), as
+many rows as fit BLOCK_ELEMENTS (node, contour node) entries, and at
+least one; the last block ends at the centre node, mid-row.  A block
+holds its SymbolTable, its region terms, their |root| tables and term
+weights, and one chunk of exponentials (normal pairs x nodes x contour
+nodes, within the same budget).  It adds its columns of the half sums
+and of the step-2h sums, and folds its roundoff magnitudes straight into
+the per-pair node sums of the floor (_tau_sums).  What outlives a block
+is a few arrays of (normal pairs x half nodes): memory is O(BLOCK_ELEMENTS
+x terms + pairs x H), where the whole-grid tables were O(H x M x terms).
+Each node's sums over the contour and the terms run in the same order in
+any block, so Gamma and its gradients do not depend on the partition, and
+est only by the rounding of the floor's node sums.
 
 Tail bound.  After the tau integral the integrand decays like
 e^{-a |xi'|^2}, a = lambda_min(S) (t - s) over the tangential Schur
@@ -149,6 +164,18 @@ ROUNDOFF_UNITS = 2.0
 # about half of the points below it; on the 1-D layered closed forms at
 # M = 40 a factor 2 covered every error, and 4 doubles that.
 CONTOUR_SAFETY = 4.0
+
+# Element budget of the working arrays (module docstring, Streaming): a
+# block of xi' rows holds at most this many (node, contour node) entries of
+# each table, a chunk of exponentials at most this many (pair, node,
+# contour node) entries and a chunk of the phase layer at most this many
+# (point, node) entries; a block is never less than one row.  Measured on
+# a 2-core x86-64 host (numpy 2.4) on an 8-point 3-D call of 36,465 table
+# entries, against the whole grid at once (13.8 MB): at 2^12, 2^13, 2^14
+# and 2^15 the call peaked at 1.6, 3.4, 6.9 and 13.0 MB of traced memory
+# and took 0.91, 0.85, 0.85 and 0.96 of the time, in paired runs.  Below
+# 2^14 the smaller pair chunks cost the 1-D and 2-D calls up to 8 %.
+BLOCK_ELEMENTS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -296,7 +323,7 @@ class HalfSums(NamedTuple):
     re_sub: np.ndarray  # (2, P, H_sub): Re h and Re h_n of the step-2h rule
     phi: np.ndarray  # (2, H): phi_p and phi_q
     pair_phase: np.ndarray  # (P, H): Phi = phi_p x_n + phi_q y_n
-    floor: np.ndarray  # (2 or 3, P, H): roundoff weights, bounds for a node and its mirror
+    floor: np.ndarray  # (3 or 4, P): floor rows and the tangential one, node sums
 
 
 class KernelEvaluator:
@@ -370,7 +397,13 @@ class KernelEvaluator:
         With S_g = sum |W coef e^r| g (_term_weights) and E = |phi_p x_n| +
         |phi_q y_n|, the Gamma row is U S_1 + |x_n| S_p + |y_n| S_q + E S_1,
         the normal row U S_p + |x_n| S_pp + |y_n| S_pq + E S_p + |phi_p| times
-        the Gamma row, the source row likewise in q.  One HalfSums per group.
+        the Gamma row, the source row likewise in q.  Each row is summed over
+        the nodes with the weights of the half rule (_fold), and the Gamma
+        row once more with |xi'|_inf times them for the tangential gradient.
+
+        The grid is streamed in blocks of whole rows (module docstring,
+        Streaming); each node's sums over the contour and the terms run in
+        the same order whatever block it is in.  One HalfSums per group.
         """
         if not groups:
             return []
@@ -378,66 +411,81 @@ class KernelEvaluator:
         h_cnt = (grid.xi.shape[0] + 1) // 2
         # The step-2h nodes are point-symmetric too: their first half lies
         # in the canonical half of the grid.
-        sub_cnt = (grid.sub.size + 1) // 2
-        sub_half = _as_slice(grid.sub[:sub_cnt])
-        chunk = max(1, int(4.0e6 / (h_cnt * m_cnt)))
-        xi_c = grid.xi[:h_cnt].astype(complex)
-        table = SymbolTable(self.medium, xi_c, tau)
-        group_terms = [region_terms(region, self.medium, xi_c, tau, table=table)
-                       for region, _, _, _ in groups]
-        # A term's weights are built once per pass.  R11/R12 and R21/R22
-        # share a term, so its weights are kept until the last group that
-        # uses it.  The exponents of a layer (named a_.. or b_..) share |r|.
-        uses = Counter(term.name for terms in group_terms for term in terms)
-        weights, abs_root = {}, {}
+        sub_half = grid.sub[:(grid.sub.size + 1) // 2]
+        w = _fold(grid.wq)
+        xi_inf = np.max(np.abs(grid.xi[:h_cnt]), axis=1, initial=0.0)
+        # A row holds the nodes of one xi_0 (one node in 2-D).  The last
+        # block ends at the centre node, mid-row.
+        row = math.prod(grid.shape[1:])
+        block = row * max(1, BLOCK_ELEMENTS // (row * m_cnt))
         # The pairs of all groups, one group after the other, share the sums.
         pairs = np.concatenate([uniq for _, _, uniq, _ in groups])
-        ends = list(accumulate(uniq.shape[0] for _, _, uniq, _ in groups))
+        counts = [uniq.shape[0] for _, _, uniq, _ in groups]
+        ends = list(accumulate(counts))
         spans = list(zip([0] + ends[:-1], ends))
+        axn, ayn = np.abs(pairs[:, :1]), np.abs(pairs[:, 1:])
         re = np.zeros((2 + source_gradient, pairs.shape[0], h_cnt))
-        s_abs = np.zeros((5 + source_gradient, pairs.shape[0], h_cnt))
-        re_sub = np.zeros((2, pairs.shape[0], sub_cnt))
-        phis = []
-        for (lo, hi), terms in zip(spans, group_terms):
-            # Every term of a region has the same phases.
-            phis.append(np.stack([e.phase_sign * e.phase.real[:, 0]
-                                  for e in (terms[0].p, terms[0].q)]))
-            # Each row adds its terms in order, whatever chunk it is in.
-            for term in terms:
-                if term.name not in weights:
-                    for e in (term.p, term.q):
-                        if e.name[0] not in abs_root:
-                            abs_root[e.name[0]] = np.abs(e.root)
-                    weights[term.name] = _term_weights(
-                        term, wte, source_gradient, sub_half,
-                        abs_root[term.p.name[0]], abs_root[term.q.name[0]])
-                w_sum, w_abs, w_half = weights[term.name]
-                uses[term.name] -= 1
-                if not uses[term.name]:
-                    del weights[term.name]
-                r_p, r_q = term.p.root[None], term.q.root[None]
-                x_n = term.p.root_sign * pairs[lo:hi, 0, None, None]
-                y_n = term.q.root_sign * pairs[lo:hi, 1, None, None]
-                for c_lo in range(0, hi - lo, chunk):
-                    c_sl = slice(c_lo, c_lo + chunk)
-                    sl = slice(lo + c_lo, min(lo + c_lo + chunk, hi))
-                    ex = np.exp(r_p * x_n[c_sl] + r_q * y_n[c_sl])
-                    for row, w in zip(re, w_sum):
-                        row[sl] += np.einsum("qm,kqm->kq", w, ex).real
-                    s_abs[:, sl] += np.einsum("jqm,kqm->jkq", w_abs, np.abs(ex))
-                    re_sub[:, sl] += np.einsum("jqm,kqm->jkq", w_half, ex[:, sub_half, ::2]).real
-                    del ex  # free before the next exponent is formed
-        # Rows of s_abs: S_g for g = 1, |r_p|, |r_q|, |r_p|^2, |r_p r_q|, |r_q|^2.
-        out = []
-        for (lo, hi), phi in zip(spans, phis):
-            axn, ayn, abs_phi = np.abs(pairs[lo:hi, :1]), np.abs(pairs[lo:hi, 1:]), np.abs(phi)
-            s, e = s_abs[:, lo:hi], abs_phi[0] * axn + abs_phi[1] * ayn
-            rows = [ROUNDOFF_UNITS * s[i] + axn * s[j] + ayn * s[k] + e * s[i]
+        re_sub = np.zeros((2, pairs.shape[0], sub_half.size))
+        floor = np.zeros((3 + source_gradient, pairs.shape[0]))
+        phis = np.zeros((len(groups), 2, h_cnt))
+        for lo in range(0, h_cnt, block):
+            blk = slice(lo, min(lo + block, h_cnt))
+            sub_lo, sub_hi = np.searchsorted(sub_half, (blk.start, blk.stop)).tolist()
+            sub = _as_slice(sub_half[sub_lo:sub_hi] - lo)
+            xi_c = grid.xi[blk].astype(complex)
+            table = SymbolTable(self.medium, xi_c, tau)
+            group_terms = [region_terms(region, self.medium, xi_c, tau, table=table)
+                           for region, _, _, _ in groups]
+            # A term's weights are built once per block.  R11/R12 and
+            # R21/R22 share a term, so its weights are kept until the last
+            # group that uses it.  The exponents of a layer (named a_.. or
+            # b_..) share |r|.
+            uses = Counter(term.name for terms in group_terms for term in terms)
+            weights, abs_root = {}, {}
+            s_abs = np.zeros((5 + source_gradient, pairs.shape[0], xi_c.shape[0]))
+            chunk = max(1, BLOCK_ELEMENTS // (xi_c.shape[0] * m_cnt))
+            for (p_lo, p_hi), terms, phi in zip(spans, group_terms, phis):
+                # Every term of a region has the same phases.
+                for dst, e in zip(phi, (terms[0].p, terms[0].q)):
+                    dst[blk] = e.phase_sign * e.phase.real[:, 0]
+                # Each node adds its terms in order, whatever chunk it is in.
+                for term in terms:
+                    if term.name not in weights:
+                        for e in (term.p, term.q):
+                            if e.name[0] not in abs_root:
+                                abs_root[e.name[0]] = np.abs(e.root)
+                        weights[term.name] = _term_weights(
+                            term, wte, source_gradient, sub,
+                            abs_root[term.p.name[0]], abs_root[term.q.name[0]])
+                    w_sum, w_abs, w_half = weights[term.name]
+                    uses[term.name] -= 1
+                    if not uses[term.name]:
+                        del weights[term.name]
+                    r_p, r_q = term.p.root[None], term.q.root[None]
+                    x_n = term.p.root_sign * pairs[p_lo:p_hi, 0, None, None]
+                    y_n = term.q.root_sign * pairs[p_lo:p_hi, 1, None, None]
+                    for c_lo in range(0, p_hi - p_lo, chunk):
+                        c_sl = slice(c_lo, c_lo + chunk)
+                        sl = slice(p_lo + c_lo, min(p_lo + c_lo + chunk, p_hi))
+                        ex = np.exp(r_p * x_n[c_sl] + r_q * y_n[c_sl])
+                        for re_row, w_row in zip(re[:, sl, blk], w_sum):
+                            re_row += np.einsum("qm,kqm->kq", w_row, ex).real
+                        s_abs[:, sl] += np.einsum("jqm,kqm->jkq", w_abs, np.abs(ex))
+                        re_sub[:, sl, sub_lo:sub_hi] += np.einsum(
+                            "jqm,kqm->jkq", w_half, ex[:, sub, ::2]).real
+                        del ex  # free before the next exponent is formed
+            # The floor rows of every pair (see above) from S_g, the rows of
+            # s_abs for g = 1, |r_p|, |r_q|, |r_p|^2, |r_p r_q|, |r_q|^2.
+            abs_phi = np.abs(np.repeat(phis[:, :, blk], counts, axis=0).swapaxes(0, 1))
+            e = abs_phi[0] * axn + abs_phi[1] * ayn
+            rows = [ROUNDOFF_UNITS * s_abs[i] + axn * s_abs[j] + ayn * s_abs[k] + e * s_abs[i]
                     for i, j, k in ((0, 1, 2), (1, 3, 4), (2, 4, 5))[:2 + source_gradient]]
-            floor = np.stack(rows[:1] + [row + f * rows[0] for row, f in zip(rows[1:], abs_phi)])
-            out.append(HalfSums(re[:, lo:hi], re_sub[:, lo:hi], phi,
-                                phi[0] * pairs[lo:hi, :1] + phi[1] * pairs[lo:hi, 1:], floor))
-        return out
+            rows[1:] = [r + f * rows[0] for r, f in zip(rows[1:], abs_phi)]
+            rows.append(rows[0] * xi_inf[blk])
+            floor += np.einsum("jkq,q->jk", np.stack(rows), w[blk])
+        return [HalfSums(re[:, lo:hi], re_sub[:, lo:hi], phi,
+                         phi[0] * pairs[lo:hi, :1] + phi[1] * pairs[lo:hi, 1:], floor[:, lo:hi])
+                for (lo, hi), phi in zip(spans, phis)]
 
     def _phase_sums(self, groups, dxp, grid: XiGrid, sums, source_gradient):
         """Gamma, grad and sgrad from the tau sums, their roundoff floor,
@@ -447,11 +495,10 @@ class KernelEvaluator:
         -2 xi_j sin psi Re h to its x_j-derivative and 2 (cos psi Re h_n -
         phi_p sin psi Re h) to the normal one (module docstring), the source
         one likewise with h_src and phi_q; the weights (_fold) double all
-        nodes but xi' = 0.  The floor is eps times the largest xi' sum of
-        the floor rows, and of the Gamma row times |xi'|_inf for the
-        tangential gradient.  The step-2h rule weighs the even-index nodes
-        by 2^d times their weight.  In 1-D the one node xi' = 0 has weight
-        1 and psi = 0: every sum is Re h.
+        nodes but xi' = 0.  The floor is eps times the largest of the node
+        sums of the floor rows (_tau_sums).  The step-2h rule weighs the
+        even-index nodes by 2^d times their weight.  In 1-D the one node
+        xi' = 0 has weight 1 and psi = 0: every sum is Re h.
         """
         n = self.medium.dim
         d = n - 1
@@ -466,19 +513,16 @@ class KernelEvaluator:
         sgrad = np.zeros((k_tot, n)) if source_gradient else None
         floor = np.zeros(k_tot)
         change = np.zeros(k_tot)
-        pt_chunk = max(1, int(4.0e6 / h_cnt))
+        pt_chunk = max(1, BLOCK_ELEMENTS // h_cnt)
         for (_, idx, _, inv), s in zip(groups, sums):
+            floor[idx] = eps * np.max(s.floor, axis=0)[inv]
             if not d:
                 re, re_sub = s.re[..., 0][:, inv], s.re_sub[..., 0][:, inv]
                 gamma[idx], grad[idx, 0] = re[0], re[1]
                 if source_gradient:
                     sgrad[idx, 0] = re[2]
-                floor[idx] = eps * np.max(s.floor[..., 0], axis=0)[inv]
                 change[idx] = np.max(np.abs(re[:2] - re_sub), axis=0)
                 continue
-            tangential = s.floor[0] * np.max(np.abs(xi), axis=1)
-            floor[idx] = eps * np.maximum(np.max(np.einsum("jkq,q->jk", s.floor, w), axis=0),
-                                           np.einsum("kq,q->k", tangential, w))[inv]
             re, re_sub = s.re * w, s.re_sub * w_sub
             for lo in range(0, idx.size, pt_chunk):
                 sel = idx[lo:lo + pt_chunk]
@@ -625,7 +669,7 @@ def _fold(w: np.ndarray) -> np.ndarray:
 def _as_slice(idx: np.ndarray):
     """``idx``, or the slice that selects the same items when it is evenly spaced."""
     step = idx[1] - idx[0] if idx.size > 1 else 1
-    if np.all(np.diff(idx) == step):
+    if idx.size and np.all(np.diff(idx) == step):
         return slice(idx[0], idx[-1] + 1, step)
     return idx
 

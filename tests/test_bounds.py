@@ -12,7 +12,7 @@ from layerheat.medium import (
     homogeneous_medium,
     validate_tensor,
 )
-from layerheat.inverse_transform import KernelEvaluator, QuadratureNotConverged
+from layerheat.inverse_transform import KernelEvaluator
 from layerheat.oracle import Grid, interior_solution_sampler
 from layerheat import bounds
 from layerheat.bounds import (

@@ -341,6 +341,29 @@ class TestGreen:
         text = (tmp_path / "g.csv").read_text()
         assert "# boundary sup |G| = " in text
 
+    def test_cube_per_target_sources(self, tmp_path):
+        # The boundary summary evaluated its samples against the whole
+        # (K, n) y and exited 2.  Its sup now runs over every (boundary
+        # sample, source) pair; in 1-D no value depends on the batch.
+        x, y = [[-0.5], [0.1], [0.6]], [[0.3], [-0.2], [0.3]]
+
+        def run(xs, ys, name):
+            cfg = {
+                "medium": {"upper": [[2.0]]},
+                "green": {"kind": "cube", "cube": {"half_width": 1.0, "center": [0.0]},
+                          "t": 0.2, "s": 0.0, "y": ys, "x": xs},
+                "output": str(tmp_path / name),
+            }
+            assert main(["green", write_cfg(tmp_path, cfg)]) == 0
+            rows, summary = (tmp_path / name).read_text().strip().rsplit("\n", 1)
+            sup = float(summary.split("boundary sup |G| = ")[1].split(",")[0])
+            return rows.split("\n")[1:], sup
+
+        rows, sup = run(x, y, "all.csv")
+        singles = [run([xk], yk, f"{k}.csv") for k, (xk, yk) in enumerate(zip(x, y))]
+        assert rows == [row for one, _ in singles for row in one]
+        assert sup == max(one_sup for _, one_sup in singles)
+
     def test_half_space_green(self, tmp_path):
         cfg = {
             "medium": {"upper": [[1.0]]},

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,24 @@ from layerheat.symbols import SymbolTable, classify_region, region_terms, theta_
 from test_certificate import BENCH_MEDIA
 
 
+# Media with tangential coupling (a_t != 0 in both layers, in 3-D on both
+# tangential axes), one target and source per region, and the tolerance of
+# test_anisotropic_values_pinned.
+SHEARED = [
+    pytest.param([[1.0, 0.3], [0.3, 1.0]], np.diag([2.0, 3.0]),
+                 [[0.3, 0.5], [-0.2, 0.1], [0.4, -0.3], [-0.5, 0.6], [0.1, -0.2], [0.25, -0.6]],
+                 [[0.0, 0.2], [0.1, 0.4], [0.0, 0.3], [0.2, -0.4], [-0.1, -0.5], [0.05, -0.1]],
+                 1e-11, id="2d"),
+    pytest.param([[1.0, 0.3, 0.2], [0.3, 1.5, 0.4], [0.2, 0.4, 2.0]],
+                 [[2.0, 0.1, 0.0], [0.1, 3.0, 0.5], [0.0, 0.5, 1.5]],
+                 [[0.3, 0.1, 0.5], [-0.2, -0.3, 0.1], [0.4, 0.2, -0.3],
+                  [-0.5, 0.0, 0.6], [0.1, -0.2, -0.2], [0.25, 0.3, -0.6]],
+                 [[0.0, 0.2, 0.2], [0.1, 0.0, 0.4], [0.0, -0.1, 0.3],
+                  [0.2, 0.1, -0.4], [-0.1, 0.1, -0.5], [0.05, -0.2, -0.1]],
+                 1e-9, id="3d"),
+]
+
+
 def record_xi_grids(monkeypatch):
     """Record every xi' grid that eval_many builds."""
     grids = []
@@ -46,6 +65,29 @@ def record_xi_grids(monkeypatch):
 
     monkeypatch.setattr(inverse_transform, "_xi_grid", recorded)
     return grids
+
+
+def record_region_terms(monkeypatch):
+    """Record, per region, the xi' nodes of every region_terms call of eval_many."""
+    blocks = {}
+    terms = inverse_transform.region_terms
+
+    def recorded(region, medium, xi, tau, **kwargs):
+        blocks.setdefault(region, []).append(xi.real.copy())
+        return terms(region, medium, xi, tau, **kwargs)
+
+    monkeypatch.setattr(inverse_transform, "region_terms", recorded)
+    return blocks
+
+
+def contrast_batch(n):
+    """Four targets with sources at the origin of x', one per region."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1.0, 1.0, (4, n))
+    x[:, -1] = [0.2, -0.3, 0.5, -0.1]
+    y = np.zeros((4, n))
+    y[:, -1] = [0.3, 0.3, -0.2, -0.2]
+    return x, y
 
 
 def layered_1d(a=1.0, b=4.0):
@@ -375,29 +417,19 @@ class TestHalfRule:
             if m in chosen:
                 assert err_pole <= 10.0 * rel_err + 1e-12
 
-    @pytest.mark.parametrize("upper,lower,x,y,rel", [
-        ([[1.0, 0.3], [0.3, 1.0]], np.diag([2.0, 3.0]),
-         [[0.3, 0.5], [-0.2, 0.1], [0.4, -0.3], [-0.5, 0.6], [0.1, -0.2], [0.25, -0.6]],
-         [[0.0, 0.2], [0.1, 0.4], [0.0, 0.3], [0.2, -0.4], [-0.1, -0.5], [0.05, -0.1]],
-         1e-11),
-        ([[1.0, 0.3, 0.2], [0.3, 1.5, 0.4], [0.2, 0.4, 2.0]],
-         [[2.0, 0.1, 0.0], [0.1, 3.0, 0.5], [0.0, 0.5, 1.5]],
-         [[0.3, 0.1, 0.5], [-0.2, -0.3, 0.1], [0.4, 0.2, -0.3],
-          [-0.5, 0.0, 0.6], [0.1, -0.2, -0.2], [0.25, 0.3, -0.6]],
-         [[0.0, 0.2, 0.2], [0.1, 0.0, 0.4], [0.0, -0.1, 0.3],
-          [0.2, 0.1, -0.4], [-0.1, 0.1, -0.5], [0.05, -0.2, -0.1]],
-         1e-9),
-    ], ids=["2d", "3d"])
+    @pytest.mark.parametrize("upper,lower,x,y,rel", SHEARED)
     def test_anisotropic_values_pinned(self, monkeypatch, upper, lower, x, y, rel):
         # eval_many against the full (k = -M..M) contour rule, summed here
         # point by point from region_terms on the whole xi' grid and the
         # contour that eval_many used, one point per region, on media whose
         # tangential coupling (a_t != 0 in both layers, in 3-D on both
         # tangential axes) makes the +-xi' pairing matter.  eval_many
-        # itself hands region_terms the canonical half of the grid.  In 3-D
-        # (55 x 55 nodes) both this sum and eval_many differ from one in
-        # extended precision by up to 1e-11 of the peak for Gamma and 1e-10
-        # for its gradient, hence the looser bound ``rel`` there.
+        # itself hands region_terms the canonical half of the grid, in
+        # blocks of whole rows (nodes of one xi_0) that end at the centre
+        # node; in 3-D there are several.  In 3-D (55 x 55 nodes) both this
+        # sum and eval_many differ from one in extended precision by up to
+        # 1e-11 of the peak for Gamma and 1e-10 for its gradient, hence the
+        # looser bound ``rel`` there.
         med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
         x, y = np.array(x), np.array(y)
         n = med.dim
@@ -405,18 +437,18 @@ class TestHalfRule:
         dt = 0.3
         ev = KernelEvaluator(med)
         grids = record_xi_grids(monkeypatch)
-        nodes = []
         terms = inverse_transform.region_terms
-
-        def recorded_terms(region, medium, xi, tau, **kwargs):
-            nodes.append(xi.shape[0])
-            return terms(region, medium, xi, tau, **kwargs)
-
-        monkeypatch.setattr(inverse_transform, "region_terms", recorded_terms)
+        blocks = record_region_terms(monkeypatch)
         res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
         assert len(grids) == 1
         xi, wq = grids[0].xi, grids[0].wq
-        assert xi.shape[0] > 1 and set(nodes) == {(xi.shape[0] + 1) // 2}
+        half, row = (xi.shape[0] + 1) // 2, math.prod(grids[0].shape[1:])
+        assert xi.shape[0] > 1 and len(blocks) == 6
+        for nodes in blocks.values():
+            starts = np.cumsum([0] + [b.shape[0] for b in nodes])
+            assert np.all(starts[:-1] % row == 0) and starts[-1] == half
+            assert np.array_equal(np.concatenate(nodes), xi[:half])
+            assert (len(nodes) > 1) == (n == 3)
         tau, w = _hyperbolic_nodes(ev._row, ev.contour_nodes, dt)
         # Unfold the half rule: node -k is the conjugate of node k, and the
         # half rule doubled the weights of k > 0.
@@ -766,21 +798,16 @@ class TestBoundedPlan:
     def test_contrast_sweep(self, monkeypatch, n, b):
         # I | b I: every contrast takes the contour of its dimension, and
         # each call runs one xi' grid with finite, positive values.  In 3-D
-        # from b = 100 on only the plan is checked: the grid grows like b,
-        # and a 4-point call at t - s = 0.01 peaks near 0.9 GB at b = 100
-        # and 7.5 GB at b = 1000.
+        # at b = 1000 only the plan is checked: the grid grows like b, and
+        # its one call at t - s = 0.01 takes about 12 s (389,827 half nodes).
         med = TwoLayerMedium(upper=validate_tensor(np.eye(n)),
                              lower=validate_tensor(b * np.eye(n)))
         ev = KernelEvaluator(med)
         assert ev._row is _CONTOUR_ROWS[1] and ev.contour_nodes == 32
-        if n == 3 and b >= 100.0:
+        if n == 3 and b >= 1000.0:
             return
         grids = record_xi_grids(monkeypatch)
-        rng = np.random.default_rng(0)
-        x = rng.uniform(-1.0, 1.0, (4, n))
-        x[:, -1] = [0.2, -0.3, 0.5, -0.1]
-        y = np.zeros((4, n))
-        y[:, -1] = [0.3, 0.3, -0.2, -0.2]  # one point per region
+        x, y = contrast_batch(n)
         for dt in (0.01, 0.3)[:4 - n]:
             grids.clear()
             res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
@@ -825,6 +852,66 @@ class TestBoundedPlan:
                             for t in region_terms(region, med, xi_c, tau, table=table))
                 ref[i] += (wq * np.exp(1j * xi @ (x[i, :-1] - y[i, :-1])) @ (s_val @ wte)).real
         assert np.max(np.abs(gamma - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+class TestStreaming:
+    """The tau contraction streams the xi' grid in blocks of whole rows."""
+
+    @pytest.mark.parametrize("upper,lower,x,y,rel", SHEARED)
+    def test_values_independent_of_blocks(self, monkeypatch, upper, lower, x, y, rel):
+        # A value must not depend on how the grid is partitioned.  With a
+        # budget of one element each block is one row (one node in 2-D),
+        # each chunk of exponentials one pair and each phase chunk one
+        # point.  Only the order of the floor's node sums changes, and with
+        # it est, by rounding.
+        med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
+        x, y = np.array(x), np.array(y)
+        ev = KernelEvaluator(med)
+        sums = []
+        tau_sums = KernelEvaluator._tau_sums
+
+        def recorded(self, *args):
+            sums.append(tau_sums(self, *args))
+            return sums[-1]
+
+        monkeypatch.setattr(KernelEvaluator, "_tau_sums", recorded)
+        ref = ev.eval_many(x, 0.3, y, 0.0, source_gradient=True)
+        grids = record_xi_grids(monkeypatch)
+        blocks = record_region_terms(monkeypatch)
+        monkeypatch.setattr(inverse_transform, "BLOCK_ELEMENTS", 1)
+        res = ev.eval_many(x, 0.3, y, 0.0, source_gradient=True)
+        # The canonical half ends at the centre node, in the middle row.
+        rows = grids[0].shape[0] // 2 + 1
+        assert len(blocks) == 6 and all(len(nodes) == rows for nodes in blocks.values())
+        for key in ("gamma", "grad", "sgrad"):
+            assert res[key].tobytes() == ref[key].tobytes()
+        assert np.all(np.abs(res["est"] - ref["est"]) <= 1e-15 * ref["est"])
+        # The floor's node sums, the Gamma row's with |xi'|_inf last.
+        xi_max = np.max(np.abs(grids[0].xi))
+        for one, many in zip(*sums):
+            assert np.allclose(many.floor, one.floor, rtol=1e-14, atol=0.0)
+            assert np.all(many.floor[-1] > 0.0) and np.all(many.floor[-1] <= xi_max * many.floor[0])
+
+    @pytest.mark.parametrize("b,limit", [
+        (30.0, 32e6), pytest.param(100.0, 64e6, marks=pytest.mark.slow),
+    ])
+    def test_strong_contrast_memory(self, b, limit):
+        # The 4-point 3-D call of test_contrast_sweep at t - s = 0.01.  With
+        # the tables built over the whole grid it peaked at 202 MB for
+        # b = 30 and near 0.9 GB (RSS) for b = 100; streamed, at 8.6 MB and
+        # 15.8 MB.
+        med = TwoLayerMedium(upper=validate_tensor(np.eye(3)),
+                             lower=validate_tensor(b * np.eye(3)))
+        ev = KernelEvaluator(med)
+        x, y = contrast_batch(3)
+        ev.eval_many(x, 0.01, y, 0.0, source_gradient=True)  # one-time allocations
+        tracemalloc.start()
+        try:
+            ev.eval_many(x, 0.01, y, 0.0, source_gradient=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 class TestTimeScaling:
