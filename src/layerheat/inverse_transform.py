@@ -47,12 +47,35 @@ forms a_t.xi' are odd, and they hold no tau.  So each exponent
 (+-i a_t.xi' +- Theta)/a_nn is an odd phase i phi plus an even root part
 r, and e^{p x_n + q y_n} = e^{i Phi} e^{r_p x_n + r_q y_n}, Phi = phi_p x_n
 + phi_q y_n.  The symbols, the exponentials e^r and the tau contraction
-run on the (Q+1)/2 nodes 0..(Q-1)/2 only (_tau_sums).  Their half sum h
+run on the (Q+1)/2 nodes 0..(Q-1)/2 only, or on fewer (Symmetry;
+_tau_sums).  Their half sum h
 is even in xi', so the full contour rule's integrand, the mean of the half
 sums e^{i Phi} h at a node and conj(e^{-i Phi} h) at its mirror, is
 e^{i Phi} Re h, and only Re h is kept.  With psi = (x' - y').xi' + Phi, a
 node and its mirror add 2 cos psi Re h to Gamma, and sin psi terms to the
 gradients: real sums over the half nodes (_phase_sums).
+
+Symmetry.  In 3-D a medium may keep more of the grid's symmetries.  When
+row j of A has no off-diagonal entry in both layers (A_tt and a_t are
+zero off the diagonal there), the reflection xi_j -> -xi_j leaves
+xi'^T A_tt xi' and (a_t.xi')^2 unchanged to the last bit, and with them
+every root and coefficient; a_t.xi' holds no xi_j, so the phases stay
+too.  When both axes reflect, their spacings are equal and A_tt[0,0] ==
+A_tt[1,1] in each layer, so does the exchange of the two axes.  With
+the mirror of the half rule these maps split the canonical half into
+orbits, and the tau contraction runs on one representative per orbit,
+(-|m_0|, -|m_1|) in units of the steps, ordered |m_0| >= |m_1| under
+the exchange (_half_grid).  A half node reads the sums of its
+representative; where only axis 0 reflects, a node with m_1 > 0 reaches
+it through the mirror, and its phases change sign.  Neither map changes
+the parity of an index, so step-2h nodes have step-2h representatives.
+The floor rows and the tail bound's integrands are the same at every node
+of an orbit (they read |phi| and |xi|), so their node sums take each
+orbit's summed weights.  The benchmark's 3-D batch (I | diag(2,2,3),
+equal reach on both axes) runs on 300 of its 1,105 half nodes.  In 1-D,
+in 2-D (where a reflection is the half rule's own mirror) and on media
+coupled on both tangential axes every node is its own representative,
+and no map is formed.
 
 Shared symbols.  All six region symbols are built from one table of
 Theta_A, Theta_B, their sum, the two phases, the two root parts and five
@@ -61,17 +84,19 @@ evaluates each array once for all its region groups; a term that two
 groups share (R11/R12, R21/R22) is the same arrays, and its weights are
 built once per block too.
 
-Streaming.  The tau contraction runs over the canonical half of the xi'
-grid in blocks of whole rows (the nodes of one xi_0; one node in 2-D), as
-many rows as fit BLOCK_ELEMENTS (node, contour node) entries, and at
-least one; the last block ends at the centre node, mid-row.  A block
-holds its SymbolTable, its region terms, their |root| tables and term
-weights, and one chunk of exponentials (normal pairs x nodes x contour
-nodes, within the same budget).  It adds its columns of the half sums
-and of the step-2h sums, and folds its roundoff magnitudes straight into
-the per-pair node sums of the floor (_tau_sums).  What outlives a block
-is a few arrays of (normal pairs x half nodes): memory is O(BLOCK_ELEMENTS
-x terms + pairs x H), where the whole-grid tables were O(H x M x terms).
+Streaming.  The tau contraction runs over the representatives of the
+canonical half (Symmetry) in blocks of whole rows of them (those of one
+xi_0; one node in 2-D), as many rows as fit BLOCK_ELEMENTS (node, contour
+node) entries, and at least one; the last row ends at the centre node.
+A block holds its SymbolTable, its region terms, their |root| tables and
+term weights, and one chunk of exponentials (normal pairs x nodes x
+contour nodes, within the same budget).  It adds its columns of the half
+sums and of the step-2h sums, and folds its roundoff magnitudes straight
+into the per-pair node sums of the floor (_tau_sums).  What outlives a
+block is a few arrays of (normal pairs x representatives): memory is
+O(BLOCK_ELEMENTS x terms + pairs x representatives), where the
+whole-grid tables were O(H x M x terms).  The phase layer reads those
+sums at every half node one chunk of points at a time (_phase_sums).
 Each node's sums over the contour and the terms run in the same order in
 any block, so Gamma and its gradients do not depend on the partition, and
 est only by the rounding of the floor's node sums.
@@ -96,7 +121,9 @@ node xi' = 0 leaves no tail.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from itertools import accumulate
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -316,13 +343,29 @@ def _xi_grid(radius: float, steps) -> XiGrid:
     return XiGrid(xi, wq, tuple(shape), sub)
 
 
-class HalfSums(NamedTuple):
-    """A region group's tau sums on P normal pairs and H half nodes (_tau_sums)."""
+class HalfGrid(NamedTuple):
+    """The columns of the tau sums: the canonical half of a xi' grid, or one
+    representative node of each symmetry orbit of it (KernelEvaluator._half_grid).
 
-    re: np.ndarray  # (2 or 3, P, H): Re h, Re h_n and maybe Re h_src
-    re_sub: np.ndarray  # (2, P, H_sub): Re h and Re h_n of the step-2h rule
-    phi: np.ndarray  # (2, H): phi_p and phi_q
-    pair_phase: np.ndarray  # (P, H): Phi = phi_p x_n + phi_q y_n
+    H counts the half nodes, C the columns.  ``of``, ``sub_of`` and ``flip``
+    are None when every half node is its own column.
+    """
+
+    xi: np.ndarray  # (C, d) the columns' nodes, in grid order
+    w: np.ndarray  # (C,) half-rule weights (_fold), summed over each orbit
+    starts: Sequence  # the first column of each row (the nodes of one xi_0)
+    sub: np.ndarray  # the columns of the step-2h nodes, ascending
+    of: np.ndarray | None  # (H,) the column of each half node
+    sub_of: np.ndarray | None  # (H_sub,) position in ``sub`` of each step-2h half node's column
+    flip: np.ndarray | None  # (H,) the half nodes whose phases are minus their column's
+
+
+class HalfSums(NamedTuple):
+    """A region group's tau sums on P normal pairs and C columns (_tau_sums)."""
+
+    re: np.ndarray  # (2 or 3, P, C): Re h, Re h_n and maybe Re h_src
+    re_sub: np.ndarray  # (2, P, C_sub): Re h and Re h_n of the step-2h rule
+    phi: np.ndarray  # (2, C): phi_p and phi_q
     floor: np.ndarray  # (3 or 4, P): floor rows and the tangential one, node sums
 
 
@@ -345,6 +388,15 @@ class KernelEvaluator:
         self._det_min = min(float(np.linalg.det(t.entries)) for t in layers)
         self._schur_min = min(t.schur_complement_min() for t in layers)
         self._schur_max = max(float(np.max(t.tangential_schur[0], initial=0.0)) for t in layers)
+        # The tangential axes whose reflection leaves both layers unchanged
+        # (row j of A holds no entry but a_jj), and whether the two may be
+        # exchanged (module docstring, Symmetry).  In 2-D a reflection is
+        # the half rule's own mirror.
+        self._mirrors, self._exchange = [], False
+        if medium.dim == 3:
+            a, b = medium.upper.entries.tolist(), medium.lower.entries.tolist()
+            self._mirrors = [j for j in (0, 1) if a[j].count(0.0) == b[j].count(0.0) == 2]
+            self._exchange = self._mirrors == [0, 1] and a[0][0] == a[1][1] and b[0][0] == b[1][1]
         # The decay a R0^2 at the xi' radius R0 (see _base_radius).
         self._decay = max(math.log(100.0 / tol), 2.0) + 1.5 * max(0.0, math.log(1e-6 / tol))
 
@@ -378,18 +430,57 @@ class KernelEvaluator:
 
     # -- core contraction ------------------------------------------------
 
-    def _tau_sums(self, groups, grid: XiGrid, tau, wte, source_gradient):
-        """Per region group, the tau contraction on the canonical half of ``grid``.
+    def _half_grid(self, grid: XiGrid) -> HalfGrid:
+        """The columns of the tau sums on ``grid`` (module docstring, Symmetry).
 
-        For each unique normal pair (x_n, y_n) of the group and each node
-        0..(Q-1)/2, h = sum_m W_m V with W_m = w_m e^{tau_m dt} (``wte``)
+        Without a reflection the columns are the canonical half itself.
+        Otherwise (3-D only) half node m = (m_0, m_1), in units of each
+        axis's step, has the representative (-|m_0|, -|m_1|), ordered so
+        that |m_0| >= |m_1| when the axes may be exchanged.  It lies in the
+        canonical half, and every step-2h node has a step-2h representative,
+        since neither map changes the parity of an index.  When only axis 0
+        reflects, a node with m_1 > 0 reaches its representative through the
+        mirror: its phases are minus the representative's.
+        """
+        h_cnt = (grid.wq.size + 1) // 2
+        row = math.prod(grid.shape[1:])
+        sub = grid.sub[:(grid.sub.size + 1) // 2]
+        w = _fold(grid.wq)
+        if not self._mirrors:
+            return HalfGrid(grid.xi[:h_cnt], w, range(0, h_cnt, row), sub, None, None, None)
+        k = np.array(grid.shape) // 2
+        m = np.stack(np.unravel_index(np.arange(h_cnt), grid.shape), axis=1) - k
+        rep_m = -np.abs(m)
+        # Equal axes: the same steps, so the nodes k h of both are the same numbers.
+        if self._exchange and np.array_equal(grid.xi[::row, 0], grid.xi[:row, 1]):
+            rep_m.sort(axis=1)
+        rep_node = np.ravel_multi_index(tuple((rep_m + k).T), grid.shape)
+        is_rep = rep_node == np.arange(h_cnt)
+        rep = np.flatnonzero(is_rep)
+        of = (np.cumsum(is_rep) - 1)[rep_node]
+        is_sub = np.zeros(h_cnt, dtype=bool)
+        is_sub[sub] = True
+        sub_cols = np.flatnonzero(is_sub[rep])
+        starts = np.flatnonzero(np.diff(rep // row, prepend=-1)).tolist()
+        return HalfGrid(grid.xi[rep], np.bincount(of, weights=w, minlength=rep.size), starts,
+                        sub_cols, of, np.searchsorted(sub_cols, of[sub]),
+                        m[:, 1] > 0 if self._mirrors == [0] else None)
+
+    def _tau_sums(self, groups, grid, tau, wte, source_gradient, half=None):
+        """Per region group, the tau contraction on the columns of ``grid``
+        (``half``, by default _half_grid): the canonical half, or one
+        representative of each symmetry orbit of it.
+
+        For each unique normal pair (x_n, y_n) of the group and each column,
+        h = sum_m W_m V with W_m = w_m e^{tau_m dt} (``wte``)
         and V = sum_terms coef e^{r_p x_n + r_q y_n}, the exponents' even
         root parts (module docstring); h_n and h_src put a factor r_p or r_q
         in each term.  Only their real parts are kept, and those of h and h_n
-        of the step-2h rule on the half of the even-index nodes: weights
-        2 W_m on the even contour nodes, read from the same exponentials.
-        The odd phases come back as phi_p and phi_q of the group and the
-        pair phase Phi = phi_p x_n + phi_q y_n.  The floor rows bound the
+        of the step-2h rule on its columns: weights 2 W_m on the even contour
+        nodes, read from the same exponentials.  A term whose coefficient
+        is zero on a block (the reflected terms of a homogeneous medium)
+        is skipped there.  The odd phases come back as phi_p and phi_q of
+        the group.  The floor rows bound the
         roundoff weights sum_m sum_terms |W_m coef g e^{p x_n + q y_n}| (U +
         |p x_n| + |q y_n|), U = ROUNDOFF_UNITS, g = 1 for Gamma, p for the
         normal gradient and q for the source one, at a node and its mirror
@@ -398,44 +489,48 @@ class KernelEvaluator:
         |phi_q y_n|, the Gamma row is U S_1 + |x_n| S_p + |y_n| S_q + E S_1,
         the normal row U S_p + |x_n| S_pp + |y_n| S_pq + E S_p + |phi_p| times
         the Gamma row, the source row likewise in q.  Each row is summed over
-        the nodes with the weights of the half rule (_fold), and the Gamma
-        row once more with |xi'|_inf times them for the tangential gradient.
+        the columns with the weights of the half rule (_fold), summed over
+        each orbit, since every row is the same at each node of an orbit;
+        the Gamma row once more with |xi'|_inf times them for the tangential
+        gradient.
 
-        The grid is streamed in blocks of whole rows (module docstring,
+        The columns are streamed in blocks of whole rows (module docstring,
         Streaming); each node's sums over the contour and the terms run in
         the same order whatever block it is in.  One HalfSums per group.
         """
         if not groups:
             return []
+        half = self._half_grid(grid) if half is None else half
         m_cnt = tau.size
-        h_cnt = (grid.xi.shape[0] + 1) // 2
-        # The step-2h nodes are point-symmetric too: their first half lies
-        # in the canonical half of the grid.
-        sub_half = grid.sub[:(grid.sub.size + 1) // 2]
-        w = _fold(grid.wq)
-        xi_inf = np.max(np.abs(grid.xi[:h_cnt]), axis=1, initial=0.0)
-        # A row holds the nodes of one xi_0 (one node in 2-D).  The last
-        # block ends at the centre node, mid-row.
-        row = math.prod(grid.shape[1:])
-        block = row * max(1, BLOCK_ELEMENTS // (row * m_cnt))
+        c_cnt = half.w.size
+        xi_inf = np.max(np.abs(half.xi), axis=1, initial=0.0)
         # The pairs of all groups, one group after the other, share the sums.
         pairs = np.concatenate([uniq for _, _, uniq, _ in groups])
         counts = [uniq.shape[0] for _, _, uniq, _ in groups]
         ends = list(accumulate(counts))
         spans = list(zip([0] + ends[:-1], ends))
         axn, ayn = np.abs(pairs[:, :1]), np.abs(pairs[:, 1:])
-        re = np.zeros((2 + source_gradient, pairs.shape[0], h_cnt))
-        re_sub = np.zeros((2, pairs.shape[0], sub_half.size))
+        re = np.zeros((2 + source_gradient, pairs.shape[0], c_cnt))
+        re_sub = np.zeros((2, pairs.shape[0], half.sub.size))
         floor = np.zeros((3 + source_gradient, pairs.shape[0]))
-        phis = np.zeros((len(groups), 2, h_cnt))
-        for lo in range(0, h_cnt, block):
-            blk = slice(lo, min(lo + block, h_cnt))
-            sub_lo, sub_hi = np.searchsorted(sub_half, (blk.start, blk.stop)).tolist()
-            sub = _as_slice(sub_half[sub_lo:sub_hi] - lo)
-            xi_c = grid.xi[blk].astype(complex)
+        phis = np.zeros((len(groups), 2, c_cnt))
+        for lo, hi in _row_blocks(half.starts, c_cnt, BLOCK_ELEMENTS // m_cnt):
+            blk = slice(lo, hi)
+            sub_lo, sub_hi = np.searchsorted(half.sub, (lo, hi)).tolist()
+            sub = _as_slice(half.sub[sub_lo:sub_hi] - lo)
+            xi_c = half.xi[blk].astype(complex)
             table = SymbolTable(self.medium, xi_c, tau)
             group_terms = [region_terms(region, self.medium, xi_c, tau, table=table)
                            for region, _, _, _ in groups]
+            # Every term of a region has the same phases.
+            for terms, phi in zip(group_terms, phis):
+                for dst, e in zip(phi, (terms[0].p, terms[0].q)):
+                    dst[blk] = e.phase_sign * e.phase.real[:, 0]
+            # A term whose coefficient is zero on the block adds nothing:
+            # the reflected terms where Theta_A == Theta_B (one layer).  A
+            # nonzero first entry spares the scan of the others.
+            group_terms = [[term for term in terms if term.coef[0, 0] or term.coef.any()]
+                           for terms in group_terms]
             # A term's weights are built once per block.  R11/R12 and
             # R21/R22 share a term, so its weights are kept until the last
             # group that uses it.  The exponents of a layer (named a_.. or
@@ -444,10 +539,7 @@ class KernelEvaluator:
             weights, abs_root = {}, {}
             s_abs = np.zeros((5 + source_gradient, pairs.shape[0], xi_c.shape[0]))
             chunk = max(1, BLOCK_ELEMENTS // (xi_c.shape[0] * m_cnt))
-            for (p_lo, p_hi), terms, phi in zip(spans, group_terms, phis):
-                # Every term of a region has the same phases.
-                for dst, e in zip(phi, (terms[0].p, terms[0].q)):
-                    dst[blk] = e.phase_sign * e.phase.real[:, 0]
+            for (p_lo, p_hi), terms in zip(spans, group_terms):
                 # Each node adds its terms in order, whatever chunk it is in.
                 for term in terms:
                     if term.name not in weights:
@@ -482,12 +574,11 @@ class KernelEvaluator:
                     for i, j, k in ((0, 1, 2), (1, 3, 4), (2, 4, 5))[:2 + source_gradient]]
             rows[1:] = [r + f * rows[0] for r, f in zip(rows[1:], abs_phi)]
             rows.append(rows[0] * xi_inf[blk])
-            floor += np.einsum("jkq,q->jk", np.stack(rows), w[blk])
-        return [HalfSums(re[:, lo:hi], re_sub[:, lo:hi], phi,
-                         phi[0] * pairs[lo:hi, :1] + phi[1] * pairs[lo:hi, 1:], floor[:, lo:hi])
+            floor += np.einsum("jkq,q->jk", np.stack(rows), half.w[blk])
+        return [HalfSums(re[:, lo:hi], re_sub[:, lo:hi], phi, floor[:, lo:hi])
                 for (lo, hi), phi in zip(spans, phis)]
 
-    def _phase_sums(self, groups, dxp, grid: XiGrid, sums, source_gradient):
+    def _phase_sums(self, groups, dxp, grid: XiGrid, sums, source_gradient, half=None):
         """Gamma, grad and sgrad from the tau sums, their roundoff floor,
         and the change of Gamma and grad from the step-2h rule.
 
@@ -495,16 +586,20 @@ class KernelEvaluator:
         -2 xi_j sin psi Re h to its x_j-derivative and 2 (cos psi Re h_n -
         phi_p sin psi Re h) to the normal one (module docstring), the source
         one likewise with h_src and phi_q; the weights (_fold) double all
-        nodes but xi' = 0.  The floor is eps times the largest of the node
+        nodes but xi' = 0.  Each half node reads the sums and phases of its
+        column (``half``, the one _tau_sums ran on), one chunk of points at
+        a time.  The floor is eps times the largest of the node
         sums of the floor rows (_tau_sums).  The step-2h rule weighs the
         even-index nodes by 2^d times their weight.  In 1-D the one node
         xi' = 0 has weight 1 and psi = 0: every sum is Re h.
         """
         n = self.medium.dim
         d = n - 1
+        half = self._half_grid(grid) if half is None else half
         k_tot = dxp.shape[0]
         h_cnt = (grid.wq.size + 1) // 2
-        xi, w = grid.xi[:h_cnt], _fold(grid.wq)
+        xi = grid.xi[:h_cnt]
+        w = half.w if half.of is None else _fold(grid.wq)  # the weight of each half node
         sub = _as_slice(grid.sub[:(grid.sub.size + 1) // 2])
         w_sub = 2.0 ** d * _fold(grid.wq[grid.sub])
         eps = np.finfo(float).eps
@@ -514,7 +609,7 @@ class KernelEvaluator:
         floor = np.zeros(k_tot)
         change = np.zeros(k_tot)
         pt_chunk = max(1, BLOCK_ELEMENTS // h_cnt)
-        for (_, idx, _, inv), s in zip(groups, sums):
+        for (_, idx, pairs, inv), s in zip(groups, sums):
             floor[idx] = eps * np.max(s.floor, axis=0)[inv]
             if not d:
                 re, re_sub = s.re[..., 0][:, inv], s.re_sub[..., 0][:, inv]
@@ -523,15 +618,25 @@ class KernelEvaluator:
                     sgrad[idx, 0] = re[2]
                 change[idx] = np.max(np.abs(re[:2] - re_sub), axis=0)
                 continue
-            re, re_sub = s.re * w, s.re_sub * w_sub
+            phi = s.phi
+            if half.of is not None:
+                phi = np.take(phi, half.of, axis=1)  # contiguous rows, see _node_sums
+                if half.flip is not None:
+                    np.negative(phi, out=phi, where=half.flip)
             for lo in range(0, idx.size, pt_chunk):
                 sel = idx[lo:lo + pt_chunk]
                 rows = inv[lo:lo + pt_chunk]
-                psi = np.einsum("kj,qj->kq", dxp[sel], xi) + s.pair_phase[rows]
+                # psi = (x' - y').xi' + Phi, Phi = phi_p x_n + phi_q y_n.
+                xy_n = pairs[rows]
+                psi = phi[0] * xy_n[:, :1]
+                psi += phi[1] * xy_n[:, 1:]
+                psi += np.einsum("kj,qj->kq", dxp[sel], xi)
                 cos, sin = np.cos(psi), np.sin(psi)
-                fine = _real_sums(cos, sin, re[:, rows], s.phi, xi)
-                coarse = _real_sums(cos[:, sub], sin[:, sub], re_sub[:, rows], s.phi[:, sub],
-                                    xi[sub])
+                del psi
+                fine = _real_sums(cos, sin, _node_sums(s.re, rows, half.of, w), phi, xi)
+                coarse = _real_sums(cos[:, sub], sin[:, sub],
+                                    _node_sums(s.re_sub, rows, half.sub_of, w_sub),
+                                    phi[:, sub], xi[sub])
                 gamma[sel], grad[sel] = fine[0], np.column_stack(fine[1:n + 1])
                 if source_gradient:
                     sgrad[sel, d] = fine[n + 1]
@@ -585,11 +690,11 @@ class KernelEvaluator:
         osc = np.max(np.abs(dxp), axis=0, initial=0.0)
         radius = self._base_radius(dt)
         grid = _xi_grid(radius, self._xi_spacing(osc, dt))
-        sums = self._tau_sums(groups, grid, tau, wte, source_gradient)
+        half = self._half_grid(grid)
+        sums = self._tau_sums(groups, grid, tau, wte, source_gradient, half)
         gam, grd, sgr, floor, change = self._phase_sums(groups, dxp, grid, sums,
-                                                        source_gradient)
-        half = grid.xi[:(grid.wq.size + 1) // 2]
-        t_val, t_grad = (_tail_bound(groups, k_tot, half, _fold(grid.wq), sums, radius,
+                                                        source_gradient, half)
+        t_val, t_grad = (_tail_bound(groups, k_tot, half.xi, half.w, sums, radius,
                                      self._schur_min * dt) if d else (np.zeros(k_tot),) * 2)
         # Each bound against its own quantity: relative to it, plus an
         # absolute floor on the kernel scale (far-tail points are dominated
@@ -615,7 +720,11 @@ def _tail_bound(groups, k_tot: int, xi: np.ndarray, w: np.ndarray, sums,
     """Per point, bounds on the part of Gamma, and of grad and sgrad, beyond the xi' grid.
 
     The grid covers [-radius, radius] on each axis and is point-symmetric;
-    ``xi`` and ``w`` are its canonical half and their weights (_fold).  At
+    ``xi`` and ``w`` are the columns of the tau sums and their weights
+    (HalfGrid): its canonical half, or one node of each symmetry orbit of
+    it with the orbit's summed weight, which serves since f below, the
+    number of axes with |xi_j| >= R/2 and |xi'|_inf are the same at every
+    node of an orbit.  At
     a node and its mirror the full rule's integrand has modulus f = |Re h|
     for Gamma and |Re h_n + i phi_p Re h| for the normal gradient (h_src
     and phi_q for the source one), h the tau half sums (module docstring).
@@ -646,6 +755,17 @@ def _tail_bound(groups, k_tot: int, xi: np.ndarray, w: np.ndarray, sums,
     return bound_val, bound_grad
 
 
+def _node_sums(sums, rows, of, w):
+    """The tau sums ``sums`` (R, P, C) of the normal pairs ``rows`` at every
+    half node, each read from its column ``of`` (None: every node is its
+    own column), times the node weights ``w``.  np.take keeps the result
+    contiguous along the nodes, so the sums over the nodes run in the same
+    order as on the unfolded half."""
+    out = sums[:, rows] if of is None else np.take(sums[:, rows], of, axis=2)
+    out *= w
+    return out
+
+
 def _real_sums(cos, sin, re, phi, xi):
     """Gamma, its x'-derivatives and its normal (and source) derivative on
     a half grid from cos psi and sin psi (K, H), the rows of Re h times the
@@ -664,6 +784,21 @@ def _fold(w: np.ndarray) -> np.ndarray:
     half = 2.0 * w[:(w.size + 1) // 2]
     half[-1] = w[half.size - 1]
     return half
+
+
+def _row_blocks(starts, end: int, size: int):
+    """Consecutive (lo, hi) column ranges of whole rows, the rows beginning
+    at ``starts`` and the last ending at ``end``: as many rows as fit
+    ``size`` columns, and at least one."""
+    i = 0
+    while i < len(starts):
+        # Rows i..j-2 fit; row j-1 only if it is the last one and fits.
+        j = bisect_right(starts, starts[i] + size)
+        if j < len(starts) or end - starts[i] > size:
+            j -= 1
+        j = max(j, i + 1)
+        yield starts[i], starts[j] if j < len(starts) else end
+        i = j
 
 
 def _as_slice(idx: np.ndarray):

@@ -625,7 +625,7 @@ class TestTailBound:
         def bound(h, r=radius):
             # One pair; its value and normal sums are Re h, with no phase.
             re = np.stack([h.real, h.real])[:, None, :]
-            sums = [HalfSums(re, None, np.zeros((2, half)), None, None)]
+            sums = [HalfSums(re, None, np.zeros((2, half)), None)]
             return np.maximum(*inverse_transform._tail_bound(
                 groups, 1, grid.xi[:half], inverse_transform._fold(grid.wq), sums, r, a))[0]
 
@@ -799,7 +799,8 @@ class TestBoundedPlan:
         # I | b I: every contrast takes the contour of its dimension, and
         # each call runs one xi' grid with finite, positive values.  In 3-D
         # at b = 1000 only the plan is checked: the grid grows like b, and
-        # its one call at t - s = 0.01 takes about 12 s (389,827 half nodes).
+        # its one call at t - s = 0.01 takes 4-6 s (389,827 half nodes,
+        # 195,355 orbits of the two reflections).
         med = TwoLayerMedium(upper=validate_tensor(np.eye(n)),
                              lower=validate_tensor(b * np.eye(n)))
         ev = KernelEvaluator(med)
@@ -899,7 +900,8 @@ class TestStreaming:
         # The 4-point 3-D call of test_contrast_sweep at t - s = 0.01.  With
         # the tables built over the whole grid it peaked at 202 MB for
         # b = 30 and near 0.9 GB (RSS) for b = 100; streamed, at 8.6 MB and
-        # 15.8 MB.
+        # 15.8 MB; streamed over the orbits of the two reflections, at
+        # 8.6 MB and 13.7 MB.
         med = TwoLayerMedium(upper=validate_tensor(np.eye(3)),
                              lower=validate_tensor(b * np.eye(3)))
         ev = KernelEvaluator(med)
@@ -912,6 +914,247 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert peak < limit
+
+
+# 3-D media whose symbols are even in at least one tangential axis: the
+# benchmark's 3-D scatter medium (both axes, equal diagonals), unequal
+# diagonals, and a normal coupling a_t on one tangential axis only: on axis
+# 0, where axis 1 reflects directly, and on axis 1, where the reflection of
+# axis 0 reaches the canonical half through the mirror.
+FOLDED = [
+    pytest.param(np.eye(3), np.diag([2.0, 2.0, 3.0]), id="scatter"),
+    pytest.param(np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 1.0, 4.0]), id="diagonal"),
+    pytest.param([[1.0, 0.0, 0.3], [0.0, 1.5, 0.0], [0.3, 0.0, 2.0]],
+                 [[2.0, 0.0, 0.1], [0.0, 1.0, 0.0], [0.1, 0.0, 3.0]], id="a_t=(0.3,0)"),
+    pytest.param([[1.0, 0.0, 0.0], [0.0, 1.5, 0.3], [0.0, 0.3, 2.0]],
+                 [[2.0, 0.0, 0.0], [0.0, 1.0, 0.2], [0.0, 0.2, 3.0]], id="a_t=(0,0.3)"),
+]
+SCATTER_REACH = 2.0 * math.sqrt(0.3)
+
+
+def scatter_batch(reach):
+    """Eight 3-D targets with their sources, every region among them, whose
+    largest tangential offset on axis j is exactly reach[j] (the sources of
+    those targets sit at x_j = 0), as in the benchmark's 3-D scatter batch."""
+    rng = np.random.default_rng(4)
+    y = rng.uniform(-1.0, 1.0, (8, 3))
+    x = y.copy()
+    x[:, :2] += rng.uniform(-0.5, 0.5, (8, 2)) * np.array(reach)
+    for j, r in enumerate(reach):
+        y[2 * j:2 * j + 2, j] = 0.0
+        x[2 * j:2 * j + 2, j] = (r, -r)
+    x[:, 2] = [0.5, 0.2, -0.3, 0.4, -0.2, -0.6, 0.3, -0.4]
+    y[:, 2] = [0.2, 0.5, 0.3, -0.2, -0.5, -0.3, 0.1, -0.1]
+    return x, y
+
+
+def whole_grid_values(med, ev, grid, x, y, dt):
+    """Gamma, grad and sgrad of the full (k = -M..M) contour rule on the
+    whole xi' grid, summed point by point from region_terms."""
+    n = med.dim
+    d = n - 1
+    xi, wq = grid.xi, grid.wq
+    tau, w = _hyperbolic_nodes(ev._row, ev.contour_nodes, dt)
+    tau = np.concatenate([tau[:0:-1].conj(), tau])
+    w = np.concatenate([w[:0:-1].conj() / 2, w[:1], w[1:] / 2])
+    wte = w * np.exp(tau * dt)
+    table = SymbolTable(med, xi.astype(complex), tau)
+    out = {"gamma": np.zeros(len(x)), "grad": np.zeros((len(x), n)),
+           "sgrad": np.zeros((len(x), n))}
+    for k, (xk, yk) in enumerate(zip(x, y)):
+        s_val = s_n = s_src = 0.0
+        for term in region_terms(classify_region(xk[-1], yk[-1]), med, table.xi, tau,
+                                 table=table):
+            p, q = term.p.value(), term.q.value()
+            v = term.coef * np.exp(p * xk[-1] + q * yk[-1]) * wte
+            s_val = s_val + v.sum(axis=1)
+            s_n = s_n + (v * p).sum(axis=1)
+            s_src = s_src + (v * q).sum(axis=1)
+        pw = wq * np.exp(1j * xi @ (xk[:d] - yk[:d]))
+        tangential = [(pw @ (1j * xi[:, j] * s_val)).real for j in range(d)]
+        out["gamma"][k] = (pw @ s_val).real
+        out["grad"][k] = tangential + [(pw @ s_n).real]
+        out["sgrad"][k] = [-g for g in tangential] + [(pw @ s_src).real]
+    return out
+
+
+class TestSymmetryFold:
+    """The tau sums run once per symmetry orbit of the canonical half."""
+
+    @pytest.mark.parametrize("upper,lower", FOLDED)
+    @pytest.mark.parametrize("equal", [True, False], ids=["equal_reach", "unequal_reach"])
+    def test_orbit_symbols_identical(self, upper, lower, equal):
+        # Every half node's symbol arrays are those of its column's node,
+        # byte for byte, and so are its phases up to the sign ``flip``.
+        med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
+        ev = KernelEvaluator(med)
+        dt = 0.3
+        osc = np.array([SCATTER_REACH, SCATTER_REACH if equal else 0.5])
+        grid = inverse_transform._xi_grid(ev._base_radius(dt), ev._xi_spacing(osc, dt))
+        half = ev._half_grid(grid)
+        h_cnt = (grid.wq.size + 1) // 2
+        assert half.of is not None and half.of.size == h_cnt
+        tau, _ = _hyperbolic_nodes(ev._row, ev.contour_nodes, dt)
+        nodes = SymbolTable(med, grid.xi[:h_cnt].astype(complex), tau)
+        cols = SymbolTable(med, half.xi.astype(complex), tau)
+        for name in ("theta_a", "theta_b", "root_a", "root_b", "direct_a", "direct_b",
+                     "reflect_a", "reflect_b", "transmit"):
+            assert getattr(cols, name)[half.of].tobytes() == getattr(nodes, name).tobytes()
+        sign = np.where(half.flip, -1.0, 1.0) if half.flip is not None else 1.0
+        for name in ("phase_a", "phase_b"):
+            assert np.array_equal(sign * getattr(cols, name)[half.of, 0], getattr(nodes, name)[:, 0])
+        # The step-2h nodes' columns are step-2h nodes, and the weights of
+        # each orbit add up.
+        sub_half = grid.sub[:(grid.sub.size + 1) // 2]
+        assert np.array_equal(half.sub[half.sub_of], half.of[sub_half])
+        assert half.w.sum() == pytest.approx(inverse_transform._fold(grid.wq).sum(), rel=1e-14)
+
+    @pytest.mark.parametrize("upper,lower", FOLDED)
+    @pytest.mark.parametrize("equal", [True, False], ids=["equal_reach", "unequal_reach"])
+    def test_region_terms_see_one_node_per_orbit(self, monkeypatch, upper, lower, equal):
+        # The benchmark's batch (equal reach on a medium with equal
+        # diagonals) reaches region_terms with 300 of its 1,105 half nodes;
+        # without the exchange, with (k_0 + 1)(k_1 + 1), k_j the largest
+        # index on axis j.
+        med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
+        ev = KernelEvaluator(med)
+        grids = record_xi_grids(monkeypatch)
+        blocks = record_region_terms(monkeypatch)
+        x, y = scatter_batch((SCATTER_REACH, SCATTER_REACH if equal else 0.5))
+        ev.eval_many(x, 0.3, y, 0.0)
+        k0, k1 = (np.array(grids[0].shape) - 1) // 2
+        # The axes exchange when both layers are diagonal with equal
+        # tangential entries, and the spacings are equal.
+        exchange = equal and all(np.array_equal(t, np.diag(np.diag(t))) and t[0, 0] == t[1, 1]
+                                 for t in map(np.asarray, (upper, lower)))
+        count = (k0 + 1) * (k0 + 2) // 2 if exchange else (k0 + 1) * (k1 + 1)
+        assert len(blocks) == 6
+        for nodes in blocks.values():
+            assert sum(b.shape[0] for b in nodes) == count
+        if exchange and np.array_equal(upper, np.eye(3)):
+            assert grids[0].shape == (47, 47) and count == 300
+
+    @pytest.mark.parametrize("upper,lower,x,y,rel", SHEARED + [
+        pytest.param(np.eye(2), np.diag([2.0, 3.0]), [[0.3, 0.5], [0.4, -0.3]],
+                     [[0.0, 0.2], [0.1, 0.3]], None, id="2d-diagonal")])
+    def test_no_fold_without_symmetry(self, monkeypatch, upper, lower, x, y, rel):
+        # In 2-D and on sheared 3-D media every half node is its own column.
+        med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
+        ev = KernelEvaluator(med)
+        grids = record_xi_grids(monkeypatch)
+        blocks = record_region_terms(monkeypatch)
+        ev.eval_many(np.array(x), 0.3, np.array(y), 0.0)
+        half = ev._half_grid(grids[0])
+        assert half.of is None and half.sub_of is None and half.flip is None
+        for nodes in blocks.values():
+            assert sum(b.shape[0] for b in nodes) == (grids[0].wq.size + 1) // 2
+
+    @pytest.mark.parametrize("upper,lower", FOLDED)
+    def test_values_match_whole_grid(self, monkeypatch, upper, lower):
+        # Gamma and both gradients of a folded batch against the full
+        # contour rule summed on the whole xi' grid (as in
+        # test_anisotropic_values_pinned).
+        med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
+        ev = KernelEvaluator(med)
+        grids = record_xi_grids(monkeypatch)
+        x, y = scatter_batch((SCATTER_REACH, SCATTER_REACH))
+        res = ev.eval_many(x, 0.3, y, 0.0, source_gradient=True)
+        ref = whole_grid_values(med, ev, grids[0], x, y, 0.3)
+        for key in ("gamma", "grad", "sgrad"):
+            scale = np.max(np.abs(ref[key]))
+            assert np.max(np.abs(res[key] - ref[key])) < 1e-10 * scale
+        assert np.all(np.abs(res["gamma"] - ref["gamma"]) <= res["est"])
+        assert np.all(np.max(np.abs(res["grad"] - ref["grad"]), axis=1) <= res["est"])
+
+    @pytest.mark.parametrize("upper,lower", FOLDED)
+    def test_fold_matches_unfolded(self, monkeypatch, upper, lower):
+        # The same batch with every half node its own column: the sums of
+        # each node are its column's to the byte, and so are Gamma and its
+        # gradients; the floor's node sums and the tail bound, which take
+        # each orbit's summed weights, agree to rounding.
+        med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
+        folded, plain = KernelEvaluator(med), KernelEvaluator(med)
+        plain._mirrors = []
+        x, y = scatter_batch((SCATTER_REACH, SCATTER_REACH))
+        runs = []
+        tau_sums, tail_bound = KernelEvaluator._tau_sums, inverse_transform._tail_bound
+
+        def recorded_sums(self, *args):
+            runs[-1]["sums"] = tau_sums(self, *args)
+            runs[-1]["half"] = args[-1]
+            return runs[-1]["sums"]
+
+        def recorded_bound(*args):
+            runs[-1]["tail"] = tail_bound(*args)
+            return runs[-1]["tail"]
+
+        monkeypatch.setattr(KernelEvaluator, "_tau_sums", recorded_sums)
+        monkeypatch.setattr(inverse_transform, "_tail_bound", recorded_bound)
+        for ev in (folded, plain):
+            runs.append({})
+            runs[-1]["res"] = ev.eval_many(x, 0.3, y, 0.0, source_gradient=True)
+        fold, ref = runs
+        half = fold["half"]
+        assert ref["half"].of is None and half.w.size < ref["half"].w.size
+        for one, many in zip(fold["sums"], ref["sums"]):
+            assert one.re[:, :, half.of].tobytes() == many.re.tobytes()
+            assert one.re_sub[:, :, half.sub_of].tobytes() == many.re_sub.tobytes()
+            assert np.allclose(one.floor, many.floor, rtol=1e-14, atol=0.0)
+        for one, many in zip(fold["tail"], ref["tail"]):
+            assert np.allclose(one, many, rtol=1e-14, atol=0.0)
+        for key in ("gamma", "grad", "sgrad"):
+            assert fold["res"][key].tobytes() == ref["res"][key].tobytes()
+        assert np.allclose(fold["res"]["est"], ref["res"]["est"], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("upper,lower", FOLDED)
+    def test_values_independent_of_blocks(self, monkeypatch, upper, lower):
+        # With a budget of one element each block is one row of columns and
+        # each phase chunk one point: Gamma and its gradients are unchanged
+        # to the byte.  est moves by rounding: the floor's node sums are
+        # regrouped, and the step-2h sums of a point run in another order
+        # when it is alone in its chunk, which the change between the two
+        # rules, a difference of near-equal sums, shows at the level of the
+        # values' own rounding.
+        med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
+        ev = KernelEvaluator(med)
+        x, y = scatter_batch((SCATTER_REACH, SCATTER_REACH))
+        ref = ev.eval_many(x, 0.3, y, 0.0, source_gradient=True)
+        blocks = record_region_terms(monkeypatch)
+        monkeypatch.setattr(inverse_transform, "BLOCK_ELEMENTS", 1)
+        res = ev.eval_many(x, 0.3, y, 0.0, source_gradient=True)
+        for nodes in blocks.values():
+            assert len(nodes) > 1 and all(len(np.unique(b[:, 0])) == 1 for b in nodes)
+        for key in ("gamma", "grad", "sgrad"):
+            assert res[key].tobytes() == ref[key].tobytes()
+        scale = np.maximum(np.abs(ref["gamma"]), np.max(np.abs(ref["grad"]), axis=1))
+        assert np.all(np.abs(res["est"] - ref["est"]) <= 1e-15 * scale)
+
+
+class TestZeroTerms:
+    """A term whose coefficient is zero on a block forms no weights."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_homogeneous_skips_reflected_terms(self, monkeypatch, n):
+        # On a homogeneous medium Theta_A == Theta_B, so every reflected
+        # coefficient is exactly 0; on a layered one it is not.
+        names = []
+        term_weights = inverse_transform._term_weights
+
+        def recorded(term, *args):
+            names.append(term.name)
+            return term_weights(term, *args)
+
+        monkeypatch.setattr(inverse_transform, "_term_weights", recorded)
+        tensor = np.diag([1.5, 1.0, 2.0][3 - n:])
+        x, y = contrast_batch(n)
+        for med, reflected in ((homogeneous_medium(validate_tensor(tensor)), False),
+                               (TwoLayerMedium(upper=validate_tensor(tensor),
+                                               lower=validate_tensor(2.0 * tensor)), True)):
+            names.clear()
+            res = KernelEvaluator(med).eval_many(x, 0.3, y, 0.0)
+            assert np.all(res["gamma"] > 0.0)
+            assert any(name.startswith("direct") for name in names)
+            assert any(name.startswith("reflect") for name in names) == reflected
 
 
 class TestTimeScaling:
