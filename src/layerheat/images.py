@@ -31,6 +31,13 @@ from .inverse_transform import gauss_tensor_grid, point_pairs, time_lag
 # Largest image-series tail bound accepted, relative to the kernel scale.
 TAIL_TOL = 1e-5
 
+# Most images per target, (4 depth + 2)^n, that CubeGreen accepts; a call
+# evaluates targets x images kernel points.  Depth 11 (3-D) meets TAIL_TOL
+# up to lambda_max (t - s) = 22 w^2, beyond which the lowest Dirichlet mode,
+# e^{-pi^2 trace(A) (t - s) / (4 w^2)} < e^{-54}, is under the image sum's
+# roundoff; 1-D and 2-D allow depths 24,999 and 78.
+MAX_IMAGES = 10 ** 5
+
 
 class UnsupportedGeometry(ValueError):
     """Face/interface configuration outside the reflection construction."""
@@ -227,8 +234,10 @@ class CubeGreen:
                 )
         self.medium = medium
         self.cube = cube
-        if isinstance(depth, bool) or not float(depth).is_integer() or depth < 1:
-            raise UnsupportedGeometry(f"depth must be >= 1 and integral, not {depth!r}")
+        if (isinstance(depth, bool) or not (isinstance(depth, int) or float(depth).is_integer())
+                or depth < 1 or (4 * int(depth) + 2) ** medium.dim > MAX_IMAGES):
+            raise UnsupportedGeometry(f"depth must be >= 1 and integral, with at most "
+                                      f"{MAX_IMAGES} images per target, not {depth!r}")
         self.depth = int(depth)
         self._lattice = _image_lattice(cube, self.depth)
         self._ev = KernelEvaluator(medium, cfg)

@@ -45,37 +45,36 @@ a_nn (xi'^T A_tt xi' + tau) - (a_t.xi')^2 is even in xi', and so are the
 roots, their sums and every coefficient, to the last bit; only the linear
 forms a_t.xi' are odd, and they hold no tau.  So each exponent
 (+-i a_t.xi' +- Theta)/a_nn is an odd phase i phi plus an even root part
-r, and e^{p x_n + q y_n} = e^{i Phi} e^{r_p x_n + r_q y_n}, Phi = phi_p x_n
-+ phi_q y_n.  The symbols, the exponentials e^r and the tau contraction
-run on the (Q+1)/2 nodes 0..(Q-1)/2 only, or on fewer (Symmetry;
-_tau_sums).  Their half sum h
-is even in xi', so the full contour rule's integrand, the mean of the half
-sums e^{i Phi} h at a node and conj(e^{-i Phi} h) at its mirror, is
-e^{i Phi} Re h, and only Re h is kept.  With psi = (x' - y').xi' + Phi, a
-node and its mirror add 2 cos psi Re h to Gamma, and sin psi terms to the
-gradients: real sums over the half nodes (_phase_sums).
+r, and e^{p x_n + q y_n} = e^{i Phi} e^{r_p x_n + r_q y_n}, Phi = phi_p x_n +
+phi_q y_n.  Each phase is one linear form per region group, phi_p =
+c_p.xi' and phi_q = c_q.xi' (symbols.region_phases), 0 where a_t = 0.  The
+symbols, the exponentials e^r and the tau contraction run on the (Q+1)/2
+nodes 0..(Q-1)/2 only, or on fewer (Symmetry; _tau_sums).  Their half sum
+h is even in xi', so the full contour rule's integrand, the mean of the
+half sums e^{i Phi} h at a node and conj(e^{-i Phi} h) at its mirror, is
+e^{i Phi} Re h, and only Re h is kept.  With psi = (x' - y' + c_p x_n +
+c_q y_n).xi', a node and its mirror add 2 cos psi Re h to Gamma, and sin
+psi terms to the gradients: real sums over the half nodes (_phase_sums).
 
 Symmetry.  In 3-D a medium may keep more of the grid's symmetries.  When
-row j of A has no off-diagonal entry in both layers (A_tt and a_t are
-zero off the diagonal there), the reflection xi_j -> -xi_j leaves
-xi'^T A_tt xi' and (a_t.xi')^2 unchanged to the last bit, and with them
-every root and coefficient; a_t.xi' holds no xi_j, so the phases stay
-too.  When both axes reflect, their spacings are equal and A_tt[0,0] ==
-A_tt[1,1] in each layer, so does the exchange of the two axes.  With
-the mirror of the half rule these maps split the canonical half into
-orbits, and the tau contraction runs on one representative per orbit,
-(-|m_0|, -|m_1|) in units of the steps, ordered |m_0| >= |m_1| under
-the exchange (_half_grid).  A half node reads the sums of its
-representative; where only axis 0 reflects, a node with m_1 > 0 reaches
-it through the mirror, and its phases change sign.  Neither map changes
+row j of A has no off-diagonal entry in both layers (A_tt and a_t are zero
+off the diagonal there), the reflection xi_j -> -xi_j leaves xi'^T A_tt
+xi' and (a_t.xi')^2 unchanged to the last bit, and with them every root
+and coefficient.  When both axes reflect, their spacings are equal and
+A_tt[0,0] == A_tt[1,1] in each layer, so does the exchange of the two
+axes.  With the mirror of the half rule these maps split the canonical
+half into orbits, and the tau contraction runs on one representative per
+orbit, (-|m_0|, -|m_1|) in units of the steps, ordered |m_0| >= |m_1|
+under the exchange (_half_grid).  A half node reads the sums of its
+representative, and its phases come from its own xi'.  Neither map changes
 the parity of an index, so step-2h nodes have step-2h representatives.
 The floor rows and the tail bound's integrands are the same at every node
 of an orbit (they read |phi| and |xi|), so their node sums take each
-orbit's summed weights.  The benchmark's 3-D batch (I | diag(2,2,3),
-equal reach on both axes) runs on 300 of its 1,105 half nodes.  In 1-D,
-in 2-D (where a reflection is the half rule's own mirror) and on media
-coupled on both tangential axes every node is its own representative,
-and no map is formed.
+orbit's summed weights.  The benchmark's 3-D batch (I | diag(2,2,3), equal
+reach on both axes) runs on 300 of its 1,105 half nodes.  In 1-D, in 2-D
+(where a reflection is the half rule's own mirror) and on media coupled on
+both tangential axes every node is its own representative, and no map is
+formed.
 
 Shared symbols.  All six region symbols are built from one table of
 Theta_A, Theta_B, their sum, the two phases, the two root parts and five
@@ -126,18 +125,14 @@ from collections import Counter
 from collections.abc import Sequence
 from itertools import accumulate
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .medium import MediumError, OnInterface, TwoLayerMedium
-from .symbols import (
-    REGIONS,
-    SymbolTable,
-    region_index,
-    region_terms,
-)
+from .symbols import REGIONS, SymbolTable, region_index, region_phases, region_terms
 
 
 class QuadratureNotConverged(RuntimeError):
@@ -347,8 +342,8 @@ class HalfGrid(NamedTuple):
     """The columns of the tau sums: the canonical half of a xi' grid, or one
     representative node of each symmetry orbit of it (KernelEvaluator._half_grid).
 
-    H counts the half nodes, C the columns.  ``of``, ``sub_of`` and ``flip``
-    are None when every half node is its own column.
+    H counts the half nodes, C the columns.  ``of`` and ``sub_of`` are None
+    when every half node is its own column.
     """
 
     xi: np.ndarray  # (C, d) the columns' nodes, in grid order
@@ -357,7 +352,6 @@ class HalfGrid(NamedTuple):
     sub: np.ndarray  # the columns of the step-2h nodes, ascending
     of: np.ndarray | None  # (H,) the column of each half node
     sub_of: np.ndarray | None  # (H_sub,) position in ``sub`` of each step-2h half node's column
-    flip: np.ndarray | None  # (H,) the half nodes whose phases are minus their column's
 
 
 class HalfSums(NamedTuple):
@@ -365,7 +359,7 @@ class HalfSums(NamedTuple):
 
     re: np.ndarray  # (2 or 3, P, C): Re h, Re h_n and maybe Re h_src
     re_sub: np.ndarray  # (2, P, C_sub): Re h and Re h_n of the step-2h rule
-    phi: np.ndarray  # (2, C): phi_p and phi_q
+    phi: np.ndarray  # (2, d): c_p and c_q, phi = c.xi' at every node (symbols.region_phases)
     floor: np.ndarray  # (3 or 4, P): floor rows and the tangential one, node sums
 
 
@@ -399,6 +393,10 @@ class KernelEvaluator:
             self._exchange = self._mirrors == [0, 1] and a[0][0] == a[1][1] and b[0][0] == b[1][1]
         # The decay a R0^2 at the xi' radius R0 (see _base_radius).
         self._decay = max(math.log(100.0 / tol), 2.0) + 1.5 * max(0.0, math.log(1e-6 / tol))
+
+    # c_p and c_q of every region (HalfSums), built on first use: the table
+    # costs about three times the rest of the construction.
+    _phases = cached_property(lambda ev: region_phases(ev.medium))
 
     # -- quadrature building blocks -------------------------------------
 
@@ -438,16 +436,14 @@ class KernelEvaluator:
         axis's step, has the representative (-|m_0|, -|m_1|), ordered so
         that |m_0| >= |m_1| when the axes may be exchanged.  It lies in the
         canonical half, and every step-2h node has a step-2h representative,
-        since neither map changes the parity of an index.  When only axis 0
-        reflects, a node with m_1 > 0 reaches its representative through the
-        mirror: its phases are minus the representative's.
+        since neither map changes the parity of an index.
         """
         h_cnt = (grid.wq.size + 1) // 2
         row = math.prod(grid.shape[1:])
         sub = grid.sub[:(grid.sub.size + 1) // 2]
         w = _fold(grid.wq)
         if not self._mirrors:
-            return HalfGrid(grid.xi[:h_cnt], w, range(0, h_cnt, row), sub, None, None, None)
+            return HalfGrid(grid.xi[:h_cnt], w, range(0, h_cnt, row), sub, None, None)
         k = np.array(grid.shape) // 2
         m = np.stack(np.unravel_index(np.arange(h_cnt), grid.shape), axis=1) - k
         rep_m = -np.abs(m)
@@ -463,36 +459,35 @@ class KernelEvaluator:
         sub_cols = np.flatnonzero(is_sub[rep])
         starts = np.flatnonzero(np.diff(rep // row, prepend=-1)).tolist()
         return HalfGrid(grid.xi[rep], np.bincount(of, weights=w, minlength=rep.size), starts,
-                        sub_cols, of, np.searchsorted(sub_cols, of[sub]),
-                        m[:, 1] > 0 if self._mirrors == [0] else None)
+                        sub_cols, of, np.searchsorted(sub_cols, of[sub]))
 
-    def _tau_sums(self, groups, grid, tau, wte, source_gradient, half=None):
-        """Per region group, the tau contraction on the columns of ``grid``
-        (``half``, by default _half_grid): the canonical half, or one
+    def _tau_sums(self, groups, half: HalfGrid, tau, wte, source_gradient):
+        """Per region group, the tau contraction on the columns ``half``
+        (_half_grid): the canonical half of the xi' grid, or one
         representative of each symmetry orbit of it.
 
         For each unique normal pair (x_n, y_n) of the group and each column,
-        h = sum_m W_m V with W_m = w_m e^{tau_m dt} (``wte``)
-        and V = sum_terms coef e^{r_p x_n + r_q y_n}, the exponents' even
-        root parts (module docstring); h_n and h_src put a factor r_p or r_q
-        in each term.  Only their real parts are kept, and those of h and h_n
-        of the step-2h rule on its columns: weights 2 W_m on the even contour
-        nodes, read from the same exponentials.  A term whose coefficient
-        is zero on a block (the reflected terms of a homogeneous medium)
-        is skipped there.  The odd phases come back as phi_p and phi_q of
-        the group.  The floor rows bound the
-        roundoff weights sum_m sum_terms |W_m coef g e^{p x_n + q y_n}| (U +
-        |p x_n| + |q y_n|), U = ROUNDOFF_UNITS, g = 1 for Gamma, p for the
-        normal gradient and q for the source one, at a node and its mirror
-        alike, since |e^{p x_n + q y_n}| = |e^r| and |p| <= |r_p| + |phi_p|.
-        With S_g = sum |W coef e^r| g (_term_weights) and E = |phi_p x_n| +
-        |phi_q y_n|, the Gamma row is U S_1 + |x_n| S_p + |y_n| S_q + E S_1,
-        the normal row U S_p + |x_n| S_pp + |y_n| S_pq + E S_p + |phi_p| times
-        the Gamma row, the source row likewise in q.  Each row is summed over
-        the columns with the weights of the half rule (_fold), summed over
-        each orbit, since every row is the same at each node of an orbit;
-        the Gamma row once more with |xi'|_inf times them for the tangential
-        gradient.
+        h = sum_m W_m V with W_m = w_m e^{tau_m dt} (``wte``) and
+        V = sum_terms coef e^{r_p x_n + r_q y_n}, the exponents' even root
+        parts (module docstring); h_n and h_src put a factor r_p or r_q in
+        each term.  Only their real parts are kept, and those of h and h_n of
+        the step-2h rule on its columns: weights 2 W_m on the even contour
+        nodes, read from the same exponentials.  A term whose coefficient is
+        zero on a block (the reflected terms of a homogeneous medium) is
+        skipped there.  The odd phases come back as the group's vectors c_p
+        and c_q (HalfSums).  The floor rows bound the roundoff weights
+        sum_m sum_terms |W_m coef g e^{p x_n + q y_n}| (U + |p x_n| +
+        |q y_n|), U = ROUNDOFF_UNITS, g = 1 for Gamma, p for the normal
+        gradient and q for the source one, at a node and its mirror alike,
+        since |e^{p x_n + q y_n}| = |e^r| and |p| <= |r_p| + |phi_p|.  With
+        S_g = sum |W coef e^r| g (_term_weights), phi = c.xi' at the column
+        and E = |phi_p x_n| + |phi_q y_n|, the Gamma row is U S_1 +
+        |x_n| S_p + |y_n| S_q + E S_1, the normal row U S_p + |x_n| S_pp +
+        |y_n| S_pq + E S_p + |phi_p| times the Gamma row, the source row
+        likewise in q.  Each row is summed over the columns with the weights
+        of the half rule (_fold), summed over each orbit, since every row is
+        the same at each node of an orbit; the Gamma row once more with
+        |xi'|_inf times them for the tangential gradient.
 
         The columns are streamed in blocks of whole rows (module docstring,
         Streaming); each node's sums over the contour and the terms run in
@@ -500,7 +495,6 @@ class KernelEvaluator:
         """
         if not groups:
             return []
-        half = self._half_grid(grid) if half is None else half
         m_cnt = tau.size
         c_cnt = half.w.size
         xi_inf = np.max(np.abs(half.xi), axis=1, initial=0.0)
@@ -513,7 +507,7 @@ class KernelEvaluator:
         re = np.zeros((2 + source_gradient, pairs.shape[0], c_cnt))
         re_sub = np.zeros((2, pairs.shape[0], half.sub.size))
         floor = np.zeros((3 + source_gradient, pairs.shape[0]))
-        phis = np.zeros((len(groups), 2, c_cnt))
+        phases = self._phases[[REGIONS.index(region) for region, _, _, _ in groups]]
         for lo, hi in _row_blocks(half.starts, c_cnt, BLOCK_ELEMENTS // m_cnt):
             blk = slice(lo, hi)
             sub_lo, sub_hi = np.searchsorted(half.sub, (lo, hi)).tolist()
@@ -522,10 +516,6 @@ class KernelEvaluator:
             table = SymbolTable(self.medium, xi_c, tau)
             group_terms = [region_terms(region, self.medium, xi_c, tau, table=table)
                            for region, _, _, _ in groups]
-            # Every term of a region has the same phases.
-            for terms, phi in zip(group_terms, phis):
-                for dst, e in zip(phi, (terms[0].p, terms[0].q)):
-                    dst[blk] = e.phase_sign * e.phase.real[:, 0]
             # A term whose coefficient is zero on the block adds nothing:
             # the reflected terms where Theta_A == Theta_B (one layer).  A
             # nonzero first entry spares the scan of the others.
@@ -568,17 +558,17 @@ class KernelEvaluator:
                         del ex  # free before the next exponent is formed
             # The floor rows of every pair (see above) from S_g, the rows of
             # s_abs for g = 1, |r_p|, |r_q|, |r_p|^2, |r_p r_q|, |r_q|^2.
-            abs_phi = np.abs(np.repeat(phis[:, :, blk], counts, axis=0).swapaxes(0, 1))
+            abs_phi = np.repeat(np.abs(phases @ half.xi[blk].T), counts, axis=0).swapaxes(0, 1)
             e = abs_phi[0] * axn + abs_phi[1] * ayn
             rows = [ROUNDOFF_UNITS * s_abs[i] + axn * s_abs[j] + ayn * s_abs[k] + e * s_abs[i]
                     for i, j, k in ((0, 1, 2), (1, 3, 4), (2, 4, 5))[:2 + source_gradient]]
             rows[1:] = [r + f * rows[0] for r, f in zip(rows[1:], abs_phi)]
             rows.append(rows[0] * xi_inf[blk])
             floor += np.einsum("jkq,q->jk", np.stack(rows), half.w[blk])
-        return [HalfSums(re[:, lo:hi], re_sub[:, lo:hi], phi, floor[:, lo:hi])
-                for (lo, hi), phi in zip(spans, phis)]
+        return [HalfSums(re[:, lo:hi], re_sub[:, lo:hi], c, floor[:, lo:hi])
+                for (lo, hi), c in zip(spans, phases)]
 
-    def _phase_sums(self, groups, dxp, grid: XiGrid, sums, source_gradient, half=None):
+    def _phase_sums(self, groups, dxp, grid: XiGrid, half: HalfGrid, sums, source_gradient):
         """Gamma, grad and sgrad from the tau sums, their roundoff floor,
         and the change of Gamma and grad from the step-2h rule.
 
@@ -586,16 +576,16 @@ class KernelEvaluator:
         -2 xi_j sin psi Re h to its x_j-derivative and 2 (cos psi Re h_n -
         phi_p sin psi Re h) to the normal one (module docstring), the source
         one likewise with h_src and phi_q; the weights (_fold) double all
-        nodes but xi' = 0.  Each half node reads the sums and phases of its
+        nodes but xi' = 0.  psi = (x' - y' + c_p x_n + c_q y_n).xi', one
+        shift per point.  Each half node of ``grid`` reads the sums of its
         column (``half``, the one _tau_sums ran on), one chunk of points at
-        a time.  The floor is eps times the largest of the node
-        sums of the floor rows (_tau_sums).  The step-2h rule weighs the
-        even-index nodes by 2^d times their weight.  In 1-D the one node
-        xi' = 0 has weight 1 and psi = 0: every sum is Re h.
+        a time.  The floor is eps times the largest of the node sums of the
+        floor rows (_tau_sums).  The step-2h rule weighs the even-index
+        nodes by 2^d times their weight.  In 1-D the one node xi' = 0 has
+        weight 1 and psi = 0: every sum is Re h.
         """
         n = self.medium.dim
         d = n - 1
-        half = self._half_grid(grid) if half is None else half
         k_tot = dxp.shape[0]
         h_cnt = (grid.wq.size + 1) // 2
         xi = grid.xi[:h_cnt]
@@ -618,25 +608,19 @@ class KernelEvaluator:
                     sgrad[idx, 0] = re[2]
                 change[idx] = np.max(np.abs(re[:2] - re_sub), axis=0)
                 continue
-            phi = s.phi
-            if half.of is not None:
-                phi = np.take(phi, half.of, axis=1)  # contiguous rows, see _node_sums
-                if half.flip is not None:
-                    np.negative(phi, out=phi, where=half.flip)
             for lo in range(0, idx.size, pt_chunk):
                 sel = idx[lo:lo + pt_chunk]
                 rows = inv[lo:lo + pt_chunk]
-                # psi = (x' - y').xi' + Phi, Phi = phi_p x_n + phi_q y_n.
-                xy_n = pairs[rows]
-                psi = phi[0] * xy_n[:, :1]
-                psi += phi[1] * xy_n[:, 1:]
-                psi += np.einsum("kj,qj->kq", dxp[sel], xi)
+                psi = np.einsum("kj,qj->kq", dxp[sel] + pairs[rows] @ s.phi, xi)
                 cos, sin = np.cos(psi), np.sin(psi)
                 del psi
-                fine = _real_sums(cos, sin, _node_sums(s.re, rows, half.of, w), phi, xi)
-                coarse = _real_sums(cos[:, sub], sin[:, sub],
-                                    _node_sums(s.re_sub, rows, half.sub_of, w_sub),
-                                    phi[:, sub], xi[sub])
+                fine = _real_sums(cos, sin, _node_sums(s.re, rows, half.of, w), s.phi, xi)
+                # The step-2h cos and sin: a strided view, or np.take's copy,
+                # laid out alike whatever the chunk (a fancy index's is not).
+                coarse = _real_sums(
+                    *(a[:, sub] if isinstance(sub, slice) else np.take(a, sub, axis=1)
+                      for a in (cos, sin)),
+                    _node_sums(s.re_sub, rows, half.sub_of, w_sub), s.phi, xi[sub])
                 gamma[sel], grad[sel] = fine[0], np.column_stack(fine[1:n + 1])
                 if source_gradient:
                     sgrad[sel, d] = fine[n + 1]
@@ -691,9 +675,9 @@ class KernelEvaluator:
         radius = self._base_radius(dt)
         grid = _xi_grid(radius, self._xi_spacing(osc, dt))
         half = self._half_grid(grid)
-        sums = self._tau_sums(groups, grid, tau, wte, source_gradient, half)
-        gam, grd, sgr, floor, change = self._phase_sums(groups, dxp, grid, sums,
-                                                        source_gradient, half)
+        sums = self._tau_sums(groups, half, tau, wte, source_gradient)
+        gam, grd, sgr, floor, change = self._phase_sums(groups, dxp, grid, half, sums,
+                                                        source_gradient)
         t_val, t_grad = (_tail_bound(groups, k_tot, half.xi, half.w, sums, radius,
                                      self._schur_min * dt) if d else (np.zeros(k_tot),) * 2)
         # Each bound against its own quantity: relative to it, plus an
@@ -727,7 +711,8 @@ def _tail_bound(groups, k_tot: int, xi: np.ndarray, w: np.ndarray, sums,
     node of an orbit.  At
     a node and its mirror the full rule's integrand has modulus f = |Re h|
     for Gamma and |Re h_n + i phi_p Re h| for the normal gradient (h_src
-    and phi_q for the source one), h the tau half sums (module docstring).
+    and phi_q for the source one), h the tau half sums (module docstring)
+    and phi = c.xi' (HalfSums).
     |h| would not do: its imaginary part, which the mirrored node cancels,
     decays only like 1/|xi'|.  After the tau integral f decays like
     e^{-a |xi'|^2}, a = ``decay_rate``, on every axis, so on axis j the mass
@@ -748,7 +733,7 @@ def _tail_bound(groups, k_tot: int, xi: np.ndarray, w: np.ndarray, sums,
     for (_, idx, _, inv), s in zip(groups, sums):
         f_val = np.abs(s.re[0])
         mass = np.einsum("kq,q->k", f_val, w_tan)
-        for re, phi in zip(s.re[1:], s.phi):
+        for re, phi in zip(s.re[1:], s.phi @ xi.T):
             mass = np.maximum(mass, np.einsum("kq,q->k", np.hypot(re, phi * s.re[0]), w_val))
         bound_val[idx] = (TAIL_SAFETY * ratio * np.einsum("kq,q->k", f_val, w_val))[inv]
         bound_grad[idx] = (TAIL_SAFETY * ratio * mass)[inv]
@@ -769,12 +754,12 @@ def _node_sums(sums, rows, of, w):
 def _real_sums(cos, sin, re, phi, xi):
     """Gamma, its x'-derivatives and its normal (and source) derivative on
     a half grid from cos psi and sin psi (K, H), the rows of Re h times the
-    weights ``re`` (K, H each) and phi_p, phi_q (see _phase_sums)."""
+    weights ``re`` (K, H each) and c_p, c_q (_phase_sums); the phase term
+    -phi_p sin psi Re h sums to c_p times the x'-derivatives (q likewise)."""
     sin_val = sin * re[0]
-    out = [np.einsum("kq,kq->k", cos, re[0])]
-    out.extend(-np.einsum("kq,qj->jk", sin_val, xi))
-    out.extend(np.einsum("kq,kq->k", cos, r) - np.einsum("kq,q->k", sin_val, f)
-               for r, f in zip(re[1:], phi))
+    tangential = -np.einsum("kq,qj->jk", sin_val, xi)
+    out = [np.einsum("kq,kq->k", cos, re[0]), *tangential]
+    out.extend(np.einsum("kq,kq->k", cos, r) + c @ tangential for r, c in zip(re[1:], phi))
     return out
 
 

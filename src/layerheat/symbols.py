@@ -90,32 +90,21 @@ def region_contains(region: Region, x_n: float, y_n: float) -> bool:
     return x_n <= y_n <= 0.0
 
 
-def _forms(medium: TwoLayerMedium, xi: np.ndarray):
-    """Linear and quadratic tangential forms for both tensors.
-
-    ``xi`` has shape (..., n-1) and may be complex; the forms are the
-    plain bilinear extensions (no conjugation).
-    """
-    A, B = medium.upper, medium.lower
-    a_form = np.einsum("...i,i->...", xi, A.normal_row.astype(complex))
-    b_form = np.einsum("...i,i->...", xi, B.normal_row.astype(complex))
-    quad_A = np.einsum("...i,ij,...j->...", xi, A.minor, xi)
-    quad_B = np.einsum("...i,ij,...j->...", xi, B.minor, xi)
-    return a_form, b_form, quad_A, quad_B
-
-
 def theta_squared(medium: TwoLayerMedium, xi: np.ndarray, tau: np.ndarray):
     """Theta_A^2 and Theta_B^2 for a xi-batch and broadcast tau.
 
-    xi: (Q, n-1) complex.  tau broadcasts against (Q, 1): a (M,) array
-    gives the (Q, M) grid of every xi with every tau, a (Q, 1) array pairs
-    sample q of xi with sample q of tau.
+    xi: (Q, n-1) complex; the tangential forms a_t.xi' and xi'^T A_tt xi'
+    are the plain bilinear extensions (no conjugation).  tau broadcasts
+    against (Q, 1): a (M,) array gives the (Q, M) grid of every xi with
+    every tau, a (Q, 1) array pairs sample q of xi with sample q of tau.
     """
-    a_form, b_form, quad_A, quad_B = _forms(medium, xi)
     tau = np.asarray(tau, dtype=complex)
-    th2_A = medium.upper.a_nn * (quad_A[:, None] + tau) - a_form[:, None] ** 2
-    th2_B = medium.lower.a_nn * (quad_B[:, None] + tau) - b_form[:, None] ** 2
-    return th2_A, th2_B, a_form, b_form
+    out = []
+    for t in (medium.upper, medium.lower):
+        form = np.einsum("...i,i->...", xi, t.normal_row.astype(complex))
+        quad = np.einsum("...i,ij,...j->...", xi, t.minor, xi)
+        out.append(t.a_nn * (quad[:, None] + tau) - form[:, None] ** 2)
+    return tuple(out)
 
 
 class _lazy:
@@ -142,9 +131,9 @@ class _lazy:
 class Exponent(NamedTuple):
     """The exponent ``name`` of region terms, i*phase_sign*phase + root_sign*root.
 
-    ``phase`` (Q, 1) is a.xi'/a_nn of one layer: it holds no tau and is odd
-    in real xi'.  ``root`` (Q, M) is that layer's Theta/a_nn, even in xi'.
-    Both signs are +-1.0.
+    ``phase`` (Q, 1) is c.xi', c = a_t/a_nn of one layer (phase_vector): it
+    holds no tau and is linear, so odd, in xi'.  ``root`` (Q, M) is that
+    layer's Theta/a_nn, even in xi'.  Both signs are +-1.0.
     """
 
     name: str
@@ -178,7 +167,8 @@ class SymbolTable:
     direct terms 1/(2 Theta), the reflected terms and the transmitted term
     1/(Theta_A + Theta_B).  The table keeps each exponent as its two parts
     (see ``exponent``): the tau-free phases phase_a = a/a_nn and
-    phase_b = b/b_nn, one value per xi' node, and the root parts
+    phase_b = b/b_nn, one value per xi' node, formed as c.xi' from each
+    layer's phase_vector c, and the root parts
     root_a = Theta_A/a_nn and root_b = Theta_B/b_nn.  At real xi' the roots,
     root parts and coefficients are even in xi' and the phases odd, so a
     table on one half of a point-symmetric xi' grid holds all the grid needs.
@@ -195,15 +185,14 @@ class SymbolTable:
 
     @_lazy
     def _roots(self):
-        th2_A, th2_B, a, b = theta_squared(self.medium, self.xi, self.tau)
-        return np.sqrt(th2_A), np.sqrt(th2_B), a[:, None], b[:, None]
+        return tuple(map(np.sqrt, theta_squared(self.medium, self.xi, self.tau)))
 
     theta_a = _lazy(lambda t: t._roots[0])
     theta_b = _lazy(lambda t: t._roots[1])
     theta_sum = _lazy(lambda t: t.theta_a + t.theta_b)
 
-    phase_a = _lazy(lambda t: t._roots[2] / t.ann)
-    phase_b = _lazy(lambda t: t._roots[3] / t.bnn)
+    phase_a = _lazy(lambda t: (t.xi @ phase_vector(t.medium.upper))[:, None])
+    phase_b = _lazy(lambda t: (t.xi @ phase_vector(t.medium.lower))[:, None])
     root_a = _lazy(lambda t: t.theta_a / t.ann)
     root_b = _lazy(lambda t: t.theta_b / t.bnn)
 
@@ -219,10 +208,19 @@ class SymbolTable:
         """The exponent ``name``: ``a_pm`` = i phase_a - root_a."""
         if name not in self._exponents:
             layer, signs = name.split("_")
-            sign = {"p": 1.0, "m": -1.0}
-            self._exponents[name] = Exponent(name, sign[signs[0]], getattr(self, "phase_" + layer),
-                                             sign[signs[1]], getattr(self, "root_" + layer))
+            self._exponents[name] = Exponent(
+                name, _SIGN[signs[0]], getattr(self, "phase_" + layer),
+                _SIGN[signs[1]], getattr(self, "root_" + layer))
         return self._exponents[name]
+
+
+_SIGN = {"p": 1.0, "m": -1.0}
+
+
+def phase_vector(tensor) -> np.ndarray:
+    """a_t / a_nn of a layer's tensor: the phases of its exponents are
+    +-(a_t / a_nn).xi', and 0 where a_t = 0."""
+    return tensor.normal_row / tensor.a_nn
 
 
 # Each region's terms as "coefficient p q": V = sum coef e^{p x_n + q y_n}.
@@ -236,6 +234,14 @@ _REGION_TERMS = {
     Region.R21: ("reflect_b b_mp b_pp", "direct_b b_mm b_pp"),
     Region.R22: ("direct_b b_mp b_pm", "reflect_b b_mp b_pp"),
 }
+
+
+def region_phases(medium: TwoLayerMedium) -> np.ndarray:
+    """(6, 2, n-1): for each region, in REGIONS order, c_p and c_q such that
+    phase_sign * phase = c.xi' for the exponents p and q of all its terms."""
+    layers = {"a": medium.upper, "b": medium.lower}
+    return np.array([[_SIGN[name[2]] * phase_vector(layers[name[0]])
+                      for name in _REGION_TERMS[region][0].split()[1:]] for region in REGIONS])
 
 
 def region_terms(region: Region, medium: TwoLayerMedium, xi: np.ndarray, tau: np.ndarray,

@@ -71,7 +71,7 @@ def root_avoidance_check(medium: TwoLayerMedium, sp: SpectralPoint) -> bool:
     certified condition under which the principal square root has a
     strictly positive real part.
     """
-    th2_A, th2_B, _, _ = theta_squared(medium, sp.xi_prime[None, :], np.array([sp.tau]))
+    th2_A, th2_B = theta_squared(medium, sp.xi_prime[None, :], np.array([sp.tau]))
     return not np.any(on_branch_cut(th2_A) | on_branch_cut(th2_B))
 
 

@@ -495,6 +495,25 @@ class TestGreen:
         assert "depth must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
 
+    def test_huge_depth_exit_4(self, tmp_path, capsys):
+        # An integral depth whose lattice would not fit in memory.
+        cfg = {
+            "medium": {"upper": [[1.0]]},
+            "green": {
+                "kind": "cube",
+                "cube": {"half_width": 1.0, "center": [0.0]},
+                "depth": 1000000000,
+                "t": 0.2,
+                "s": 0.0,
+                "y": [0.3],
+                "x": [[0.5]],
+            },
+            "output": str(tmp_path / "g.csv"),
+        }
+        assert main(["green", write_cfg(tmp_path, cfg)]) == 4
+        assert "images per target" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
 
 class TestVerify:
     def base_cfg(self, tmp_path, name, **verify_extra):

@@ -271,6 +271,19 @@ class TestCubeGreen:
         with pytest.raises(UnsupportedGeometry, match="depth"):
             CubeGreen(med, Cube(half_width=1.0, center=np.array([0.0])), depth=depth)
 
+    def test_huge_depth_rejected(self, monkeypatch):
+        # Refused before any lattice is built: 4e9 entries per axis, or a
+        # depth that float() cannot hold.
+        monkeypatch.setattr(images, "_image_lattice", None)
+        med = homogeneous_medium(validate_tensor([[1.0]]))
+        for depth in (10 ** 9, 10 ** 400):
+            with pytest.raises(UnsupportedGeometry, match="images per target"):
+                CubeGreen(med, Cube(half_width=1.0, center=np.array([0.0])), depth=depth)
+        cube = Cube(half_width=1.0, center=np.zeros(3))
+        med = homogeneous_medium(validate_tensor(np.eye(3)))
+        with pytest.raises(UnsupportedGeometry, match="images per target"):
+            CubeGreen(med, cube, depth=12)  # 50^3 images
+
     def test_integral_depth_accepted(self):
         med = homogeneous_medium(validate_tensor([[1.0]]))
         cg = CubeGreen(med, Cube(half_width=1.0, center=np.array([0.0])), depth=3.0)

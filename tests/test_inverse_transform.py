@@ -32,7 +32,14 @@ from layerheat.reference import (
     layered_gradient_1d,
     layered_kernel_1d,
 )
-from layerheat.symbols import SymbolTable, classify_region, region_terms, theta_squared
+from layerheat.symbols import (
+    REGIONS,
+    SymbolTable,
+    classify_region,
+    region_phases,
+    region_terms,
+    theta_squared,
+)
 from test_certificate import BENCH_MEDIA
 
 
@@ -162,7 +169,7 @@ class TestConfig:
                 # The half rule stands for the mirrored nodes conj(tau) too,
                 # and the half grid for the whole grid.
                 tau = np.concatenate([tau, tau.conj()])
-                for th2 in theta_squared(med, grids[0].xi.astype(complex), tau)[:2]:
+                for th2 in theta_squared(med, grids[0].xi.astype(complex), tau):
                     assert th2.shape == (grids[0].xi.shape[0], 2 * m + 2)
                     assert np.all(np.abs(np.angle(th2)) <= 0.5 * np.pi + ev._row[0])
 
@@ -575,9 +582,9 @@ class TestTailBound:
             bounds.append(tail_bound(*args))
             return bounds[-1]
 
-        def recorded_sums(self, groups, grid, tau, wte, *args):
+        def recorded_sums(self, groups, half, tau, wte, *args):
             passes.append((groups, tau, wte))
-            return tau_sums(self, groups, grid, tau, wte, *args)
+            return tau_sums(self, groups, half, tau, wte, *args)
 
         monkeypatch.setattr(inverse_transform, "_tail_bound", recorded_bound)
         monkeypatch.setattr(KernelEvaluator, "_tau_sums", recorded_sums)
@@ -604,8 +611,10 @@ class TestTailBound:
         wider = []
         for k in (1, 2):
             grid = inverse_transform._xi_grid(2 ** k * radius, ev._xi_spacing(osc, dt))
-            sums = tau_sums(ev, groups, grid, tau, wte, True)
-            wider.append(np.column_stack(ev._phase_sums(groups, dxp, grid, sums, True)[:3]))
+            half = ev._half_grid(grid)
+            sums = tau_sums(ev, groups, half, tau, wte, True)
+            values = ev._phase_sums(groups, dxp, grid, half, sums, True)[:3]
+            wider.append(np.column_stack(values))
         base = np.column_stack([res["gamma"], res["grad"], res["sgrad"]])
         once, twice = wider
         tail = np.max(np.abs(once - base) - np.abs(twice - once), axis=1)
@@ -625,7 +634,7 @@ class TestTailBound:
         def bound(h, r=radius):
             # One pair; its value and normal sums are Re h, with no phase.
             re = np.stack([h.real, h.real])[:, None, :]
-            sums = [HalfSums(re, None, np.zeros((2, half)), None)]
+            sums = [HalfSums(re, None, np.zeros((2, 1)), None)]
             return np.maximum(*inverse_transform._tail_bound(
                 groups, 1, grid.xi[:half], inverse_transform._fold(grid.wq), sums, r, a))[0]
 
@@ -644,6 +653,15 @@ class TestTailBound:
         full = TAIL_SAFETY * ratio * max(f_full @ (np.abs(xi) * w_val), f_full @ w_val)
         assert bound(s[:half]) == bound(f[:half]) == pytest.approx(full, rel=1e-14)
         assert bound(f[:half], r=60.0) == 0.0
+        # With Re h_n = 0 and the phase phi_p = 3 xi, the normal gradient's
+        # integrand |Re h_n + i phi_p Re h| is three times the tangential one.
+        grads = []
+        for c_p in (0.0, 3.0):
+            re = np.stack([f[:half], np.zeros(half)])[:, None, :]
+            sums = [HalfSums(re, None, np.array([[c_p], [0.0]]), None)]
+            grads.append(inverse_transform._tail_bound(
+                groups, 1, grid.xi[:half], inverse_transform._fold(grid.wq), sums, radius, a)[1])
+        assert grads[1] == pytest.approx(3.0 * grads[0], rel=1e-14)
 
     def test_default_tolerance_one_fine_pass(self, monkeypatch):
         # A batch shaped like the benchmark's 2-D layered ones: the grid
@@ -985,7 +1003,7 @@ class TestSymmetryFold:
     @pytest.mark.parametrize("equal", [True, False], ids=["equal_reach", "unequal_reach"])
     def test_orbit_symbols_identical(self, upper, lower, equal):
         # Every half node's symbol arrays are those of its column's node,
-        # byte for byte, and so are its phases up to the sign ``flip``.
+        # byte for byte.
         med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
         ev = KernelEvaluator(med)
         dt = 0.3
@@ -1000,9 +1018,6 @@ class TestSymmetryFold:
         for name in ("theta_a", "theta_b", "root_a", "root_b", "direct_a", "direct_b",
                      "reflect_a", "reflect_b", "transmit"):
             assert getattr(cols, name)[half.of].tobytes() == getattr(nodes, name).tobytes()
-        sign = np.where(half.flip, -1.0, 1.0) if half.flip is not None else 1.0
-        for name in ("phase_a", "phase_b"):
-            assert np.array_equal(sign * getattr(cols, name)[half.of, 0], getattr(nodes, name)[:, 0])
         # The step-2h nodes' columns are step-2h nodes, and the weights of
         # each orbit add up.
         sub_half = grid.sub[:(grid.sub.size + 1) // 2]
@@ -1045,7 +1060,7 @@ class TestSymmetryFold:
         blocks = record_region_terms(monkeypatch)
         ev.eval_many(np.array(x), 0.3, np.array(y), 0.0)
         half = ev._half_grid(grids[0])
-        assert half.of is None and half.sub_of is None and half.flip is None
+        assert half.of is None and half.sub_of is None
         for nodes in blocks.values():
             assert sum(b.shape[0] for b in nodes) == (grids[0].wq.size + 1) // 2
 
@@ -1081,7 +1096,7 @@ class TestSymmetryFold:
 
         def recorded_sums(self, *args):
             runs[-1]["sums"] = tau_sums(self, *args)
-            runs[-1]["half"] = args[-1]
+            runs[-1]["half"] = args[1]
             return runs[-1]["sums"]
 
         def recorded_bound(*args):
@@ -1109,12 +1124,10 @@ class TestSymmetryFold:
     @pytest.mark.parametrize("upper,lower", FOLDED)
     def test_values_independent_of_blocks(self, monkeypatch, upper, lower):
         # With a budget of one element each block is one row of columns and
-        # each phase chunk one point: Gamma and its gradients are unchanged
-        # to the byte.  est moves by rounding: the floor's node sums are
-        # regrouped, and the step-2h sums of a point run in another order
-        # when it is alone in its chunk, which the change between the two
-        # rules, a difference of near-equal sums, shows at the level of the
-        # values' own rounding.
+        # each phase chunk one point: Gamma, its gradients and est are
+        # unchanged to the byte.  The step-2h sums of a point run in the
+        # same order whether it is alone in its chunk or not, and the
+        # floor's node sums, regrouped by the blocks, do not set est here.
         med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
         ev = KernelEvaluator(med)
         x, y = scatter_batch((SCATTER_REACH, SCATTER_REACH))
@@ -1124,10 +1137,45 @@ class TestSymmetryFold:
         res = ev.eval_many(x, 0.3, y, 0.0, source_gradient=True)
         for nodes in blocks.values():
             assert len(nodes) > 1 and all(len(np.unique(b[:, 0])) == 1 for b in nodes)
-        for key in ("gamma", "grad", "sgrad"):
+        for key in ("gamma", "grad", "sgrad", "est"):
             assert res[key].tobytes() == ref[key].tobytes()
-        scale = np.maximum(np.abs(ref["gamma"]), np.max(np.abs(ref["grad"]), axis=1))
-        assert np.all(np.abs(res["est"] - ref["est"]) <= 1e-15 * scale)
+
+
+class TestPhaseVectors:
+    """Each region group's phases are the linear forms c_p.xi' and c_q.xi'."""
+
+    @pytest.mark.parametrize("upper,lower", [
+        pytest.param(*p.values[:2], id=p.id) for p in SHEARED
+    ] + [p for p in FOLDED if p.id.startswith("a_t")])
+    def test_match_symbol_table(self, upper, lower):
+        # c.xi' is the table's phase_sign * phase of every term's exponents
+        # p and q, in every region, to a few ulp of |c|.|xi'|.
+        med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
+        xi = np.random.default_rng(2).uniform(-30.0, 30.0, (40, med.dim - 1))
+        tau = np.array([1.0 + 2.0j, 5.0 - 1.0j])
+        table = SymbolTable(med, xi.astype(complex), tau)
+        coupled = False
+        for region, c in zip(REGIONS, region_phases(med)):
+            assert c.shape == (2, med.dim - 1)
+            coupled |= bool(np.any(c))
+            for term in region_terms(region, med, table.xi, tau, table=table):
+                for e, c_e in zip((term.p, term.q), c):
+                    phase = e.phase_sign * e.phase[:, 0]
+                    assert not np.any(phase.imag)
+                    ulp = 4.0 * np.finfo(float).eps * (np.abs(xi) @ np.abs(c_e))
+                    assert np.all(np.abs(xi @ c_e - phase.real) <= ulp)
+        assert coupled
+
+    @pytest.mark.parametrize("upper,lower", [
+        pytest.param([[1.0]], [[4.0]], id="1d"),
+        pytest.param(np.eye(2), np.diag([2.0, 3.0]), id="2d-diagonal"),
+    ] + [p for p in FOLDED if not p.id.startswith("a_t")])
+    def test_zero_without_coupling(self, upper, lower):
+        # a_t = 0 in both layers: every phase is exactly 0, so psi is
+        # (x' - y').xi' to the bit.
+        med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
+        c = region_phases(med)
+        assert c.shape == (6, 2, med.dim - 1) and not np.any(c)
 
 
 class TestZeroTerms:

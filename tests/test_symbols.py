@@ -47,7 +47,7 @@ def mirrored_medium(medium):
 
 def thetas(medium, sp):
     """Theta_A, Theta_B at one spectral point, as region_terms takes them."""
-    th2_A, th2_B, _, _ = theta_squared(medium, sp.xi_prime[None, :], np.array([sp.tau]))
+    th2_A, th2_B = theta_squared(medium, sp.xi_prime[None, :], np.array([sp.tau]))
     return complex(np.sqrt(th2_A[0, 0])), complex(np.sqrt(th2_B[0, 0]))
 
 
