@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lambertw
 
-from .inverse_transform import QuadratureNotConverged, gauss_tensor_grid
+from .inverse_transform import QuadratureNotConverged, gauss_tensor_grid, time_lag
 from .medium import UnsupportedDimension
 
 
@@ -212,12 +212,12 @@ def q_rho_integral(
     + (t0-tau)); the time range is clipped to t > tau when the cylinder
     reaches below the source time.  Time uses the substitution
     t = tau + sigma^2; space uses Gauss-Legendre (polar in 2-D).
-    UnsupportedDimension unless n is 1 or 2.
+    UnsupportedDimension unless n is 1 or 2; MediumError unless t0 and
+    tau are finite numbers with tau < t0.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if not tau < t0:
-        raise ValueError("require tau < t0")
+    time_lag(t0, tau)
     n = x0.shape[0]
     if n not in (1, 2):
         raise UnsupportedDimension(f"q_rho_integral supports n in {{1, 2}}, not {n}")

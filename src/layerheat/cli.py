@@ -59,10 +59,14 @@ class ConfigError(ValueError):
 FMT = "%.17g"
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
+def _require(cfg: dict, key: str, default=None):
+    """cfg[key], or ``default`` when it is missing.  ConfigError unless cfg
+    is a JSON object, or if the field is missing and has no default."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config field {key!r} must be in a JSON object")
+    if key not in cfg and default is None:
         raise ConfigError(f"missing config field {key!r}")
-    return cfg[key]
+    return cfg.get(key, default)
 
 
 def _integer(v) -> int:
@@ -115,7 +119,7 @@ def _field(cfg: dict, key: str, kind: str = "a number", default=None):
     ConfigError if the field is missing and has no default, or if its
     value cannot be converted.
     """
-    raw = _require(cfg, key) if default is None else cfg.get(key, default)
+    raw = _require(cfg, key, default)
     try:
         return _CASTS[kind](raw)
     except (TypeError, ValueError) as exc:
@@ -134,9 +138,12 @@ def _source(params: dict, n: int, y_n: float) -> np.ndarray:
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return cfg
 
 
 def parse_medium(cfg: dict) -> TwoLayerMedium:
@@ -460,7 +467,7 @@ VERIFY_CHECKS = {
 
 def _verify_payload(cfg: dict, name: str):
     """Run one verification harness; returns (passed, report dict)."""
-    check = VERIFY_CHECKS.get(name)
+    check = VERIFY_CHECKS.get(name) if isinstance(name, str) else None
     if check is None:
         raise ConfigError(f"unknown verify name {name!r}")
     return check(parse_medium(cfg), parse_quadrature(cfg),

@@ -77,28 +77,30 @@ both tangential axes every node is its own representative, and no map is
 formed.
 
 Shared symbols.  All six region symbols are built from one table of
-Theta_A, Theta_B, their sum, the two phases, the two root parts and five
-coefficients (symbols.SymbolTable), so a block of the grid (Streaming)
-evaluates each array once for all its region groups; a term that two
-groups share (R11/R12, R21/R22) is the same arrays, and its weights are
-built once per block too.
+Theta_A, Theta_B, their sum, the two root parts and five coefficients
+(symbols.SymbolTable), so a block of the grid (Streaming) evaluates each
+array once for all its region groups.  A term that two groups share
+(R11/R12, R21/R22) is the same arrays, and the tau contraction runs once
+per block for each distinct term, over the normal pairs of every group
+that has it.
 
 Streaming.  The tau contraction runs over the representatives of the
 canonical half (Symmetry) in blocks of whole rows of them (those of one
 xi_0; one node in 2-D), as many rows as fit BLOCK_ELEMENTS (node, contour
 node) entries, and at least one; the last row ends at the centre node.
-A block holds its SymbolTable, its region terms, their |root| tables and
-term weights, and one chunk of exponentials (normal pairs x nodes x
-contour nodes, within the same budget).  It adds its columns of the half
-sums and of the step-2h sums, and folds its roundoff magnitudes straight
-into the per-pair node sums of the floor (_tau_sums).  What outlives a
-block is a few arrays of (normal pairs x representatives): memory is
-O(BLOCK_ELEMENTS x terms + pairs x representatives), where the
+A block holds its SymbolTable, its region terms, their |root| tables, the
+weights of one term at a time, and one chunk of exponentials (normal
+pairs x nodes x contour nodes, within the same budget).  It adds its
+columns of the half sums and of the step-2h sums, and folds its roundoff
+magnitudes straight into the per-pair node sums of the floor (_tau_sums).
+What outlives a block is a few arrays of (normal pairs x representatives):
+memory is O(BLOCK_ELEMENTS x terms + pairs x representatives), where the
 whole-grid tables were O(H x M x terms).  The phase layer reads those
 sums at every half node one chunk of points at a time (_phase_sums).
-Each node's sums over the contour and the terms run in the same order in
-any block, so Gamma and its gradients do not depend on the partition, and
-est only by the rounding of the floor's node sums.
+Each node's sums over the contour run in the same order in any block, and
+its at most two terms add to zero in either order to the same bits, so
+Gamma and its gradients do not depend on the partition, and est only by
+the rounding of the floor's node sums.
 
 Tail bound.  After the tau integral the integrand decays like
 e^{-a |xi'|^2}, a = lambda_min(S) (t - s) over the tangential Schur
@@ -115,13 +117,12 @@ scale (4 pi dt)^{-n/2} det^{-1/2}, and 0.1 tol max|grad Gamma| plus 0.1
 tol times the kernel scale over the length sqrt(min_delta dt).  A grid
 that fails either test raises QuadratureNotConverged; there is no second
 grid.  The larger bound is the truncation part of est.  In 1-D the one
-node xi' = 0 leaves no tail.
+node xi' = 0 lies on no axis, and both bounds are 0.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Sequence
 from itertools import accumulate
 from dataclasses import dataclass
@@ -490,8 +491,10 @@ class KernelEvaluator:
         |xi'|_inf times them for the tangential gradient.
 
         The columns are streamed in blocks of whole rows (module docstring,
-        Streaming); each node's sums over the contour and the terms run in
-        the same order whatever block it is in.  One HalfSums per group.
+        Streaming).  In each block every distinct term is contracted once,
+        over the pairs of all the groups that have it (R11/R12 and R21/R22
+        share one).  A pair's sums add at most two terms to zero, so neither
+        their order nor the block changes a bit.  One HalfSums per group.
         """
         if not groups:
             return []
@@ -514,48 +517,39 @@ class KernelEvaluator:
             sub = _as_slice(half.sub[sub_lo:sub_hi] - lo)
             xi_c = half.xi[blk].astype(complex)
             table = SymbolTable(self.medium, xi_c, tau)
-            group_terms = [region_terms(region, self.medium, xi_c, tau, table=table)
-                           for region, _, _, _ in groups]
-            # A term whose coefficient is zero on the block adds nothing:
-            # the reflected terms where Theta_A == Theta_B (one layer).  A
-            # nonzero first entry spares the scan of the others.
-            group_terms = [[term for term in terms if term.coef[0, 0] or term.coef.any()]
-                           for terms in group_terms]
-            # A term's weights are built once per block.  R11/R12 and
-            # R21/R22 share a term, so its weights are kept until the last
-            # group that uses it.  The exponents of a layer (named a_.. or
-            # b_..) share |r|.
-            uses = Counter(term.name for terms in group_terms for term in terms)
-            weights, abs_root = {}, {}
+            # Each distinct term and the pairs of every group that has it.
+            # R11/R12 and R21/R22 share a term, and their spans touch.
+            terms = {}
+            for (region, _, _, _), (p_lo, p_hi) in zip(groups, spans):
+                for term in region_terms(region, self.medium, xi_c, tau, table=table):
+                    first = terms[term.name][1] if term.name in terms else p_lo
+                    terms[term.name] = term, first, p_hi
+            abs_root = {}  # |r| by root array: the exponents of a layer share it
             s_abs = np.zeros((5 + source_gradient, pairs.shape[0], xi_c.shape[0]))
             chunk = max(1, BLOCK_ELEMENTS // (xi_c.shape[0] * m_cnt))
-            for (p_lo, p_hi), terms in zip(spans, group_terms):
-                # Each node adds its terms in order, whatever chunk it is in.
-                for term in terms:
-                    if term.name not in weights:
-                        for e in (term.p, term.q):
-                            if e.name[0] not in abs_root:
-                                abs_root[e.name[0]] = np.abs(e.root)
-                        weights[term.name] = _term_weights(
-                            term, wte, source_gradient, sub,
-                            abs_root[term.p.name[0]], abs_root[term.q.name[0]])
-                    w_sum, w_abs, w_half = weights[term.name]
-                    uses[term.name] -= 1
-                    if not uses[term.name]:
-                        del weights[term.name]
-                    r_p, r_q = term.p.root[None], term.q.root[None]
-                    x_n = term.p.root_sign * pairs[p_lo:p_hi, 0, None, None]
-                    y_n = term.q.root_sign * pairs[p_lo:p_hi, 1, None, None]
-                    for c_lo in range(0, p_hi - p_lo, chunk):
-                        c_sl = slice(c_lo, c_lo + chunk)
-                        sl = slice(p_lo + c_lo, min(p_lo + c_lo + chunk, p_hi))
-                        ex = np.exp(r_p * x_n[c_sl] + r_q * y_n[c_sl])
-                        for re_row, w_row in zip(re[:, sl, blk], w_sum):
-                            re_row += np.einsum("qm,kqm->kq", w_row, ex).real
-                        s_abs[:, sl] += np.einsum("jqm,kqm->jkq", w_abs, np.abs(ex))
-                        re_sub[:, sl, sub_lo:sub_hi] += np.einsum(
-                            "jqm,kqm->jkq", w_half, ex[:, sub, ::2]).real
-                        del ex  # free before the next exponent is formed
+            for term, p_lo, p_hi in terms.values():
+                # Zero on the block (see above): a nonzero first entry spares the scan.
+                if not (term.coef[0, 0] or term.coef.any()):
+                    continue
+                for e in (term.p, term.q):
+                    if id(e.root) not in abs_root:
+                        abs_root[id(e.root)] = np.abs(e.root)
+                w_sum, w_abs, w_half = _term_weights(
+                    term, wte, source_gradient, sub,
+                    abs_root[id(term.p.root)], abs_root[id(term.q.root)])
+                r_p, r_q = term.p.root[None], term.q.root[None]
+                x_n = term.p.sign * pairs[p_lo:p_hi, 0, None, None]
+                y_n = term.q.sign * pairs[p_lo:p_hi, 1, None, None]
+                for c_lo in range(0, p_hi - p_lo, chunk):
+                    c_sl = slice(c_lo, c_lo + chunk)
+                    sl = slice(p_lo + c_lo, min(p_lo + c_lo + chunk, p_hi))
+                    ex = np.exp(r_p * x_n[c_sl] + r_q * y_n[c_sl])
+                    for re_row, w_row in zip(re[:, sl, blk], w_sum):
+                        re_row += np.einsum("qm,kqm->kq", w_row, ex).real
+                    s_abs[:, sl] += np.einsum("jqm,kqm->jkq", w_abs, np.abs(ex))
+                    re_sub[:, sl, sub_lo:sub_hi] += np.einsum(
+                        "jqm,kqm->jkq", w_half, ex[:, sub, ::2]).real
+                    del ex  # free before the next exponent is formed
             # The floor rows of every pair (see above) from S_g, the rows of
             # s_abs for g = 1, |r_p|, |r_q|, |r_p|^2, |r_p r_q|, |r_q|^2.
             abs_phi = np.repeat(np.abs(phases @ half.xi[blk].T), counts, axis=0).swapaxes(0, 1)
@@ -581,15 +575,15 @@ class KernelEvaluator:
         column (``half``, the one _tau_sums ran on), one chunk of points at
         a time.  The floor is eps times the largest of the node sums of the
         floor rows (_tau_sums).  The step-2h rule weighs the even-index
-        nodes by 2^d times their weight.  In 1-D the one node xi' = 0 has
-        weight 1 and psi = 0: every sum is Re h.
+        nodes by 2^d times their weight.  In 1-D the grid is the one node
+        xi' = 0, of weight 1, where psi = 0 and every sum is Re h.
         """
         n = self.medium.dim
         d = n - 1
         k_tot = dxp.shape[0]
         h_cnt = (grid.wq.size + 1) // 2
         xi = grid.xi[:h_cnt]
-        w = half.w if half.of is None else _fold(grid.wq)  # the weight of each half node
+        w = _fold(grid.wq)  # the weight of each half node
         sub = _as_slice(grid.sub[:(grid.sub.size + 1) // 2])
         w_sub = 2.0 ** d * _fold(grid.wq[grid.sub])
         eps = np.finfo(float).eps
@@ -601,13 +595,6 @@ class KernelEvaluator:
         pt_chunk = max(1, BLOCK_ELEMENTS // h_cnt)
         for (_, idx, pairs, inv), s in zip(groups, sums):
             floor[idx] = eps * np.max(s.floor, axis=0)[inv]
-            if not d:
-                re, re_sub = s.re[..., 0][:, inv], s.re_sub[..., 0][:, inv]
-                gamma[idx], grad[idx, 0] = re[0], re[1]
-                if source_gradient:
-                    sgrad[idx, 0] = re[2]
-                change[idx] = np.max(np.abs(re[:2] - re_sub), axis=0)
-                continue
             for lo in range(0, idx.size, pt_chunk):
                 sel = idx[lo:lo + pt_chunk]
                 rows = inv[lo:lo + pt_chunk]
@@ -678,8 +665,8 @@ class KernelEvaluator:
         sums = self._tau_sums(groups, half, tau, wte, source_gradient)
         gam, grd, sgr, floor, change = self._phase_sums(groups, dxp, grid, half, sums,
                                                         source_gradient)
-        t_val, t_grad = (_tail_bound(groups, k_tot, half.xi, half.w, sums, radius,
-                                     self._schur_min * dt) if d else (np.zeros(k_tot),) * 2)
+        t_val, t_grad = _tail_bound(groups, k_tot, half.xi, half.w, sums, radius,
+                                    self._schur_min * dt)
         # Each bound against its own quantity: relative to it, plus an
         # absolute floor on the kernel scale (far-tail points are dominated
         # by oscillatory-rule roundoff, not truncation), which for the
@@ -723,12 +710,13 @@ def _tail_bound(groups, k_tot: int, xi: np.ndarray, w: np.ndarray, sums,
     the third (a power m multiplies the ratio by about 2^m).  Returns the
     bound for Gamma and the largest of the bounds for the gradient sums:
     the tangential ones from |xi'|_inf f, the others from their own f.
+    In 1-D the one node xi' = 0 lies on no axis, and both bounds are 0.
     """
     x = math.sqrt(decay_rate) * radius
     tail = math.erfc(x)  # underflows to 0 on a wide grid
     ratio = tail / (math.erfc(0.5 * x) - tail) if tail > 0.0 else 0.0
     w_val = np.sum(np.abs(xi) >= 0.5 * radius, axis=1) * w
-    w_tan = np.max(np.abs(xi), axis=1) * w_val
+    w_tan = np.max(np.abs(xi), axis=1, initial=0.0) * w_val
     bound_val, bound_grad = np.zeros(k_tot), np.zeros(k_tot)
     for (_, idx, _, inv), s in zip(groups, sums):
         f_val = np.abs(s.re[0])
@@ -808,7 +796,7 @@ def _term_weights(term, wte, source_gradient: bool, sub_half, abs_p, abs_q):
     w_t = np.multiply(term.coef, wte[None, :], out=w_sum[0])
     for w_r, e in zip(w_sum[1:], (term.p, term.q)):
         np.multiply(w_t, e.root, out=w_r)
-        if e.root_sign < 0.0:
+        if e.sign < 0.0:
             np.negative(w_r, out=w_r)
     w_half = 2.0 * w_sum[:2, sub_half, ::2]
     w_abs = np.empty((5 + source_gradient,) + w_t.shape)

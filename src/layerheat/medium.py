@@ -102,10 +102,13 @@ class DiffusionTensor:
 def validate_tensor(entries) -> DiffusionTensor:
     """Validate a square matrix as a diffusion tensor.
 
-    Requires finite entries, exact symmetry (no silent symmetrization),
-    strictly positive eigenvalues, and dimension in {1, 2, 3}.
+    Requires a square matrix of finite numbers, exact symmetry (no silent
+    symmetrization), strictly positive eigenvalues, and dimension in {1, 2, 3}.
     """
-    arr = np.array(entries, dtype=float)
+    try:
+        arr = np.array(entries, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MediumError("tensor entries must be a square matrix of numbers") from exc
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise UnsupportedDimension(f"expected a square matrix, got shape {arr.shape}")
     n = arr.shape[0]
@@ -172,6 +175,8 @@ class Cube:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         if not self.half_width > 0.0:
             raise MediumError("half_width must be positive")
+        if self.center.ndim != 1:
+            raise MediumError("center must be a point")
         self.center.setflags(write=False)
 
     @property

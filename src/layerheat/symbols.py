@@ -7,7 +7,8 @@ module implements the exact solution of that ODE system:
 
 * the ``Theta`` square roots that control exponential decay in x_n,
 * the six region symbols V (one per ordering of x_n, y_n and 0), read
-  from one table of the roots, exponents and coefficients they share,
+  from one table of the roots, root parts and coefficients they share and
+  from one pair of phase vectors per region (region_phases),
 * the residuals of the defining conditions (source jump, interface
   transmission) evaluated on those symbols.
 
@@ -129,22 +130,16 @@ class _lazy:
 
 
 class Exponent(NamedTuple):
-    """The exponent ``name`` of region terms, i*phase_sign*phase + root_sign*root.
+    """The root part sign*root of the exponent ``name`` of region terms.
 
-    ``phase`` (Q, 1) is c.xi', c = a_t/a_nn of one layer (phase_vector): it
-    holds no tau and is linear, so odd, in xi'.  ``root`` (Q, M) is that
-    layer's Theta/a_nn, even in xi'.  Both signs are +-1.0.
+    ``root`` (Q, M) is one layer's Theta/a_nn, even in xi'; ``sign`` is
+    +-1.0.  The exponent's odd phase, tau-free and linear in xi', is the
+    region's c.xi' (region_phases).
     """
 
     name: str
-    phase_sign: float
-    phase: np.ndarray
-    root_sign: float
+    sign: float
     root: np.ndarray
-
-    def value(self) -> np.ndarray:
-        """The exponent itself, (Q, M)."""
-        return 1j * self.phase_sign * self.phase + self.root_sign * self.root
 
 
 class Term(NamedTuple):
@@ -165,23 +160,20 @@ class SymbolTable:
     (+-i a +- Theta_A)/a_nn and (+-i b +- Theta_B)/b_nn (named by their two
     signs, ``a_pm`` = (i a - Theta_A)/a_nn) and five coefficients: the
     direct terms 1/(2 Theta), the reflected terms and the transmitted term
-    1/(Theta_A + Theta_B).  The table keeps each exponent as its two parts
-    (see ``exponent``): the tau-free phases phase_a = a/a_nn and
-    phase_b = b/b_nn, one value per xi' node, formed as c.xi' from each
-    layer's phase_vector c, and the root parts
-    root_a = Theta_A/a_nn and root_b = Theta_B/b_nn.  At real xi' the roots,
-    root parts and coefficients are even in xi' and the phases odd, so a
-    table on one half of a point-symmetric xi' grid holds all the grid needs.
+    1/(Theta_A + Theta_B).  The table holds each exponent's root part,
+    root_a = Theta_A/a_nn or root_b = Theta_B/b_nn (see ``exponent``); its
+    phase is a fixed linear form per region (region_phases).  At real xi'
+    the roots, root parts and coefficients are even in xi', so a table on
+    one half of a point-symmetric xi' grid holds all the grid needs.
 
     Each array is computed on first use and then kept, so the region groups
     of one quadrature pass share them.  ``xi`` is (Q, n-1) complex and
-    ``tau`` (M,); the phases have shape (Q, 1), every other array (Q, M).
+    ``tau`` (M,); every array has shape (Q, M).
     """
 
     def __init__(self, medium: TwoLayerMedium, xi: np.ndarray, tau: np.ndarray):
         self.medium, self.xi, self.tau = medium, xi, tau
         self.ann, self.bnn = medium.upper.a_nn, medium.lower.a_nn
-        self._exponents = {}
 
     @_lazy
     def _roots(self):
@@ -191,8 +183,6 @@ class SymbolTable:
     theta_b = _lazy(lambda t: t._roots[1])
     theta_sum = _lazy(lambda t: t.theta_a + t.theta_b)
 
-    phase_a = _lazy(lambda t: (t.xi @ phase_vector(t.medium.upper))[:, None])
-    phase_b = _lazy(lambda t: (t.xi @ phase_vector(t.medium.lower))[:, None])
     root_a = _lazy(lambda t: t.theta_a / t.ann)
     root_b = _lazy(lambda t: t.theta_b / t.bnn)
 
@@ -205,27 +195,18 @@ class SymbolTable:
     transmit = _lazy(lambda t: 1.0 / t.theta_sum)
 
     def exponent(self, name: str) -> Exponent:
-        """The exponent ``name``: ``a_pm`` = i phase_a - root_a."""
-        if name not in self._exponents:
-            layer, signs = name.split("_")
-            self._exponents[name] = Exponent(
-                name, _SIGN[signs[0]], getattr(self, "phase_" + layer),
-                _SIGN[signs[1]], getattr(self, "root_" + layer))
-        return self._exponents[name]
+        """The root part of the exponent ``name``: ``a_pm`` has -root_a."""
+        return Exponent(name, _SIGN[name[3]], getattr(self, "root_" + name[0]))
 
 
 _SIGN = {"p": 1.0, "m": -1.0}
 
 
-def phase_vector(tensor) -> np.ndarray:
-    """a_t / a_nn of a layer's tensor: the phases of its exponents are
-    +-(a_t / a_nn).xi', and 0 where a_t = 0."""
-    return tensor.normal_row / tensor.a_nn
-
-
 # Each region's terms as "coefficient p q": V = sum coef e^{p x_n + q y_n}.
-# Every term of a region has the phase -phase_X x_n + phase_Y y_n, X and Y
-# the layers of the target and of the source.
+# An exponent "a_pm" is (i a - Theta_A)/a_nn: its layer, then the signs of
+# its phase and of its root.  Every term of a region has the phase
+# -phi_X x_n + phi_Y y_n, phi = a_t.xi'/a_nn of X and Y, the layers of the
+# target and of the source.
 _REGION_TERMS = {
     Region.R11: ("direct_a a_mm a_pp", "reflect_a a_mm a_pm"),
     Region.R12: ("reflect_a a_mm a_pm", "direct_a a_mp a_pm"),
@@ -238,9 +219,12 @@ _REGION_TERMS = {
 
 def region_phases(medium: TwoLayerMedium) -> np.ndarray:
     """(6, 2, n-1): for each region, in REGIONS order, c_p and c_q such that
-    phase_sign * phase = c.xi' for the exponents p and q of all its terms."""
-    layers = {"a": medium.upper, "b": medium.lower}
-    return np.array([[_SIGN[name[2]] * phase_vector(layers[name[0]])
+    the exponents p and q of all its terms have the phases i c_p.xi' and
+    i c_q.xi'.  The root parts are the terms' own (region_terms)."""
+    # a_t / a_nn of each layer, 0 where a_t = 0.
+    c = {"a": medium.upper.normal_row / medium.upper.a_nn,
+         "b": medium.lower.normal_row / medium.lower.a_nn}
+    return np.array([[_SIGN[name[2]] * c[name[0]]
                       for name in _REGION_TERMS[region][0].split()[1:]] for region in REGIONS])
 
 
@@ -248,12 +232,13 @@ def region_terms(region: Region, medium: TwoLayerMedium, xi: np.ndarray, tau: np
                  *, table: SymbolTable | None = None) -> list[Term]:
     """Exponential-term decomposition of the region symbol V.
 
-    Returns a list of terms (name, coef, p, q), coef of shape (Q, M) and the
-    exponents p and q split into phase and root parts (``Exponent``), such
-    that ``V(x_n, y_n) = sum_k coef_k * exp(p_k x_n + q_k y_n)``.  All terms
-    of one region share the phase parts of p and of q.  The source
-    prefactor exp(-tau*s - i y'.xi') is NOT included.  The terms are read
-    from ``table``, which must have been built for (medium, xi, tau).
+    Returns a list of terms (name, coef, p, q), coef of shape (Q, M) and p
+    and q the root parts of the exponents (``Exponent``), such that
+    ``V(x_n, y_n) = sum_k coef_k * exp(p_k x_n + q_k y_n)`` with
+    p_k = i c_p.xi' + p.sign * p.root and q_k likewise, c_p and c_q the
+    region's phase vectors (region_phases), shared by all its terms.  The
+    source prefactor exp(-tau*s - i y'.xi') is NOT included.  The terms are
+    read from ``table``, which must have been built for (medium, xi, tau).
     Without one a fresh table is built; calls for several regions on one
     grid pass the same table so that they share its arrays.
     """
@@ -286,11 +271,10 @@ def v_symbol(
         raise RegionMismatch(
             f"(x_n, y_n) = ({x_n}, {y_n}) is not in the closure of {region.name}"
         )
-    xi = sp.xi_prime[None, :]
-    tau = np.array([sp.tau])
+    phases = region_phases(medium)[REGIONS.index(region)] @ sp.xi_prime
     total = 0.0 + 0.0j
-    for term in region_terms(region, medium, xi, tau):
-        p, q = term.p.value()[0, 0], term.q.value()[0, 0]
+    for term in region_terms(region, medium, sp.xi_prime[None, :], np.array([sp.tau])):
+        p, q = (1j * c + e.sign * e.root[0, 0] for c, e in zip(phases, (term.p, term.q)))
         total += complex(term.coef[0, 0] * p ** derivative * np.exp(p * x_n + q * y_n))
     return total
 

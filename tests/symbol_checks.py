@@ -2,16 +2,31 @@
 
 The finite-difference ODE residual of a region symbol, membership in the
 analyticity domain L_mu, the branch-cut test of Theta^2, the
-root-avoidance test at one spectral point and the decay margin of the
-symbol estimate.  They verify ``layerheat.symbols`` from outside; the
-evaluator does not call them.
+root-avoidance test at one spectral point, the decay margin of the
+symbol estimate and the whole exponents of a region term.  They verify
+``layerheat.symbols`` from outside; the evaluator does not call them.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from layerheat.medium import TwoLayerMedium
-from layerheat.symbols import Region, SpectralPoint, theta_squared, v_symbol
+from layerheat.symbols import (
+    REGIONS,
+    Region,
+    SpectralPoint,
+    region_phases,
+    theta_squared,
+    v_symbol,
+)
+
+
+def term_exponents(medium: TwoLayerMedium, region: Region, xi: np.ndarray, term):
+    """The exponents p and q, (Q, M) each, of a term of ``region`` on the xi'
+    nodes ``xi`` (Q, n-1): the phase i c.xi' of the region (region_phases)
+    plus the term's root part sign * root."""
+    phases = region_phases(medium)[REGIONS.index(region)]
+    return [1j * (xi @ c)[:, None] + e.sign * e.root for c, e in zip(phases, (term.p, term.q))]
 
 
 def ode_residual(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from layerheat.medium import (
     Cube,
+    MediumError,
     TwoLayerMedium,
     UnsupportedDimension,
     homogeneous_medium,
@@ -159,9 +160,12 @@ class TestCylinderBound:
         assert scaled == pytest.approx(lam ** (2 - 1) * base, rel=1e-6)
 
     def test_requires_time_order(self):
+        # A bare ValueError once, for NaN too; now the typed error of time_lag.
         ev = KernelEvaluator(layered_1d())
-        with pytest.raises(ValueError):
-            q_rho_integral(ev, [0.5], 0.1, [0.2], 0.5)
+        for t0, tau in ((0.1, 0.5), (0.5, 0.5), (float("nan"), 0.0), (1.0, float("-inf")),
+                        ("x", 0.0)):
+            with pytest.raises(MediumError):
+                q_rho_integral(ev, [0.5], t0, [0.2], tau)
 
     @pytest.mark.parametrize("x0, xi", [([0.37, 0.61], [0.1, -0.2]),
                                         ([1.3, 0.05], [0.7, 0.21])])

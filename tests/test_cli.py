@@ -168,19 +168,28 @@ class TestErrors:
         gammas = np.array([float(line.split(",")[col]) for line in lines[1:]])
         assert gammas.shape == (2,) and np.all(np.isfinite(gammas)) and np.all(gammas > 0.0)
 
-    @pytest.mark.parametrize("upper", [[[float("inf"), 0.0], [0.0, 1.0]], [[float("inf")]]])
-    def test_nonfinite_tensor_exit_2(self, tmp_path, capsys, upper):
+    @pytest.mark.parametrize("upper,message", [
+        ([[float("inf"), 0.0], [0.0, 1.0]], "must be finite"),
+        ([[float("inf")]], "must be finite"),
+        ("abc", "matrix of numbers"),
+        ([["a"]], "matrix of numbers"),
+        ({"a": 1}, "matrix of numbers"),
+        ([[1, 2], [3]], "matrix of numbers"),
+    ], ids=["upper0", "upper1", "string", "letter", "object", "ragged"])
+    def test_nonfinite_tensor_exit_2(self, tmp_path, capsys, upper, message):
         # An infinite entry once passed validation: in 2-D it failed later
         # with an uncaught error (exit 1), in 1-D the tail bound (exit 3).
+        # Entries that are no numbers, or rows of unequal length, exited 1
+        # with numpy's ValueError or TypeError.
         cfg = eval_cfg(tmp_path)
         cfg["medium"] = {"upper": upper}
         cfg["eval"]["y"] = [0.0, 0.3][2 - len(upper):]
         cfg["eval"]["x"] = [[0.2, 0.5][2 - len(upper):]]
         del cfg["eval"]["grid"]
         path = write_cfg(tmp_path, cfg)
-        assert "Infinity" in Path(path).read_text()
+        assert ("Infinity" in Path(path).read_text()) == (message == "must be finite")
         assert main(["eval", path]) == 2
-        assert "must be finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
     def test_nonfinite_point_exit_2(self, tmp_path):
@@ -298,6 +307,30 @@ class TestErrors:
         assert main([command, self.field_cfg(tmp_path, path, value)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    # A section that is no JSON object, a verify name that is no string and
+    # a cube center that is no point; each exited 1 (AttributeError in
+    # _field, TypeError in _require or the name lookup, IndexError).
+    NONOBJECT = [
+        ("compare-oracle", ("compare_oracle",), [1], "must be in a JSON object"),
+        ("verify", ("verify",), "name", "must be in a JSON object"),
+        ("eval", ("eval", "grid"), [1], "must be in a JSON object"),
+        ("verify", ("verify", "name"), [1], "unknown verify name"),
+        ("green", ("green", "cube", "center"), 0.5, "center must be a point"),
+    ]
+
+    @pytest.mark.parametrize("command,path,value,message", NONOBJECT,
+                             ids=[f"{'.'.join(p)}={v}" for _, p, v, _ in NONOBJECT])
+    def test_malformed_section_exit_2(self, tmp_path, capsys, command, path, value, message):
+        assert main([command, self.field_cfg(tmp_path, path, value)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "green", "verify", "compare-oracle"])
+    def test_config_not_object_exit_2(self, tmp_path, capsys, command):
+        # A top-level [1, 2] failed in main with an AttributeError (exit 1).
+        assert main([command, write_cfg(tmp_path, [1, 2])]) == 2
+        assert "is not a JSON object" in capsys.readouterr().err
 
     def test_integral_float_accepted(self, tmp_path):
         path = self.field_cfg(tmp_path, ("eval", "grid", "points"), [5.0])

