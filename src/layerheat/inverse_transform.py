@@ -46,8 +46,8 @@ roots, their sums and every coefficient, to the last bit; only the linear
 forms a_t.xi' are odd, and they hold no tau.  So each exponent
 (+-i a_t.xi' +- Theta)/a_nn is an odd phase i phi plus an even root part
 r, and e^{p x_n + q y_n} = e^{i Phi} e^{r_p x_n + r_q y_n}, Phi = phi_p x_n +
-phi_q y_n.  Each phase is one linear form per region group, phi_p =
-c_p.xi' and phi_q = c_q.xi' (symbols.region_phases), 0 where a_t = 0.  The
+phi_q y_n.  Each phase is one linear form per region, phi_p = c_p.xi'
+and phi_q = c_q.xi' (symbols.region_phases), 0 where a_t = 0.  The
 symbols, the exponentials e^r and the tau contraction run on the (Q+1)/2
 nodes 0..(Q-1)/2 only, or on fewer (Symmetry; _tau_sums).  Their half sum
 h is even in xi', so the full contour rule's integrand, the mean of the
@@ -76,13 +76,13 @@ reach on both axes) runs on 300 of its 1,105 half nodes.  In 1-D, in 2-D
 both tangential axes every node is its own representative, and no map is
 formed.
 
-Shared symbols.  All six region symbols are built from one table of
+Shared symbols.  A call's unique normal pairs (x_n, y_n) form one table,
+ordered by region.  All six region symbols are built from one table of
 Theta_A, Theta_B, their sum, the two root parts and five coefficients
 (symbols.SymbolTable), so a block of the grid (Streaming) evaluates each
-array once for all its region groups.  A term that two groups share
-(R11/R12, R21/R22) is the same arrays, and the tau contraction runs once
-per block for each distinct term, over the normal pairs of every group
-that has it.
+array once for all regions.  A term that two regions share (R11/R12,
+R21/R22) is the same arrays, and the tau contraction runs once per block
+for each distinct term, over the normal pairs of every region that has it.
 
 Streaming.  The tau contraction runs over the representatives of the
 canonical half (Symmetry) in blocks of whole rows of them (those of one
@@ -95,8 +95,8 @@ columns of the half sums and of the step-2h sums, and folds its roundoff
 magnitudes straight into the per-pair node sums of the floor (_tau_sums).
 What outlives a block is a few arrays of (normal pairs x representatives):
 memory is O(BLOCK_ELEMENTS x terms + pairs x representatives), where the
-whole-grid tables were O(H x M x terms).  The phase layer reads those
-sums at every half node one chunk of points at a time (_phase_sums).
+whole-grid tables were O(H x M x terms).  The phase layer reads them at
+every half node, one input-order chunk of points at a time (_phase_sums).
 Each node's sums over the contour run in the same order in any block, and
 its at most two terms add to zero in either order to the same bits, so
 Gamma and its gradients do not depend on the partition, and est only by
@@ -124,7 +124,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import accumulate
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -356,19 +355,19 @@ class HalfGrid(NamedTuple):
 
 
 class HalfSums(NamedTuple):
-    """A region group's tau sums on P normal pairs and C columns (_tau_sums)."""
+    """The tau sums of a call's P normal pairs on C columns (_tau_sums)."""
 
     re: np.ndarray  # (2 or 3, P, C): Re h, Re h_n and maybe Re h_src
     re_sub: np.ndarray  # (2, P, C_sub): Re h and Re h_n of the step-2h rule
-    phi: np.ndarray  # (2, d): c_p and c_q, phi = c.xi' at every node (symbols.region_phases)
+    phi: np.ndarray  # (P, 2, d): each pair's c_p and c_q, phi = c.xi' (symbols.region_phases)
     floor: np.ndarray  # (3 or 4, P): floor rows and the tangential one, node sums
 
 
 class KernelEvaluator:
     """Batched evaluator of the kernel and its gradients.
 
-    Immutable after construction; evaluation groups query points by
-    region and shares the transform quadrature across the batch.  The
+    Immutable after construction; a batch shares one transform quadrature,
+    whose tau contraction runs once per unique normal pair (x_n, y_n).  The
     contour plan is derived from the dimension and the tolerance: ``_row``
     the contour shape and ``contour_nodes`` its half-width M.
     """
@@ -462,66 +461,61 @@ class KernelEvaluator:
         return HalfGrid(grid.xi[rep], np.bincount(of, weights=w, minlength=rep.size), starts,
                         sub_cols, of, np.searchsorted(sub_cols, of[sub]))
 
-    def _tau_sums(self, groups, half: HalfGrid, tau, wte, source_gradient):
-        """Per region group, the tau contraction on the columns ``half``
-        (_half_grid): the canonical half of the xi' grid, or one
-        representative of each symmetry orbit of it.
+    def _tau_sums(self, pairs, codes, half: HalfGrid, tau, wte, source_gradient):
+        """The tau contraction on the columns ``half`` (_half_grid), the
+        canonical half of the xi' grid or one node of each symmetry orbit of
+        it, for normal pairs ``pairs`` (P, 2) of ascending regions ``codes``.
 
-        For each unique normal pair (x_n, y_n) of the group and each column,
-        h = sum_m W_m V with W_m = w_m e^{tau_m dt} (``wte``) and
-        V = sum_terms coef e^{r_p x_n + r_q y_n}, the exponents' even root
-        parts (module docstring); h_n and h_src put a factor r_p or r_q in
-        each term.  Only their real parts are kept, and those of h and h_n of
-        the step-2h rule on its columns: weights 2 W_m on the even contour
-        nodes, read from the same exponentials.  A term whose coefficient is
-        zero on a block (the reflected terms of a homogeneous medium) is
-        skipped there.  The odd phases come back as the group's vectors c_p
-        and c_q (HalfSums).  The floor rows bound the roundoff weights
-        sum_m sum_terms |W_m coef g e^{p x_n + q y_n}| (U + |p x_n| +
-        |q y_n|), U = ROUNDOFF_UNITS, g = 1 for Gamma, p for the normal
-        gradient and q for the source one, at a node and its mirror alike,
-        since |e^{p x_n + q y_n}| = |e^r| and |p| <= |r_p| + |phi_p|.  With
-        S_g = sum |W coef e^r| g (_term_weights), phi = c.xi' at the column
-        and E = |phi_p x_n| + |phi_q y_n|, the Gamma row is U S_1 +
-        |x_n| S_p + |y_n| S_q + E S_1, the normal row U S_p + |x_n| S_pp +
-        |y_n| S_pq + E S_p + |phi_p| times the Gamma row, the source row
-        likewise in q.  Each row is summed over the columns with the weights
-        of the half rule (_fold), summed over each orbit, since every row is
-        the same at each node of an orbit; the Gamma row once more with
-        |xi'|_inf times them for the tangential gradient.
+        For each pair and each column, h = sum_m W_m V with W_m = w_m
+        e^{tau_m dt} (``wte``) and V = sum_terms coef e^{r_p x_n + r_q y_n},
+        the exponents' even root parts (module docstring); h_n and h_src put
+        a factor r_p or r_q in each term.  Only their real parts are kept,
+        and those of h and h_n of the step-2h rule on its columns: weights
+        2 W_m on the even contour nodes, read from the same exponentials.  A
+        term whose coefficient is zero on a block (the reflected terms of a
+        homogeneous medium) is skipped there.  The odd phases come back as
+        each pair's vectors c_p and c_q (HalfSums).  The floor rows bound
+        the roundoff weights sum_m sum_terms |W_m coef g e^{p x_n + q y_n}|
+        (U + |p x_n| + |q y_n|), U = ROUNDOFF_UNITS, g = 1 for Gamma, p for
+        the normal gradient and q for the source one, at a node and its
+        mirror alike, since |e^{p x_n + q y_n}| = |e^r| and |p| <= |r_p| +
+        |phi_p|.  With S_g = sum |W coef e^r| g (_term_weights), phi = c.xi'
+        at the column and E = |phi_p x_n| + |phi_q y_n|, the Gamma row is
+        U S_1 + |x_n| S_p + |y_n| S_q + E S_1, the normal row U S_p + |x_n|
+        S_pp + |y_n| S_pq + E S_p + |phi_p| times the Gamma row, the source
+        row likewise in q.  Each row is summed over the columns with the
+        weights of the half rule (_fold), summed over each orbit, since
+        every row is the same at each node of an orbit; the Gamma row once
+        more with |xi'|_inf times them for the tangential gradient.
 
         The columns are streamed in blocks of whole rows (module docstring,
         Streaming).  In each block every distinct term is contracted once,
-        over the pairs of all the groups that have it (R11/R12 and R21/R22
+        over the pairs of all the regions that have it (R11/R12 and R21/R22
         share one).  A pair's sums add at most two terms to zero, so neither
-        their order nor the block changes a bit.  One HalfSums per group.
+        their order nor the block changes a bit.
         """
-        if not groups:
-            return []
         m_cnt = tau.size
         c_cnt = half.w.size
         xi_inf = np.max(np.abs(half.xi), axis=1, initial=0.0)
-        # The pairs of all groups, one group after the other, share the sums.
-        pairs = np.concatenate([uniq for _, _, uniq, _ in groups])
-        counts = [uniq.shape[0] for _, _, uniq, _ in groups]
-        ends = list(accumulate(counts))
-        spans = list(zip([0] + ends[:-1], ends))
+        # The pairs of one region are one span.
+        present, starts = np.unique(codes, return_index=True)
+        spans = list(zip(present.tolist(), starts.tolist(), starts.tolist()[1:] + [codes.size]))
         axn, ayn = np.abs(pairs[:, :1]), np.abs(pairs[:, 1:])
         re = np.zeros((2 + source_gradient, pairs.shape[0], c_cnt))
         re_sub = np.zeros((2, pairs.shape[0], half.sub.size))
         floor = np.zeros((3 + source_gradient, pairs.shape[0]))
-        phases = self._phases[[REGIONS.index(region) for region, _, _, _ in groups]]
+        phi = self._phases[codes]
         for lo, hi in _row_blocks(half.starts, c_cnt, BLOCK_ELEMENTS // m_cnt):
             blk = slice(lo, hi)
             sub_lo, sub_hi = np.searchsorted(half.sub, (lo, hi)).tolist()
             sub = _as_slice(half.sub[sub_lo:sub_hi] - lo)
             xi_c = half.xi[blk].astype(complex)
             table = SymbolTable(self.medium, xi_c, tau)
-            # Each distinct term and the pairs of every group that has it.
+            # Each distinct term and the pairs of every region that has it.
             # R11/R12 and R21/R22 share a term, and their spans touch.
             terms = {}
-            for (region, _, _, _), (p_lo, p_hi) in zip(groups, spans):
-                for term in region_terms(region, self.medium, xi_c, tau, table=table):
+            for code, p_lo, p_hi in spans:
+                for term in region_terms(REGIONS[code], self.medium, xi_c, tau, table=table):
                     first = terms[term.name][1] if term.name in terms else p_lo
                     terms[term.name] = term, first, p_hi
             abs_root = {}  # |r| by root array: the exponents of a layer share it
@@ -552,17 +546,16 @@ class KernelEvaluator:
                     del ex  # free before the next exponent is formed
             # The floor rows of every pair (see above) from S_g, the rows of
             # s_abs for g = 1, |r_p|, |r_q|, |r_p|^2, |r_p r_q|, |r_q|^2.
-            abs_phi = np.repeat(np.abs(phases @ half.xi[blk].T), counts, axis=0).swapaxes(0, 1)
+            abs_phi = np.abs(phi @ half.xi[blk].T).swapaxes(0, 1)
             e = abs_phi[0] * axn + abs_phi[1] * ayn
             rows = [ROUNDOFF_UNITS * s_abs[i] + axn * s_abs[j] + ayn * s_abs[k] + e * s_abs[i]
                     for i, j, k in ((0, 1, 2), (1, 3, 4), (2, 4, 5))[:2 + source_gradient]]
             rows[1:] = [r + f * rows[0] for r, f in zip(rows[1:], abs_phi)]
             rows.append(rows[0] * xi_inf[blk])
             floor += np.einsum("jkq,q->jk", np.stack(rows), half.w[blk])
-        return [HalfSums(re[:, lo:hi], re_sub[:, lo:hi], c, floor[:, lo:hi])
-                for (lo, hi), c in zip(spans, phases)]
+        return HalfSums(re, re_sub, phi, floor)
 
-    def _phase_sums(self, groups, dxp, grid: XiGrid, half: HalfGrid, sums, source_gradient):
+    def _phase_sums(self, pairs, inv, dxp, grid: XiGrid, half: HalfGrid, sums, source_gradient):
         """Gamma, grad and sgrad from the tau sums, their roundoff floor,
         and the change of Gamma and grad from the step-2h rule.
 
@@ -570,13 +563,13 @@ class KernelEvaluator:
         -2 xi_j sin psi Re h to its x_j-derivative and 2 (cos psi Re h_n -
         phi_p sin psi Re h) to the normal one (module docstring), the source
         one likewise with h_src and phi_q; the weights (_fold) double all
-        nodes but xi' = 0.  psi = (x' - y' + c_p x_n + c_q y_n).xi', one
-        shift per point.  Each half node of ``grid`` reads the sums of its
-        column (``half``, the one _tau_sums ran on), one chunk of points at
-        a time.  The floor is eps times the largest of the node sums of the
-        floor rows (_tau_sums).  The step-2h rule weighs the even-index
-        nodes by 2^d times their weight.  In 1-D the grid is the one node
-        xi' = 0, of weight 1, where psi = 0 and every sum is Re h.
+        nodes but xi' = 0.  psi = (x' - y' + c_p x_n + c_q y_n).xi', from the
+        point's normal pair ``inv``.  Each half node of ``grid`` reads the sums
+        of its column (``half``, the one _tau_sums ran on), one chunk of points
+        at a time.  The floor is eps times the largest of the node sums of the
+        floor rows (_tau_sums).  The step-2h rule weighs the even-index nodes
+        by 2^d times their weight.  In 1-D the grid is the one node xi' = 0, of
+        weight 1, where psi = 0 and every sum is Re h.
         """
         n = self.medium.dim
         d = n - 1
@@ -586,35 +579,34 @@ class KernelEvaluator:
         w = _fold(grid.wq)  # the weight of each half node
         sub = _as_slice(grid.sub[:(grid.sub.size + 1) // 2])
         w_sub = 2.0 ** d * _fold(grid.wq[grid.sub])
-        eps = np.finfo(float).eps
         gamma = np.zeros(k_tot)
         grad = np.zeros((k_tot, n))
         sgrad = np.zeros((k_tot, n)) if source_gradient else None
-        floor = np.zeros(k_tot)
         change = np.zeros(k_tot)
+        shift = np.einsum("ki,kij->kj", pairs, sums.phi)
         pt_chunk = max(1, BLOCK_ELEMENTS // h_cnt)
-        for (_, idx, pairs, inv), s in zip(groups, sums):
-            floor[idx] = eps * np.max(s.floor, axis=0)[inv]
-            for lo in range(0, idx.size, pt_chunk):
-                sel = idx[lo:lo + pt_chunk]
-                rows = inv[lo:lo + pt_chunk]
-                psi = np.einsum("kj,qj->kq", dxp[sel] + pairs[rows] @ s.phi, xi)
-                cos, sin = np.cos(psi), np.sin(psi)
-                del psi
-                fine = _real_sums(cos, sin, _node_sums(s.re, rows, half.of, w), s.phi, xi)
-                # The step-2h cos and sin: a strided view, or np.take's copy,
-                # laid out alike whatever the chunk (a fancy index's is not).
-                coarse = _real_sums(
-                    *(a[:, sub] if isinstance(sub, slice) else np.take(a, sub, axis=1)
-                      for a in (cos, sin)),
-                    _node_sums(s.re_sub, rows, half.sub_of, w_sub), s.phi, xi[sub])
-                gamma[sel], grad[sel] = fine[0], np.column_stack(fine[1:n + 1])
-                if source_gradient:
-                    sgrad[sel, d] = fine[n + 1]
-                change[sel] = np.max(np.abs(np.subtract(fine[:n + 1], coarse)), axis=0)
+        for lo in range(0, k_tot, pt_chunk):
+            sel = slice(lo, lo + pt_chunk)
+            rows = inv[sel]
+            psi = np.einsum("kj,qj->kq", dxp[sel] + shift[rows], xi)
+            cos, sin = np.cos(psi), np.sin(psi)
+            del psi
+            phi = sums.phi[rows]
+            fine = _real_sums(cos, sin, _node_sums(sums.re, rows, half.of, w), phi, xi)
+            # The step-2h cos and sin: a strided view, or np.take's copy,
+            # laid out alike whatever the chunk (a fancy index's is not).
+            coarse = _real_sums(
+                *(a[:, sub] if isinstance(sub, slice) else np.take(a, sub, axis=1)
+                  for a in (cos, sin)),
+                _node_sums(sums.re_sub, rows, half.sub_of, w_sub), phi, xi[sub])
+            gamma[sel], grad[sel] = fine[0], np.column_stack(fine[1:n + 1])
+            if source_gradient:
+                sgrad[sel, d] = fine[n + 1]
+            change[sel] = np.max(np.abs(np.subtract(fine[:n + 1], coarse)), axis=0)
         if source_gradient:
             # The kernel depends on x' - y' only.
             sgrad[:, :d] = -grad[:, :d]
+        floor = np.finfo(float).eps * np.max(sums.floor, axis=0)[inv]
         return gamma, grad, sgrad, floor, change
 
     # -- public evaluation ----------------------------------------------
@@ -628,7 +620,6 @@ class KernelEvaluator:
         """
         n = self.medium.dim
         x, y = point_pairs(x, y, n)
-        k_tot = x.shape[0]
         dt = time_lag(t, s)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise MediumError("x and y must be finite")
@@ -638,16 +629,16 @@ class KernelEvaluator:
         d = n - 1
         dxp = x[:, :d] - y[:, :d]
 
-        codes = region_index(xn, yn)
-        groups = []
-        for code in np.unique(codes):
-            idx = np.nonzero(codes == code)[0]
-            # The tau contraction depends only on (x_n, y_n); points on a
-            # tensor grid share few distinct normal coordinates, so it runs
-            # once per unique pair.  Complex numbers sort as the (x_n, y_n)
-            # rows would, and far faster than np.unique(axis=0) sorts rows.
-            keys, inv = np.unique(xn[idx] + 1j * yn[idx], return_inverse=True)
-            groups.append((REGIONS[code], idx, np.stack([keys.real, keys.imag], axis=1), inv))
+        # The tau contraction depends only on (x_n, y_n); points on a tensor
+        # grid share few distinct normal coordinates, so it runs once per
+        # unique pair, row inv of the pairs.  Complex numbers sort as the
+        # (x_n, y_n) rows would, and far faster than np.unique(axis=0) sorts
+        # rows.  The pairs are ordered by region, and within one as sorted.
+        keys, inv = np.unique(xn + 1j * yn, return_inverse=True)
+        codes = region_index(keys.real, keys.imag)
+        order = np.argsort(codes, kind="stable")
+        pairs = np.stack([keys.real, keys.imag], axis=1)[order]
+        inv = np.argsort(order)[inv]
 
         tau, w = _hyperbolic_nodes(self._row, self.contour_nodes, dt)
         wte = w * np.exp(tau * dt)
@@ -662,11 +653,10 @@ class KernelEvaluator:
         radius = self._base_radius(dt)
         grid = _xi_grid(radius, self._xi_spacing(osc, dt))
         half = self._half_grid(grid)
-        sums = self._tau_sums(groups, half, tau, wte, source_gradient)
-        gam, grd, sgr, floor, change = self._phase_sums(groups, dxp, grid, half, sums,
+        sums = self._tau_sums(pairs, codes[order], half, tau, wte, source_gradient)
+        gam, grd, sgr, floor, change = self._phase_sums(pairs, inv, dxp, grid, half, sums,
                                                         source_gradient)
-        t_val, t_grad = _tail_bound(groups, k_tot, half.xi, half.w, sums, radius,
-                                    self._schur_min * dt)
+        t_val, t_grad = _tail_bound(inv, half.xi, half.w, sums, radius, self._schur_min * dt)
         # Each bound against its own quantity: relative to it, plus an
         # absolute floor on the kernel scale (far-tail points are dominated
         # by oscillatory-rule roundoff, not truncation), which for the
@@ -686,8 +676,7 @@ class KernelEvaluator:
         return out
 
 
-def _tail_bound(groups, k_tot: int, xi: np.ndarray, w: np.ndarray, sums,
-                radius: float, decay_rate: float):
+def _tail_bound(inv, xi: np.ndarray, w: np.ndarray, sums, radius: float, decay_rate: float):
     """Per point, bounds on the part of Gamma, and of grad and sgrad, beyond the xi' grid.
 
     The grid covers [-radius, radius] on each axis and is point-symmetric;
@@ -695,7 +684,7 @@ def _tail_bound(groups, k_tot: int, xi: np.ndarray, w: np.ndarray, sums,
     (HalfGrid): its canonical half, or one node of each symmetry orbit of
     it with the orbit's summed weight, which serves since f below, the
     number of axes with |xi_j| >= R/2 and |xi'|_inf are the same at every
-    node of an orbit.  At
+    node of an orbit.  Point k reads the sums of normal pair ``inv[k]``.  At
     a node and its mirror the full rule's integrand has modulus f = |Re h|
     for Gamma and |Re h_n + i phi_p Re h| for the normal gradient (h_src
     and phi_q for the source one), h the tau half sums (module docstring)
@@ -717,15 +706,12 @@ def _tail_bound(groups, k_tot: int, xi: np.ndarray, w: np.ndarray, sums,
     ratio = tail / (math.erfc(0.5 * x) - tail) if tail > 0.0 else 0.0
     w_val = np.sum(np.abs(xi) >= 0.5 * radius, axis=1) * w
     w_tan = np.max(np.abs(xi), axis=1, initial=0.0) * w_val
-    bound_val, bound_grad = np.zeros(k_tot), np.zeros(k_tot)
-    for (_, idx, _, inv), s in zip(groups, sums):
-        f_val = np.abs(s.re[0])
-        mass = np.einsum("kq,q->k", f_val, w_tan)
-        for re, phi in zip(s.re[1:], s.phi @ xi.T):
-            mass = np.maximum(mass, np.einsum("kq,q->k", np.hypot(re, phi * s.re[0]), w_val))
-        bound_val[idx] = (TAIL_SAFETY * ratio * np.einsum("kq,q->k", f_val, w_val))[inv]
-        bound_grad[idx] = (TAIL_SAFETY * ratio * mass)[inv]
-    return bound_val, bound_grad
+    f_val = np.abs(sums.re[0])
+    mass = np.einsum("kq,q->k", f_val, w_tan)
+    for re, phi in zip(sums.re[1:], (sums.phi @ xi.T).swapaxes(0, 1)):
+        mass = np.maximum(mass, np.einsum("kq,q->k", np.hypot(re, phi * sums.re[0]), w_val))
+    bound_val = TAIL_SAFETY * ratio * np.einsum("kq,q->k", f_val, w_val)
+    return bound_val[inv], (TAIL_SAFETY * ratio * mass)[inv]
 
 
 def _node_sums(sums, rows, of, w):
@@ -742,12 +728,14 @@ def _node_sums(sums, rows, of, w):
 def _real_sums(cos, sin, re, phi, xi):
     """Gamma, its x'-derivatives and its normal (and source) derivative on
     a half grid from cos psi and sin psi (K, H), the rows of Re h times the
-    weights ``re`` (K, H each) and c_p, c_q (_phase_sums); the phase term
-    -phi_p sin psi Re h sums to c_p times the x'-derivatives (q likewise)."""
+    weights ``re`` (K, H each) and each point's c_p, c_q (K, 2, d;
+    _phase_sums); the phase term -phi_p sin psi Re h sums to c_p times the
+    x'-derivatives (q likewise)."""
     sin_val = sin * re[0]
     tangential = -np.einsum("kq,qj->jk", sin_val, xi)
     out = [np.einsum("kq,kq->k", cos, re[0]), *tangential]
-    out.extend(np.einsum("kq,kq->k", cos, r) + c @ tangential for r, c in zip(re[1:], phi))
+    phase = np.einsum("kij,jk->ik", phi, tangential)
+    out.extend(np.einsum("kq,kq->k", cos, r) + p for r, p in zip(re[1:], phase))
     return out
 
 

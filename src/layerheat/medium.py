@@ -106,6 +106,9 @@ def validate_tensor(entries) -> DiffusionTensor:
     symmetrization), strictly positive eigenvalues, and dimension in {1, 2, 3}.
     """
     try:
+        # np.array would read "2" as 2.0 and True as 1.0.
+        if any(isinstance(e, (str, bool, np.bool_)) for e in np.array(entries, dtype=object).flat):
+            raise TypeError("tensor entries must not be strings or booleans")
         arr = np.array(entries, dtype=float)
     except (TypeError, ValueError) as exc:
         raise MediumError("tensor entries must be a square matrix of numbers") from exc

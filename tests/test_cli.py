@@ -141,8 +141,8 @@ class TestErrors:
         assert not (tmp_path / "out.csv").exists()
 
     def test_quadrature_not_converged_exit_3(self, tmp_path, monkeypatch, capsys):
-        def failing(groups, k_tot, *args):
-            return np.full(k_tot, np.inf), np.full(k_tot, np.inf)
+        def failing(inv, *args):
+            return np.full(inv.size, np.inf), np.full(inv.size, np.inf)
 
         monkeypatch.setattr(inverse_transform, "_tail_bound", failing)
         cfg = {
@@ -175,12 +175,17 @@ class TestErrors:
         ([["a"]], "matrix of numbers"),
         ({"a": 1}, "matrix of numbers"),
         ([[1, 2], [3]], "matrix of numbers"),
-    ], ids=["upper0", "upper1", "string", "letter", "object", "ragged"])
+        ([["2"]], "matrix of numbers"),
+        ([[True]], "matrix of numbers"),
+        ([[2.0, False], [False, 1.0]], "matrix of numbers"),
+    ], ids=["upper0", "upper1", "string", "letter", "object", "ragged", "quoted", "true",
+            "false"])
     def test_nonfinite_tensor_exit_2(self, tmp_path, capsys, upper, message):
         # An infinite entry once passed validation: in 2-D it failed later
         # with an uncaught error (exit 1), in 1-D the tail bound (exit 3).
         # Entries that are no numbers, or rows of unequal length, exited 1
-        # with numpy's ValueError or TypeError.
+        # with numpy's ValueError or TypeError; quoted numbers and booleans
+        # were read as numbers and exited 0.
         cfg = eval_cfg(tmp_path)
         cfg["medium"] = {"upper": upper}
         cfg["eval"]["y"] = [0.0, 0.3][2 - len(upper):]

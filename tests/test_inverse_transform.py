@@ -351,6 +351,30 @@ class TestEvaluatorContract:
             with pytest.raises(MediumError):
                 ev.eval_many(x, t, y, s)
 
+    @pytest.mark.parametrize("upper,lower", [
+        pytest.param([[1.0]], [[4.0]], id="1d"),
+        pytest.param([[1.0, 0.3], [0.3, 1.0]], np.diag([2.0, 3.0]), id="2d-sheared"),
+        pytest.param(np.eye(3), np.diag([2.0, 2.0, 3.0]), id="3d-folded"),
+        pytest.param(SHEARED[1].values[0], SHEARED[1].values[1], id="3d-sheared"),
+    ])
+    def test_permuted_batch(self, upper, lower):
+        # Every point reads its normal pair's sums through one index: a
+        # permuted batch gives its permuted outputs, to the byte.  The
+        # normal coordinates come from a few values, so pairs repeat.
+        med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
+        n = med.dim
+        rng = np.random.default_rng(6)
+        y = rng.uniform(-0.5, 0.5, (40, n))
+        x = y + rng.uniform(-0.5, 0.5, (40, n))
+        x[:, -1] = rng.choice([0.5, 0.2, -0.3, -0.6], 40)
+        y[:, -1] = rng.choice([0.3, 0.2, -0.4], 40)
+        ev = KernelEvaluator(med)
+        ref = ev.eval_many(x, 0.3, y, 0.0, source_gradient=True)
+        perm = rng.permutation(40)
+        res = ev.eval_many(x[perm], 0.3, y[perm], 0.0, source_gradient=True)
+        for key in ("gamma", "grad", "sgrad", "est"):
+            assert res[key].tobytes() == ref[key][perm].tobytes()
+
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="xi' node counts and convergence follow the "
                        "whole batch, so a value depends on its batch")
@@ -578,13 +602,13 @@ class TestTailBound:
         tail_bound = inverse_transform._tail_bound
         tau_sums = KernelEvaluator._tau_sums
 
-        def recorded_bound(*args):
-            bounds.append(tail_bound(*args))
-            return bounds[-1]
+        def recorded_bound(inv, *args):
+            bounds.append((inv, tail_bound(inv, *args)))
+            return bounds[-1][1]
 
-        def recorded_sums(self, groups, half, tau, wte, *args):
-            passes.append((groups, tau, wte))
-            return tau_sums(self, groups, half, tau, wte, *args)
+        def recorded_sums(self, pairs, codes, half, tau, wte, *args):
+            passes.append((pairs, codes, tau, wte))
+            return tau_sums(self, pairs, codes, half, tau, wte, *args)
 
         monkeypatch.setattr(inverse_transform, "_tail_bound", recorded_bound)
         monkeypatch.setattr(KernelEvaluator, "_tau_sums", recorded_sums)
@@ -603,8 +627,8 @@ class TestTailBound:
         assert ev.contour_nodes == 64
         res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
         assert len(bounds) == 1 and len(passes) == 1
-        bound = np.maximum(*bounds[0])
-        groups, tau, wte = passes[0]
+        inv, bound = bounds[0][0], np.maximum(*bounds[0][1])
+        pairs, codes, tau, wte = passes[0]
         dxp = x[:, :-1] - y[:, :-1]
         osc = np.max(np.abs(dxp), axis=0)
         radius = ev._base_radius(dt)
@@ -612,8 +636,8 @@ class TestTailBound:
         for k in (1, 2):
             grid = inverse_transform._xi_grid(2 ** k * radius, ev._xi_spacing(osc, dt))
             half = ev._half_grid(grid)
-            sums = tau_sums(ev, groups, half, tau, wte, True)
-            values = ev._phase_sums(groups, dxp, grid, half, sums, True)[:3]
+            sums = tau_sums(ev, pairs, codes, half, tau, wte, True)
+            values = ev._phase_sums(pairs, inv, dxp, grid, half, sums, True)[:3]
             wider.append(np.column_stack(values))
         base = np.column_stack([res["gamma"], res["grad"], res["sgrad"]])
         once, twice = wider
@@ -629,14 +653,14 @@ class TestTailBound:
         a, radius = 0.5, 5.0
         grid = inverse_transform._xi_grid(radius, [radius / 24.0])
         half = (grid.wq.size + 1) // 2
-        groups = [(None, np.arange(1), None, np.zeros(1, dtype=int))]
+        inv = np.zeros(1, dtype=int)
 
         def bound(h, r=radius):
             # One pair; its value and normal sums are Re h, with no phase.
             re = np.stack([h.real, h.real])[:, None, :]
-            sums = [HalfSums(re, None, np.zeros((2, 1)), None)]
+            sums = HalfSums(re, None, np.zeros((1, 2, 1)), None)
             return np.maximum(*inverse_transform._tail_bound(
-                groups, 1, grid.xi[:half], inverse_transform._fold(grid.wq), sums, r, a))[0]
+                inv, grid.xi[:half], inverse_transform._fold(grid.wq), sums, r, a))[0]
 
         xi = grid.xi[:, 0]
         f = np.exp(-a * xi ** 2)
@@ -653,15 +677,14 @@ class TestTailBound:
         full = TAIL_SAFETY * ratio * max(f_full @ (np.abs(xi) * w_val), f_full @ w_val)
         assert bound(s[:half]) == bound(f[:half]) == pytest.approx(full, rel=1e-14)
         assert bound(f[:half], r=60.0) == 0.0
-        # With Re h_n = 0 and the phase phi_p = 3 xi, the normal gradient's
-        # integrand |Re h_n + i phi_p Re h| is three times the tangential one.
-        grads = []
-        for c_p in (0.0, 3.0):
-            re = np.stack([f[:half], np.zeros(half)])[:, None, :]
-            sums = [HalfSums(re, None, np.array([[c_p], [0.0]]), None)]
-            grads.append(inverse_transform._tail_bound(
-                groups, 1, grid.xi[:half], inverse_transform._fold(grid.wq), sums, radius, a)[1])
-        assert grads[1] == pytest.approx(3.0 * grads[0], rel=1e-14)
+        # Two pairs with Re h_n = 0 and the phases phi_p = 0 and 3 xi: the
+        # normal gradient's integrand |Re h_n + i phi_p Re h| of the second
+        # is three times the tangential one.  Point k reads pair 1 - k.
+        re = np.stack([f[:half], np.zeros(half)])[:, None, :].repeat(2, axis=1)
+        sums = HalfSums(re, None, np.array([[[0.0], [0.0]], [[3.0], [0.0]]]), None)
+        grads = inverse_transform._tail_bound(
+            np.array([1, 0]), grid.xi[:half], inverse_transform._fold(grid.wq), sums, radius, a)[1]
+        assert grads[0] == pytest.approx(3.0 * grads[1], rel=1e-14)
 
     def test_default_tolerance_one_fine_pass(self, monkeypatch):
         # A batch shaped like the benchmark's 2-D layered ones: the grid
@@ -803,8 +826,8 @@ class TestBoundedPlan:
     """Every call builds one fine xi' grid, or refuses with a typed error."""
 
     def test_failed_bound_raises(self, monkeypatch):
-        def failing(groups, k_tot, *args):
-            return np.full(k_tot, np.inf), np.full(k_tot, np.inf)
+        def failing(inv, *args):
+            return np.full(inv.size, np.inf), np.full(inv.size, np.inf)
 
         monkeypatch.setattr(inverse_transform, "_tail_bound", failing)
         ev = KernelEvaluator(layered_2d())
@@ -909,9 +932,9 @@ class TestStreaming:
         assert np.all(np.abs(res["est"] - ref["est"]) <= 1e-15 * ref["est"])
         # The floor's node sums, the Gamma row's with |xi'|_inf last.
         xi_max = np.max(np.abs(grids[0].xi))
-        for one, many in zip(*sums):
-            assert np.allclose(many.floor, one.floor, rtol=1e-14, atol=0.0)
-            assert np.all(many.floor[-1] > 0.0) and np.all(many.floor[-1] <= xi_max * many.floor[0])
+        one, many = sums
+        assert np.allclose(many.floor, one.floor, rtol=1e-14, atol=0.0)
+        assert np.all(many.floor[-1] > 0.0) and np.all(many.floor[-1] <= xi_max * many.floor[0])
 
     @pytest.mark.parametrize("b,limit", [
         (30.0, 32e6), pytest.param(100.0, 64e6, marks=pytest.mark.slow),
@@ -1098,7 +1121,7 @@ class TestSymmetryFold:
 
         def recorded_sums(self, *args):
             runs[-1]["sums"] = tau_sums(self, *args)
-            runs[-1]["half"] = args[1]
+            runs[-1]["half"] = args[2]
             return runs[-1]["sums"]
 
         def recorded_bound(*args):
@@ -1113,10 +1136,10 @@ class TestSymmetryFold:
         fold, ref = runs
         half = fold["half"]
         assert ref["half"].of is None and half.w.size < ref["half"].w.size
-        for one, many in zip(fold["sums"], ref["sums"]):
-            assert one.re[:, :, half.of].tobytes() == many.re.tobytes()
-            assert one.re_sub[:, :, half.sub_of].tobytes() == many.re_sub.tobytes()
-            assert np.allclose(one.floor, many.floor, rtol=1e-14, atol=0.0)
+        one, many = fold["sums"], ref["sums"]
+        assert one.re[:, :, half.of].tobytes() == many.re.tobytes()
+        assert one.re_sub[:, :, half.sub_of].tobytes() == many.re_sub.tobytes()
+        assert np.allclose(one.floor, many.floor, rtol=1e-14, atol=0.0)
         for one, many in zip(fold["tail"], ref["tail"]):
             assert np.allclose(one, many, rtol=1e-14, atol=0.0)
         for key in ("gamma", "grad", "sgrad"):

@@ -18,6 +18,8 @@ class TestValidateTensor:
         t = validate_tensor(np.eye(2))
         assert t.dim == 2
         assert t.delta == 1.0
+        # Integers are numbers too.
+        assert validate_tensor([[1, 0], [0, np.int64(1)]]) == t
 
     def test_anisotropic_delta(self):
         # [[2,1],[1,2]] has eigenvalues 1 and 3 (characteristic polynomial
@@ -37,9 +39,13 @@ class TestValidateTensor:
         with pytest.raises(NotElliptic):
             validate_tensor([[0.0]])
 
-    @pytest.mark.parametrize("entries", ["abc", [["a"]], {"a": 1}, [[1, 2], [3]]])
+    @pytest.mark.parametrize("entries", [
+        "abc", [["a"]], {"a": 1}, [[1, 2], [3]], [["2"]], [[True]],
+        [[2.0, False], [False, 1.0]], [[np.True_]], np.eye(2, dtype=bool),
+    ])
     def test_not_a_matrix_of_numbers(self, entries):
-        # numpy's conversion errors (ValueError, TypeError) escaped untyped.
+        # numpy's conversion errors (ValueError, TypeError) escaped untyped,
+        # and numeric strings and booleans were read as numbers.
         with pytest.raises(MediumError, match="matrix of numbers"):
             validate_tensor(entries)
 
