@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from layerheat import inverse_transform
+from layerheat.images import CubeGreen
 from layerheat.medium import (
+    Cube,
     MediumError,
     OnInterface,
     TwoLayerMedium,
@@ -343,6 +345,28 @@ class TestEvaluatorContract:
             np.zeros((0, n)), 0.5, np.full(n, 0.3), 0.0, source_gradient=True)
         assert res["gamma"].shape == res["est"].shape == (0,)
         assert res["grad"].shape == res["sgrad"].shape == (0, n)
+
+    def test_empty_batch_plans_nothing(self, monkeypatch):
+        # An empty batch returns once x, y, t and s are checked, before the
+        # plan: it builds no symbol table, directly or through CubeGreen.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an empty batch built a symbol table")
+
+        monkeypatch.setattr(inverse_transform, "SymbolTable", refuse)
+        for n in (1, 2, 3):
+            ev = KernelEvaluator(homogeneous_medium(validate_tensor(np.eye(n))))
+            res = ev.eval_many(np.zeros((0, n)), 0.5, np.full(n, 0.3), 0.0, source_gradient=True)
+            assert res["gamma"].shape == res["est"].shape == (0,)
+            assert res["grad"].shape == res["sgrad"].shape == (0, n)
+            assert "sgrad" not in ev.eval_many(np.zeros((0, n)), 0.5, np.full(n, 0.3), 0.0)
+            for t, s, y in ((0.5, 0.5, np.full(n, 0.3)), (np.nan, 0.0, np.full(n, 0.3)),
+                            (0.5, 0.0, np.full(n + 1, 0.3))):
+                with pytest.raises(MediumError):
+                    ev.eval_many(np.zeros((0, n)), t, y, s)
+        cg = CubeGreen(homogeneous_medium(validate_tensor(np.diag([1.0, 2.0]))),
+                       Cube(half_width=1.0, center=np.zeros(2)))
+        res = cg.evaluate_many(np.zeros((0, 2)), 0.3, np.array([0.0, 0.3]), 0.0)
+        assert res["gamma"].shape == (0,) and res["sgrad"].shape == (0, 2)
 
     def test_nonnumeric_time_rejected(self):
         ev = KernelEvaluator(layered_1d())
@@ -1043,10 +1067,12 @@ class TestSymmetryFold:
         for name in ("theta_a", "theta_b", "root_a", "root_b", "direct_a", "direct_b",
                      "reflect_a", "reflect_b", "transmit"):
             assert getattr(cols, name)[half.of].tobytes() == getattr(nodes, name).tobytes()
-        # The step-2h nodes' columns are step-2h nodes, and the weights of
-        # each orbit add up.
+        # The step-2h columns are those of the step-2h nodes, and hold no
+        # other node (the phase layer reads them from the fine columns);
+        # the weights of each orbit add up.
         sub_half = grid.sub[:(grid.sub.size + 1) // 2]
-        assert np.array_equal(half.sub[half.sub_of], half.of[sub_half])
+        assert np.array_equal(np.unique(half.of[sub_half]), half.sub)
+        assert np.array_equal(np.flatnonzero(np.isin(half.of, half.sub)), sub_half)
         assert half.w.sum() == pytest.approx(inverse_transform._fold(grid.wq).sum(), rel=1e-14)
 
     @pytest.mark.parametrize("upper,lower", FOLDED)
@@ -1085,7 +1111,7 @@ class TestSymmetryFold:
         blocks = record_region_terms(monkeypatch)
         ev.eval_many(np.array(x), 0.3, np.array(y), 0.0)
         half = ev._half_grid(grids[0])
-        assert half.of is None and half.sub_of is None
+        assert half.of is None
         for nodes in blocks.values():
             assert sum(b.shape[0] for b in nodes) == (grids[0].wq.size + 1) // 2
 
@@ -1109,9 +1135,11 @@ class TestSymmetryFold:
     @pytest.mark.parametrize("upper,lower", FOLDED)
     def test_fold_matches_unfolded(self, monkeypatch, upper, lower):
         # The same batch with every half node its own column: the sums of
-        # each node are its column's to the byte, and so are Gamma and its
-        # gradients; the floor's node sums and the tail bound, which take
-        # each orbit's summed weights, agree to rounding.
+        # each node are its column's to the byte; the floor's node sums and
+        # the tail bound, which take each orbit's summed weights, agree to
+        # rounding.  So do Gamma, its gradients and est: the phase layer
+        # sums cos psi and sin psi xi_j over each orbit before it multiplies
+        # them by the column's sums, the unfolded run node by node.
         med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
         folded, plain = KernelEvaluator(med), KernelEvaluator(med)
         plain._mirrors = []
@@ -1138,13 +1166,17 @@ class TestSymmetryFold:
         assert ref["half"].of is None and half.w.size < ref["half"].w.size
         one, many = fold["sums"], ref["sums"]
         assert one.re[:, :, half.of].tobytes() == many.re.tobytes()
-        assert one.re_sub[:, :, half.sub_of].tobytes() == many.re_sub.tobytes()
+        sub_of = np.searchsorted(half.sub, half.of[ref["half"].sub])
+        assert one.re_sub[:, :, sub_of].tobytes() == many.re_sub.tobytes()
         assert np.allclose(one.floor, many.floor, rtol=1e-14, atol=0.0)
         for one, many in zip(fold["tail"], ref["tail"]):
             assert np.allclose(one, many, rtol=1e-14, atol=0.0)
-        for key in ("gamma", "grad", "sgrad"):
-            assert fold["res"][key].tobytes() == ref["res"][key].tobytes()
-        assert np.allclose(fold["res"]["est"], ref["res"]["est"], rtol=1e-15, atol=0.0)
+        scale = max(np.max(np.abs(ref["res"][key])) for key in ("gamma", "grad", "sgrad"))
+        moves = {key: np.max(np.abs(fold["res"][key] - ref["res"][key])) / scale
+                 for key in ("gamma", "grad", "sgrad", "est")}
+        assert max(moves["gamma"], moves["grad"], moves["sgrad"]) <= 1e-15
+        # est is CONTOUR_SAFETY times the change between two rules that each move.
+        assert moves["est"] <= 2.0 * inverse_transform.CONTOUR_SAFETY * 1e-15
 
     @pytest.mark.parametrize("upper,lower", FOLDED)
     def test_values_independent_of_blocks(self, monkeypatch, upper, lower):
@@ -1179,6 +1211,141 @@ class TestPhaseVectors:
         med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
         c = region_phases(med)
         assert c.shape == (6, 2, med.dim - 1) and not np.any(c)
+
+
+def phase_runs(monkeypatch, run):
+    """run() with the phase layer as it is and with each point contracted
+    alone, one shift against all the call's normal pairs (the per-point
+    route when there are two or more), on the same tau sums; and the
+    arguments of the first _phase_sums call."""
+    phase_sums = KernelEvaluator._phase_sums
+    calls = []
+
+    def recorded(self, *args):
+        calls.append(args)
+        return phase_sums(self, *args)
+
+    def point_by_point(self, pairs, inv, dxp, *args):
+        outs = [phase_sums(self, pairs, inv[k:k + 1], dxp[k:k + 1], *args)
+                for k in range(inv.size)]
+        return tuple(None if o[0] is None else np.concatenate(o) for o in zip(*outs))
+
+    monkeypatch.setattr(KernelEvaluator, "_phase_sums", recorded)
+    table = run()
+    monkeypatch.setattr(KernelEvaluator, "_phase_sums", point_by_point)
+    alone = run()
+    monkeypatch.setattr(KernelEvaluator, "_phase_sums", phase_sums)
+    return table, alone, calls[0]
+
+
+def table_shape(pairs, inv, dxp, grid, half, sums, *rest):
+    """(S, P, K): distinct shifts, normal pairs and points of a phase call."""
+    shift = dxp + np.einsum("ki,kij->kj", pairs, sums.phi)[inv]
+    return np.unique(shift, axis=0).shape[0], pairs.shape[0], inv.size
+
+
+def node_by_node(ev, pairs, inv, dxp, grid, half, sums, source_gradient):
+    """Gamma, grad, the source derivative in y_n and the step-2h change,
+    summed over every half node from its column's tau sums (_phase_sums)."""
+    n = ev.medium.dim
+    d = n - 1
+    h_cnt = (grid.wq.size + 1) // 2
+    xi, w = grid.xi[:h_cnt], inverse_transform._fold(grid.wq)
+    of = np.arange(h_cnt) if half.of is None else half.of
+    sub = grid.sub[:(grid.sub.size + 1) // 2]
+    c = sums.phi[inv]
+    psi = (dxp + np.einsum("ki,kij->kj", pairs[inv], c)) @ xi.T
+
+    def rule(nodes, re, cols, weights):
+        re = re[:, inv][:, :, cols] * weights
+        cos, sin = np.cos(psi[:, nodes]), np.sin(psi[:, nodes])
+        tangential = -(sin * re[0]) @ xi[nodes]
+        out = [np.sum(cos * re[0], axis=1), *tangential.T]
+        out += [np.sum(cos * r, axis=1) + np.sum(c[:, i] * tangential, axis=1)
+                for i, r in enumerate(re[1:])]
+        return np.array(out)
+
+    fine = rule(np.arange(h_cnt), sums.re, of, w)
+    coarse = rule(sub, sums.re_sub, np.searchsorted(half.sub, of[sub]), 2.0 ** d * w[sub])
+    return fine, np.max(np.abs(fine[:n + 1] - coarse), axis=0)
+
+
+def dense_batch(n):
+    """A target grid and two sources whose shifts repeat: in 2-D on the
+    sheared medium below, targets in the lower layer (c_p = 0) and sources
+    in the upper one (c_q = 0.3) at one y_n, one grid step apart in y_0;
+    in 3-D two sources at one y' in both layers."""
+    if n == 2:
+        x = np.array([[u, xn] for u in 0.25 * np.arange(-4, 4) for xn in (-0.2, -0.45, -0.7, -0.95)])
+        ys = [(0.125, 0.3), (0.375, 0.3)]
+    else:
+        x = np.array([[u, v, xn] for u in (-0.25, 0.0, 0.25) for v in (-0.25, 0.0, 0.25)
+                      for xn in (0.3, -0.4)])
+        ys = [(0.125, 0.125, 0.2), (0.125, 0.125, -0.3)]
+    y = np.repeat(np.array(ys), x.shape[0], axis=0)
+    return np.tile(x, (2, 1)), y
+
+
+DENSE = [
+    pytest.param([[1.0, 0.3], [0.3, 1.0]], np.diag([2.0, 3.0]), id="2d-sheared"),
+    pytest.param(np.eye(3), np.diag([2.0, 2.0, 3.0]), id="3d-folded"),
+]
+
+
+class TestPhaseTable:
+    """The phase layer contracts a (distinct shift x normal pair) table when
+    it has no more entries than the batch has points."""
+
+    @pytest.mark.parametrize("upper,lower", DENSE)
+    def test_routes_identical(self, monkeypatch, upper, lower):
+        # A point's bytes do not depend on the route its batch took, nor on
+        # the tiles of shifts (one shift per tile at a budget of 1).
+        med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
+        ev = KernelEvaluator(med)
+        x, y = dense_batch(med.dim)
+        table, alone, args = phase_runs(
+            monkeypatch, lambda: ev.eval_many(x, 0.3, y, 0.0, source_gradient=True))
+        s_cnt, p_cnt, k_cnt = table_shape(*args)
+        assert s_cnt * p_cnt <= k_cnt and s_cnt != p_cnt and p_cnt >= 2
+        monkeypatch.setattr(inverse_transform, "BLOCK_ELEMENTS", 1)
+        tiled = ev.eval_many(x, 0.3, y, 0.0, source_gradient=True)
+        for key in ("gamma", "grad", "sgrad", "est"):
+            assert table[key].tobytes() == alone[key].tobytes() == tiled[key].tobytes()
+
+    def test_cube_green_routes_identical(self, monkeypatch):
+        # The green workload's shape: every target with each of 100 images.
+        med = homogeneous_medium(validate_tensor(np.diag([1.0, 2.0])))
+        cg = CubeGreen(med, Cube(half_width=1.0, center=np.zeros(2)), depth=2)
+        x = np.stack(np.meshgrid(np.linspace(-0.9, 0.9, 3), np.linspace(-0.85, 0.95, 3),
+                                 indexing="ij"), -1).reshape(-1, 2)
+        table, alone, args = phase_runs(
+            monkeypatch, lambda: cg.evaluate_many(x, 0.2, np.array([0.03, 0.3]), 0.0))
+        s_cnt, p_cnt, k_cnt = table_shape(*args)
+        assert s_cnt * p_cnt <= k_cnt and p_cnt >= 2
+        for key in ("gamma", "grad", "sgrad", "est"):
+            assert table[key].tobytes() == alone[key].tobytes()
+
+    @pytest.mark.parametrize("upper,lower,scattered", [
+        pytest.param(*DENSE[0].values, False, id="2d-sheared"),
+        pytest.param(*DENSE[1].values, False, id="3d-folded"),
+        pytest.param(*SHEARED[0].values[:2], True, id="2d-sheared-scattered"),
+    ])
+    def test_matches_node_by_node(self, monkeypatch, upper, lower, scattered):
+        # The table (dense batches) and the per-point route (scattered
+        # points) against sums over every half node of the rule and of its
+        # step-2h subset, each node read from its column.
+        med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
+        ev = KernelEvaluator(med)
+        x, y = map(np.array, SHEARED[0].values[2:4]) if scattered else dense_batch(med.dim)
+        _, _, args = phase_runs(
+            monkeypatch, lambda: ev.eval_many(x, 0.3, y, 0.0, source_gradient=True))
+        s_cnt, p_cnt, k_cnt = table_shape(*args)
+        assert (s_cnt * p_cnt > k_cnt) == scattered
+        gamma, grad, sgrad, _, change = ev._phase_sums(*args)
+        fine, ref_change = node_by_node(ev, *args)
+        scale = np.max(np.abs(fine))
+        assert np.max(np.abs(np.vstack([gamma, grad.T, sgrad[:, -1]]) - fine)) <= 1e-14 * scale
+        assert np.max(np.abs(change - ref_change)) <= 1e-14 * scale
 
 
 class TestZeroTerms:
