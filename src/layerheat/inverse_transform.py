@@ -65,11 +65,9 @@ A_tt[0,0] == A_tt[1,1] in each layer, so does the exchange of the two
 axes.  With the mirror of the half rule these maps split the canonical
 half into orbits, and the tau contraction runs on one representative per
 orbit, (-|m_0|, -|m_1|) in units of the steps, ordered |m_0| >= |m_1|
-under the exchange (_half_grid).  A half node's sums are those of its
-representative, and its phases come from its own xi', so the phase layer
-sums the cos psi and sin psi xi_j of each orbit's nodes and multiplies the
-sums once.  Neither map changes the parity of an index, so an orbit's nodes
-are all step-2h nodes or none.
+under the exchange (_half_grid).  A half node reads the sums of its
+representative, and its phases come from its own xi'.  Neither map changes
+the parity of an index, so step-2h nodes have step-2h representatives.
 The floor rows and the tail bound's integrands are the same at every node
 of an orbit (they read |phi| and |xi|), so their node sums take each
 orbit's summed weights.  The benchmark's 3-D batch (I | diag(2,2,3), equal
@@ -89,15 +87,13 @@ for each distinct term, over the normal pairs of every region that has it.
 Phase table.  A point's phase psi = s.xi' depends on it only through its
 shift s = x' - y' + c_p x_n + c_q y_n, and its tau sums only through its
 normal pair.  Tensor grids and image sums repeat both: a cube call of the
-benchmark's green workload has 2,500 points but 50 distinct shifts and 50
-pairs.  When the S distinct shifts and the P pairs make a table of S P <= K
-entries, K the points, the phase layer forms cos psi and sin psi once per
-shift and contracts them with the sums of every pair, and each point reads
-its (shift, pair) entry; otherwise it contracts point by point.  Both sum
-each entry over the columns in the same order (_column_sums), so a point's
-bytes do not depend on the route.  The table costs S H cosines and sines
-and S P C multiply-adds per row of sums where point by point costs K H and
-K C, on H half nodes and C columns.
+benchmark's green workload has 2,500 points but 50 shifts and 50 pairs.
+When the S shifts and P pairs make a table of S P <= K entries, K the
+points, the phase layer forms cos psi and sin psi once per shift, reads
+every pair's sums at the H half nodes once (P H values per row of sums),
+and contracts each entry as it would a point; else point by point.  Both
+sum every product over the half nodes in the same order (_real_sums), so
+a point's bytes depend neither on the route nor on the fold (Symmetry).
 
 Streaming.  The tau contraction runs over the representatives of the
 canonical half (Symmetry) in blocks of whole rows of them (those of one
@@ -113,12 +109,12 @@ memory is O(BLOCK_ELEMENTS x terms + pairs x representatives), where the
 whole-grid tables were O(H x M x terms).  The phase layer forms cos psi
 and sin psi for one tile of shifts (of points, point by point) at a time,
 as many as fit BLOCK_ELEMENTS (shift, half node) entries and at least one,
-and keeps only their contraction: the (shift x pair) table, at most K
-entries per row.  Each node's sums over the contour run in the same order
-in any block, its at most two terms add to zero in either order to the
-same bits, and each table entry is its own sum, so Gamma and its gradients
-do not depend on the partition, and est only by the rounding of the
-floor's node sums.
+and sin psi Re h for as many (entry, node) values or one entry; it keeps
+the (shift x pair) table, at most K entries per row.  Each node's sums
+over the contour run in the same order in any block, its at most two
+terms add to zero in either order to the same bits, and each table entry
+is its own sum, so Gamma and its gradients do not depend on the
+partition, and est only by the rounding of the floor's node sums.
 
 Tail bound.  After the tau integral the integrand decays like
 e^{-a |xi'|^2}, a = lambda_min(S) (t - s) over the tangential Schur
@@ -209,13 +205,14 @@ CONTOUR_SAFETY = 4.0
 # block of xi' rows holds at most this many (node, contour node) entries of
 # each table, a chunk of exponentials at most this many (pair, node,
 # contour node) entries and a tile of the phase layer at most this many
-# (shift or point, half node) entries; a block is never less than one row,
-# a tile never less than one shift or point.  Measured on a 2-core x86-64
-# host (numpy 2.4) on an 8-point 3-D call of 36,465 table entries, against
-# the whole grid at once (13.8 MB): at 2^12, 2^13, 2^14 and 2^15 the call
-# peaked at 1.6, 3.4, 6.9 and 13.0 MB of traced memory and took 0.91, 0.85,
-# 0.85 and 0.96 of the time, in paired runs.  Below 2^14 the smaller pair
-# chunks cost the 1-D and 2-D calls up to 8 %.
+# (shift or point, half node) entries, and of its (shift, pair) products
+# as many (entry, half node) values; a block is never less than one row, a
+# tile never less than one shift, point or entry.  Measured on a 2-core
+# x86-64 host (numpy 2.4) on an 8-point 3-D call of 36,465 table entries,
+# against the whole grid at once (13.8 MB): at 2^12, 2^13, 2^14 and 2^15
+# the call peaked at 1.6, 3.4, 6.9 and 13.0 MB of traced memory and took
+# 0.91, 0.85, 0.85 and 0.96 of the time, in paired runs.  Below 2^14 the
+# smaller pair chunks cost the 1-D and 2-D calls up to 8 %.
 BLOCK_ELEMENTS = 2 ** 14
 
 
@@ -361,8 +358,8 @@ class HalfGrid(NamedTuple):
     """The columns of the tau sums: the canonical half of a xi' grid, or one
     representative node of each symmetry orbit of it (KernelEvaluator._half_grid).
 
-    H counts the half nodes, C the columns.  ``of`` is None when every half
-    node is its own column.
+    H counts the half nodes, C the columns.  ``of`` and ``sub_of`` are None
+    when every half node is its own column.
     """
 
     xi: np.ndarray  # (C, d) the columns' nodes, in grid order
@@ -370,6 +367,7 @@ class HalfGrid(NamedTuple):
     starts: Sequence  # the first column of each row (the nodes of one xi_0)
     sub: np.ndarray  # the columns of the step-2h nodes, ascending
     of: np.ndarray | None  # (H,) the column of each half node
+    sub_of: np.ndarray | None  # (H_sub,) position in ``sub`` of each step-2h half node's column
 
 
 class HalfSums(NamedTuple):
@@ -461,7 +459,7 @@ class KernelEvaluator:
         sub = grid.sub[:(grid.sub.size + 1) // 2]
         w = _fold(grid.wq)
         if not self._mirrors:
-            return HalfGrid(grid.xi[:h_cnt], w, range(0, h_cnt, row), sub, None)
+            return HalfGrid(grid.xi[:h_cnt], w, range(0, h_cnt, row), sub, None, None)
         k = np.array(grid.shape) // 2
         m = np.stack(np.unravel_index(np.arange(h_cnt), grid.shape), axis=1) - k
         rep_m = -np.abs(m)
@@ -474,9 +472,10 @@ class KernelEvaluator:
         of = (np.cumsum(is_rep) - 1)[rep_node]
         is_sub = np.zeros(h_cnt, dtype=bool)
         is_sub[sub] = True
+        sub_cols = np.flatnonzero(is_sub[rep])
         starts = np.flatnonzero(np.diff(rep // row, prepend=-1)).tolist()
         return HalfGrid(grid.xi[rep], np.bincount(of, weights=w, minlength=rep.size), starts,
-                        np.flatnonzero(is_sub[rep]), of)
+                        sub_cols, of, np.searchsorted(sub_cols, of[sub]))
 
     def _tau_sums(self, pairs, codes, half: HalfGrid, tau, wte, source_gradient):
         """The tau contraction on the columns ``half`` (_half_grid), the
@@ -581,68 +580,60 @@ class KernelEvaluator:
         phi_p sin psi Re h) to the normal one (module docstring), the source
         one likewise with h_src and phi_q; the weights (_fold) double all
         nodes but xi' = 0.  psi = s.xi' with s = x' - y' + c_p x_n + c_q y_n,
-        the point's shift, from its normal pair ``inv``.  cos psi and
-        sin psi xi_j are summed over the nodes of each column of ``half`` (the
-        one _tau_sums ran on) and contracted with the column's sums times
-        its nodes' weight: once per distinct shift against every pair when
-        that table has at most K entries, else per point (module docstring,
-        Phase table), in tiles within BLOCK_ELEMENTS (shift, half node)
-        entries.  The step-2h rule reads the step-2h columns, with 2^d times
-        their weight.  The floor is eps times the largest of the node sums
-        of the floor rows (_tau_sums).  In 1-D the grid is the one node
-        xi' = 0, of weight 1, where psi = 0 and every sum is Re h.
+        the point's shift, from its normal pair ``inv``.  Each half node of
+        ``grid`` reads the sums of its column (``half``, the one _tau_sums
+        ran on), contracted as a (distinct shift x pair) table when that has
+        at most K entries, else point by point (module docstring, Phase
+        table), in tiles within BLOCK_ELEMENTS.  The floor is eps times the
+        largest of the node sums of the floor rows (_tau_sums).  The step-2h
+        rule weighs the even-index nodes by 2^d times their weight.  In 1-D
+        the grid is the one node xi' = 0, of weight 1, where psi = 0 and
+        every sum is Re h.
         """
         n = self.medium.dim
         d = n - 1
         h_cnt = (grid.wq.size + 1) // 2
+        xi = grid.xi[:h_cnt]
         w = _fold(grid.wq)  # the weight of each half node
-        # The half nodes in column order, and the first of each column.  The
-        # nodes of a column share a weight: the centre node is its own.
-        order, starts, w_col = slice(None), None, w
-        if half.of is not None:
-            order = np.argsort(half.of, kind="stable")
-            starts = np.flatnonzero(np.diff(half.of[order], prepend=-1))
-            w_col = w[order[starts]]
-        xi = grid.xi[:h_cnt][order]
-        sub = _as_slice(half.sub)
-        re = sums.re * w_col
-        re_sub = sums.re_sub * (2.0 ** d * w_col[sub])
+        sub = _as_slice(grid.sub[:(grid.sub.size + 1) // 2])
+        w_sub = 2.0 ** d * _fold(grid.wq[grid.sub])
         shift = dxp + np.einsum("ki,kij->kj", pairs, sums.phi)[inv]
-        # The distinct shifts, by one complex key per point.  One shift (every
-        # shift in 1-D) always makes a table; two or more need 2 P <= K.
-        first, sidx = np.zeros(1, dtype=int), np.zeros_like(inv)
-        table = bool(np.all(shift == shift[:1]))
+        # The distinct shifts, by one complex key per point.  With 2 P > K only
+        # one shift makes a table, and a comparison finds it 4x faster.
+        first, sidx = slice(0, 1), 0
+        table = bool((shift == shift[:1]).all())
         if not table and 2 * pairs.shape[0] <= inv.size:
             _, first, sidx = np.unique(shift @ np.array([1.0, 1j])[:d], return_index=True,
                                        return_inverse=True)
             table = first.size * pairs.shape[0] <= inv.size
-        shifts = shift[first] if table else shift
-        shape = (shifts.shape[0], pairs.shape[0]) if table else (shifts.shape[0],)
-        fine = np.empty((n + 1 + source_gradient,) + shape)
-        coarse = np.empty((n + 1,) + shape)
+        units = shift[first] if table else shift
+        del shift
+        if table:  # every pair's sums at every half node, once
+            re = _node_sums(sums.re, None, half.of, w)
+            re_sub = _node_sums(sums.re_sub, None, half.sub_of, w_sub)
+            phi = sums.phi
+        fine = np.empty((n + 1 + source_gradient, units.shape[0]) + pairs.shape[:table])
+        coarse = np.empty((n + 1,) + fine.shape[1:])
         step = max(1, BLOCK_ELEMENTS // h_cnt)
-        for lo in range(0, shifts.shape[0], step):
+        for lo in range(0, units.shape[0], step):
             sel = slice(lo, lo + step)
-            psi = np.einsum("kj,qj->kq", shifts[sel], xi)
-            cos = _orbit_sums(np.cos(psi), starts)
-            sin_xi = _orbit_sums(np.sin(psi) * xi.T[:, None], starts)
+            psi = np.einsum("kj,qj->kq", units[sel], xi)
+            cos, sin = np.cos(psi), np.sin(psi)
             del psi
-            fine[:, sel] = _column_sums(cos, sin_xi, re if table else re[:, inv[sel]], table)
-            # The step-2h columns: a strided view, or np.take's copy, laid
-            # out alike whatever the chunk (a fancy index's is not).
-            coarse[:, sel] = _column_sums(
-                *(a[..., sub] if isinstance(sub, slice) else np.take(a, sub, axis=-1)
-                  for a in (cos, sin_xi)),
-                re_sub if table else re_sub[:, inv[sel]], table)
-        del re, re_sub  # (rows x pairs x columns): free before the points' outputs
+            if not table:
+                re = _node_sums(sums.re, inv[sel], half.of, w)
+                re_sub = _node_sums(sums.re_sub, inv[sel], half.sub_of, w_sub)
+                phi = sums.phi[inv[sel]]
+            fine[:, sel] = _real_sums(cos, sin, re, phi, xi, table)
+            # The step-2h cos and sin: a strided view, or np.take's copy,
+            # laid out alike whatever the tile (a fancy index's is not).
+            coarse[:, sel] = _real_sums(
+                *(a[:, sub] if isinstance(sub, slice) else np.take(a, sub, axis=1)
+                  for a in (cos, sin)), re_sub, phi, xi[sub], table)
+        del re, re_sub  # (rows x pairs x half nodes): free before the points' outputs
         if table:
             at = sidx * pairs.shape[0] + inv  # each point's (shift, pair) entry
             fine, coarse = (np.take(a.reshape(a.shape[0], -1), at, axis=1) for a in (fine, coarse))
-        # The phase terms -phi_p sin psi Re h sum to c_p times the
-        # x'-derivatives (q likewise).
-        phi = sums.phi[inv]
-        for a in (fine, coarse):
-            a[n:] += np.einsum("kij,jk->ik", phi, a[1:n])[:a.shape[0] - n]
         gamma, grad = fine[0], np.column_stack(fine[1:n + 1])
         # The kernel depends on x' - y' only.
         sgrad = np.column_stack([-grad[:, :d], fine[n + 1]]) if source_gradient else None
@@ -759,23 +750,38 @@ def _tail_bound(inv, xi: np.ndarray, w: np.ndarray, sums, radius: float, decay_r
     return bound_val[inv], (TAIL_SAFETY * ratio * mass)[inv]
 
 
-def _orbit_sums(a, starts):
-    """The sums of ``a`` (..., H), on the half nodes in column order, over
-    the nodes of each column, which begin at ``starts`` (None: every node
-    is its own column)."""
-    return a if starts is None else np.add.reduceat(a, starts, axis=-1)
+def _node_sums(sums, rows, of, w):
+    """The tau sums ``sums`` (R, P, C) of the normal pairs ``rows`` (None:
+    all, without a copy of ``sums``) at every half node, each read from its
+    column ``of`` (None: every node is its own column), times the node
+    weights ``w``.  np.take keeps the result contiguous along the nodes, so
+    the sums over the nodes run in the same order as on the unfolded half."""
+    out = sums if rows is None else sums[:, rows]
+    if of is not None:
+        out = np.take(out, of, axis=2)
+    return np.multiply(out, w, out=None if out is sums else out)
 
 
-def _column_sums(cos, sin_xi, re, table: bool):
+def _real_sums(cos, sin, re, phi, xi, table: bool):
     """Gamma, its x'-derivatives and the cos psi sums of the other rows of
-    ``re`` (R, ., C), the tau sums times the weights, from cos psi (., C)
-    and sin psi xi_j (d, ., C) summed over each column's nodes
-    (_phase_sums): per point (both with K rows, re those of each point's
-    pair), or as a (shift x pair) table (cos over S shifts, re over P
-    pairs).  Both sum each entry over the columns in the same order."""
-    one, tan = ("sc,pc->sp", "jsc,pc->jsp") if table else ("kc,kc->k", "jkc,kc->jk")
-    return [np.einsum(one, cos, re[0]), *-np.einsum(tan, sin_xi, re[0]),
-            *(np.einsum(one, cos, r) for r in re[1:])]
+    ``re``, the tau sums times the weights at each half node, from cos psi
+    and sin psi (rows, H) (_phase_sums): per point (re (R, K, H), c_p and
+    c_q ``phi`` (K, 2, d)), or as a (shift x pair) table (re (R, P, H), phi
+    (P, 2, d)) in tiles of pairs within BLOCK_ELEMENTS values.  Both sum
+    each sin psi Re h xi_j over the nodes in the same order, along a strided
+    column of xi: a third of the time of einsum over (q, j) in 3-D, and the
+    same bits.  The phase term -phi_p sin psi Re h sums to c_p times the
+    x'-derivatives (q likewise)."""
+    step = max(1, BLOCK_ELEMENTS // sin.size) if table else re.shape[1]
+    tangential = np.empty((xi.shape[1],) + cos.shape[:table] + re.shape[1:2])
+    for lo in range(0, re.shape[1], step):
+        sin_val = sin[:, None] * re[0, lo:lo + step] if table else sin * re[0]
+        for j, xi_j in enumerate(xi.T):
+            tangential[j, ..., lo:lo + step] = -np.einsum(
+                "spq,q->sp" if table else "kq,q->k", sin_val, xi_j)
+    one, phase = ("sq,pq->sp", "pij,jsp->isp") if table else ("kq,kq->k", "kij,jk->ik")
+    return [np.einsum(one, cos, re[0]), *tangential, *(np.einsum(one, cos, r) + p for r, p in zip(
+        re[1:], np.einsum(phase, phi, tangential)))]
 
 
 def _fold(w: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from layerheat import images
+from layerheat import images, inverse_transform
 from layerheat.medium import (
     Cube,
     MediumError,
@@ -388,14 +388,16 @@ class TestCubeGreen:
             tracemalloc.stop()
         assert peak < 6e6
 
-    def test_table_call_memory(self):
+    def test_table_call_memory(self, monkeypatch):
         # A 3-D cube call whose phase layer takes the (shift x pair) table:
         # 8 targets with 216 images each, 144 distinct shifts, 12 normal
         # pairs, 7,319 half nodes on 3,720 columns.  Contracted point by
-        # point it took 1.49 s and peaked at 8.73 MB of traced memory; as a
-        # table in tiles of shifts, 0.33 s and 8.72 MB.  One tile of all 144
-        # shifts, holding cos psi and sin psi xi_j on 144 x 7,319 nodes at
-        # once, peaked at 41.9 MB.
+        # point it took 1.18 s and peaked at 8.73 MB of traced memory; as a
+        # table, 0.31 s and 8.73 MB, the peak still in the tau contraction.
+        # The phase layer itself adds the pairs' sums at every half node
+        # (2.45 MB) and 0.84 MB of tiles.  One tile of all 144 shifts peaked
+        # at 38.5 MB; sin psi Re h for all 12 pairs of a tile at once added
+        # 1.03 MB to the phase layer.
         parent_peak = 8.73e6
         med = homogeneous_medium(validate_tensor(np.diag([1.0, 2.0, 1.5])))
         cg = CubeGreen(med, Cube(half_width=0.5, center=np.zeros(3)), depth=1)
@@ -404,14 +406,31 @@ class TestCubeGreen:
                      -1).reshape(-1, 3)
         y = np.array([0.1, -0.15, 0.2])
         cg.evaluate_many(x, 0.02, y, 0.0)  # one-time allocations
+        phase_sums = KernelEvaluator._phase_sums
+        phase = {}
+
+        def measured(self, pairs, inv, dxp, grid, half, sums, source_gradient):
+            start, phase["before"] = tracemalloc.get_traced_memory()  # reset_peak drops it
+            tracemalloc.reset_peak()
+            out = phase_sums(self, pairs, inv, dxp, grid, half, sums, source_gradient)
+            phase["added"] = tracemalloc.get_traced_memory()[1] - start
+            h_cnt = (grid.wq.size + 1) // 2
+            phase["node_sums"] = 8 * pairs.shape[0] * (
+                sums.re.shape[0] * h_cnt + sums.re_sub.shape[0] * half.sub_of.size)
+            return out
+
+        monkeypatch.setattr(KernelEvaluator, "_phase_sums", measured)
         tracemalloc.start()
         try:
             res = cg.evaluate_many(x, 0.02, y, 0.0, source_gradient=True)
-            peak = tracemalloc.get_traced_memory()[1]
+            peak = max(phase["before"], tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        print(f"traced peak {peak / 1e6:.3f} MB, per-point phase layer {parent_peak / 1e6:.2f} MB")
+        print(f"traced peak {peak / 1e6:.3f} MB, per-point phase layer {parent_peak / 1e6:.2f} MB; "
+              f"phase layer added {phase['added'] / 1e6:.3f} MB")
         assert peak <= 1.15 * parent_peak
+        # Beyond the sums at the nodes, a few tiles of BLOCK_ELEMENTS values.
+        assert phase["added"] <= phase["node_sums"] + 8 * 8 * inverse_transform.BLOCK_ELEMENTS
         assert np.all(np.isfinite(res["gamma"])) and np.all(res["gamma"] > 0.0)
 
     def test_scatter_call_memory(self):
