@@ -145,8 +145,11 @@ class TestErrors:
             return np.full(inv.size, np.inf), np.full(inv.size, np.inf)
 
         monkeypatch.setattr(inverse_transform, "_tail_bound", failing)
+        # A layered medium: the reflected term leaves the transform work
+        # and a tail bound at a target on the source's side (a homogeneous
+        # medium's kernel is all closed form).
         cfg = {
-            "medium": {"upper": [[1.0, 0.0], [0.0, 1.0]]},
+            "medium": {"upper": [[1.0, 0.0], [0.0, 1.0]], "lower": [[2.0, 0.0], [0.0, 3.0]]},
             "eval": {"t": 0.5, "s": 0.0, "y": [0.0, 0.3], "x": [[0.2, 0.5]]},
             "output": str(tmp_path / "out.csv"),
         }

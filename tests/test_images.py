@@ -388,7 +388,7 @@ class TestCubeGreen:
             tracemalloc.stop()
         assert peak < 6e6
 
-    def test_table_call_memory(self, monkeypatch):
+    def test_table_call_memory(self, monkeypatch, whole_symbol):
         # A 3-D cube call whose phase layer takes the (shift x pair) table:
         # 8 targets with 216 images each, 144 distinct shifts, 12 normal
         # pairs, 7,319 half nodes on 3,720 columns.  Contracted point by
@@ -397,7 +397,8 @@ class TestCubeGreen:
         # The phase layer itself adds the pairs' sums at every half node
         # (2.45 MB) and 0.84 MB of tiles.  One tile of all 144 shifts peaked
         # at 38.5 MB; sin psi Re h for all 12 pairs of a tile at once added
-        # 1.03 MB to the phase layer.
+        # 1.03 MB to the phase layer.  The whole symbol goes through the
+        # transform: in closed form a homogeneous medium has no phase layer.
         parent_peak = 8.73e6
         med = homogeneous_medium(validate_tensor(np.diag([1.0, 2.0, 1.5])))
         cg = CubeGreen(med, Cube(half_width=0.5, center=np.zeros(3)), depth=1)

@@ -208,11 +208,13 @@ class TestHomogeneousExactness:
 
     @pytest.mark.parametrize("c", [0.9, 0.99])
     @pytest.mark.parametrize("dt", [0.01, 0.3])
-    def test_est_covers_strong_shear(self, c, dt):
+    def test_est_covers_strong_shear(self, whole_symbol, c, dt):
         # A large tangential coupling a_t gives large phases phi, which the
         # roundoff floor must count at a node and at its mirror alike: with
         # each |p| as the mean of |r + i phi| over the node and its mirror,
-        # the gradient's error reached 1.2 est at c = 0.99, dt = 0.01.
+        # the gradient's error reached 1.2 est at c = 0.99, dt = 0.01.  The
+        # whole symbol goes through the transform here; in closed form the
+        # Gaussian forms no phase.
         t_mat = validate_tensor([[1.0, c], [c, 1.0]])
         ev = KernelEvaluator(homogeneous_medium(t_mat), QuadratureConfig(target_rel_tol=1e-10))
         y = np.array([0.1, -0.2])
@@ -610,7 +612,7 @@ class TestTailBound:
 
     @pytest.mark.parametrize("n,tol,dt", [(2, 1e-4, 0.01), (2, 1e-4, 0.3),
                                           (2, 1e-6, 0.3), (3, 1e-4, 0.3)])
-    def test_bound_covers_base_truncation(self, monkeypatch, n, tol, dt):
+    def test_bound_covers_base_truncation(self, monkeypatch, whole_symbol, n, tol, dt):
         # At loose tolerances the grid leaves real truncation error.  The
         # references extend the uniform grid at the same spacing out to two
         # and four times the radius.  The first adds the tail (beyond twice
@@ -621,7 +623,8 @@ class TestTailBound:
         # rest, for Gamma and both gradients, at every point.  (At tol 1e-6
         # and dt = 0.01 the noise, 1e-9 of the peak, exceeds the truncation
         # itself at some points, and changes from one extension to the
-        # next, so wider grids are no reference there.)
+        # next, so wider grids are no reference there.)  The whole symbol
+        # goes through the transform, the direct term's truncation included.
         bounds, passes = [], []
         tail_bound = inverse_transform._tail_bound
         tau_sums = KernelEvaluator._tau_sums
@@ -631,7 +634,7 @@ class TestTailBound:
             return bounds[-1][1]
 
         def recorded_sums(self, pairs, codes, half, tau, wte, *args):
-            passes.append((pairs, codes, tau, wte))
+            passes.append((pairs, codes, tau, wte, args[1]))
             return tau_sums(self, pairs, codes, half, tau, wte, *args)
 
         monkeypatch.setattr(inverse_transform, "_tail_bound", recorded_bound)
@@ -652,7 +655,7 @@ class TestTailBound:
         res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
         assert len(bounds) == 1 and len(passes) == 1
         inv, bound = bounds[0][0], np.maximum(*bounds[0][1])
-        pairs, codes, tau, wte = passes[0]
+        pairs, codes, tau, wte, closed = passes[0]
         dxp = x[:, :-1] - y[:, :-1]
         osc = np.max(np.abs(dxp), axis=0)
         radius = ev._base_radius(dt)
@@ -660,7 +663,7 @@ class TestTailBound:
         for k in (1, 2):
             grid = inverse_transform._xi_grid(2 ** k * radius, ev._xi_spacing(osc, dt))
             half = ev._half_grid(grid)
-            sums = tau_sums(ev, pairs, codes, half, tau, wte, True)
+            sums = tau_sums(ev, pairs, codes, half, tau, wte, True, closed)
             values = ev._phase_sums(pairs, inv, dxp, grid, half, sums, True)[:3]
             wider.append(np.column_stack(values))
         base = np.column_stack([res["gamma"], res["grad"], res["sgrad"]])
@@ -1304,8 +1307,10 @@ class TestPhaseTable:
         for key in ("gamma", "grad", "sgrad", "est"):
             assert table[key].tobytes() == alone[key].tobytes() == tiled[key].tobytes()
 
-    def test_cube_green_routes_identical(self, monkeypatch):
-        # The green workload's shape: every target with each of 100 images.
+    def test_cube_green_routes_identical(self, monkeypatch, whole_symbol):
+        # The green workload's shape: every target with each of 100 images,
+        # the whole symbol through the transform (in closed form a
+        # homogeneous medium has no phase layer).
         med = homogeneous_medium(validate_tensor(np.diag([1.0, 2.0])))
         cg = CubeGreen(med, Cube(half_width=1.0, center=np.zeros(2)), depth=2)
         x = np.stack(np.meshgrid(np.linspace(-0.9, 0.9, 3), np.linspace(-0.85, 0.95, 3),
@@ -1344,9 +1349,10 @@ class TestZeroTerms:
     """A term whose coefficient is zero on a block forms no weights."""
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_homogeneous_skips_reflected_terms(self, monkeypatch, n):
+    def test_homogeneous_skips_reflected_terms(self, monkeypatch, whole_symbol, n):
         # On a homogeneous medium Theta_A == Theta_B, so every reflected
-        # coefficient is exactly 0; on a layered one it is not.
+        # coefficient is exactly 0; on a layered one it is not.  The whole
+        # symbol goes through the transform, so the direct terms form weights.
         names = []
         term_weights = inverse_transform._term_weights
 
@@ -1365,6 +1371,105 @@ class TestZeroTerms:
             assert np.all(res["gamma"] > 0.0)
             assert any(name.startswith("direct") for name in names)
             assert any(name.startswith("reflect") for name in names) == reflected
+
+
+LAYERED = [
+    pytest.param([[1.0]], [[4.0]], id="1d"),
+    pytest.param([[1.0, 0.3], [0.3, 1.0]], np.diag([2.0, 3.0]), id="2d-sheared"),
+    pytest.param(np.eye(3), np.diag([2.0, 2.0, 3.0]), id="3d-folded"),
+]
+
+
+class TestDirectTerm:
+    """Where target and source lie in layers of one tensor, eval_many adds the
+    source layer's Gaussian in closed form and the transform integrates the
+    rest (closed_form_regions)."""
+
+    @pytest.mark.parametrize("tensor,tol,rel", [
+        pytest.param([[1.3]], 1e-8, 1e-9, id="1d"),
+        pytest.param([[2.0, 1.0], [1.0, 2.0]], 1e-8, 1e-8, id="2d"),
+        pytest.param([[1.0, 0.99], [0.99, 1.0]], 1e-10, 1e-8, id="2d-c0.99"),
+        pytest.param([[1.5, 0.2, 0.0], [0.2, 1.0, -0.1], [0.0, -0.1, 2.0]], 1e-6, 1e-6, id="3d"),
+    ])
+    @pytest.mark.parametrize("dt", [0.01, 0.3])
+    def test_whole_symbol_matches_gaussian(self, monkeypatch, whole_symbol, tensor, tol, rel, dt):
+        # The transform path on homogeneous media, with the closed form
+        # switched off: Gamma and both gradients against the Gaussian, each
+        # error within est, and Gamma's within the tolerances that the
+        # homogeneous tests held before the split.
+        def no_closed_form(*args):
+            raise AssertionError("the direct term went to the closed form")
+
+        monkeypatch.setattr(KernelEvaluator, "_direct", no_closed_form)
+        t_mat = validate_tensor(tensor)
+        n = t_mat.dim
+        ev = KernelEvaluator(homogeneous_medium(t_mat), QuadratureConfig(target_rel_tol=tol))
+        rng = np.random.default_rng(n)
+        y = np.array([0.1, -0.2, 0.3][3 - n:])
+        x = y + 3.0 * math.sqrt(dt) * rng.uniform(-1.0, 1.0, (40 if n < 3 else 8, n))
+        res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
+        exact = gaussian_kernel(t_mat, x, dt, y, 0.0)
+        g_exact = gaussian_gradient(t_mat, x, dt, y, 0.0).reshape(-1, n)
+        err = np.abs(res["gamma"] - exact)
+        g_err = np.maximum(np.abs(res["grad"] - g_exact), np.abs(res["sgrad"] + g_exact))
+        assert np.all(err <= res["est"]) and np.all(g_err.max(axis=1) <= res["est"])
+        assert np.max(err) <= rel * gaussian_kernel(t_mat, y[None, :], dt, y, 0.0)
+
+    @pytest.mark.parametrize("upper,lower", LAYERED)
+    def test_layered_split_against_whole_symbol(self, monkeypatch, upper, lower):
+        # Cross-interface pairs keep their whole symbol: their outputs are
+        # the whole-symbol run's to the byte.  Same-side outputs move from
+        # the transform's error to the closed form's, within the larger of
+        # the two runs' est.
+        med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
+        ev = KernelEvaluator(med)
+        rng = np.random.default_rng(med.dim)
+        y = rng.uniform(-1.0, 1.0, (40, med.dim))
+        x = y + rng.uniform(-0.6, 0.6, y.shape)
+        split = ev.eval_many(x, 0.1, y, 0.0, source_gradient=True)
+        monkeypatch.setattr(inverse_transform, "closed_form_regions",
+                            lambda medium: np.zeros(6, dtype=bool))
+        whole = ev.eval_many(x, 0.1, y, 0.0, source_gradient=True)
+        cross = (x[:, -1] > 0.0) != (y[:, -1] > 0.0)
+        assert 0 < np.sum(cross) < 40
+        for key in ("gamma", "grad", "sgrad", "est"):
+            assert split[key][cross].tobytes() == whole[key][cross].tobytes()
+        move = np.max(np.abs(np.column_stack([split[k] - whole[k] for k in ("gamma", "grad", "sgrad")])),
+                      axis=1)
+        assert np.all(move[~cross] <= np.maximum(split["est"], whole["est"])[~cross])
+        assert np.any(move[~cross] > 0.0)
+
+    @pytest.mark.parametrize("tensor", [[[1.3]], [[2.0, 1.0], [1.0, 2.0]],
+                                        [[1.5, 0.2, 0.0], [0.2, 1.0, -0.1], [0.0, -0.1, 2.0]]],
+                             ids=["1d", "2d", "3d"])
+    def test_homogeneous_forms_no_exponential(self, monkeypatch, tensor):
+        # Every term of a homogeneous medium is the closed form: no term
+        # forms weights or exponentials, and neither the phase layer (cos
+        # psi) nor the tail bound runs, for a kernel batch or a cube Green
+        # function's image sum.
+        def not_run(*args):
+            raise AssertionError("transform work on a homogeneous medium")
+
+        for owner, name in ((inverse_transform, "_term_weights"), (KernelEvaluator, "_phase_sums"),
+                            (inverse_transform, "_tail_bound")):
+            monkeypatch.setattr(owner, name, not_run)
+        t_mat = validate_tensor(tensor)
+        n = t_mat.dim
+        med = homogeneous_medium(t_mat)
+        rng = np.random.default_rng(n)
+        y = np.array([0.1, -0.2, 0.3][3 - n:])
+        x = y + rng.uniform(-0.8, 0.8, (30, n))
+        res = KernelEvaluator(med).eval_many(x, 0.2, y, 0.0, source_gradient=True)
+        exact = gaussian_kernel(t_mat, x, 0.2, y, 0.0)
+        g_exact = gaussian_gradient(t_mat, x, 0.2, y, 0.0).reshape(-1, n)
+        assert np.all(np.abs(res["gamma"] - exact) <= res["est"])
+        assert np.all(np.abs(res["grad"] - g_exact).max(axis=1) <= res["est"])
+        assert np.array_equal(res["sgrad"], -res["grad"])
+        if n > 1:
+            diagonal = homogeneous_medium(validate_tensor(np.diag(np.diag(tensor))))
+            cg = CubeGreen(diagonal, Cube(half_width=1.0, center=np.zeros(n)), depth=2)
+            green = cg.evaluate_many(np.clip(x, -0.9, 0.9), 0.05, y, 0.0)
+            assert np.all(np.isfinite(green["gamma"])) and np.all(green["gamma"] >= 0.0)
 
 
 class TestTimeScaling:

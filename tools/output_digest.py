@@ -4,14 +4,22 @@
 Usage, from the repository root:
 
     python3 tools/output_digest.py --seed 1 [--workload green ...]
+        [--save outputs.npz] [--against outputs.npz]
 
 Runs the set-up and one cycle of each workload of bench/workloads.py, which
 it only imports, and prints one line per `KernelEvaluator.eval_many` call:
 the workload, the call's index, its point count and dimension, and the
 sha256 of the bytes of gamma, grad, sgrad (when returned) and est.  Two
 trees whose lines agree returned the same bytes; a line that differs names
-the call to compare value by value (`cycle_outputs` returns the arrays).
-Evaluation is serial and BLAS single-threaded, as in bench/run.py.
+the call to compare value by value.  Evaluation is serial and BLAS
+single-threaded, as in bench/run.py.
+
+--save writes every call's arrays to an .npz file.  --against reads such a
+file, made by another tree at the same seed, and adds to each line the
+call's largest move of gamma, grad or sgrad relative to that array's peak
+over the batch (the saved one), and the number of points where a value
+moved by more than the larger of the two calls' est.  It exits 1 when a
+point did, or when the calls do not match one to one.
 """
 from __future__ import annotations
 
@@ -21,6 +29,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -66,16 +76,52 @@ def digest(out: dict) -> str:
     return h.hexdigest()
 
 
+def moves(out: dict, ref: dict):
+    """The largest move of gamma, grad or sgrad relative to that array's
+    peak in ``ref``, and the points that moved by more than the larger est."""
+    rel, beyond = 0.0, np.zeros(out["est"].size, dtype=bool)
+    est = np.maximum(out["est"], ref["est"])
+    for key in KEYS[:-1]:
+        if key in ref:
+            move = np.abs(out[key] - ref[key]).reshape(est.size, -1)
+            peak = np.max(np.abs(ref[key]), initial=0.0)
+            rel = max(rel, float(np.max(move, initial=0.0)) / peak if peak else 0.0)
+            beyond |= np.any(move > est[:, None], axis=1)
+    return rel, int(np.sum(beyond))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workload", action="append", choices=WORKLOADS)
+    p.add_argument("--save", type=Path, help="write every call's arrays to this .npz file")
+    p.add_argument("--against", type=Path, help="compare with the arrays of this .npz file")
     args = p.parse_args(argv)
+    saved, status = {}, 0
+    if args.against:
+        with np.load(args.against) as f:
+            ref = dict(f)
     for name in args.workload or WORKLOADS:
-        for i, out in enumerate(cycle_outputs(name, args.seed)):
-            print(f"{name} {i} points={out['gamma'].size} dim={out['grad'].shape[1]} "
-                  f"{digest(out)}")
-    return 0
+        outs = cycle_outputs(name, args.seed)
+        for i, out in enumerate(outs):
+            line = f"{name} {i} points={out['gamma'].size} dim={out['grad'].shape[1]} {digest(out)}"
+            saved.update({f"{name}/{i}/{key}": out[key] for key in KEYS if key in out})
+            if args.against:
+                old = {key: ref[f"{name}/{i}/{key}"] for key in KEYS if f"{name}/{i}/{key}" in ref}
+                if old.keys() != out.keys() or old["gamma"].shape != out["gamma"].shape:
+                    print(f"{line} no matching call")
+                    status = 1
+                    continue
+                rel, beyond = moves(out, old)
+                line += f" move={rel:.2e} beyond_est={beyond}"
+                status |= beyond > 0
+            print(line)
+        if args.against and f"{name}/{len(outs)}/gamma" in ref:
+            print(f"{name}: the saved run made more calls")
+            status = 1
+    if args.save:
+        np.savez(args.save, **saved)
+    return int(status)
 
 
 if __name__ == "__main__":
