@@ -46,9 +46,9 @@ Michalski & Mosig, IEEE Trans. Antennas Propag. 45 (1997).  eval_many adds
 Gamma_D, its gradient and, as the source gradient, minus that in closed
 form (_direct), and _tau_sums contracts only the rest: the reflected terms,
 which are 0 in a homogeneous medium and skipped, and the transmitted terms
-of a layered one.  A pair with no term left has no phase-layer and no
-tail-bound work (_remainder), so a homogeneous medium forms no exponential
-and no cos psi.  The truncation test still compares against the total
+of a layered one.  A call none of whose pairs has a term left runs no
+phase layer and no tail bound (_remainder), so a homogeneous medium forms
+no exponential and no cos psi.  The truncation test still compares against the total
 |Gamma|.  Cross-interface pairs of a layered medium keep their whole
 symbol, to the byte.  The tests switch the split off by patching
 closed_form_regions, which keeps the transform checked against the
@@ -286,8 +286,7 @@ def closed_form_regions(medium: TwoLayerMedium) -> np.ndarray:
     homogeneous.  There eval_many gives the direct term, the source layer's
     whole-space kernel, in closed form, and the transform integrates only
     the rest (module docstring, Direct term)."""
-    same = medium.upper == medium.lower
-    return np.array([same or r not in (Region.R2, Region.R1) for r in REGIONS])
+    return np.array([medium.is_homogeneous or r not in (Region.R2, Region.R1) for r in REGIONS])
 
 
 def certify_mu(medium: TwoLayerMedium) -> float:
@@ -413,7 +412,7 @@ class HalfSums(NamedTuple):
     re_sub: np.ndarray  # (2, P, C_sub): Re h and Re h_n of the step-2h rule
     phi: np.ndarray  # (P, 2, d): each pair's c_p and c_q, phi = c.xi' (symbols.region_phases)
     floor: np.ndarray  # (3 or 4, P): floor rows and the tangential one, node sums
-    live: np.ndarray | None = None  # (P,): the pairs with a term contracted
+    live: np.ndarray  # (P,): the pairs with a term contracted
 
 
 class KernelEvaluator:
@@ -697,28 +696,16 @@ class KernelEvaluator:
 
     def _remainder(self, pairs, inv, dxp, grid: XiGrid, half: HalfGrid, sums, radius: float,
                    dt: float, source_gradient):
-        """_phase_sums and _tail_bound of the points whose normal pair is live
-        (_tau_sums); at the others Gamma, its gradients and each part of est
-        are 0, and neither layer runs."""
-        if sums.live.all():
+        """_phase_sums and _tail_bound, or, where no normal pair is live
+        (_tau_sums), zeros for Gamma, its gradients and each part of est,
+        and neither layer runs.  A pair that is not live has sums of 0, so
+        in a call with some live pairs the two layers give its points 0."""
+        if sums.live.any():
             return (*self._phase_sums(pairs, inv, dxp, grid, half, sums, source_gradient),
                     *_tail_bound(inv, half.xi, half.w, sums, radius, self._schur_min * dt))
         k, n = inv.size, self.medium.dim
-        out = [np.zeros(k), np.zeros((k, n)), np.zeros((k, n)) if source_gradient else None,
-               *np.zeros((4, k))]
-        pts = np.flatnonzero(sums.live[inv])
-        if pts.size:
-            rows = np.flatnonzero(sums.live)
-            inv = (np.cumsum(sums.live) - 1)[inv[pts]]
-            sums = HalfSums(sums.re[:, rows], sums.re_sub[:, rows], sums.phi[rows],
-                            sums.floor[:, rows])
-            parts = (*self._phase_sums(pairs[rows], inv, dxp[pts], grid, half, sums,
-                                       source_gradient),
-                     *_tail_bound(inv, half.xi, half.w, sums, radius, self._schur_min * dt))
-            for whole, part in zip(out, parts):
-                if whole is not None:
-                    whole[pts] = part
-        return out
+        return [np.zeros(k), np.zeros((k, n)), np.zeros((k, n)) if source_gradient else None,
+                *np.zeros((4, k))]
 
     def _direct(self, d, lower, dt: float):
         """The direct term at the offsets d = x - y (K, n) of sources in the

@@ -685,7 +685,7 @@ class TestTailBound:
         def bound(h, r=radius):
             # One pair; its value and normal sums are Re h, with no phase.
             re = np.stack([h.real, h.real])[:, None, :]
-            sums = HalfSums(re, None, np.zeros((1, 2, 1)), None)
+            sums = HalfSums(re, None, np.zeros((1, 2, 1)), None, np.ones(1, dtype=bool))
             return np.maximum(*inverse_transform._tail_bound(
                 inv, grid.xi[:half], inverse_transform._fold(grid.wq), sums, r, a))[0]
 
@@ -708,7 +708,8 @@ class TestTailBound:
         # normal gradient's integrand |Re h_n + i phi_p Re h| of the second
         # is three times the tangential one.  Point k reads pair 1 - k.
         re = np.stack([f[:half], np.zeros(half)])[:, None, :].repeat(2, axis=1)
-        sums = HalfSums(re, None, np.array([[[0.0], [0.0]], [[3.0], [0.0]]]), None)
+        sums = HalfSums(re, None, np.array([[[0.0], [0.0]], [[3.0], [0.0]]]), None,
+                        np.ones(2, dtype=bool))
         grads = inverse_transform._tail_bound(
             np.array([1, 0]), grid.xi[:half], inverse_transform._fold(grid.wq), sums, radius, a)[1]
         assert grads[0] == pytest.approx(3.0 * grads[1], rel=1e-14)
@@ -1373,6 +1374,27 @@ class TestZeroTerms:
             assert any(name.startswith("reflect") for name in names) == reflected
 
 
+def long_double_gaussian(a, x, y, dt):
+    """The whole-space Gaussian of the tensor ``a`` and its gradient at the
+    targets x (K, n), source y and lag dt, in long double: A^-1 and det A by
+    Gauss-Jordan elimination, d = x - y exact."""
+    n = a.shape[0]
+    m = np.hstack([np.asarray(a, dtype=np.longdouble), np.eye(n, dtype=np.longdouble)])
+    det = np.longdouble(1.0)
+    for i in range(n):
+        det *= m[i, i]
+        m[i] /= m[i, i]
+        for j in set(range(n)) - {i}:
+            m[j] -= m[j, i] * m[i]
+    d = x.astype(np.longdouble) - np.asarray(y, dtype=np.longdouble)
+    a_d = d @ m[:, n:]
+    dt = np.longdouble(dt)
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    gamma = np.exp(np.einsum("ki,ki->k", d, a_d) / (-4 * dt)) / (
+        (4 * pi * dt) ** (np.longdouble(n) / 2) * np.sqrt(det))
+    return gamma, a_d * (gamma / (-2 * dt))[:, None]
+
+
 LAYERED = [
     pytest.param([[1.0]], [[4.0]], id="1d"),
     pytest.param([[1.0, 0.3], [0.3, 1.0]], np.diag([2.0, 3.0]), id="2d-sheared"),
@@ -1438,6 +1460,37 @@ class TestDirectTerm:
                       axis=1)
         assert np.all(move[~cross] <= np.maximum(split["est"], whole["est"])[~cross])
         assert np.any(move[~cross] > 0.0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("dt", [0.01, 0.3])
+    def test_closed_form_est_covers_long_double(self, dt):
+        # The closed form's roundoff term of est where A is sheared: on the
+        # 2-D tensor of coupling 0.99 and on eight random 3-D tensors of
+        # condition 30-55, Gamma, grad and sgrad against the Gaussian in long
+        # double, each error within est.  Its exponent and A^-1 d cancel, so
+        # est counts their terms' magnitudes (E_abs, |A^-1| |d|); A^-1 rounded
+        # by np.linalg.inv in place of the exact inverse put the gradient's
+        # error at 1.2 est on one of the 3-D tensors.
+        rng = np.random.default_rng(7)
+        tensors = [np.array([[1.0, 0.99], [0.99, 1.0]])]
+        while len(tensors) < 9:
+            q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            a = (q * np.exp(rng.uniform(0.0, math.log(55.0), 3))) @ q.T
+            if 30.0 <= np.linalg.cond(a) <= 55.0:
+                tensors.append(0.5 * (a + a.T))
+        for a in tensors:
+            n = a.shape[0]
+            y = np.array([0.1, -0.2, 0.3][3 - n:])
+            spread = 4.0 * math.sqrt(dt * np.linalg.eigvalsh(a).max())
+            x = y + spread * rng.uniform(-1.0, 1.0, (150 if n < 3 else 60, n))
+            res = KernelEvaluator(homogeneous_medium(validate_tensor(a))).eval_many(
+                x, dt, y, 0.0, source_gradient=True)
+            gamma, grad = long_double_gaussian(a, x, y, dt)
+            err = np.abs(res["gamma"] - gamma).astype(float)
+            g_err = np.maximum(np.abs(res["grad"] - grad), np.abs(res["sgrad"] + grad))
+            assert np.all(err <= res["est"]), n
+            assert np.all(g_err.astype(float).max(axis=1) <= res["est"]), n
 
     @pytest.mark.parametrize("tensor", [[[1.3]], [[2.0, 1.0], [1.0, 2.0]],
                                         [[1.5, 0.2, 0.0], [0.2, 1.0, -0.1], [0.0, -0.1, 2.0]]],
