@@ -162,7 +162,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -286,7 +286,8 @@ def closed_form_regions(medium: TwoLayerMedium) -> np.ndarray:
     homogeneous.  There eval_many gives the direct term, the source layer's
     whole-space kernel, in closed form, and the transform integrates only
     the rest (module docstring, Direct term)."""
-    return np.array([medium.is_homogeneous or r not in (Region.R2, Region.R1) for r in REGIONS])
+    homogeneous = medium.is_homogeneous
+    return np.array([homogeneous or r not in (Region.R2, Region.R1) for r in REGIONS])
 
 
 def certify_mu(medium: TwoLayerMedium) -> float:
@@ -962,6 +963,16 @@ def _term_weights(term, wte, source_gradient: bool, sub_half, abs_p, abs_q):
     return w_sum, w_abs, w_half
 
 
+@cache
+def _leggauss(m: int):
+    """The m-node Gauss-Legendre rule on [-1, 1], built once per m and
+    shared read-only by every caller."""
+    x, w = leggauss(m)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_tensor_grid(axes):
     """Tensor product of composite Gauss-Legendre rules, in any dimension.
 
@@ -971,13 +982,10 @@ def gauss_tensor_grid(axes):
     """
     pts = np.zeros((1, 0))
     wts = np.ones(1)
-    rules = {}
     for panels in axes:
         nodes, weights = [], []
         for a, b, m in panels:
-            if m not in rules:
-                rules[m] = leggauss(m)
-            x, w = rules[m]
+            x, w = _leggauss(m)
             nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
             weights.append(0.5 * (b - a) * w)
         x = np.concatenate(nodes)

@@ -1,12 +1,21 @@
 """Independent finite-difference reference solver.
 
 Solves dt u = div(A grad u) (+ forcing) on an axis-aligned box in one or
-two space dimensions with a conservative flux-form discretization.  The
-discrete operator is assembled once as a sparse matrix and time stepping
-uses a single sparse LU factorization (implicit Euler by default,
-Crank-Nicolson opt-in).  The solver shares no code with the
-transform-based kernel evaluator, so agreement between the two is a
-genuine cross-check.
+two space dimensions with a conservative flux-form discretization,
+implicit Euler by default and Crank-Nicolson opt-in.  The solver shares
+no code with the transform-based kernel evaluator, so agreement between
+the two is a genuine cross-check.
+
+Time stepping takes one of two routes, chosen from the medium:
+
+* no tangential-normal coupling (a_12 = 0 in both layers, always so in
+  1-D): the operator is exactly L = T (x) diag(a_11(x_n)) + I (x) N, with
+  T the 1-D tangential operator of unit coefficient and N the 1-D normal
+  one (the tensor-product method of Lynch, Rice & Thomas, Numer. Math. 6,
+  1964).  T is diagonalized once per solve, and each step solves one
+  tridiagonal system per tangential mode;
+* otherwise the 2-D operator is assembled as a sparse matrix and every
+  step reuses one sparse LU factorization of it.
 
 Discretization notes:
 
@@ -31,9 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
-from .medium import Cube, MediumError, TwoLayerMedium
+from .medium import Cube, MediumError, TwoLayerMedium, homogeneous_medium, validate_tensor
 
 
 class InterfaceNotOnGrid(MediumError):
@@ -41,12 +51,13 @@ class InterfaceNotOnGrid(MediumError):
 
 
 class SolveFailed(RuntimeError):
-    """Sparse factorization/solve broke down or produced non-finite values."""
+    """Factorization/solve broke down or produced non-finite values."""
 
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Uniform tensor grid on a box with a fixed time step."""
+    """Uniform tensor grid on a box with a fixed time step; ``t_span`` must
+    be a whole number of steps of ``dt`` (to 1e-9 relative)."""
 
     box: Cube
     nodes_per_dim: int
@@ -60,6 +71,11 @@ class Grid:
             raise MediumError("dt must be positive")
         if not self.t_span[1] > self.t_span[0]:
             raise MediumError("t_span must be increasing")
+        steps = (self.t_span[1] - self.t_span[0]) / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise MediumError(
+                f"t_span is {steps:.6g} steps of dt, not a whole number"
+            )
 
     @property
     def dim(self) -> int:
@@ -256,6 +272,93 @@ def _boundary_mask(shape) -> np.ndarray:
     return mask.ravel()
 
 
+def _uncoupled(medium: TwoLayerMedium) -> bool:
+    """No tangential-normal coupling: a_12 = 0 in both layers (so in 1-D)."""
+    return not (np.any(medium.upper.normal_row) or np.any(medium.lower.normal_row))
+
+
+def _line_operator(medium: TwoLayerMedium, grid: Grid, axis: int, closed: bool):
+    """build_operator on the 1-D grid that ``grid`` has along ``axis``."""
+    box = Cube(half_width=grid.box.half_width, center=grid.box.center[[axis]])
+    line = Grid(box=box, nodes_per_dim=grid.nodes_per_dim, dt=grid.dt, t_span=grid.t_span)
+    return build_operator(medium, line, closed)
+
+
+def _lu_route(medium: TwoLayerMedium, grid: Grid, closed: bool, active, step: float):
+    """(apply, solve) from the assembled operator L: ``apply(u)`` is L u on
+    the active rows, ``solve(r)`` solves (I - step L_aa) v = r."""
+    op = build_operator(medium, grid, closed)[active]
+    op_aa = op[:, active]
+    # The flux-form stencil couples node i to j when it couples j to i (but
+    # where a cross coefficient a_ij jumps at the interface), so a minimum-
+    # degree order on the pattern of A^T + A fills less than SuperLU's
+    # default COLAMD: on a 201^2 grid L + U holds 2.5M entries against
+    # 4.5M for a 9-point stencil, and a solve takes about half the time.
+    eye = sp.identity(op_aa.shape[0], format="csc")
+    try:
+        lu = splu((eye - step * op_aa).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except Exception as exc:  # pragma: no cover - scipy raises various types
+        raise SolveFailed(f"factorization failed: {exc}") from exc
+    return (lambda u: op @ u), lu.solve
+
+
+def _modal_route(medium: TwoLayerMedium, grid: Grid, closed: bool, step: float):
+    """(apply, solve) as _lu_route, for a medium with no tangential-normal
+    coupling, from the 1-D operators: L = T (x) diag(a_11(x_n)) + I (x) N.
+
+    T_aa is diagonalized once, symmetrized by the active nodes' cell
+    weights (half cells at the two ends when closed); in its eigenbasis
+    mode k solves (I - step (lam_k diag(a_11) + N_aa)) v_k = r_k, and the
+    modes' tridiagonal systems, laid end to end, make one tridiagonal
+    system that LAPACK factors once.
+    """
+    _check_interface(medium, grid)
+    if grid.dim not in (1, 2):
+        raise MediumError("finite-difference oracle supports n in {1, 2} only")
+    keep = slice(None) if closed else slice(1, -1)
+    normal = TwoLayerMedium(
+        upper=validate_tensor([[medium.upper.a_nn]]),
+        lower=validate_tensor([[medium.lower.a_nn]]),
+    )
+    op_n = _line_operator(normal, grid, -1, closed)
+    a_11 = _piecewise_entry(medium, 0, 0, grid.axes[-1])
+    if grid.dim == 1:
+        # No tangential axis: one mode, lam = 0.
+        op_t, keep_t, root = sp.csr_matrix((1, 1)), slice(None), np.ones(1)
+    else:
+        op_t, keep_t = _line_operator(homogeneous_medium(validate_tensor([[1.0]])), grid, 0, closed), keep
+        root = np.ones(grid.nodes_per_dim)[keep]
+        if closed:
+            root[[0, -1]] = math.sqrt(0.5)
+    t_aa = op_t[keep_t][:, keep_t].toarray()
+    sym = root[:, None] * t_aa / root[None, :]
+    try:
+        lam, vec = np.linalg.eigh(0.5 * (sym + sym.T))
+    except np.linalg.LinAlgError as exc:
+        raise SolveFailed(f"tangential eigendecomposition failed: {exc}") from exc
+    to_modes, from_modes = vec.T * root, vec / root[:, None]
+
+    n_aa = op_n[keep][:, keep]
+    diag = 1.0 - step * (lam[:, None] * a_11[keep] + n_aa.diagonal())
+    sub, sup = np.zeros((2,) + diag.shape)
+    sub[:, :-1] = -step * n_aa.diagonal(-1)
+    sup[:, :-1] = -step * n_aa.diagonal(1)
+    *factors, info = dgttrf(sub.ravel()[:-1], diag.ravel(), sup.ravel()[:-1])
+    if info != 0:
+        raise SolveFailed(f"factorization failed: LAPACK dgttrf info {info}")
+    shape = diag.shape
+
+    def apply(u):
+        u = u.reshape(op_t.shape[0], -1)
+        return ((op_t @ u) * a_11 + (op_n @ u.T).T)[keep_t, keep].ravel()
+
+    def solve(r):
+        modes, _ = dgttrs(*factors, (to_modes @ r.reshape(shape)).ravel())
+        return (from_modes @ modes.reshape(shape)).ravel()
+
+    return apply, solve
+
+
 def fdm_solve(
     medium: TwoLayerMedium,
     grid: Grid,
@@ -284,51 +387,37 @@ def fdm_solve(
     u0 = initial(pts) if callable(initial) else np.asarray(initial, dtype=float)
     u0 = u0.reshape(shape).astype(float).copy()
 
-    op = build_operator(medium, grid, closed=(bc == "none"))
+    closed = bc == "none"
     dt = grid.dt
     times = grid.times
     theta = 1.0 if scheme == "implicit_euler" else 0.5
-
-    bmask = _boundary_mask(shape)
-    if bc == "none":
-        active = np.ones(n_nodes, dtype=bool)
+    active = np.ones(n_nodes, dtype=bool) if closed else ~_boundary_mask(shape)
+    if _uncoupled(medium):
+        apply, solve = _modal_route(medium, grid, closed, dt * theta)
     else:
-        active = ~bmask
-    a_idx = np.where(active)[0]
-    b_idx = np.where(~active)[0]
-    op_aa = op[a_idx][:, a_idx].tocsc()
-    op_ab = op[a_idx][:, b_idx].tocsr() if b_idx.size else None
-    eye = sp.identity(a_idx.size, format="csc")
-    # The flux-form stencil couples node i to j when it couples j to i (but
-    # where a cross coefficient a_ij jumps at the interface), so a minimum-
-    # degree order on the pattern of A^T + A fills less than SuperLU's
-    # default COLAMD: on a 201^2 grid L + U holds 1.9M entries against
-    # 3.5M for I | 2I and 2.5M against 4.5M for a 9-point stencil, and a
-    # solve takes about half the time.
-    try:
-        lu = splu((eye - dt * theta * op_aa).tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except Exception as exc:  # pragma: no cover - scipy raises various types
-        raise SolveFailed(f"factorization failed: {exc}") from exc
+        apply, solve = _lu_route(medium, grid, closed, active, dt * theta)
+    a_idx = np.flatnonzero(active)
+    b_idx = np.flatnonzero(~active)
 
     def bvals(t):
-        if bc == "dirichlet0":
-            return np.zeros(b_idx.size)
         return np.asarray(boundary_data(pts[b_idx], t), dtype=float)
 
     u = u0.ravel().copy()
-    if bc != "none":
+    if bc == "dirichlet0":
+        u[b_idx] = 0.0
+    elif bc == "dirichlet":
         u[b_idx] = bvals(times[0])
     history = np.empty((grid.n_steps + 1,) + shape)
     history[0] = u.reshape(shape)
     for m in range(grid.n_steps):
         t_new = times[m + 1]
-        rhs = u[a_idx] + dt * (1.0 - theta) * (op_aa @ u[a_idx])
-        if op_ab is not None:
-            g_old = u[b_idx]
-            g_new = bvals(t_new)
-            rhs = rhs + dt * (
-                theta * (op_ab @ g_new) + (1.0 - theta) * (op_ab @ g_old)
-            )
+        rhs = u[a_idx]
+        if theta < 1.0:
+            rhs = rhs + dt * (1.0 - theta) * apply(u)
+        if bc == "dirichlet":
+            g = np.zeros(n_nodes)
+            g[b_idx] = bvals(t_new)
+            rhs = rhs + dt * theta * apply(g)
         if forcing is not None:
             f_new = np.asarray(forcing(pts[a_idx], t_new), dtype=float)
             if theta < 1.0:
@@ -336,12 +425,12 @@ def fdm_solve(
                 rhs = rhs + dt * (theta * f_new + (1.0 - theta) * f_old)
             else:
                 rhs = rhs + dt * f_new
-        sol = lu.solve(rhs)
+        sol = solve(rhs)
         if not np.all(np.isfinite(sol)):
             raise SolveFailed(f"non-finite values at step {m + 1}")
         u[a_idx] = sol
-        if bc != "none":
-            u[b_idx] = bvals(t_new)
+        if bc == "dirichlet":
+            u[b_idx] = g[b_idx]
         history[m + 1] = u.reshape(shape)
     return GridFunction(grid=grid, values=history)
 

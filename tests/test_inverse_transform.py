@@ -26,6 +26,7 @@ from layerheat.inverse_transform import (
     _hyperbolic_nodes,
     certify_mu,
     delta_recovery,
+    gauss_tensor_grid,
     mass_integral,
 )
 from layerheat.reference import (
@@ -1592,3 +1593,16 @@ class TestMassAndDelta:
         assert np.all(np.diff(errs) < 0)  # monotone approach
         ratios = errs[:-1] / errs[1:]
         assert np.all(ratios > 1.4)  # approximately halving
+
+
+def test_gauss_rules_are_shared_read_only():
+    # gauss_tensor_grid builds each Gauss-Legendre rule once; what it
+    # returns is its own, so a caller that writes to it changes no rule.
+    pts, wts = gauss_tensor_grid([[(0.0, 1.0, 5)], [(-1.0, 0.0, 5), (0.0, 2.0, 3)]])
+    pts[:], wts[:] = 0.0, 0.0
+    pts, wts = gauss_tensor_grid([[(0.0, 1.0, 5)], [(-1.0, 0.0, 5), (0.0, 2.0, 3)]])
+    assert wts.sum() == pytest.approx(3.0) and pts.shape == (40, 2)
+    assert np.sum(wts * pts[:, 0] ** 9 * pts[:, 1] ** 5) == pytest.approx(0.1 * 63.0 / 6.0)
+    x, w = inverse_transform._leggauss(5)
+    assert inverse_transform._leggauss(5)[0] is x
+    assert not (x.flags.writeable or w.flags.writeable)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from layerheat import oracle
 from layerheat.medium import (
     Cube,
     MediumError,
@@ -12,6 +14,8 @@ from layerheat.oracle import (
     Grid,
     GridFunction,
     InterfaceNotOnGrid,
+    SolveFailed,
+    _piecewise_entry,
     approximate_kernel,
     build_operator,
     fdm_solve,
@@ -43,6 +47,16 @@ class TestGrid:
             Grid(box=box, nodes_per_dim=16, dt=-0.1, t_span=(0.0, 1.0))
         with pytest.raises(MediumError):
             Grid(box=box, nodes_per_dim=16, dt=0.1, t_span=(1.0, 0.0))
+
+    def test_t_span_whole_number_of_steps(self):
+        box = Cube(half_width=1.0, center=np.array([0.0]))
+        # 0.1 / 0.03 = 3.33 steps would end at t = 0.09
+        with pytest.raises(MediumError, match="whole number"):
+            Grid(box=box, nodes_per_dim=16, dt=0.03, t_span=(0.0, 0.1))
+        with pytest.raises(MediumError, match="whole number"):
+            Grid(box=box, nodes_per_dim=16, dt=0.2, t_span=(0.0, 0.1))
+        g = Grid(box=box, nodes_per_dim=16, dt=0.1 / 3, t_span=(0.0, 0.1))
+        assert g.n_steps == 3 and g.times[-1] == pytest.approx(0.1)
 
     def test_geometry(self):
         g = grid_1d(nodes=81, half=4.0)
@@ -204,3 +218,103 @@ class TestValidation:
             fdm_solve(layered_1d(), g, np.zeros(33), bc="periodic")
         with pytest.raises(MediumError):
             fdm_solve(layered_1d(), g, np.zeros(33), bc="dirichlet")
+
+
+def _medium(upper, lower):
+    return TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
+
+
+UNCOUPLED_2D = [
+    ([[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 2.0]]),
+    ([[1.5, 0.0], [0.0, 0.7]], [[3.0, 0.0], [0.0, 2.2]]),
+]
+
+
+class TestTensorProductRoute:
+    """Media with no tangential-normal coupling step in the eigenbasis of
+    the 1-D tangential operator; the sparse LU of the assembled operator
+    is the reference."""
+
+    @pytest.mark.parametrize("layers", UNCOUPLED_2D)
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_operator_is_kronecker_sum(self, layers, closed):
+        med = _medium(*layers)
+        m = 21
+        g = Grid(box=Cube(half_width=2.0, center=np.array([0.5, 0.0])),
+                 nodes_per_dim=m, dt=0.01, t_span=(0.0, 0.1))
+        full = build_operator(med, g, closed=closed).toarray()
+        lines = [Grid(box=Cube(half_width=2.0, center=np.array([c])),
+                      nodes_per_dim=m, dt=0.01, t_span=(0.0, 0.1)) for c in (0.5, 0.0)]
+        unit = homogeneous_medium(validate_tensor([[1.0]]))
+        normal = _medium([[layers[0][1][1]]], [[layers[1][1][1]]])
+        t_op = build_operator(unit, lines[0], closed=closed)
+        n_op = build_operator(normal, lines[1], closed=closed)
+        a_11 = _piecewise_entry(med, 0, 0, g.axes[-1])
+        kron = (sp.kron(t_op, sp.diags(a_11)) + sp.kron(sp.identity(m), n_op)).toarray()
+        rows = slice(None) if closed else ~oracle._boundary_mask(g.shape)
+        err = np.max(np.abs(full[rows] - kron[rows]))
+        assert err <= 1e-15 * np.max(np.abs(full[rows]))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("bc", ["none", "dirichlet0", "dirichlet"])
+    @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
+    def test_matches_sparse_lu(self, monkeypatch, dim, bc, scheme):
+        if dim == 1:
+            med, center = _medium([[1.0]], [[2.5]]), np.array([0.4])
+        else:
+            med, center = _medium(*UNCOUPLED_2D[1]), np.array([0.5, 0.4])
+        g = Grid(box=Cube(half_width=2.0, center=center),
+                 nodes_per_dim=21, dt=0.01, t_span=(0.0, 0.1))
+        pts = g.points()
+
+        def run():
+            return fdm_solve(
+                med, g, np.exp(-np.sum((pts - 0.4) ** 2, axis=1)), bc=bc, scheme=scheme,
+                boundary_data=lambda p, t: np.sin(p[:, 0] + p[:, -1]) * np.exp(-t),
+                forcing=lambda p, t: np.cos(p[:, -1]) * (1.0 + t),
+            ).values
+
+        modal = run()
+        monkeypatch.setattr(oracle, "_uncoupled", lambda medium: False)
+        lu = run()
+        for a, b in zip(modal, lu):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("layers, calls", [
+        (UNCOUPLED_2D[0], 0),
+        (([[1.0, 0.3], [0.3, 1.0]], [[2.0, 0.0], [0.0, 2.0]]), 1),
+        (([[1.0]], [[2.0]]), 0),
+    ])
+    def test_sparse_lu_only_for_coupled_media(self, monkeypatch, layers, calls):
+        made = []
+
+        def counting_splu(*args, **kwargs):
+            made.append(args)
+            return sp.linalg.splu(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "splu", counting_splu)
+        med = _medium(*layers)
+        g = Grid(box=Cube(half_width=2.0, center=np.zeros(med.dim)),
+                 nodes_per_dim=17, dt=0.01, t_span=(0.0, 0.05))
+        sol = fdm_solve(med, g, np.ones(g.shape), bc="none")
+        assert len(made) == calls
+        assert sol.mass(-1) == pytest.approx(sol.mass(0), rel=1e-12)
+
+    def test_interface_checked_when_only_a_11_jumps(self):
+        # equal a_nn: the 1-D normal medium is homogeneous, yet the 2-D
+        # medium is layered and its interface must lie on a grid plane
+        med = _medium([[1.0, 0.0], [0.0, 2.0]], [[3.0, 0.0], [0.0, 2.0]])
+        g = Grid(box=Cube(half_width=2.0, center=np.zeros(2)),
+                 nodes_per_dim=20, dt=0.01, t_span=(0.0, 0.05))
+        with pytest.raises(InterfaceNotOnGrid):
+            fdm_solve(med, g, np.zeros(g.shape), bc="none")
+
+    @pytest.mark.parametrize("a_12", [0.0, 0.3])
+    def test_non_finite_values_fail(self, a_12):
+        med = _medium([[1.0, a_12], [a_12, 1.0]], [[2.0, 0.0], [0.0, 2.0]])
+        g = Grid(box=Cube(half_width=2.0, center=np.zeros(2)),
+                 nodes_per_dim=17, dt=0.01, t_span=(0.0, 0.05))
+        u0 = np.zeros(g.shape)
+        u0[8, 8] = np.nan
+        with pytest.raises(SolveFailed):
+            fdm_solve(med, g, u0, bc="none")

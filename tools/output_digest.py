@@ -9,17 +9,22 @@ Usage, from the repository root:
 Runs the set-up and one cycle of each workload of bench/workloads.py, which
 it only imports, and prints one line per `KernelEvaluator.eval_many` call:
 the workload, the call's index, its point count and dimension, and the
-sha256 of the bytes of gamma, grad, sgrad (when returned) and est.  Two
-trees whose lines agree returned the same bytes; a line that differs names
-the call to compare value by value.  Evaluation is serial and BLAS
+sha256 of the bytes of gamma, grad, sgrad (when returned) and est.  Each
+finite-difference oracle solve (`oracle.fdm_solve`) adds one line, tagged
+`oracle`, with its index, its grid shape and the sha256 of its final slice.
+Two trees whose lines agree returned the same bytes; a line that differs
+names the call to compare value by value.  Evaluation is serial and BLAS
 single-threaded, as in bench/run.py.
 
 --save writes every call's arrays to an .npz file.  --against reads such a
 file, made by another tree at the same seed, and adds to each line the
 call's largest move of gamma, grad or sgrad relative to that array's peak
 over the batch (the saved one), and the number of points where a value
-moved by more than the larger of the two calls' est.  It exits 1 when a
-point did, or when the calls do not match one to one.
+moved by more than the larger of the two calls' est; to an oracle line it
+adds the largest move of the final slice relative to the saved slice's
+peak (an oracle solve has no est, so its move is reported only).  It exits
+1 when a point moved beyond est, or when the calls or solves do not match
+one to one.
 """
 from __future__ import annotations
 
@@ -40,22 +45,29 @@ from run import THREAD_ENV  # noqa: E402  (bench/run.py imports no numpy)
 os.environ.update(THREAD_ENV)
 
 import workloads  # noqa: E402
+from layerheat import oracle  # noqa: E402
 from layerheat.inverse_transform import KernelEvaluator  # noqa: E402
 
 WORKLOADS = ("scatter", "green", "cylinder", "compare_oracle")
 KEYS = ("gamma", "grad", "sgrad", "est")
 
 
-def cycle_outputs(name: str, seed: int) -> list:
-    """The output of every eval_many call in the set-up and one cycle of a workload."""
-    calls = []
-    eval_many = KernelEvaluator.eval_many
+def cycle_outputs(name: str, seed: int):
+    """The output of every eval_many call, and the final slice of every
+    fdm_solve, in the set-up and one cycle of a workload."""
+    calls, finals = [], []
+    eval_many, fdm_solve = KernelEvaluator.eval_many, oracle.fdm_solve
 
     def recorded(self, *args, **kwargs):
         calls.append(eval_many(self, *args, **kwargs))
         return calls[-1]
 
-    KernelEvaluator.eval_many = recorded
+    def solved(*args, **kwargs):
+        gf = fdm_solve(*args, **kwargs)
+        finals.append(gf.final)
+        return gf
+
+    KernelEvaluator.eval_many, oracle.fdm_solve = recorded, solved
     try:
         with tempfile.TemporaryDirectory() as workdir:
             wl = workloads.make(name, seed, workdir)
@@ -63,8 +75,8 @@ def cycle_outputs(name: str, seed: int) -> list:
             for call in wl.cycle(state):
                 call.fn()
     finally:
-        KernelEvaluator.eval_many = eval_many
-    return calls
+        KernelEvaluator.eval_many, oracle.fdm_solve = eval_many, fdm_solve
+    return calls, finals
 
 
 def digest(out: dict) -> str:
@@ -102,7 +114,7 @@ def main(argv=None) -> int:
         with np.load(args.against) as f:
             ref = dict(f)
     for name in args.workload or WORKLOADS:
-        outs = cycle_outputs(name, args.seed)
+        outs, finals = cycle_outputs(name, args.seed)
         for i, out in enumerate(outs):
             line = f"{name} {i} points={out['gamma'].size} dim={out['grad'].shape[1]} {digest(out)}"
             saved.update({f"{name}/{i}/{key}": out[key] for key in KEYS if key in out})
@@ -118,6 +130,23 @@ def main(argv=None) -> int:
             print(line)
         if args.against and f"{name}/{len(outs)}/gamma" in ref:
             print(f"{name}: the saved run made more calls")
+            status = 1
+        for i, final in enumerate(finals):
+            key = f"{name}/oracle/{i}/final"
+            line = f"{name} oracle {i} shape={'x'.join(map(str, final.shape))} {hashlib.sha256(final.tobytes()).hexdigest()}"
+            saved[key] = final
+            if args.against:
+                old = ref.get(key)
+                if old is None or old.shape != final.shape:
+                    print(f"{line} no matching solve")
+                    status = 1
+                    continue
+                peak = np.max(np.abs(old), initial=0.0)
+                move = float(np.max(np.abs(final - old), initial=0.0))
+                line += f" move={move / peak if peak else move:.2e}"
+            print(line)
+        if args.against and f"{name}/oracle/{len(finals)}/final" in ref:
+            print(f"{name}: the saved run made more oracle solves")
             status = 1
     if args.save:
         np.savez(args.save, **saved)
