@@ -110,22 +110,25 @@ Phase table.  A point's phase psi = s.xi' depends on it only through its
 shift s = x' - y' + c_p x_n + c_q y_n, and its tau sums only through its
 normal pair.  Tensor grids and image sums repeat both: a cube call of the
 benchmark's green workload has 2,500 points but 50 shifts and 50 pairs.
-When the S shifts and P pairs make a table of S P <= K entries, K the
-points, the phase layer forms cos psi and sin psi once per shift, reads
-every pair's sums at the H half nodes once (P H values per row of sums),
-and contracts each entry as it would a point; else point by point.  Both
-sum every product over the half nodes in the same order (_real_sums), so
-a point's bytes depend neither on the route nor on the fold (Symmetry).
+When the P pairs number at most half the K points, the phase layer finds
+the S distinct shifts, and when they make a table of S P <= K entries it
+forms cos psi and sin psi once per shift, reads every pair's sums at the
+H half nodes once (P H values per row of sums), and contracts each entry
+as it would a point; else, as for 1-D calls with distinct x_n, point by
+point.  Both sum every product over the half nodes in the same order
+(_real_sums), so a point's bytes depend neither on the route nor on the
+fold (Symmetry).
 
 Streaming.  The tau contraction runs over the representatives of the
-canonical half (Symmetry) in blocks of whole rows of them (those of one
-xi_0; one node in 2-D), as many rows as fit BLOCK_ELEMENTS (node, contour
-node) entries, and at least one; the last row ends at the centre node.
-A block holds its SymbolTable, its region terms, their |root| tables, the
-weights of one term at a time, and one chunk of exponentials (normal
-pairs x nodes x contour nodes, within the same budget).  It adds its
-columns of the half sums and of the step-2h sums, and folds its roundoff
-magnitudes straight into the per-pair node sums of the floor (_tau_sums).
+canonical half (Symmetry) in blocks of consecutive columns, max(1,
+BLOCK_ELEMENTS // (M + 1)) of them, the last one shorter: a block fills the
+budget of (column, contour node) entries, wherever the rows of the grid
+end.  A block holds its SymbolTable, its region terms, their |root|
+tables, the weights of one term at a time, and one chunk of exponentials
+(normal pairs x columns x contour nodes, within the same budget).  It
+adds its columns of the half sums and of the step-2h sums, and folds its
+roundoff magnitudes straight into the per-pair node sums of the floor
+(_tau_sums).
 What outlives a block is a few arrays of (normal pairs x representatives):
 memory is O(BLOCK_ELEMENTS x terms + pairs x representatives), where the
 whole-grid tables were O(H x M x terms).  The phase layer forms cos psi
@@ -136,7 +139,8 @@ the (shift x pair) table, at most K entries per row.  Each node's sums
 over the contour run in the same order in any block, its at most two
 terms add to zero in either order to the same bits, and each table entry
 is its own sum, so Gamma and its gradients do not depend on the
-partition, and est only by the rounding of the floor's node sums.
+partition, and est only by the rounding of the floor's node sums when a
+call has more than one block.
 
 Tail bound.  After the tau integral the integrand decays like
 e^{-a |xi'|^2}, a = lambda_min(S) (t - s) over the tangential Schur
@@ -158,8 +162,6 @@ node xi' = 0 lies on no axis, and both bounds are 0.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
@@ -228,17 +230,18 @@ ROUNDOFF_UNITS = 2.0
 CONTOUR_SAFETY = 4.0
 
 # Element budget of the working arrays (module docstring, Streaming): a
-# block of xi' rows holds at most this many (node, contour node) entries of
+# block of columns holds at most this many (column, contour node) entries of
 # each table, a chunk of exponentials at most this many (pair, node,
 # contour node) entries and a tile of the phase layer at most this many
 # (shift or point, half node) entries, and of its (shift, pair) products
-# as many (entry, half node) values; a block is never less than one row, a
-# tile never less than one shift, point or entry.  Measured on a 2-core
-# x86-64 host (numpy 2.4) on an 8-point 3-D call of 36,465 table entries,
-# against the whole grid at once (13.8 MB): at 2^12, 2^13, 2^14 and 2^15
-# the call peaked at 1.6, 3.4, 6.9 and 13.0 MB of traced memory and took
-# 0.91, 0.85, 0.85 and 0.96 of the time, in paired runs.  Below 2^14 the
-# smaller pair chunks cost the 1-D and 2-D calls up to 8 %.
+# as many (entry, half node) values; a block is never less than one column,
+# a tile never less than one shift, point or entry.  Measured with blocks of
+# whole xi' rows on a 2-core x86-64 host (numpy 2.4), on an 8-point 3-D call
+# of 36,465 table entries, against the whole grid at once (13.8 MB): at
+# 2^12, 2^13, 2^14 and 2^15 the call peaked at 1.6, 3.4, 6.9 and 13.0 MB of
+# traced memory and took 0.91, 0.85, 0.85 and 0.96 of the time, in paired
+# runs.  Below 2^14 the smaller pair chunks cost the 1-D and 2-D calls up
+# to 8 %.
 BLOCK_ELEMENTS = 2 ** 14
 
 
@@ -394,13 +397,13 @@ class HalfGrid(NamedTuple):
     """The columns of the tau sums: the canonical half of a xi' grid, or one
     representative node of each symmetry orbit of it (KernelEvaluator._half_grid).
 
-    H counts the half nodes, C the columns.  ``of`` and ``sub_of`` are None
+    H counts the half nodes, C the columns, in grid order; _tau_sums cuts
+    them into blocks of consecutive columns.  ``of`` and ``sub_of`` are None
     when every half node is its own column.
     """
 
     xi: np.ndarray  # (C, d) the columns' nodes, in grid order
     w: np.ndarray  # (C,) half-rule weights (_fold), summed over each orbit
-    starts: Sequence  # the first column of each row (the nodes of one xi_0)
     sub: np.ndarray  # the columns of the step-2h nodes, ascending
     of: np.ndarray | None  # (H,) the column of each half node
     sub_of: np.ndarray | None  # (H_sub,) position in ``sub`` of each step-2h half node's column
@@ -413,7 +416,7 @@ class HalfSums(NamedTuple):
     re_sub: np.ndarray  # (2, P, C_sub): Re h and Re h_n of the step-2h rule
     phi: np.ndarray  # (P, 2, d): each pair's c_p and c_q, phi = c.xi' (symbols.region_phases)
     floor: np.ndarray  # (3 or 4, P): floor rows and the tangential one, node sums
-    live: np.ndarray  # (P,): the pairs with a term contracted
+    live: bool  # whether any term was contracted
 
 
 class KernelEvaluator:
@@ -497,14 +500,15 @@ class KernelEvaluator:
         axis's step, has the representative (-|m_0|, -|m_1|), ordered so
         that |m_0| >= |m_1| when the axes may be exchanged.  It lies in the
         canonical half, and every step-2h node has a step-2h representative,
-        since neither map changes the parity of an index.
+        since neither map changes the parity of an index.  The columns keep
+        grid order and carry no row boundaries: any range of them is a block.
         """
         h_cnt = (grid.wq.size + 1) // 2
         row = math.prod(grid.shape[1:])
         sub = grid.sub[:(grid.sub.size + 1) // 2]
         w = _fold(grid.wq)
         if not self._mirrors:
-            return HalfGrid(grid.xi[:h_cnt], w, range(0, h_cnt, row), sub, None, None)
+            return HalfGrid(grid.xi[:h_cnt], w, sub, None, None)
         k = np.array(grid.shape) // 2
         m = np.stack(np.unravel_index(np.arange(h_cnt), grid.shape), axis=1) - k
         rep_m = -np.abs(m)
@@ -518,8 +522,7 @@ class KernelEvaluator:
         is_sub = np.zeros(h_cnt, dtype=bool)
         is_sub[sub] = True
         sub_cols = np.flatnonzero(is_sub[rep])
-        starts = np.flatnonzero(np.diff(rep // row, prepend=-1)).tolist()
-        return HalfGrid(grid.xi[rep], np.bincount(of, weights=w, minlength=rep.size), starts,
+        return HalfGrid(grid.xi[rep], np.bincount(of, weights=w, minlength=rep.size),
                         sub_cols, of, np.searchsorted(sub_cols, of[sub]))
 
     def _tau_sums(self, pairs, codes, half: HalfGrid, tau, wte, source_gradient, closed):
@@ -537,7 +540,7 @@ class KernelEvaluator:
         and those of h and h_n of the step-2h rule on its columns: weights
         2 W_m on the even contour nodes, read from the same exponentials.  A
         term whose coefficient is zero on a block (the reflected terms of a
-        homogeneous medium) is skipped there, and a pair none of whose terms
+        homogeneous medium) is skipped there, and a call none of whose terms
         was contracted is not ``live``: its sums are 0.  The odd phases come
         back as each pair's vectors c_p and c_q (HalfSums).  The floor rows bound
         the roundoff weights sum_m sum_terms |W_m coef g e^{p x_n + q y_n}|
@@ -553,11 +556,13 @@ class KernelEvaluator:
         every row is the same at each node of an orbit; the Gamma row once
         more with |xi'|_inf times them for the tangential gradient.
 
-        The columns are streamed in blocks of whole rows (module docstring,
+        The columns are streamed in blocks of max(1, BLOCK_ELEMENTS // (M +
+        1)) consecutive columns, the last one shorter (module docstring,
         Streaming).  In each block every distinct term is contracted once,
         over the pairs of all the regions that have it (R11/R12 and R21/R22
-        share one).  A pair's sums add at most two terms to zero, so neither
-        their order nor the block changes a bit.
+        share one).  Each column's sums come from the same exponentials in
+        the same order in any block, and a pair's sums add at most two terms
+        to zero, so neither their order nor the block changes a bit.
         """
         m_cnt = tau.size
         c_cnt = half.w.size
@@ -569,11 +574,12 @@ class KernelEvaluator:
         re = np.zeros((2 + source_gradient, pairs.shape[0], c_cnt))
         re_sub = np.zeros((2, pairs.shape[0], half.sub.size))
         floor = np.zeros((3 + source_gradient, pairs.shape[0]))
-        live = np.zeros(pairs.shape[0], dtype=bool)
+        live = False
         phi = self._phases[codes]
-        for lo, hi in _row_blocks(half.starts, c_cnt, BLOCK_ELEMENTS // m_cnt):
-            blk = slice(lo, hi)
-            sub_lo, sub_hi = np.searchsorted(half.sub, (lo, hi)).tolist()
+        step = max(1, BLOCK_ELEMENTS // m_cnt)
+        for lo in range(0, c_cnt, step):
+            blk = slice(lo, lo + step)
+            sub_lo, sub_hi = np.searchsorted(half.sub, (lo, lo + step)).tolist()
             sub = _as_slice(half.sub[sub_lo:sub_hi] - lo)
             xi_c = half.xi[blk].astype(complex)
             table = SymbolTable(self.medium, xi_c, tau)
@@ -593,7 +599,7 @@ class KernelEvaluator:
                 # Zero on the block (see above): a nonzero first entry spares the scan.
                 if not (term.coef[0, 0] or term.coef.any()):
                     continue
-                live[p_lo:p_hi] = True
+                live = True
                 for e in (term.p, term.q):
                     if id(e.root) not in abs_root:
                         abs_root[id(e.root)] = np.abs(e.root)
@@ -635,13 +641,13 @@ class KernelEvaluator:
         nodes but xi' = 0.  psi = s.xi' with s = x' - y' + c_p x_n + c_q y_n,
         the point's shift, from its normal pair ``inv``.  Each half node of
         ``grid`` reads the sums of its column (``half``, the one _tau_sums
-        ran on), contracted as a (distinct shift x pair) table when that has
-        at most K entries, else point by point (module docstring, Phase
-        table), in tiles within BLOCK_ELEMENTS.  The floor is eps times the
-        largest of the node sums of the floor rows (_tau_sums).  The step-2h
-        rule weighs the even-index nodes by 2^d times their weight.  In 1-D
-        the grid is the one node xi' = 0, of weight 1, where psi = 0 and
-        every sum is Re h.
+        ran on), contracted as a (distinct shift x pair) table when the P
+        pairs number at most K / 2 and the table has at most K entries, else
+        point by point (module docstring, Phase table), in tiles within
+        BLOCK_ELEMENTS.  The floor is eps times the largest of the node sums
+        of the floor rows (_tau_sums).  The step-2h rule weighs the
+        even-index nodes by 2^d times their weight.  In 1-D the grid is the
+        one node xi' = 0, of weight 1, where psi = 0 and every sum is Re h.
         """
         n = self.medium.dim
         d = n - 1
@@ -651,11 +657,10 @@ class KernelEvaluator:
         sub = _as_slice(grid.sub[:(grid.sub.size + 1) // 2])
         w_sub = 2.0 ** d * _fold(grid.wq[grid.sub])
         shift = dxp + np.einsum("ki,kij->kj", pairs, sums.phi)[inv]
-        # The distinct shifts, by one complex key per point.  With 2 P > K only
-        # one shift makes a table, and a comparison finds it 4x faster.
-        first, sidx = slice(0, 1), 0
-        table = bool((shift == shift[:1]).all())
-        if not table and 2 * pairs.shape[0] <= inv.size:
+        # The distinct shifts, by one complex key per point; with 2 P > K no
+        # table has at most K entries.
+        table = 2 * pairs.shape[0] <= inv.size
+        if table:
             _, first, sidx = np.unique(shift @ np.array([1.0, 1j])[:d], return_index=True,
                                        return_inverse=True)
             table = first.size * pairs.shape[0] <= inv.size
@@ -697,11 +702,11 @@ class KernelEvaluator:
 
     def _remainder(self, pairs, inv, dxp, grid: XiGrid, half: HalfGrid, sums, radius: float,
                    dt: float, source_gradient):
-        """_phase_sums and _tail_bound, or, where no normal pair is live
-        (_tau_sums), zeros for Gamma, its gradients and each part of est,
-        and neither layer runs.  A pair that is not live has sums of 0, so
-        in a call with some live pairs the two layers give its points 0."""
-        if sums.live.any():
+        """_phase_sums and _tail_bound, or, where the call contracted no term
+        (HalfSums.live), zeros for Gamma, its gradients and each part of est,
+        and neither layer runs.  A pair with no term contracted has sums of
+        0, so in a live call the two layers give its points 0."""
+        if sums.live:
             return (*self._phase_sums(pairs, inv, dxp, grid, half, sums, source_gradient),
                     *_tail_bound(inv, half.xi, half.w, sums, radius, self._schur_min * dt))
         k, n = inv.size, self.medium.dim
@@ -910,21 +915,6 @@ def _fold(w: np.ndarray) -> np.ndarray:
     half = 2.0 * w[:(w.size + 1) // 2]
     half[-1] = w[half.size - 1]
     return half
-
-
-def _row_blocks(starts, end: int, size: int):
-    """Consecutive (lo, hi) column ranges of whole rows, the rows beginning
-    at ``starts`` and the last ending at ``end``: as many rows as fit
-    ``size`` columns, and at least one."""
-    i = 0
-    while i < len(starts):
-        # Rows i..j-2 fit; row j-1 only if it is the last one and fits.
-        j = bisect_right(starts, starts[i] + size)
-        if j < len(starts) or end - starts[i] > size:
-            j -= 1
-        j = max(j, i + 1)
-        yield starts[i], starts[j] if j < len(starts) else end
-        i = j
 
 
 def _as_slice(idx: np.ndarray):

@@ -680,6 +680,19 @@ class TestVerify:
         assert "'seed' must be a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_max_constant_ceiling(self, tmp_path):
+        # The fitted constant passes at a ceiling equal to it; below it the
+        # check fails with exit 5 and still writes its report.
+        path = write_cfg(tmp_path, self.base_cfg(tmp_path, "aronson"))
+        assert main(["verify", path]) == 0
+        fitted = self.read_report(tmp_path)["detail"]["constant"]
+        for ceiling, code in ((fitted, 0), (0.5 * fitted, 5)):
+            (tmp_path / "report.json").unlink()
+            cfg = self.base_cfg(tmp_path, "aronson", max_constant=ceiling)
+            assert main(["verify", write_cfg(tmp_path, cfg)]) == code
+            rep = self.read_report(tmp_path)
+            assert rep["passed"] is (code == 0) and rep["detail"]["constant"] == fitted
+
     def test_adjoint_bit_exact(self, tmp_path):
         cfg = self.base_cfg(tmp_path, "adjoint")
         cfg["medium"] = {"upper": [[1.0]]}
@@ -688,6 +701,33 @@ class TestVerify:
 
 
 class TestCompareOracle:
+    def small_cfg(self, tmp_path, **extra):
+        return {
+            "medium": {"upper": [[1.0]], "lower": [[4.0]]},
+            "compare_oracle": {"t": 0.25, "y": [0.5], "levels": [41], "max_points": 50, **extra},
+            "output": str(tmp_path / "cmp.json"),
+        }
+
+    def run_levels(self, tmp_path, **extra):
+        path = write_cfg(tmp_path, self.small_cfg(tmp_path, **extra))
+        assert main(["compare-oracle", path]) in (0, 5)
+        return json.loads((tmp_path / "cmp.json").read_text())["levels"]
+
+    @pytest.mark.parametrize("box", [2.0, 3.0])
+    def test_box_half_width_sets_spacing(self, tmp_path, box):
+        assert self.run_levels(tmp_path, box_half_width=box)[0]["h"] == 2.0 * box / 40
+
+    def test_scheme(self, tmp_path, capsys):
+        # Implicit Euler runs, and differs from the default Crank-Nicolson;
+        # an unknown scheme exits 2 and writes no report.
+        euler = self.run_levels(tmp_path, scheme="implicit_euler")[0]["linf_rel"]
+        assert euler != self.run_levels(tmp_path)[0]["linf_rel"]
+        (tmp_path / "cmp.json").unlink()
+        cfg = self.small_cfg(tmp_path, scheme="leapfrog")
+        assert main(["compare-oracle", write_cfg(tmp_path, cfg)]) == 2
+        assert "unknown scheme 'leapfrog'" in capsys.readouterr().err
+        assert not (tmp_path / "cmp.json").exists()
+
     def test_small_1d_run(self, tmp_path):
         cfg = {
             "medium": {"upper": [[1.0]], "lower": [[4.0]]},

@@ -483,11 +483,12 @@ class TestHalfRule:
         # tangential coupling (a_t != 0 in both layers, in 3-D on both
         # tangential axes) makes the +-xi' pairing matter.  eval_many
         # itself hands region_terms the canonical half of the grid, in
-        # blocks of whole rows (nodes of one xi_0) that end at the centre
-        # node; in 3-D there are several.  In 3-D (55 x 55 nodes) both this
-        # sum and eval_many differ from one in extended precision by up to
-        # 1e-11 of the peak for Gamma and 1e-10 for its gradient, hence the
-        # looser bound ``rel`` there.
+        # blocks of BLOCK_ELEMENTS // (M + 1) consecutive nodes, the last
+        # one shorter, that end at the centre node; in 3-D there are
+        # several.  In 3-D (55 x 55 nodes) both this sum and eval_many
+        # differ from one in extended precision by up to 1e-11 of the peak
+        # for Gamma and 1e-10 for its gradient, hence the looser bound
+        # ``rel`` there.
         med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
         x, y = np.array(x), np.array(y)
         n = med.dim
@@ -500,11 +501,12 @@ class TestHalfRule:
         res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
         assert len(grids) == 1
         xi, wq = grids[0].xi, grids[0].wq
-        half, row = (xi.shape[0] + 1) // 2, math.prod(grids[0].shape[1:])
+        half = (xi.shape[0] + 1) // 2
+        step = inverse_transform.BLOCK_ELEMENTS // (ev.contour_nodes + 1)
         assert xi.shape[0] > 1 and len(blocks) == 6
         for nodes in blocks.values():
-            starts = np.cumsum([0] + [b.shape[0] for b in nodes])
-            assert np.all(starts[:-1] % row == 0) and starts[-1] == half
+            sizes = [b.shape[0] for b in nodes]
+            assert set(sizes[:-1]) <= {step} and 0 < sizes[-1] <= step
             assert np.array_equal(np.concatenate(nodes), xi[:half])
             assert (len(nodes) > 1) == (n == 3)
         tau, w = _hyperbolic_nodes(ev._row, ev.contour_nodes, dt)
@@ -686,7 +688,7 @@ class TestTailBound:
         def bound(h, r=radius):
             # One pair; its value and normal sums are Re h, with no phase.
             re = np.stack([h.real, h.real])[:, None, :]
-            sums = HalfSums(re, None, np.zeros((1, 2, 1)), None, np.ones(1, dtype=bool))
+            sums = HalfSums(re, None, np.zeros((1, 2, 1)), None, True)
             return np.maximum(*inverse_transform._tail_bound(
                 inv, grid.xi[:half], inverse_transform._fold(grid.wq), sums, r, a))[0]
 
@@ -709,8 +711,7 @@ class TestTailBound:
         # normal gradient's integrand |Re h_n + i phi_p Re h| of the second
         # is three times the tangential one.  Point k reads pair 1 - k.
         re = np.stack([f[:half], np.zeros(half)])[:, None, :].repeat(2, axis=1)
-        sums = HalfSums(re, None, np.array([[[0.0], [0.0]], [[3.0], [0.0]]]), None,
-                        np.ones(2, dtype=bool))
+        sums = HalfSums(re, None, np.array([[[0.0], [0.0]], [[3.0], [0.0]]]), None, True)
         grads = inverse_transform._tail_bound(
             np.array([1, 0]), grid.xi[:half], inverse_transform._fold(grid.wq), sums, radius, a)[1]
         assert grads[0] == pytest.approx(3.0 * grads[1], rel=1e-14)
@@ -928,14 +929,14 @@ class TestBoundedPlan:
 
 
 class TestStreaming:
-    """The tau contraction streams the xi' grid in blocks of whole rows."""
+    """The tau contraction streams the xi' grid in blocks of consecutive columns."""
 
     @pytest.mark.parametrize("upper,lower,x,y,rel", SHEARED)
     def test_values_independent_of_blocks(self, monkeypatch, upper, lower, x, y, rel):
         # A value must not depend on how the grid is partitioned.  With a
-        # budget of one element each block is one row (one node in 2-D),
-        # each chunk of exponentials one pair and each phase chunk one
-        # point.  Only the order of the floor's node sums changes, and with
+        # budget of one element each block is one column, the blocks tile
+        # the canonical half once and in order, each chunk of exponentials
+        # is one pair and each phase chunk one point.  Only the order of the floor's node sums changes, and with
         # it est, by rounding.
         med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
         x, y = np.array(x), np.array(y)
@@ -953,9 +954,11 @@ class TestStreaming:
         blocks = record_region_terms(monkeypatch)
         monkeypatch.setattr(inverse_transform, "BLOCK_ELEMENTS", 1)
         res = ev.eval_many(x, 0.3, y, 0.0, source_gradient=True)
-        # The canonical half ends at the centre node, in the middle row.
-        rows = grids[0].shape[0] // 2 + 1
-        assert len(blocks) == 6 and all(len(nodes) == rows for nodes in blocks.values())
+        half = (grids[0].wq.size + 1) // 2
+        assert len(blocks) == 6
+        for nodes in blocks.values():
+            assert all(b.shape[0] == 1 for b in nodes)
+            assert np.array_equal(np.concatenate(nodes), grids[0].xi[:half])
         for key in ("gamma", "grad", "sgrad"):
             assert res[key].tobytes() == ref[key].tobytes()
         assert np.all(np.abs(res["est"] - ref["est"]) <= 1e-15 * ref["est"])
@@ -1177,8 +1180,8 @@ class TestSymmetryFold:
 
     @pytest.mark.parametrize("upper,lower", FOLDED)
     def test_values_independent_of_blocks(self, monkeypatch, upper, lower):
-        # With a budget of one element each block is one row of columns and
-        # each phase chunk one point: Gamma, its gradients and est are
+        # With a budget of one element each block is one column and each
+        # phase chunk one point: Gamma, its gradients and est are
         # unchanged to the byte.  The step-2h sums of a point run in the
         # same order whether it is alone in its chunk or not, and the
         # floor's node sums, regrouped by the blocks, do not set est here.
@@ -1190,7 +1193,7 @@ class TestSymmetryFold:
         monkeypatch.setattr(inverse_transform, "BLOCK_ELEMENTS", 1)
         res = ev.eval_many(x, 0.3, y, 0.0, source_gradient=True)
         for nodes in blocks.values():
-            assert len(nodes) > 1 and all(len(np.unique(b[:, 0])) == 1 for b in nodes)
+            assert len(nodes) > 1 and all(b.shape[0] == 1 for b in nodes)
         for key in ("gamma", "grad", "sgrad", "est"):
             assert res[key].tobytes() == ref[key].tobytes()
 
@@ -1213,7 +1216,7 @@ class TestPhaseVectors:
 def phase_runs(monkeypatch, run):
     """run() with the phase layer as it is and with each point contracted
     alone, one shift against all the call's normal pairs (the per-point
-    route when there are two or more), on the same tau sums; and the
+    route, since 2 P > K = 1), on the same tau sums; and the
     arguments of the first _phase_sums call."""
     phase_sums = KernelEvaluator._phase_sums
     calls = []
