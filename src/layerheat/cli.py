@@ -287,7 +287,7 @@ def cmd_green(cfg: dict, output: str) -> int:
         )
         if "tail_constant" in params:
             raise ConfigError("'tail_constant' was removed: the cube tail bound is exact")
-        green = CubeGreen(medium, cube, qcfg, depth=_field(params, "depth", "an integer", 2))
+        green = CubeGreen(medium, cube, depth=_field(params, "depth", "an integer", 2))
         bpts = green.boundary_samples(_field(params, "boundary_samples", "a positive integer", 5))
         b_src = y
         if y.ndim == 2:
@@ -433,7 +433,7 @@ def _verify_adjoint(medium, qcfg, seed, params):
     n = medium.dim
     cube = Cube(half_width=1.5, center=np.zeros(n))
     try:
-        green = CubeGreen(medium, cube, qcfg)
+        green = CubeGreen(medium, cube)
     except UnsupportedGeometry:
         return False, {"error": "cube green unsupported for this medium"}
     adj = adjoint_green(green)

@@ -15,7 +15,11 @@ UnsupportedGeometry rather than silently approximated:
   interface is the face itself - still computable) or a face placed so
   the domain does not straddle the material interface;
 * the full cube expansion iterates reflections across every face and is
-  supported for homogeneous media invariant under all axis reflections.
+  supported for homogeneous media invariant under all axis reflections,
+  i.e. diagonal tensors.  Their kernel is a product of 1-D Gaussians and
+  their image lattice a product of per-axis lattices, so CubeGreen takes
+  the (4 depth + 2)^n-term image sum as a product of n sums of 4 depth + 2
+  Gaussians each, in closed form, without the kernel evaluator.
 """
 from __future__ import annotations
 
@@ -25,17 +29,17 @@ import math
 import numpy as np
 
 from .medium import Cube, MediumError, TwoLayerMedium
-from .inverse_transform import KernelEvaluator, QuadratureConfig
-from .inverse_transform import gauss_tensor_grid, point_pairs, time_lag
+from .inverse_transform import KernelEvaluator, QuadratureConfig, gauss_tensor_grid
+from .inverse_transform import _exact_inverse, gaussian_terms, point_pairs, time_lag
 
 # Largest image-series tail bound accepted, relative to the kernel scale.
 TAIL_TOL = 1e-5
 
 # Most images per target, (4 depth + 2)^n, that CubeGreen accepts; a call
-# evaluates targets x images kernel points.  Depth 11 (3-D) meets TAIL_TOL
-# up to lambda_max (t - s) = 22 w^2, beyond which the lowest Dirichlet mode,
-# e^{-pi^2 trace(A) (t - s) / (4 w^2)} < e^{-54}, is under the image sum's
-# roundoff; 1-D and 2-D allow depths 24,999 and 78.
+# forms targets x n (4 depth + 2) 1-D Gaussians.  Depth 11 (3-D) meets
+# TAIL_TOL up to lambda_max (t - s) = 22 w^2, beyond which the lowest
+# Dirichlet mode, e^{-pi^2 trace(A) (t - s) / (4 w^2)} < e^{-54}, is under
+# the image sum's roundoff; 1-D and 2-D allow depths 24,999 and 78.
 MAX_IMAGES = 10 ** 5
 
 
@@ -183,42 +187,52 @@ class HalfSpaceGreen:
         return res
 
 
-def _image_lattice(cube: Cube, depth: int):
-    """Affine description of the reflection lattice: image = jac*y + off.
+def _axis_images(cube: Cube, depth: int):
+    """The images of a source coordinate on each axis: image = jac*u + off.
 
-    Per axis, the images of a source coordinate u in (c-w, c+w) under the
-    reflection group of the interval are u + 4wm (even parity) and
-    2(c-w) - u + 4wm (odd parity), m = -depth..depth; the term sign is the
-    product of parities.  Enumeration order is lexicographic for
-    reproducibility.
+    On axis j, the images of u in (c_j - w, c_j + w) under the reflection
+    group of the interval are u + 4wm (even parity, sign +1) and
+    2(c_j - w) - u + 4wm (odd parity, sign -1), m = -depth..depth, in that
+    order.  Returns jac (T,), off (n, T) and sign (T,), T = 4 depth + 2;
+    the images of a point of the cube are the products of one per axis.
     """
     w = cube.half_width
-    axes = []
-    for j in range(cube.dim):
-        c = cube.center[j]
-        entries = []
-        for m in range(-depth, depth + 1):
-            entries.append((1.0, 4.0 * w * m, 1))
-            entries.append((-1.0, 2.0 * (c - w) + 4.0 * w * m, -1))
-        axes.append(entries)
-    jacs, offs, signs = [], [], []
-    for combo in itertools.product(*axes):
-        jacs.append([e[0] for e in combo])
-        offs.append([e[1] for e in combo])
-        signs.append(math.prod(e[2] for e in combo))
-    return np.array(jacs), np.array(offs), np.array(signs)
+    shift = 4.0 * w * np.arange(-depth, depth + 1)
+    jac = np.tile([1.0, -1.0], 2 * depth + 1)
+    off = np.zeros((cube.dim, jac.size))
+    off[:, 0::2] = shift
+    off[:, 1::2] = 2.0 * (cube.center[:, None] - w) + shift
+    return jac, off, jac.copy()
+
+
+def _product(vals, errs):
+    """prod_j vals[j] over the first axis and a bound on its error, given
+    bounds errs on the errors of vals: sum_j errs_j prod_{i != j} (|vals_i| +
+    errs_i) for the factors' errors, plus n eps |product| for its rounding."""
+    prod = np.prod(vals, axis=0)
+    bounds = np.abs(vals) + errs
+    carried = sum(errs[j] * np.prod(np.delete(bounds, j, axis=0), axis=0)
+                  for j in range(vals.shape[0]))
+    return prod, carried + vals.shape[0] * np.finfo(float).eps * np.abs(prod)
 
 
 class CubeGreen:
-    """Dirichlet Green function of an axis-aligned cube via image series."""
+    """Dirichlet Green function of an axis-aligned cube via image series.
 
-    def __init__(
-        self,
-        medium: TwoLayerMedium,
-        cube: Cube,
-        cfg: QuadratureConfig | None = None,
-        depth: int = 2,
-    ):
+    The medium is homogeneous with a diagonal tensor (invariant under every
+    axis reflection), so its kernel is a product of 1-D Gaussians g_j and
+    the image lattice a product of per-axis lattices: Gamma = prod_j S_j,
+    S_j = sum_m sign_m g_j(x_j - jac_m y_j - off_jm) over the T = 4 depth
+    + 2 images of axis j (Newman's product rule; Carslaw & Jaeger,
+    Conduction of Heat in Solids, 1959).  The gradients follow by the
+    product rule, the source gradient with jac as the chain rule's factor.
+    ``est`` bounds the roundoff of the Gaussians (gaussian_terms), of the
+    sums, T eps sum_m |g_jm|, and of the product, carried through it, plus
+    the omitted image tail (tail_bound); it covers Gamma and each gradient
+    component returned.
+    """
+
+    def __init__(self, medium: TwoLayerMedium, cube: Cube, depth: int = 2):
         if cube.dim != medium.dim:
             raise UnsupportedGeometry("cube and medium dimensions differ")
         if not medium.is_homogeneous:
@@ -239,10 +253,17 @@ class CubeGreen:
             raise UnsupportedGeometry(f"depth must be >= 1 and integral, with at most "
                                       f"{MAX_IMAGES} images per target, not {depth!r}")
         self.depth = int(depth)
-        self._lattice = _image_lattice(cube, self.depth)
-        self._ev = KernelEvaluator(medium, cfg)
-        self._det = float(np.linalg.det(tensor.entries))
-        self._lam_max = float(np.linalg.eigvalsh(tensor.entries).max())
+        self._images = _axis_images(cube, self.depth)
+        # Over eps, a bound on the rounding of off (evaluate_many): 0 at the
+        # direct image, whose off is an exact 0.
+        self._off_scale = np.abs(self._images[1]) + 2.0 * (np.abs(cube.center[:, None]) + cube.half_width)
+        self._off_scale[:, 2 * self.depth] = 0.0
+        # Per axis, 1 / a_jj and a_jj, each exactly rounded.
+        inv, det = zip(*(_exact_inverse(np.array([[a]])) for a in np.diag(tensor.entries)))
+        self._inv = np.array(inv).reshape(-1, 1, 1)
+        self._det_root = 1.0 / np.sqrt(det)
+        self._det = float(np.prod(det))
+        self._lam_max = float(np.max(np.diag(tensor.entries)))
 
     def tail_bound(self, dt: float) -> float:
         """Upper bound on the omitted image-series tail.
@@ -253,25 +274,21 @@ class CubeGreen:
         homogeneous kernel.
         """
         n = self.medium.dim
-        w = self.cube.half_width
         pref = (4.0 * np.pi * dt) ** (-n / 2.0) / math.sqrt(self._det)
-        rate = 4.0 * self._lam_max * dt
-        total = 0.0
-        for j in range(self.depth + 1, self.depth + 81):
-            cnt = (2 * (2 * j + 1)) ** n - (2 * (2 * j - 1)) ** n
-            d = 4.0 * w * (j - 1)
-            total += cnt * pref * math.exp(-(d * d) / rate)
-        return total
+        j = np.arange(self.depth + 1, self.depth + 81, dtype=float)
+        cnt = (2.0 * (2.0 * j + 1.0)) ** n - (2.0 * (2.0 * j - 1.0)) ** n
+        d = 4.0 * self.cube.half_width * (j - 1.0)
+        return float(np.sum(cnt * pref * np.exp(-(d * d) / (4.0 * self._lam_max * dt))))
 
     def evaluate_many(self, x, t, y, s, source_gradient: bool = True):
         n = self.medium.dim
         x, y = _green_points(x, y, n)
-        if not all(self.cube.contains(p) for p in y):
+        w, c = self.cube.half_width, self.cube.center
+        if not np.all(np.abs(y - c) < w):
             raise MediumError("sources must lie strictly inside the cube")
         # Targets may lie on the boundary, as boundary_samples do; the slack
         # covers the rounding of center +- half_width.
-        w, c = self.cube.half_width, self.cube.center
-        if np.any(np.abs(x - c) > w + 4.0 * np.finfo(float).eps * (np.abs(c) + w)):
+        if not np.all(np.abs(x - c) <= w + 4.0 * np.finfo(float).eps * (np.abs(c) + w)):
             raise MediumError("targets must lie in the closed cube")
         dt = time_lag(t, s)
         tail = self.tail_bound(dt)
@@ -281,11 +298,45 @@ class CubeGreen:
                 f"image tail bound {tail:.3e} exceeds {TAIL_TOL:.1e} x "
                 f"kernel scale {scale:.3e}; increase depth"
             )
-        res = _image_sum(
-            self._ev, x, t, y, s, *self._lattice, source_gradient,
-        )
-        res["est"] += tail
-        return res
+        jac, off, sign = self._images
+        k, m = x.shape[0], jac.size
+        fp = np.finfo(float)
+        # d[j, k, i]: target k's offset from image i of its source on axis
+        # j, (x - jac y) - off, and d_err, a bound on its error from the
+        # rounding of x - jac y, of off and of d.  gaussian_terms covers a d
+        # rounded relative to its size only in part: even at the direct
+        # image, a gradient at E = 500 erred by 0.999 of its bound alone.
+        u = x.T[:, :, None] - y.T[:, :, None] * jac
+        d = u - off[:, None, :]
+        d_err = fp.eps * (np.abs(u) + self._off_scale[:, None, :])
+        g, dg, rel, slope = (v.reshape(d.shape) for v in gaussian_terms(
+            d.reshape(-1, 1), (d * self._inv).reshape(-1, 1), (np.abs(d) * self._inv).reshape(-1, 1),
+            np.repeat((4.0 * np.pi * dt) ** -0.5 * self._det_root, k * m), dt))
+        # Each term's roundoff, d_err carried by the derivative of g or of
+        # g', and each axis's sums with bounds on their errors: their
+        # terms' plus the summation's, T eps sum |terms|.  A sum along the
+        # images' axis, unlike a matrix product, is taken in one order
+        # whatever the batch.
+        err = np.maximum(g * (rel + slope * d_err), fp.tiny)
+        err_d = np.maximum(g * (rel * slope + (slope * slope + self._inv / (2.0 * dt)) * d_err), fp.tiny)
+        weights = [sign, -sign * jac][:1 + bool(source_gradient)]
+        s_err = np.sum(err, axis=2) + m * fp.eps * np.sum(g, axis=2)
+        ds_err = np.sum(err_d, axis=2) + m * fp.eps * np.sum(np.abs(dg), axis=2)
+        # The factors of Gamma, then of each gradient component: the sums,
+        # with axis j's replaced by its derivative for the j-th component.
+        sets = 1 + n * len(weights)
+        vals = np.repeat(np.sum(g * sign, axis=2)[:, None, :], sets, axis=1)
+        errs = np.repeat(s_err[:, None, :], sets, axis=1)
+        axes = np.arange(n)
+        for i, wt in enumerate(weights):
+            vals[axes, 1 + i * n + axes] = np.sum(dg * wt, axis=2)
+            errs[axes, 1 + i * n + axes] = ds_err
+        prod, bound = _product(vals, errs)
+        out = {"gamma": prod[0], "grad": np.ascontiguousarray(prod[1:n + 1].T),
+               "est": np.max(bound, axis=0) + tail}
+        if source_gradient:
+            out["sgrad"] = np.ascontiguousarray(prod[n + 1:].T)
+        return out
 
     def boundary_samples(self, per_face: int = 5) -> np.ndarray:
         """Deterministic sample points on the cube boundary."""

@@ -730,12 +730,8 @@ class KernelEvaluator:
         abs_d = np.abs(d)
         abs_a_d = np.where(col, abs_d @ abs_inv[1], abs_d @ abs_inv[0])
         norm = (4.0 * np.pi * dt) ** (-0.5 * d.shape[1]) * np.where(lower, det_root[1], det_root[0])
-        gamma = norm * np.exp(np.einsum("ki,ki->k", d, a_d) / (-4.0 * dt))
-        grad = a_d * (gamma / (-2.0 * dt))[:, None]
-        e_abs = np.einsum("ki,ki->k", abs_d, abs_a_d) / (4.0 * dt)
-        size = np.maximum(1.0, np.einsum("ki->k", abs_a_d) / (2.0 * dt)) * gamma
-        fp = np.finfo(float)
-        return gamma, grad, np.maximum(fp.eps * ROUNDOFF_UNITS * (1.0 + e_abs) * size, fp.tiny)
+        gamma, grad, rel, slope = gaussian_terms(d, a_d, abs_a_d, norm, dt)
+        return gamma, grad, np.maximum(rel * (np.maximum(1.0, slope) * gamma), np.finfo(float).tiny)
 
     # -- public evaluation ----------------------------------------------
 
@@ -886,6 +882,22 @@ def _real_sums(cos, sin, re, phi, xi, table: bool):
     one, phase = ("sq,pq->sp", "pij,jsp->isp") if table else ("kq,kq->k", "kij,jk->ik")
     return [np.einsum(one, cos, re[0]), *tangential, *(np.einsum(one, cos, r) + p for r, p in zip(
         re[1:], np.einsum(phase, phi, tangential)))]
+
+
+def gaussian_terms(d, a_d, abs_a_d, norm, dt: float):
+    """The Gaussian Gamma = norm e^{-E}, E = d.A^-1 d / (4 dt), at the
+    offsets d (K, n), given a_d = A^-1 d and abs_a_d = |A^-1| |d|, and its
+    gradient -a_d Gamma / (2 dt) (KernelEvaluator._direct; images.CubeGreen
+    with n = 1 per axis).  Also returns the roundoff's two factors: Gamma
+    errs by at most rel Gamma and each gradient component by at most rel
+    slope Gamma, rel = eps U (1 + E_abs), E_abs = |d|.|A^-1| |d| / (4 dt),
+    slope = sum |A^-1| |d| / (2 dt), U = ROUNDOFF_UNITS; below the smallest
+    normal number the rounding is absolute."""
+    gamma = norm * np.exp(np.einsum("ki,ki->k", d, a_d) / (-4.0 * dt))
+    grad = a_d * (gamma / (-2.0 * dt))[:, None]
+    e_abs = np.einsum("ki,ki->k", np.abs(d), abs_a_d) / (4.0 * dt)
+    rel = np.finfo(float).eps * ROUNDOFF_UNITS * (1.0 + e_abs)
+    return gamma, grad, rel, np.einsum("ki->k", abs_a_d) / (2.0 * dt)
 
 
 def _exact_inverse(a: np.ndarray):

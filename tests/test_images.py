@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -18,12 +19,13 @@ from layerheat.images import (
     HalfSpaceGreen,
     TruncationInsufficient,
     UnsupportedGeometry,
-    _image_lattice,
     adjoint_green,
     volume_potential,
 )
 from layerheat.inverse_transform import KernelEvaluator, QuadratureConfig
 from layerheat.reference import gaussian_kernel, interval_green_1d
+
+from image_checks import image_lattice, image_points, lattice_green, long_double_green
 
 
 def layered_1d(a=1.0, b=4.0):
@@ -202,7 +204,7 @@ class TestHalfSpaceGreen:
 class TestImageExpansion:
     def test_depth_one_counts(self):
         cube = Cube(half_width=1.0, center=np.array([0.0]))
-        jac, off, signs = _image_lattice(cube, 1)
+        jac, off, signs = image_lattice(cube, 1)
         assert (jac * np.array([0.3]) + off).shape == (6, 1)
         assert set(np.unique(signs)) == {-1, 1}
         assert signs.shape == (6,)
@@ -210,17 +212,28 @@ class TestImageExpansion:
     def test_contains_source_with_plus_sign(self):
         cube = Cube(half_width=1.0, center=np.array([0.2, -0.1]))
         y = np.array([0.5, 0.3])
-        jac, off, signs = _image_lattice(cube, 1)
+        jac, off, signs = image_lattice(cube, 1)
         idx = np.where(np.all(np.abs(jac * y + off - y) < 1e-14, axis=1))[0]
         assert idx.size == 1
         assert signs[idx[0]] == 1
 
     def test_deterministic(self):
         cube = Cube(half_width=0.8, center=np.array([0.0, 0.0]))
-        a = _image_lattice(cube, 2)
-        b = _image_lattice(cube, 2)
+        a = image_lattice(cube, 2)
+        b = image_lattice(cube, 2)
         for u, v in zip(a, b):
             assert np.array_equal(u, v)
+
+    def test_lattice_is_product_of_axis_images(self):
+        # CubeGreen's per-axis images, one chosen per axis, give every
+        # image of the n-D lattice once, with the product of their signs.
+        cube = Cube(half_width=0.8, center=np.array([0.3, -0.2, 0.1]))
+        jac, off, signs = image_lattice(cube, 2)
+        a_jac, a_off, a_sign = images._axis_images(cube, 2)
+        idx = np.array(list(itertools.product(range(a_jac.size), repeat=3)))
+        assert np.array_equal(jac, a_jac[idx])
+        assert np.array_equal(off, np.stack([a_off[j][idx[:, j]] for j in range(3)], axis=1))
+        assert np.array_equal(signs, np.prod(a_sign[idx], axis=1))
 
 
 class TestCubeGreen:
@@ -272,9 +285,9 @@ class TestCubeGreen:
             CubeGreen(med, Cube(half_width=1.0, center=np.array([0.0])), depth=depth)
 
     def test_huge_depth_rejected(self, monkeypatch):
-        # Refused before any lattice is built: 4e9 entries per axis, or a
+        # Refused before any images are built: 4e9 entries per axis, or a
         # depth that float() cannot hold.
-        monkeypatch.setattr(images, "_image_lattice", None)
+        monkeypatch.setattr(images, "_axis_images", None)
         med = homogeneous_medium(validate_tensor([[1.0]]))
         for depth in (10 ** 9, 10 ** 400):
             with pytest.raises(UnsupportedGeometry, match="images per target"):
@@ -290,15 +303,15 @@ class TestCubeGreen:
         assert cg.depth == 3 and isinstance(cg.depth, int)
 
     def test_lattice_built_once(self, monkeypatch):
-        # The lattice depends only on the cube and depth fixed at construction.
+        # The images depend only on the cube and depth fixed at construction.
         calls = []
-        lattice = images._image_lattice
+        axis_images = images._axis_images
 
         def counted(cube, depth):
             calls.append(depth)
-            return lattice(cube, depth)
+            return axis_images(cube, depth)
 
-        monkeypatch.setattr(images, "_image_lattice", counted)
+        monkeypatch.setattr(images, "_axis_images", counted)
         med = homogeneous_medium(validate_tensor([[1.0, 0.0], [0.0, 2.0]]))
         cg = CubeGreen(med, Cube(half_width=1.0, center=np.zeros(2)), depth=2)
         for t in (0.2, 0.3):
@@ -399,14 +412,17 @@ class TestCubeGreen:
         # at 38.5 MB; sin psi Re h for all 12 pairs of a tile at once added
         # 1.03 MB to the phase layer.  The whole symbol goes through the
         # transform: in closed form a homogeneous medium has no phase layer.
+        # CubeGreen takes its images per axis; the call is the reference
+        # route's, every target with each image of the n-D lattice.
         parent_peak = 8.73e6
         med = homogeneous_medium(validate_tensor(np.diag([1.0, 2.0, 1.5])))
-        cg = CubeGreen(med, Cube(half_width=0.5, center=np.zeros(3)), depth=1)
+        ev = KernelEvaluator(med)
         ticks = np.array([-0.3, 0.3])
         x = np.stack(np.meshgrid(ticks, ticks + 0.05, ticks - 0.1, indexing="ij"),
                      -1).reshape(-1, 3)
-        y = np.array([0.1, -0.15, 0.2])
-        cg.evaluate_many(x, 0.02, y, 0.0)  # one-time allocations
+        xs, ys, _, _, signs = image_points(Cube(half_width=0.5, center=np.zeros(3)), 1, x,
+                                           np.array([0.1, -0.15, 0.2]))
+        ev.eval_many(xs, 0.02, ys, 0.0, source_gradient=True)  # one-time allocations
         phase_sums = KernelEvaluator._phase_sums
         phase = {}
 
@@ -423,7 +439,7 @@ class TestCubeGreen:
         monkeypatch.setattr(KernelEvaluator, "_phase_sums", measured)
         tracemalloc.start()
         try:
-            res = cg.evaluate_many(x, 0.02, y, 0.0, source_gradient=True)
+            res = ev.eval_many(xs, 0.02, ys, 0.0, source_gradient=True)
             peak = max(phase["before"], tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -432,7 +448,8 @@ class TestCubeGreen:
         assert peak <= 1.15 * parent_peak
         # Beyond the sums at the nodes, a few tiles of BLOCK_ELEMENTS values.
         assert phase["added"] <= phase["node_sums"] + 8 * 8 * inverse_transform.BLOCK_ELEMENTS
-        assert np.all(np.isfinite(res["gamma"])) and np.all(res["gamma"] > 0.0)
+        green = (np.tile(signs, x.shape[0]) * res["gamma"]).reshape(x.shape[0], -1).sum(axis=1)
+        assert np.all(np.isfinite(green)) and np.all(green > 0.0)
 
     def test_scatter_call_memory(self):
         # An 8-point 3-D call with one source per target, across all six
@@ -466,6 +483,126 @@ class TestCubeGreen:
             np.array([[0.4]]), 0.3, np.array([-0.2]), 0.0, source_gradient=False)
         exact = interval_green_1d(1.0, 0.4, 0.3, -0.2, 0.0, 1.0)
         assert abs(res["gamma"][0] - exact) < 1e-10
+
+
+# (diagonal, half-width, centre, depth, lag) of a cube Green function.
+CUBES = [
+    pytest.param([1.3], 1.0, [0.0], 3, 0.5, id="1d"),
+    pytest.param([1.0, 2.0], 1.0, [0.0, 0.0], 2, 0.2, id="2d"),
+    pytest.param([0.7, 1.5], 0.8, [0.4, -0.3], 2, 0.1, id="2d-off-centre"),
+    pytest.param([2.0, 0.5, 1.0], 0.8, [0.3, -0.2, 0.1], 2, 0.1, id="3d-off-centre"),
+]
+
+
+def cube_batch(cube: Cube, rng, k: int = 12):
+    """k targets in the closed cube, the first 2n on its faces, and one
+    source per target strictly inside."""
+    n, w, c = cube.dim, cube.half_width, cube.center
+    x = c + w * rng.uniform(-0.95, 0.95, (k, n))
+    for j in range(n):
+        x[2 * j, j], x[2 * j + 1, j] = c[j] - w, c[j] + w
+    return x, c + w * rng.uniform(-0.9, 0.9, (k, n))
+
+
+class TestCubeProduct:
+    """CubeGreen takes the image sum as a product of per-axis sums; the
+    reference route sums the n-D lattice through eval_many."""
+
+    @pytest.mark.parametrize("diag,w,center,depth,dt", CUBES)
+    @pytest.mark.parametrize("per_target", [False, True])
+    def test_matches_lattice_route(self, diag, w, center, depth, dt, per_target):
+        med = homogeneous_medium(validate_tensor(np.diag(diag)))
+        cube = Cube(half_width=w, center=np.array(center))
+        x, y = cube_batch(cube, np.random.default_rng(len(diag)))
+        if not per_target:
+            y = y[0]
+        res = CubeGreen(med, cube, depth=depth).evaluate_many(x, dt, y, 0.0)
+        ref = lattice_green(KernelEvaluator(med), cube, depth, x, dt, y, 0.0)
+        est = res["est"] + ref["est"]
+        for key in ("gamma", "grad", "sgrad"):
+            move = np.abs(res[key] - ref[key]).reshape(x.shape[0], -1).max(axis=1)
+            assert np.all(move <= est), key
+        assert np.all(res["gamma"][2 * len(diag):] > 0.0)
+
+    @pytest.mark.parametrize("diag", [[1.0, 2.0], [1.5, 0.5, 1.0]])
+    def test_matches_interval_products(self, diag):
+        # Centred cubes of half-width 1: Gamma is the product of the 1-D
+        # interval Green functions, whose series has 40 shells per axis.
+        n = len(diag)
+        med = homogeneous_medium(validate_tensor(np.diag(diag)))
+        cube = Cube(half_width=1.0, center=np.zeros(n))
+        x, y = cube_batch(cube, np.random.default_rng(5), 40)
+        res = CubeGreen(med, cube, depth=2).evaluate_many(x, 0.2, y, 0.0)
+        exact = np.prod([interval_green_1d(a, x[:, j], 0.2, y[:, j], 0.0, 1.0)
+                         for j, a in enumerate(diag)], axis=0)
+        assert np.all(np.abs(res["gamma"] - exact) <= res["est"])
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("dt", [1e-5, 1e-4])
+    def test_est_covers_long_double(self, dt):
+        # diag(1, 50) at a short lag: a narrow Gaussian on one axis, whose
+        # peak is large, and many overlapping images on the other.  Gamma,
+        # grad and sgrad against the series in long double, each error
+        # within est, at targets near the source (the narrow axis's peak),
+        # at targets and sources near one face of the narrow axis, and on
+        # the faces of the wide axis.  Without the sums' error
+        # bounds, without carrying them through the product, or without
+        # the offsets' rounding (d_err), est fails this test.
+        diag = [1.0, 50.0]
+        med = homogeneous_medium(validate_tensor(np.diag(diag)))
+        cube = Cube(half_width=1.0, center=np.zeros(2))
+        rng = np.random.default_rng(11)
+        x, y = cube_batch(cube, rng, 3000)
+        reach = np.sqrt(dt * np.array(diag))
+        x[:2000] = np.clip(y[:2000] + [0.3, 3.0] * reach * rng.uniform(-1.0, 1.0, (2000, 2)),
+                           -1.0, 1.0)
+        face = rng.choice([-1.0, 1.0], 500)
+        x[2000:2500, 0], y[2000:2500, 0] = face * (1.0 - 3.0 * reach[0] * rng.uniform(0.0, 1.0, (2, 500)))
+        x[2500:, 1] = np.sign(x[2500:, 1])
+        res = CubeGreen(med, cube, depth=2).evaluate_many(x, dt, y, 0.0)
+        gamma, grad, sgrad = long_double_green(diag, cube, 2, x, dt, y)
+        assert np.all(np.abs(res["gamma"] - gamma).astype(float) <= res["est"])
+        for key, exact in (("grad", grad), ("sgrad", sgrad)):
+            assert np.all(np.abs(res[key] - exact).astype(float).max(axis=1) <= res["est"]), key
+
+    def test_no_transform(self, monkeypatch):
+        # A cube call builds no KernelEvaluator and makes no eval_many call.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cube Green function used the transform")
+
+        monkeypatch.setattr(KernelEvaluator, "__init__", refuse)
+        monkeypatch.setattr(KernelEvaluator, "eval_many", refuse)
+        med = homogeneous_medium(validate_tensor(np.diag([1.0, 2.0, 1.5])))
+        cube = Cube(half_width=1.0, center=np.zeros(3))
+        x, y = cube_batch(cube, np.random.default_rng(2))
+        res = CubeGreen(med, cube).evaluate_many(x, 0.2, y, 0.0)
+        assert np.all(np.isfinite(res["gamma"])) and np.all(res["est"] > 0.0)
+
+    def test_value_independent_of_batch(self):
+        # Each point's outputs, est included, are those of its call alone.
+        med = homogeneous_medium(validate_tensor(np.diag([1.0, 2.0, 1.5])))
+        cube = Cube(half_width=1.0, center=np.zeros(3))
+        x, y = cube_batch(cube, np.random.default_rng(3), 9)
+        cg = CubeGreen(med, cube, depth=3)
+        batch = cg.evaluate_many(x, 0.3, y, 0.0)
+        for k in range(x.shape[0]):
+            alone = cg.evaluate_many(x[k:k + 1], 0.3, y[k:k + 1], 0.0)
+            for key in ("gamma", "grad", "sgrad", "est"):
+                assert alone[key].tobytes() == batch[key][k:k + 1].tobytes(), (k, key)
+
+    def test_per_target_source_outside_rejected(self):
+        # One source per target, one of them on a face or beyond it.
+        med = homogeneous_medium(validate_tensor(np.diag([1.0, 2.0])))
+        cube = Cube(half_width=1.0, center=np.array([0.2, -0.1]))
+        cg = CubeGreen(med, cube)
+        x, y = cube_batch(cube, np.random.default_rng(4), 6)
+        cg.evaluate_many(x, 0.2, y, 0.0)
+        for bad in ([1.2, 0.0], [0.0, -1.1], [0.0, np.nan]):
+            y_bad = y.copy()
+            y_bad[3] = bad
+            with pytest.raises(MediumError, match="sources must lie strictly inside the cube"):
+                cg.evaluate_many(x, 0.2, y_bad, 0.0)
 
 
 class TestAdjoint:

@@ -42,6 +42,7 @@ from layerheat.symbols import (
     region_terms,
     theta_squared,
 )
+from image_checks import image_points
 from symbol_checks import term_exponents
 from test_certificate import BENCH_MEDIA
 
@@ -1313,15 +1314,16 @@ class TestPhaseTable:
             assert table[key].tobytes() == alone[key].tobytes() == tiled[key].tobytes()
 
     def test_cube_green_routes_identical(self, monkeypatch, whole_symbol):
-        # The green workload's shape: every target with each of 100 images,
-        # the whole symbol through the transform (in closed form a
-        # homogeneous medium has no phase layer).
-        med = homogeneous_medium(validate_tensor(np.diag([1.0, 2.0])))
-        cg = CubeGreen(med, Cube(half_width=1.0, center=np.zeros(2)), depth=2)
+        # The green workload's former shape: every target with each of the
+        # 100 images of a depth-2 square, the whole symbol through the
+        # transform (in closed form a homogeneous medium has no phase layer).
+        ev = KernelEvaluator(homogeneous_medium(validate_tensor(np.diag([1.0, 2.0]))))
         x = np.stack(np.meshgrid(np.linspace(-0.9, 0.9, 3), np.linspace(-0.85, 0.95, 3),
                                  indexing="ij"), -1).reshape(-1, 2)
+        xs, ys = image_points(Cube(half_width=1.0, center=np.zeros(2)), 2, x,
+                              np.array([0.03, 0.3]))[:2]
         table, alone, args = phase_runs(
-            monkeypatch, lambda: cg.evaluate_many(x, 0.2, np.array([0.03, 0.3]), 0.0))
+            monkeypatch, lambda: ev.eval_many(xs, 0.2, ys, 0.0, source_gradient=True))
         s_cnt, p_cnt, k_cnt = table_shape(*args)
         assert s_cnt * p_cnt <= k_cnt and p_cnt >= 2
         for key in ("gamma", "grad", "sgrad", "est"):

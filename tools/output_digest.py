@@ -10,8 +10,11 @@ Runs the set-up and one cycle of each workload of bench/workloads.py, which
 it only imports, and prints one line per `KernelEvaluator.eval_many` call:
 the workload, the call's index, its point count and dimension, and the
 sha256 of the bytes of gamma, grad, sgrad (when returned) and est.  Each
-finite-difference oracle solve (`oracle.fdm_solve`) adds one line, tagged
-`oracle`, with its index, its grid shape and the sha256 of its final slice.
+top-level call of the cycle that returns those arrays, as
+`CubeGreen.evaluate_many` does without any `eval_many` call, adds a line
+tagged `call` in the same form.  Each finite-difference oracle solve
+(`oracle.fdm_solve`) adds one line, tagged `oracle`, with its index, its
+grid shape and the sha256 of its final slice.
 Two trees whose lines agree returned the same bytes; a line that differs
 names the call to compare value by value.  Evaluation is serial and BLAS
 single-threaded, as in bench/run.py.
@@ -20,7 +23,8 @@ single-threaded, as in bench/run.py.
 file, made by another tree at the same seed, and adds to each line the
 call's largest move of gamma, grad or sgrad relative to that array's peak
 over the batch (the saved one), and the number of points where a value
-moved by more than the larger of the two calls' est; to an oracle line it
+moved by more than the larger of the two calls' est (a `call` line reads
+`unsaved` when the file holds no `call` records at all); to an oracle line it
 adds the largest move of the final slice relative to the saved slice's
 peak (an oracle solve has no est, so its move is reported only).  It exits
 1 when a point moved beyond est, or when the calls or solves do not match
@@ -53,9 +57,10 @@ KEYS = ("gamma", "grad", "sgrad", "est")
 
 
 def cycle_outputs(name: str, seed: int):
-    """The output of every eval_many call, and the final slice of every
-    fdm_solve, in the set-up and one cycle of a workload."""
-    calls, finals = [], []
+    """The output of every eval_many call, of every top-level call that
+    returns kernel arrays, and the final slice of every fdm_solve, in the
+    set-up and one cycle of a workload."""
+    calls, tops, finals = [], [], []
     eval_many, fdm_solve = KernelEvaluator.eval_many, oracle.fdm_solve
 
     def recorded(self, *args, **kwargs):
@@ -73,10 +78,12 @@ def cycle_outputs(name: str, seed: int):
             wl = workloads.make(name, seed, workdir)
             state = wl.setup()
             for call in wl.cycle(state):
-                call.fn()
+                out = call.fn()
+                if isinstance(out, dict) and "gamma" in out:
+                    tops.append(out)
     finally:
         KernelEvaluator.eval_many, oracle.fdm_solve = eval_many, fdm_solve
-    return calls, finals
+    return calls, tops, finals
 
 
 def digest(out: dict) -> str:
@@ -114,23 +121,27 @@ def main(argv=None) -> int:
         with np.load(args.against) as f:
             ref = dict(f)
     for name in args.workload or WORKLOADS:
-        outs, finals = cycle_outputs(name, args.seed)
-        for i, out in enumerate(outs):
-            line = f"{name} {i} points={out['gamma'].size} dim={out['grad'].shape[1]} {digest(out)}"
-            saved.update({f"{name}/{i}/{key}": out[key] for key in KEYS if key in out})
-            if args.against:
-                old = {key: ref[f"{name}/{i}/{key}"] for key in KEYS if f"{name}/{i}/{key}" in ref}
-                if old.keys() != out.keys() or old["gamma"].shape != out["gamma"].shape:
-                    print(f"{line} no matching call")
-                    status = 1
-                    continue
-                rel, beyond = moves(out, old)
-                line += f" move={rel:.2e} beyond_est={beyond}"
-                status |= beyond > 0
-            print(line)
-        if args.against and f"{name}/{len(outs)}/gamma" in ref:
-            print(f"{name}: the saved run made more calls")
-            status = 1
+        outs, tops, finals = cycle_outputs(name, args.seed)
+        for tag, records in ((name, outs), (f"{name}/call", tops)):
+            for i, out in enumerate(records):
+                line = (f"{tag.replace('/', ' ')} {i} points={out['gamma'].size} "
+                        f"dim={out['grad'].shape[1]} {digest(out)}")
+                saved.update({f"{tag}/{i}/{key}": out[key] for key in KEYS if key in out})
+                if args.against and tag.endswith("/call") and not any("/call/" in k for k in ref):
+                    line += " unsaved"  # a saved file of an older tree has no call records
+                elif args.against:
+                    old = {key: ref[f"{tag}/{i}/{key}"] for key in KEYS if f"{tag}/{i}/{key}" in ref}
+                    if old.keys() != out.keys() or old["gamma"].shape != out["gamma"].shape:
+                        print(f"{line} no matching call")
+                        status = 1
+                        continue
+                    rel, beyond = moves(out, old)
+                    line += f" move={rel:.2e} beyond_est={beyond}"
+                    status |= beyond > 0
+                print(line)
+            if args.against and f"{tag}/{len(records)}/gamma" in ref:
+                print(f"{tag.replace('/', ' ')}: the saved run made more calls")
+                status = 1
         for i, final in enumerate(finals):
             key = f"{name}/oracle/{i}/final"
             line = f"{name} oracle {i} shape={'x'.join(map(str, final.shape))} {hashlib.sha256(final.tobytes()).hexdigest()}"
