@@ -30,7 +30,7 @@ import numpy as np
 
 from .medium import Cube, MediumError, TwoLayerMedium
 from .inverse_transform import KernelEvaluator, QuadratureConfig, gauss_tensor_grid
-from .inverse_transform import _exact_inverse, gaussian_terms, point_pairs, time_lag
+from .inverse_transform import gaussian_terms, point_pairs, time_lag
 
 # Largest image-series tail bound accepted, relative to the kernel scale.
 TAIL_TOL = 1e-5
@@ -119,6 +119,8 @@ class HalfSpaceGreen:
         self.medium = medium
         self.axis = axis
         self.offset = float(offset)
+        if not math.isfinite(self.offset):
+            raise MediumError("offset must be finite")
         self.side = side
         if axis == n - 1:
             # Face parallel to the material interface.
@@ -258,12 +260,12 @@ class CubeGreen:
         # direct image, whose off is an exact 0.
         self._off_scale = np.abs(self._images[1]) + 2.0 * (np.abs(cube.center[:, None]) + cube.half_width)
         self._off_scale[:, 2 * self.depth] = 0.0
-        # Per axis, 1 / a_jj and a_jj, each exactly rounded.
-        inv, det = zip(*(_exact_inverse(np.array([[a]])) for a in np.diag(tensor.entries)))
-        self._inv = np.array(inv).reshape(-1, 1, 1)
-        self._det_root = 1.0 / np.sqrt(det)
-        self._det = float(np.prod(det))
-        self._lam_max = float(np.max(np.diag(tensor.entries)))
+        # Per axis, a_jj and 1 / a_jj, which IEEE division rounds correctly.
+        diag = np.diag(tensor.entries)
+        self._inv = (1.0 / diag).reshape(-1, 1, 1)
+        self._det_root = 1.0 / np.sqrt(diag)
+        self._det = float(np.prod(diag))
+        self._lam_max = float(np.max(diag))
 
     def tail_bound(self, dt: float) -> float:
         """Upper bound on the omitted image-series tail.

@@ -44,15 +44,15 @@ Gaussian Gamma_D = e^{-d.A^-1 d / (4 dt)} / ((4 pi dt)^{n/2} sqrt(det A)),
 d = x - y and A the source layer's tensor: the quasi-static subtraction of
 Michalski & Mosig, IEEE Trans. Antennas Propag. 45 (1997).  eval_many adds
 Gamma_D, its gradient and, as the source gradient, minus that in closed
-form (_direct), and _tau_sums contracts only the rest: the reflected terms,
-which are 0 in a homogeneous medium and skipped, and the transmitted terms
-of a layered one.  A call none of whose pairs has a term left runs no
-phase layer and no tail bound (_remainder), so a homogeneous medium forms
-no exponential and no cos psi.  The truncation test still compares against the total
-|Gamma|.  Cross-interface pairs of a layered medium keep their whole
-symbol, to the byte.  The tests switch the split off by patching
-closed_form_regions, which keeps the transform checked against the
-Gaussian on homogeneous media.
+form (_direct), and _tau_sums contracts only the rest: the reflected
+terms, which are 0 in a homogeneous medium and skipped, and the
+transmitted terms of a layered one.  A call none of whose pairs has a term
+left runs no phase layer and no tail bound (eval_many), so a homogeneous
+medium forms no exponential and no cos psi.  The truncation test still
+compares against the total |Gamma|.  Cross-interface pairs of a layered
+medium keep their whole symbol, to the byte.  The tests switch the split
+off by patching closed_form_regions, which keeps the transform checked
+against the Gaussian on homogeneous media.
 
 Half rule.  The kernel is real: at real xi' the integrand at (-xi', conj
 tau) is the complex conjugate of the integrand at (xi', tau), because
@@ -78,25 +78,28 @@ e^{i Phi} Re h, and only Re h is kept.  With psi = (x' - y' + c_p x_n +
 c_q y_n).xi', a node and its mirror add 2 cos psi Re h to Gamma, and sin
 psi terms to the gradients: real sums over the half nodes (_phase_sums).
 
-Symmetry.  In 3-D a medium may keep more of the grid's symmetries.  When
-row j of A has no off-diagonal entry in both layers (A_tt and a_t are zero
-off the diagonal there), the reflection xi_j -> -xi_j leaves xi'^T A_tt
-xi' and (a_t.xi')^2 unchanged to the last bit, and with them every root
-and coefficient.  When both axes reflect, their spacings are equal and
-A_tt[0,0] == A_tt[1,1] in each layer, so does the exchange of the two
-axes.  With the mirror of the half rule these maps split the canonical
-half into orbits, and the tau contraction runs on one representative per
-orbit, (-|m_0|, -|m_1|) in units of the steps, ordered |m_0| >= |m_1|
-under the exchange (_half_grid).  A half node reads the sums of its
-representative, and its phases come from its own xi'.  Neither map changes
-the parity of an index, so step-2h nodes have step-2h representatives.
-The floor rows and the tail bound's integrands are the same at every node
-of an orbit (they read |phi| and |xi|), so their node sums take each
-orbit's summed weights.  The benchmark's 3-D batch (I | diag(2,2,3), equal
-reach on both axes) runs on 300 of its 1,105 half nodes.  In 1-D, in 2-D
-(where a reflection is the half rule's own mirror) and on media coupled on
-both tangential axes every node is its own representative, and no map is
-formed.
+Symmetry.  One builder, KernelEvaluator._half_grid, forms the grid's
+canonical half, its step-2h subset, their weights and the columns of the
+tau sums as one HalfGrid value, and the tau contraction, the phase layer
+and the tail bound read only that value.  In 3-D a medium may keep more of
+the grid's symmetries.  When row j of A has no off-diagonal entry in both
+layers (A_tt and a_t are zero off the diagonal there), the reflection
+xi_j -> -xi_j leaves xi'^T A_tt xi' and (a_t.xi')^2 unchanged to the last
+bit, and with them every root and coefficient.  When both axes reflect, their
+spacings are equal and A_tt[0,0] == A_tt[1,1] in each layer, so does the
+exchange of the two axes.  With the mirror of the half rule these maps
+split the canonical half into orbits, and the tau contraction runs on one
+representative per orbit, (-|m_0|, -|m_1|) in units of the steps, ordered
+|m_0| >= |m_1| under the exchange (HalfGrid.xi).  A half node reads the
+sums of its representative (HalfGrid.of), and its phases come from its own
+xi'.  Neither map changes the parity of an index, so step-2h nodes have
+step-2h representatives.  The floor rows and the tail bound's integrands
+are the same at every node of an orbit (they read |phi| and |xi|), so
+their node sums take each orbit's summed weights.  The benchmark's 3-D
+batch (I | diag(2,2,3), equal reach on both axes) runs on 300 of its 1,105
+half nodes.  In 1-D, in 2-D (where a reflection is the half rule's own
+mirror) and on media coupled on both tangential axes every node is its own
+representative, and no map is formed.
 
 Shared symbols.  A call's unique normal pairs (x_n, y_n) form one table,
 ordered by region.  All six region symbols are built from one table of
@@ -119,16 +122,16 @@ point.  Both sum every product over the half nodes in the same order
 (_real_sums), so a point's bytes depend neither on the route nor on the
 fold (Symmetry).
 
-Streaming.  The tau contraction runs over the representatives of the
-canonical half (Symmetry) in blocks of consecutive columns, max(1,
-BLOCK_ELEMENTS // (M + 1)) of them, the last one shorter: a block fills the
-budget of (column, contour node) entries, wherever the rows of the grid
-end.  A block holds its SymbolTable, its region terms, their |root|
-tables, the weights of one term at a time, and one chunk of exponentials
-(normal pairs x columns x contour nodes, within the same budget).  It
-adds its columns of the half sums and of the step-2h sums, and folds its
-roundoff magnitudes straight into the per-pair node sums of the floor
-(_tau_sums).
+Streaming.  The tau contraction runs over the columns of the one HalfGrid
+(Symmetry), the representatives of the canonical half, in blocks of
+consecutive columns, max(1, BLOCK_ELEMENTS // (M + 1)) of them, the last
+one shorter: a block fills the budget of (column, contour node) entries,
+wherever the rows of the grid end.  A block holds its SymbolTable, its
+region terms, their |root| tables, the weights of one term at a time, and
+one chunk of exponentials (normal pairs x columns x contour nodes, within
+the same budget).  It adds its columns of the half sums and of the step-2h
+sums, and folds its roundoff magnitudes straight into the per-pair node
+sums of the floor (_tau_sums).
 What outlives a block is a few arrays of (normal pairs x representatives):
 memory is O(BLOCK_ELEMENTS x terms + pairs x representatives), where the
 whole-grid tables were O(H x M x terms).  The phase layer forms cos psi
@@ -366,44 +369,25 @@ def _hyperbolic_nodes(row, m: int, dt: float):
     return tau, weights
 
 
-class XiGrid(NamedTuple):
-    """A uniform tensor xi' grid (see _xi_grid)."""
-
-    xi: np.ndarray  # (Q, d) nodes, the last axis varying fastest
-    wq: np.ndarray  # (Q,) weights, over (2 pi)^d
-    shape: tuple  # node count of each axis
-    sub: np.ndarray  # the nodes of even index on every axis, in grid order
-
-
-def _xi_grid(radius: float, steps) -> XiGrid:
-    """Nodes k h_j, |k| <= ceil(radius / h_j), each of weight h_j, on axis j.
-
-    Each axis is point-symmetric, and so is its subset of even k, which is
-    the step-2h rule.  With no axes the grid is one node of weight 1.
-    """
-    xi, shape, even = np.zeros((1, 0)), [], []
-    for h in steps:
-        k = math.ceil(radius / h)
-        axis = h * np.arange(-k, k + 1)
-        xi = np.hstack([np.repeat(xi, axis.size, axis=0), np.tile(axis, xi.shape[0])[:, None]])
-        shape.append(axis.size)
-        even.append(slice(k % 2, None, 2))
-    wq = np.full(xi.shape[0], math.prod(steps) / (2.0 * np.pi) ** len(steps))
-    sub = np.arange(xi.shape[0]).reshape(shape)[tuple(even)].ravel()
-    return XiGrid(xi, wq, tuple(shape), sub)
-
-
 class HalfGrid(NamedTuple):
-    """The columns of the tau sums: the canonical half of a xi' grid, or one
-    representative node of each symmetry orbit of it (KernelEvaluator._half_grid).
+    """The canonical half of a point-symmetric xi' grid and the columns of its
+    tau sums, built in one place (KernelEvaluator._half_grid).
 
-    H counts the half nodes, C the columns, in grid order; _tau_sums cuts
-    them into blocks of consecutive columns.  ``of`` and ``sub_of`` are None
-    when every half node is its own column.
+    The whole grid, Q nodes in C order, is not kept: its half is the first
+    (Q + 1) / 2 of them, the centre last, and the step-2h rule is its
+    even-index subset.  The columns are that half, or one representative
+    node of each symmetry orbit of it (module docstring, Symmetry); C counts
+    them, in grid order, and _tau_sums cuts them into blocks of consecutive
+    columns.  ``of`` and ``sub_of`` are None when every half node is its own
+    column.
     """
 
+    shape: tuple  # node count of each axis of the whole grid
+    nodes: np.ndarray  # (H, d) the half nodes, the centre last
+    node_w: np.ndarray  # (H,) their weights over (2 pi)^d, doubled for the mirror but at the centre
+    node_sub: slice | np.ndarray  # the step-2h half nodes (_as_slice)
     xi: np.ndarray  # (C, d) the columns' nodes, in grid order
-    w: np.ndarray  # (C,) half-rule weights (_fold), summed over each orbit
+    w: np.ndarray  # (C,) node_w summed over each orbit
     sub: np.ndarray  # the columns of the step-2h nodes, ascending
     of: np.ndarray | None  # (H,) the column of each half node
     sub_of: np.ndarray | None  # (H_sub,) position in ``sub`` of each step-2h half node's column
@@ -492,37 +476,53 @@ class KernelEvaluator:
 
     # -- core contraction ------------------------------------------------
 
-    def _half_grid(self, grid: XiGrid) -> HalfGrid:
-        """The columns of the tau sums on ``grid`` (module docstring, Symmetry).
+    def _half_grid(self, radius: float, steps) -> HalfGrid:
+        """The xi' grid of spacings ``steps`` out to ``radius``, as its
+        canonical half and the columns of the tau sums (HalfGrid).
 
-        Without a reflection the columns are the canonical half itself.
-        Otherwise (3-D only) half node m = (m_0, m_1), in units of each
-        axis's step, has the representative (-|m_0|, -|m_1|), ordered so
-        that |m_0| >= |m_1| when the axes may be exchanged.  It lies in the
-        canonical half, and every step-2h node has a step-2h representative,
-        since neither map changes the parity of an index.  The columns keep
-        grid order and carry no row boundaries: any range of them is a block.
+        Axis j holds the nodes k h_j, |k| <= ceil(radius / h_j), each of
+        weight h_j, so the grid is point-symmetric (node Q - 1 - q is
+        -xi'_q), and so is its subset of even k, the step-2h rule.  With no
+        axes it is one node of weight 1.  Without a reflection the columns
+        are the half itself.  Otherwise (3-D only; module docstring,
+        Symmetry) half node m = (m_0, m_1), in units of each axis's step, has
+        the representative (-|m_0|, -|m_1|), ordered so that |m_0| >= |m_1|
+        when the axes may be exchanged.  It lies in the canonical half, and
+        every step-2h node has a step-2h representative, since neither map
+        changes the parity of an index.  The columns keep grid order and
+        carry no row boundaries: any range of them is a block.
         """
-        h_cnt = (grid.wq.size + 1) // 2
-        row = math.prod(grid.shape[1:])
-        sub = grid.sub[:(grid.sub.size + 1) // 2]
-        w = _fold(grid.wq)
+        axes, even = [], []
+        for h in steps:
+            k = math.ceil(radius / h)
+            axes.append(h * np.arange(-k, k + 1))
+            even.append(slice(k % 2, None, 2))
+        shape = tuple(axis.size for axis in axes)
+        h_cnt = (math.prod(shape) + 1) // 2
+        nodes = _tensor_nodes(axes)[:h_cnt]
+        weight = math.prod(steps) / (2.0 * np.pi) ** len(steps)
+        w = np.full(h_cnt, 2.0 * weight)
+        w[-1] = weight  # the centre is its own mirror
+        sub = np.arange(math.prod(shape)).reshape(shape)[tuple(even)].ravel()
+        sub = sub[sub < h_cnt]
+        node_sub = _as_slice(sub)
         if not self._mirrors:
-            return HalfGrid(grid.xi[:h_cnt], w, sub, None, None)
-        k = np.array(grid.shape) // 2
-        m = np.stack(np.unravel_index(np.arange(h_cnt), grid.shape), axis=1) - k
+            return HalfGrid(shape, nodes, w, node_sub, nodes, w, sub, None, None)
+        k = np.array(shape) // 2
+        m = np.stack(np.unravel_index(np.arange(h_cnt), shape), axis=1) - k
         rep_m = -np.abs(m)
         # Equal axes: the same steps, so the nodes k h of both are the same numbers.
-        if self._exchange and np.array_equal(grid.xi[::row, 0], grid.xi[:row, 1]):
+        if self._exchange and np.array_equal(*axes):
             rep_m.sort(axis=1)
-        rep_node = np.ravel_multi_index(tuple((rep_m + k).T), grid.shape)
+        rep_node = np.ravel_multi_index(tuple((rep_m + k).T), shape)
         is_rep = rep_node == np.arange(h_cnt)
         rep = np.flatnonzero(is_rep)
         of = (np.cumsum(is_rep) - 1)[rep_node]
         is_sub = np.zeros(h_cnt, dtype=bool)
         is_sub[sub] = True
         sub_cols = np.flatnonzero(is_sub[rep])
-        return HalfGrid(grid.xi[rep], np.bincount(of, weights=w, minlength=rep.size),
+        return HalfGrid(shape, nodes, w, node_sub, nodes[rep],
+                        np.bincount(of, weights=w, minlength=rep.size),
                         sub_cols, of, np.searchsorted(sub_cols, of[sub]))
 
     def _tau_sums(self, pairs, codes, half: HalfGrid, tau, wte, source_gradient, closed):
@@ -552,7 +552,7 @@ class KernelEvaluator:
         U S_1 + |x_n| S_p + |y_n| S_q + E S_1, the normal row U S_p + |x_n|
         S_pp + |y_n| S_pq + E S_p + |phi_p| times the Gamma row, the source
         row likewise in q.  Each row is summed over the columns with the
-        weights of the half rule (_fold), summed over each orbit, since
+        weights of the half rule summed over each orbit (HalfGrid.w), since
         every row is the same at each node of an orbit; the Gamma row once
         more with |xi'|_inf times them for the tangential gradient.
 
@@ -630,32 +630,30 @@ class KernelEvaluator:
             floor += np.einsum("jkq,q->jk", np.stack(rows), half.w[blk])
         return HalfSums(re, re_sub, phi, floor, live)
 
-    def _phase_sums(self, pairs, inv, dxp, grid: XiGrid, half: HalfGrid, sums, source_gradient):
+    def _phase_sums(self, pairs, inv, dxp, half: HalfGrid, sums, source_gradient):
         """Gamma, grad and sgrad from the tau sums, their roundoff floor,
         and the change of Gamma and grad from the step-2h rule.
 
-        A half node and its mirror add 2 cos psi Re h to Gamma,
-        -2 xi_j sin psi Re h to its x_j-derivative and 2 (cos psi Re h_n -
-        phi_p sin psi Re h) to the normal one (module docstring), the source
-        one likewise with h_src and phi_q; the weights (_fold) double all
-        nodes but xi' = 0.  psi = s.xi' with s = x' - y' + c_p x_n + c_q y_n,
-        the point's shift, from its normal pair ``inv``.  Each half node of
-        ``grid`` reads the sums of its column (``half``, the one _tau_sums
-        ran on), contracted as a (distinct shift x pair) table when the P
-        pairs number at most K / 2 and the table has at most K entries, else
-        point by point (module docstring, Phase table), in tiles within
-        BLOCK_ELEMENTS.  The floor is eps times the largest of the node sums
-        of the floor rows (_tau_sums).  The step-2h rule weighs the
-        even-index nodes by 2^d times their weight.  In 1-D the grid is the
-        one node xi' = 0, of weight 1, where psi = 0 and every sum is Re h.
+        A half node and its mirror add 2 cos psi Re h to Gamma, -2 xi_j sin
+        psi Re h to its x_j-derivative and 2 (cos psi Re h_n - phi_p sin psi
+        Re h) to the normal one (module docstring), the source one likewise
+        with h_src and phi_q; the weights (HalfGrid.node_w) double all nodes
+        but xi' = 0.  psi = s.xi' with s = x' - y' + c_p x_n + c_q y_n, the
+        point's shift, from its normal pair ``inv``.  Every half node of
+        ``half`` (KernelEvaluator._half_grid, the value _tau_sums ran on)
+        reads the sums of its column (HalfGrid.of), contracted as a
+        (distinct shift x pair) table when the P pairs number at most K / 2
+        and the table has at most K entries, else point by point (module
+        docstring, Phase table), in tiles within BLOCK_ELEMENTS.  The floor
+        is eps times the largest of the node sums of the floor rows
+        (_tau_sums).  The step-2h rule weighs its nodes (HalfGrid.node_sub)
+        by 2^d times their weight.  In 1-D the grid is the one node xi' = 0,
+        of weight 1, where psi = 0 and every sum is Re h.
         """
         n = self.medium.dim
         d = n - 1
-        h_cnt = (grid.wq.size + 1) // 2
-        xi = grid.xi[:h_cnt]
-        w = _fold(grid.wq)  # the weight of each half node
-        sub = _as_slice(grid.sub[:(grid.sub.size + 1) // 2])
-        w_sub = 2.0 ** d * _fold(grid.wq[grid.sub])
+        xi, w, sub = half.nodes, half.node_w, half.node_sub
+        w_sub = 2.0 ** d * w[sub]
         shift = dxp + np.einsum("ki,kij->kj", pairs, sums.phi)[inv]
         # The distinct shifts, by one complex key per point; with 2 P > K no
         # table has at most K entries.
@@ -672,7 +670,7 @@ class KernelEvaluator:
             phi = sums.phi
         fine = np.empty((n + 1 + source_gradient, units.shape[0]) + pairs.shape[:table])
         coarse = np.empty((n + 1,) + fine.shape[1:])
-        step = max(1, BLOCK_ELEMENTS // h_cnt)
+        step = max(1, BLOCK_ELEMENTS // w.size)
         for lo in range(0, units.shape[0], step):
             sel = slice(lo, lo + step)
             psi = np.einsum("kj,qj->kq", units[sel], xi)
@@ -699,19 +697,6 @@ class KernelEvaluator:
         change = np.max(np.abs(coarse, out=coarse), axis=0)
         floor = np.finfo(float).eps * np.max(sums.floor, axis=0)[inv]
         return gamma, grad, sgrad, floor, change
-
-    def _remainder(self, pairs, inv, dxp, grid: XiGrid, half: HalfGrid, sums, radius: float,
-                   dt: float, source_gradient):
-        """_phase_sums and _tail_bound, or, where the call contracted no term
-        (HalfSums.live), zeros for Gamma, its gradients and each part of est,
-        and neither layer runs.  A pair with no term contracted has sums of
-        0, so in a live call the two layers give its points 0."""
-        if sums.live:
-            return (*self._phase_sums(pairs, inv, dxp, grid, half, sums, source_gradient),
-                    *_tail_bound(inv, half.xi, half.w, sums, radius, self._schur_min * dt))
-        k, n = inv.size, self.medium.dim
-        return [np.zeros(k), np.zeros((k, n)), np.zeros((k, n)) if source_gradient else None,
-                *np.zeros((4, k))]
 
     def _direct(self, d, lower, dt: float):
         """The direct term at the offsets d = x - y (K, n) of sources in the
@@ -778,14 +763,20 @@ class KernelEvaluator:
 
         osc = np.max(np.abs(dxp), axis=0, initial=0.0)
         radius = self._base_radius(dt)
-        grid = _xi_grid(radius, self._xi_spacing(osc, dt))
-        half = self._half_grid(grid)
+        half = self._half_grid(radius, self._xi_spacing(osc, dt))
         closed = closed_form_regions(self.medium)
         codes = codes[order]
         sums = self._tau_sums(pairs, codes, half, tau, wte, source_gradient, closed)
-        gam, grd, sgr, floor, change, t_val, t_grad = self._remainder(
-            pairs, inv, dxp, grid, half, sums, radius, dt, source_gradient)
-        est_d = np.zeros(x.shape[0])
+        k = x.shape[0]
+        if sums.live:
+            gam, grd, sgr, floor, change = self._phase_sums(
+                pairs, inv, dxp, half, sums, source_gradient)
+            t_val, t_grad = _tail_bound(inv, half, sums, radius, self._schur_min * dt)
+        else:  # no term contracted (HalfSums.live): neither layer runs, and each part is 0
+            gam, grd = np.zeros(k), np.zeros((k, n))
+            sgr = np.zeros((k, n)) if source_gradient else None
+            floor = change = t_val = t_grad = np.zeros(k)
+        est_d = np.zeros(k)
         at = np.flatnonzero(closed[codes[inv]])  # the points with a direct term
         if at.size:
             g, g_grad, est_d[at] = self._direct(x[at] - y[at], yn[at] < 0.0, dt)
@@ -812,19 +803,20 @@ class KernelEvaluator:
         return out
 
 
-def _tail_bound(inv, xi: np.ndarray, w: np.ndarray, sums, radius: float, decay_rate: float):
+def _tail_bound(inv, half: HalfGrid, sums, radius: float, decay_rate: float):
     """Per point, bounds on the part of Gamma, and of grad and sgrad, beyond the xi' grid.
 
-    The grid covers [-radius, radius] on each axis and is point-symmetric;
-    ``xi`` and ``w`` are the columns of the tau sums and their weights
-    (HalfGrid): its canonical half, or one node of each symmetry orbit of
-    it with the orbit's summed weight, which serves since f below, the
-    number of axes with |xi_j| >= R/2 and |xi'|_inf are the same at every
-    node of an orbit.  Point k reads the sums of normal pair ``inv[k]``.  At
-    a node and its mirror the full rule's integrand has modulus f = |Re h|
-    for Gamma and |Re h_n + i phi_p Re h| for the normal gradient (h_src
-    and phi_q for the source one), h the tau half sums (module docstring)
-    and phi = c.xi' (HalfSums).
+    The grid covers [-radius, radius] on each axis and is point-symmetric.
+    The bound reads only the columns of the tau sums and their weights,
+    ``half.xi`` and ``half.w`` (KernelEvaluator._half_grid): the canonical
+    half, or one node of each symmetry orbit of it with the orbit's summed
+    weight, which serves since f below, the number of axes with |xi_j| >=
+    R/2 and |xi'|_inf are the same at every node of an orbit.  Point k
+    reads the sums of normal pair ``inv[k]``.  At a node and its mirror the
+    full rule's integrand has modulus f = |Re h| for Gamma and |Re h_n + i
+    phi_p Re h| for the normal gradient (h_src and phi_q for the source
+    one), h the tau half sums (module docstring) and phi = c.xi'
+    (HalfSums).
     |h| would not do: its imaginary part, which the mirrored node cancels,
     decays only like 1/|xi'|.  After the tau integral f decays like
     e^{-a |xi'|^2}, a = ``decay_rate``, on every axis, so on axis j the mass
@@ -837,6 +829,7 @@ def _tail_bound(inv, xi: np.ndarray, w: np.ndarray, sums, radius: float, decay_r
     the tangential ones from |xi'|_inf f, the others from their own f.
     In 1-D the one node xi' = 0 lies on no axis, and both bounds are 0.
     """
+    xi, w = half.xi, half.w
     x = math.sqrt(decay_rate) * radius
     tail = math.erfc(x)  # underflows to 0 on a wide grid
     ratio = tail / (math.erfc(0.5 * x) - tail) if tail > 0.0 else 0.0
@@ -921,14 +914,6 @@ def _exact_inverse(a: np.ndarray):
     return np.array([[float(v) for v in row[n:]] for row in m]), float(det)
 
 
-def _fold(w: np.ndarray) -> np.ndarray:
-    """The weights ``w`` of a point-symmetric rule on its canonical half:
-    doubled for the mirror, except at the centre node, its own mirror."""
-    half = 2.0 * w[:(w.size + 1) // 2]
-    half[-1] = w[half.size - 1]
-    return half
-
-
 def _as_slice(idx: np.ndarray):
     """``idx``, or the slice that selects the same items when it is evenly spaced."""
     step = idx[1] - idx[0] if idx.size > 1 else 1
@@ -982,18 +967,21 @@ def gauss_tensor_grid(axes):
     points (N, d), with the last axis varying fastest, and weights (N,).
     With no axes the rule is the single empty point with weight 1.
     """
-    pts = np.zeros((1, 0))
-    wts = np.ones(1)
+    nodes, weights = [], []
     for panels in axes:
-        nodes, weights = [], []
-        for a, b, m in panels:
-            x, w = _leggauss(m)
-            nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-            weights.append(0.5 * (b - a) * w)
-        x = np.concatenate(nodes)
+        rules = [(0.5 * (b - a), 0.5 * (a + b), *_leggauss(m)) for a, b, m in panels]
+        nodes.append(np.concatenate([scale * x + mid for scale, mid, x, _ in rules]))
+        weights.append(np.concatenate([scale * w for scale, _, _, w in rules]))
+    return _tensor_nodes(nodes), np.prod(_tensor_nodes(weights), axis=1)
+
+
+def _tensor_nodes(axes) -> np.ndarray:
+    """The tensor product of the 1-D node arrays ``axes``: points (N, d),
+    the last axis varying fastest; with no axes, the single empty point."""
+    pts = np.zeros((1, 0))
+    for x in axes:
         pts = np.hstack([np.repeat(pts, x.size, axis=0), np.tile(x, pts.shape[0])[:, None]])
-        wts = (wts[:, None] * np.concatenate(weights)[None, :]).ravel()
-    return pts, wts
+    return pts
 
 
 # Largest difference between the two integration grids of mass_integral.

@@ -176,17 +176,14 @@ class Cube:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if not self.half_width > 0.0:
-            raise MediumError("half_width must be positive")
+        if not 0.0 < self.half_width < np.inf:
+            raise MediumError("half_width must be positive and finite")
         if self.center.ndim != 1:
             raise MediumError("center must be a point")
+        if not np.all(np.isfinite(self.center)):
+            raise MediumError("center must be finite")
         self.center.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.center.shape[0]
-
-    def contains(self, point) -> bool:
-        """Strictly inside: the boundary is excluded."""
-        d = np.abs(np.asarray(point, dtype=float) - self.center)
-        return bool(np.all(d < self.half_width))

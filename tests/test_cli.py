@@ -297,6 +297,22 @@ class TestErrors:
         assert f"{path[-1]!r} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind,field", [("cube", "half_width"), ("half_space", "offset")])
+    def test_infinite_geometry_exit_2(self, tmp_path, capsys, kind, field):
+        # json.load reads Infinity.  A cube of that half_width exited 2 with
+        # "targets must lie in the closed cube", and a face at offset
+        # -Infinity parallel to a layered medium's interface exited 4.
+        cfg = {"medium": {"upper": [[1.0]], "lower": [[4.0]] if kind == "half_space" else [[1.0]]},
+               "green": {"kind": kind, "cube": {"half_width": float("inf"), "center": [0.0]},
+                         "face": {"axis": 0, "offset": -float("inf"), "side": 1},
+                         "t": 0.2, "s": 0.0, "y": [0.3], "x": [[0.5]]},
+               "output": str(tmp_path / "out")}
+        path = write_cfg(tmp_path, cfg)
+        assert "Infinity" in Path(path).read_text()
+        assert main(["green", path]) == 2
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     # Counts below 1 and an empty level list; each used to exit 1 (ValueError
     # from linspace, IndexError, ZeroDivisionError), and max_points = -3
     # reversed and thinned the probes and passed.

@@ -87,6 +87,16 @@ class TestHalfSpaceGreen:
         with pytest.raises(UnsupportedGeometry):
             HalfSpaceGreen(med, axis=0, offset=-0.5, side=1)
 
+    @pytest.mark.parametrize("offset", [np.nan, -np.inf, np.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_offset(self, offset, axis):
+        # On a layered medium's parallel face a NaN or -inf offset raised
+        # UnsupportedGeometry (CLI exit 4) where the input is at fault.
+        med = TwoLayerMedium(upper=validate_tensor(np.eye(2)),
+                             lower=validate_tensor(np.diag([2.0, 3.0])))
+        with pytest.raises(MediumError, match="offset must be finite"):
+            HalfSpaceGreen(med, axis=axis, offset=offset, side=1)
+
     def test_perpendicular_face_requires_invariance(self):
         med = homogeneous_medium(validate_tensor([[2.0, 1.0], [1.0, 2.0]]))
         with pytest.raises(UnsupportedGeometry):
@@ -426,14 +436,13 @@ class TestCubeGreen:
         phase_sums = KernelEvaluator._phase_sums
         phase = {}
 
-        def measured(self, pairs, inv, dxp, grid, half, sums, source_gradient):
+        def measured(self, pairs, inv, dxp, half, sums, source_gradient):
             start, phase["before"] = tracemalloc.get_traced_memory()  # reset_peak drops it
             tracemalloc.reset_peak()
-            out = phase_sums(self, pairs, inv, dxp, grid, half, sums, source_gradient)
+            out = phase_sums(self, pairs, inv, dxp, half, sums, source_gradient)
             phase["added"] = tracemalloc.get_traced_memory()[1] - start
-            h_cnt = (grid.wq.size + 1) // 2
             phase["node_sums"] = 8 * pairs.shape[0] * (
-                sums.re.shape[0] * h_cnt + sums.re_sub.shape[0] * half.sub_of.size)
+                sums.re.shape[0] * half.nodes.shape[0] + sums.re_sub.shape[0] * half.sub_of.size)
             return out
 
         monkeypatch.setattr(KernelEvaluator, "_phase_sums", measured)

@@ -65,17 +65,26 @@ SHEARED = [
 ]
 
 
-def record_xi_grids(monkeypatch):
-    """Record every xi' grid that eval_many builds."""
+def record_half_grids(monkeypatch):
+    """Record every xi' grid, as its HalfGrid value, that eval_many builds."""
     grids = []
-    xi_grid = inverse_transform._xi_grid
+    half_grid = KernelEvaluator._half_grid
 
-    def recorded(radius, steps):
-        grids.append(xi_grid(radius, steps))
+    def recorded(self, radius, steps):
+        grids.append(half_grid(self, radius, steps))
         return grids[-1]
 
-    monkeypatch.setattr(inverse_transform, "_xi_grid", recorded)
+    monkeypatch.setattr(KernelEvaluator, "_half_grid", recorded)
     return grids
+
+
+def whole_grid(half):
+    """The whole point-symmetric xi' grid of a HalfGrid: its half nodes and
+    their mirrors, each of the weight that the half rule folds (the mirror
+    of node q is node Q - 1 - q; TestHalfRule::test_half_grid_contract)."""
+    xi = np.vstack([half.nodes, -half.nodes[-2::-1]])
+    wq = np.concatenate([half.node_w[:-1] / 2.0, half.node_w[-1:], half.node_w[-2::-1] / 2.0])
+    return xi, wq
 
 
 def record_region_terms(monkeypatch):
@@ -154,7 +163,7 @@ class TestConfig:
         media = [med for _, med, _, _ in BENCH_MEDIA]
         media.append(TwoLayerMedium(upper=validate_tensor(np.eye(2)),
                                     lower=validate_tensor(1000.0 * np.eye(2))))
-        grids = record_xi_grids(monkeypatch)
+        grids = record_half_grids(monkeypatch)
         for med in media:
             ev = KernelEvaluator(med)
             m = ev.contour_nodes
@@ -173,8 +182,9 @@ class TestConfig:
                 # The half rule stands for the mirrored nodes conj(tau) too,
                 # and the half grid for the whole grid.
                 tau = np.concatenate([tau, tau.conj()])
-                for th2 in theta_squared(med, grids[0].xi.astype(complex), tau):
-                    assert th2.shape == (grids[0].xi.shape[0], 2 * m + 2)
+                xi = whole_grid(grids[0])[0]
+                for th2 in theta_squared(med, xi.astype(complex), tau):
+                    assert th2.shape == (xi.shape[0], 2 * m + 2)
                     assert np.all(np.abs(np.angle(th2)) <= 0.5 * np.pi + ev._row[0])
 
     def test_forced_mu_too_large_rejected(self):
@@ -427,34 +437,80 @@ class TestEvaluatorContract:
 class TestHalfRule:
     """The half contour rule needs a point-symmetric xi' grid and a real kernel."""
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_xi_grid_point_symmetric(self, n):
-        # The uniform nodes k h_j, their weights and the step-2h subset of
-        # even-index nodes are exactly point-symmetric, at the spacing
-        # h_j = pi / (osc_j + sqrt(2 s_max dt max(decay, 30))) out to the
-        # radius; the subset's weight is 2^d h_1..h_d (over (2 pi)^d).
-        lower = np.diag([2.0, 3.0, 1.5][:n])
+    @pytest.mark.parametrize("lower,osc_equal", [
+        pytest.param([[4.0]], False, id="1d"),
+        pytest.param(np.diag([2.0, 3.0]), False, id="2d"),
+        pytest.param(np.diag([2.0, 3.0, 1.5]), False, id="3d"),
+        pytest.param(np.diag([2.0, 2.0, 3.0]), True, id="3d-exchange"),
+    ])
+    def test_half_grid_contract(self, lower, osc_equal):
+        # The one builder of the xi' grid against the whole grid built here
+        # with np.meshgrid: the nodes k h_j, |k| <= ceil(radius / h_j), at
+        # the spacing h_j = pi / (osc_j + sqrt(2 s_max dt max(decay, 30)))
+        # out to the radius, each of weight h_1..h_d over (2 pi)^d.
+        # Mirroring the half nodes gives back that grid, which is
+        # point-symmetric; the weights fold its weights (doubled but at the
+        # centre); node_sub is its even-index nodes within the half, a
+        # point-symmetric subset of weight 2^d h_1..h_d.  In 3-D the layers
+        # are diagonal, so the columns fold the half (with the exchange when
+        # the two spacings are equal), and every half node's column has its
+        # |xi_j| multiset.  All bit for bit, but the spacings themselves.
+        n = len(lower)
+        d = n - 1
         med = TwoLayerMedium(upper=validate_tensor(np.eye(n)), lower=validate_tensor(lower))
         ev = KernelEvaluator(med)
-        d = n - 1
-        s_max = np.max(np.diag(lower)[:d])  # diagonal layers: the Schur complement is the minor
-        cases = [(0.01, 0.0), (0.3, 1.5), (2.0, 0.2), (0.1, 100.0)]
-        for dt, osc_max in cases:
-            osc = np.array([osc_max, min(osc_max, 0.5)])[:d]
+        # Diagonal layers: the Schur complement is the minor.
+        s_max = np.max(np.diag(lower)[:d], initial=0.0)
+        for dt, osc_max in [(0.01, 0.0), (0.3, 1.5), (2.0, 0.2), (0.1, 100.0)]:
+            osc = np.array([osc_max, osc_max if osc_equal else min(osc_max, 0.5)])[:d]
             radius = ev._base_radius(dt)
-            grid = inverse_transform._xi_grid(radius, ev._xi_spacing(osc, dt))
+            steps = ev._xi_spacing(osc, dt)
+            half = ev._half_grid(radius, steps)
             h = np.pi / (osc + math.sqrt(2.0 * s_max * dt * max(ev._decay, 30.0)))
-            sub = grid.sub
-            for xi, wq in ((grid.xi, grid.wq), (grid.xi[sub], 2 ** d * grid.wq[sub])):
-                assert np.array_equal(xi[::-1], -xi)
-                assert np.array_equal(wq[::-1], wq)
-            assert np.allclose(grid.wq * (2.0 * np.pi) ** d, np.prod(h), rtol=1e-14, atol=0.0)
+            assert np.allclose(steps, h, rtol=1e-14, atol=0.0)
+            # The whole grid, its weights and its step-2h nodes.
+            ks = [np.arange(-math.ceil(radius / hj), math.ceil(radius / hj) + 1) for hj in steps]
+            mesh = np.meshgrid(*[hj * k for hj, k in zip(steps, ks)], indexing="ij")
+            xi = np.stack([m.ravel() for m in mesh], axis=1) if d else np.zeros((1, 0))
+            wq = np.full(xi.shape[0], np.prod(steps) / (2.0 * np.pi) ** d)
+            even = np.ones(xi.shape[0], dtype=bool)
+            for k in np.meshgrid(*ks, indexing="ij"):
+                even &= k.ravel() % 2 == 0
+            h_cnt = half.nodes.shape[0]
+            assert half.shape == tuple(k.size for k in ks) and h_cnt == (xi.shape[0] + 1) // 2
+            assert np.array_equal(xi[::-1], -xi) and np.array_equal(whole_grid(half)[0], xi)
+            fold = 2.0 * wq[:h_cnt]
+            fold[-1] = wq[h_cnt - 1]
+            assert np.array_equal(half.node_w, fold) and np.array_equal(whole_grid(half)[1], wq)
+            assert np.array_equal(np.arange(h_cnt)[half.node_sub], np.flatnonzero(even[:h_cnt]))
+            assert np.array_equal(xi[even][::-1], -xi[even])
+            assert np.array_equal(2.0 ** d * half.node_w[half.node_sub],
+                                  2.0 ** d * fold[even[:h_cnt]])
+            assert np.allclose(wq * (2.0 * np.pi) ** d, np.prod(h), rtol=1e-14, atol=0.0)
             for j in range(d):
-                axis = np.unique(grid.xi[:, j])
+                axis = np.unique(xi[:, j])
                 assert np.allclose(np.diff(axis), h[j], rtol=1e-12, atol=0.0)
-                assert np.allclose(np.diff(np.unique(grid.xi[sub, j])), 2.0 * h[j],
+                assert np.allclose(np.diff(np.unique(xi[even, j])), 2.0 * h[j],
                                    rtol=1e-12, atol=0.0)
                 assert radius <= axis[-1] < radius + h[j]
+            # The columns: each a half node, the step-2h ones listed in
+            # ascending order, each half node's column of its |xi_j|
+            # multiset, and each column's weight its orbit's.
+            assert (half.of is None) == (n < 3) and (half.sub_of is None) == (n < 3)
+            of = np.arange(h_cnt) if half.of is None else half.of
+            index = {node: q for q, node in enumerate(map(tuple, half.nodes.tolist()))}
+            col_node = np.array([index[node] for node in map(tuple, half.xi.tolist())])
+            assert np.array_equal(half.sub, np.flatnonzero(even[col_node]))
+            sub_of = np.arange(half.sub.size) if half.sub_of is None else half.sub_of
+            assert np.array_equal(half.sub[sub_of], of[half.node_sub])
+            assert np.array_equal(np.sort(np.abs(half.xi[of]), axis=1),
+                                  np.sort(np.abs(half.nodes), axis=1))
+            if n == 3 and not osc_equal:
+                assert np.array_equal(np.abs(half.xi[of]), np.abs(half.nodes))
+            if osc_equal:  # the exchange: one column per |xi_0| >= |xi_1|
+                assert np.all(np.abs(half.xi[:, 0]) >= np.abs(half.xi[:, 1]))
+            assert np.allclose(half.w, np.bincount(of, weights=half.node_w), rtol=1e-15, atol=0.0)
+            assert (half.w.size < h_cnt) == (n == 3 and h_cnt > 1)
 
     @pytest.mark.parametrize("row", _CONTOUR_ROWS)
     def test_contour_inverts_known_transforms(self, row):
@@ -496,19 +552,18 @@ class TestHalfRule:
         d = n - 1
         dt = 0.3
         ev = KernelEvaluator(med)
-        grids = record_xi_grids(monkeypatch)
+        grids = record_half_grids(monkeypatch)
         terms = inverse_transform.region_terms
         blocks = record_region_terms(monkeypatch)
         res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
         assert len(grids) == 1
-        xi, wq = grids[0].xi, grids[0].wq
-        half = (xi.shape[0] + 1) // 2
+        xi, wq = whole_grid(grids[0])
         step = inverse_transform.BLOCK_ELEMENTS // (ev.contour_nodes + 1)
         assert xi.shape[0] > 1 and len(blocks) == 6
         for nodes in blocks.values():
             sizes = [b.shape[0] for b in nodes]
             assert set(sizes[:-1]) <= {step} and 0 < sizes[-1] <= step
-            assert np.array_equal(np.concatenate(nodes), xi[:half])
+            assert np.array_equal(np.concatenate(nodes), grids[0].nodes)
             assert (len(nodes) > 1) == (n == 3)
         tau, w = _hyperbolic_nodes(ev._row, ev.contour_nodes, dt)
         # Unfold the half rule: node -k is the conjugate of node k, and the
@@ -581,7 +636,7 @@ class TestNestedDoublings:
                       [1.8899015685747145e-10, -2.738431703619426e-11]],
         }
         ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=1e-5))
-        grids = record_xi_grids(monkeypatch)
+        grids = record_half_grids(monkeypatch)
         res = ev.eval_many(x, 0.05, y, 0.0, source_gradient=True)
         assert len(grids) == 1
         for key, ref in pinned.items():
@@ -665,10 +720,9 @@ class TestTailBound:
         radius = ev._base_radius(dt)
         wider = []
         for k in (1, 2):
-            grid = inverse_transform._xi_grid(2 ** k * radius, ev._xi_spacing(osc, dt))
-            half = ev._half_grid(grid)
+            half = ev._half_grid(2 ** k * radius, ev._xi_spacing(osc, dt))
             sums = tau_sums(ev, pairs, codes, half, tau, wte, True, closed)
-            values = ev._phase_sums(pairs, inv, dxp, grid, half, sums, True)[:3]
+            values = ev._phase_sums(pairs, inv, dxp, half, sums, True)[:3]
             wider.append(np.column_stack(values))
         base = np.column_stack([res["gamma"], res["grad"], res["sgrad"]])
         once, twice = wider
@@ -682,18 +736,18 @@ class TestTailBound:
         # sums, which the mirrored node cancels, leaves it unchanged; and
         # once erfc underflows the bound is 0.
         a, radius = 0.5, 5.0
-        grid = inverse_transform._xi_grid(radius, [radius / 24.0])
-        half = (grid.wq.size + 1) // 2
+        grid = KernelEvaluator(layered_2d())._half_grid(radius, [radius / 24.0])
+        xi, wq = whole_grid(grid)
+        half = grid.nodes.shape[0]
         inv = np.zeros(1, dtype=int)
 
         def bound(h, r=radius):
             # One pair; its value and normal sums are Re h, with no phase.
             re = np.stack([h.real, h.real])[:, None, :]
             sums = HalfSums(re, None, np.zeros((1, 2, 1)), None, True)
-            return np.maximum(*inverse_transform._tail_bound(
-                inv, grid.xi[:half], inverse_transform._fold(grid.wq), sums, r, a))[0]
+            return np.maximum(*inverse_transform._tail_bound(inv, grid, sums, r, a))[0]
 
-        xi = grid.xi[:, 0]
+        xi = xi[:, 0]
         f = np.exp(-a * xi ** 2)
         tail = math.sqrt(np.pi / a) * math.erfc(math.sqrt(a) * radius) / (2.0 * np.pi)
         tail_xi = math.exp(-a * radius ** 2) / (2.0 * np.pi * a)
@@ -703,7 +757,7 @@ class TestTailBound:
         s = f + 1.5j / (1.0 + np.abs(xi))
         x = math.sqrt(a) * radius
         ratio = math.erfc(x) / (math.erfc(0.5 * x) - math.erfc(x))
-        w_val = (np.abs(xi) >= 0.5 * radius) * grid.wq
+        w_val = (np.abs(xi) >= 0.5 * radius) * wq
         f_full = np.abs(s + s[::-1].conj()) / 2.0
         full = TAIL_SAFETY * ratio * max(f_full @ (np.abs(xi) * w_val), f_full @ w_val)
         assert bound(s[:half]) == bound(f[:half]) == pytest.approx(full, rel=1e-14)
@@ -713,8 +767,7 @@ class TestTailBound:
         # is three times the tangential one.  Point k reads pair 1 - k.
         re = np.stack([f[:half], np.zeros(half)])[:, None, :].repeat(2, axis=1)
         sums = HalfSums(re, None, np.array([[[0.0], [0.0]], [[3.0], [0.0]]]), None, True)
-        grads = inverse_transform._tail_bound(
-            np.array([1, 0]), grid.xi[:half], inverse_transform._fold(grid.wq), sums, radius, a)[1]
+        grads = inverse_transform._tail_bound(np.array([1, 0]), grid, sums, radius, a)[1]
         assert grads[0] == pytest.approx(3.0 * grads[1], rel=1e-14)
 
     def test_default_tolerance_one_fine_pass(self, monkeypatch):
@@ -723,7 +776,7 @@ class TestTailBound:
         med = TwoLayerMedium(upper=validate_tensor([[1.0, 0.3], [0.3, 1.0]]),
                              lower=validate_tensor(np.diag([2.0, 3.0])))
         ev = KernelEvaluator(med)
-        grids = record_xi_grids(monkeypatch)
+        grids = record_half_grids(monkeypatch)
         rng = np.random.default_rng(5)
         for dt in (0.3, 0.1):
             y = rng.uniform(-1.0, 1.0, (100, 2))
@@ -879,7 +932,7 @@ class TestBoundedPlan:
         assert ev._row is _CONTOUR_ROWS[1] and ev.contour_nodes == 32
         if n == 3 and b >= 1000.0:
             return
-        grids = record_xi_grids(monkeypatch)
+        grids = record_half_grids(monkeypatch)
         x, y = contrast_batch(n)
         for dt in (0.01, 0.3)[:4 - n]:
             grids.clear()
@@ -903,20 +956,21 @@ class TestBoundedPlan:
         med = TwoLayerMedium(upper=validate_tensor(np.eye(n)),
                              lower=validate_tensor(b * np.eye(n)))
         ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=1e-8))
-        grids = record_xi_grids(monkeypatch)
+        grids = record_half_grids(monkeypatch)
         rng = np.random.default_rng(n)
         y = rng.uniform(-0.5, 0.5, (k, n))
         x = rng.uniform(-1.5, 1.5, (k, n))
         dt = 0.3
         gamma = ev.eval_many(x, dt, y, 0.0)["gamma"]
         assert len(grids) == 1
-        h = [float(np.diff(np.unique(grids[0].xi[:, j]))[0]) for j in range(n - 1)]
-        fine = inverse_transform._xi_grid(2.0 * ev._base_radius(dt), [hj / 2.0 for hj in h])
+        h = [float(np.diff(np.unique(grids[0].nodes[:, j]))[0]) for j in range(n - 1)]
+        fine_xi, fine_wq = whole_grid(ev._half_grid(2.0 * ev._base_radius(dt),
+                                                    [hj / 2.0 for hj in h]))
         tau, w = _hyperbolic_nodes(_CONTOUR_ROWS[0], 64, dt)
         wte = w * np.exp(tau * dt)
         ref = np.zeros(k)
-        for lo in range(0, fine.wq.size, 4096):
-            xi, wq = fine.xi[lo:lo + 4096], fine.wq[lo:lo + 4096]
+        for lo in range(0, fine_wq.size, 4096):
+            xi, wq = fine_xi[lo:lo + 4096], fine_wq[lo:lo + 4096]
             xi_c = xi.astype(complex)
             table = SymbolTable(med, xi_c, tau)
             for i in range(k):
@@ -951,20 +1005,19 @@ class TestStreaming:
 
         monkeypatch.setattr(KernelEvaluator, "_tau_sums", recorded)
         ref = ev.eval_many(x, 0.3, y, 0.0, source_gradient=True)
-        grids = record_xi_grids(monkeypatch)
+        grids = record_half_grids(monkeypatch)
         blocks = record_region_terms(monkeypatch)
         monkeypatch.setattr(inverse_transform, "BLOCK_ELEMENTS", 1)
         res = ev.eval_many(x, 0.3, y, 0.0, source_gradient=True)
-        half = (grids[0].wq.size + 1) // 2
         assert len(blocks) == 6
         for nodes in blocks.values():
             assert all(b.shape[0] == 1 for b in nodes)
-            assert np.array_equal(np.concatenate(nodes), grids[0].xi[:half])
+            assert np.array_equal(np.concatenate(nodes), grids[0].nodes)
         for key in ("gamma", "grad", "sgrad"):
             assert res[key].tobytes() == ref[key].tobytes()
         assert np.all(np.abs(res["est"] - ref["est"]) <= 1e-15 * ref["est"])
         # The floor's node sums, the Gamma row's with |xi'|_inf last.
-        xi_max = np.max(np.abs(grids[0].xi))
+        xi_max = np.max(np.abs(whole_grid(grids[0])[0]))
         one, many = sums
         assert np.allclose(many.floor, one.floor, rtol=1e-14, atol=0.0)
         assert np.all(many.floor[-1] > 0.0) and np.all(many.floor[-1] <= xi_max * many.floor[0])
@@ -1024,12 +1077,13 @@ def scatter_batch(reach):
     return x, y
 
 
-def whole_grid_values(med, ev, grid, x, y, dt):
+def whole_grid_values(med, ev, half, x, y, dt):
     """Gamma, grad and sgrad of the full (k = -M..M) contour rule on the
-    whole xi' grid, summed point by point from region_terms."""
+    whole xi' grid of the HalfGrid ``half``, summed point by point from
+    region_terms."""
     n = med.dim
     d = n - 1
-    xi, wq = grid.xi, grid.wq
+    xi, wq = whole_grid(half)
     tau, w = _hyperbolic_nodes(ev._row, ev.contour_nodes, dt)
     tau = np.concatenate([tau[:0:-1].conj(), tau])
     w = np.concatenate([w[:0:-1].conj() / 2, w[:1], w[1:] / 2])
@@ -1066,21 +1120,18 @@ class TestSymmetryFold:
         ev = KernelEvaluator(med)
         dt = 0.3
         osc = np.array([SCATTER_REACH, SCATTER_REACH if equal else 0.5])
-        grid = inverse_transform._xi_grid(ev._base_radius(dt), ev._xi_spacing(osc, dt))
-        half = ev._half_grid(grid)
-        h_cnt = (grid.wq.size + 1) // 2
-        assert half.of is not None and half.of.size == h_cnt
+        half = ev._half_grid(ev._base_radius(dt), ev._xi_spacing(osc, dt))
+        assert half.of is not None and half.of.size == half.nodes.shape[0]
         tau, _ = _hyperbolic_nodes(ev._row, ev.contour_nodes, dt)
-        nodes = SymbolTable(med, grid.xi[:h_cnt].astype(complex), tau)
+        nodes = SymbolTable(med, half.nodes.astype(complex), tau)
         cols = SymbolTable(med, half.xi.astype(complex), tau)
         for name in ("theta_a", "theta_b", "root_a", "root_b", "direct_a", "direct_b",
                      "reflect_a", "reflect_b", "transmit"):
             assert getattr(cols, name)[half.of].tobytes() == getattr(nodes, name).tobytes()
         # The step-2h nodes' columns are step-2h nodes, and the weights of
         # each orbit add up.
-        sub_half = grid.sub[:(grid.sub.size + 1) // 2]
-        assert np.array_equal(half.sub[half.sub_of], half.of[sub_half])
-        assert half.w.sum() == pytest.approx(inverse_transform._fold(grid.wq).sum(), rel=1e-14)
+        assert np.array_equal(half.sub[half.sub_of], half.of[half.node_sub])
+        assert half.w.sum() == pytest.approx(half.node_w.sum(), rel=1e-14)
 
     @pytest.mark.parametrize("upper,lower", FOLDED)
     @pytest.mark.parametrize("equal", [True, False], ids=["equal_reach", "unequal_reach"])
@@ -1091,7 +1142,7 @@ class TestSymmetryFold:
         # index on axis j.
         med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
         ev = KernelEvaluator(med)
-        grids = record_xi_grids(monkeypatch)
+        grids = record_half_grids(monkeypatch)
         blocks = record_region_terms(monkeypatch)
         x, y = scatter_batch((SCATTER_REACH, SCATTER_REACH if equal else 0.5))
         ev.eval_many(x, 0.3, y, 0.0)
@@ -1114,13 +1165,13 @@ class TestSymmetryFold:
         # In 2-D and on sheared 3-D media every half node is its own column.
         med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
         ev = KernelEvaluator(med)
-        grids = record_xi_grids(monkeypatch)
+        grids = record_half_grids(monkeypatch)
         blocks = record_region_terms(monkeypatch)
         ev.eval_many(np.array(x), 0.3, np.array(y), 0.0)
-        half = ev._half_grid(grids[0])
+        half = grids[0]
         assert half.of is None and half.sub_of is None
         for nodes in blocks.values():
-            assert sum(b.shape[0] for b in nodes) == (grids[0].wq.size + 1) // 2
+            assert sum(b.shape[0] for b in nodes) == (math.prod(half.shape) + 1) // 2
 
     @pytest.mark.parametrize("upper,lower", FOLDED)
     def test_values_match_whole_grid(self, monkeypatch, upper, lower):
@@ -1129,7 +1180,7 @@ class TestSymmetryFold:
         # test_anisotropic_values_pinned).
         med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
         ev = KernelEvaluator(med)
-        grids = record_xi_grids(monkeypatch)
+        grids = record_half_grids(monkeypatch)
         x, y = scatter_batch((SCATTER_REACH, SCATTER_REACH))
         res = ev.eval_many(x, 0.3, y, 0.0, source_gradient=True)
         ref = whole_grid_values(med, ev, grids[0], x, y, 0.3)
@@ -1239,21 +1290,21 @@ def phase_runs(monkeypatch, run):
     return table, alone, calls[0]
 
 
-def table_shape(pairs, inv, dxp, grid, half, sums, *rest):
+def table_shape(pairs, inv, dxp, half, sums, *rest):
     """(S, P, K): distinct shifts, normal pairs and points of a phase call."""
     shift = dxp + np.einsum("ki,kij->kj", pairs, sums.phi)[inv]
     return np.unique(shift, axis=0).shape[0], pairs.shape[0], inv.size
 
 
-def node_by_node(ev, pairs, inv, dxp, grid, half, sums, source_gradient):
+def node_by_node(ev, pairs, inv, dxp, half, sums, source_gradient):
     """Gamma, grad, the source derivative in y_n and the step-2h change,
     summed over every half node from its column's tau sums (_phase_sums)."""
     n = ev.medium.dim
     d = n - 1
-    h_cnt = (grid.wq.size + 1) // 2
-    xi, w = grid.xi[:h_cnt], inverse_transform._fold(grid.wq)
+    xi, w = half.nodes, half.node_w
+    h_cnt = xi.shape[0]
     of = np.arange(h_cnt) if half.of is None else half.of
-    sub = grid.sub[:(grid.sub.size + 1) // 2]
+    sub = np.arange(h_cnt)[half.node_sub]
     c = sums.phi[inv]
     psi = (dxp + np.einsum("ki,kij->kj", pairs[inv], c)) @ xi.T
 

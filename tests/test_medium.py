@@ -117,15 +117,21 @@ class TestMedium:
 
 
 class TestCube:
-    def test_contains(self):
-        c = Cube(half_width=1.0, center=np.array([0.5, 0.0]))
-        assert c.contains([0.9, 0.5])
-        assert not c.contains([1.6, 0.0])
-        assert not c.contains([0.5, 1.0])  # boundary excluded
-
     def test_invalid_width(self):
         with pytest.raises(MediumError):
             Cube(half_width=0.0, center=np.array([0.0]))
+
+    @pytest.mark.parametrize("width", [np.inf, np.nan])
+    def test_non_finite_width(self, width):
+        # An infinite half_width passed (not inf > 0 is False), and a cube
+        # Green function on it returned NaN for every output.
+        with pytest.raises(MediumError, match="half_width must be positive and finite"):
+            Cube(half_width=width, center=np.zeros(2))
+
+    @pytest.mark.parametrize("center", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0]])
+    def test_non_finite_center(self, center):
+        with pytest.raises(MediumError, match="center must be finite"):
+            Cube(half_width=1.0, center=center)
 
     @pytest.mark.parametrize("center", [0.5, None, [[0.0, 0.0]]])
     def test_center_not_a_point(self, center):

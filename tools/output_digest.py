@@ -8,11 +8,14 @@ Usage, from the repository root:
 
 Runs the set-up and one cycle of each workload of bench/workloads.py, which
 it only imports, and prints one line per `KernelEvaluator.eval_many` call:
-the workload, the call's index, its point count and dimension, and the
-sha256 of the bytes of gamma, grad, sgrad (when returned) and est.  Each
-top-level call of the cycle that returns those arrays, as
-`CubeGreen.evaluate_many` does without any `eval_many` call, adds a line
-tagged `call` in the same form.  Each finite-difference oracle solve
+the workload, the call's key, its point count and dimension, and the
+sha256 of the bytes of gamma, grad, sgrad (when returned) and est.  The key
+is `c:j`, the call's index j within the top-level call c of the cycle that
+made it (`setup:j` in the set-up), so one call fewer early in a cycle leaves
+the keys of the other top-level calls as they were.  Each top-level call of
+the cycle that returns those arrays, as `CubeGreen.evaluate_many` does
+without any `eval_many` call, adds a line tagged `call` with its index among
+them in place of the key.  Each finite-difference oracle solve
 (`oracle.fdm_solve`) adds one line, tagged `oracle`, with its index, its
 grid shape and the sha256 of its final slice.
 Two trees whose lines agree returned the same bytes; a line that differs
@@ -20,7 +23,9 @@ names the call to compare value by value.  Evaluation is serial and BLAS
 single-threaded, as in bench/run.py.
 
 --save writes every call's arrays to an .npz file.  --against reads such a
-file, made by another tree at the same seed, and adds to each line the
+file, made by another tree at the same seed, matches the calls by key
+(by their index within the workload when the file holds no keys, as one
+saved by a tree whose digest has none), and adds to each line the
 call's largest move of gamma, grad or sgrad relative to that array's peak
 over the batch (the saved one), and the number of points where a value
 moved by more than the larger of the two calls' est (a `call` line reads
@@ -57,15 +62,17 @@ KEYS = ("gamma", "grad", "sgrad", "est")
 
 
 def cycle_outputs(name: str, seed: int):
-    """The output of every eval_many call, of every top-level call that
-    returns kernel arrays, and the final slice of every fdm_solve, in the
-    set-up and one cycle of a workload."""
+    """The key and output of every eval_many call, the output of every
+    top-level call that returns kernel arrays, and the final slice of every
+    fdm_solve, in the set-up and one cycle of a workload."""
     calls, tops, finals = [], [], []
+    top = ["setup", 0]  # the enclosing top-level call, and its eval_many calls so far
     eval_many, fdm_solve = KernelEvaluator.eval_many, oracle.fdm_solve
 
     def recorded(self, *args, **kwargs):
-        calls.append(eval_many(self, *args, **kwargs))
-        return calls[-1]
+        calls.append((f"{top[0]}:{top[1]}", eval_many(self, *args, **kwargs)))
+        top[1] += 1
+        return calls[-1][1]
 
     def solved(*args, **kwargs):
         gf = fdm_solve(*args, **kwargs)
@@ -77,7 +84,8 @@ def cycle_outputs(name: str, seed: int):
         with tempfile.TemporaryDirectory() as workdir:
             wl = workloads.make(name, seed, workdir)
             state = wl.setup()
-            for call in wl.cycle(state):
+            for c, call in enumerate(wl.cycle(state)):
+                top[:] = [c, 0]
                 out = call.fn()
                 if isinstance(out, dict) and "gamma" in out:
                     tops.append(out)
@@ -109,6 +117,14 @@ def moves(out: dict, ref: dict):
     return rel, int(np.sum(beyond))
 
 
+def saved_ids(ref: dict, tag: str) -> set:
+    """The ids of the records under ``tag`` (a workload, or its "/call"
+    records) in a saved file: keys c:j, or flat indices."""
+    depth = tag.count("/") + 2
+    return {k.split("/")[depth - 1] for k in ref
+            if k.startswith(f"{tag}/") and k.count("/") == depth}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--seed", type=int, required=True)
@@ -122,15 +138,20 @@ def main(argv=None) -> int:
             ref = dict(f)
     for name in args.workload or WORKLOADS:
         outs, tops, finals = cycle_outputs(name, args.seed)
+        tops = [(str(i), out) for i, out in enumerate(tops)]
         for tag, records in ((name, outs), (f"{name}/call", tops)):
-            for i, out in enumerate(records):
-                line = (f"{tag.replace('/', ' ')} {i} points={out['gamma'].size} "
+            unmatched = saved_ids(ref, tag) if args.against else set()
+            keyed = any(":" in rid for rid in unmatched)
+            for i, (key, out) in enumerate(records):
+                line = (f"{tag.replace('/', ' ')} {key} points={out['gamma'].size} "
                         f"dim={out['grad'].shape[1]} {digest(out)}")
-                saved.update({f"{tag}/{i}/{key}": out[key] for key in KEYS if key in out})
+                saved.update({f"{tag}/{key}/{k}": out[k] for k in KEYS if k in out})
+                rid = key if keyed else str(i)
+                unmatched.discard(rid)
                 if args.against and tag.endswith("/call") and not any("/call/" in k for k in ref):
                     line += " unsaved"  # a saved file of an older tree has no call records
                 elif args.against:
-                    old = {key: ref[f"{tag}/{i}/{key}"] for key in KEYS if f"{tag}/{i}/{key}" in ref}
+                    old = {k: ref[f"{tag}/{rid}/{k}"] for k in KEYS if f"{tag}/{rid}/{k}" in ref}
                     if old.keys() != out.keys() or old["gamma"].shape != out["gamma"].shape:
                         print(f"{line} no matching call")
                         status = 1
@@ -139,8 +160,9 @@ def main(argv=None) -> int:
                     line += f" move={rel:.2e} beyond_est={beyond}"
                     status |= beyond > 0
                 print(line)
-            if args.against and f"{tag}/{len(records)}/gamma" in ref:
-                print(f"{tag.replace('/', ' ')}: the saved run made more calls")
+            if unmatched:
+                print(f"{tag.replace('/', ' ')}: the saved run made more calls "
+                      f"({' '.join(sorted(unmatched))})")
                 status = 1
         for i, final in enumerate(finals):
             key = f"{name}/oracle/{i}/final"
