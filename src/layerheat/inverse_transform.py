@@ -145,6 +145,14 @@ is its own sum, so Gamma and its gradients do not depend on the
 partition, and est only by the rounding of the floor's node sums when a
 call has more than one block.
 
+Evaluator constants.  What the medium and the tolerance fix is built once,
+on first use, and kept: on the evaluator the region phases (_phases), the
+closed-form regions (_closed) and the source layers' inverses (_gaussians);
+per contour shape and M, shared by all evaluators, the lag-free parts 1 +
+sin z and cos z of the contour nodes (_contour_shape), which the lag only
+scales.  Nothing that depends on a call's lag, points or grid outlives the
+call.
+
 Tail bound.  After the tau integral the integrand decays like
 e^{-a |xi'|^2}, a = lambda_min(S) (t - s) over the tangential Schur
 complements S of both layers, so one xi' grid on [-R0, R0] per axis
@@ -222,7 +230,10 @@ TAIL_SAFETY = 10.0
 # Each |p| is bounded by |r| + |phi|, root part plus phase (_tau_sums).
 # The closed-form direct term's roundoff takes U (1 + E_abs) times its
 # size (_direct): measured against extended precision on 60 random SPD
-# tensors in 1-D to 3-D, errors reached 0.79 of that.
+# tensors in 1-D to 3-D, errors reached 0.79 of that.  At exponents E of
+# 50 to 700 the rounding of d = x - y adds about as much again, which
+# _direct bounds on its own: on 400 random 1-D cases the gradient's error
+# reached 1.15 times the U (1 + E_abs) part alone, and 0.68 of the sum.
 ROUNDOFF_UNITS = 2.0
 
 # Factor on the difference between the rule and its step-2h subset of
@@ -247,6 +258,15 @@ CONTOUR_SAFETY = 4.0
 # to 8 %.
 BLOCK_ELEMENTS = 2 ** 14
 
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+
+# Every region code and one past the last: searched in a call's ascending
+# codes, the first pair of each region (_tau_sums).
+_REGION_EDGES = np.arange(len(REGIONS) + 1)
+# The rows i, j and k of _tau_sums's s_abs that the floor rows of Gamma, of
+# the normal and of the source gradient read as S_g, S_gp and S_gq.
+_FLOOR_ROWS = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -260,17 +280,21 @@ class QuadratureConfig:
 
 
 def point_pairs(x, y, n: int):
-    """Targets (K, n) and their sources broadcast to (K, n).
+    """Targets (K, n) and their sources, one per target (K, n).
 
     MediumError unless y is one source (n,) or one per target (K, n).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if x.ndim < 2:
+        x = x.reshape(1, -1)
     if x.ndim != 2 or x.shape[1] != n:
         raise MediumError(f"points have shape {x.shape}, medium dimension {n}")
     y = np.asarray(y, dtype=float)
-    if y.shape not in ((n,), x.shape):
+    if y.shape == x.shape:
+        return x, y
+    if y.shape != (n,):
         raise MediumError(f"sources must have shape ({n},) or {x.shape}, not {y.shape}")
-    return x, np.broadcast_to(y, x.shape)
+    return x, y[None].repeat(x.shape[0], axis=0)
 
 
 def time_lag(t, s) -> float:
@@ -357,16 +381,26 @@ def _hyperbolic_nodes(row, m: int, dt: float):
     sum over k = 0..M with the weights of k > 0 doubled, which is what
     this returns.  The rule is only valid for such F.
     """
-    alpha, u_max, mu_scale, _ = row
-    mu_c = mu_scale * m / dt
-    h = u_max / m
-    u = h * np.arange(0, m + 1)
-    z = 1j * u - alpha
-    tau = mu_c * (1.0 + np.sin(z))
-    dtau = 1j * mu_c * np.cos(z)
-    weights = h * dtau / (2j * np.pi)
+    mu_c = row[2] * m / dt
+    one_sin, cos, h = _contour_shape(row, m)
+    weights = h * (1j * mu_c * cos) / (2j * np.pi)
     weights[1:] *= 2.0
-    return tau, weights
+    return mu_c * one_sin, weights
+
+
+@cache
+def _contour_shape(row, m: int):
+    """1 + sin z and cos z at the nodes z = i k h - alpha, k = 0..M, h =
+    u_max / M, of a contour row, and h: the parts of _hyperbolic_nodes that
+    the lag does not scale, built once per (row, M) and shared read-only
+    like _leggauss."""
+    alpha, u_max, _, _ = row
+    h = u_max / m
+    z = 1j * (h * np.arange(0, m + 1)) - alpha
+    one_sin, cos = 1.0 + np.sin(z), np.cos(z)
+    one_sin.setflags(write=False)
+    cos.setflags(write=False)
+    return one_sin, cos, h
 
 
 class HalfGrid(NamedTuple):
@@ -391,6 +425,7 @@ class HalfGrid(NamedTuple):
     sub: np.ndarray  # the columns of the step-2h nodes, ascending
     of: np.ndarray | None  # (H,) the column of each half node
     sub_of: np.ndarray | None  # (H_sub,) position in ``sub`` of each step-2h half node's column
+    xi_inf: np.ndarray  # (C,) |xi'|_inf of each column
 
 
 class HalfSums(NamedTuple):
@@ -437,6 +472,13 @@ class KernelEvaluator:
     # c_p and c_q of every region (HalfSums), built on first use: the table
     # costs about three times the rest of the construction.
     _phases = cached_property(lambda ev: region_phases(ev.medium))
+
+    @cached_property
+    def _closed(self):
+        """closed_form_regions of the medium, found on first use like
+        _phases: a patched closed_form_regions reaches every evaluator built
+        after the patch."""
+        return closed_form_regions(self.medium)
 
     @cached_property
     def _gaussians(self):
@@ -492,38 +534,42 @@ class KernelEvaluator:
         changes the parity of an index.  The columns keep grid order and
         carry no row boundaries: any range of them is a block.
         """
-        axes, even = [], []
-        for h in steps:
-            k = math.ceil(radius / h)
-            axes.append(h * np.arange(-k, k + 1))
-            even.append(slice(k % 2, None, 2))
-        shape = tuple(axis.size for axis in axes)
+        k = [math.ceil(radius / h) for h in steps]
+        shape = tuple(2 * k_j + 1 for k_j in k)
         h_cnt = (math.prod(shape) + 1) // 2
-        nodes = _tensor_nodes(axes)[:h_cnt]
+        # Each half node's index m_j on every axis, from the half's own
+        # range of flat indices: the whole grid is never formed.  ``odd``
+        # ORs the m_j, so its lowest bit is set where any m_j is odd.
+        flat = np.arange(h_cnt)
+        m = np.empty((h_cnt, len(shape)), dtype=np.intp)
+        odd = np.zeros(h_cnt, dtype=np.intp)
+        for j, k_j in enumerate(k):
+            odd |= np.subtract(flat // math.prod(shape[j + 1:]) % shape[j], k_j, out=m[:, j])
+        nodes = m * np.array(steps, dtype=float)  # k h on each axis, as h * np.arange(-k, k + 1)
         weight = math.prod(steps) / (2.0 * np.pi) ** len(steps)
-        w = np.full(h_cnt, 2.0 * weight)
+        w = np.empty(h_cnt)
+        w.fill(2.0 * weight)
         w[-1] = weight  # the centre is its own mirror
-        sub = np.arange(math.prod(shape)).reshape(shape)[tuple(even)].ravel()
-        sub = sub[sub < h_cnt]
+        sub = (odd & 1 == 0).nonzero()[0]
         node_sub = _as_slice(sub)
         if not self._mirrors:
-            return HalfGrid(shape, nodes, w, node_sub, nodes, w, sub, None, None)
-        k = np.array(shape) // 2
-        m = np.stack(np.unravel_index(np.arange(h_cnt), shape), axis=1) - k
-        rep_m = -np.abs(m)
-        # Equal axes: the same steps, so the nodes k h of both are the same numbers.
-        if self._exchange and np.array_equal(*axes):
-            rep_m.sort(axis=1)
-        rep_node = np.ravel_multi_index(tuple((rep_m + k).T), shape)
-        is_rep = rep_node == np.arange(h_cnt)
+            return HalfGrid(shape, nodes, w, node_sub, nodes, w, sub, None, None,
+                            _max_abs(nodes))
+        rep_m = [-np.abs(m_j) for m_j in m.T]
+        # Equal steps: the nodes k h of both axes are the same numbers.
+        if self._exchange and steps[0] == steps[1]:
+            rep_m = [np.minimum(*rep_m), np.maximum(*rep_m)]
+        rep_node = np.ravel_multi_index([m_j + k_j for m_j, k_j in zip(rep_m, k)], shape)
+        is_rep = rep_node == flat
         rep = np.flatnonzero(is_rep)
         of = (np.cumsum(is_rep) - 1)[rep_node]
         is_sub = np.zeros(h_cnt, dtype=bool)
         is_sub[sub] = True
         sub_cols = np.flatnonzero(is_sub[rep])
-        return HalfGrid(shape, nodes, w, node_sub, nodes[rep],
+        xi = nodes[rep]
+        return HalfGrid(shape, nodes, w, node_sub, xi,
                         np.bincount(of, weights=w, minlength=rep.size),
-                        sub_cols, of, np.searchsorted(sub_cols, of[sub]))
+                        sub_cols, of, np.searchsorted(sub_cols, of[sub]), _max_abs(xi))
 
     def _tau_sums(self, pairs, codes, half: HalfGrid, tau, wte, source_gradient, closed):
         """The tau contraction on the columns ``half`` (_half_grid), the
@@ -565,23 +611,26 @@ class KernelEvaluator:
         to zero, so neither their order nor the block changes a bit.
         """
         m_cnt = tau.size
-        c_cnt = half.w.size
-        xi_inf = np.max(np.abs(half.xi), axis=1, initial=0.0)
-        # The pairs of one region are one span.
-        present, starts = np.unique(codes, return_index=True)
-        spans = list(zip(present.tolist(), starts.tolist(), starts.tolist()[1:] + [codes.size]))
-        axn, ayn = np.abs(pairs[:, :1]), np.abs(pairs[:, 1:])
-        re = np.zeros((2 + source_gradient, pairs.shape[0], c_cnt))
-        re_sub = np.zeros((2, pairs.shape[0], half.sub.size))
-        floor = np.zeros((3 + source_gradient, pairs.shape[0]))
+        p_cnt, c_cnt = pairs.shape[0], half.w.size
+        # The pairs of one region are one span; ``codes`` ascend.
+        edges = np.searchsorted(codes, _REGION_EDGES).tolist()
+        spans = [(c, lo, hi) for c, lo, hi in zip(range(len(REGIONS)), edges, edges[1:]) if lo < hi]
+        closed = closed.tolist()
+        abs_pairs = np.abs(pairs)
+        axn, ayn = abs_pairs[:, :1], abs_pairs[:, 1:]
+        re = np.zeros((2 + source_gradient, p_cnt, c_cnt))
+        re_sub = np.zeros((2, p_cnt, half.sub.size))
+        floor = np.zeros((3 + source_gradient, p_cnt))
         live = False
         phi = self._phases[codes]
+        row_i, row_j, row_k = _FLOOR_ROWS[:, :2 + source_gradient]
         step = max(1, BLOCK_ELEMENTS // m_cnt)
         for lo in range(0, c_cnt, step):
-            blk = slice(lo, lo + step)
-            sub_lo, sub_hi = np.searchsorted(half.sub, (lo, lo + step)).tolist()
+            hi = lo + step
+            sub_lo, sub_hi = np.searchsorted(half.sub, (lo, hi)).tolist()
             sub = _as_slice(half.sub[sub_lo:sub_hi] - lo)
-            xi_c = half.xi[blk].astype(complex)
+            xi_c = half.xi[lo:hi].astype(complex)
+            q_cnt = xi_c.shape[0]
             table = SymbolTable(self.medium, xi_c, tau)
             # Each distinct term and the pairs of every region that has it.
             # R11/R12 and R21/R22 share a term, and their spans touch.
@@ -593,8 +642,8 @@ class KernelEvaluator:
                     first = terms[term.name][1] if term.name in terms else p_lo
                     terms[term.name] = term, first, p_hi
             abs_root = {}  # |r| by root array: the exponents of a layer share it
-            s_abs = np.zeros((5 + source_gradient, pairs.shape[0], xi_c.shape[0]))
-            chunk = max(1, BLOCK_ELEMENTS // (xi_c.shape[0] * m_cnt))
+            s_abs = np.zeros((5 + source_gradient, p_cnt, q_cnt))
+            chunk = max(1, BLOCK_ELEMENTS // (q_cnt * m_cnt))
             for term, p_lo, p_hi in terms.values():
                 # Zero on the block (see above): a nonzero first entry spares the scan.
                 if not (term.coef[0, 0] or term.coef.any()):
@@ -613,21 +662,25 @@ class KernelEvaluator:
                     c_sl = slice(c_lo, c_lo + chunk)
                     sl = slice(p_lo + c_lo, min(p_lo + c_lo + chunk, p_hi))
                     ex = np.exp(r_p * x_n[c_sl] + r_q * y_n[c_sl])
-                    for re_row, w_row in zip(re[:, sl, blk], w_sum):
-                        re_row += np.einsum("qm,kqm->kq", w_row, ex).real
+                    re[:, sl, lo:hi] += np.einsum("jqm,kqm->jkq", w_sum, ex).real
                     s_abs[:, sl] += np.einsum("jqm,kqm->jkq", w_abs, np.abs(ex))
                     re_sub[:, sl, sub_lo:sub_hi] += np.einsum(
                         "jqm,kqm->jkq", w_half, ex[:, sub, ::2]).real
                     del ex  # free before the next exponent is formed
             # The floor rows of every pair (see above) from S_g, the rows of
-            # s_abs for g = 1, |r_p|, |r_q|, |r_p|^2, |r_p r_q|, |r_q|^2.
-            abs_phi = np.abs(phi @ half.xi[blk].T).swapaxes(0, 1)
-            e = abs_phi[0] * axn + abs_phi[1] * ayn
-            rows = [ROUNDOFF_UNITS * s_abs[i] + axn * s_abs[j] + ayn * s_abs[k] + e * s_abs[i]
-                    for i, j, k in ((0, 1, 2), (1, 3, 4), (2, 4, 5))[:2 + source_gradient]]
-            rows[1:] = [r + f * rows[0] for r, f in zip(rows[1:], abs_phi)]
-            rows.append(rows[0] * xi_inf[blk])
-            floor += np.einsum("jkq,q->jk", np.stack(rows), half.w[blk])
+            # s_abs for g = 1, |r_p|, |r_q|, |r_p|^2, |r_p r_q|, |r_q|^2, and
+            # the tangential row last.
+            abs_phi = np.abs(phi @ half.xi[lo:hi].T).swapaxes(0, 1)
+            s_i = s_abs[row_i]
+            rows = np.empty((3 + source_gradient, p_cnt, q_cnt))
+            own = rows[:-1]  # the rows of Gamma, the normal and the source gradient
+            np.multiply(ROUNDOFF_UNITS, s_i, out=own)
+            own += axn * s_abs[row_j]
+            own += ayn * s_abs[row_k]
+            own += (abs_phi[0] * axn + abs_phi[1] * ayn) * s_i
+            own[1:] += abs_phi[:1 + source_gradient] * rows[0]
+            np.multiply(rows[0], half.xi_inf[lo:hi], out=rows[-1])
+            floor += np.einsum("jkq,q->jk", rows, half.w[lo:hi])
         return HalfSums(re, re_sub, phi, floor, live)
 
     def _phase_sums(self, pairs, inv, dxp, half: HalfGrid, sums, source_gradient):
@@ -680,22 +733,23 @@ class KernelEvaluator:
                 re = _node_sums(sums.re, inv[sel], half.of, w)
                 re_sub = _node_sums(sums.re_sub, inv[sel], half.sub_of, w_sub)
                 phi = sums.phi[inv[sel]]
-            fine[:, sel] = _real_sums(cos, sin, re, phi, xi, table)
+            _real_sums(cos, sin, re, phi, xi, table, fine[:, sel])
             # The step-2h cos and sin: a strided view, or np.take's copy,
             # laid out alike whatever the tile (a fancy index's is not).
-            coarse[:, sel] = _real_sums(
-                *(a[:, sub] if isinstance(sub, slice) else np.take(a, sub, axis=1)
-                  for a in (cos, sin)), re_sub, phi, xi[sub], table)
+            _real_sums(*(a[:, sub] if isinstance(sub, slice) else np.take(a, sub, axis=1)
+                         for a in (cos, sin)), re_sub, phi, xi[sub], table, coarse[:, sel])
         del re, re_sub  # (rows x pairs x half nodes): free before the points' outputs
         if table:
             at = sidx * pairs.shape[0] + inv  # each point's (shift, pair) entry
             fine, coarse = (np.take(a.reshape(a.shape[0], -1), at, axis=1) for a in (fine, coarse))
-        gamma, grad = fine[0], np.column_stack(fine[1:n + 1])
-        # The kernel depends on x' - y' only.
-        sgrad = np.column_stack([-grad[:, :d], fine[n + 1]]) if source_gradient else None
+        gamma, grad = fine[0], np.ascontiguousarray(fine[1:n + 1].T)
+        sgrad = None
+        if source_gradient:  # the kernel depends on x' - y' only
+            sgrad = np.negative(grad)
+            sgrad[:, d] = fine[n + 1]
         coarse -= fine[:n + 1]
-        change = np.max(np.abs(coarse, out=coarse), axis=0)
-        floor = np.finfo(float).eps * np.max(sums.floor, axis=0)[inv]
+        change = reduce(np.maximum, np.abs(coarse, out=coarse))
+        floor = _EPS * reduce(np.maximum, sums.floor)[inv]
         return gamma, grad, sgrad, floor, change
 
     def _direct(self, d, lower, dt: float):
@@ -703,20 +757,28 @@ class KernelEvaluator:
         lower layer where ``lower``, else in the upper one (module docstring,
         Direct term): Gamma_D = e^{-E} / ((4 pi dt)^{n/2} sqrt(det A)), E =
         d.A^-1 d / (4 dt) with A the source layer's tensor, and its gradient
-        -A^-1 d Gamma_D / (2 dt).  Returns them and their roundoff, eps U (1 +
-        E_abs) max(1, sum |A^-1| |d| / (2 dt)) Gamma_D, U = ROUNDOFF_UNITS: E
-        and A^-1 d are rounded relative to the magnitudes of their terms,
-        E_abs = |d|.|A^-1| |d| / (4 dt) and |A^-1| |d|, which cancel where A
-        is sheared.  Below the smallest normal number the rounding is
-        absolute, and the roundoff is at least that number."""
+        -A^-1 d Gamma_D / (2 dt).  Returns them and their roundoff, eps (U (1
+        + E_abs) + 1 + 2 E_abs) max(1, sum |A^-1| |d| / (2 dt)) Gamma_D, U =
+        ROUNDOFF_UNITS: E and A^-1 d are rounded relative to the magnitudes
+        of their terms, E_abs = |d|.|A^-1| |d| / (4 dt) and |A^-1| |d|, which
+        cancel where A is sheared (gaussian_terms), and d itself, x - y
+        rounded, errs by at most eps |d|, which moves Gamma_D by at most eps
+        2 E_abs Gamma_D and each gradient component by at most eps (1 + 2
+        E_abs) sum |A^-1| |d| / (2 dt) Gamma_D.  Below the smallest normal
+        number the rounding is absolute, and the roundoff is at least that
+        number."""
         inv, abs_inv, det_root = self._gaussians
         col = lower[:, None]
-        a_d = np.where(col, d @ inv[1], d @ inv[0])  # A^-1 is symmetric
-        abs_d = np.abs(d)
-        abs_a_d = np.where(col, abs_d @ abs_inv[1], abs_d @ abs_inv[0])
-        norm = (4.0 * np.pi * dt) ** (-0.5 * d.shape[1]) * np.where(lower, det_root[1], det_root[0])
+        # Both layers' products, the source's layer's kept; A^-1 is symmetric.
+        upper_a_d, lower_a_d = d @ inv
+        a_d = np.where(col, lower_a_d, upper_a_d)
+        upper_a_d, lower_a_d = np.abs(d) @ abs_inv
+        abs_a_d = np.where(col, lower_a_d, upper_a_d)
+        norm = (4.0 * np.pi * dt) ** (-0.5 * d.shape[1]) * det_root[lower.astype(np.intp)]
         gamma, grad, rel, slope = gaussian_terms(d, a_d, abs_a_d, norm, dt)
-        return gamma, grad, np.maximum(rel * (np.maximum(1.0, slope) * gamma), np.finfo(float).tiny)
+        # rel = eps U (1 + E_abs): the part of d, eps (1 + 2 E_abs), is (2 / U) rel - eps.
+        rel = rel * (1.0 + 2.0 / ROUNDOFF_UNITS) - _EPS
+        return gamma, grad, np.maximum(rel * (np.maximum(1.0, slope) * gamma), _TINY)
 
     # -- public evaluation ----------------------------------------------
 
@@ -730,12 +792,13 @@ class KernelEvaluator:
         n = self.medium.dim
         x, y = point_pairs(x, y, n)
         dt = time_lag(t, s)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        k = x.shape[0]
+        if np.count_nonzero(np.isfinite(x)) + np.count_nonzero(np.isfinite(y)) < 2 * x.size:
             raise MediumError("x and y must be finite")
         xn, yn = x[:, -1], y[:, -1]
-        if np.any(xn == 0.0) or np.any(yn == 0.0):
+        if np.count_nonzero(xn) + np.count_nonzero(yn) < 2 * k:
             raise OnInterface("evaluate interface points by one-sided limits")
-        if not x.shape[0]:  # nothing to plan
+        if not k:  # nothing to plan
             out = {"gamma": np.zeros(0), "grad": np.zeros((0, n)), "est": np.zeros(0)}
             return out | ({"sgrad": np.zeros((0, n))} if source_gradient else {})
         d = n - 1
@@ -743,31 +806,28 @@ class KernelEvaluator:
 
         # The tau contraction depends only on (x_n, y_n); points on a tensor
         # grid share few distinct normal coordinates, so it runs once per
-        # unique pair, row inv of the pairs.  Complex numbers sort as the
-        # (x_n, y_n) rows would, and far faster than np.unique(axis=0) sorts
-        # rows.  The pairs are ordered by region, and within one as sorted.
-        keys, inv = np.unique(xn + 1j * yn, return_inverse=True)
-        codes = region_index(keys.real, keys.imag)
-        order = np.argsort(codes, kind="stable")
-        pairs = np.stack([keys.real, keys.imag], axis=1)[order]
-        inv = np.argsort(order)[inv]
+        # unique pair, row inv of the pairs.  The pairs are ordered by
+        # region, and within one by x_n and then y_n.
+        point_codes = region_index(xn, yn)
+        order = np.lexsort((yn, xn, point_codes))
+        xy = np.empty((k, 2))
+        xy[:, 0], xy[:, 1] = xn[order], yn[order]
+        new = np.empty(k, dtype=bool)
+        new[0] = True
+        np.not_equal(xy[1:, 0], xy[:-1, 0], out=new[1:])
+        new[1:] |= xy[1:, 1] != xy[:-1, 1]
+        inv = np.empty(k, dtype=np.intp)
+        inv[order] = new.cumsum() - 1
+        pairs, codes = xy[new], point_codes[order[new]]
 
         tau, w = _hyperbolic_nodes(self._row, self.contour_nodes, dt)
         wte = w * np.exp(tau * dt)
 
-        tol = self.cfg.target_rel_tol
-        scale0 = (4.0 * np.pi * dt) ** (-n / 2.0) / math.sqrt(self._det_min)
-        length = math.sqrt(self.medium.min_delta() * dt)  # diffusion length
-        near = np.abs(xn - yn) <= 0.1 * length
-        tol_eff = tol * np.where(near, 10.0, 1.0)
-
-        osc = np.max(np.abs(dxp), axis=0, initial=0.0)
+        osc = np.abs(dxp).max(axis=0, initial=0.0)
         radius = self._base_radius(dt)
         half = self._half_grid(radius, self._xi_spacing(osc, dt))
-        closed = closed_form_regions(self.medium)
-        codes = codes[order]
+        closed = self._closed
         sums = self._tau_sums(pairs, codes, half, tau, wte, source_gradient, closed)
-        k = x.shape[0]
         if sums.live:
             gam, grd, sgr, floor, change = self._phase_sums(
                 pairs, inv, dxp, half, sums, source_gradient)
@@ -777,7 +837,7 @@ class KernelEvaluator:
             sgr = np.zeros((k, n)) if source_gradient else None
             floor = change = t_val = t_grad = np.zeros(k)
         est_d = np.zeros(k)
-        at = np.flatnonzero(closed[codes[inv]])  # the points with a direct term
+        at = closed[point_codes].nonzero()[0]  # the points with a direct term
         if at.size:
             g, g_grad, est_d[at] = self._direct(x[at] - y[at], yn[at] < 0.0, dt)
             gam[at] += g
@@ -788,15 +848,23 @@ class KernelEvaluator:
         # absolute floor on the kernel scale (far-tail points are dominated
         # by oscillatory-rule roundoff, not truncation), which for the
         # gradients is divided by the diffusion length.
+        tol = self.cfg.target_rel_tol
+        scale0 = (4.0 * np.pi * dt) ** (-n / 2.0) / math.sqrt(self._det_min)
+        length = math.sqrt(self.medium.min_delta() * dt)  # diffusion length
+        rel_tol = np.where(np.abs(xn - yn) <= 0.1 * length, 0.1 * (tol * 10.0), 0.1 * tol)
+        abs_gam = np.abs(gam)
         # Column by column: np.max along a row of n values costs 20x more.
-        grad_abs = reduce(np.maximum, np.abs(np.hstack([grd, sgr]) if source_gradient else grd).T)
-        if not (np.all(t_val <= 0.1 * tol_eff * np.abs(gam) + 0.1 * tol * scale0)
-                and np.all(t_grad <= 0.1 * tol_eff * grad_abs + 0.1 * tol * scale0 / length)):
+        # The tangential components of sgrad have the magnitudes of grad's.
+        grad_abs = reduce(np.maximum, np.abs(grd).T)
+        if source_gradient:
+            grad_abs = np.maximum(grad_abs, np.abs(sgr[:, d]))
+        if not ((t_val <= rel_tol * abs_gam + 0.1 * tol * scale0).all()
+                and (t_grad <= rel_tol * grad_abs + 0.1 * tol * scale0 / length).all()):
             raise QuadratureNotConverged(
                 "the xi' grid's tail bound fails the truncation test"
             )
-        est = np.max([CONTOUR_SAFETY * change, t_val, t_grad, floor, est_d, 1e-15 * np.abs(gam)],
-                     axis=0)
+        est = reduce(np.maximum, (CONTOUR_SAFETY * change, t_val, t_grad, floor, est_d,
+                                  1e-15 * abs_gam))
         out = {"gamma": gam, "grad": grd, "est": est}
         if source_gradient:
             out["sgrad"] = sgr
@@ -833,8 +901,8 @@ def _tail_bound(inv, half: HalfGrid, sums, radius: float, decay_rate: float):
     x = math.sqrt(decay_rate) * radius
     tail = math.erfc(x)  # underflows to 0 on a wide grid
     ratio = tail / (math.erfc(0.5 * x) - tail) if tail > 0.0 else 0.0
-    w_val = np.sum(np.abs(xi) >= 0.5 * radius, axis=1) * w
-    w_tan = np.max(np.abs(xi), axis=1, initial=0.0) * w_val
+    w_val = (np.abs(xi) >= 0.5 * radius).sum(axis=1) * w
+    w_tan = half.xi_inf * w_val
     f_val = np.abs(sums.re[0])
     mass = np.einsum("kq,q->k", f_val, w_tan)
     for re, phi in zip(sums.re[1:], (sums.phi @ xi.T).swapaxes(0, 1)):
@@ -855,26 +923,31 @@ def _node_sums(sums, rows, of, w):
     return np.multiply(out, w, out=None if out is sums else out)
 
 
-def _real_sums(cos, sin, re, phi, xi, table: bool):
+def _real_sums(cos, sin, re, phi, xi, table: bool, out):
     """Gamma, its x'-derivatives and the cos psi sums of the other rows of
     ``re``, the tau sums times the weights at each half node, from cos psi
-    and sin psi (rows, H) (_phase_sums): per point (re (R, K, H), c_p and
-    c_q ``phi`` (K, 2, d)), or as a (shift x pair) table (re (R, P, H), phi
-    (P, 2, d)) in tiles of pairs within BLOCK_ELEMENTS values.  Both sum
-    each sin psi Re h xi_j over the nodes in the same order, along a strided
-    column of xi: a third of the time of einsum over (q, j) in 3-D, and the
-    same bits.  The phase term -phi_p sin psi Re h sums to c_p times the
-    x'-derivatives (q likewise)."""
+    and sin psi (rows, H) (_phase_sums), written to the rows of ``out``: per
+    point (re (R, K, H), c_p and c_q ``phi`` (K, 2, d)), or as a (shift x
+    pair) table (re (R, P, H), phi (P, 2, d)) in tiles of pairs within
+    BLOCK_ELEMENTS values.  Both sum each sin psi Re h xi_j over the nodes in
+    the same order, along a strided column of xi: a third of the time of
+    einsum over (q, j) in 3-D, and the same bits.  The phase term -phi_p sin
+    psi Re h sums to c_p times the x'-derivatives (q likewise).  Each row of
+    ``out`` is laid out as einsum lays out its own result, so writing there
+    keeps the bits."""
+    d = xi.shape[1]
     step = max(1, BLOCK_ELEMENTS // sin.size) if table else re.shape[1]
-    tangential = np.empty((xi.shape[1],) + cos.shape[:table] + re.shape[1:2])
+    tangential = out[1:d + 1]
     for lo in range(0, re.shape[1], step):
         sin_val = sin[:, None] * re[0, lo:lo + step] if table else sin * re[0]
         for j, xi_j in enumerate(xi.T):
             tangential[j, ..., lo:lo + step] = -np.einsum(
                 "spq,q->sp" if table else "kq,q->k", sin_val, xi_j)
     one, phase = ("sq,pq->sp", "pij,jsp->isp") if table else ("kq,kq->k", "kij,jk->ik")
-    return [np.einsum(one, cos, re[0]), *tangential, *(np.einsum(one, cos, r) + p for r, p in zip(
-        re[1:], np.einsum(phase, phi, tangential)))]
+    np.einsum(one, cos, re[0], out=out[0])
+    for r, p, row in zip(re[1:], np.einsum(phase, phi, tangential), out[d + 1:]):
+        np.einsum(one, cos, r, out=row)
+        row += p
 
 
 def gaussian_terms(d, a_d, abs_a_d, norm, dt: float):
@@ -889,7 +962,7 @@ def gaussian_terms(d, a_d, abs_a_d, norm, dt: float):
     gamma = norm * np.exp(np.einsum("ki,ki->k", d, a_d) / (-4.0 * dt))
     grad = a_d * (gamma / (-2.0 * dt))[:, None]
     e_abs = np.einsum("ki,ki->k", np.abs(d), abs_a_d) / (4.0 * dt)
-    rel = np.finfo(float).eps * ROUNDOFF_UNITS * (1.0 + e_abs)
+    rel = _EPS * ROUNDOFF_UNITS * (1.0 + e_abs)
     return gamma, grad, rel, np.einsum("ki->k", abs_a_d) / (2.0 * dt)
 
 
@@ -914,10 +987,18 @@ def _exact_inverse(a: np.ndarray):
     return np.array([[float(v) for v in row[n:]] for row in m]), float(det)
 
 
+def _max_abs(xi: np.ndarray) -> np.ndarray:
+    """|xi'|_inf of each node of ``xi`` (Q, d), 0 with no axes; column by
+    column, since a maximum along rows of d values costs several times more."""
+    return reduce(np.maximum, np.abs(xi).T, np.zeros(xi.shape[0]))
+
+
 def _as_slice(idx: np.ndarray):
     """``idx``, or the slice that selects the same items when it is evenly spaced."""
+    if not idx.size:
+        return idx
     step = idx[1] - idx[0] if idx.size > 1 else 1
-    if idx.size and np.all(np.diff(idx) == step):
+    if not np.count_nonzero(idx[1:] - idx[:-1] - step):
         return slice(idx[0], idx[-1] + 1, step)
     return idx
 

@@ -434,15 +434,39 @@ class TestEvaluatorContract:
         assert res["est"][0] >= 0
 
 
+# Lower layers under an isotropic upper one, and whether the two tangential
+# reaches are equal: the xi' grids of TestHalfRule.
+HALF_GRIDS = [
+    pytest.param([[4.0]], False, id="1d"),
+    pytest.param(np.diag([2.0, 3.0]), False, id="2d"),
+    pytest.param(np.diag([2.0, 3.0, 1.5]), False, id="3d"),
+    pytest.param(np.diag([2.0, 2.0, 3.0]), True, id="3d-exchange"),
+]
+
+
 class TestHalfRule:
     """The half contour rule needs a point-symmetric xi' grid and a real kernel."""
 
-    @pytest.mark.parametrize("lower,osc_equal", [
-        pytest.param([[4.0]], False, id="1d"),
-        pytest.param(np.diag([2.0, 3.0]), False, id="2d"),
-        pytest.param(np.diag([2.0, 3.0, 1.5]), False, id="3d"),
-        pytest.param(np.diag([2.0, 2.0, 3.0]), True, id="3d-exchange"),
-    ])
+    @pytest.mark.parametrize("lower,osc_equal", HALF_GRIDS)
+    def test_half_grid_keeps_only_its_arrays(self, lower, osc_equal):
+        # A HalfGrid lives for the whole call.  The memory it keeps alive,
+        # its arrays and every array they are views of, is its own arrays'
+        # bytes: none of them is a view into the whole grid.
+        n = len(lower)
+        ev = KernelEvaluator(TwoLayerMedium(upper=validate_tensor(np.eye(n)),
+                                            lower=validate_tensor(lower)))
+        steps = ev._xi_spacing(np.array([0.5, 0.5 if osc_equal else 0.2])[:n - 1], 0.3)
+        half = ev._half_grid(ev._base_radius(0.3), steps)
+        own = {id(a): a for a in half if isinstance(a, np.ndarray)}
+        roots = {}
+        for a in own.values():
+            while a.base is not None:
+                a = a.base
+            roots[id(a)] = a
+        assert half.nodes.shape[0] > 1 or n == 1
+        assert sum(a.nbytes for a in roots.values()) == sum(a.nbytes for a in own.values())
+
+    @pytest.mark.parametrize("lower,osc_equal", HALF_GRIDS)
     def test_half_grid_contract(self, lower, osc_equal):
         # The one builder of the xi' grid against the whole grid built here
         # with np.meshgrid: the nodes k h_j, |k| <= ceil(radius / h_j), at
@@ -1506,9 +1530,10 @@ class TestDirectTerm:
         y = rng.uniform(-1.0, 1.0, (40, med.dim))
         x = y + rng.uniform(-0.6, 0.6, y.shape)
         split = ev.eval_many(x, 0.1, y, 0.0, source_gradient=True)
+        # An evaluator finds its closed-form regions once, on first use.
         monkeypatch.setattr(inverse_transform, "closed_form_regions",
                             lambda medium: np.zeros(6, dtype=bool))
-        whole = ev.eval_many(x, 0.1, y, 0.0, source_gradient=True)
+        whole = KernelEvaluator(med).eval_many(x, 0.1, y, 0.0, source_gradient=True)
         cross = (x[:, -1] > 0.0) != (y[:, -1] > 0.0)
         assert 0 < np.sum(cross) < 40
         for key in ("gamma", "grad", "sgrad", "est"):
@@ -1536,14 +1561,32 @@ class TestDirectTerm:
             a = (q * np.exp(rng.uniform(0.0, math.log(55.0), 3))) @ q.T
             if 30.0 <= np.linalg.cond(a) <= 55.0:
                 tensors.append(0.5 * (a + a.T))
+        cases = []  # (A, x, y, lag)
         for a in tensors:
             n = a.shape[0]
             y = np.array([0.1, -0.2, 0.3][3 - n:])
             spread = 4.0 * math.sqrt(dt * np.linalg.eigvalsh(a).max())
-            x = y + spread * rng.uniform(-1.0, 1.0, (150 if n < 3 else 60, n))
+            cases.append((a, y + spread * rng.uniform(-1.0, 1.0, (150 if n < 3 else 60, n)), y, dt))
+        # Large exponents E = d.A^-1 d / (4 dt) of 50 to 700 on diagonal
+        # tensors, where the rounding of d = x - y moves Gamma and its
+        # gradient about as much as E's own: without it in est, a 1-D
+        # gradient at E = 133 (the first case) erred by 1.15 est.
+        cases.append((np.array([[14.907774942026533]]), np.array([[3.7152169611212127]]),
+                      np.array([1.530440679917649]), 0.0006008464459784245))
+        for n in (1, 1, 2, 3):
+            a = np.diag(rng.uniform(0.5, 60.0, n))
+            lag = dt * 10.0 ** rng.uniform(-4.0, 0.0)
+            y = np.array([0.1, -0.2, 0.3][3 - n:])
+            e = rng.uniform(50.0, 700.0, 200 if n == 1 else 60)
+            u = rng.normal(size=(e.size, n))
+            u /= np.linalg.norm(u, axis=1)[:, None]
+            reach = np.sqrt(4.0 * lag * e / np.einsum("ki,ki->k", u * u, 1.0 / np.diag(a)[None]))
+            cases.append((a, y + u * reach[:, None], y, lag))
+        for a, x, y, lag in cases:
+            n = a.shape[0]
             res = KernelEvaluator(homogeneous_medium(validate_tensor(a))).eval_many(
-                x, dt, y, 0.0, source_gradient=True)
-            gamma, grad = long_double_gaussian(a, x, y, dt)
+                x, lag, y, 0.0, source_gradient=True)
+            gamma, grad = long_double_gaussian(a, x, y, lag)
             err = np.abs(res["gamma"] - gamma).astype(float)
             g_err = np.maximum(np.abs(res["grad"] - grad), np.abs(res["sgrad"] + grad))
             assert np.all(err <= res["est"]), n
@@ -1580,6 +1623,44 @@ class TestDirectTerm:
             cg = CubeGreen(diagonal, Cube(half_width=1.0, center=np.zeros(n)), depth=2)
             green = cg.evaluate_many(np.clip(x, -0.9, 0.9), 0.05, y, 0.0)
             assert np.all(np.isfinite(green["gamma"])) and np.all(green["gamma"] >= 0.0)
+
+
+class TestEvaluatorReuse:
+    """An evaluator keeps only what (medium, tolerance) fix, built on first
+    use: a call's bytes do not depend on the calls made before it."""
+
+    @pytest.mark.parametrize("upper,lower", LAYERED)
+    def test_sequence_matches_fresh_evaluators(self, upper, lower):
+        med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
+        ev = KernelEvaluator(med)
+        rng = np.random.default_rng(med.dim)
+        for dt in (0.01, 0.1, 0.7):
+            for k in (1, 6):
+                for source_gradient in (False, True):
+                    y = rng.uniform(-1.0, 1.0, med.dim)
+                    x = y + rng.uniform(-0.6, 0.6, (k, med.dim))
+                    reused = ev.eval_many(x, dt, y, 0.0, source_gradient=source_gradient)
+                    fresh = KernelEvaluator(med).eval_many(x, dt, y, 0.0,
+                                                           source_gradient=source_gradient)
+                    assert reused.keys() == fresh.keys()
+                    for key in fresh:
+                        assert reused[key].tobytes() == fresh[key].tobytes(), (dt, k, key)
+
+    def test_whole_symbol_reaches_a_new_evaluator(self, monkeypatch, whole_symbol):
+        # The fixture patches closed_form_regions before the evaluator is
+        # built, so its calls, the second as the first, send the direct
+        # term through the transform.
+        def no_closed_form(*args):
+            raise AssertionError("the direct term went to the closed form")
+
+        monkeypatch.setattr(KernelEvaluator, "_direct", no_closed_form)
+        t_mat = validate_tensor([[2.0, 1.0], [1.0, 2.0]])
+        ev = KernelEvaluator(homogeneous_medium(t_mat))
+        y = np.array([0.1, 0.3])
+        x = y + np.array([[0.2, -0.1], [-0.3, 0.25]])
+        for dt in (0.05, 0.3):
+            res = ev.eval_many(x, dt, y, 0.0)
+            assert np.all(np.abs(res["gamma"] - gaussian_kernel(t_mat, x, dt, y, 0.0)) <= res["est"])
 
 
 class TestTimeScaling:

@@ -7,6 +7,7 @@ matched by that index.  The tests replace the workload runs with a few
 recorded outputs, so they run no workload.
 """
 import importlib.util
+import math
 import os
 import sys
 from pathlib import Path
@@ -83,3 +84,22 @@ def test_flat_file_matched_by_index(digest_tool, monkeypatch, capsys, tmp_path):
     assert status == 1
     assert [line.split()[1] for line in lines if "move=0.00e+00" in line] == ["setup:0", "0:0"]
     assert lines[-1] == "green: the saved run made more calls (4)"
+
+
+def test_est_ratios(digest_tool, monkeypatch, capsys, tmp_path):
+    # Each matched call reports the range of its est over the saved est:
+    # 1..1 where est is unchanged, and a raised est at some points shows
+    # as the largest ratio; the values did not move.
+    saved = tmp_path / "saved.npz"
+    run(digest_tool, monkeypatch, capsys, RUN, "--save", saved)
+    raised = [(key, dict(out)) for key, out in RUN]
+    raised[2][1]["est"] = raised[2][1]["est"] * np.array([1.0, 2.0, 1.5])
+    raised[3][1]["est"] = np.zeros(3)
+    status, lines = run(digest_tool, monkeypatch, capsys, raised, "--against", saved)
+    assert status == 0
+    assert [line.split()[5] for line in lines] == [
+        "est=1..1", "est=1..1", "est=1..2", "est=0..0", "est=1..1"]
+    assert all(line.endswith("move=0.00e+00 beyond_est=0") for line in lines)
+    # 0/0 counts as 1, a new est over a saved 0 as inf.
+    assert digest_tool.est_ratios({"est": np.array([0.0, 1.0])}, {"est": np.array([0.0, 0.0])}) == (
+        1.0, math.inf)

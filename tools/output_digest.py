@@ -26,9 +26,11 @@ single-threaded, as in bench/run.py.
 file, made by another tree at the same seed, matches the calls by key
 (by their index within the workload when the file holds no keys, as one
 saved by a tree whose digest has none), and adds to each line the
-call's largest move of gamma, grad or sgrad relative to that array's peak
-over the batch (the saved one), and the number of points where a value
-moved by more than the larger of the two calls' est (a `call` line reads
+call's smallest and largest ratio of est to the saved est (`est=lo..hi`,
+1..1 when est is unchanged; 0/0 counts as 1), its largest move of gamma,
+grad or sgrad relative to that array's peak over the batch (the saved
+one), and the number of points where a value moved by more than the
+larger of the two calls' est (a `call` line reads
 `unsaved` when the file holds no `call` records at all); to an oracle line it
 adds the largest move of the final slice relative to the saved slice's
 peak (an oracle solve has no est, so its move is reported only).  It exits
@@ -117,6 +119,17 @@ def moves(out: dict, ref: dict):
     return rel, int(np.sum(beyond))
 
 
+def est_ratios(out: dict, ref: dict):
+    """The smallest and largest ratio of est to the saved est over the
+    points, each 0/0 counted as 1."""
+    est, old = out["est"], ref["est"]
+    if not est.size:
+        return 1.0, 1.0
+    with np.errstate(divide="ignore"):  # a saved 0 under a new est > 0 reads inf
+        ratio = np.divide(est, old, out=np.ones(est.size), where=(est != 0.0) | (old != 0.0))
+    return float(ratio.min()), float(ratio.max())
+
+
 def saved_ids(ref: dict, tag: str) -> set:
     """The ids of the records under ``tag`` (a workload, or its "/call"
     records) in a saved file: keys c:j, or flat indices."""
@@ -157,7 +170,8 @@ def main(argv=None) -> int:
                         status = 1
                         continue
                     rel, beyond = moves(out, old)
-                    line += f" move={rel:.2e} beyond_est={beyond}"
+                    lo, hi = est_ratios(out, old)
+                    line += f" est={lo:.17g}..{hi:.17g} move={rel:.2e} beyond_est={beyond}"
                     status |= beyond > 0
                 print(line)
             if unmatched:
