@@ -23,16 +23,27 @@ M) is thus a function of the dimension and the tolerance alone.
 The tangential xi' integral is a uniform trapezoid rule too: its
 integrand is analytic and decays like a Gaussian, the textbook case for
 that rule (Trefethen & Weideman, SIAM Rev. 56 (2014)).  Its radius follows
-that decay (Tail bound), its spacing the oscillation |x' - y'| and the
-widest layer (_xi_spacing).
+that decay (Tail bound), its spacing the oscillation of the phase, the
+shift s = x' - y' + c_p x_n + c_q y_n (Half rule), and the widest layer
+(_xi_spacing).
 
-Error estimate.  The nodes of even index on the contour and on every xi'
-axis form the step-2h rule, summed from the tau contraction's own
-exponentials.  est is CONTOUR_SAFETY times the change of Gamma and grad
-between the two rules, or the tail bound below or a roundoff floor if
-larger, in every dimension; in 1-D the xi' rule is one node.  Where the
-direct term is taken in closed form its own roundoff joins them (Direct
-term).
+Error estimate.  est bounds Gamma and grad together, each part the largest
+over them, and is the largest of five parts, in every dimension:
+- the contour part: CONTOUR_SAFETY times the node sums, over the xi'
+  columns with no phase, of |Re h - Re h_even|, h_even the sums of the
+  even contour nodes with doubled weights, read from the tau
+  contraction's own exponentials (_tau_sums); in 1-D, where the xi' rule
+  is one node of weight 1, that is the change of Gamma and its normal
+  gradient between the two contour rules;
+- the images of the xi' rule: by Poisson summation the step-h rule
+  returns sum_j R(s + 2 pi j / h), R the part of the kernel that the
+  transform integrates, and its images j != 0 are bounded a priori from
+  R's L1 mass over the grid and the Gaussian of the widest tangential
+  spread (_image_bound; 0 in 1-D);
+- the tail bounds of what the grid leaves out (Tail bound);
+- the roundoff floor of the terms (_tau_sums);
+- where the direct term is taken in closed form, its own roundoff (Direct
+  term), and 1e-15 |Gamma|.
 
 Direct term.  The kernel of a two-layer medium is the whole-space kernel
 of the source layer plus reflected and transmitted corrections, and only
@@ -58,9 +69,9 @@ Half rule.  The kernel is real: at real xi' the integrand at (-xi', conj
 tau) is the complex conjugate of the integrand at (xi', tau), because
 Theta^2 has real coefficients and the i*xi'.g terms change sign with xi'.
 The contour is symmetric (tau_{-k} = conj tau_k, w_{-k} = conj w_k) and
-the xi' grid and its even-index subset are point-symmetric, so only the
-nodes k = 0..M are evaluated, the weights of k > 0 are doubled, and every
-sum is the real part of the half sum.
+the xi' grid is point-symmetric, so only the nodes k = 0..M are
+evaluated, the weights of k > 0 are doubled, and every sum is the real
+part of the half sum.
 
 The xi' grid is halved too.  Node Q-1-q of the grid is -xi'_q.  Theta^2 =
 a_nn (xi'^T A_tt xi' + tau) - (a_t.xi')^2 is even in xi', and so are the
@@ -74,14 +85,19 @@ symbols, the exponentials e^r and the tau contraction run on the (Q+1)/2
 nodes 0..(Q-1)/2 only, or on fewer (Symmetry; _tau_sums).  Their half sum
 h is even in xi', so the full contour rule's integrand, the mean of the
 half sums e^{i Phi} h at a node and conj(e^{-i Phi} h) at its mirror, is
-e^{i Phi} Re h, and only Re h is kept.  With psi = (x' - y' + c_p x_n +
-c_q y_n).xi', a node and its mirror add 2 cos psi Re h to Gamma, and sin
-psi terms to the gradients: real sums over the half nodes (_phase_sums).
+e^{i Phi} Re h, and only Re h is kept.  With psi = s.xi', s = x' - y' +
+c_p x_n + c_q y_n the point's shift (eval_many forms it once), a node and
+its mirror add 2 cos psi Re h to Gamma, and sin psi terms to the
+gradients: real sums over the half nodes (_phase_sums).  The integrand
+oscillates with s, so the spacing follows the largest |s_j| of the call
+(_xi_spacing): from x' - y' alone, on a sheared medium whose targets reach
+30 diffusion lengths normally, where c_p x_n dominates, Gamma erred by up
+to 0.11 of itself between 1e-16 and 1e-8 of the peak (9e-9 from s).
 
 Symmetry.  One builder, KernelEvaluator._half_grid, forms the grid's
-canonical half, its step-2h subset, their weights and the columns of the
-tau sums as one HalfGrid value, and the tau contraction, the phase layer
-and the tail bound read only that value.  In 3-D a medium may keep more of
+canonical half, its weights and the columns of the tau sums as one
+HalfGrid value, and the tau contraction, the phase layer and the tail
+bound read only that value.  In 3-D a medium may keep more of
 the grid's symmetries.  When row j of A has no off-diagonal entry in both
 layers (A_tt and a_t are zero off the diagonal there), the reflection
 xi_j -> -xi_j leaves xi'^T A_tt xi' and (a_t.xi')^2 unchanged to the last
@@ -92,11 +108,10 @@ split the canonical half into orbits, and the tau contraction runs on one
 representative per orbit, (-|m_0|, -|m_1|) in units of the steps, ordered
 |m_0| >= |m_1| under the exchange (HalfGrid.xi).  A half node reads the
 sums of its representative (HalfGrid.of), and its phases come from its own
-xi'.  Neither map changes the parity of an index, so step-2h nodes have
-step-2h representatives.  The floor rows and the tail bound's integrands
+xi'.  The floor, mass and contour rows and the tail bound's integrands
 are the same at every node of an orbit (they read |phi| and |xi|), so
 their node sums take each orbit's summed weights.  The benchmark's 3-D
-batch (I | diag(2,2,3), equal reach on both axes) runs on 300 of its 1,105
+batch (I | diag(2,2,3), equal reach on both axes) runs on 153 of its 545
 half nodes.  In 1-D, in 2-D (where a reflection is the half rule's own
 mirror) and on media coupled on both tangential axes every node is its own
 representative, and no map is formed.
@@ -129,9 +144,9 @@ one shorter: a block fills the budget of (column, contour node) entries,
 wherever the rows of the grid end.  A block holds its SymbolTable, its
 region terms, their |root| tables, the weights of one term at a time, and
 one chunk of exponentials (normal pairs x columns x contour nodes, within
-the same budget).  It adds its columns of the half sums and of the step-2h
-sums, and folds its roundoff magnitudes straight into the per-pair node
-sums of the floor (_tau_sums).
+the same budget).  It adds its columns of the half sums, and folds its
+roundoff magnitudes, its |Re h| and its |Re h - Re h_even| straight into
+the per-pair node sums of the floor, mass and contour rows (_tau_sums).
 What outlives a block is a few arrays of (normal pairs x representatives):
 memory is O(BLOCK_ELEMENTS x terms + pairs x representatives), where the
 whole-grid tables were O(H x M x terms).  The phase layer forms cos psi
@@ -193,8 +208,8 @@ class QuadratureNotConverged(RuntimeError):
 # at u = k*h, h = u_max/M, k = -M..M (only k = 0..M are evaluated, see
 # _hyperbolic_nodes), with mu_c = mu_scale*M/(t-s).  Row 0 serves 1-D and
 # row 1 2-D and 3-D.  Row 1 reaches the 1e-13 target at M = 32 where row 0
-# needs 48, a third less tau work on every xi' node; but in 1-D its step-2h
-# rule at M/2 = 16 is coarse, and est (the change between the two rules)
+# needs 48, a third less tau work on every xi' node; but in 1-D its even
+# nodes at M/2 = 16 are coarse, and est (the change between the two rules)
 # would rise from 5e-11 to 1e-4 of the peak there.
 #
 # Columns: (alpha, u_max, mu_scale, errors), where errors[i] is the measured
@@ -236,12 +251,24 @@ TAIL_SAFETY = 10.0
 # reached 1.15 times the U (1 + E_abs) part alone, and 0.68 of the sum.
 ROUNDOFF_UNITS = 2.0
 
-# Factor on the difference between the rule and its step-2h subset of
-# even-index nodes (see eval_many).  On contour row 0, whose error is set
-# by the truncation at u_max, the difference tracks the error itself, with
-# about half of the points below it; on the 1-D layered closed forms at
-# M = 40 a factor 2 covered every error, and 4 doubles that.
+# Factor on the contour part of est, the difference between the contour
+# rule and its even-index nodes (module docstring, Error estimate).  On
+# contour row 0, whose error is set by the truncation at u_max, the
+# difference tracks the error itself, with about half of the points below
+# it; on the 1-D layered closed forms at M = 40 a factor 2 covered every
+# error, and 4 doubles that.
 CONTOUR_SAFETY = 4.0
+
+# Factor on the a priori bound of the xi' rule's images (see _image_bound),
+# calibrated.  With the spacing scaled by 1.5, 2 and 3, so that the images
+# show above the roundoff, the rule's error against the same rule at half
+# the spacing, over the bound with a factor 1, reached 0.49 and 0.80 on the
+# sheared separable 2-D and 3-D media of the tests (0.0026 to 0.81 over
+# those scales), 1.75 on [[1, .3], [.3, 1]] | diag(2, 3), 3.2 on a 3-D medium
+# coupled on every axis and 5.7 on [[2, 1], [1, 2]] | [[3, -.5], [-.5, 1.5]],
+# for Gamma; gradients read at most 1.2.  Along a tangential line the last
+# medium's ratio peaks near 5 at 10 diffusion lengths and then falls.
+IMAGE_SAFETY = 10.0
 
 # Element budget of the working arrays (module docstring, Streaming): a
 # block of columns holds at most this many (column, contour node) entries of
@@ -263,6 +290,9 @@ _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 # Every region code and one past the last: searched in a call's ascending
 # codes, the first pair of each region (_tau_sums).
 _REGION_EDGES = np.arange(len(REGIONS) + 1)
+# The images of the xi' rule that _image_bound adds on each axis, in units
+# of its period 2 pi / h.
+_IMAGES = np.array([-2.0, -1.0, 1.0, 2.0])
 # The rows i, j and k of _tau_sums's s_abs that the floor rows of Gamma, of
 # the normal and of the source gradient read as S_g, S_gp and S_gq.
 _FLOOR_ROWS = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
@@ -408,23 +438,19 @@ class HalfGrid(NamedTuple):
     tau sums, built in one place (KernelEvaluator._half_grid).
 
     The whole grid, Q nodes in C order, is not kept: its half is the first
-    (Q + 1) / 2 of them, the centre last, and the step-2h rule is its
-    even-index subset.  The columns are that half, or one representative
-    node of each symmetry orbit of it (module docstring, Symmetry); C counts
-    them, in grid order, and _tau_sums cuts them into blocks of consecutive
-    columns.  ``of`` and ``sub_of`` are None when every half node is its own
-    column.
+    (Q + 1) / 2 of them, the centre last.  The columns are that half, or one
+    representative node of each symmetry orbit of it (module docstring,
+    Symmetry); C counts them, in grid order, and _tau_sums cuts them into
+    blocks of consecutive columns.  ``of`` is None when every half node is
+    its own column.
     """
 
     shape: tuple  # node count of each axis of the whole grid
     nodes: np.ndarray  # (H, d) the half nodes, the centre last
     node_w: np.ndarray  # (H,) their weights over (2 pi)^d, doubled for the mirror but at the centre
-    node_sub: slice | np.ndarray  # the step-2h half nodes (_as_slice)
     xi: np.ndarray  # (C, d) the columns' nodes, in grid order
     w: np.ndarray  # (C,) node_w summed over each orbit
-    sub: np.ndarray  # the columns of the step-2h nodes, ascending
     of: np.ndarray | None  # (H,) the column of each half node
-    sub_of: np.ndarray | None  # (H_sub,) position in ``sub`` of each step-2h half node's column
     xi_inf: np.ndarray  # (C,) |xi'|_inf of each column
 
 
@@ -432,9 +458,11 @@ class HalfSums(NamedTuple):
     """The tau sums of a call's P normal pairs on C columns (_tau_sums)."""
 
     re: np.ndarray  # (2 or 3, P, C): Re h, Re h_n and maybe Re h_src
-    re_sub: np.ndarray  # (2, P, C_sub): Re h and Re h_n of the step-2h rule
     phi: np.ndarray  # (P, 2, d): each pair's c_p and c_q, phi = c.xi' (symbols.region_phases)
     floor: np.ndarray  # (3 or 4, P): floor rows and the tangential one, node sums
+    mass: np.ndarray  # (3 or 4, P): the same rows of the rule's integrand |Re h|, node sums
+    contour: np.ndarray  # (3, P): the rows of Gamma, the normal and the tangential
+    # gradient of |Re h - Re h_even|, node sums
     live: bool  # whether any term was contracted
 
 
@@ -456,7 +484,9 @@ class KernelEvaluator:
         layers = (medium.upper, medium.lower)
         self._det_min = min(float(np.linalg.det(t.entries)) for t in layers)
         self._schur_min = min(t.schur_complement_min() for t in layers)
-        self._schur_max = max(float(np.max(t.tangential_schur[0], initial=0.0)) for t in layers)
+        # t_max, the widest tangential spread of either layer: the largest
+        # eigenvalue of its block A_tt (see _xi_spacing).
+        self._spread = max(float(np.max(np.linalg.eigvalsh(t.minor), initial=0.0)) for t in layers)
         # The tangential axes whose reflection leaves both layers unchanged
         # (row j of A holds no entry but a_jj), and whether the two may be
         # exchanged (module docstring, Symmetry).  In 2-D a reflection is
@@ -468,6 +498,9 @@ class KernelEvaluator:
             self._exchange = self._mirrors == [0, 1] and a[0][0] == a[1][1] and b[0][0] == b[1][1]
         # The decay a R0^2 at the xi' radius R0 (see _base_radius).
         self._decay = max(math.log(100.0 / tol), 2.0) + 1.5 * max(0.0, math.log(1e-6 / tol))
+        # D of the xi' spacing: the rule's nearest image at e^{-2D} = 1e-3 tol
+        # of the peak (see _xi_spacing).
+        self._alias = 0.5 * math.log(1000.0 / tol)
 
     # c_p and c_q of every region (HalfSums), built on first use: the table
     # costs about three times the rest of the construction.
@@ -491,15 +524,25 @@ class KernelEvaluator:
     # -- quadrature building blocks -------------------------------------
 
     def _xi_spacing(self, osc: np.ndarray, dt: float) -> list:
-        """h_j = pi / (osc_j + w), w = sqrt(2 s_max dt D), D = max(decay, 30).
+        """h_j = pi / (osc_j + w), w = sqrt(2 t_max dt D), D = ln(1000 / tol) / 2.
 
-        The step-h rule adds to the kernel its copies shifted by multiples
-        of 2 pi / h_j in x_j - y_j.  The kernel's x_j profile is at most as
-        wide as e^{-x^2 / (4 s_max dt)}, so the nearest copy is at most
-        e^{-2D} of the peak, and the step-2h rule's, which est measures,
-        e^{-D/2}: near 3e-7 at loose tolerances, by the floor 30 on D.
+        ``osc`` is the largest |s_j| of the call's shifts s = x' - y' + c_p
+        x_n + c_q y_n, along which the integrand oscillates (module
+        docstring).  The step-h rule returns the kernel's part R summed over
+        its copies shifted by multiples of 2 pi / h_j in s_j (Poisson
+        summation), so the nearest copy lies at least 2 pi / h_j - osc_j =
+        osc_j + 2w away.  R's s_j profile is at most as wide as e^{-s^2 / (4
+        t_max dt)}, t_max the largest eigenvalue of both layers' tangential
+        blocks A_tt, and that copy is at most e^{-2D} = 1e-3 tol of the peak
+        (_image_bound).  t_max, not the Schur complement A_tt - a_t a_t^T /
+        a_nn that sets one layer's own spread: a reflected or transmitted
+        term turns at the interface, which frees its path's normal
+        displacement, and on a medium with a_t != 0 in both layers its
+        profile, against the Schur complement's Gaussian, grew without
+        bound along a tangential line (to 10 times it at 14 diffusion
+        lengths), and against t_max's peaked near 5 and fell.
         """
-        width = math.sqrt(2.0 * self._schur_max * dt * max(self._decay, 30.0))
+        width = math.sqrt(2.0 * self._spread * dt * self._alias)
         return [math.pi / (osc_j + width) for osc_j in osc]
 
     def _base_radius(self, dt: float) -> float:
@@ -524,37 +567,30 @@ class KernelEvaluator:
 
         Axis j holds the nodes k h_j, |k| <= ceil(radius / h_j), each of
         weight h_j, so the grid is point-symmetric (node Q - 1 - q is
-        -xi'_q), and so is its subset of even k, the step-2h rule.  With no
-        axes it is one node of weight 1.  Without a reflection the columns
-        are the half itself.  Otherwise (3-D only; module docstring,
-        Symmetry) half node m = (m_0, m_1), in units of each axis's step, has
-        the representative (-|m_0|, -|m_1|), ordered so that |m_0| >= |m_1|
-        when the axes may be exchanged.  It lies in the canonical half, and
-        every step-2h node has a step-2h representative, since neither map
-        changes the parity of an index.  The columns keep grid order and
-        carry no row boundaries: any range of them is a block.
+        -xi'_q).  With no axes it is one node of weight 1.  Without a
+        reflection the columns are the half itself.  Otherwise (3-D only;
+        module docstring, Symmetry) half node m = (m_0, m_1), in units of
+        each axis's step, has the representative (-|m_0|, -|m_1|), ordered so
+        that |m_0| >= |m_1| when the axes may be exchanged; it lies in the
+        canonical half.  The columns keep grid order and carry no row
+        boundaries: any range of them is a block.
         """
         k = [math.ceil(radius / h) for h in steps]
         shape = tuple(2 * k_j + 1 for k_j in k)
         h_cnt = (math.prod(shape) + 1) // 2
         # Each half node's index m_j on every axis, from the half's own
-        # range of flat indices: the whole grid is never formed.  ``odd``
-        # ORs the m_j, so its lowest bit is set where any m_j is odd.
+        # range of flat indices: the whole grid is never formed.
         flat = np.arange(h_cnt)
         m = np.empty((h_cnt, len(shape)), dtype=np.intp)
-        odd = np.zeros(h_cnt, dtype=np.intp)
         for j, k_j in enumerate(k):
-            odd |= np.subtract(flat // math.prod(shape[j + 1:]) % shape[j], k_j, out=m[:, j])
+            np.subtract(flat // math.prod(shape[j + 1:]) % shape[j], k_j, out=m[:, j])
         nodes = m * np.array(steps, dtype=float)  # k h on each axis, as h * np.arange(-k, k + 1)
         weight = math.prod(steps) / (2.0 * np.pi) ** len(steps)
         w = np.empty(h_cnt)
         w.fill(2.0 * weight)
         w[-1] = weight  # the centre is its own mirror
-        sub = (odd & 1 == 0).nonzero()[0]
-        node_sub = _as_slice(sub)
         if not self._mirrors:
-            return HalfGrid(shape, nodes, w, node_sub, nodes, w, sub, None, None,
-                            _max_abs(nodes))
+            return HalfGrid(shape, nodes, w, nodes, w, None, _max_abs(nodes))
         rep_m = [-np.abs(m_j) for m_j in m.T]
         # Equal steps: the nodes k h of both axes are the same numbers.
         if self._exchange and steps[0] == steps[1]:
@@ -563,13 +599,9 @@ class KernelEvaluator:
         is_rep = rep_node == flat
         rep = np.flatnonzero(is_rep)
         of = (np.cumsum(is_rep) - 1)[rep_node]
-        is_sub = np.zeros(h_cnt, dtype=bool)
-        is_sub[sub] = True
-        sub_cols = np.flatnonzero(is_sub[rep])
         xi = nodes[rep]
-        return HalfGrid(shape, nodes, w, node_sub, xi,
-                        np.bincount(of, weights=w, minlength=rep.size),
-                        sub_cols, of, np.searchsorted(sub_cols, of[sub]), _max_abs(xi))
+        return HalfGrid(shape, nodes, w, xi, np.bincount(of, weights=w, minlength=rep.size),
+                        of, _max_abs(xi))
 
     def _tau_sums(self, pairs, codes, half: HalfGrid, tau, wte, source_gradient, closed):
         """The tau contraction on the columns ``half`` (_half_grid), the
@@ -582,25 +614,33 @@ class KernelEvaluator:
         For each pair and each column, h = sum_m W_m V with W_m = w_m
         e^{tau_m dt} (``wte``) and V = sum_terms coef e^{r_p x_n + r_q y_n},
         the exponents' even root parts (module docstring); h_n and h_src put
-        a factor r_p or r_q in each term.  Only their real parts are kept,
-        and those of h and h_n of the step-2h rule on its columns: weights
-        2 W_m on the even contour nodes, read from the same exponentials.  A
-        term whose coefficient is zero on a block (the reflected terms of a
-        homogeneous medium) is skipped there, and a call none of whose terms
-        was contracted is not ``live``: its sums are 0.  The odd phases come
-        back as each pair's vectors c_p and c_q (HalfSums).  The floor rows bound
-        the roundoff weights sum_m sum_terms |W_m coef g e^{p x_n + q y_n}|
-        (U + |p x_n| + |q y_n|), U = ROUNDOFF_UNITS, g = 1 for Gamma, p for
-        the normal gradient and q for the source one, at a node and its
-        mirror alike, since |e^{p x_n + q y_n}| = |e^r| and |p| <= |r_p| +
-        |phi_p|.  With S_g = sum |W coef e^r| g (_term_weights), phi = c.xi'
-        at the column and E = |phi_p x_n| + |phi_q y_n|, the Gamma row is
-        U S_1 + |x_n| S_p + |y_n| S_q + E S_1, the normal row U S_p + |x_n|
-        S_pp + |y_n| S_pq + E S_p + |phi_p| times the Gamma row, the source
-        row likewise in q.  Each row is summed over the columns with the
-        weights of the half rule summed over each orbit (HalfGrid.w), since
-        every row is the same at each node of an orbit; the Gamma row once
-        more with |xi'|_inf times them for the tangential gradient.
+        a factor r_p or r_q in each term.  Only their real parts are kept.
+        A term whose coefficient is zero on a block (the reflected terms of
+        a homogeneous medium) is skipped there, and a call none of whose
+        terms was contracted is not ``live``: its sums are 0.  The odd
+        phases come back as each pair's vectors c_p and c_q (HalfSums).
+
+        Three sets of rows, each summed over the columns with the weights of
+        the half rule summed over each orbit (HalfGrid.w), since every row
+        is the same at each node of an orbit, bound what the phase layer
+        cannot see (module docstring, Error estimate).  Each set has a
+        Gamma row, a normal gradient row that adds |phi_p| times the Gamma
+        row (phi = c.xi' at the column), the source row likewise in q, and
+        the Gamma row once more with |xi'|_inf for the tangential gradient.
+        The floor rows bound the roundoff weights sum_m sum_terms |W_m coef
+        g e^{p x_n + q y_n}| (U + |p x_n| + |q y_n|), U = ROUNDOFF_UNITS, g =
+        1 for Gamma, p for the normal gradient and q for the source one, at
+        a node and its mirror alike, since |e^{p x_n + q y_n}| = |e^r| and
+        |p| <= |r_p| + |phi_p|.  With S_g = sum |W coef e^r| g
+        (_term_weights) and E = |phi_p x_n| + |phi_q y_n|, their Gamma row is
+        U S_1 + |x_n| S_p + |y_n| S_q + E S_1, their normal row U S_p +
+        |x_n| S_pp + |y_n| S_pq + E S_p + |phi_p| times the Gamma row.  The
+        mass rows are those of |Re h|, |Re h_n| and |Re h_src|, the L1 mass
+        of the full rule's integrand, which _image_bound scales.  The
+        contour rows (no source row) are those of |Delta| and |Delta_n|,
+        Delta = Re h - Re h_even, h_even the even contour nodes with weights
+        2 W_m, read from the same exponentials: with CONTOUR_SAFETY, the
+        contour part of est, with no phase.
 
         The columns are streamed in blocks of max(1, BLOCK_ELEMENTS // (M +
         1)) consecutive columns, the last one shorter (module docstring,
@@ -619,16 +659,15 @@ class KernelEvaluator:
         abs_pairs = np.abs(pairs)
         axn, ayn = abs_pairs[:, :1], abs_pairs[:, 1:]
         re = np.zeros((2 + source_gradient, p_cnt, c_cnt))
-        re_sub = np.zeros((2, p_cnt, half.sub.size))
         floor = np.zeros((3 + source_gradient, p_cnt))
+        mass = np.zeros((3 + source_gradient, p_cnt))
+        contour = np.zeros((3, p_cnt))
         live = False
         phi = self._phases[codes]
         row_i, row_j, row_k = _FLOOR_ROWS[:, :2 + source_gradient]
         step = max(1, BLOCK_ELEMENTS // m_cnt)
         for lo in range(0, c_cnt, step):
             hi = lo + step
-            sub_lo, sub_hi = np.searchsorted(half.sub, (lo, hi)).tolist()
-            sub = _as_slice(half.sub[sub_lo:sub_hi] - lo)
             xi_c = half.xi[lo:hi].astype(complex)
             q_cnt = xi_c.shape[0]
             table = SymbolTable(self.medium, xi_c, tau)
@@ -643,6 +682,7 @@ class KernelEvaluator:
                     terms[term.name] = term, first, p_hi
             abs_root = {}  # |r| by root array: the exponents of a layer share it
             s_abs = np.zeros((5 + source_gradient, p_cnt, q_cnt))
+            re_even = np.zeros((2, p_cnt, q_cnt))
             chunk = max(1, BLOCK_ELEMENTS // (q_cnt * m_cnt))
             for term, p_lo, p_hi in terms.values():
                 # Zero on the block (see above): a nonzero first entry spares the scan.
@@ -653,7 +693,7 @@ class KernelEvaluator:
                     if id(e.root) not in abs_root:
                         abs_root[id(e.root)] = np.abs(e.root)
                 w_sum, w_abs, w_half = _term_weights(
-                    term, wte, source_gradient, sub,
+                    term, wte, source_gradient,
                     abs_root[id(term.p.root)], abs_root[id(term.q.root)])
                 r_p, r_q = term.p.root[None], term.q.root[None]
                 x_n = term.p.sign * pairs[p_lo:p_hi, 0, None, None]
@@ -664,13 +704,14 @@ class KernelEvaluator:
                     ex = np.exp(r_p * x_n[c_sl] + r_q * y_n[c_sl])
                     re[:, sl, lo:hi] += np.einsum("jqm,kqm->jkq", w_sum, ex).real
                     s_abs[:, sl] += np.einsum("jqm,kqm->jkq", w_abs, np.abs(ex))
-                    re_sub[:, sl, sub_lo:sub_hi] += np.einsum(
-                        "jqm,kqm->jkq", w_half, ex[:, sub, ::2]).real
+                    re_even[:, sl] += np.einsum("jqm,kqm->jkq", w_half, ex[:, :, ::2]).real
                     del ex  # free before the next exponent is formed
             # The floor rows of every pair (see above) from S_g, the rows of
             # s_abs for g = 1, |r_p|, |r_q|, |r_p|^2, |r_p r_q|, |r_q|^2, and
-            # the tangential row last.
+            # the tangential row last; then, in the same array, the mass rows
+            # and the contour rows.
             abs_phi = np.abs(phi @ half.xi[lo:hi].T).swapaxes(0, 1)
+            xi_inf, w = half.xi_inf[lo:hi], half.w[lo:hi]
             s_i = s_abs[row_i]
             rows = np.empty((3 + source_gradient, p_cnt, q_cnt))
             own = rows[:-1]  # the rows of Gamma, the normal and the source gradient
@@ -678,36 +719,35 @@ class KernelEvaluator:
             own += axn * s_abs[row_j]
             own += ayn * s_abs[row_k]
             own += (abs_phi[0] * axn + abs_phi[1] * ayn) * s_i
-            own[1:] += abs_phi[:1 + source_gradient] * rows[0]
-            np.multiply(rows[0], half.xi_inf[lo:hi], out=rows[-1])
-            floor += np.einsum("jkq,q->jk", rows, half.w[lo:hi])
-        return HalfSums(re, re_sub, phi, floor, live)
+            del s_i  # (rows x pairs x columns): free before the other rows
+            floor += np.einsum("jkq,q->jk", _magnitude_rows(own, abs_phi, xi_inf, rows), w)
+            mass += np.einsum("jkq,q->jk", _magnitude_rows(re[:, :, lo:hi], abs_phi, xi_inf, rows), w)
+            delta = np.subtract(re[:2, :, lo:hi], re_even, out=re_even)
+            contour += np.einsum("jkq,q->jk", _magnitude_rows(delta, abs_phi, xi_inf, rows[:3]), w)
+        return HalfSums(re, phi, floor, mass, contour, live)
 
-    def _phase_sums(self, pairs, inv, dxp, half: HalfGrid, sums, source_gradient):
-        """Gamma, grad and sgrad from the tau sums, their roundoff floor,
-        and the change of Gamma and grad from the step-2h rule.
+    def _phase_sums(self, pairs, inv, shift, half: HalfGrid, sums, source_gradient):
+        """Gamma, grad and sgrad from the tau sums, and their roundoff floor.
 
         A half node and its mirror add 2 cos psi Re h to Gamma, -2 xi_j sin
         psi Re h to its x_j-derivative and 2 (cos psi Re h_n - phi_p sin psi
         Re h) to the normal one (module docstring), the source one likewise
         with h_src and phi_q; the weights (HalfGrid.node_w) double all nodes
         but xi' = 0.  psi = s.xi' with s = x' - y' + c_p x_n + c_q y_n, the
-        point's shift, from its normal pair ``inv``.  Every half node of
-        ``half`` (KernelEvaluator._half_grid, the value _tau_sums ran on)
-        reads the sums of its column (HalfGrid.of), contracted as a
-        (distinct shift x pair) table when the P pairs number at most K / 2
-        and the table has at most K entries, else point by point (module
-        docstring, Phase table), in tiles within BLOCK_ELEMENTS.  The floor
-        is eps times the largest of the node sums of the floor rows
-        (_tau_sums).  The step-2h rule weighs its nodes (HalfGrid.node_sub)
-        by 2^d times their weight.  In 1-D the grid is the one node xi' = 0,
-        of weight 1, where psi = 0 and every sum is Re h.
+        point's ``shift`` (eval_many), and its tau sums are those of its
+        normal pair ``inv``.  Every half node of ``half``
+        (KernelEvaluator._half_grid, the value _tau_sums ran on) reads the
+        sums of its column (HalfGrid.of), contracted as a (distinct shift x
+        pair) table when the P pairs number at most K / 2 and the table has
+        at most K entries, else point by point (module docstring, Phase
+        table), in tiles within BLOCK_ELEMENTS.  The floor is eps times the
+        largest of the node sums of the floor rows (_tau_sums).  In 1-D the
+        grid is the one node xi' = 0, of weight 1, where psi = 0 and every
+        sum is Re h.
         """
         n = self.medium.dim
         d = n - 1
-        xi, w, sub = half.nodes, half.node_w, half.node_sub
-        w_sub = 2.0 ** d * w[sub]
-        shift = dxp + np.einsum("ki,kij->kj", pairs, sums.phi)[inv]
+        xi, w = half.nodes, half.node_w
         # The distinct shifts, by one complex key per point; with 2 P > K no
         # table has at most K entries.
         table = 2 * pairs.shape[0] <= inv.size
@@ -716,13 +756,10 @@ class KernelEvaluator:
                                        return_inverse=True)
             table = first.size * pairs.shape[0] <= inv.size
         units = shift[first] if table else shift
-        del shift
         if table:  # every pair's sums at every half node, once
             re = _node_sums(sums.re, None, half.of, w)
-            re_sub = _node_sums(sums.re_sub, None, half.sub_of, w_sub)
             phi = sums.phi
         fine = np.empty((n + 1 + source_gradient, units.shape[0]) + pairs.shape[:table])
-        coarse = np.empty((n + 1,) + fine.shape[1:])
         step = max(1, BLOCK_ELEMENTS // w.size)
         for lo in range(0, units.shape[0], step):
             sel = slice(lo, lo + step)
@@ -731,26 +768,18 @@ class KernelEvaluator:
             del psi
             if not table:
                 re = _node_sums(sums.re, inv[sel], half.of, w)
-                re_sub = _node_sums(sums.re_sub, inv[sel], half.sub_of, w_sub)
                 phi = sums.phi[inv[sel]]
             _real_sums(cos, sin, re, phi, xi, table, fine[:, sel])
-            # The step-2h cos and sin: a strided view, or np.take's copy,
-            # laid out alike whatever the tile (a fancy index's is not).
-            _real_sums(*(a[:, sub] if isinstance(sub, slice) else np.take(a, sub, axis=1)
-                         for a in (cos, sin)), re_sub, phi, xi[sub], table, coarse[:, sel])
-        del re, re_sub  # (rows x pairs x half nodes): free before the points' outputs
-        if table:
-            at = sidx * pairs.shape[0] + inv  # each point's (shift, pair) entry
-            fine, coarse = (np.take(a.reshape(a.shape[0], -1), at, axis=1) for a in (fine, coarse))
+        del re  # (rows x pairs x half nodes): free before the points' outputs
+        if table:  # each point's (shift, pair) entry
+            fine = np.take(fine.reshape(fine.shape[0], -1), sidx * pairs.shape[0] + inv, axis=1)
         gamma, grad = fine[0], np.ascontiguousarray(fine[1:n + 1].T)
         sgrad = None
         if source_gradient:  # the kernel depends on x' - y' only
             sgrad = np.negative(grad)
             sgrad[:, d] = fine[n + 1]
-        coarse -= fine[:n + 1]
-        change = reduce(np.maximum, np.abs(coarse, out=coarse))
         floor = _EPS * reduce(np.maximum, sums.floor)[inv]
-        return gamma, grad, sgrad, floor, change
+        return gamma, grad, sgrad, floor
 
     def _direct(self, d, lower, dt: float):
         """The direct term at the offsets d = x - y (K, n) of sources in the
@@ -802,7 +831,6 @@ class KernelEvaluator:
             out = {"gamma": np.zeros(0), "grad": np.zeros((0, n)), "est": np.zeros(0)}
             return out | ({"sgrad": np.zeros((0, n))} if source_gradient else {})
         d = n - 1
-        dxp = x[:, :d] - y[:, :d]
 
         # The tau contraction depends only on (x_n, y_n); points on a tensor
         # grid share few distinct normal coordinates, so it runs once per
@@ -823,19 +851,22 @@ class KernelEvaluator:
         tau, w = _hyperbolic_nodes(self._row, self.contour_nodes, dt)
         wte = w * np.exp(tau * dt)
 
-        osc = np.abs(dxp).max(axis=0, initial=0.0)
-        radius = self._base_radius(dt)
-        half = self._half_grid(radius, self._xi_spacing(osc, dt))
+        # Each point's shift s = x' - y' + c_p x_n + c_q y_n: its phase is
+        # s.xi', and the spacing follows the largest |s_j| (_xi_spacing).
+        shift = x[:, :d] - y[:, :d] + np.einsum("ki,kij->kj", pairs, self._phases[codes])[inv]
+        steps = self._xi_spacing(np.abs(shift).max(axis=0, initial=0.0), dt)
+        half = self._half_grid(self._base_radius(dt), steps)
         closed = self._closed
         sums = self._tau_sums(pairs, codes, half, tau, wte, source_gradient, closed)
         if sums.live:
-            gam, grd, sgr, floor, change = self._phase_sums(
-                pairs, inv, dxp, half, sums, source_gradient)
-            t_val, t_grad = _tail_bound(inv, half, sums, radius, self._schur_min * dt)
+            gam, grd, sgr, floor = self._phase_sums(pairs, inv, shift, half, sums, source_gradient)
+            t_val, t_grad = _tail_bound(inv, half, sums, self._schur_min * dt)
+            i_val, i_grad = _image_bound(inv, shift, steps, sums, self._spread * dt)
+            contour = CONTOUR_SAFETY * reduce(np.maximum, sums.contour)[inv]
         else:  # no term contracted (HalfSums.live): neither layer runs, and each part is 0
             gam, grd = np.zeros(k), np.zeros((k, n))
             sgr = np.zeros((k, n)) if source_gradient else None
-            floor = change = t_val = t_grad = np.zeros(k)
+            floor = contour = t_val = t_grad = i_val = i_grad = np.zeros(k)
         est_d = np.zeros(k)
         at = closed[point_codes].nonzero()[0]  # the points with a direct term
         if at.size:
@@ -863,7 +894,7 @@ class KernelEvaluator:
             raise QuadratureNotConverged(
                 "the xi' grid's tail bound fails the truncation test"
             )
-        est = reduce(np.maximum, (CONTOUR_SAFETY * change, t_val, t_grad, floor, est_d,
+        est = reduce(np.maximum, (contour, i_val, i_grad, t_val, t_grad, floor, est_d,
                                   1e-15 * abs_gam))
         out = {"gamma": gam, "grad": grd, "est": est}
         if source_gradient:
@@ -871,26 +902,26 @@ class KernelEvaluator:
         return out
 
 
-def _tail_bound(inv, half: HalfGrid, sums, radius: float, decay_rate: float):
+def _tail_bound(inv, half: HalfGrid, sums, decay_rate: float):
     """Per point, bounds on the part of Gamma, and of grad and sgrad, beyond the xi' grid.
 
-    The grid covers [-radius, radius] on each axis and is point-symmetric.
-    The bound reads only the columns of the tau sums and their weights,
-    ``half.xi`` and ``half.w`` (KernelEvaluator._half_grid): the canonical
-    half, or one node of each symmetry orbit of it with the orbit's summed
-    weight, which serves since f below, the number of axes with |xi_j| >=
-    R/2 and |xi'|_inf are the same at every node of an orbit.  Point k
-    reads the sums of normal pair ``inv[k]``.  At a node and its mirror the
-    full rule's integrand has modulus f = |Re h| for Gamma and |Re h_n + i
-    phi_p Re h| for the normal gradient (h_src and phi_q for the source
-    one), h the tau half sums (module docstring) and phi = c.xi'
-    (HalfSums).
+    The grid covers [-R_j, R_j] on axis j, R_j = k_j h_j its corner node's
+    |xi_j|, at least the radius (KernelEvaluator._half_grid), and is
+    point-symmetric.  The bound reads only the columns of the tau sums and
+    their weights, ``half.xi`` and ``half.w``: the canonical half, or one
+    node of each symmetry orbit of it with the orbit's summed weight, which
+    serves since f below, the axes with |xi_j| >= R_j/2 and |xi'|_inf are
+    the same at every node of an orbit.  Point k reads the sums of normal
+    pair ``inv[k]``.  At a node and its mirror the full rule's integrand has
+    modulus f = |Re h| for Gamma and |Re h_n + i phi_p Re h| for the normal
+    gradient (h_src and phi_q for the source one), h the tau half sums
+    (module docstring) and phi = c.xi' (HalfSums).
     |h| would not do: its imaginary part, which the mirrored node cancels,
     decays only like 1/|xi'|.  After the tau integral f decays like
     e^{-a |xi'|^2}, a = ``decay_rate``, on every axis, so on axis j the mass
-    beyond the radius R is the measured mass of f over R/2 <= |xi_j| <= R
-    times the ratio of the two masses of e^{-a xi_j^2}, erfc(sqrt(a) R) /
-    (erf(sqrt(a) R) - erf(sqrt(a) R/2)), and the axes are added.
+    beyond R_j is the measured mass of f over R_j/2 <= |xi_j| <= R_j times
+    the ratio of the two masses of e^{-a xi_j^2}, erfc(sqrt(a) R_j) /
+    (erf(sqrt(a) R_j) - erf(sqrt(a) R_j/2)), and the axes are added.
     TAIL_SAFETY covers a profile e^{-a xi^2} times a power of |xi| up to
     the third (a power m multiplies the ratio by about 2^m).  Returns the
     bound for Gamma and the largest of the bounds for the gradient sums:
@@ -898,17 +929,56 @@ def _tail_bound(inv, half: HalfGrid, sums, radius: float, decay_rate: float):
     In 1-D the one node xi' = 0 lies on no axis, and both bounds are 0.
     """
     xi, w = half.xi, half.w
-    x = math.sqrt(decay_rate) * radius
-    tail = math.erfc(x)  # underflows to 0 on a wide grid
-    ratio = tail / (math.erfc(0.5 * x) - tail) if tail > 0.0 else 0.0
-    w_val = (np.abs(xi) >= 0.5 * radius).sum(axis=1) * w
+    w_val = np.zeros(w.size)
+    for j, reach in enumerate((-half.nodes[0]).tolist()):  # the corner node, -R on every axis
+        x = math.sqrt(decay_rate) * reach
+        tail = math.erfc(x)  # underflows to 0 on a wide grid
+        if tail > 0.0:
+            w_val += tail / (math.erfc(0.5 * x) - tail) * (np.abs(xi[:, j]) >= 0.5 * reach)
+    w_val *= w
     w_tan = half.xi_inf * w_val
     f_val = np.abs(sums.re[0])
     mass = np.einsum("kq,q->k", f_val, w_tan)
     for re, phi in zip(sums.re[1:], (sums.phi @ xi.T).swapaxes(0, 1)):
         mass = np.maximum(mass, np.einsum("kq,q->k", np.hypot(re, phi * sums.re[0]), w_val))
-    bound_val = TAIL_SAFETY * ratio * np.einsum("kq,q->k", f_val, w_val)
-    return bound_val[inv], (TAIL_SAFETY * ratio * mass)[inv]
+    bound_val = TAIL_SAFETY * np.einsum("kq,q->k", f_val, w_val)
+    return bound_val[inv], (TAIL_SAFETY * mass)[inv]
+
+
+def _image_bound(inv, shift, steps, sums, spread: float):
+    """Per point, bounds on the xi' rule's images in Gamma and in its gradients.
+
+    The step-h rule returns sum_j R(s + 2 pi j / h), j over Z^d, where R is
+    the part of the kernel that the transform integrates, as a function
+    of the point's shift s (module docstring): the images j != 0 are the
+    rule's error (Poisson summation; Trefethen & Weideman, SIAM Rev. 56
+    (2014)).  R is bounded by its L1 mass A = sum w |Re h| over the grid
+    (HalfSums.mass), and it spreads no wider than the widest tangential
+    block allows (KernelEvaluator._xi_spacing): |R(z)| <= IMAGE_SAFETY A
+    prod_j g(z_j), g(z) = e^{-z^2 / (4 ``spread``)}, ``spread`` = t_max (t -
+    s), with IMAGE_SAFETY calibrated (its comment).  The images
+    j_i in -2..2 on every axis add up, without cancellation, to prod_i (c_i
+    + I_i) - prod_i c_i, c_i = g(s_i) and I_i the sum of g(s_i + 2 pi j_i /
+    h_i) over j_i != 0.  A gradient's image is its own mass (the normal,
+    source and tangential rows of HalfSums.mass, the largest) times the
+    same images, each weighted by 1 + |z_i| / sqrt(spread): the derivative
+    of a Gaussian profile grows like |z| / (2 spread) times it.  In 1-D the
+    grid has no axis and both bounds are 0.
+    """
+    val, grad = np.zeros(inv.size), np.zeros(inv.size)
+    centre_val, centre_grad = np.ones(inv.size), np.ones(inv.size)
+    root = math.sqrt(spread)
+    for s_j, h in zip(shift.T, steps):
+        z = np.abs(np.add.outer(s_j, (2.0 * np.pi / h) * _IMAGES))
+        g = np.exp(-(z / (2.0 * root)) ** 2)
+        i_val, i_grad = g.sum(axis=1), np.einsum("ki,ki->k", g, 1.0 + z / root)
+        c_val = np.exp(-(s_j / (2.0 * root)) ** 2)
+        c_grad = c_val * (1.0 + np.abs(s_j) / root)
+        val = val * (c_val + i_val) + centre_val * i_val
+        grad = grad * (c_grad + i_grad) + centre_grad * i_grad
+        centre_val, centre_grad = centre_val * c_val, centre_grad * c_grad
+    mass = IMAGE_SAFETY * sums.mass
+    return mass[0][inv] * val, reduce(np.maximum, mass[1:])[inv] * grad
 
 
 def _node_sums(sums, rows, of, w):
@@ -993,25 +1063,27 @@ def _max_abs(xi: np.ndarray) -> np.ndarray:
     return reduce(np.maximum, np.abs(xi).T, np.zeros(xi.shape[0]))
 
 
-def _as_slice(idx: np.ndarray):
-    """``idx``, or the slice that selects the same items when it is evenly spaced."""
-    if not idx.size:
-        return idx
-    step = idx[1] - idx[0] if idx.size > 1 else 1
-    if not np.count_nonzero(idx[1:] - idx[:-1] - step):
-        return slice(idx[0], idx[-1] + 1, step)
-    return idx
+def _magnitude_rows(x, abs_phi, xi_inf, out):
+    """The rows |x_0|, |x_i| + |phi| |x_0| for each further row i of the
+    sums ``x`` (R, P, C) (the normal gradient's with |phi_p|, the source
+    one's with |phi_q|, ``abs_phi`` (2, P, C)), and |xi'|_inf |x_0| last,
+    written to ``out`` (R + 1, P, C), which may hold ``x``, and returned
+    (_tau_sums)."""
+    r = len(x)
+    np.abs(x, out=out[:r])
+    out[1:r] += abs_phi[:r - 1] * out[0]
+    np.multiply(out[0], xi_inf, out=out[r])
+    return out
 
 
-def _term_weights(term, wte, source_gradient: bool, sub_half, abs_p, abs_q):
+def _term_weights(term, wte, source_gradient: bool, abs_p, abs_q):
     """Weights of a term on the canonical half of the grid.
 
     w_sum holds w_t = coef W, w_t r_p and, with ``source_gradient``, w_t r_q
     (r the signed root parts).  w_abs holds |w_t| and then |w_t| times
     |r_p|, |r_q|, |r_p|^2, |r_p r_q| and, with ``source_gradient``, |r_q|^2
     (``abs_p`` and ``abs_q`` hold |r_p| and |r_q|, even in xi').
-    w_half holds 2 w_t and 2 w_t r_p at the step-2h nodes ``sub_half`` and
-    the even contour nodes.
+    w_half holds 2 w_t and 2 w_t r_p at the even contour nodes.
     """
     w_sum = np.empty((2 + source_gradient,) + term.coef.shape, dtype=complex)
     w_t = np.multiply(term.coef, wte[None, :], out=w_sum[0])
@@ -1019,7 +1091,7 @@ def _term_weights(term, wte, source_gradient: bool, sub_half, abs_p, abs_q):
         np.multiply(w_t, e.root, out=w_r)
         if e.sign < 0.0:
             np.negative(w_r, out=w_r)
-    w_half = 2.0 * w_sum[:2, sub_half, ::2]
+    w_half = 2.0 * w_sum[:2, :, ::2]
     w_abs = np.empty((5 + source_gradient,) + w_t.shape)
     np.abs(w_t, out=w_abs[0])
     np.multiply(w_abs[0], abs_p, out=w_abs[1])

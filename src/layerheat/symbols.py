@@ -60,17 +60,30 @@ class Region(Enum):
 
 def classify_region(x_n: float, y_n: float) -> Region:
     """Region tag for a target/source pair of normal coordinates."""
-    if not (y_n > 0.0 or y_n < 0.0):
-        raise OnInterface("y_n == 0: source on the interface is not supported")
-    return REGIONS[region_index(x_n, y_n)]
+    if y_n > 0.0:
+        return Region.R2 if x_n < 0.0 else Region.R11 if x_n >= y_n else Region.R12
+    if y_n < 0.0:
+        return Region.R1 if x_n > 0.0 else Region.R22 if x_n <= y_n else Region.R21
+    raise OnInterface("y_n == 0: source on the interface is not supported")
+
+
+# The region codes of region_index's keys: R11, R12 and R2 above the
+# interface, and their mirrors R22, R21 and R1 below it.
+_REGION_OF_KEY = np.array([0, 1, 2, 5, 4, 3])
 
 
 def region_index(x_n, y_n):
-    """classify_region for arrays: the position in ``Region`` of the region
-    of each (x_n, y_n) pair.  Every y_n must be nonzero."""
-    above = np.where(x_n < 0.0, 2, np.where(x_n >= y_n, 0, 1))  # R2, R11, R12
-    below = np.where(x_n > 0.0, 3, np.where(x_n <= y_n, 5, 4))  # R1, R22, R21
-    return np.where(y_n > 0.0, above, below)
+    """classify_region for arrays of finite x_n and nonzero y_n: the position
+    in ``Region`` of the region of each (x_n, y_n) pair.
+
+    Mirroring a source below the interface, (x_n, y_n) -> (-x_n, -y_n),
+    maps R1, R22 and R21 onto R2, R11 and R12, ties included, so the key
+    counts x < |y_n| and x < 0 of the mirrored x_n, plus 3 below."""
+    sign = np.copysign(1.0, y_n)
+    x = x_n * sign
+    key = np.add(x < y_n * sign, x < 0.0, dtype=np.intp)
+    key += (sign < 0.0) * 3
+    return _REGION_OF_KEY[key]
 
 
 REGIONS = tuple(Region)

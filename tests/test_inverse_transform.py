@@ -470,63 +470,50 @@ class TestHalfRule:
     def test_half_grid_contract(self, lower, osc_equal):
         # The one builder of the xi' grid against the whole grid built here
         # with np.meshgrid: the nodes k h_j, |k| <= ceil(radius / h_j), at
-        # the spacing h_j = pi / (osc_j + sqrt(2 s_max dt max(decay, 30)))
+        # the spacing h_j = pi / (osc_j + sqrt(2 t_max dt D)), D = ln(1000 /
+        # tol) / 2 and t_max the largest eigenvalue of both layers' A_tt,
         # out to the radius, each of weight h_1..h_d over (2 pi)^d.
         # Mirroring the half nodes gives back that grid, which is
         # point-symmetric; the weights fold its weights (doubled but at the
-        # centre); node_sub is its even-index nodes within the half, a
-        # point-symmetric subset of weight 2^d h_1..h_d.  In 3-D the layers
-        # are diagonal, so the columns fold the half (with the exchange when
-        # the two spacings are equal), and every half node's column has its
-        # |xi_j| multiset.  All bit for bit, but the spacings themselves.
+        # centre).  In 3-D the layers are diagonal, so the columns fold the
+        # half (with the exchange when the two spacings are equal), and
+        # every half node's column has its |xi_j| multiset.  All bit for
+        # bit, but the spacings themselves.
         n = len(lower)
         d = n - 1
         med = TwoLayerMedium(upper=validate_tensor(np.eye(n)), lower=validate_tensor(lower))
         ev = KernelEvaluator(med)
-        # Diagonal layers: the Schur complement is the minor.
-        s_max = np.max(np.diag(lower)[:d], initial=0.0)
+        # Diagonal layers: A_tt is the minor, and the lower one is the wider.
+        t_max = np.max(np.diag(lower)[:d], initial=0.0)
         for dt, osc_max in [(0.01, 0.0), (0.3, 1.5), (2.0, 0.2), (0.1, 100.0)]:
             osc = np.array([osc_max, osc_max if osc_equal else min(osc_max, 0.5)])[:d]
             radius = ev._base_radius(dt)
             steps = ev._xi_spacing(osc, dt)
             half = ev._half_grid(radius, steps)
-            h = np.pi / (osc + math.sqrt(2.0 * s_max * dt * max(ev._decay, 30.0)))
+            h = np.pi / (osc + math.sqrt(2.0 * t_max * dt * 0.5 * math.log(1000.0 / 1e-8)))
             assert np.allclose(steps, h, rtol=1e-14, atol=0.0)
-            # The whole grid, its weights and its step-2h nodes.
+            # The whole grid and its weights.
             ks = [np.arange(-math.ceil(radius / hj), math.ceil(radius / hj) + 1) for hj in steps]
             mesh = np.meshgrid(*[hj * k for hj, k in zip(steps, ks)], indexing="ij")
             xi = np.stack([m.ravel() for m in mesh], axis=1) if d else np.zeros((1, 0))
             wq = np.full(xi.shape[0], np.prod(steps) / (2.0 * np.pi) ** d)
-            even = np.ones(xi.shape[0], dtype=bool)
-            for k in np.meshgrid(*ks, indexing="ij"):
-                even &= k.ravel() % 2 == 0
             h_cnt = half.nodes.shape[0]
             assert half.shape == tuple(k.size for k in ks) and h_cnt == (xi.shape[0] + 1) // 2
             assert np.array_equal(xi[::-1], -xi) and np.array_equal(whole_grid(half)[0], xi)
             fold = 2.0 * wq[:h_cnt]
             fold[-1] = wq[h_cnt - 1]
             assert np.array_equal(half.node_w, fold) and np.array_equal(whole_grid(half)[1], wq)
-            assert np.array_equal(np.arange(h_cnt)[half.node_sub], np.flatnonzero(even[:h_cnt]))
-            assert np.array_equal(xi[even][::-1], -xi[even])
-            assert np.array_equal(2.0 ** d * half.node_w[half.node_sub],
-                                  2.0 ** d * fold[even[:h_cnt]])
             assert np.allclose(wq * (2.0 * np.pi) ** d, np.prod(h), rtol=1e-14, atol=0.0)
             for j in range(d):
                 axis = np.unique(xi[:, j])
                 assert np.allclose(np.diff(axis), h[j], rtol=1e-12, atol=0.0)
-                assert np.allclose(np.diff(np.unique(xi[even, j])), 2.0 * h[j],
-                                   rtol=1e-12, atol=0.0)
                 assert radius <= axis[-1] < radius + h[j]
-            # The columns: each a half node, the step-2h ones listed in
-            # ascending order, each half node's column of its |xi_j|
-            # multiset, and each column's weight its orbit's.
-            assert (half.of is None) == (n < 3) and (half.sub_of is None) == (n < 3)
+            # The columns: each a half node, each half node's column of its
+            # |xi_j| multiset, and each column's weight its orbit's.
+            assert (half.of is None) == (n < 3)
             of = np.arange(h_cnt) if half.of is None else half.of
             index = {node: q for q, node in enumerate(map(tuple, half.nodes.tolist()))}
-            col_node = np.array([index[node] for node in map(tuple, half.xi.tolist())])
-            assert np.array_equal(half.sub, np.flatnonzero(even[col_node]))
-            sub_of = np.arange(half.sub.size) if half.sub_of is None else half.sub_of
-            assert np.array_equal(half.sub[sub_of], of[half.node_sub])
+            assert all(node in index for node in map(tuple, half.xi.tolist()))
             assert np.array_equal(np.sort(np.abs(half.xi[of]), axis=1),
                                   np.sort(np.abs(half.nodes), axis=1))
             if n == 3 and not osc_equal:
@@ -566,10 +553,10 @@ class TestHalfRule:
         # itself hands region_terms the canonical half of the grid, in
         # blocks of BLOCK_ELEMENTS // (M + 1) consecutive nodes, the last
         # one shorter, that end at the centre node; in 3-D there are
-        # several.  In 3-D (55 x 55 nodes) both this sum and eval_many
-        # differ from one in extended precision by up to 1e-11 of the peak
-        # for Gamma and 1e-10 for its gradient, hence the looser bound
-        # ``rel`` there.
+        # two.  In 3-D (55 x 55 nodes when measured, 41 x 39 now) both this
+        # sum and eval_many differ from one in extended precision by up to
+        # 1e-11 of the peak for Gamma and 1e-10 for its gradient, hence the
+        # looser bound ``rel`` there.
         med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
         x, y = np.array(x), np.array(y)
         n = med.dim
@@ -739,14 +726,14 @@ class TestTailBound:
         assert len(bounds) == 1 and len(passes) == 1
         inv, bound = bounds[0][0], np.maximum(*bounds[0][1])
         pairs, codes, tau, wte, closed = passes[0]
-        dxp = x[:, :-1] - y[:, :-1]
-        osc = np.max(np.abs(dxp), axis=0)
+        shift = x[:, :-1] - y[:, :-1] + np.einsum("ki,kij->kj", pairs, ev._phases[codes])[inv]
+        steps = ev._xi_spacing(np.max(np.abs(shift), axis=0), dt)
         radius = ev._base_radius(dt)
         wider = []
         for k in (1, 2):
-            half = ev._half_grid(2 ** k * radius, ev._xi_spacing(osc, dt))
+            half = ev._half_grid(2 ** k * radius, steps)
             sums = tau_sums(ev, pairs, codes, half, tau, wte, True, closed)
-            values = ev._phase_sums(pairs, inv, dxp, half, sums, True)[:3]
+            values = ev._phase_sums(pairs, inv, shift, half, sums, True)[:3]
             wider.append(np.column_stack(values))
         base = np.column_stack([res["gamma"], res["grad"], res["sgrad"]])
         once, twice = wider
@@ -756,20 +743,24 @@ class TestTailBound:
 
     def test_bound_of_gaussian_profile(self):
         # On a Gaussian profile the bound exceeds the mass beyond the
-        # radius, of f and of |xi| f; an imaginary part of the tau half
-        # sums, which the mirrored node cancels, leaves it unchanged; and
-        # once erfc underflows the bound is 0.
+        # grid's reach R (its corner node, here the radius), of f and of
+        # |xi| f; an imaginary part of the tau half sums, which the mirrored
+        # node cancels, leaves it unchanged; and once erfc underflows the
+        # bound is 0.
         a, radius = 0.5, 5.0
-        grid = KernelEvaluator(layered_2d())._half_grid(radius, [radius / 24.0])
+        ev = KernelEvaluator(layered_2d())
+        grid = ev._half_grid(radius, [radius / 24.0])
         xi, wq = whole_grid(grid)
         half = grid.nodes.shape[0]
+        reach = -grid.nodes[0, 0]
+        assert reach == pytest.approx(radius, rel=1e-15)
         inv = np.zeros(1, dtype=int)
 
-        def bound(h, r=radius):
+        def bound(h, g=grid):
             # One pair; its value and normal sums are Re h, with no phase.
             re = np.stack([h.real, h.real])[:, None, :]
-            sums = HalfSums(re, None, np.zeros((1, 2, 1)), None, True)
-            return np.maximum(*inverse_transform._tail_bound(inv, grid, sums, r, a))[0]
+            sums = HalfSums(re, np.zeros((1, 2, 1)), None, None, None, True)
+            return np.maximum(*inverse_transform._tail_bound(inv, g, sums, a))[0]
 
         xi = xi[:, 0]
         f = np.exp(-a * xi ** 2)
@@ -779,19 +770,20 @@ class TestTailBound:
         # The half sums s on all nodes, and the full rule's integrand
         # (s + conj s_mirror) / 2 summed over all nodes as the bound defines it.
         s = f + 1.5j / (1.0 + np.abs(xi))
-        x = math.sqrt(a) * radius
+        x = math.sqrt(a) * reach
         ratio = math.erfc(x) / (math.erfc(0.5 * x) - math.erfc(x))
-        w_val = (np.abs(xi) >= 0.5 * radius) * wq
+        w_val = (np.abs(xi) >= 0.5 * reach) * wq
         f_full = np.abs(s + s[::-1].conj()) / 2.0
         full = TAIL_SAFETY * ratio * max(f_full @ (np.abs(xi) * w_val), f_full @ w_val)
         assert bound(s[:half]) == bound(f[:half]) == pytest.approx(full, rel=1e-14)
-        assert bound(f[:half], r=60.0) == 0.0
+        wide = ev._half_grid(60.0, [radius / 24.0])
+        assert bound(np.exp(-a * wide.nodes[:, 0] ** 2), wide) == 0.0
         # Two pairs with Re h_n = 0 and the phases phi_p = 0 and 3 xi: the
         # normal gradient's integrand |Re h_n + i phi_p Re h| of the second
         # is three times the tangential one.  Point k reads pair 1 - k.
         re = np.stack([f[:half], np.zeros(half)])[:, None, :].repeat(2, axis=1)
-        sums = HalfSums(re, None, np.array([[[0.0], [0.0]], [[3.0], [0.0]]]), None, True)
-        grads = inverse_transform._tail_bound(np.array([1, 0]), grid, sums, radius, a)[1]
+        sums = HalfSums(re, np.array([[[0.0], [0.0]], [[3.0], [0.0]]]), None, None, None, True)
+        grads = inverse_transform._tail_bound(np.array([1, 0]), grid, sums, a)[1]
         assert grads[0] == pytest.approx(3.0 * grads[1], rel=1e-14)
 
     def test_default_tolerance_one_fine_pass(self, monkeypatch):
@@ -849,7 +841,67 @@ class TestContourSize:
 
 
 class TestEvenNodeEstimate:
-    """est: the rule against its step-2h subset of even-index contour and xi' nodes."""
+    """est's contour part, the rule against its even contour nodes, summed
+    with no phase, and the xi' rule's images, bounded a priori."""
+
+    @pytest.mark.parametrize("upper,lower,x,y,rel", SHEARED)
+    def test_contour_rows_from_even_nodes(self, monkeypatch, upper, lower, x, y, rel):
+        # The contour rows of _tau_sums against tau sums run here with the
+        # weights of the even contour nodes (2 W_m on even m, 0 on odd m):
+        # Delta = Re h - Re h_even at every column, summed with the orbit
+        # weights as |Delta|, |Delta_n| + |phi_p| |Delta| and |xi'|_inf
+        # |Delta|; est is at least CONTOUR_SAFETY times their largest.
+        med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
+        ev = KernelEvaluator(med)
+        calls = []
+        tau_sums = KernelEvaluator._tau_sums
+
+        def recorded(self, *args):
+            calls.append((args, tau_sums(self, *args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(KernelEvaluator, "_tau_sums", recorded)
+        x, y = np.array(x), np.array(y)
+        res = ev.eval_many(x, 0.3, y, 0.0, source_gradient=True)
+        (pairs, codes, half, tau, wte, source_gradient, closed), sums = calls[0]
+        even = np.where(np.arange(wte.size) % 2 == 0, 2.0 * wte, 0.0)
+        delta = sums.re[:2] - tau_sums(ev, pairs, codes, half, tau, even, False, closed).re
+        abs_phi = np.abs(np.einsum("pj,qj->pq", sums.phi[:, 0], half.xi))
+        ref = np.array([np.abs(delta[0]) @ half.w,
+                        (np.abs(delta[1]) + abs_phi * np.abs(delta[0])) @ half.w,
+                        np.abs(delta[0]) @ (half.xi_inf * half.w)])
+        assert np.all(ref > 0.0)
+        assert np.allclose(sums.contour, ref, rtol=1e-12, atol=1e-15 * np.max(ref))
+        inv = [np.flatnonzero((pairs == [xn, yn]).all(axis=1))[0] for xn, yn in zip(x[:, -1], y[:, -1])]
+        assert np.all(res["est"] >= inverse_transform.CONTOUR_SAFETY * np.max(ref, axis=0)[inv]
+                      * (1.0 - 1e-12))
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_image_bound_sums_every_image(self, d):
+        # _image_bound forms the images' sum as products of per-axis sums,
+        # with no cancellation: against the sum over every image j in
+        # -2..2 on each axis, j != 0, of the product of the axes' Gaussians,
+        # each weighted by 1 + |z_j| / sqrt(spread) for the gradients,
+        # times IMAGE_SAFETY and each pair's mass.  In 1-D both are 0.
+        rng = np.random.default_rng(d)
+        spread, steps = 0.7, [0.9, 1.3][:d]
+        shift = rng.uniform(-2.0, 2.0, (5, d))
+        inv = np.array([0, 1, 1, 0, 1])
+        mass = rng.uniform(0.5, 2.0, (4, 2))
+        sums = HalfSums(None, None, None, mass, None, True)
+        val, grad = inverse_transform._image_bound(inv, shift, steps, sums, spread)
+        ref_val, ref_grad = np.zeros(5), np.zeros(5)
+        for j in np.ndindex(*(5,) * d):
+            j = np.array(j) - 2
+            if j.any():
+                z = np.abs(shift + j * 2.0 * np.pi / np.array(steps))
+                g = np.exp(-z ** 2 / (4.0 * spread))
+                ref_val += np.prod(g, axis=1)
+                ref_grad += np.prod(g * (1.0 + z / math.sqrt(spread)), axis=1)
+        safety = inverse_transform.IMAGE_SAFETY
+        assert np.allclose(val, safety * mass[0, inv] * ref_val, rtol=1e-13, atol=0.0)
+        assert np.allclose(grad, safety * mass[1:].max(axis=0)[inv] * ref_grad, rtol=1e-13, atol=0.0)
+        assert np.all(val > 0.0) == (d > 0) and not np.any(val < 0.0)
 
     def test_no_looser_in_1d(self):
         # The 1-D layered closed form.  With M = 64 and a coarse pass on
@@ -1047,14 +1099,16 @@ class TestStreaming:
         assert np.all(many.floor[-1] > 0.0) and np.all(many.floor[-1] <= xi_max * many.floor[0])
 
     @pytest.mark.parametrize("b,limit", [
-        (30.0, 32e6), pytest.param(100.0, 64e6, marks=pytest.mark.slow),
+        (30.0, 10e6), pytest.param(100.0, 12e6, marks=pytest.mark.slow),
     ])
     def test_strong_contrast_memory(self, b, limit):
         # The 4-point 3-D call of test_contrast_sweep at t - s = 0.01.  With
         # the tables built over the whole grid it peaked at 202 MB for
         # b = 30 and near 0.9 GB (RSS) for b = 100; streamed, at 8.6 MB and
         # 15.8 MB; streamed over the orbits of the two reflections, at
-        # 8.6 MB and 13.7 MB.
+        # 8.6 MB and 13.7 MB (8.3 MB and 11.5 MB measured again before the
+        # next change); with the xi' spacing sized for the rule itself and
+        # no step-2h sums, at 7.8 MB and 9.0 MB.
         med = TwoLayerMedium(upper=validate_tensor(np.eye(3)),
                              lower=validate_tensor(b * np.eye(3)))
         ev = KernelEvaluator(med)
@@ -1152,16 +1206,14 @@ class TestSymmetryFold:
         for name in ("theta_a", "theta_b", "root_a", "root_b", "direct_a", "direct_b",
                      "reflect_a", "reflect_b", "transmit"):
             assert getattr(cols, name)[half.of].tobytes() == getattr(nodes, name).tobytes()
-        # The step-2h nodes' columns are step-2h nodes, and the weights of
-        # each orbit add up.
-        assert np.array_equal(half.sub[half.sub_of], half.of[half.node_sub])
+        # The weights of each orbit add up.
         assert half.w.sum() == pytest.approx(half.node_w.sum(), rel=1e-14)
 
     @pytest.mark.parametrize("upper,lower", FOLDED)
     @pytest.mark.parametrize("equal", [True, False], ids=["equal_reach", "unequal_reach"])
     def test_region_terms_see_one_node_per_orbit(self, monkeypatch, upper, lower, equal):
         # The benchmark's batch (equal reach on a medium with equal
-        # diagonals) reaches region_terms with 300 of its 1,105 half nodes;
+        # diagonals) reaches region_terms with 153 of its 545 half nodes;
         # without the exchange, with (k_0 + 1)(k_1 + 1), k_j the largest
         # index on axis j.
         med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
@@ -1180,7 +1232,7 @@ class TestSymmetryFold:
         for nodes in blocks.values():
             assert sum(b.shape[0] for b in nodes) == count
         if exchange and np.array_equal(upper, np.eye(3)):
-            assert grids[0].shape == (47, 47) and count == 300
+            assert grids[0].shape == (33, 33) and count == 153
 
     @pytest.mark.parametrize("upper,lower,x,y,rel", SHEARED + [
         pytest.param(np.eye(2), np.diag([2.0, 3.0]), [[0.3, 0.5], [0.4, -0.3]],
@@ -1193,7 +1245,7 @@ class TestSymmetryFold:
         blocks = record_region_terms(monkeypatch)
         ev.eval_many(np.array(x), 0.3, np.array(y), 0.0)
         half = grids[0]
-        assert half.of is None and half.sub_of is None
+        assert half.of is None
         for nodes in blocks.values():
             assert sum(b.shape[0] for b in nodes) == (math.prod(half.shape) + 1) // 2
 
@@ -1218,8 +1270,9 @@ class TestSymmetryFold:
     def test_fold_matches_unfolded(self, monkeypatch, upper, lower):
         # The same batch with every half node its own column: the sums of
         # each node are its column's to the byte, and so are Gamma and its
-        # gradients; the floor's node sums and the tail bound, which take
-        # each orbit's summed weights, agree to rounding.
+        # gradients; the node sums of the floor, mass and contour rows and
+        # the tail bound, which take each orbit's summed weights, agree to
+        # rounding.
         med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
         folded, plain = KernelEvaluator(med), KernelEvaluator(med)
         plain._mirrors = []
@@ -1246,8 +1299,8 @@ class TestSymmetryFold:
         assert ref["half"].of is None and half.w.size < ref["half"].w.size
         one, many = fold["sums"], ref["sums"]
         assert one.re[:, :, half.of].tobytes() == many.re.tobytes()
-        assert one.re_sub[:, :, half.sub_of].tobytes() == many.re_sub.tobytes()
-        assert np.allclose(one.floor, many.floor, rtol=1e-14, atol=0.0)
+        for rows in ("floor", "mass", "contour"):
+            assert np.allclose(getattr(one, rows), getattr(many, rows), rtol=1e-14, atol=0.0)
         for one, many in zip(fold["tail"], ref["tail"]):
             assert np.allclose(one, many, rtol=1e-14, atol=0.0)
         for key in ("gamma", "grad", "sgrad"):
@@ -1257,10 +1310,10 @@ class TestSymmetryFold:
     @pytest.mark.parametrize("upper,lower", FOLDED)
     def test_values_independent_of_blocks(self, monkeypatch, upper, lower):
         # With a budget of one element each block is one column and each
-        # phase chunk one point: Gamma, its gradients and est are
-        # unchanged to the byte.  The step-2h sums of a point run in the
-        # same order whether it is alone in its chunk or not, and the
-        # floor's node sums, regrouped by the blocks, do not set est here.
+        # phase chunk one point: Gamma and its gradients are unchanged to
+        # the byte.  est takes the node sums of the contour rows, which the
+        # blocks regroup, so it moves by rounding only (up to 5 eps
+        # measured, on sums of about 150 positive terms).
         med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
         ev = KernelEvaluator(med)
         x, y = scatter_batch((SCATTER_REACH, SCATTER_REACH))
@@ -1270,8 +1323,9 @@ class TestSymmetryFold:
         res = ev.eval_many(x, 0.3, y, 0.0, source_gradient=True)
         for nodes in blocks.values():
             assert len(nodes) > 1 and all(b.shape[0] == 1 for b in nodes)
-        for key in ("gamma", "grad", "sgrad", "est"):
+        for key in ("gamma", "grad", "sgrad"):
             assert res[key].tobytes() == ref[key].tobytes()
+        assert np.all(np.abs(res["est"] - ref["est"]) <= 1e-14 * ref["est"])
 
 
 class TestPhaseVectors:
@@ -1301,8 +1355,8 @@ def phase_runs(monkeypatch, run):
         calls.append(args)
         return phase_sums(self, *args)
 
-    def point_by_point(self, pairs, inv, dxp, *args):
-        outs = [phase_sums(self, pairs, inv[k:k + 1], dxp[k:k + 1], *args)
+    def point_by_point(self, pairs, inv, shift, *args):
+        outs = [phase_sums(self, pairs, inv[k:k + 1], shift[k:k + 1], *args)
                 for k in range(inv.size)]
         return tuple(None if o[0] is None else np.concatenate(o) for o in zip(*outs))
 
@@ -1314,36 +1368,25 @@ def phase_runs(monkeypatch, run):
     return table, alone, calls[0]
 
 
-def table_shape(pairs, inv, dxp, half, sums, *rest):
+def table_shape(pairs, inv, shift, half, sums, *rest):
     """(S, P, K): distinct shifts, normal pairs and points of a phase call."""
-    shift = dxp + np.einsum("ki,kij->kj", pairs, sums.phi)[inv]
     return np.unique(shift, axis=0).shape[0], pairs.shape[0], inv.size
 
 
-def node_by_node(ev, pairs, inv, dxp, half, sums, source_gradient):
-    """Gamma, grad, the source derivative in y_n and the step-2h change,
-    summed over every half node from its column's tau sums (_phase_sums)."""
-    n = ev.medium.dim
-    d = n - 1
+def node_by_node(pairs, inv, shift, half, sums, source_gradient):
+    """Gamma, grad and the source derivative in y_n, summed over every half
+    node from its column's tau sums (_phase_sums)."""
     xi, w = half.nodes, half.node_w
-    h_cnt = xi.shape[0]
-    of = np.arange(h_cnt) if half.of is None else half.of
-    sub = np.arange(h_cnt)[half.node_sub]
+    of = np.arange(xi.shape[0]) if half.of is None else half.of
     c = sums.phi[inv]
-    psi = (dxp + np.einsum("ki,kij->kj", pairs[inv], c)) @ xi.T
-
-    def rule(nodes, re, cols, weights):
-        re = re[:, inv][:, :, cols] * weights
-        cos, sin = np.cos(psi[:, nodes]), np.sin(psi[:, nodes])
-        tangential = -(sin * re[0]) @ xi[nodes]
-        out = [np.sum(cos * re[0], axis=1), *tangential.T]
-        out += [np.sum(cos * r, axis=1) + np.sum(c[:, i] * tangential, axis=1)
-                for i, r in enumerate(re[1:])]
-        return np.array(out)
-
-    fine = rule(np.arange(h_cnt), sums.re, of, w)
-    coarse = rule(sub, sums.re_sub, np.searchsorted(half.sub, of[sub]), 2.0 ** d * w[sub])
-    return fine, np.max(np.abs(fine[:n + 1] - coarse), axis=0)
+    re = sums.re[:, inv][:, :, of] * w
+    psi = shift @ xi.T
+    cos, sin = np.cos(psi), np.sin(psi)
+    tangential = -(sin * re[0]) @ xi
+    out = [np.sum(cos * re[0], axis=1), *tangential.T]
+    out += [np.sum(cos * r, axis=1) + np.sum(c[:, i] * tangential, axis=1)
+            for i, r in enumerate(re[1:])]
+    return np.array(out)
 
 
 def dense_batch(n):
@@ -1375,7 +1418,10 @@ class TestPhaseTable:
     @pytest.mark.parametrize("upper,lower", DENSE)
     def test_routes_identical(self, monkeypatch, upper, lower):
         # A point's bytes do not depend on the route its batch took, nor on
-        # the tiles of shifts (one shift per tile at a budget of 1).
+        # the tiles of shifts (one shift per tile at a budget of 1); the
+        # budget of 1 also cuts the tau contraction into one-column blocks,
+        # which regroup the node sums of est's contour rows, so est moves by
+        # rounding there.
         med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
         ev = KernelEvaluator(med)
         x, y = dense_batch(med.dim)
@@ -1386,7 +1432,10 @@ class TestPhaseTable:
         monkeypatch.setattr(inverse_transform, "BLOCK_ELEMENTS", 1)
         tiled = ev.eval_many(x, 0.3, y, 0.0, source_gradient=True)
         for key in ("gamma", "grad", "sgrad", "est"):
-            assert table[key].tobytes() == alone[key].tobytes() == tiled[key].tobytes()
+            assert table[key].tobytes() == alone[key].tobytes()
+            if key != "est":
+                assert table[key].tobytes() == tiled[key].tobytes()
+        assert np.all(np.abs(tiled["est"] - table["est"]) <= 1e-14 * table["est"])
 
     def test_cube_green_routes_identical(self, monkeypatch, whole_symbol):
         # The green workload's former shape: every target with each of the
@@ -1411,8 +1460,8 @@ class TestPhaseTable:
     ])
     def test_matches_node_by_node(self, monkeypatch, upper, lower, scattered):
         # The table (dense batches) and the per-point route (scattered
-        # points) against sums over every half node of the rule and of its
-        # step-2h subset, each node read from its column.
+        # points) against sums over every half node of the rule, each node
+        # read from its column.
         med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
         ev = KernelEvaluator(med)
         x, y = map(np.array, SHEARED[0].values[2:4]) if scattered else dense_batch(med.dim)
@@ -1420,11 +1469,10 @@ class TestPhaseTable:
             monkeypatch, lambda: ev.eval_many(x, 0.3, y, 0.0, source_gradient=True))
         s_cnt, p_cnt, k_cnt = table_shape(*args)
         assert (s_cnt * p_cnt > k_cnt) == scattered
-        gamma, grad, sgrad, _, change = ev._phase_sums(*args)
-        fine, ref_change = node_by_node(ev, *args)
+        gamma, grad, sgrad, _ = ev._phase_sums(*args)
+        fine = node_by_node(*args)
         scale = np.max(np.abs(fine))
         assert np.max(np.abs(np.vstack([gamma, grad.T, sgrad[:, -1]]) - fine)) <= 1e-14 * scale
-        assert np.max(np.abs(change - ref_change)) <= 1e-14 * scale
 
 
 class TestZeroTerms:

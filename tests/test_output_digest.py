@@ -43,12 +43,14 @@ RUN = [("setup:0", output(1.0)), ("0:0", output(2.0)), ("0:1", output(3.0)),
        ("1:0", output(4.0)), ("1:1", output(5.0))]
 
 
-def run(tool, monkeypatch, capsys, records, *args):
+def run(tool, monkeypatch, capsys, records, *args, summary=False):
     """The tool's exit status and printed lines on one workload whose
-    eval_many calls return ``records``."""
+    eval_many calls return ``records``; the summary line of --against is
+    left out unless ``summary``."""
     monkeypatch.setattr(tool, "cycle_outputs", lambda name, seed: (records, [], []))
     status = tool.main(["--seed", "1", "--workload", "green", *map(str, args)])
-    return status, capsys.readouterr().out.splitlines()
+    lines = capsys.readouterr().out.splitlines()
+    return status, [line for line in lines if summary or not line.startswith("green summary ")]
 
 
 def test_keyed_matching(digest_tool, monkeypatch, capsys, tmp_path):
@@ -103,3 +105,23 @@ def test_est_ratios(digest_tool, monkeypatch, capsys, tmp_path):
     # 0/0 counts as 1, a new est over a saved 0 as inf.
     assert digest_tool.est_ratios({"est": np.array([0.0, 1.0])}, {"est": np.array([0.0, 0.0])}) == (
         1.0, math.inf)
+
+
+def test_summary_line(digest_tool, monkeypatch, capsys, tmp_path):
+    # After the workload's lines, one summary over the calls compared: their
+    # count, the range of est ratios over all of them, the largest move and
+    # the total beyond_est.  Without --against there is none.
+    saved = tmp_path / "saved.npz"
+    status, lines = run(digest_tool, monkeypatch, capsys, RUN, "--save", saved, summary=True)
+    assert not any(" summary " in line for line in lines)
+    status, lines = run(digest_tool, monkeypatch, capsys, RUN, "--against", saved, summary=True)
+    assert status == 0
+    assert lines[-1] == "green summary calls=5 est=1..1 move=0.00e+00 beyond_est=0"
+    # Raised and lowered est, and one call moved beyond the larger est at
+    # two points and within it at a third.
+    changed = [(key, dict(out)) for key, out in RUN]
+    changed[1][1]["est"] = changed[1][1]["est"] * np.array([0.5, 1.0, 3.0])
+    changed[4][1]["gamma"] = changed[4][1]["gamma"] + np.array([1e-9, 1e-9, 1e-13])
+    status, lines = run(digest_tool, monkeypatch, capsys, changed, "--against", saved, summary=True)
+    assert status == 1
+    assert lines[-1] == "green summary calls=5 est=0.5..3 move=2.00e-10 beyond_est=2"

@@ -117,3 +117,93 @@ def test_separable_in_many_blocks(monkeypatch, s_mat, c):
     # calls, of 700 to 1,600 blocks, to a few seconds.
     monkeypatch.setattr(inverse_transform, "BLOCK_ELEMENTS", 1)
     check_separable(s_mat, c, 0.3, count=6)
+
+
+def peak_of(s_mat, c, y, dt):
+    """Gamma at the source itself, the kernel's scale."""
+    return sheared_layered_kernel(s_mat, c, A_UP, B_LOW, y[None], dt, y, 0.0)[0][0]
+
+
+def integrated_part(med, s_mat, c, x, dt, y):
+    """R: what the transform integrates, Gamma less the closed-form direct
+    term (the source layer's Gaussian) where target and source share a
+    side."""
+    exact = sheared_layered_kernel(s_mat, c, A_UP, B_LOW, x, dt, y, 0.0)[0]
+    same = (x[:, -1] > 0.0) == (y[-1] > 0.0)
+    layer = med.upper if y[-1] > 0.0 else med.lower
+    return exact - same * gaussian_kernel(layer, x, dt, y, 0.0)
+
+
+@pytest.mark.parametrize("s_mat,c", [SEPARABLE[1].values, SEPARABLE[6].values],
+                         ids=["2d-sheared", "3d-coupled-sheared"])
+@pytest.mark.parametrize("scale", [1.5, 2.0, 3.0])
+def test_poisson_images(monkeypatch, s_mat, c, scale):
+    # The uniform xi' rule of spacing h returns R summed over its images,
+    # sum_j R(s + 2 pi j / h) (Poisson summation), so with the spacing
+    # scaled up until the images show, Gamma's error is their sum over 0 <
+    # |j| <= 3 on each axis, to within 1e-12 of the peak (ROADMAP measured
+    # 9.8e-14 in 2-D).  An image at tangential offset 2 pi j / h is R at the
+    # target moved by that offset.  The a priori image bound covers the
+    # sum at every point.
+    s_mat = np.asarray(s_mat, dtype=float)
+    d = s_mat.shape[0]
+    med = sheared_medium(s_mat, c, A_UP, B_LOW)
+    spacing = KernelEvaluator._xi_spacing
+    steps, bounds = [], []
+    image_bound = inverse_transform._image_bound
+    monkeypatch.setattr(KernelEvaluator, "_xi_spacing",
+                        lambda self, osc, dt: steps.append([scale * h for h in spacing(self, osc, dt)])
+                        or steps[-1])
+    monkeypatch.setattr(inverse_transform, "_image_bound",
+                        lambda *args: bounds.append(image_bound(*args)) or bounds[-1])
+    dt = 0.01
+    root = math.sqrt(dt)
+    rng = np.random.default_rng(7)
+    k = 60 if d == 1 else 30
+    for yn in (0.1 * root, -0.3 * root):
+        y = np.append(np.zeros(d), yn)
+        x = np.column_stack([rng.uniform(-2.0, 2.0, (k, d)) * root,
+                             rng.choice([-1.0, 1.0], k) * rng.uniform(0.05, 2.0, k) * root])
+        steps.clear()
+        res = KernelEvaluator(med).eval_many(x, dt, y, 0.0)
+        peak = peak_of(s_mat, c, y, dt)
+        err = res["gamma"] - sheared_layered_kernel(s_mat, c, A_UP, B_LOW, x, dt, y, 0.0)[0]
+        period = 2.0 * np.pi / np.array(steps[0])
+        images = np.zeros(k)
+        for j in np.ndindex(*(7,) * d):
+            j = np.array(j) - 3
+            if j.any():
+                moved = x.copy()
+                moved[:, :d] += j * period
+                images += integrated_part(med, s_mat, c, moved, dt, y)
+        assert np.max(np.abs(err)) > 1e-11 * peak  # the images show
+        assert np.max(np.abs(err - images)) <= 1e-12 * peak
+        assert np.all(np.abs(images) <= bounds[-1][0])
+
+
+def test_spacing_follows_shift():
+    # The integrand oscillates with the whole shift s = x' - y' + c_p x_n +
+    # c_q y_n, and the spacing must follow it: on the sheared 2-D medium,
+    # with targets out to 30 diffusion lengths normally (c_p x_n reaches 12
+    # of them), Gamma keeps its relative accuracy.  A spacing from x' - y'
+    # alone erred by up to 2.3e-10 relative above 1e-8 of the peak and by
+    # 7.9e-17 of the peak below it (spacing from s: 2.3e-13 and 1.5e-21).
+    s_mat, c = np.array([[1.5]]), [0.4]
+    med = sheared_medium(s_mat, c, A_UP, B_LOW)
+    ev = KernelEvaluator(med)
+    dt = 0.01
+    root = math.sqrt(dt)
+    rng = np.random.default_rng(2)
+    reach = np.linspace(0.05, 30.0, 80) * root
+    xn = np.concatenate([math.sqrt(A_UP) * reach, -math.sqrt(B_LOW) * reach])
+    for yn in (0.1 * root, -0.2 * root):
+        y = np.array([0.0, yn])
+        x = np.column_stack([rng.uniform(-2.0, 2.0, xn.size) * root, xn])
+        exact = sheared_layered_kernel(s_mat, c, A_UP, B_LOW, x, dt, y, 0.0)[0]
+        peak = peak_of(s_mat, c, y, dt)
+        err = np.abs(ev.eval_many(x, dt, y, 0.0)["gamma"] - exact)
+        upper = exact >= 1e-8 * peak
+        assert 30 <= np.sum(upper) < xn.size
+        assert np.all(err <= 1e-12 * peak)
+        assert np.all(err[upper] <= 1e-11 * exact[upper])
+        assert np.all(err[~upper] <= 1e-19 * peak)

@@ -10,7 +10,9 @@ from layerheat.symbols import (
     SpectralPoint,
     SymbolTable,
     classify_region,
+    REGIONS,
     region_contains,
+    region_index,
     region_terms,
     theta_squared,
     transmission_residuals,
@@ -109,6 +111,27 @@ class TestRegions:
     def test_source_on_interface_rejected(self):
         with pytest.raises(OnInterface):
             classify_region(0.5, 0.0)
+
+    def test_index_matches_classification(self):
+        # region_index, the array form, against classify_region pair by
+        # pair: random pairs on both sides, the ties x_n = y_n and x_n =
+        # -y_n, and x_n at 0 from either side (0.0, -0.0 and the smallest
+        # subnormals).  Each tie sits on a boundary that two regions share,
+        # and both forms put it in the same one.
+        rng = np.random.default_rng(11)
+        y = rng.choice([-1.0, 1.0], 400) * rng.uniform(1e-3, 3.0, 400)
+        x = rng.uniform(-4.0, 4.0, 400)
+        x[:60], x[60:120] = y[:60], -y[60:120]
+        tiny = np.nextafter(0.0, 1.0)
+        zeros = np.array([0.0, -0.0, tiny, -tiny])
+        x = np.concatenate([x, np.repeat(zeros, 2)])
+        y = np.concatenate([y, np.tile([0.7, -0.7], zeros.size)])
+        codes = region_index(x, y)
+        assert codes.dtype.kind == "i"
+        assert [REGIONS[c] for c in codes] == [classify_region(a, b) for a, b in zip(x, y)]
+        assert {REGIONS[c] for c in codes} == set(Region)
+        for a, b, c in zip(x, y, codes):
+            assert region_contains(REGIONS[c], a, b)
 
     def test_region_mismatch(self):
         med = layered_1d()

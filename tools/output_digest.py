@@ -33,9 +33,12 @@ one), and the number of points where a value moved by more than the
 larger of the two calls' est (a `call` line reads
 `unsaved` when the file holds no `call` records at all); to an oracle line it
 adds the largest move of the final slice relative to the saved slice's
-peak (an oracle solve has no est, so its move is reported only).  It exits
-1 when a point moved beyond est, or when the calls or solves do not match
-one to one.
+peak (an oracle solve has no est, so its move is reported only).  After
+each workload it prints one summary line over the calls it compared,
+`<workload> summary calls=N est=lo..hi move=M beyond_est=B`: their count,
+the smallest and largest est ratio, the largest move and the total of
+beyond_est.  It exits 1 when a point moved beyond est, or when the calls or
+solves do not match one to one.
 """
 from __future__ import annotations
 
@@ -150,6 +153,7 @@ def main(argv=None) -> int:
         with np.load(args.against) as f:
             ref = dict(f)
     for name in args.workload or WORKLOADS:
+        compared = []  # (lo, hi, move, beyond) of every call compared
         outs, tops, finals = cycle_outputs(name, args.seed)
         tops = [(str(i), out) for i, out in enumerate(tops)]
         for tag, records in ((name, outs), (f"{name}/call", tops)):
@@ -171,6 +175,7 @@ def main(argv=None) -> int:
                         continue
                     rel, beyond = moves(out, old)
                     lo, hi = est_ratios(out, old)
+                    compared.append((lo, hi, rel, beyond))
                     line += f" est={lo:.17g}..{hi:.17g} move={rel:.2e} beyond_est={beyond}"
                     status |= beyond > 0
                 print(line)
@@ -195,6 +200,10 @@ def main(argv=None) -> int:
         if args.against and f"{name}/oracle/{len(finals)}/final" in ref:
             print(f"{name}: the saved run made more oracle solves")
             status = 1
+        if args.against:
+            lo, hi, rel, beyond = zip(*compared) if compared else ((1.0,), (1.0,), (0.0,), (0,))
+            print(f"{name} summary calls={len(compared)} est={min(lo):.17g}..{max(hi):.17g} "
+                  f"move={max(rel):.2e} beyond_est={sum(beyond)}")
     if args.save:
         np.savez(args.save, **saved)
     return int(status)
