@@ -29,12 +29,15 @@ shift s = x' - y' + c_p x_n + c_q y_n (Half rule), and the widest layer
 
 Error estimate.  est bounds Gamma and grad together, each part the largest
 over them, and is the largest of five parts, in every dimension:
-- the contour part: CONTOUR_SAFETY times the node sums, over the xi'
-  columns with no phase, of |Re h - Re h_even|, h_even the sums of the
-  even contour nodes with doubled weights, read from the tau
-  contraction's own exponentials (_tau_sums); in 1-D, where the xi' rule
-  is one node of weight 1, that is the change of Gamma and its normal
-  gradient between the two contour rules;
+- the contour part: CONTOUR_SAFETY times the smaller of two bounds on
+  the contour rule's error, each a node sum over the xi' columns with no
+  phase (_tau_sums): |Re h - Re h_even|, h_even the sums of the even
+  contour nodes with doubled weights, read from the tau contraction's own
+  exponentials; and, for a pair no deeper than CONTOUR_DEPTH, the row's
+  tabulated ratio (_CONTOUR_ROWS) times the rule's L1 magnitude sum_m |W_m
+  V_m|.  The first is sharp in the tail, where it tracks the error, the
+  second near the peak, where the even nodes of row 1 (M/2 = 16) err by
+  1e-6 of it and the full rule by 1e-13;
 - the images of the xi' rule: by Poisson summation the step-h rule
   returns sum_j R(s + 2 pi j / h), R the part of the kernel that the
   transform integrates, and its images j != 0 are bounded a priori from
@@ -111,7 +114,7 @@ sums of its representative (HalfGrid.of), and its phases come from its own
 xi'.  The floor, mass and contour rows and the tail bound's integrands
 are the same at every node of an orbit (they read |phi| and |xi|), so
 their node sums take each orbit's summed weights.  The benchmark's 3-D
-batch (I | diag(2,2,3), equal reach on both axes) runs on 153 of its 545
+batch (I | diag(2,2,3), equal reach on both axes) runs on 190 of its 685
 half nodes.  In 1-D, in 2-D (where a reflection is the half rule's own
 mirror) and on media coupled on both tangential axes every node is its own
 representative, and no map is formed.
@@ -144,10 +147,10 @@ one shorter: a block fills the budget of (column, contour node) entries,
 wherever the rows of the grid end.  A block holds its SymbolTable, its
 region terms, their |root| tables, the weights of one term at a time, and
 one chunk of exponentials (normal pairs x columns x contour nodes, within
-the same budget).  It adds its columns of the half sums, and folds its
-roundoff magnitudes, its |Re h| and its |Re h - Re h_even| straight into
-the per-pair node sums of the floor, mass and contour rows (_tau_sums).
-What outlives a block is a few arrays of (normal pairs x representatives):
+the same budget).  It adds its columns of the half sums, and hands its
+columns of the floor, mass and contour rows to fixed tiles of SUM_COLUMNS
+columns, each summed at once when it is full (_tau_sums).  What
+outlives a block is a few arrays of (normal pairs x representatives):
 memory is O(BLOCK_ELEMENTS x terms + pairs x representatives), where the
 whole-grid tables were O(H x M x terms).  The phase layer forms cos psi
 and sin psi for one tile of shifts (of points, point by point) at a time,
@@ -156,9 +159,8 @@ and sin psi Re h for as many (entry, node) values or one entry; it keeps
 the (shift x pair) table, at most K entries per row.  Each node's sums
 over the contour run in the same order in any block, its at most two
 terms add to zero in either order to the same bits, and each table entry
-is its own sum, so Gamma and its gradients do not depend on the
-partition, and est only by the rounding of the floor's node sums when a
-call has more than one block.
+is its own sum, so neither Gamma, its gradients nor est depend on the
+partition.
 
 Evaluator constants.  What the medium and the tolerance fix is built once,
 on first use, and kept: on the evaluator the region phases (_phases), the
@@ -172,8 +174,9 @@ Tail bound.  After the tau integral the integrand decays like
 e^{-a |xi'|^2}, a = lambda_min(S) (t - s) over the tangential Schur
 complements S of both layers, so one xi' grid on [-R0, R0] per axis
 suffices: a R0^2 = ln(100/tol), widened below tol 1e-6 (_base_radius).
-A bound on what the grid leaves out is the grid's own mass on
-R0/2 <= |xi_j| <= R0, extrapolated beyond R0 by the Gaussian mass ratio
+Axis j reaches R_j = k_j h_j >= R0, its outermost node.  A bound on what
+the grid leaves out is the grid's own mass on R_j/2 <= |xi_j| <= R_j,
+extrapolated beyond R_j by the Gaussian mass ratio, axis by axis
 (_tail_bound).  It reads the full rule's integrand, |Re h| at a node and
 at its mirror alike; |h| would not do, since the imaginary part of the
 half sum, which the mirrored node cancels, decays only like 1/|xi'|.
@@ -208,22 +211,40 @@ class QuadratureNotConverged(RuntimeError):
 # at u = k*h, h = u_max/M, k = -M..M (only k = 0..M are evaluated, see
 # _hyperbolic_nodes), with mu_c = mu_scale*M/(t-s).  Row 0 serves 1-D and
 # row 1 2-D and 3-D.  Row 1 reaches the 1e-13 target at M = 32 where row 0
-# needs 48, a third less tau work on every xi' node; but in 1-D its even
-# nodes at M/2 = 16 are coarse, and est (the change between the two rules)
-# would rise from 5e-11 to 1e-4 of the peak there.
+# needs 48, a third less tau work on every xi' node.
 #
-# Columns: (alpha, u_max, mu_scale, errors), where errors[i] is the measured
-# relative error of the inversion of 1/sqrt(tau) (exact 1/sqrt(pi (t-s)))
-# with M = CONTOUR_M[i], the largest over t - s = 0.01, 0.3 and 3, rounded
-# up to two digits.  Each row falls exponentially in M to an optimum and
-# then rises again with the roundoff of its growing weights.
+# Columns: (alpha, u_max, mu_scale, errors, ratios).  errors[i] is the
+# measured relative error of the inversion of 1/sqrt(tau) (exact 1/sqrt(pi
+# (t-s))) with M = CONTOUR_M[i], the largest over t - s = 0.01, 0.3 and 3,
+# rounded up to two digits.  Each row falls exponentially in M to an optimum
+# and then rises again with the roundoff of its growing weights.  ratios[i]
+# is the rule's error against its L1 magnitude sum_m |W_m F(tau_m)|, each
+# summed in modulus over the columns of a xi' grid, for F = e^{-d sqrt(tau +
+# k)} / sqrt(tau + k) and e^{-d sqrt(tau + k)} (the model of a term of Gamma
+# and of its normal gradient; exact: e^{-k (t-s)} times the inverse at k = 0)
+# with k = |xi'|^2: on row 0 k = 0 (1-D); on row 1 grids of 61, 121 and 241
+# nodes and of 41 x 41 nodes out to k (t-s) = 60.  The largest over t - s =
+# 0.01 to 3 and d / sqrt(t - s) = 0..CONTOUR_DEPTH in steps of 0.1, rounded
+# up to one digit: from M = 40 on, a few eps, the rule's own roundoff.  It
+# is the contour part of est (KernelEvaluator.eval_many).  Beyond that depth
+# the ratio rises (row 1, M = 32: 4.8e-14 at 24, 7.4e-9 at 30) where the
+# terms are below e^{-100} of their scale.
 CONTOUR_M = tuple(range(24, 129, 8))
 _CONTOUR_ROWS = (
     (0.85, 1.747, 0.5, (1.6e-09, 1.1e-10, 6.5e-13, 3.4e-14, 2.5e-13, 1.4e-12, 2.0e-12,
-                        3.9e-12, 2.2e-11, 1.4e-10, 7.8e-11, 5.5e-10, 3.9e-09, 6.5e-09)),
+                        3.9e-12, 2.2e-11, 1.4e-10, 7.8e-11, 5.5e-10, 3.9e-09, 6.5e-09),
+     (3e-09, 6e-12, 2e-14, 3e-15, 3e-15, 4e-15, 4e-15, 4e-15, 4e-15, 4e-15, 5e-15, 6e-15,
+      5e-15, 6e-15)),
     (0.60, 2.576, 0.3, (2.6e-11, 6.4e-14, 6.2e-14, 5.8e-14, 3.6e-13, 1.2e-12, 1.2e-12,
-                        2.4e-11, 3.2e-11, 5.6e-11, 1.3e-10, 7.9e-10, 2.7e-09, 1.8e-08)),
+                        2.4e-11, 3.2e-11, 5.6e-11, 1.3e-10, 7.9e-10, 2.7e-09, 1.8e-08),
+     (4e-11, 4e-15, 3e-15, 3e-15, 3e-15, 4e-15, 3e-15, 4e-15, 4e-15, 4e-15, 5e-15, 5e-15,
+      6e-15, 6e-15)),
 )
+# The depth (|x_n| + |y_n|) / sqrt(a_nn (t - s)), a_nn the smaller of the two
+# layers' (so at least the depth of every term of the pair), down to which
+# a pair's contour part may take the row's ratio (eval_many); a deeper pair
+# takes the even-node bound alone.
+CONTOUR_DEPTH = 20.0
 
 # The cap of the analyticity certificate mu, which 1-D media reach, and its
 # relative margin below the exact supremum, which covers the bisection and
@@ -251,24 +272,31 @@ TAIL_SAFETY = 10.0
 # reached 1.15 times the U (1 + E_abs) part alone, and 0.68 of the sum.
 ROUNDOFF_UNITS = 2.0
 
-# Factor on the contour part of est, the difference between the contour
-# rule and its even-index nodes (module docstring, Error estimate).  On
+# Factor on the contour part of est (module docstring, Error estimate).  On
 # contour row 0, whose error is set by the truncation at u_max, the
-# difference tracks the error itself, with about half of the points below
-# it; on the 1-D layered closed forms at M = 40 a factor 2 covered every
-# error, and 4 doubles that.
+# difference between the rule and its even-index nodes tracks the error
+# itself, with about half of the points below it; on the 1-D layered closed
+# forms at M = 40 a factor 2 covered every error, and 4 doubles that.  The
+# same factor on the row's ratio covers the coefficients of the real terms,
+# which the model of _CONTOUR_ROWS leaves out.
 CONTOUR_SAFETY = 4.0
 
 # Factor on the a priori bound of the xi' rule's images (see _image_bound),
-# calibrated.  With the spacing scaled by 1.5, 2 and 3, so that the images
-# show above the roundoff, the rule's error against the same rule at half
-# the spacing, over the bound with a factor 1, reached 0.49 and 0.80 on the
-# sheared separable 2-D and 3-D media of the tests (0.0026 to 0.81 over
-# those scales), 1.75 on [[1, .3], [.3, 1]] | diag(2, 3), 3.2 on a 3-D medium
-# coupled on every axis and 5.7 on [[2, 1], [1, 2]] | [[3, -.5], [-.5, 1.5]],
-# for Gamma; gradients read at most 1.2.  Along a tangential line the last
-# medium's ratio peaks near 5 at 10 diffusion lengths and then falls.
+# and the width of its Gaussian, IMAGE_SPREAD times t_max (see _xi_spacing),
+# calibrated together.  With the spacing scaled by 1.5, 2 and 3, so that the
+# images show above the roundoff, the rule's error against the same rule at
+# half the spacing, over the bound with a factor 1, reached 3.5 on 60 random
+# media coupled on both layers (two in three 2-D), where a width of t_max
+# itself let it reach 29 and 1.1 t_max 6.9: the reflected terms of a medium
+# whose tangential blocks are nearly its Schur complements spread a little
+# wider than t_max, and their profile is not centred on the shift.
 IMAGE_SAFETY = 10.0
+IMAGE_SPREAD = 1.2
+
+# The columns of one tile of the node sums of est's rows (_tau_sums): each
+# tile is summed at once however the blocks cut it, and the tiles are added
+# in order, so est does not depend on the blocks.
+SUM_COLUMNS = 256
 
 # Element budget of the working arrays (module docstring, Streaming): a
 # block of columns holds at most this many (column, contour node) entries of
@@ -424,7 +452,7 @@ def _contour_shape(row, m: int):
     u_max / M, of a contour row, and h: the parts of _hyperbolic_nodes that
     the lag does not scale, built once per (row, M) and shared read-only
     like _leggauss."""
-    alpha, u_max, _, _ = row
+    alpha, u_max = row[:2]
     h = u_max / m
     z = 1j * (h * np.arange(0, m + 1)) - alpha
     one_sin, cos = 1.0 + np.sin(z), np.cos(z)
@@ -461,8 +489,8 @@ class HalfSums(NamedTuple):
     phi: np.ndarray  # (P, 2, d): each pair's c_p and c_q, phi = c.xi' (symbols.region_phases)
     floor: np.ndarray  # (3 or 4, P): floor rows and the tangential one, node sums
     mass: np.ndarray  # (3 or 4, P): the same rows of the rule's integrand |Re h|, node sums
-    contour: np.ndarray  # (3, P): the rows of Gamma, the normal and the tangential
-    # gradient of |Re h - Re h_even|, node sums
+    contour: np.ndarray  # (2, 3, P): the rows of Gamma, the normal and the tangential
+    # gradient of |Re h - Re h_even| and of the L1 magnitudes S_1 and S_p, node sums
     live: bool  # whether any term was contracted
 
 
@@ -481,12 +509,17 @@ class KernelEvaluator:
         tol = self.cfg.target_rel_tol
         self._row = _CONTOUR_ROWS[0 if medium.dim == 1 else 1]
         self.contour_nodes = _contour_size(self._row, tol)
+        # The contour part's ratio at this M (_CONTOUR_ROWS).
+        self._contour_ratio = self._row[4][CONTOUR_M.index(self.contour_nodes)]
         layers = (medium.upper, medium.lower)
+        # sqrt(a_nn) of the slower layer, the unit of a pair's depth (CONTOUR_DEPTH).
+        self._depth_unit = math.sqrt(min(t.a_nn for t in layers))
         self._det_min = min(float(np.linalg.det(t.entries)) for t in layers)
         self._schur_min = min(t.schur_complement_min() for t in layers)
-        # t_max, the widest tangential spread of either layer: the largest
-        # eigenvalue of its block A_tt (see _xi_spacing).
-        self._spread = max(float(np.max(np.linalg.eigvalsh(t.minor), initial=0.0)) for t in layers)
+        # IMAGE_SPREAD t_max, t_max the widest tangential spread of either
+        # layer, the largest eigenvalue of its block A_tt (see _xi_spacing).
+        self._spread = IMAGE_SPREAD * max(
+            float(np.max(np.linalg.eigvalsh(t.minor), initial=0.0)) for t in layers)
         # The tangential axes whose reflection leaves both layers unchanged
         # (row j of A holds no entry but a_jj), and whether the two may be
         # exchanged (module docstring, Symmetry).  In 2-D a reflection is
@@ -524,23 +557,24 @@ class KernelEvaluator:
     # -- quadrature building blocks -------------------------------------
 
     def _xi_spacing(self, osc: np.ndarray, dt: float) -> list:
-        """h_j = pi / (osc_j + w), w = sqrt(2 t_max dt D), D = ln(1000 / tol) / 2.
+        """h_j = pi / (osc_j + w), w = sqrt(2 sigma dt D), D = ln(1000 / tol) / 2.
 
         ``osc`` is the largest |s_j| of the call's shifts s = x' - y' + c_p
         x_n + c_q y_n, along which the integrand oscillates (module
         docstring).  The step-h rule returns the kernel's part R summed over
         its copies shifted by multiples of 2 pi / h_j in s_j (Poisson
         summation), so the nearest copy lies at least 2 pi / h_j - osc_j =
-        osc_j + 2w away.  R's s_j profile is at most as wide as e^{-s^2 / (4
-        t_max dt)}, t_max the largest eigenvalue of both layers' tangential
-        blocks A_tt, and that copy is at most e^{-2D} = 1e-3 tol of the peak
-        (_image_bound).  t_max, not the Schur complement A_tt - a_t a_t^T /
-        a_nn that sets one layer's own spread: a reflected or transmitted
-        term turns at the interface, which frees its path's normal
-        displacement, and on a medium with a_t != 0 in both layers its
-        profile, against the Schur complement's Gaussian, grew without
-        bound along a tangential line (to 10 times it at 14 diffusion
-        lengths), and against t_max's peaked near 5 and fell.
+        osc_j + 2w away.  R's s_j profile is taken as at most as wide as
+        e^{-s^2 / (4 sigma dt)}, sigma = IMAGE_SPREAD t_max, t_max the
+        largest eigenvalue of both layers' tangential blocks A_tt, and that
+        copy is then at most e^{-2D} = 1e-3 tol of the peak (_image_bound).
+        t_max, not the Schur complement A_tt - a_t a_t^T / a_nn that sets one
+        layer's own spread: a reflected or transmitted term turns at the
+        interface, which frees its path's normal displacement, and on a
+        medium with a_t != 0 in both layers its profile, against the Schur
+        complement's Gaussian, grew without bound along a tangential line
+        (to 10 times it at 14 diffusion lengths), and against t_max's peaked
+        near 5 and fell; IMAGE_SPREAD covers what t_max leaves (its comment).
         """
         width = math.sqrt(2.0 * self._spread * dt * self._alias)
         return [math.pi / (osc_j + width) for osc_j in osc]
@@ -603,13 +637,14 @@ class KernelEvaluator:
         return HalfGrid(shape, nodes, w, xi, np.bincount(of, weights=w, minlength=rep.size),
                         of, _max_abs(xi))
 
-    def _tau_sums(self, pairs, codes, half: HalfGrid, tau, wte, source_gradient, closed):
+    def _tau_sums(self, pairs, codes, phi, half: HalfGrid, tau, wte, source_gradient, closed):
         """The tau contraction on the columns ``half`` (_half_grid), the
         canonical half of the xi' grid or one node of each symmetry orbit of
-        it, for normal pairs ``pairs`` (P, 2) of ascending regions ``codes``.
-        In the regions ``closed`` (closed_form_regions) it drops the direct
-        term, which eval_many adds in closed form (module docstring, Direct
-        term).
+        it, for normal pairs ``pairs`` (P, 2) of ascending regions ``codes``
+        with phases ``phi`` (P, 2, d), each pair's c_p and c_q
+        (symbols.region_phases).  In the regions ``closed``
+        (closed_form_regions) it drops the direct term, which eval_many adds
+        in closed form (module docstring, Direct term).
 
         For each pair and each column, h = sum_m W_m V with W_m = w_m
         e^{tau_m dt} (``wte``) and V = sum_terms coef e^{r_p x_n + r_q y_n},
@@ -617,10 +652,9 @@ class KernelEvaluator:
         a factor r_p or r_q in each term.  Only their real parts are kept.
         A term whose coefficient is zero on a block (the reflected terms of
         a homogeneous medium) is skipped there, and a call none of whose
-        terms was contracted is not ``live``: its sums are 0.  The odd
-        phases come back as each pair's vectors c_p and c_q (HalfSums).
+        terms was contracted is not ``live``: its sums are 0.
 
-        Three sets of rows, each summed over the columns with the weights of
+        Four sets of rows, each summed over the columns with the weights of
         the half rule summed over each orbit (HalfGrid.w), since every row
         is the same at each node of an orbit, bound what the phase layer
         cannot see (module docstring, Error estimate).  Each set has a
@@ -636,11 +670,12 @@ class KernelEvaluator:
         U S_1 + |x_n| S_p + |y_n| S_q + E S_1, their normal row U S_p +
         |x_n| S_pp + |y_n| S_pq + E S_p + |phi_p| times the Gamma row.  The
         mass rows are those of |Re h|, |Re h_n| and |Re h_src|, the L1 mass
-        of the full rule's integrand, which _image_bound scales.  The
-        contour rows (no source row) are those of |Delta| and |Delta_n|,
-        Delta = Re h - Re h_even, h_even the even contour nodes with weights
-        2 W_m, read from the same exponentials: with CONTOUR_SAFETY, the
-        contour part of est, with no phase.
+        of the full rule's integrand, which _image_bound scales.  The two
+        sets of contour rows (no source row) bound the contour rule's error
+        at each column: those of |Delta| and |Delta_n|, Delta = Re h - Re
+        h_even, h_even the even contour nodes with weights 2 W_m, read from
+        the same exponentials; and those of S_1 and S_p, the rule's L1
+        magnitudes, which eval_many scales by the row's ratio.
 
         The columns are streamed in blocks of max(1, BLOCK_ELEMENTS // (M +
         1)) consecutive columns, the last one shorter (module docstring,
@@ -648,7 +683,10 @@ class KernelEvaluator:
         over the pairs of all the regions that have it (R11/R12 and R21/R22
         share one).  Each column's sums come from the same exponentials in
         the same order in any block, and a pair's sums add at most two terms
-        to zero, so neither their order nor the block changes a bit.
+        to zero, so neither their order nor the block changes a bit.  The
+        blocks fill tiles of SUM_COLUMNS columns of the rows, and each tile
+        is summed at once when it is full, the tiles in order, so no node
+        sum depends on the blocks either.
         """
         m_cnt = tau.size
         p_cnt, c_cnt = pairs.shape[0], half.w.size
@@ -661,9 +699,31 @@ class KernelEvaluator:
         re = np.zeros((2 + source_gradient, p_cnt, c_cnt))
         floor = np.zeros((3 + source_gradient, p_cnt))
         mass = np.zeros((3 + source_gradient, p_cnt))
-        contour = np.zeros((3, p_cnt))
+        contour = np.zeros((2, 3, p_cnt))
+        # One tile of columns of the floor rows, of |Delta| and of S_1 and
+        # S_p (see above), each with a last row for the tangential gradient,
+        # and of |phi_p| and |phi_q|.
+        tile = min(c_cnt, SUM_COLUMNS)
+        own = np.empty((3 + source_gradient, p_cnt, tile))
+        delta_l1 = np.empty((2, 3, p_cnt, tile))
+        abs_phi = np.empty((2, p_cnt, tile))
+
+        def add_tile(t0, t1):
+            # The node sums of columns t0..t1 - 1, each set's rows in place,
+            # the tangential one last; the mass rows in the floor's array
+            # once its sums are taken.
+            cnt, cols = t1 - t0, slice(t0, t1)
+            a_phi, xi_inf, w = abs_phi[:, :, :cnt], half.xi_inf[cols], half.w[cols]
+            buf = own[:, :, :cnt]
+            floor[:] += np.einsum("jkq,q->jk", _magnitude_rows(buf[:-1], a_phi, xi_inf, buf), w)
+            mass[:] += np.einsum("jkq,q->jk", _magnitude_rows(re[:, :, cols], a_phi, xi_inf, buf), w)
+            x = delta_l1[..., :cnt]  # both contour sets at once, as _magnitude_rows forms one
+            np.abs(x[:, :2], out=x[:, :2])
+            x[:, 1] += a_phi[0] * x[:, 0]
+            np.multiply(x[:, 0], xi_inf, out=x[:, 2])
+            contour[:] += np.einsum("ijkq,q->ijk", x, w)
+
         live = False
-        phi = self._phases[codes]
         row_i, row_j, row_k = _FLOOR_ROWS[:, :2 + source_gradient]
         step = max(1, BLOCK_ELEMENTS // m_cnt)
         for lo in range(0, c_cnt, step):
@@ -706,24 +766,29 @@ class KernelEvaluator:
                     s_abs[:, sl] += np.einsum("jqm,kqm->jkq", w_abs, np.abs(ex))
                     re_even[:, sl] += np.einsum("jqm,kqm->jkq", w_half, ex[:, :, ::2]).real
                     del ex  # free before the next exponent is formed
-            # The floor rows of every pair (see above) from S_g, the rows of
-            # s_abs for g = 1, |r_p|, |r_q|, |r_p|^2, |r_p r_q|, |r_q|^2, and
-            # the tangential row last; then, in the same array, the mass rows
-            # and the contour rows.
-            abs_phi = np.abs(phi @ half.xi[lo:hi].T).swapaxes(0, 1)
-            xi_inf, w = half.xi_inf[lo:hi], half.w[lo:hi]
-            s_i = s_abs[row_i]
-            rows = np.empty((3 + source_gradient, p_cnt, q_cnt))
-            own = rows[:-1]  # the rows of Gamma, the normal and the source gradient
-            np.multiply(ROUNDOFF_UNITS, s_i, out=own)
-            own += axn * s_abs[row_j]
-            own += ayn * s_abs[row_k]
-            own += (abs_phi[0] * axn + abs_phi[1] * ayn) * s_i
-            del s_i  # (rows x pairs x columns): free before the other rows
-            floor += np.einsum("jkq,q->jk", _magnitude_rows(own, abs_phi, xi_inf, rows), w)
-            mass += np.einsum("jkq,q->jk", _magnitude_rows(re[:, :, lo:hi], abs_phi, xi_inf, rows), w)
-            delta = np.subtract(re[:2, :, lo:hi], re_even, out=re_even)
-            contour += np.einsum("jkq,q->jk", _magnitude_rows(delta, abs_phi, xi_inf, rows[:3]), w)
+            # The block's columns, tile by tile: the floor rows of Gamma, the
+            # normal and the source gradient (see above) from S_g, the rows
+            # of s_abs for g = 1, |r_p|, |r_q|, |r_p|^2, |r_p r_q|, |r_q|^2;
+            # Delta; and S_1 and S_p.  A full tile, or the last, is summed.
+            start = lo
+            while start < lo + q_cnt:
+                t0 = start - start % tile
+                end = min(lo + q_cnt, t0 + tile)
+                src, dst = slice(start - lo, end - lo), slice(start - t0, end - t0)
+                s_abs_t = s_abs[:, :, src]
+                s_i = s_abs_t[row_i]
+                a_phi = abs_phi[:, :, dst]
+                np.abs(np.einsum("pij,qj->ipq", phi, half.xi[start:end]), out=a_phi)
+                out = own[:-1, :, dst]
+                np.multiply(ROUNDOFF_UNITS, s_i, out=out)
+                out += axn * s_abs_t[row_j]
+                out += ayn * s_abs_t[row_k]
+                out += (a_phi[0] * axn + a_phi[1] * ayn) * s_i
+                np.subtract(re[:2, :, start:end], re_even[:, :, src], out=delta_l1[0, :2, :, dst])
+                delta_l1[1, :2, :, dst] = s_abs_t[:2]
+                if end in (t0 + tile, c_cnt):
+                    add_tile(t0, end)
+                start = end
         return HalfSums(re, phi, floor, mass, contour, live)
 
     def _phase_sums(self, pairs, inv, shift, half: HalfGrid, sums, source_gradient):
@@ -853,16 +918,21 @@ class KernelEvaluator:
 
         # Each point's shift s = x' - y' + c_p x_n + c_q y_n: its phase is
         # s.xi', and the spacing follows the largest |s_j| (_xi_spacing).
-        shift = x[:, :d] - y[:, :d] + np.einsum("ki,kij->kj", pairs, self._phases[codes])[inv]
+        phi = self._phases[codes]
+        shift = x[:, :d] - y[:, :d] + np.einsum("ki,kij->kj", pairs, phi)[inv]
         steps = self._xi_spacing(np.abs(shift).max(axis=0, initial=0.0), dt)
         half = self._half_grid(self._base_radius(dt), steps)
         closed = self._closed
-        sums = self._tau_sums(pairs, codes, half, tau, wte, source_gradient, closed)
+        sums = self._tau_sums(pairs, codes, phi, half, tau, wte, source_gradient, closed)
         if sums.live:
             gam, grd, sgr, floor = self._phase_sums(pairs, inv, shift, half, sums, source_gradient)
             t_val, t_grad = _tail_bound(inv, half, sums, self._schur_min * dt)
             i_val, i_grad = _image_bound(inv, shift, steps, sums, self._spread * dt)
-            contour = CONTOUR_SAFETY * reduce(np.maximum, sums.contour)[inv]
+            # The smaller of the contour part's two bounds, the second down
+            # to CONTOUR_DEPTH only (module docstring, Error estimate).
+            even, l1 = (reduce(np.maximum, rows) for rows in sums.contour)
+            deep = np.abs(pairs).sum(axis=1) > CONTOUR_DEPTH * self._depth_unit * math.sqrt(dt)
+            contour = CONTOUR_SAFETY * np.where(deep, even, np.minimum(even, self._contour_ratio * l1))[inv]
         else:  # no term contracted (HalfSums.live): neither layer runs, and each part is 0
             gam, grd = np.zeros(k), np.zeros((k, n))
             sgr = np.zeros((k, n)) if source_gradient else None
@@ -955,8 +1025,8 @@ def _image_bound(inv, shift, steps, sums, spread: float):
     (2014)).  R is bounded by its L1 mass A = sum w |Re h| over the grid
     (HalfSums.mass), and it spreads no wider than the widest tangential
     block allows (KernelEvaluator._xi_spacing): |R(z)| <= IMAGE_SAFETY A
-    prod_j g(z_j), g(z) = e^{-z^2 / (4 ``spread``)}, ``spread`` = t_max (t -
-    s), with IMAGE_SAFETY calibrated (its comment).  The images
+    prod_j g(z_j), g(z) = e^{-z^2 / (4 ``spread``)}, ``spread`` =
+    IMAGE_SPREAD t_max (t - s), both calibrated (IMAGE_SAFETY).  The images
     j_i in -2..2 on every axis add up, without cancellation, to prod_i (c_i
     + I_i) - prod_i c_i, c_i = g(s_i) and I_i the sum of g(s_i + 2 pi j_i /
     h_i) over j_i != 0.  A gradient's image is its own mass (the normal,
@@ -1091,7 +1161,6 @@ def _term_weights(term, wte, source_gradient: bool, abs_p, abs_q):
         np.multiply(w_t, e.root, out=w_r)
         if e.sign < 0.0:
             np.negative(w_r, out=w_r)
-    w_half = 2.0 * w_sum[:2, :, ::2]
     w_abs = np.empty((5 + source_gradient,) + w_t.shape)
     np.abs(w_t, out=w_abs[0])
     np.multiply(w_abs[0], abs_p, out=w_abs[1])
@@ -1100,7 +1169,7 @@ def _term_weights(term, wte, source_gradient: bool, abs_p, abs_q):
     np.multiply(w_abs[1], abs_q, out=w_abs[4])
     if source_gradient:
         np.multiply(w_abs[2], abs_q, out=w_abs[5])
-    return w_sum, w_abs, w_half
+    return w_sum, w_abs, 2.0 * w_sum[:2, :, ::2]
 
 
 @cache
