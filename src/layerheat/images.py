@@ -405,15 +405,15 @@ def volume_potential(
     def tensor_grid(lo, hi):
         return gauss_tensor_grid([[(lo[j], hi[j], n_space)] for j in range(n)])
 
-    w_half = domain.half_width
-    lo_full = domain.center - w_half
-    hi_full = domain.center + w_half
+    half_width = domain.half_width
+    lo_full = domain.center - half_width
+    hi_full = domain.center + half_width
     pts_full, wts_full = tensor_grid(lo_full, hi_full)
     # Near s = t the gradient kernel concentrates in a ball of radius
     # O(sigma) around x; below this threshold the global grid cannot
     # resolve it, so a window scaled with sigma is used instead.
     lam = gstar.medium.max_eigenvalue()
-    sigma_split = 6.0 * (2.0 * w_half / n_space) / math.sqrt(lam)
+    sigma_split = 6.0 * (2.0 * half_width / n_space) / math.sqrt(lam)
     total = 0.0
     for sg, wv in zip(sig[:, 0], wsig):
         s = t - sg * sg

@@ -14,11 +14,20 @@ the real axis only at tau_0 = mu_c (1 - sin alpha) > 0, so Theta^2 of
 both layers stays off the branch cut (-inf, 0] at every node, for every
 SPD pair and at every scale of A; no certificate is needed to choose the
 contour.  (certify_mu gives the paper's analyticity domain L_mu, which
-is about complex xi'.)  One contour shape serves 1-D and one 2-D and
-3-D (_CONTOUR_ROWS); each carries a table of its measured error against
-the half-width M, and M(tol) is the smallest tabulated M whose error is
-at most min(1e-4 tol, 1e-13) (_contour_size).  The contour plan (shape,
-M) is thus a function of the dimension and the tolerance alone.
+is about complex xi'.)  A term e^{-r_X |x_n| - r_Y |y_n|} of a normal pair
+has the integrand e^{tau (t-s) - delta sqrt(tau (t-s))} at the depth delta
+(KernelEvaluator._depths), whose saddle tau (t-s) = delta^2 / 4 moves with
+the depth, so one contour per depth band serves 1-D, 2-D and 3-D alike
+(_CONTOUR_ROWS, Weideman, SIAM J. Numer. Anal. 44 (2006), tunes a contour
+to the range of the parameter it serves): M = 20 near the peak, below depth
+6, where the rule errs by 8.2e-16 on 1/sqrt(tau), within the 1e-13 target
+of every tolerance down to 1e-9, and M = 16 deeper, crossing the real axis
+nearer the deeper saddles.  Each pair takes the row of its own depth, so
+the plan of a pair depends on the pair alone, and a call's pairs are
+ordered by row within each region (eval_many); the symbols of a block are
+built once on the nodes of every row the call takes, and each pair
+contracts its own row's.  The nodes and weights are formed in long double
+and rounded once (_contour_shape).
 
 The tangential xi' integral is a uniform trapezoid rule too: its
 integrand is analytic and decays like a Gaussian, the textbook case for
@@ -29,22 +38,20 @@ shift s = x' - y' + c_p x_n + c_q y_n (Half rule), and the widest layer
 
 Error estimate.  est bounds Gamma and grad together, each part the largest
 over them, and is the largest of five parts, in every dimension:
-- the contour part: CONTOUR_SAFETY times the smaller of two bounds on
-  the contour rule's error, each a node sum over the xi' columns with no
-  phase (_tau_sums): |Re h - Re h_even|, h_even the sums of the even
-  contour nodes with doubled weights, read from the tau contraction's own
-  exponentials; and, for a pair no deeper than CONTOUR_DEPTH, the row's
-  tabulated ratio (_CONTOUR_ROWS) times the rule's L1 magnitude sum_m |W_m
-  V_m|.  The first is sharp in the tail, where it tracks the error, the
-  second near the peak, where the even nodes of row 1 (M/2 = 16) err by
-  1e-6 of it and the full rule by 1e-13;
+- the contour part: CONTOUR_SAFETY times the tabulated ratio of the
+  pair's row at its depth (_CONTOUR_ROWS) times the rule's L1 magnitude
+  sum_m |W_m V_m|, a node sum over the xi' columns with no phase
+  (_tau_sums), a priori in every band: the ratio follows the depth unit by
+  unit, below 1e-15 near the peak and 1 in the far tail, where the L1
+  magnitude, set by the contour's ends, exceeds the value by many orders;
 - the images of the xi' rule: by Poisson summation the step-h rule
   returns sum_j R(s + 2 pi j / h), R the part of the kernel that the
   transform integrates, and its images j != 0 are bounded a priori from
   R's L1 mass over the grid and the Gaussian of the widest tangential
   spread (_image_bound; 0 in 1-D);
 - the tail bounds of what the grid leaves out (Tail bound);
-- the roundoff floor of the terms (_tau_sums);
+- the roundoff floor of the terms (_tau_sums), scaled on a sheared medium
+  by the condition of Theta^2 (_cond, ROUNDOFF_UNITS);
 - where the direct term is taken in closed form, its own roundoff (Direct
   term), and 1e-15 |Gamma|.
 
@@ -142,11 +149,12 @@ fold (Symmetry).
 
 Streaming.  The tau contraction runs over the columns of the one HalfGrid
 (Symmetry), the representatives of the canonical half, in blocks of
-consecutive columns, max(1, BLOCK_ELEMENTS // (M + 1)) of them, the last
-one shorter: a block fills the budget of (column, contour node) entries,
-wherever the rows of the grid end.  A block holds its SymbolTable, its
-region terms, their |root| tables, the weights of one term at a time, and
-one chunk of exponentials (normal pairs x columns x contour nodes, within
+consecutive columns, max(1, BLOCK_ELEMENTS // M_u) of them, M_u the contour
+nodes of every row the call's pairs take, the last block shorter: a block
+fills the budget of (column, contour node) entries, wherever the rows of
+the grid end.  A block holds its SymbolTable, its region terms, their
+|root| tables, the weights of one term at a time, and one chunk of
+exponentials (normal pairs x columns x contour nodes, within
 the same budget).  It adds its columns of the half sums, and hands its
 columns of the floor, mass and contour rows to fixed tiles of SUM_COLUMNS
 columns, each summed at once when it is full (_tau_sums).  What
@@ -164,11 +172,11 @@ partition.
 
 Evaluator constants.  What the medium and the tolerance fix is built once,
 on first use, and kept: on the evaluator the region phases (_phases), the
-closed-form regions (_closed) and the source layers' inverses (_gaussians);
-per contour shape and M, shared by all evaluators, the lag-free parts 1 +
-sin z and cos z of the contour nodes (_contour_shape), which the lag only
-scales.  Nothing that depends on a call's lag, points or grid outlives the
-call.
+closed-form regions (_closed), the condition of Theta^2 (_cond) and the
+source layers' inverses (_gaussians); per contour row, shared by all
+evaluators, its nodes and weights times the lag (_contour_shape), which
+the lag only divides.  Nothing that depends on a call's lag, points or
+grid outlives the call.
 
 Tail bound.  After the tau integral the integrand decays like
 e^{-a |xi'|^2}, a = lambda_min(S) (t - s) over the tangential Schur
@@ -207,44 +215,52 @@ class QuadratureNotConverged(RuntimeError):
     """The xi' grid's tail bound fails its truncation test (CLI exit 3)."""
 
 
-# Hyperbolic contour shapes tau(u) = mu_c * (1 + sin(i*u - alpha)) sampled
-# at u = k*h, h = u_max/M, k = -M..M (only k = 0..M are evaluated, see
-# _hyperbolic_nodes), with mu_c = mu_scale*M/(t-s).  Row 0 serves 1-D and
-# row 1 2-D and 3-D.  Row 1 reaches the 1e-13 target at M = 32 where row 0
-# needs 48, a third less tau work on every xi' node.
+# Hyperbolic contour shapes tau(u) = mu_c (1 + sin(i u - alpha)) sampled at
+# u = k h, h = u_max / M, k = -M..M (only k = 0..M are evaluated, see
+# _hyperbolic_nodes), with mu_c = mu_dt / (t - s), one per depth band of the
+# normal pairs, in 1-D, 2-D and 3-D alike (module docstring).
 #
-# Columns: (alpha, u_max, mu_scale, errors, ratios).  errors[i] is the
-# measured relative error of the inversion of 1/sqrt(tau) (exact 1/sqrt(pi
-# (t-s))) with M = CONTOUR_M[i], the largest over t - s = 0.01, 0.3 and 3,
-# rounded up to two digits.  Each row falls exponentially in M to an optimum
-# and then rises again with the roundoff of its growing weights.  ratios[i]
-# is the rule's error against its L1 magnitude sum_m |W_m F(tau_m)|, each
-# summed in modulus over the columns of a xi' grid, for F = e^{-d sqrt(tau +
-# k)} / sqrt(tau + k) and e^{-d sqrt(tau + k)} (the model of a term of Gamma
-# and of its normal gradient; exact: e^{-k (t-s)} times the inverse at k = 0)
-# with k = |xi'|^2: on row 0 k = 0 (1-D); on row 1 grids of 61, 121 and 241
-# nodes and of 41 x 41 nodes out to k (t-s) = 60.  The largest over t - s =
-# 0.01 to 3 and d / sqrt(t - s) = 0..CONTOUR_DEPTH in steps of 0.1, rounded
-# up to one digit: from M = 40 on, a few eps, the rule's own roundoff.  It
-# is the contour part of est (KernelEvaluator.eval_many).  Beyond that depth
-# the ratio rises (row 1, M = 32: 4.8e-14 at 24, 7.4e-9 at 30) where the
-# terms are below e^{-100} of their scale.
-CONTOUR_M = tuple(range(24, 129, 8))
+# Columns: (depth, alpha, u_max, mu_dt, M, error, ratios).  A pair takes the
+# last row whose depth is at most that of its shallowest contracted term
+# (KernelEvaluator._depths).  A term e^{-r_X |x_n| - r_Y |y_n|}, r = sqrt((tau
+# + k) / a_nn) with k = xi'^T S xi', is modelled by F = e^{-d sqrt(tau + k)}
+# / sqrt(tau + k) and, for its normal gradient, e^{-d sqrt(tau + k)}, d =
+# delta sqrt(t - s) at the depth delta (exact: e^{-k (t - s)} times
+# e^{-delta^2 / 4} / sqrt(pi (t - s)), and delta / (2 sqrt(t - s)) times
+# that).  e^{tau (t - s)} F has its saddle at tau (t - s) = delta^2 / 4: row
+# 0, which takes depths below 6 at M = 20, crosses the real axis at tau (t -
+# s) = 3.8, and row 1, M = 16, at 15.6, the saddle of depth 7.9.  Both
+# shapes come from searches that kept the error on the model, at every depth
+# of the band, near that of the former rows (M = 48 in 1-D, M = 32 in 2-D
+# and 3-D): its median over the depths, lags and grids is 0.38 of theirs on
+# row 0 and 0.024 on row 1 (depths 6 to 15; 2e-9 against 3e-7 at depth
+# 14), each floored at 1e-15.  Beyond depth 15, 1e-25 of the peak, neither
+# is accurate, and the ratios say so.  error is the relative error of the
+# inversion of 1/sqrt(tau) (exact 1/sqrt(pi (t - s))), the largest over t -
+# s = 0.01, 0.3 and 3, rounded up to two digits: row 0 meets the 1e-13
+# target of every tolerance down to 1e-9, and the target below that is out
+# of reach of double precision, so M does not depend on the tolerance; row 1
+# is not built for depth 0.  ratios[j] is the rule's error against its L1
+# magnitude sum_m |W_m F(tau_m)|, each summed in modulus over the columns
+# of a xi' grid, k = |xi'|^2 with the
+# weights 1 and |xi'| (the tangential gradient): k = 0 (1-D), 121 nodes and
+# 41 x 41 nodes out to k (t - s) = 60; the largest over t - s = 0.01 to 3,
+# both models and the depths from depth + j to depth + j + 1, the last entry
+# to the next row's depth, or for the last row to depth 60, beyond which
+# every term underflows; rounded up to one digit.  The model and the sums
+# are formed in long double: the roundoff of forming the terms in double is
+# the roundoff floor's part of est (ROUNDOFF_UNITS), and formed in double
+# the ratios near the peak read 5e-16 to 8e-15, that roundoff.
+# tools/contour_rows.py measures both columns and prints this literal.
+# ratios are the contour part of est (KernelEvaluator.eval_many), per unit
+# of depth: below 1e-15 near the peak, 1 in the far tail, where the L1
+# magnitude, set by the contour's ends, exceeds the value by many orders.
 _CONTOUR_ROWS = (
-    (0.85, 1.747, 0.5, (1.6e-09, 1.1e-10, 6.5e-13, 3.4e-14, 2.5e-13, 1.4e-12, 2.0e-12,
-                        3.9e-12, 2.2e-11, 1.4e-10, 7.8e-11, 5.5e-10, 3.9e-09, 6.5e-09),
-     (3e-09, 6e-12, 2e-14, 3e-15, 3e-15, 4e-15, 4e-15, 4e-15, 4e-15, 4e-15, 5e-15, 6e-15,
-      5e-15, 6e-15)),
-    (0.60, 2.576, 0.3, (2.6e-11, 6.4e-14, 6.2e-14, 5.8e-14, 3.6e-13, 1.2e-12, 1.2e-12,
-                        2.4e-11, 3.2e-11, 5.6e-11, 1.3e-10, 7.9e-10, 2.7e-09, 1.8e-08),
-     (4e-11, 4e-15, 3e-15, 3e-15, 3e-15, 4e-15, 3e-15, 4e-15, 4e-15, 4e-15, 5e-15, 5e-15,
-      6e-15, 6e-15)),
+    (0.0, 0.896, 1.912, 17.5, 20, 8.2e-16, (8e-17, 7e-17, 2e-16, 3e-16, 3e-16, 3e-16)),
+    (6.0, 0.548, 1.522, 32.66, 16, 0.014, (2e-15, 6e-16, 6e-16, 6e-16, 6e-16, 4e-16, 8e-15, 4e-13, 4e-11,
+                                            3e-09, 2e-07, 4e-06, 7e-05, 0.0009, 0.007, 0.04, 0.2, 0.4, 0.7,
+                                            1.0, 1.0)),
 )
-# The depth (|x_n| + |y_n|) / sqrt(a_nn (t - s)), a_nn the smaller of the two
-# layers' (so at least the depth of every term of the pair), down to which
-# a pair's contour part may take the row's ratio (eval_many); a deeper pair
-# takes the even-node bound alone.
-CONTOUR_DEPTH = 20.0
 
 # The cap of the analyticity certificate mu, which 1-D media reach, and its
 # relative margin below the exact supremum, which covers the bisection and
@@ -264,6 +280,13 @@ TAIL_SAFETY = 10.0
 # term and get floors of their own: at short lags |p| reaches tens on the
 # contour, and the normal gradient's roundoff then exceeds Gamma's floor.
 # Each |p| is bounded by |r| + |phi|, root part plus phase (_tau_sums).
+# On a sheared medium Theta^2 = a_nn (tau + xi'^T A_tt xi') - (a_t.xi')^2
+# cancels at real xi' by up to the factor 1 + 2 a_t^T S^-1 a_t / a_nn (S the
+# tangential Schur complement), by which the roots, the coefficients and the
+# exponents are rounded more, and the floor is scaled by the larger factor
+# of the two layers (KernelEvaluator._cond; 1 where a_t = 0): on [[1, .99],
+# [.99, 1]] (99.5) at t - s = 0.01 the gradient erred by 1.3 times the
+# unscaled floor.
 # The closed-form direct term's roundoff takes U (1 + E_abs) times its
 # size (_direct): measured against extended precision on 60 random SPD
 # tensors in 1-D to 3-D, errors reached 0.79 of that.  At exponents E of
@@ -272,13 +295,12 @@ TAIL_SAFETY = 10.0
 # reached 1.15 times the U (1 + E_abs) part alone, and 0.68 of the sum.
 ROUNDOFF_UNITS = 2.0
 
-# Factor on the contour part of est (module docstring, Error estimate).  On
-# contour row 0, whose error is set by the truncation at u_max, the
-# difference between the rule and its even-index nodes tracks the error
-# itself, with about half of the points below it; on the 1-D layered closed
-# forms at M = 40 a factor 2 covered every error, and 4 doubles that.  The
-# same factor on the row's ratio covers the coefficients of the real terms,
-# which the model of _CONTOUR_ROWS leaves out.
+# Factor on the contour part of est (module docstring, Error estimate): it
+# covers the coefficients and the two layers' roots of the real terms, which
+# the model of _CONTOUR_ROWS leaves out.  Against the exact layered kernels
+# of 1-D, 2-D and 3-D (reference) at t - s = 0.01 to 0.3, out to 16
+# diffusion lengths normally and 4 tangentially, every error stayed within
+# 0.76 of est.
 CONTOUR_SAFETY = 4.0
 
 # Factor on the a priori bound of the xi' rule's images (see _image_bound),
@@ -314,10 +336,24 @@ SUM_COLUMNS = 256
 BLOCK_ELEMENTS = 2 ** 14
 
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+# 2 pi in long double (_contour_shape).
+_TWO_PI = 2 * np.longdouble("3.14159265358979323846264338327950288")
 
-# Every region code and one past the last: searched in a call's ascending
-# codes, the first pair of each region (_tau_sums).
-_REGION_EDGES = np.arange(len(REGIONS) + 1)
+# Where the band of each row of _CONTOUR_ROWS begins, and CONTOUR_SAFETY
+# times the ratio of depth i at entry i, the last entry for every deeper
+# pair (eval_many).
+_BAND_EDGES = np.array([row[0] for row in _CONTOUR_ROWS])
+_RATIOS = CONTOUR_SAFETY * np.array([
+    ratios[min(i, len(ratios) - 1)]
+    for (lo, *_, ratios), hi in zip(_CONTOUR_ROWS, [row[0] for row in _CONTOUR_ROWS[1:]] + [None])
+    for i in range(int(hi - lo) if hi is not None else len(ratios))])
+
+
+def _band(depth):
+    """The row of _CONTOUR_ROWS of each depth (KernelEvaluator._depths)."""
+    return np.searchsorted(_BAND_EDGES, depth, side="right") - 1
+
+
 # The images of the xi' rule that _image_bound adds on each axis, in units
 # of its period 2 pi / h.
 _IMAGES = np.array([-2.0, -1.0, 1.0, 2.0])
@@ -411,54 +447,47 @@ def certify_mu(medium: TwoLayerMedium) -> float:
     return min(MU_MAX, sup * (1.0 - MU_MARGIN))
 
 
-def _contour_size(row, tol: float) -> int:
-    """M(tol): the smallest tabulated M whose error is at most
-    min(1e-4 tol, 1e-13), or the most accurate one if none is.
-
-    The target is 1e-13 for every tol >= 1e-9: the tau sums' contour
-    noise falls only like 1/|xi'|, and the tangential gradient and the
-    tail bound weight it by |xi'|, so it must stay far below tol.  At
-    1e-12 row 0 would take M = 40 (6.5e-13), and the cube Green function
-    of a homogeneous 2-D medium lost up to 0.1 digits against M = 64; at
-    M = 48 (3.4e-14) it gains about one.
-    """
-    errors = row[3]
-    target = min(1e-4 * tol, 1e-13)
-    for m, err in zip(CONTOUR_M, errors):
-        if err <= target:
-            return m
-    return CONTOUR_M[errors.index(min(errors))]
-
-
-def _hyperbolic_nodes(row, m: int, dt: float):
-    """Half trapezoid rule on the contour: nodes k = 0..M of k = -M..M.
+def _hyperbolic_nodes(row, dt: float):
+    """Half trapezoid rule on the contour of a row of _CONTOUR_ROWS: nodes
+    k = 0..M of k = -M..M, and their weights times e^{tau dt}.
 
     The full rule has tau_{-k} = conj(tau_k) and w_{-k} = conj(w_k), with
     tau_0 and w_0 real.  For an F with F(conj tau) = conj(F(tau)) the full
     sum sum_k w_k e^{tau_k dt} F(tau_k) is therefore the real part of the
     sum over k = 0..M with the weights of k > 0 doubled, which is what
-    this returns.  The rule is only valid for such F.
+    this returns.  The rule is only valid for such F.  Both are the row's
+    lag-free parts (_contour_shape) over dt.
     """
-    mu_c = row[2] * m / dt
-    one_sin, cos, h = _contour_shape(row, m)
-    weights = h * (1j * mu_c * cos) / (2j * np.pi)
-    weights[1:] *= 2.0
-    return mu_c * one_sin, weights
+    tau_dt, wte_dt = _contour_shape(row)
+    return tau_dt / dt, wte_dt / dt
 
 
 @cache
-def _contour_shape(row, m: int):
-    """1 + sin z and cos z at the nodes z = i k h - alpha, k = 0..M, h =
-    u_max / M, of a contour row, and h: the parts of _hyperbolic_nodes that
-    the lag does not scale, built once per (row, M) and shared read-only
-    like _leggauss."""
-    alpha, u_max = row[:2]
+def _contour_shape(row):
+    """tau (t - s) and w e^{tau (t - s)} (t - s) at the nodes k = 0..M of a
+    contour row, which the lag does not change, built once per row and
+    shared read-only like _leggauss.
+
+    With z = i k h - alpha, h = u_max / M, tau (t - s) = mu_dt (1 + sin z)
+    and w (t - s) = h mu_dt cos z / (2 pi), doubled for k > 0 (see
+    _hyperbolic_nodes).  They are formed in long double and rounded once:
+    formed in double, each weight carried a rounding error of a few eps,
+    e^{tau (t - s)} alone eps |tau (t - s)|, and their sum left the rule
+    biased by -5e-15 to -2e-14 relative on 1/sqrt(tau) near the peak, at
+    every lag, which every value near the peak inherits (a cylinder integral
+    of the 1-D kernel erred by 4e-15 where the unbiased rule errs by 1e-15).
+    Where long double is double they are formed in double.
+    """
+    _, alpha, u_max, mu_dt, m = (np.longdouble(v) for v in row[:5])
     h = u_max / m
-    z = 1j * (h * np.arange(0, m + 1)) - alpha
-    one_sin, cos = 1.0 + np.sin(z), np.cos(z)
-    one_sin.setflags(write=False)
-    cos.setflags(write=False)
-    return one_sin, cos, h
+    z = 1j * (h * np.arange(0, int(m) + 1, dtype=np.longdouble)) - alpha
+    tau_dt = mu_dt * (1 + np.sin(z))
+    wte_dt = h * mu_dt * np.cos(z) / _TWO_PI * np.exp(tau_dt)
+    wte_dt[1:] *= 2
+    tau_dt, wte_dt = tau_dt.astype(complex), wte_dt.astype(complex)
+    tau_dt.setflags(write=False)
+    wte_dt.setflags(write=False)
+    return tau_dt, wte_dt
 
 
 class HalfGrid(NamedTuple):
@@ -489,31 +518,36 @@ class HalfSums(NamedTuple):
     phi: np.ndarray  # (P, 2, d): each pair's c_p and c_q, phi = c.xi' (symbols.region_phases)
     floor: np.ndarray  # (3 or 4, P): floor rows and the tangential one, node sums
     mass: np.ndarray  # (3 or 4, P): the same rows of the rule's integrand |Re h|, node sums
-    contour: np.ndarray  # (2, 3, P): the rows of Gamma, the normal and the tangential
-    # gradient of |Re h - Re h_even| and of the L1 magnitudes S_1 and S_p, node sums
+    contour: np.ndarray  # (3, P): the rows of Gamma, the normal and the tangential
+    # gradient of the L1 magnitudes S_1 and S_p, node sums
     live: bool  # whether any term was contracted
+
+
+class Contours(NamedTuple):
+    """The contour nodes of the rows that a call's normal pairs take, one
+    row after the other in ascending order (eval_many)."""
+
+    tau: np.ndarray  # (M_u,) the nodes k = 0..M of each row (_hyperbolic_nodes)
+    wte: np.ndarray  # (M_u,) their weights times e^{tau (t - s)}
+    nodes: dict  # row of _CONTOUR_ROWS -> its slice of tau and wte
 
 
 class KernelEvaluator:
     """Batched evaluator of the kernel and its gradients.
 
     Immutable after construction; a batch shares one transform quadrature,
-    whose tau contraction runs once per unique normal pair (x_n, y_n).  The
-    contour plan is derived from the dimension and the tolerance: ``_row``
-    the contour shape and ``contour_nodes`` its half-width M.
+    whose tau contraction runs once per unique normal pair (x_n, y_n).  Each
+    pair takes the contour row of its depth band (_CONTOUR_ROWS), which
+    ``contour_rows`` reports per point.
     """
 
     def __init__(self, medium: TwoLayerMedium, cfg: QuadratureConfig | None = None):
         self.medium = medium
         self.cfg = cfg if cfg is not None else QuadratureConfig()
         tol = self.cfg.target_rel_tol
-        self._row = _CONTOUR_ROWS[0 if medium.dim == 1 else 1]
-        self.contour_nodes = _contour_size(self._row, tol)
-        # The contour part's ratio at this M (_CONTOUR_ROWS).
-        self._contour_ratio = self._row[4][CONTOUR_M.index(self.contour_nodes)]
         layers = (medium.upper, medium.lower)
-        # sqrt(a_nn) of the slower layer, the unit of a pair's depth (CONTOUR_DEPTH).
-        self._depth_unit = math.sqrt(min(t.a_nn for t in layers))
+        # sqrt(a_nn) of the upper and the lower layer, the units of a term's depth (_depths).
+        self._depth_units = np.sqrt([t.a_nn for t in layers])
         self._det_min = min(float(np.linalg.det(t.entries)) for t in layers)
         self._schur_min = min(t.schur_complement_min() for t in layers)
         # IMAGE_SPREAD t_max, t_max the widest tangential spread of either
@@ -545,6 +579,15 @@ class KernelEvaluator:
         _phases: a patched closed_form_regions reaches every evaluator built
         after the patch."""
         return closed_form_regions(self.medium)
+
+    @cached_property
+    def _cond(self):
+        """The condition 1 + 2 a_t^T S^-1 a_t / a_nn of Theta^2 at real xi',
+        the larger of the two layers' (see ROUNDOFF_UNITS), 1 where a_t = 0;
+        built on first use like _phases."""
+        return max(1.0 + 2.0 * float(np.sum((t.tangential_schur[1].T @ t.normal_row) ** 2
+                                             / t.tangential_schur[0])) / t.a_nn
+                   if t.normal_row.any() else 1.0 for t in (self.medium.upper, self.medium.lower))
 
     @cached_property
     def _gaussians(self):
@@ -593,6 +636,37 @@ class KernelEvaluator:
         """
         return math.sqrt(self._decay / (self._schur_min * dt))
 
+    def _depths(self, xn, yn, codes, dt: float) -> np.ndarray:
+        """The depth of the shallowest contracted term of each normal pair
+        (x_n, y_n) of region ``codes``, which sets its contour row
+        (_CONTOUR_ROWS).
+
+        A term e^{-r_X |x_n| - r_Y |y_n|}, r = sqrt((tau + k) / a_nn) the
+        root part of the layers X and Y of target and source, has the depth
+        |x_n| / sqrt(a_X dt) + |y_n| / sqrt(a_Y dt) in the units of the
+        rows' model.  It is that of the pair's one reflected or transmitted
+        term, and, where the direct term of a same-side pair is contracted
+        (closed_form_regions), |x_n - y_n| / sqrt(a_X dt), the smaller.  A
+        homogeneous medium contracts no term, and its pairs take depth 0.
+        """
+        if self._closed.all():
+            return np.zeros(xn.size)
+        upper, lower = (1.0 / (self._depth_units * math.sqrt(dt))).tolist()
+        below_x, below_y = xn < 0.0, yn < 0.0
+        per_x = np.where(below_x, lower, upper)
+        depth = np.abs(xn) * per_x + np.abs(yn) * np.where(below_y, lower, upper)
+        direct = (below_x == below_y) & ~self._closed[codes]
+        if direct.any():
+            depth = np.where(direct, np.abs(xn - yn) * per_x, depth)
+        return depth
+
+    def contour_rows(self, x, t, y, s) -> np.ndarray:
+        """The row of _CONTOUR_ROWS whose contour each point's normal pair
+        takes in eval_many(x, t, y, s): a function of the pair alone."""
+        x, y = point_pairs(x, y, self.medium.dim)
+        xn, yn = x[:, -1], y[:, -1]
+        return _band(self._depths(xn, yn, region_index(xn, yn), time_lag(t, s)))
+
     # -- core contraction ------------------------------------------------
 
     def _half_grid(self, radius: float, steps) -> HalfGrid:
@@ -637,24 +711,29 @@ class KernelEvaluator:
         return HalfGrid(shape, nodes, w, xi, np.bincount(of, weights=w, minlength=rep.size),
                         of, _max_abs(xi))
 
-    def _tau_sums(self, pairs, codes, phi, half: HalfGrid, tau, wte, source_gradient, closed):
+    def _tau_sums(self, pairs, codes, bands, phi, half: HalfGrid, contours, source_gradient,
+                  closed):
         """The tau contraction on the columns ``half`` (_half_grid), the
         canonical half of the xi' grid or one node of each symmetry orbit of
-        it, for normal pairs ``pairs`` (P, 2) of ascending regions ``codes``
-        with phases ``phi`` (P, 2, d), each pair's c_p and c_q
+        it, for normal pairs ``pairs`` (P, 2) of regions ``codes`` and
+        contour rows ``bands`` (KernelEvaluator._depths), ascending in that
+        order, with phases ``phi`` (P, 2, d), each pair's c_p and c_q
         (symbols.region_phases).  In the regions ``closed``
         (closed_form_regions) it drops the direct term, which eval_many adds
         in closed form (module docstring, Direct term).
 
-        For each pair and each column, h = sum_m W_m V with W_m = w_m
-        e^{tau_m dt} (``wte``) and V = sum_terms coef e^{r_p x_n + r_q y_n},
-        the exponents' even root parts (module docstring); h_n and h_src put
-        a factor r_p or r_q in each term.  Only their real parts are kept.
-        A term whose coefficient is zero on a block (the reflected terms of
-        a homogeneous medium) is skipped there, and a call none of whose
-        terms was contracted is not ``live``: its sums are 0.
+        For each pair and each column, h = sum_m W_m V over the nodes of the
+        pair's own row, W_m = w_m e^{tau_m dt} (``contours``) and V =
+        sum_terms coef e^{r_p x_n + r_q y_n}, the exponents' even root parts
+        (module docstring); h_n and h_src put a factor r_p or r_q in each
+        term.  Only their real parts are kept.  The symbols and the weights
+        of each term are built once per block on the nodes of every row the
+        call takes, and each (region, row) span of pairs contracts its row's
+        slice of them.  A term whose coefficient is zero on a block (the
+        reflected terms of a homogeneous medium) is skipped there, and a call
+        none of whose terms was contracted is not ``live``: its sums are 0.
 
-        Four sets of rows, each summed over the columns with the weights of
+        Three sets of rows, each summed over the columns with the weights of
         the half rule summed over each orbit (HalfGrid.w), since every row
         is the same at each node of an orbit, bound what the phase layer
         cannot see (module docstring, Error estimate).  Each set has a
@@ -670,42 +749,43 @@ class KernelEvaluator:
         U S_1 + |x_n| S_p + |y_n| S_q + E S_1, their normal row U S_p +
         |x_n| S_pp + |y_n| S_pq + E S_p + |phi_p| times the Gamma row.  The
         mass rows are those of |Re h|, |Re h_n| and |Re h_src|, the L1 mass
-        of the full rule's integrand, which _image_bound scales.  The two
-        sets of contour rows (no source row) bound the contour rule's error
-        at each column: those of |Delta| and |Delta_n|, Delta = Re h - Re
-        h_even, h_even the even contour nodes with weights 2 W_m, read from
-        the same exponentials; and those of S_1 and S_p, the rule's L1
+        of the full rule's integrand, which _image_bound scales.  The contour
+        rows (no source row) are those of S_1 and S_p, the rule's L1
         magnitudes, which eval_many scales by the row's ratio.
 
-        The columns are streamed in blocks of max(1, BLOCK_ELEMENTS // (M +
-        1)) consecutive columns, the last one shorter (module docstring,
-        Streaming).  In each block every distinct term is contracted once,
-        over the pairs of all the regions that have it (R11/R12 and R21/R22
-        share one).  Each column's sums come from the same exponentials in
-        the same order in any block, and a pair's sums add at most two terms
-        to zero, so neither their order nor the block changes a bit.  The
-        blocks fill tiles of SUM_COLUMNS columns of the rows, and each tile
-        is summed at once when it is full, the tiles in order, so no node
-        sum depends on the blocks either.
+        The columns are streamed in blocks of max(1, BLOCK_ELEMENTS // M_u)
+        consecutive columns, M_u the call's contour nodes, the last block
+        shorter (module docstring, Streaming).  In each block every distinct
+        term is contracted once, over the pairs of all the regions that have
+        it (R11/R12 and R21/R22 share one).  Each column's sums come from the
+        same exponentials in the same order in any block, and a pair's sums
+        add at most two terms to zero, so neither their order nor the block
+        changes a bit.  The blocks fill tiles of SUM_COLUMNS columns of the
+        rows, and each tile is summed at once when it is full, the tiles in
+        order, so no node sum depends on the blocks either.
         """
-        m_cnt = tau.size
+        tau, wte = contours.tau, contours.wte
         p_cnt, c_cnt = pairs.shape[0], half.w.size
-        # The pairs of one region are one span; ``codes`` ascend.
-        edges = np.searchsorted(codes, _REGION_EDGES).tolist()
-        spans = [(c, lo, hi) for c, lo, hi in zip(range(len(REGIONS)), edges, edges[1:]) if lo < hi]
+        # The pairs of one (region, row) are one span; ``codes`` and
+        # ``bands`` ascend in that order.
+        key = codes * len(_CONTOUR_ROWS) + bands
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        spans = list(zip(codes[starts].tolist(), bands[starts].tolist(), starts.tolist(),
+                         starts[1:].tolist() + [p_cnt]))
+        regions = dict.fromkeys(code for code, *_ in spans)
         closed = closed.tolist()
         abs_pairs = np.abs(pairs)
         axn, ayn = abs_pairs[:, :1], abs_pairs[:, 1:]
         re = np.zeros((2 + source_gradient, p_cnt, c_cnt))
         floor = np.zeros((3 + source_gradient, p_cnt))
         mass = np.zeros((3 + source_gradient, p_cnt))
-        contour = np.zeros((2, 3, p_cnt))
-        # One tile of columns of the floor rows, of |Delta| and of S_1 and
-        # S_p (see above), each with a last row for the tangential gradient,
-        # and of |phi_p| and |phi_q|.
+        contour = np.zeros((3, p_cnt))
+        # One tile of columns of the floor rows and of S_1 and S_p (see
+        # above), each with a last row for the tangential gradient, and of
+        # |phi_p| and |phi_q|.
         tile = min(c_cnt, SUM_COLUMNS)
         own = np.empty((3 + source_gradient, p_cnt, tile))
-        delta_l1 = np.empty((2, 3, p_cnt, tile))
+        l1 = np.empty((3, p_cnt, tile))
         abs_phi = np.empty((2, p_cnt, tile))
 
         def add_tile(t0, t1):
@@ -717,34 +797,28 @@ class KernelEvaluator:
             buf = own[:, :, :cnt]
             floor[:] += np.einsum("jkq,q->jk", _magnitude_rows(buf[:-1], a_phi, xi_inf, buf), w)
             mass[:] += np.einsum("jkq,q->jk", _magnitude_rows(re[:, :, cols], a_phi, xi_inf, buf), w)
-            x = delta_l1[..., :cnt]  # both contour sets at once, as _magnitude_rows forms one
-            np.abs(x[:, :2], out=x[:, :2])
-            x[:, 1] += a_phi[0] * x[:, 0]
-            np.multiply(x[:, 0], xi_inf, out=x[:, 2])
-            contour[:] += np.einsum("ijkq,q->ijk", x, w)
+            buf = l1[:, :, :cnt]
+            contour[:] += np.einsum("jkq,q->jk", _magnitude_rows(buf[:-1], a_phi, xi_inf, buf), w)
 
         live = False
         row_i, row_j, row_k = _FLOOR_ROWS[:, :2 + source_gradient]
-        step = max(1, BLOCK_ELEMENTS // m_cnt)
+        step = max(1, BLOCK_ELEMENTS // tau.size)
         for lo in range(0, c_cnt, step):
             hi = lo + step
             xi_c = half.xi[lo:hi].astype(complex)
             q_cnt = xi_c.shape[0]
             table = SymbolTable(self.medium, xi_c, tau)
-            # Each distinct term and the pairs of every region that has it.
-            # R11/R12 and R21/R22 share a term, and their spans touch.
+            # Each distinct term and the regions that have it.  R11/R12 and
+            # R21/R22 share a term.
             terms = {}
-            for code, p_lo, p_hi in spans:
+            for code in regions:
                 for term in region_terms(REGIONS[code], self.medium, xi_c, tau, table=table):
                     if closed[code] and term.name.startswith(("direct", "transmit")):
                         continue
-                    first = terms[term.name][1] if term.name in terms else p_lo
-                    terms[term.name] = term, first, p_hi
+                    terms.setdefault(term.name, (term, set()))[1].add(code)
             abs_root = {}  # |r| by root array: the exponents of a layer share it
             s_abs = np.zeros((5 + source_gradient, p_cnt, q_cnt))
-            re_even = np.zeros((2, p_cnt, q_cnt))
-            chunk = max(1, BLOCK_ELEMENTS // (q_cnt * m_cnt))
-            for term, p_lo, p_hi in terms.values():
+            for term, term_codes in terms.values():
                 # Zero on the block (see above): a nonzero first entry spares the scan.
                 if not (term.coef[0, 0] or term.coef.any()):
                     continue
@@ -752,24 +826,28 @@ class KernelEvaluator:
                 for e in (term.p, term.q):
                     if id(e.root) not in abs_root:
                         abs_root[id(e.root)] = np.abs(e.root)
-                w_sum, w_abs, w_half = _term_weights(
-                    term, wte, source_gradient,
-                    abs_root[id(term.p.root)], abs_root[id(term.q.root)])
-                r_p, r_q = term.p.root[None], term.q.root[None]
-                x_n = term.p.sign * pairs[p_lo:p_hi, 0, None, None]
-                y_n = term.q.sign * pairs[p_lo:p_hi, 1, None, None]
-                for c_lo in range(0, p_hi - p_lo, chunk):
-                    c_sl = slice(c_lo, c_lo + chunk)
-                    sl = slice(p_lo + c_lo, min(p_lo + c_lo + chunk, p_hi))
-                    ex = np.exp(r_p * x_n[c_sl] + r_q * y_n[c_sl])
-                    re[:, sl, lo:hi] += np.einsum("jqm,kqm->jkq", w_sum, ex).real
-                    s_abs[:, sl] += np.einsum("jqm,kqm->jkq", w_abs, np.abs(ex))
-                    re_even[:, sl] += np.einsum("jqm,kqm->jkq", w_half, ex[:, :, ::2]).real
-                    del ex  # free before the next exponent is formed
+                w_sum, w_abs = _term_weights(term, wte, source_gradient,
+                                             abs_root[id(term.p.root)], abs_root[id(term.q.root)])
+                for code, row, p_lo, p_hi in spans:
+                    if code not in term_codes:
+                        continue
+                    nodes = contours.nodes[row]
+                    w_row, w_abs_row = w_sum[..., nodes], w_abs[..., nodes]
+                    r_p, r_q = term.p.root[None, :, nodes], term.q.root[None, :, nodes]
+                    x_n = term.p.sign * pairs[p_lo:p_hi, 0, None, None]
+                    y_n = term.q.sign * pairs[p_lo:p_hi, 1, None, None]
+                    chunk = max(1, BLOCK_ELEMENTS // (q_cnt * r_p.shape[2]))
+                    for c_lo in range(0, p_hi - p_lo, chunk):
+                        c_sl = slice(c_lo, c_lo + chunk)
+                        sl = slice(p_lo + c_lo, min(p_lo + c_lo + chunk, p_hi))
+                        ex = np.exp(r_p * x_n[c_sl] + r_q * y_n[c_sl])
+                        re[:, sl, lo:hi] += np.einsum("jqm,kqm->jkq", w_row, ex).real
+                        s_abs[:, sl] += np.einsum("jqm,kqm->jkq", w_abs_row, np.abs(ex))
+                        del ex  # free before the next exponent is formed
             # The block's columns, tile by tile: the floor rows of Gamma, the
             # normal and the source gradient (see above) from S_g, the rows
             # of s_abs for g = 1, |r_p|, |r_q|, |r_p|^2, |r_p r_q|, |r_q|^2;
-            # Delta; and S_1 and S_p.  A full tile, or the last, is summed.
+            # and S_1 and S_p.  A full tile, or the last, is summed.
             start = lo
             while start < lo + q_cnt:
                 t0 = start - start % tile
@@ -784,8 +862,7 @@ class KernelEvaluator:
                 out += axn * s_abs_t[row_j]
                 out += ayn * s_abs_t[row_k]
                 out += (a_phi[0] * axn + a_phi[1] * ayn) * s_i
-                np.subtract(re[:2, :, start:end], re_even[:, :, src], out=delta_l1[0, :2, :, dst])
-                delta_l1[1, :2, :, dst] = s_abs_t[:2]
+                l1[:2, :, dst] = s_abs_t[:2]
                 if end in (t0 + tile, c_cnt):
                     add_tile(t0, end)
                 start = end
@@ -843,7 +920,7 @@ class KernelEvaluator:
         if source_gradient:  # the kernel depends on x' - y' only
             sgrad = np.negative(grad)
             sgrad[:, d] = fine[n + 1]
-        floor = _EPS * reduce(np.maximum, sums.floor)[inv]
+        floor = (self._cond * _EPS) * reduce(np.maximum, sums.floor)[inv]
         return gamma, grad, sgrad, floor
 
     def _direct(self, d, lower, dt: float):
@@ -900,9 +977,11 @@ class KernelEvaluator:
         # The tau contraction depends only on (x_n, y_n); points on a tensor
         # grid share few distinct normal coordinates, so it runs once per
         # unique pair, row inv of the pairs.  The pairs are ordered by
-        # region, and within one by x_n and then y_n.
+        # region, within one by contour row (_depths), and then by x_n and y_n.
         point_codes = region_index(xn, yn)
-        order = np.lexsort((yn, xn, point_codes))
+        point_depths = self._depths(xn, yn, point_codes, dt)
+        point_bands = _band(point_depths)
+        order = np.lexsort((yn, xn, point_bands, point_codes))
         xy = np.empty((k, 2))
         xy[:, 0], xy[:, 1] = xn[order], yn[order]
         new = np.empty(k, dtype=bool)
@@ -911,10 +990,19 @@ class KernelEvaluator:
         new[1:] |= xy[1:, 1] != xy[:-1, 1]
         inv = np.empty(k, dtype=np.intp)
         inv[order] = new.cumsum() - 1
-        pairs, codes = xy[new], point_codes[order[new]]
+        first = order[new]
+        pairs, codes, bands = xy[new], point_codes[first], point_bands[first]
 
-        tau, w = _hyperbolic_nodes(self._row, self.contour_nodes, dt)
-        wte = w * np.exp(tau * dt)
+        # The nodes of every row the pairs take, one row after the other.
+        rows = np.flatnonzero(np.bincount(bands, minlength=len(_CONTOUR_ROWS))).tolist()
+        tau, wte, nodes, m_lo = [], [], {}, 0
+        for row in rows:
+            tau_r, wte_r = _hyperbolic_nodes(_CONTOUR_ROWS[row], dt)
+            tau.append(tau_r)
+            wte.append(wte_r)
+            nodes[row] = slice(m_lo, m_lo + tau_r.size)
+            m_lo += tau_r.size
+        contours = Contours(*(a[0] if len(a) == 1 else np.concatenate(a) for a in (tau, wte)), nodes)
 
         # Each point's shift s = x' - y' + c_p x_n + c_q y_n: its phase is
         # s.xi', and the spacing follows the largest |s_j| (_xi_spacing).
@@ -923,16 +1011,15 @@ class KernelEvaluator:
         steps = self._xi_spacing(np.abs(shift).max(axis=0, initial=0.0), dt)
         half = self._half_grid(self._base_radius(dt), steps)
         closed = self._closed
-        sums = self._tau_sums(pairs, codes, phi, half, tau, wte, source_gradient, closed)
+        sums = self._tau_sums(pairs, codes, bands, phi, half, contours, source_gradient, closed)
         if sums.live:
             gam, grd, sgr, floor = self._phase_sums(pairs, inv, shift, half, sums, source_gradient)
             t_val, t_grad = _tail_bound(inv, half, sums, self._schur_min * dt)
             i_val, i_grad = _image_bound(inv, shift, steps, sums, self._spread * dt)
-            # The smaller of the contour part's two bounds, the second down
-            # to CONTOUR_DEPTH only (module docstring, Error estimate).
-            even, l1 = (reduce(np.maximum, rows) for rows in sums.contour)
-            deep = np.abs(pairs).sum(axis=1) > CONTOUR_DEPTH * self._depth_unit * math.sqrt(dt)
-            contour = CONTOUR_SAFETY * np.where(deep, even, np.minimum(even, self._contour_ratio * l1))[inv]
+            # Each pair's row's ratio times its L1 magnitudes (module
+            # docstring, Error estimate).
+            ratio = _RATIOS[np.minimum(point_depths[first].astype(np.intp), _RATIOS.size - 1)]
+            contour = (ratio * reduce(np.maximum, sums.contour))[inv]
         else:  # no term contracted (HalfSums.live): neither layer runs, and each part is 0
             gam, grd = np.zeros(k), np.zeros((k, n))
             sgr = np.zeros((k, n)) if source_gradient else None
@@ -1153,7 +1240,6 @@ def _term_weights(term, wte, source_gradient: bool, abs_p, abs_q):
     (r the signed root parts).  w_abs holds |w_t| and then |w_t| times
     |r_p|, |r_q|, |r_p|^2, |r_p r_q| and, with ``source_gradient``, |r_q|^2
     (``abs_p`` and ``abs_q`` hold |r_p| and |r_q|, even in xi').
-    w_half holds 2 w_t and 2 w_t r_p at the even contour nodes.
     """
     w_sum = np.empty((2 + source_gradient,) + term.coef.shape, dtype=complex)
     w_t = np.multiply(term.coef, wte[None, :], out=w_sum[0])
@@ -1169,7 +1255,7 @@ def _term_weights(term, wte, source_gradient: bool, abs_p, abs_q):
     np.multiply(w_abs[1], abs_q, out=w_abs[4])
     if source_gradient:
         np.multiply(w_abs[2], abs_q, out=w_abs[5])
-    return w_sum, w_abs, 2.0 * w_sum[:2, :, ::2]
+    return w_sum, w_abs
 
 
 @cache

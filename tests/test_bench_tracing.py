@@ -87,7 +87,11 @@ def test_region_terms_once_per_region_and_block(monkeypatch, med, x, y, block_el
     tracer = tracing.Tracer()
     with tracer.installed():
         ev.eval_many(x, 0.2, y, 0.0, source_gradient=True)
-    step = max(1, inverse_transform.BLOCK_ELEMENTS // (ev.contour_nodes + 1))
+    # A block holds BLOCK_ELEMENTS (column, contour node) entries of the
+    # nodes of every row the call's pairs take.
+    rows = np.unique(ev.contour_rows(x, 0.2, y, 0.0))
+    nodes = sum(inverse_transform._CONTOUR_ROWS[r][4] + 1 for r in rows)
+    step = max(1, inverse_transform.BLOCK_ELEMENTS // nodes)
     blocks = -(-columns[0] // step)
     assert blocks > 1 or block_elements is None
     kinds = [s.kind for s in tracer.spans]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerheat.inverse_transform import _CONTOUR_ROWS, KernelEvaluator, certify_mu
+from layerheat.inverse_transform import _CONTOUR_ROWS, KernelEvaluator, QuadratureConfig, certify_mu
 from layerheat.medium import TwoLayerMedium, validate_tensor
 from layerheat.symbols import SpectralPoint
 from symbol_checks import in_analyticity_domain, root_avoidance_check
@@ -21,16 +21,17 @@ def medium(upper, lower=None):
     return TwoLayerMedium(upper=up, lower=validate_tensor(lower) if lower is not None else up)
 
 
-# The media of the benchmark workloads, with their contour rows at tol 1e-8:
-# (name, medium, row, M).  The row follows the dimension alone.
+# The media of the benchmark workloads, with the contour row and its M of a
+# normal pair near the peak: (name, medium, row, M).  The row follows the
+# pair's depth alone, in every dimension and at every tolerance.
 BENCH_MEDIA = (
-    ("1d", medium([[1.0]], [[4.0]]), 0, 48),
-    ("2d_homogeneous", medium([[1.5, 0.5], [0.5, 1.0]]), 1, 32),
-    ("cube", medium(np.diag([1.0, 2.0])), 1, 32),
-    ("2d_layered", medium([[1.0, 0.3], [0.3, 1.0]], np.diag([2.0, 3.0])), 1, 32),
-    ("I|2I", medium(np.eye(2), 2.0 * np.eye(2)), 1, 32),
-    ("I|diag(2,3)", medium(np.eye(2), np.diag([2.0, 3.0])), 1, 32),
-    ("I|diag(2,2,3)", medium(np.eye(3), np.diag([2.0, 2.0, 3.0])), 1, 32),
+    ("1d", medium([[1.0]], [[4.0]]), 0, 20),
+    ("2d_homogeneous", medium([[1.5, 0.5], [0.5, 1.0]]), 0, 20),
+    ("cube", medium(np.diag([1.0, 2.0])), 0, 20),
+    ("2d_layered", medium([[1.0, 0.3], [0.3, 1.0]], np.diag([2.0, 3.0])), 0, 20),
+    ("I|2I", medium(np.eye(2), 2.0 * np.eye(2)), 0, 20),
+    ("I|diag(2,3)", medium(np.eye(2), np.diag([2.0, 3.0])), 0, 20),
+    ("I|diag(2,2,3)", medium(np.eye(3), np.diag([2.0, 2.0, 3.0])), 0, 20),
 )
 
 MEDIA = {name: med for name, med, _, _ in BENCH_MEDIA}
@@ -41,8 +42,12 @@ MEDIA["sheared_3d"] = medium([[1.0, 0.3, 0.2], [0.3, 1.5, 0.4], [0.2, 0.4, 2.0]]
 
 @pytest.mark.parametrize("name,med,row,m", BENCH_MEDIA, ids=[b[0] for b in BENCH_MEDIA])
 def test_bench_media_rows(name, med, row, m):
-    ev = KernelEvaluator(med)
-    assert ev._row is _CONTOUR_ROWS[row] and ev.contour_nodes == m
+    n = med.dim
+    x, y = np.full((1, n), 0.2), np.full(n, 0.1)
+    x[0, -1], y[-1] = 0.1, 0.05
+    for tol in (1e-6, 1e-8, 1e-10):
+        ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=tol))
+        assert ev.contour_rows(x, 0.3, y, 0.0).tolist() == [row] and _CONTOUR_ROWS[row][4] == m
 
 
 def cut_witness(med, layer, mu):

@@ -16,13 +16,11 @@ from layerheat.medium import (
 )
 from layerheat.inverse_transform import (
     _CONTOUR_ROWS,
-    CONTOUR_M,
     TAIL_SAFETY,
     HalfSums,
     KernelEvaluator,
     QuadratureConfig,
     QuadratureNotConverged,
-    _contour_size,
     _hyperbolic_nodes,
     certify_mu,
     delta_recovery,
@@ -64,6 +62,42 @@ SHEARED = [
                   [0.2, 0.1, -0.4], [-0.1, 0.1, -0.5], [0.05, -0.2, -0.1]],
                  1e-9, id="3d"),
 ]
+
+
+# The reference contour of the tests that need one finer than any row: the
+# 1-D row before the depth bands, alpha 0.85, u_max 1.747 and mu_c = 0.5 M /
+# (t - s), at M = 64 (3.4e-14 at M = 48 on the inversion of 1/sqrt(tau)).
+REFERENCE_ROW = (0.0, 0.85, 1.747, 32.0, 64)
+
+
+def term_depths(med, x, y, dt):
+    """The depth of the reflected or transmitted term of each pair,
+    |x_n| / sqrt(a_X dt) + |y_n| / sqrt(a_Y dt), X and Y the layers of
+    target and source (KernelEvaluator._depths)."""
+    xn, yn = np.asarray(x)[:, -1], np.broadcast_to(y, np.shape(x))[:, -1]
+    a_nn = (med.lower.a_nn, med.upper.a_nn)
+    return (np.abs(xn) / np.sqrt(np.choose(xn > 0.0, a_nn) * dt)
+            + np.abs(yn) / np.sqrt(np.choose(yn > 0.0, a_nn) * dt))
+
+
+def band_of(depth):
+    """The row of _CONTOUR_ROWS of each depth: the last that begins at or above it."""
+    return np.searchsorted([row[0] for row in _CONTOUR_ROWS], depth, side="right") - 1
+
+
+def full_rule(row, dt):
+    """The nodes k = -M..M of a contour row and their weights times
+    e^{tau dt}, unfolded from the half rule (_hyperbolic_nodes): node -k is
+    the conjugate of node k, and the half rule doubled the weights of k > 0."""
+    tau, wte = _hyperbolic_nodes(row, dt)
+    tau = np.concatenate([tau[:0:-1].conj(), tau])
+    return tau, np.concatenate([wte[:0:-1].conj() / 2, wte[:1], wte[1:] / 2])
+
+
+def union_nodes(ev, x, t, y):
+    """The contour nodes of a call, M + 1 of each row its pairs take."""
+    rows = np.unique(ev.contour_rows(x, t, y, 0.0))
+    return sum(_CONTOUR_ROWS[r][4] + 1 for r in rows)
 
 
 def record_half_grids(monkeypatch):
@@ -135,8 +169,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("nodes", [40.5, 40.0, True, False, 41, 6, "40"])
     def test_contour_nodes_refused(self, nodes):
-        # M is derived from the dimension and the tolerance (_contour_size):
-        # the config has no field for it, whatever the value.
+        # M is each pair's depth band's (_CONTOUR_ROWS): the config has no
+        # field for it, whatever the value.
         with pytest.raises(TypeError, match="contour_nodes"):
             QuadratureConfig(contour_nodes=nodes)
 
@@ -155,10 +189,10 @@ class TestConfig:
 
     def test_contour_stays_in_domain(self, monkeypatch):
         # The symbols are evaluated at real xi' only, where Theta^2 / a_nn =
-        # tau + xi'^T S xi' with xi'^T S xi' >= 0.  At every pair of a
-        # contour node and a node of the xi' grid the evaluator builds,
+        # tau + xi'^T S xi' with xi'^T S xi' >= 0.  At every pair of a node
+        # of any contour row and a node of the xi' grid the evaluator builds,
         # Theta^2 of both layers stays off the branch cut (-inf, 0]: its
-        # argument is at most pi/2 + alpha, the angle of the contour's
+        # argument is at most pi/2 + alpha, the angle of the row's
         # asymptote.  The bench media, and the strong contrast I | 1000 I,
         # which no analyticity certificate mu admits.
         media = [med for _, med, _, _ in BENCH_MEDIA]
@@ -167,7 +201,6 @@ class TestConfig:
         grids = record_half_grids(monkeypatch)
         for med in media:
             ev = KernelEvaluator(med)
-            m = ev.contour_nodes
             n = med.dim
             x = np.full((4, n), 0.3)
             x[:, -1] = [0.2, -0.3, 0.5, -0.1]
@@ -177,16 +210,18 @@ class TestConfig:
                 grids.clear()
                 ev.eval_many(x, dt, y, 0.0)
                 assert len(grids) == 1
-                tau, w = _hyperbolic_nodes(ev._row, m, dt)
-                assert tau.shape == w.shape == (m + 1,)
-                assert np.all(np.isfinite(tau)) and np.all(np.isfinite(w))
-                # The half rule stands for the mirrored nodes conj(tau) too,
-                # and the half grid for the whole grid.
-                tau = np.concatenate([tau, tau.conj()])
                 xi = whole_grid(grids[0])[0]
-                for th2 in theta_squared(med, xi.astype(complex), tau):
-                    assert th2.shape == (xi.shape[0], 2 * m + 2)
-                    assert np.all(np.abs(np.angle(th2)) <= 0.5 * np.pi + ev._row[0])
+                for row in _CONTOUR_ROWS:
+                    m = row[4]
+                    tau, w = _hyperbolic_nodes(row, dt)
+                    assert tau.shape == w.shape == (m + 1,)
+                    assert np.all(np.isfinite(tau)) and np.all(np.isfinite(w))
+                    # The half rule stands for the mirrored nodes conj(tau)
+                    # too, and the half grid for the whole grid.
+                    tau = np.concatenate([tau, tau.conj()])
+                    for th2 in theta_squared(med, xi.astype(complex), tau):
+                        assert th2.shape == (xi.shape[0], 2 * m + 2)
+                        assert np.all(np.abs(np.angle(th2)) <= 0.5 * np.pi + row[1])
 
     def test_forced_mu_too_large_rejected(self):
         # mu is certified from the medium; the config cannot force one.
@@ -527,35 +562,35 @@ class TestHalfRule:
 
     @pytest.mark.parametrize("row", _CONTOUR_ROWS)
     def test_contour_inverts_known_transforms(self, row):
-        # Each entry of a row's error table is the measured error of the
-        # 1/sqrt(tau) inversion at its M (largest over the three lags).  At
-        # the M(tol) of tol 1e-8 and 1e-10 the pole 1/(tau + 1) is inverted
-        # to within ten times the entry, or 1e-12 where roundoff dominates.
-        chosen = {_contour_size(row, tol) for tol in (1e-8, 1e-10)}
-        for m, rel_err in zip(CONTOUR_M, row[3]):
-            err_sqrt = err_pole = 0.0
-            for dt in (0.01, 0.3, 3.0):
-                tau, w = _hyperbolic_nodes(row, m, dt)
-                we = w * np.exp(tau * dt)
-                inv_pole = np.sum(we / (tau + 1.0)).real
-                inv_sqrt = np.sum(we / np.sqrt(tau)).real
-                err_pole = max(err_pole, abs(inv_pole / np.exp(-dt) - 1.0))
-                err_sqrt = max(err_sqrt, abs(inv_sqrt * np.sqrt(np.pi * dt) - 1.0))
-            assert err_sqrt <= 2.0 * rel_err
-            if m in chosen:
-                assert err_pole <= 10.0 * rel_err + 1e-12
+        # A row's error is the measured error of its rule on 1/sqrt(tau)
+        # (largest over the three lags), summed in long double as
+        # tools/contour_rows.py sums it; in double the sum's own roundoff
+        # adds a few eps.  The near-peak row, whose band holds depth 0, meets
+        # the 1e-13 target, and inverts the pole 1/(tau + 1) to within ten
+        # times its error, or 1e-12 where roundoff dominates.
+        pi = np.longdouble("3.14159265358979323846264338327950288")
+        err_sqrt = err_pole = 0.0
+        for dt in (0.01, 0.3, 3.0):
+            tau, we = (a.astype(np.clongdouble) for a in _hyperbolic_nodes(row, dt))
+            inv_pole = np.sum(we / (tau + 1)).real
+            inv_sqrt = np.sum(we / np.sqrt(tau)).real
+            err_pole = max(err_pole, float(abs(inv_pole / np.exp(-np.longdouble(dt)) - 1)))
+            err_sqrt = max(err_sqrt, float(abs(inv_sqrt * np.sqrt(pi * dt) - 1)))
+        assert err_sqrt <= row[5]
+        if row[0] == 0.0:
+            assert row[5] <= 1e-13 and err_pole <= 10.0 * row[5] + 1e-12
 
     @pytest.mark.parametrize("upper,lower,x,y,rel", SHEARED)
     def test_anisotropic_values_pinned(self, monkeypatch, upper, lower, x, y, rel):
         # eval_many against the full (k = -M..M) contour rule, summed here
         # point by point from region_terms on the whole xi' grid and the
-        # contour that eval_many used, one point per region, on media whose
-        # tangential coupling (a_t != 0 in both layers, in 3-D on both
+        # contour row of each point's pair, one point per region, on media
+        # whose tangential coupling (a_t != 0 in both layers, in 3-D on both
         # tangential axes) makes the +-xi' pairing matter.  eval_many
         # itself hands region_terms the canonical half of the grid, in
-        # blocks of BLOCK_ELEMENTS // (M + 1) consecutive nodes, the last
-        # one shorter, that end at the centre node; in 3-D there are
-        # two.  In 3-D (55 x 55 nodes when measured, 41 x 39 now) both this
+        # blocks of BLOCK_ELEMENTS // M_u consecutive nodes, M_u the nodes
+        # of the rows its pairs take, the last block shorter, that end at
+        # the centre node; in 3-D there are two.  In 3-D (55 x 55 nodes when measured, 41 x 39 now) both this
         # sum and eval_many differ from one in extended precision by up to
         # 1e-11 of the peak for Gamma and 1e-10 for its gradient, hence the
         # looser bound ``rel`` there.
@@ -571,24 +606,19 @@ class TestHalfRule:
         res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
         assert len(grids) == 1
         xi, wq = whole_grid(grids[0])
-        step = inverse_transform.BLOCK_ELEMENTS // (ev.contour_nodes + 1)
+        step = inverse_transform.BLOCK_ELEMENTS // union_nodes(ev, x, dt, y)
         assert xi.shape[0] > 1 and len(blocks) == 6
         for nodes in blocks.values():
             sizes = [b.shape[0] for b in nodes]
             assert set(sizes[:-1]) <= {step} and 0 < sizes[-1] <= step
             assert np.array_equal(np.concatenate(nodes), grids[0].nodes)
             assert (len(nodes) > 1) == (n == 3)
-        tau, w = _hyperbolic_nodes(ev._row, ev.contour_nodes, dt)
-        # Unfold the half rule: node -k is the conjugate of node k, and the
-        # half rule doubled the weights of k > 0.
-        tau = np.concatenate([tau[:0:-1].conj(), tau])
-        w = np.concatenate([w[:0:-1].conj() / 2, w[:1], w[1:] / 2])
-        wte = w * np.exp(tau * dt)
-        assert tau.shape == (2 * ev.contour_nodes + 1,)
+        rows = ev.contour_rows(x, dt, y, 0.0)
         full = {key: np.zeros((6, n), dtype=complex) for key in ("grad", "sgrad")}
         full["gamma"] = np.zeros(6, dtype=complex)
         regions = set()
         for k in range(6):
+            tau, wte = full_rule(_CONTOUR_ROWS[rows[k]], dt)
             xn, yn = x[k, -1], y[k, -1]
             region = classify_region(xn, yn)
             regions.add(region)
@@ -710,9 +740,9 @@ class TestTailBound:
             bounds.append((inv, tail_bound(inv, *args)))
             return bounds[-1][1]
 
-        def recorded_sums(self, pairs, codes, phi, half, tau, wte, *args):
-            passes.append((pairs, codes, phi, tau, wte, args[1]))
-            return tau_sums(self, pairs, codes, phi, half, tau, wte, *args)
+        def recorded_sums(self, pairs, codes, bands, phi, half, contours, *args):
+            passes.append((pairs, codes, bands, phi, contours, args[1]))
+            return tau_sums(self, pairs, codes, bands, phi, half, contours, *args)
 
         monkeypatch.setattr(inverse_transform, "_tail_bound", recorded_bound)
         monkeypatch.setattr(KernelEvaluator, "_tau_sums", recorded_sums)
@@ -721,25 +751,18 @@ class TestTailBound:
         rng = np.random.default_rng(1)
         y = rng.uniform(-0.5, 0.5, (12 if n == 2 else 3, n))
         x = y + math.sqrt(dt) * rng.uniform(-2.5, 2.5, y.shape)
-        # The references run on M = 64, the fixed contour size before
-        # M(tol): on shorter contours the tau sums' noise on the nodes
-        # beyond the radius swamps them (on the Gauss-Legendre grid at tol
-        # 1e-6, dt = 0.3 and M = 40, by 39 times the bound; by 0.068 times
-        # at M = 64).
-        monkeypatch.setattr(inverse_transform, "_contour_size", lambda row, tol: 64)
         ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=tol))
-        assert ev.contour_nodes == 64
         res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
         assert len(bounds) == 1 and len(passes) == 1
         inv, bound = bounds[0][0], np.maximum(*bounds[0][1])
-        pairs, codes, phi, tau, wte, closed = passes[0]
+        pairs, codes, bands, phi, contours, closed = passes[0]
         shift = x[:, :-1] - y[:, :-1] + np.einsum("ki,kij->kj", pairs, phi)[inv]
         steps = ev._xi_spacing(np.max(np.abs(shift), axis=0), dt)
         radius = ev._base_radius(dt)
         wider = []
         for k in (1, 2):
             half = ev._half_grid(2 ** k * radius, steps)
-            sums = tau_sums(ev, pairs, codes, phi, half, tau, wte, True, closed)
+            sums = tau_sums(ev, pairs, codes, bands, phi, half, contours, True, closed)
             values = ev._phase_sums(pairs, inv, shift, half, sums, True)[:3]
             wider.append(np.column_stack(values))
         base = np.column_stack([res["gamma"], res["grad"], res["sgrad"]])
@@ -810,59 +833,110 @@ class TestTailBound:
             assert len(grids) == 1
 
 
-class TestContourSize:
-    """M(tol): each row's error table sizes the contour from the tolerance."""
+class TestContourRows:
+    """Each normal pair takes the contour row of its depth band, in every
+    dimension and at every tolerance."""
 
     TOLS = (1e-4, 1e-6, 1e-8, 1e-10)
-    # Row -> M at each of TOLS.  Down to tol 1e-9 the target is the floor
-    # 1e-13.
-    EXPECTED = {0: (48, 48, 48, 48), 1: (32, 32, 32, 48)}
 
-    def test_size_per_row(self):
-        for i, row in enumerate(_CONTOUR_ROWS):
-            assert tuple(_contour_size(row, tol) for tol in self.TOLS) == self.EXPECTED[i]
+    def test_rows_cover_every_depth(self):
+        # The bands start at depth 0 and follow one another; the near-peak
+        # row has at most 25 nodes, and each row's ratios cover its band
+        # in unit steps, the last for every deeper pair.
+        edges = [row[0] for row in _CONTOUR_ROWS]
+        assert edges[0] == 0.0 and edges == sorted(set(edges))
+        assert _CONTOUR_ROWS[0][4] + 1 <= 25
+        for row, hi in zip(_CONTOUR_ROWS, edges[1:]):
+            assert len(row[6]) == hi - row[0]
+        assert all(len(row) == 7 for row in _CONTOUR_ROWS)
 
-    def test_row_and_size_chosen_together(self):
-        # 1-D takes row 0 and 2-D and 3-D row 1, each at its M(tol),
-        # whatever the medium: 9 I and I | 1000 I, which no analyticity
-        # certificate mu admits, get the same plan as I.
+    def test_row_chosen_by_depth(self):
+        # The row of a pair is the band of its term's depth, |x_n| /
+        # sqrt(a_X dt) + |y_n| / sqrt(a_Y dt), whatever the dimension, the
+        # tolerance and the medium: 9 I and I | 1000 I, which no analyticity
+        # certificate mu admits, like I.  A homogeneous medium contracts no
+        # term, and its pairs take row 0.
         def medium(upper, b=1.0):
             return TwoLayerMedium(upper=validate_tensor(upper),
                                   lower=validate_tensor(b * np.asarray(upper, dtype=float)))
 
-        media = (layered_1d(), layered_1d(1.0, 1000.0), medium([[9.0]]),
-                 medium(np.eye(2)), medium(9.0 * np.eye(2)), medium(np.eye(2), 1000.0),
-                 layered_2d_anisotropic(), medium(np.eye(3)), medium(np.eye(3), 1000.0))
+        media = (layered_1d(), layered_1d(1.0, 1000.0), medium([[9.0]], 2.0),
+                 medium(np.eye(2), 3.0), medium(9.0 * np.eye(2), 0.5), medium(np.eye(2), 1000.0),
+                 layered_2d_anisotropic(), medium(np.eye(3), 2.0), medium(np.eye(3), 1000.0))
+        rng = np.random.default_rng(3)
         for med in media:
-            i = 0 if med.dim == 1 else 1
-            for tol, m in zip(self.TOLS, self.EXPECTED[i]):
-                ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=tol))
-                assert ev._row is _CONTOUR_ROWS[i] and ev.contour_nodes == m
+            n = med.dim
+            for dt in (0.01, 0.3):
+                y = rng.uniform(-1.0, 1.0, (200, n))
+                x = y + rng.uniform(-30.0, 30.0, (200, n)) * math.sqrt(dt)
+                x[:, -1] = np.where(x[:, -1] == 0.0, 0.1, x[:, -1])
+                expected = band_of(term_depths(med, x, y, dt))
+                assert set(expected.tolist()) == set(range(len(_CONTOUR_ROWS)))
+                for tol in self.TOLS:
+                    ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=tol))
+                    assert np.array_equal(ev.contour_rows(x, dt, y, 0.0), expected)
+            homogeneous = KernelEvaluator(homogeneous_medium(med.upper))
+            assert not homogeneous.contour_rows(x, 0.3, y, 0.0).any()
 
-    def test_evaluator_reports_its_size(self):
-        med = layered_2d()
-        for tol, m in zip(self.TOLS, self.EXPECTED[1]):
-            ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=tol))
-            assert ev._row is _CONTOUR_ROWS[1] and ev.contour_nodes == m
-            assert _hyperbolic_nodes(ev._row, m, 0.3)[0].shape == (m + 1,)
+    def test_1d_point_independent_of_batch(self):
+        # In 1-D the xi' grid is the one node xi' = 0, whatever the batch,
+        # and a pair's row follows the pair alone: a point's Gamma, its
+        # gradients and est are the same bytes alone and inside a batch
+        # whose pairs take every row, in every region.
+        ev = KernelEvaluator(layered_1d())
+        rng = np.random.default_rng(8)
+        dt = 0.1
+        y = rng.choice([-1.0, 1.0], (60, 1)) * rng.uniform(0.02, 1.0, (60, 1))
+        x = rng.uniform(-4.0, 4.0, (60, 1))
+        assert set(ev.contour_rows(x, dt, y, 0.0).tolist()) == set(range(len(_CONTOUR_ROWS)))
+        batch = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
+        for k in range(x.shape[0]):
+            alone = ev.eval_many(x[k:k + 1], dt, y[k:k + 1], 0.0, source_gradient=True)
+            for key, value in alone.items():
+                assert value.tobytes() == batch[key][k:k + 1].tobytes(), (k, key)
+
+    def test_call_contracts_its_rows(self, monkeypatch):
+        # A call hands region_terms the nodes of the rows its pairs take,
+        # one row after the other: a near-peak pair alone at most 25, in
+        # every dimension; with a deep pair, both rows.
+        taus = []
+        terms = inverse_transform.region_terms
+
+        def recorded(region, medium, xi, tau, **kwargs):
+            taus.append(tau)
+            return terms(region, medium, xi, tau, **kwargs)
+
+        monkeypatch.setattr(inverse_transform, "region_terms", recorded)
+        dt = 0.3
+        for n in (1, 2, 3):
+            ev = KernelEvaluator(TwoLayerMedium(upper=validate_tensor(np.eye(n)),
+                                                lower=validate_tensor(2.0 * np.eye(n))))
+            x = np.full((2, n), 0.1)
+            x[:, -1] = [0.2, 12.0 * math.sqrt(dt)]
+            y = np.full(n, 0.1)
+            assert ev.contour_rows(x, dt, y, 0.0).tolist() == [0, 1]
+            for k, rows in ((1, [0]), (2, [0, 1])):
+                taus.clear()
+                ev.eval_many(x[:k], dt, y, 0.0)
+                want = np.concatenate([_hyperbolic_nodes(_CONTOUR_ROWS[r], dt)[0] for r in rows])
+                assert taus and all(np.array_equal(tau, want) for tau in taus)
+        assert _CONTOUR_ROWS[0][4] + 1 <= 25
 
 
 class TestEvenNodeEstimate:
-    """est's contour part, the smaller of the rule against its even contour
-    nodes and the row's ratio times the rule's L1 magnitude, each summed
-    with no phase, and the xi' rule's images, bounded a priori."""
+    """est's contour part, each pair's row's ratio at its depth times the
+    rule's L1 magnitude summed with no phase, and the xi' rule's images,
+    bounded a priori."""
 
     @pytest.mark.parametrize("upper,lower,x,y,rel", SHEARED)
     def test_contour_rows(self, monkeypatch, upper, lower, x, y, rel):
-        # The contour rows of _tau_sums against tau sums run here with the
-        # weights of the even contour nodes (2 W_m on even m, 0 on odd m):
-        # Delta = Re h - Re h_even at every column; and against the L1
-        # magnitudes S_1 = sum |W_m coef e^r| and S_p = sum |W_m coef r_p
-        # e^r| over the half contour and the contracted terms, summed here
-        # from region_terms.  Each summed with the orbit weights as |D|,
-        # |D_n| + |phi_p| |D| and |xi'|_inf |D|; est is at least
-        # CONTOUR_SAFETY times the smaller of their largest, the second
-        # times the row's ratio (every pair here lies above CONTOUR_DEPTH).
+        # The contour rows of _tau_sums against the L1 magnitudes S_1 = sum
+        # |W_m coef e^r| and S_p = sum |W_m coef r_p e^r| over the half
+        # contour of each pair's row and the contracted terms, summed here
+        # from region_terms, each summed with the orbit weights as |S_1|,
+        # |S_p| + |phi_p| |S_1| and |xi'|_inf |S_1|; est is at least
+        # CONTOUR_SAFETY times the ratio of the pair's depth, the entry of
+        # its integer part, times their largest.
         med = TwoLayerMedium(upper=validate_tensor(upper), lower=validate_tensor(lower))
         ev = KernelEvaluator(med)
         calls = []
@@ -874,64 +948,87 @@ class TestEvenNodeEstimate:
 
         monkeypatch.setattr(KernelEvaluator, "_tau_sums", recorded)
         x, y = np.array(x), np.array(y)
-        res = ev.eval_many(x, 0.3, y, 0.0, source_gradient=True)
-        (pairs, codes, phi, half, tau, wte, source_gradient, closed), sums = calls[0]
-        even = np.where(np.arange(wte.size) % 2 == 0, 2.0 * wte, 0.0)
-        delta = sums.re[:2] - tau_sums(ev, pairs, codes, phi, half, tau, even, False, closed).re
-        l1 = np.zeros((2,) + delta.shape[1:])
-        for k, ((xn, yn), code) in enumerate(zip(pairs, codes)):
+        dt = 0.3
+        res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
+        (pairs, codes, bands, phi, half, contours, source_gradient, closed), sums = calls[0]
+        l1 = np.zeros((2,) + sums.re.shape[1:])
+        for k, ((xn, yn), code, band) in enumerate(zip(pairs, codes, bands)):
+            tau, wte = _hyperbolic_nodes(_CONTOUR_ROWS[band], dt)
+            assert np.array_equal(tau, contours.tau[contours.nodes[band]])
             for term in region_terms(REGIONS[code], med, half.xi.astype(complex), tau):
                 if closed[code] and term.name.startswith(("direct", "transmit")):
                     continue
-                v = np.abs(wte * term.coef * np.exp(term.p.sign * term.p.root * xn
-                                                    + term.q.sign * term.q.root * yn))
+                v = np.abs(wte * term.coef
+                           * np.exp(term.p.sign * term.p.root * xn + term.q.sign * term.q.root * yn))
                 l1[0, k] += v.sum(axis=1)
                 l1[1, k] += (v * np.abs(term.p.root)).sum(axis=1)
         abs_phi = np.abs(np.einsum("pj,qj->pq", phi[:, 0], half.xi))
-        refs = np.array([[np.abs(r[0]) @ half.w,
-                          (np.abs(r[1]) + abs_phi * np.abs(r[0])) @ half.w,
-                          np.abs(r[0]) @ (half.xi_inf * half.w)] for r in (delta, l1)])
-        assert np.all(refs > 0.0)
-        for got, ref in zip(sums.contour, refs):
-            assert np.allclose(got, ref, rtol=1e-12, atol=1e-15 * np.max(ref))
-        depth = np.abs(pairs).sum(axis=1) / math.sqrt(min(med.upper.a_nn, med.lower.a_nn) * 0.3)
-        assert np.all(depth <= inverse_transform.CONTOUR_DEPTH)
-        part = np.minimum(np.max(refs[0], axis=0), ev._contour_ratio * np.max(refs[1], axis=0))
+        ref = np.array([np.abs(l1[0]) @ half.w, (np.abs(l1[1]) + abs_phi * np.abs(l1[0])) @ half.w,
+                        np.abs(l1[0]) @ (half.xi_inf * half.w)])
+        assert np.all(ref > 0.0)
+        assert np.allclose(sums.contour, ref, rtol=1e-12, atol=1e-15 * np.max(ref))
+        depth = term_depths(med, x, y, dt)
         inv = [np.flatnonzero((pairs == [xn, yn]).all(axis=1))[0] for xn, yn in zip(x[:, -1], y[:, -1])]
-        assert np.all(res["est"] >= inverse_transform.CONTOUR_SAFETY * part[inv] * (1.0 - 1e-12))
+        ratios = np.concatenate([
+            [row[6][min(i, len(row[6]) - 1)] for i in range(int(hi - row[0]) if hi else len(row[6]))]
+            for row, hi in zip(_CONTOUR_ROWS, [r[0] for r in _CONTOUR_ROWS[1:]] + [None])])
+        ratio = ratios[np.minimum(depth.astype(int), ratios.size - 1)]
+        part = inverse_transform.CONTOUR_SAFETY * ratio * np.max(ref, axis=0)[inv]
+        assert np.all(res["est"] >= part * (1.0 - 1e-12))
 
     def test_contour_ratios_cover_the_model(self):
-        # Each row's ratio at the M of tol 1e-8 and 1e-10 covers the rule's
-        # error on the model of its table, e^{-d sqrt(tau + k)} / sqrt(tau +
-        # k) and e^{-d sqrt(tau + k)}, against its L1 magnitude, each summed
-        # in modulus over the columns, down to CONTOUR_DEPTH: on row 0 at k
-        # = 0, on row 1 on the table's 121-node xi' grid, k = xi^2 up to k
-        # (t-s) = 60.
-        for row in _CONTOUR_ROWS:
-            for m in {_contour_size(row, tol) for tol in (1e-8, 1e-10)}:
-                ratio = row[4][CONTOUR_M.index(m)]
-                for dt in (0.01, 0.3, 3.0):
-                    tau, w = _hyperbolic_nodes(row, m, dt)
-                    wte = w * np.exp(tau * dt)
-                    kd = np.zeros(1) if row is _CONTOUR_ROWS[0] else np.linspace(-1.0, 1.0, 121) ** 2 * 60.0
+        # Each row's ratio entry covers its rule's error on the model of its
+        # table, e^{-d sqrt(tau + k)} / sqrt(tau + k) and e^{-d sqrt(tau +
+        # k)}, against its L1 magnitude, each summed in modulus over the
+        # columns, over the depths of its entry, unit by unit from the
+        # row's depth, the last entry to the next row's and beyond the
+        # last row to depth 60, where every term underflows: at k = 0 and
+        # on the table's 121-node and 41 x 41-node xi' grids, k = |xi'|^2
+        # up to k (t-s) = 60, with the weights 1 and |xi'|, at the shortest
+        # and the longest lag of the table.  The model and the sums are
+        # formed in long double: the roundoff of forming the terms in double
+        # is the roundoff floor's part of est.
+        ld = np.longdouble
+        pi = ld("3.14159265358979323846264338327950288")
+        line = np.linspace(-1.0, 1.0, 121) ** 2 * 60.0
+        axis = np.linspace(-1.0, 1.0, 41) ** 2 * 60.0
+        square = (axis[:, None] + axis[None, :]).ravel()
+        grids = [(np.zeros(1), np.ones(1))] + [(kd, wk) for kd in (line, square)
+                                                for wk in (np.ones(kd.size), np.sqrt(kd))]
+        edges = [row[0] for row in _CONTOUR_ROWS[1:]] + [60.0]
+        for row, hi in zip(_CONTOUR_ROWS, edges):
+            ratios = row[6]
+            ends = [row[0] + j for j in range(len(ratios))] + [hi]
+            for dt in (0.01, 3.0):
+                tau, wte = (a.astype(np.clongdouble) for a in _hyperbolic_nodes(row, dt))
+                for kd, wk in grids:
+                    kd, wk = kd.astype(ld), wk.astype(ld)
                     sq = np.sqrt(tau + kd[:, None] / dt)
-                    for depth in np.linspace(0.0, inverse_transform.CONTOUR_DEPTH, 41):
-                        d = depth * math.sqrt(dt)
-                        g = np.exp(-depth ** 2 / 4.0 - kd)
-                        for f, exact in ((np.exp(-d * sq) / sq, g / math.sqrt(math.pi * dt)),
-                                         (np.exp(-d * sq), depth * g / (2.0 * math.sqrt(math.pi) * dt))):
-                            err = np.abs(np.sum(wte * f, axis=1).real - exact)
-                            assert np.sum(err) <= ratio * np.sum(np.abs(wte * f))
+                    for ratio, lo, top in zip(ratios, ends, ends[1:]):
+                        for depth in np.linspace(lo, top, 3, dtype=ld):
+                            g = np.exp(-depth ** 2 / 4 - kd)
+                            e = np.exp(-depth * np.sqrt(ld(dt)) * sq)
+                            for f, exact in ((e / sq, g / np.sqrt(pi * dt)),
+                                             (e, depth * g / (2 * np.sqrt(pi) * dt))):
+                                err = wk @ np.abs((f @ wte).real - exact)
+                                assert err <= ratio * (wk @ np.abs(f * wte).sum(axis=1))
 
-    @pytest.mark.parametrize("seed", [2, 14, 37, 40, 41, 0])
+    @pytest.mark.parametrize("seed", [2, 14, 37, 40, 41, 0, "found"])
     def test_image_bound_covers_random_media(self, monkeypatch, seed):
         # Random media coupled on both layers (seed 0 in 3-D), among them
         # the three whose images came closest to the bound in a sweep of
-        # 60: at spacings 1.5, 2 and 3 times the rule's own, where the
-        # images show above the roundoff, the error against the rule at half
-        # its own spacing stays within the image bound (IMAGE_SAFETY
-        # included), to 1e-12 of the peak, for Gamma and both gradients.
-        rng = np.random.default_rng(seed)
+        # 60, and a medium whose reflected terms spread wider than t_max,
+        # with 644 targets out to 20 diffusion lengths tangentially from
+        # each of two sources: at spacings 1.5, 2 and 3 times the rule's
+        # own, where the images show above the roundoff, the error against
+        # the rule at half its own spacing and twice its radius stays within
+        # the image bound (IMAGE_SAFETY included), to 1e-12 of the peak, and
+        # within est, for Gamma and both gradients.  Against a reference of
+        # the same radius est missed the last medium's tangential gradient
+        # at 40 and 73 targets by up to 2.02 times, at spacing 2, where the
+        # reference's own truncation error (2.2e-16, within its own est of
+        # 7.3e-16) was the larger.
+        rng = np.random.default_rng(0 if seed == "found" else seed)
         n = 3 if seed == 0 else 2
         d = n - 1
 
@@ -943,21 +1040,34 @@ class TestEvenNodeEstimate:
                 if np.all(np.abs(a[-1, :-1]) > 0.05) and np.linalg.eigvalsh(a)[0] > 0.05:
                     return a
 
-        med = TwoLayerMedium(upper=validate_tensor(spd()), lower=validate_tensor(spd()))
-        ev = KernelEvaluator(med)
-        spacing, image_bound = KernelEvaluator._xi_spacing, inverse_transform._image_bound
-        factor, bounds = [0.5], []
-        monkeypatch.setattr(KernelEvaluator, "_xi_spacing",
-                            lambda self, osc, dt: [h * factor[0] for h in spacing(self, osc, dt)])
-        monkeypatch.setattr(inverse_transform, "_image_bound",
-                            lambda *args: bounds.append(image_bound(*args)) or bounds[-1])
         dt, k = 0.3, 40 if n == 2 else 16
         r = math.sqrt(dt)
-        y = np.column_stack([rng.uniform(-0.5, 0.5, (k, d)) * r,
-                             rng.choice([0.1, -0.3, 1.0, -1.5], k) * r])
-        x = np.column_stack([y[:, :d] + rng.uniform(-3.0, 3.0, (k, d)) * r, rng.uniform(-3.0, 3.0, k) * r])
+        if seed == "found":
+            med = TwoLayerMedium(upper=validate_tensor([[2.246, 0.225], [0.225, 2.169]]),
+                                 lower=validate_tensor([[2.793, 0.109], [0.109, 2.085]]))
+            reach = np.linspace(-20.0, 20.0, 161) * r
+            x = np.tile([[u, xn * r] for xn in (0.1, 1.0, -0.5, 3.0) for u in reach], (2, 1))
+            y = np.zeros_like(x)
+            y[:, 1] = np.repeat([0.1 * r, r], x.shape[0] // 2)
+        else:
+            med = TwoLayerMedium(upper=validate_tensor(spd()), lower=validate_tensor(spd()))
+            y = np.column_stack([rng.uniform(-0.5, 0.5, (k, d)) * r,
+                                 rng.choice([0.1, -0.3, 1.0, -1.5], k) * r])
+            x = np.column_stack([y[:, :d] + rng.uniform(-3.0, 3.0, (k, d)) * r,
+                                 rng.uniform(-3.0, 3.0, k) * r])
+        ev = KernelEvaluator(med)
+        spacing, radius = KernelEvaluator._xi_spacing, KernelEvaluator._base_radius
+        image_bound = inverse_transform._image_bound
+        factor, bounds = [0.5, 2.0], []
+        monkeypatch.setattr(KernelEvaluator, "_xi_spacing",
+                            lambda self, osc, dt: [h * factor[0] for h in spacing(self, osc, dt)])
+        monkeypatch.setattr(KernelEvaluator, "_base_radius",
+                            lambda self, dt: factor[1] * radius(self, dt))
+        monkeypatch.setattr(inverse_transform, "_image_bound",
+                            lambda *args: bounds.append(image_bound(*args)) or bounds[-1])
         ref = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
         peak, g_peak = np.max(np.abs(ref["gamma"])), np.max(np.abs(ref["grad"]))
+        factor[1] = 1.0
         for factor[0] in (1.5, 2.0, 3.0):
             res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
             val, grad = bounds[-1]
@@ -966,6 +1076,7 @@ class TestEvenNodeEstimate:
                                np.abs(res["sgrad"] - ref["sgrad"]).max(axis=1))
             assert np.all(err <= val + 1e-12 * peak)
             assert np.all(g_err <= grad + 1e-12 * g_peak)
+            assert np.all(np.maximum(err, g_err) <= res["est"])
         assert np.max(err) > 1e-10 * peak  # the images show at the widest spacing
 
     @pytest.mark.parametrize("d", [0, 1, 2])
@@ -1036,16 +1147,17 @@ class TestEvenNodeEstimate:
         # (l - mu)(1 - l mu) = mu^3 l^2, see certify_mu).  While the
         # contour followed mu they took the wide rows ``row``, since
         # deleted, whose tables never reached the 1e-13 target: errors up
-        # to 1.3e-8 of the peak.  Now they take row 1 like every 2-D medium.
+        # to 1.3e-8 of the peak.  Now a pair's row follows its depth alone,
+        # and a homogeneous medium's pairs take row 0.
         lam = 0.5 * (1.0 / mu + math.sqrt(1.0 / mu**2 - 4.0 / (1.0 + mu**2)))
         t_mat = validate_tensor(lam / 1.5 * np.array([[2.0, 1.0], [1.0, 2.0]]))
         med = homogeneous_medium(t_mat)
         assert certify_mu(med) == pytest.approx(mu, rel=1e-5)
         ev = KernelEvaluator(med)
-        assert ev._row is _CONTOUR_ROWS[1]
         rng = np.random.default_rng(row + 1)  # the row's index before row 3 was deleted
         y = np.array([0.1, -0.2])
         x = y + math.sqrt(dt) * rng.uniform(-2.5, 2.5, (30, 2))
+        assert not ev.contour_rows(x, dt, y, 0.0).any()
         res = ev.eval_many(x, dt, y, 0.0)
         exact = gaussian_kernel(t_mat, x, dt, y, 0.0)
         err = np.abs(res["gamma"] - exact)
@@ -1058,13 +1170,13 @@ class TestEvenNodeEstimate:
     def test_strong_medium_on_row_1(self, dt):
         # 9 I took the widest row while the contour followed mu: it erred
         # by 7.8e-9 and 1.5e-7 of the peak at these lags, with est up to 64
-        # times the peak.
+        # times the peak.  It is homogeneous, and its pairs take row 0.
         t_mat = validate_tensor(9.0 * np.eye(2))
         ev = KernelEvaluator(homogeneous_medium(t_mat))
-        assert ev._row is _CONTOUR_ROWS[1] and ev.contour_nodes == 32
         rng = np.random.default_rng(9)
         y = np.array([0.1, -0.2])
         x = y + 3.0 * math.sqrt(dt) * rng.uniform(-2.5, 2.5, (30, 2))
+        assert not ev.contour_rows(x, dt, y, 0.0).any()  # no term contracted
         res = ev.eval_many(x, dt, y, 0.0)
         exact = gaussian_kernel(t_mat, x, dt, y, 0.0)
         peak = float(np.max(gaussian_kernel(t_mat, y[None, :], dt, y, 0.0)))
@@ -1089,19 +1201,23 @@ class TestBoundedPlan:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("b", [1.0, 3.0, 10.0, 100.0, 1000.0])
     def test_contrast_sweep(self, monkeypatch, n, b):
-        # I | b I: every contrast takes the contour of its dimension, and
-        # each call runs one xi' grid with finite, positive values.  In 3-D
-        # at b = 1000 only the plan is checked: the grid grows like b, and
-        # its one call at t - s = 0.01 takes 4-6 s (389,827 half nodes,
-        # 195,355 orbits of the two reflections).
+        # I | b I: every contrast takes the contour rows of its pairs' term
+        # depths, in the units of each layer (row 0 at b = 1, a homogeneous
+        # medium, which contracts no term), and each call runs one xi'
+        # grid with finite, positive values.  In 3-D at b = 1000 only the
+        # plan is checked: the grid grows like b, and its one call at t - s
+        # = 0.01 takes 4-6 s (389,827 half nodes, 195,355 orbits of the two
+        # reflections).
         med = TwoLayerMedium(upper=validate_tensor(np.eye(n)),
                              lower=validate_tensor(b * np.eye(n)))
         ev = KernelEvaluator(med)
-        assert ev._row is _CONTOUR_ROWS[1] and ev.contour_nodes == 32
+        x, y = contrast_batch(n)
+        for dt in (0.01, 0.3):
+            rows = ev.contour_rows(x, dt, y, 0.0)
+            assert np.array_equal(rows, band_of(term_depths(med, x, y, dt)) * (b != 1.0))
         if n == 3 and b >= 1000.0:
             return
         grids = record_half_grids(monkeypatch)
-        x, y = contrast_batch(n)
         for dt in (0.01, 0.3)[:4 - n]:
             grids.clear()
             res = ev.eval_many(x, dt, y, 0.0, source_gradient=True)
@@ -1119,8 +1235,8 @@ class TestBoundedPlan:
         # these batches by 8e-7 (3-D, b = 4) to 9e-4 (2-D, b = 8) of the
         # peak.  The reference is summed here on a grid of half the spacing
         # and twice the radius, a chunk of nodes at a time, and on its own
-        # contour: row 0 at M = 64.  Measured in 2-D: at most 1.4e-12 of
-        # the peak, for every b.
+        # contour, REFERENCE_ROW.  Measured in 2-D: at most 1.4e-12 of the
+        # peak, for every b.
         med = TwoLayerMedium(upper=validate_tensor(np.eye(n)),
                              lower=validate_tensor(b * np.eye(n)))
         ev = KernelEvaluator(med, QuadratureConfig(target_rel_tol=1e-8))
@@ -1134,8 +1250,7 @@ class TestBoundedPlan:
         h = [float(np.diff(np.unique(grids[0].nodes[:, j]))[0]) for j in range(n - 1)]
         fine_xi, fine_wq = whole_grid(ev._half_grid(2.0 * ev._base_radius(dt),
                                                     [hj / 2.0 for hj in h]))
-        tau, w = _hyperbolic_nodes(_CONTOUR_ROWS[0], 64, dt)
-        wte = w * np.exp(tau * dt)
+        tau, wte = _hyperbolic_nodes(REFERENCE_ROW, dt)
         ref = np.zeros(k)
         for lo in range(0, fine_wq.size, 4096):
             xi, wq = fine_xi[lo:lo + 4096], fine_wq[lo:lo + 4096]
@@ -1250,23 +1365,24 @@ def scatter_batch(reach):
 
 
 def whole_grid_values(med, ev, half, x, y, dt, split=False):
-    """Gamma, grad and sgrad of the full (k = -M..M) contour rule on the
-    whole xi' grid of the HalfGrid ``half``, summed point by point from
-    region_terms.  With ``split``, as in eval_many, the direct term of the
-    regions in closed_form_regions is the Gaussian of the source's layer,
-    not its transform on the grid."""
+    """Gamma, grad and sgrad of the full (k = -M..M) contour rule of each
+    point's row on the whole xi' grid of the HalfGrid ``half``, summed point
+    by point from region_terms.  With ``split``, as in eval_many, the direct
+    term of the regions in closed_form_regions is the Gaussian of the
+    source's layer, not its transform on the grid."""
     closed = inverse_transform.closed_form_regions(med)
     n = med.dim
     d = n - 1
     xi, wq = whole_grid(half)
-    tau, w = _hyperbolic_nodes(ev._row, ev.contour_nodes, dt)
-    tau = np.concatenate([tau[:0:-1].conj(), tau])
-    w = np.concatenate([w[:0:-1].conj() / 2, w[:1], w[1:] / 2])
-    wte = w * np.exp(tau * dt)
-    table = SymbolTable(med, xi.astype(complex), tau)
+    rows, tables = ev.contour_rows(x, dt, y, 0.0), {}
     out = {"gamma": np.zeros(len(x)), "grad": np.zeros((len(x), n)),
            "sgrad": np.zeros((len(x), n))}
     for k, (xk, yk) in enumerate(zip(x, y)):
+        if rows[k] not in tables:
+            tau, wte = full_rule(_CONTOUR_ROWS[rows[k]], dt)
+            tables[rows[k]] = SymbolTable(med, xi.astype(complex), tau), wte
+        table, wte = tables[rows[k]]
+        tau = table.tau
         s_val = s_n = s_src = 0.0
         region = classify_region(xk[-1], yk[-1])
         direct = split and closed[REGIONS.index(region)]
@@ -1306,7 +1422,7 @@ class TestSymmetryFold:
         osc = np.array([SCATTER_REACH, SCATTER_REACH if equal else 0.5])
         half = ev._half_grid(ev._base_radius(dt), ev._xi_spacing(osc, dt))
         assert half.of is not None and half.of.size == half.nodes.shape[0]
-        tau, _ = _hyperbolic_nodes(ev._row, ev.contour_nodes, dt)
+        tau, _ = _hyperbolic_nodes(_CONTOUR_ROWS[0], dt)
         nodes = SymbolTable(med, half.nodes.astype(complex), tau)
         cols = SymbolTable(med, half.xi.astype(complex), tau)
         for name in ("theta_a", "theta_b", "root_a", "root_b", "direct_a", "direct_b",
@@ -1389,7 +1505,7 @@ class TestSymmetryFold:
 
         def recorded_sums(self, *args):
             runs[-1]["sums"] = tau_sums(self, *args)
-            runs[-1]["half"] = args[3]
+            runs[-1]["half"] = args[4]
             return runs[-1]["sums"]
 
         def recorded_bound(*args):
