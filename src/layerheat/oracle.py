@@ -11,9 +11,15 @@ Time stepping takes one of two routes, chosen from the medium:
 * no tangential-normal coupling (a_12 = 0 in both layers, always so in
   1-D): the operator is exactly L = T (x) diag(a_11(x_n)) + I (x) N, with
   T the 1-D tangential operator of unit coefficient and N the 1-D normal
-  one (the tensor-product method of Lynch, Rice & Thomas, Numer. Math. 6,
-  1964).  T is diagonalized once per solve, and each step solves one
-  tridiagonal system per tangential mode;
+  one (the fast-diagonalization method of Lynch, Rice & Thomas, Numer.
+  Math. 6, 1964, and Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
+  1970).  T's eigenbasis is known in closed form: cosines (DCT-I) under
+  the no-flux closure, sines (DST-I) on the interior nodes under
+  Dirichlet data.  Scaled by the root of the normal cell volumes, each
+  tangential mode's system is an SPD tridiagonal, factored once per
+  solve.  The march stays in modal space: the initial slice is
+  transformed once, each step applies the explicit half and solves mode
+  by mode, and each stored slice is transformed back once;
 * otherwise the 2-D operator is assembled as a sparse matrix and every
   step reuses one sparse LU factorization of it.
 
@@ -35,12 +41,16 @@ Discretization notes:
 """
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.fft import dct, dst
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import splu
 
 from .medium import Cube, MediumError, TwoLayerMedium, homogeneous_medium, validate_tensor
@@ -65,10 +75,12 @@ class Grid:
     t_span: tuple
 
     def __post_init__(self):
-        if self.nodes_per_dim < 16:
-            raise MediumError("nodes_per_dim must be >= 16")
-        if not self.dt > 0.0:
-            raise MediumError("dt must be positive")
+        if not isinstance(self.nodes_per_dim, numbers.Integral) or self.nodes_per_dim < 16:
+            raise MediumError("nodes_per_dim must be an integer >= 16")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise MediumError("dt must be positive and finite")
+        if not all(math.isfinite(t) for t in self.t_span):
+            raise MediumError("t_span must be finite")
         if not self.t_span[1] > self.t_span[0]:
             raise MediumError("t_span must be increasing")
         steps = (self.t_span[1] - self.t_span[0]) / self.dt
@@ -121,8 +133,9 @@ class GridFunction:
     def final(self) -> np.ndarray:
         return self.values[-1]
 
-    def quadrature_weights(self) -> np.ndarray:
-        """Trapezoid weights matching the half-cell flux closure."""
+    def cell_volumes(self) -> np.ndarray:
+        """Each node's cell volume under the half-cell flux closure: the
+        trapezoid rule on the grid."""
         m = self.grid.nodes_per_dim
         h = self.grid.spacing
         w1 = np.full(m, h)
@@ -132,7 +145,7 @@ class GridFunction:
         return np.multiply.outer(w1, w1)
 
     def mass(self, time_index: int = -1) -> float:
-        return float(np.sum(self.quadrature_weights() * self.values[time_index]))
+        return float(np.sum(self.cell_volumes() * self.values[time_index]))
 
 
 def _piecewise_entry(medium: TwoLayerMedium, i: int, j: int, xn: np.ndarray):
@@ -205,9 +218,7 @@ def build_operator(medium: TwoLayerMedium, grid: Grid, closed: bool) -> sp.csr_m
     shape = grid.shape
     h = grid.spacing
     n_nodes = int(np.prod(shape))
-    idx = np.arange(n_nodes).reshape(shape)
     axes = grid.axes
-    diffs = [_transverse_diff(shape, j, h) for j in range(n)]
 
     # Per-node half-cell factors along each axis (only in closed mode).
     cell = np.ones((n, n_nodes))
@@ -222,6 +233,19 @@ def build_operator(medium: TwoLayerMedium, grid: Grid, closed: bool) -> sp.csr_m
             cell[j] = c.ravel()
     volume = (h**n) * np.prod(cell, axis=0)
 
+    if n == 1:
+        # One face per node pair: the three diagonals directly, with the
+        # same products and two-term sums as the general assembly below.
+        inv = 1.0 / volume
+        flux = _piecewise_entry(medium, 0, 0, 0.5 * (axes[0][:-1] + axes[0][1:])) / h
+        total = np.zeros(n_nodes)
+        total[:-1] += flux
+        total[1:] += flux
+        return sp.diags([inv[1:] * flux, -(inv * total), inv[:-1] * flux], [-1, 0, 1],
+                        format="csr")
+
+    idx = np.arange(n_nodes).reshape(shape)
+    diffs = [_transverse_diff(shape, j, h) for j in range(n)]
     op = sp.csr_matrix((n_nodes, n_nodes))
     for i in range(n):
         s_left = [slice(None)] * n
@@ -255,7 +279,7 @@ def build_operator(medium: TwoLayerMedium, grid: Grid, closed: bool) -> sp.csr_m
             flux = flux + sp.diags(a_ij) @ (0.5 * (p_left + p_right)) @ diffs[j]
         area = (h ** (n - 1)) * np.prod(
             [cell[j][left] for j in range(n) if j != i], axis=0
-        ) if n > 1 else np.ones(n_faces)
+        )
         div = (p_left.T - p_right.T) @ sp.diags(area) @ flux
         op = op + sp.diags(1.0 / volume) @ div
     return op.tocsr()
@@ -284,9 +308,23 @@ def _line_operator(medium: TwoLayerMedium, grid: Grid, axis: int, closed: bool):
     return build_operator(medium, line, closed)
 
 
+class _Route(NamedTuple):
+    """One time-stepping route in its own state space: ``encode`` maps the
+    active nodes' values to a state and ``decode`` maps it back; ``apply``
+    is L on a state and ``solve`` solves (I - step L_aa) v = r for one;
+    ``couple(g)`` is L u on the active rows for a grid vector g that is
+    zero on them (the reach of Dirichlet data into the interior)."""
+
+    encode: Callable
+    decode: Callable
+    apply: Callable
+    solve: Callable
+    couple: Callable
+
+
 def _lu_route(medium: TwoLayerMedium, grid: Grid, closed: bool, active, step: float):
-    """(apply, solve) from the assembled operator L: ``apply(u)`` is L u on
-    the active rows, ``solve(r)`` solves (I - step L_aa) v = r."""
+    """_Route from the assembled operator L, whose states are the active
+    nodes' values; ``solve`` reuses one sparse LU of I - step L_aa."""
     op = build_operator(medium, grid, closed)[active]
     op_aa = op[:, active]
     # The flux-form stencil couples node i to j when it couples j to i (but
@@ -299,22 +337,57 @@ def _lu_route(medium: TwoLayerMedium, grid: Grid, closed: bool, active, step: fl
         lu = splu((eye - step * op_aa).tocsc(), permc_spec="MMD_AT_PLUS_A")
     except Exception as exc:  # pragma: no cover - scipy raises various types
         raise SolveFailed(f"factorization failed: {exc}") from exc
-    return (lambda u: op @ u), lu.solve
+    same = lambda v: v
+    return _Route(same, same, lambda v: op_aa @ v, lu.solve, lambda g: op @ g)
+
+
+def _tangential_modes(m: int, h: float, closed: bool):
+    """(lam, forward, back): the eigenpairs of the unit tangential line
+    operator T_aa on m nodes of spacing h, in closed form, so that
+    T_aa = back diag(lam) forward and back forward = I along axis 0.
+
+    T's stencil is (u_{i-1} - 2 u_i + u_{i+1}) / h^2, mirrored about a
+    closed end's half cell.  Its eigenvectors are cos(pi k i / (m - 1)),
+    k = 0 .. m - 1, when closed (orthonormal once symmetrized by the root
+    cell volumes over h, sqrt(1/2) at both ends) and
+    sin(pi k i / (m - 1)), k = 1 .. m - 2, on the m - 2 interior nodes
+    under Dirichlet data; lam_k = -(2 sin(pi k / (2 (m - 1))) / h)^2 for
+    both.  The transforms are DCT-I and DST-I, each its own inverse up to
+    the factor 2 (m - 1), which ``forward`` carries.  Modes never mix, so
+    their scale is free; the FFT transforms cost O(m log m) per line and
+    need no m x m matrix.
+    """
+    k, kind = (np.arange(m), dct) if closed else (np.arange(1, m - 1), dst)
+    lam = -(2.0 / h * np.sin(0.5 * np.pi * k / (m - 1))) ** 2
+    scale = 0.5 / (m - 1)
+
+    def forward(x):
+        return kind(x, type=1, axis=0) * scale
+
+    def back(c):
+        return kind(c, type=1, axis=0)
+
+    return lam, forward, back
 
 
 def _modal_route(medium: TwoLayerMedium, grid: Grid, closed: bool, step: float):
-    """(apply, solve) as _lu_route, for a medium with no tangential-normal
-    coupling, from the 1-D operators: L = T (x) diag(a_11(x_n)) + I (x) N.
+    """_Route for a medium with no tangential-normal coupling, from the 1-D
+    operators: L = T (x) diag(a_11(x_n)) + I (x) N.
 
-    T_aa is diagonalized once, symmetrized by the active nodes' cell
-    weights (half cells at the two ends when closed); in its eigenbasis
-    mode k solves (I - step (lam_k diag(a_11) + N_aa)) v_k = r_k, and the
-    modes' tridiagonal systems, laid end to end, make one tridiagonal
-    system that LAPACK factors once.
+    A state holds the tangential modes of _tangential_modes (one mode,
+    lam = 0, in 1-D) along axis 0 and the normal nodes along axis 1, each
+    scaled by the root of its normal cell volume.  That scaling makes N's
+    three diagonals symmetric, so mode k's system I - step (lam_k a_11 + N)
+    is an SPD tridiagonal; the modes' systems, laid end to end, make one
+    that LAPACK factors once (dpttrf) and solves per step (dpttrs).  Both
+    ``apply`` and ``solve`` act mode by mode; only ``encode`` and
+    ``decode`` transform, and ``couple`` works on the grid from the two
+    line operators.
     """
     _check_interface(medium, grid)
     if grid.dim not in (1, 2):
         raise MediumError("finite-difference oracle supports n in {1, 2} only")
+    m = grid.nodes_per_dim
     keep = slice(None) if closed else slice(1, -1)
     normal = TwoLayerMedium(
         upper=validate_tensor([[medium.upper.a_nn]]),
@@ -323,40 +396,46 @@ def _modal_route(medium: TwoLayerMedium, grid: Grid, closed: bool, step: float):
     op_n = _line_operator(normal, grid, -1, closed)
     a_11 = _piecewise_entry(medium, 0, 0, grid.axes[-1])
     if grid.dim == 1:
-        # No tangential axis: one mode, lam = 0.
-        op_t, keep_t, root = sp.csr_matrix((1, 1)), slice(None), np.ones(1)
+        op_t, keep_t = sp.csr_matrix((1, 1)), slice(None)
+        lam, forward, back = np.zeros(1), (lambda x: x), (lambda c: c)
     else:
-        op_t, keep_t = _line_operator(homogeneous_medium(validate_tensor([[1.0]])), grid, 0, closed), keep
-        root = np.ones(grid.nodes_per_dim)[keep]
-        if closed:
-            root[[0, -1]] = math.sqrt(0.5)
-    t_aa = op_t[keep_t][:, keep_t].toarray()
-    sym = root[:, None] * t_aa / root[None, :]
-    try:
-        lam, vec = np.linalg.eigh(0.5 * (sym + sym.T))
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailed(f"tangential eigendecomposition failed: {exc}") from exc
-    to_modes, from_modes = vec.T * root, vec / root[:, None]
+        unit = homogeneous_medium(validate_tensor([[1.0]]))
+        op_t, keep_t = _line_operator(unit, grid, 0, closed), keep
+        lam, forward, back = _tangential_modes(m, grid.spacing, closed)
 
+    root = np.ones(m)[keep]
+    if closed:
+        root[[0, -1]] = math.sqrt(0.5)
     n_aa = op_n[keep][:, keep]
-    diag = 1.0 - step * (lam[:, None] * a_11[keep] + n_aa.diagonal())
-    sub, sup = np.zeros((2,) + diag.shape)
-    sub[:, :-1] = -step * n_aa.diagonal(-1)
-    sup[:, :-1] = -step * n_aa.diagonal(1)
-    *factors, info = dgttrf(sub.ravel()[:-1], diag.ravel(), sup.ravel()[:-1])
+    n_off = n_aa.diagonal(1) * root[:-1] / root[1:]
+    l_diag = lam[:, None] * a_11[keep] + n_aa.diagonal()
+    shape = l_diag.shape
+    off = np.zeros(shape)
+    off[:, :-1] = -step * n_off
+    d, e, info = dpttrf((1.0 - step * l_diag).ravel(), off.ravel()[:-1])
     if info != 0:
-        raise SolveFailed(f"factorization failed: LAPACK dgttrf info {info}")
-    shape = diag.shape
+        raise SolveFailed(f"factorization failed: LAPACK dpttrf info {info}")
 
-    def apply(u):
-        u = u.reshape(op_t.shape[0], -1)
-        return ((op_t @ u) * a_11 + (op_n @ u.T).T)[keep_t, keep].ravel()
+    def encode(v):
+        return forward(v.reshape(lam.size, -1)) * root
+
+    def decode(s):
+        return back(s / root).ravel()
+
+    def apply(s):
+        out = l_diag * s
+        out[:, :-1] += n_off * s[:, 1:]
+        out[:, 1:] += n_off * s[:, :-1]
+        return out
 
     def solve(r):
-        modes, _ = dgttrs(*factors, (to_modes @ r.reshape(shape)).ravel())
-        return (from_modes @ modes.reshape(shape)).ravel()
+        return dpttrs(d, e, r.ravel())[0].reshape(shape)
 
-    return apply, solve
+    def couple(g):
+        g = g.reshape(op_t.shape[0], -1)
+        return ((op_t @ g) * a_11 + (op_n @ g.T).T)[keep_t, keep].ravel()
+
+    return _Route(encode, decode, apply, solve, couple)
 
 
 def fdm_solve(
@@ -374,6 +453,11 @@ def fdm_solve(
     ``bc`` is "dirichlet0", "dirichlet" (with ``boundary_data(points, t)``),
     or "none" (no-flux closure of a large box, mass conserving);
     ``forcing(points, t)`` adds a source term.
+
+    One loop serves both routes, in the route's state space: the initial
+    slice is encoded once, each step forms the theta-scheme's right side
+    there (boundary data and forcing encoded only when given) and solves,
+    and each stored slice is decoded once.
     """
     if scheme not in ("implicit_euler", "crank_nicolson"):
         raise MediumError(f"unknown scheme {scheme!r}")
@@ -381,57 +465,59 @@ def fdm_solve(
         raise MediumError(f"unknown bc {bc!r}")
     if bc == "dirichlet" and boundary_data is None:
         raise MediumError("bc='dirichlet' requires boundary_data")
-    pts = grid.points()
     shape = grid.shape
-    n_nodes = pts.shape[0]
-    u0 = initial(pts) if callable(initial) else np.asarray(initial, dtype=float)
-    u0 = u0.reshape(shape).astype(float).copy()
+    reads_points = callable(initial) or bc == "dirichlet" or forcing is not None
+    pts = grid.points() if reads_points else None
 
     closed = bc == "none"
     dt = grid.dt
     times = grid.times
     theta = 1.0 if scheme == "implicit_euler" else 0.5
-    active = np.ones(n_nodes, dtype=bool) if closed else ~_boundary_mask(shape)
+    mask = np.ones(math.prod(shape), dtype=bool) if closed else ~_boundary_mask(shape)
     if _uncoupled(medium):
-        apply, solve = _modal_route(medium, grid, closed, dt * theta)
+        route = _modal_route(medium, grid, closed, dt * theta)
     else:
-        apply, solve = _lu_route(medium, grid, closed, active, dt * theta)
-    a_idx = np.flatnonzero(active)
-    b_idx = np.flatnonzero(~active)
+        route = _lu_route(medium, grid, closed, mask, dt * theta)
+    a_idx = slice(None) if closed else np.flatnonzero(mask)
+    b_idx = np.flatnonzero(~mask)
 
     def bvals(t):
         return np.asarray(boundary_data(pts[b_idx], t), dtype=float)
 
-    u = u0.ravel().copy()
-    if bc == "dirichlet0":
-        u[b_idx] = 0.0
-    elif bc == "dirichlet":
-        u[b_idx] = bvals(times[0])
+    def fvals(t):
+        return np.asarray(forcing(pts[a_idx], t), dtype=float)
+
     history = np.empty((grid.n_steps + 1,) + shape)
-    history[0] = u.reshape(shape)
+    u = history[0].reshape(-1)
+    u[:] = (initial(pts) if callable(initial) else np.asarray(initial, dtype=float)).ravel()
+    g_old = bvals(times[0]) if bc == "dirichlet" else 0.0
+    u[b_idx] = g_old
+    f_old = fvals(times[0]) if forcing is not None and theta < 1.0 else 0.0
+    state = route.encode(u[a_idx])
     for m in range(grid.n_steps):
         t_new = times[m + 1]
-        rhs = u[a_idx]
+        rhs = state
         if theta < 1.0:
-            rhs = rhs + dt * (1.0 - theta) * apply(u)
-        if bc == "dirichlet":
-            g = np.zeros(n_nodes)
-            g[b_idx] = bvals(t_new)
-            rhs = rhs + dt * theta * apply(g)
-        if forcing is not None:
-            f_new = np.asarray(forcing(pts[a_idx], t_new), dtype=float)
-            if theta < 1.0:
-                f_old = np.asarray(forcing(pts[a_idx], times[m]), dtype=float)
-                rhs = rhs + dt * (theta * f_new + (1.0 - theta) * f_old)
-            else:
-                rhs = rhs + dt * f_new
-        sol = solve(rhs)
-        if not np.all(np.isfinite(sol)):
+            rhs = rhs + dt * (1.0 - theta) * route.apply(state)
+        if bc == "dirichlet" or forcing is not None:
+            src = 0.0
+            if bc == "dirichlet":
+                g_new = bvals(t_new)
+                g = np.zeros(u.size)
+                g[b_idx] = theta * g_new + (1.0 - theta) * g_old
+                src = route.couple(g)
+                g_old = g_new
+            if forcing is not None:
+                f_new = fvals(t_new)
+                src = src + theta * f_new + (1.0 - theta) * f_old
+                f_old = f_new
+            rhs = rhs + route.encode(dt * src)
+        state = route.solve(rhs)
+        if not np.all(np.isfinite(state)):
             raise SolveFailed(f"non-finite values at step {m + 1}")
-        u[a_idx] = sol
-        if bc == "dirichlet":
-            u[b_idx] = g[b_idx]
-        history[m + 1] = u.reshape(shape)
+        u = history[m + 1].reshape(-1)
+        u[a_idx] = route.decode(state)
+        u[b_idx] = g_old
     return GridFunction(grid=grid, values=history)
 
 
@@ -450,9 +536,10 @@ def approximate_kernel(
     if eps < 2.0 * grid.spacing:
         raise MediumError("mollification width must be >= 2 grid spacings")
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    pts = grid.points()
-    r2 = np.sum((pts - y) ** 2, axis=1)
-    u0 = np.exp(-r2 / (2.0 * eps * eps)).reshape(grid.shape)
+    # |x - y|^2 on the grid as an outer sum over the axes, without the
+    # node array.
+    r2 = functools.reduce(np.add.outer, [(a - c) ** 2 for a, c in zip(grid.axes, y)])
+    u0 = np.exp(-r2 / (2.0 * eps * eps))
     gf0 = GridFunction(grid=grid, values=u0[None])
     u0 = u0 / gf0.mass(0)
     return fdm_solve(medium, grid, u0, bc="none", scheme=scheme)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -57,6 +59,28 @@ class TestGrid:
             Grid(box=box, nodes_per_dim=16, dt=0.2, t_span=(0.0, 0.1))
         g = Grid(box=box, nodes_per_dim=16, dt=0.1 / 3, t_span=(0.0, 0.1))
         assert g.n_steps == 3 and g.times[-1] == pytest.approx(0.1)
+
+    def test_infinite_dt(self):
+        # was accepted with n_steps = 0: the initial slice came back as the
+        # final one
+        box = Cube(half_width=1.0, center=np.array([0.0]))
+        with pytest.raises(MediumError, match="dt"):
+            Grid(box=box, nodes_per_dim=16, dt=math.inf, t_span=(0.0, 0.25))
+
+    @pytest.mark.parametrize("t_span", [(0.0, math.inf), (-math.inf, 0.25)])
+    def test_infinite_t_span(self, t_span):
+        # was a bare OverflowError from round()
+        box = Cube(half_width=1.0, center=np.array([0.0]))
+        with pytest.raises(MediumError, match="t_span"):
+            Grid(box=box, nodes_per_dim=16, dt=0.05, t_span=t_span)
+
+    @pytest.mark.parametrize("nodes", [20.5, 21.0])
+    def test_nodes_not_an_integer(self, nodes):
+        # was accepted, then a TypeError inside np.linspace
+        box = Cube(half_width=1.0, center=np.array([0.0]))
+        with pytest.raises(MediumError, match="nodes_per_dim"):
+            Grid(box=box, nodes_per_dim=nodes, dt=0.05, t_span=(0.0, 0.25))
+        assert Grid(box=box, nodes_per_dim=np.int64(21), dt=0.05, t_span=(0.0, 0.25)).n_steps == 5
 
     def test_geometry(self):
         g = grid_1d(nodes=81, half=4.0)
@@ -230,6 +254,27 @@ UNCOUPLED_2D = [
 ]
 
 
+def _check_modal_against_lu(monkeypatch, med, center, nodes, bc, scheme):
+    """Every slice of the modal route within 1e-12 of the sparse LU's, relative
+    to the slice's peak, with boundary data and forcing when they apply."""
+    g = Grid(box=Cube(half_width=2.0, center=center),
+             nodes_per_dim=nodes, dt=0.01, t_span=(0.0, 0.1))
+    pts = g.points()
+
+    def run():
+        return fdm_solve(
+            med, g, np.exp(-np.sum((pts - 0.4) ** 2, axis=1)), bc=bc, scheme=scheme,
+            boundary_data=lambda p, t: np.sin(p[:, 0] + p[:, -1]) * np.exp(-t),
+            forcing=lambda p, t: np.cos(p[:, -1]) * (1.0 + t),
+        ).values
+
+    modal = run()
+    monkeypatch.setattr(oracle, "_uncoupled", lambda medium: False)
+    lu = run()
+    for a, b in zip(modal, lu):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
 class TestTensorProductRoute:
     """Media with no tangential-normal coupling step in the eigenbasis of
     the 1-D tangential operator; the sparse LU of the assembled operator
@@ -263,22 +308,43 @@ class TestTensorProductRoute:
             med, center = _medium([[1.0]], [[2.5]]), np.array([0.4])
         else:
             med, center = _medium(*UNCOUPLED_2D[1]), np.array([0.5, 0.4])
-        g = Grid(box=Cube(half_width=2.0, center=center),
-                 nodes_per_dim=21, dt=0.01, t_span=(0.0, 0.1))
-        pts = g.points()
+        _check_modal_against_lu(monkeypatch, med, center, 21, bc, scheme)
 
-        def run():
-            return fdm_solve(
-                med, g, np.exp(-np.sum((pts - 0.4) ** 2, axis=1)), bc=bc, scheme=scheme,
-                boundary_data=lambda p, t: np.sin(p[:, 0] + p[:, -1]) * np.exp(-t),
-                forcing=lambda p, t: np.cos(p[:, -1]) * (1.0 + t),
-            ).values
+    @pytest.mark.slow
+    @pytest.mark.parametrize("bc", ["none", "dirichlet0", "dirichlet"])
+    @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
+    def test_matches_sparse_lu_101_nodes(self, monkeypatch, bc, scheme):
+        _check_modal_against_lu(monkeypatch, _medium(*UNCOUPLED_2D[1]),
+                                np.array([0.5, 0.4]), 101, bc, scheme)
 
-        modal = run()
-        monkeypatch.setattr(oracle, "_uncoupled", lambda medium: False)
-        lu = run()
-        for a, b in zip(modal, lu):
-            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    @pytest.mark.parametrize("nodes", [17, 21, 201])
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_tangential_modes_diagonalize_the_line(self, nodes, closed):
+        # The closed-form eigenpairs against build_operator's unit line,
+        # symmetrized by the root cell volumes (sqrt(1/2) at a closed
+        # end): the transforms invert each other, their vectors are
+        # orthonormal once symmetrized, they diagonalize the line, and the
+        # eigenvalues are eigh's.
+        h = 0.1
+        line = Grid(box=Cube(half_width=0.5 * h * (nodes - 1), center=np.array([0.3])),
+                    nodes_per_dim=nodes, dt=0.01, t_span=(0.0, 0.1))
+        t_op = build_operator(homogeneous_medium(validate_tensor([[1.0]])), line, closed=closed)
+        keep = slice(None) if closed else slice(1, -1)
+        t_aa = t_op[keep][:, keep].toarray()
+        root = np.ones(nodes)[keep]
+        if closed:
+            root[[0, -1]] = math.sqrt(0.5)
+        sym = root[:, None] * t_aa / root[None, :]
+        ref = np.linalg.eigh(sym)[0]
+        norm = np.max(np.abs(ref))
+        lam, forward, back = oracle._tangential_modes(nodes, line.spacing, closed)
+        eye = np.eye(lam.size)
+        assert np.max(np.abs(forward(back(eye)) - eye)) <= 1e-14
+        vec = root[:, None] * back(eye)
+        vec /= np.linalg.norm(vec, axis=0)
+        assert np.max(np.abs(vec.T @ vec - eye)) <= 1e-14
+        assert np.max(np.abs(vec.T @ sym @ vec - np.diag(lam))) <= 1e-14 * norm
+        assert np.max(np.abs(np.sort(lam) - ref)) <= 1e-14 * norm
 
     @pytest.mark.parametrize("layers, calls", [
         (UNCOUPLED_2D[0], 0),
